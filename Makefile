@@ -11,7 +11,7 @@ GO ?= go
 # without repeating the full multi-second golden runs.
 RACE_PKGS = ./internal/assembly/... ./internal/bitvec/... ./internal/circuit/... ./internal/core/... ./internal/correct/... ./internal/debruijn/... ./internal/distshard/... ./internal/dram/... ./internal/engine/... ./internal/exec/... ./internal/genome/... ./internal/jobqueue/... ./internal/kmer/... ./internal/parallel/... ./internal/perfmodel/... ./internal/sched/... ./internal/service/... ./internal/shard/... ./internal/subarray/...
 
-.PHONY: all check ci fmt-check build vet test test-race fuzz-smoke bench reproduce examples clean lint lint-tools service-smoke dist-smoke
+.PHONY: all check ci fmt-check build vet test test-race fuzz-smoke bench bench-check reproduce examples clean lint lint-tools service-smoke dist-smoke
 
 all: check
 
@@ -76,7 +76,7 @@ dist-smoke:
 # package). FUZZTIME=10s is the CI smoke budget; raise it locally for a
 # real hunt.
 FUZZTIME ?= 10s
-FUZZ_PKGS = ./internal/genome ./internal/debruijn ./internal/kmer ./internal/distshard
+FUZZ_PKGS = ./internal/genome ./internal/debruijn ./internal/kmer ./internal/distshard ./internal/sched
 
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \
@@ -91,19 +91,35 @@ fuzz-smoke:
 # (benchmark name -> iterations + every value/unit pair). BENCHTIME=1x is
 # the CI smoke mode: every benchmark runs once, proving the benchjson
 # artefact pipeline still parses without paying full measurement time.
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH_PR12.json
 BENCHTIME ?= 1s
+
+# The artefact must carry the functional-engine and scheduler benchmarks:
+# the simulator's accounting cost went unmeasured for ten PRs because no
+# recorded benchmark reached Platform.Summarize.
+BENCH_REQUIRED = BenchmarkPIMEngine BenchmarkScheduleStream
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run='^$$' . | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
+	@for k in $(BENCH_REQUIRED); do \
+		grep -q "\"$$k" $(BENCH_OUT) || { echo "$$k missing from $(BENCH_OUT)"; exit 1; }; \
+	done
 	@echo "wrote $(BENCH_OUT)"
 
+# bench/ is its own Go module (the end-to-end benchmark, BENCHMARK.json's
+# command), so `go build ./...` and `go test ./...` at the root never
+# compile it: vet and test it here so a signature change in a package it
+# imports cannot break pimbench unseen.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # The full local gate, one-to-one with .github/workflows/ci.yml: the check
-# suite, lint, the daemon smoke, the multi-process sharding smoke, the
-# ingestion fuzz smoke, and the bench smoke run. Keep the two in sync — CI
-# must run exactly these commands.
+# suite, the nested bench module's vet + tests, lint, the daemon smoke, the
+# multi-process sharding smoke, the fuzz smoke, and the bench smoke run.
+# Keep the two in sync — CI must run exactly these commands.
 ci:
 	$(MAKE) check
+	$(MAKE) bench-check
 	$(MAKE) lint
 	$(MAKE) service-smoke
 	$(MAKE) dist-smoke

@@ -21,12 +21,14 @@ import (
 	"pimassembler/internal/dram"
 	"pimassembler/internal/engine"
 	"pimassembler/internal/eval"
+	"pimassembler/internal/exec"
 	"pimassembler/internal/genome"
 	"pimassembler/internal/jobqueue"
 	"pimassembler/internal/kmer"
 	"pimassembler/internal/parallel"
 	"pimassembler/internal/perfmodel"
 	"pimassembler/internal/platforms"
+	"pimassembler/internal/sched"
 	"pimassembler/internal/shard"
 	"pimassembler/internal/stats"
 	"pimassembler/internal/subarray"
@@ -351,6 +353,58 @@ func BenchmarkPIMPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPIMEngine is the functional engine end to end — AssemblePIM plus
+// Platform.Summarize, the accounting of the recorded stream that
+// BenchmarkPIMPipeline never reaches.
+func BenchmarkPIMEngine(b *testing.B) {
+	rng := stats.NewRNG(6)
+	ref := genome.GenerateGenome(2_000, rng)
+	reads := genome.NewReadSampler(ref, 101, 0, rng).Sample(150)
+	eng, err := engine.Lookup("pim")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := engine.Options{Options: assembly.Options{K: 16}, Subarrays: 16}
+	var cmds int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := eng.Assemble(context.Background(), genome.NewSliceSource(reads), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cmds = rep.Functional.Commands
+	}
+	b.ReportMetric(float64(cmds), "sim-cmds")
+}
+
+// BenchmarkScheduleStream times the controller scheduler alone over a
+// 1 M-command stream with the functional run's shape: bursts of up to 40
+// commands to one sub-array, hopping over 64 sub-arrays.
+func BenchmarkScheduleStream(b *testing.B) {
+	const n = 1 << 20
+	kinds := []dram.CommandKind{dram.CmdAAPCopy, dram.CmdAAPCopy, dram.CmdAAP2, dram.CmdAAP3, dram.CmdRead, dram.CmdWrite, dram.CmdDPU}
+	stages := []exec.Stage{exec.StageHashmap, exec.StageDeBruijn, exec.StageTraverse}
+	rng := stats.NewRNG(11)
+	cmds := make([]exec.Command, 0, n)
+	for sub, left := 0, 0; len(cmds) < n; left-- {
+		if left == 0 {
+			sub, left = rng.Intn(64), 1+rng.Intn(40)
+		}
+		k := kinds[rng.Intn(len(kinds))]
+		cmds = append(cmds, exec.Command{Subarray: sub, Kind: k, Stage: stages[sub%len(stages)], Rows: k.SourceRows()})
+	}
+	cfg := sched.DefaultConfig(dram.Default(), dram.DefaultTiming())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := sched.ScheduleStream(cmds, cfg); r.Commands != n {
+			b.Fatalf("scheduled %d of %d commands", r.Commands, n)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/cmd")
 }
 
 // --- Engine registry dispatch (DESIGN.md §10) ---

@@ -252,3 +252,30 @@ func TestPopCountXorHamming(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewBatchVectorsAreIndependent checks the shared backing array never
+// leaks between neighbours: filling, appending-style growth of one vector's
+// word slice, and odd widths all stay inside their own slot.
+func TestNewBatchVectorsAreIndependent(t *testing.T) {
+	for _, n := range []int{1, 64, 130, 256} {
+		vs := NewBatch(n, 5)
+		if len(vs) != 5 {
+			t.Fatalf("width %d: got %d vectors", n, len(vs))
+		}
+		vs[2].Fill(true)
+		for i, v := range vs {
+			if v.Len() != n {
+				t.Fatalf("width %d: vector %d has len %d", n, i, v.Len())
+			}
+			if want := i == 2; v.AnySet() != want || v.AllOnes() != want {
+				t.Fatalf("width %d: vector %d set=%v after filling vector 2", n, i, v.AnySet())
+			}
+		}
+		if !vs[2].Equal(vs[2].Clone()) || vs[2].Equal(New(n)) {
+			t.Fatalf("width %d: batch vector does not behave like New's", n)
+		}
+	}
+	if len(NewBatch(8, 0)) != 0 {
+		t.Fatal("empty batch not empty")
+	}
+}

@@ -79,11 +79,7 @@ func (e *GraphEngine) load() {
 	trows := make(map[blockKey][]*bitvec.Vector)
 	ensure := func(m map[blockKey][]*bitvec.Vector, key blockKey) []*bitvec.Vector {
 		if m[key] == nil {
-			vs := make([]*bitvec.Vector, e.lanes)
-			for i := range vs {
-				vs[i] = bitvec.New(e.lanes)
-			}
-			m[key] = vs
+			m[key] = bitvec.NewBatch(e.lanes, e.lanes)
 		}
 		return m[key]
 	}
@@ -152,6 +148,7 @@ func (e *GraphEngine) reduceBlocks(table map[[2]int]int, sink func(group, lane, 
 	for i := range src {
 		src[i] = e.matrixBase + i
 	}
+	row := bitvec.New(e.lanes) // host-side image of the counter row being read
 	for key, subIdx := range table {
 		sub := e.platform.Subarray(subIdx)
 		sub.SetStage(exec.StageTraverse)
@@ -165,7 +162,8 @@ func (e *GraphEngine) reduceBlocks(table map[[2]int]int, sink func(group, lane, 
 		for lane := 0; lane < e.lanes; lane++ {
 			var c int
 			for bit := 0; bit < e.degreeBits; bit++ {
-				if sub.Read(e.degreeBase + bit).Get(lane) {
+				sub.ReadInto(e.degreeBase+bit, row)
+				if row.Get(lane) {
 					c |= 1 << uint(bit)
 				}
 			}

@@ -47,9 +47,19 @@ type HashTable struct {
 	base     int // first sub-array index of the table's region
 	ops      OpProfile
 	place    mapping.HashPlacement
-	occupied map[int][]bool // sub-array (region-relative) -> slot occupancy
-	distinct int64          // atomic: parallel stage-1 workers insert concurrently
-	probes   int64          // atomic: cumulative Add slot visits (see ProbeOps)
+	subs     map[int]*tableSub // sub-array (region-relative) -> controller-side state
+	distinct int64             // atomic: parallel stage-1 workers insert concurrently
+	probes   int64             // atomic: cumulative Add slot visits (see ProbeOps)
+}
+
+// tableSub is the controller-side state of one hash sub-array: the slot
+// occupancy bitmap plus the staging buffers every Add into that sub-array
+// reuses. A sub-array has one driver at a time (parallel stage 1 gives each
+// worker whole sub-arrays), so the buffers need no lock.
+type tableSub struct {
+	occupied []bool
+	row      *bitvec.Vector // host-side image of the row being written or read
+	counter  []int          // row indices of the counter being incremented
 }
 
 // SetOpProfile switches the comparison implementation (default OpsNative).
@@ -91,7 +101,7 @@ func NewHashTableAt(p *Platform, k, base, nSubarrays int) *HashTable {
 		k:        k,
 		base:     base,
 		place:    mapping.NewHashPlacement(nSubarrays, p.layout),
-		occupied: make(map[int][]bool),
+		subs:     make(map[int]*tableSub),
 	}
 }
 
@@ -122,23 +132,23 @@ func (t *HashTable) Home(km kmer.Kmer) int {
 // into the platform-global index, e.g. for bank grouping.
 func (t *HashTable) GlobalSubarray(subIdx int) int { return t.base + subIdx }
 
-// Materialize eagerly materialises every sub-array and occupancy bitmap of
-// the table's region. Parallel drivers must call it before spawning
-// workers: Platform.Subarray and the bitmap map are mutated on first touch
-// and are not safe for concurrent initialisation.
+// Materialize eagerly materialises every sub-array and its controller-side
+// state. Parallel drivers must call it before spawning workers:
+// Platform.Subarray and the state map are mutated on first touch and are
+// not safe for concurrent initialisation.
 func (t *HashTable) Materialize() {
 	for i := 0; i < t.place.Subarrays; i++ {
 		t.platform.Subarray(t.base + i)
-		t.bitmap(i)
+		t.sub(i)
 	}
 }
 
-// encodeRow packs a k-mer into a full row vector (2k bits of payload,
-// zero-padded) so whole-row XNOR comparison is exact.
-func (t *HashTable) encodeRow(km kmer.Kmer) *bitvec.Vector {
-	v := bitvec.New(t.platform.layout.Cols)
-	v.SetUint64(0, 2*t.k, uint64(km))
-	return v
+// encodeRow packs a k-mer into the full-row staging buffer (2k bits of
+// payload, zero-padded) so whole-row XNOR comparison is exact.
+func (t *HashTable) encodeRow(st *tableSub, km kmer.Kmer) *bitvec.Vector {
+	st.row.Fill(false)
+	st.row.SetUint64(0, 2*t.k, uint64(km))
+	return st.row
 }
 
 // decodeRow unpacks a k-mer from a stored row.
@@ -146,13 +156,18 @@ func (t *HashTable) decodeRow(v *bitvec.Vector) kmer.Kmer {
 	return kmer.Kmer(v.Uint64(0, 2*t.k))
 }
 
-func (t *HashTable) bitmap(sub int) []bool {
-	bm, ok := t.occupied[sub]
+func (t *HashTable) sub(i int) *tableSub {
+	st, ok := t.subs[i]
 	if !ok {
-		bm = make([]bool, t.platform.layout.KmerRows)
-		t.occupied[sub] = bm
+		lay := t.platform.layout
+		st = &tableSub{
+			occupied: make([]bool, lay.KmerRows),
+			row:      bitvec.New(lay.Cols),
+			counter:  make([]int, lay.CounterBits),
+		}
+		t.subs[i] = st
 	}
-	return bm
+	return st
 }
 
 // Add runs one iteration of the reconstructed Hashmap procedure (Fig. 5b):
@@ -165,13 +180,14 @@ func (t *HashTable) Add(km kmer.Kmer) (inserted bool, err error) {
 	subIdx, home := t.place.Place(km)
 	s := t.platform.Subarray(t.base + subIdx)
 	s.SetStage(exec.StageHashmap)
-	bm := t.bitmap(subIdx)
+	st := t.sub(subIdx)
+	bm := st.occupied
 
 	tempQuery := lay.TempBase()      // temp row 0: the staged query
 	tempOneHot := lay.TempBase() + 1 // temp row 1: one-hot increment lane
 	xnorOut := lay.ReservedBase()    // reserved row 0: comparison result
 
-	s.Write(tempQuery, t.encodeRow(km))
+	s.Write(tempQuery, t.encodeRow(st, km))
 
 	for probe := 0; probe < lay.KmerRows; probe++ {
 		atomic.AddInt64(&t.probes, 1)
@@ -183,7 +199,7 @@ func (t *HashTable) Add(km kmer.Kmer) (inserted bool, err error) {
 			s.RowClone(tempQuery, row)
 			bm[slot] = true
 			atomic.AddInt64(&t.distinct, 1)
-			t.incrementCounter(s, slot, tempOneHot)
+			t.incrementCounter(s, st, slot, tempOneHot)
 			return true, nil
 		}
 		// PIM_XNOR(k_mer, Hmap): whole-row compare + DPU AND reduction.
@@ -192,7 +208,7 @@ func (t *HashTable) Add(km kmer.Kmer) (inserted bool, err error) {
 			// New_freq = PIM_Add(k_mer, 1); MEM_insert(k_mer, New_freq):
 			// the in-memory increment writes the updated counter bits back
 			// without the value ever leaving the sub-array.
-			t.incrementCounter(s, slot, tempOneHot)
+			t.incrementCounter(s, st, slot, tempOneHot)
 			return false, nil
 		}
 	}
@@ -201,18 +217,17 @@ func (t *HashTable) Add(km kmer.Kmer) (inserted bool, err error) {
 
 // incrementCounter bumps the frequency lane of a slot via the in-memory
 // ripple increment.
-func (t *HashTable) incrementCounter(s *subarray.Subarray, slot, oneHotRow int) {
+func (t *HashTable) incrementCounter(s *subarray.Subarray, st *tableSub, slot, oneHotRow int) {
 	lay := t.platform.layout
 	base, lane := lay.CounterLocation(slot)
-	oneHot := bitvec.New(lay.Cols)
-	oneHot.Set(lane, true)
-	s.Write(oneHotRow, oneHot)
-	counterRows := make([]int, lay.CounterBits)
-	for i := range counterRows {
-		counterRows[i] = base + i
+	st.row.Fill(false)
+	st.row.Set(lane, true)
+	s.Write(oneHotRow, st.row)
+	for i := range st.counter {
+		st.counter[i] = base + i
 	}
 	resv := lay.ReservedBase()
-	s.RippleIncrement(counterRows, oneHotRow, resv+1, resv+2, resv+3)
+	s.RippleIncrement(st.counter, oneHotRow, resv+1, resv+2, resv+3)
 }
 
 // Count probes for km and returns its stored frequency (0 if absent). The
@@ -223,11 +238,12 @@ func (t *HashTable) Count(km kmer.Kmer) uint32 {
 	subIdx, home := t.place.Place(km)
 	s := t.platform.Subarray(t.base + subIdx)
 	s.SetStage(exec.StageHashmap)
-	bm := t.bitmap(subIdx)
+	st := t.sub(subIdx)
+	bm := st.occupied
 
 	tempQuery := lay.TempBase()
 	xnorOut := lay.ReservedBase()
-	s.Write(tempQuery, t.encodeRow(km))
+	s.Write(tempQuery, t.encodeRow(st, km))
 
 	for probe := 0; probe < lay.KmerRows; probe++ {
 		slot := (home + probe) % lay.KmerRows
@@ -236,19 +252,20 @@ func (t *HashTable) Count(km kmer.Kmer) uint32 {
 		}
 		t.compare(s, tempQuery, lay.KmerRow(slot), xnorOut)
 		if s.MatchAllOnes(xnorOut) {
-			return t.readCounter(s, slot)
+			return t.readCounter(s, st, slot)
 		}
 	}
 	return 0
 }
 
 // readCounter reads a slot's frequency lane through the memory path.
-func (t *HashTable) readCounter(s *subarray.Subarray, slot int) uint32 {
+func (t *HashTable) readCounter(s *subarray.Subarray, st *tableSub, slot int) uint32 {
 	lay := t.platform.layout
 	base, lane := lay.CounterLocation(slot)
 	var c uint32
 	for bit := 0; bit < lay.CounterBits; bit++ {
-		if s.Read(base + bit).Get(lane) {
+		s.ReadInto(base+bit, st.row)
+		if st.row.Get(lane) {
 			c |= 1 << uint(bit)
 		}
 	}
@@ -261,20 +278,22 @@ func (t *HashTable) readCounter(s *subarray.Subarray, slot int) uint32 {
 // tagged StageDeBruijn: it is the dispatch feeding graph construction.
 func (t *HashTable) Entries() []kmer.Entry {
 	var out []kmer.Entry
-	subs := make([]int, 0, len(t.occupied))
-	for subIdx := range t.occupied {
+	subs := make([]int, 0, len(t.subs))
+	for subIdx := range t.subs {
 		subs = append(subs, subIdx)
 	}
 	sort.Ints(subs)
 	for _, subIdx := range subs {
 		s := t.platform.Subarray(t.base + subIdx)
 		s.SetStage(exec.StageDeBruijn)
-		for slot, used := range t.occupied[subIdx] {
+		st := t.subs[subIdx]
+		for slot, used := range st.occupied {
 			if !used {
 				continue
 			}
-			km := t.decodeRow(s.Read(t.platform.layout.KmerRow(slot)))
-			out = append(out, kmer.Entry{Kmer: km, Count: t.readCounter(s, slot)})
+			s.ReadInto(t.platform.layout.KmerRow(slot), st.row)
+			km := t.decodeRow(st.row)
+			out = append(out, kmer.Entry{Kmer: km, Count: t.readCounter(s, st, slot)})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Kmer < out[b].Kmer })
@@ -296,7 +315,7 @@ func (t *HashTable) Stats() Stats {
 	m := t.platform.meter
 	return Stats{
 		Distinct:  t.Len(),
-		Subarrays: len(t.occupied),
+		Subarrays: len(t.subs),
 		XNOROps:   m.Counts[dram.CmdAAP2],
 		AddAAPs:   m.Counts[dram.CmdAAP3],
 		CopyAAPs:  m.Counts[dram.CmdAAPCopy],

@@ -162,20 +162,14 @@ func (p *Platform) SchedConfig() sched.Config {
 	return sched.DefaultConfig(p.geom, p.timing)
 }
 
-// ParallelEstimate pushes the recorded command stream through the
-// controller's command scheduler (shared bus + per-bank activation budget):
-// every command carries the sub-array it actually executed in, so the
-// resulting makespan reflects the run's real data placement rather than a
-// synthetic spread of aggregate counts.
-func (p *Platform) ParallelEstimate() sched.Result {
-	return sched.ScheduleStream(p.stream.Commands(), p.SchedConfig())
-}
+// ParallelEstimate returns the whole-run controller schedule of the
+// recorded stream (Summarize's Makespan).
+func (p *Platform) ParallelEstimate() sched.Result { return p.Summarize().Makespan }
 
 // StageEstimates schedules each pipeline stage's command subsequence
-// independently — the per-stage makespans the evaluation reports.
-func (p *Platform) StageEstimates() map[exec.Stage]sched.Result {
-	return sched.ScheduleStages(p.stream.Commands(), p.SchedConfig())
-}
+// independently — the per-stage makespans the evaluation reports
+// (Summarize's Stages).
+func (p *Platform) StageEstimates() map[exec.Stage]sched.Result { return p.Summarize().Stages }
 
 // Summary bundles every accounting view of one functional run: the serial
 // meter totals, the scheduled whole-run makespan, the per-stage schedules,
@@ -200,16 +194,28 @@ type Summary struct {
 	StageCosts []exec.StageCost
 }
 
-// Summarize snapshots the platform's accounting after a run.
+// Summarize snapshots the platform's accounting after a run. The recorded
+// stream is walked once, in place and under its lock: each command goes
+// through the controller's command scheduler (shared bus + per-bank
+// activation budget) — for the whole run and for its pipeline stage — and
+// into the histogram and attribution tally. Every command carries the
+// sub-array it actually executed in, so the makespans reflect the run's real
+// data placement rather than a synthetic spread of aggregate counts.
 func (p *Platform) Summarize() Summary {
+	pass := sched.NewPass(p.SchedConfig())
+	tally := exec.NewTally(p.timing, p.energy)
+	p.stream.Each(func(c exec.Command) {
+		pass.Add(c)
+		tally.Add(c)
+	})
 	return Summary{
 		Commands:        p.meter.TotalCommands(),
 		SerialLatencyNS: p.meter.LatencyNS,
 		EnergyPJ:        p.meter.EnergyPJ,
 		Subarrays:       len(p.subs),
-		Makespan:        p.ParallelEstimate(),
-		Stages:          p.StageEstimates(),
-		Histogram:       p.stream.Histogram(),
-		StageCosts:      p.stream.Attribute(p.timing, p.energy),
+		Makespan:        pass.Whole(),
+		Stages:          pass.Stages(),
+		Histogram:       tally.Histogram(),
+		StageCosts:      tally.StageCosts(),
 	}
 }

@@ -20,6 +20,8 @@ type SequenceBank struct {
 	subarrays     int
 
 	reads []bankedRead
+	// row is the host-side image of the DRAM row being written or read.
+	row *bitvec.Vector
 	// cursor tracks the next free (sub-array, row).
 	curSub, curRow int
 }
@@ -42,6 +44,7 @@ func NewSequenceBank(p *Platform, firstSubarray, nSubarrays int) *SequenceBank {
 		platform:      p,
 		firstSubarray: firstSubarray,
 		subarrays:     nSubarrays,
+		row:           bitvec.New(p.geom.ColsPerSubarray),
 	}
 }
 
@@ -74,15 +77,15 @@ func (b *SequenceBank) Store(read *genome.Sequence) (int, error) {
 	sub := b.platform.Subarray(b.firstSubarray + b.curSub)
 	sub.SetStage(exec.StageInput)
 	for r := 0; r < rows; r++ {
-		row := bitvec.New(b.platform.geom.ColsPerSubarray)
+		b.row.Fill(false)
 		for i := 0; i < perRow; i++ {
 			pos := r*perRow + i
 			if pos >= read.Len() {
 				break
 			}
-			row.SetUint64(i*genome.BaseBits, genome.BaseBits, uint64(read.Base(pos)))
+			b.row.SetUint64(i*genome.BaseBits, genome.BaseBits, uint64(read.Base(pos)))
 		}
-		sub.Write(b.curRow+r, row)
+		sub.Write(b.curRow+r, b.row)
 	}
 	handle := len(b.reads)
 	b.reads = append(b.reads, bankedRead{sub: b.curSub, row: b.curRow, rows: rows, length: read.Len()})
@@ -113,13 +116,13 @@ func (b *SequenceBank) Fetch(handle int) *genome.Sequence {
 	perRow := b.BasesPerRow()
 	out := genome.NewSequence(br.length)
 	for r := 0; r < br.rows; r++ {
-		row := sub.Read(br.row + r)
+		sub.ReadInto(br.row+r, b.row)
 		for i := 0; i < perRow; i++ {
 			pos := r*perRow + i
 			if pos >= br.length {
 				break
 			}
-			out.SetBase(pos, genome.Base(row.Uint64(i*genome.BaseBits, genome.BaseBits)))
+			out.SetBase(pos, genome.Base(b.row.Uint64(i*genome.BaseBits, genome.BaseBits)))
 		}
 	}
 	return out

@@ -31,6 +31,10 @@ const (
 	CmdDPU
 )
 
+// NumCommandKinds is the number of command primitives: CommandKind values
+// are 0..NumCommandKinds-1, so a fixed array indexed by kind covers them all.
+const NumCommandKinds = int(CmdDPU) + 1
+
 var commandNames = [...]string{
 	CmdActivate:  "ACTIVATE",
 	CmdPrecharge: "PRECHARGE",
@@ -110,6 +114,28 @@ func EnergyOf(kind CommandKind, e Energy) float64 {
 	}
 }
 
+// KindTable holds one price per command kind, indexed by CommandKind.
+type KindTable [NumCommandKinds]float64
+
+// DurationTable tabulates Duration over every command kind, for consumers
+// that price one command per recorded stream entry.
+func DurationTable(t Timing) KindTable {
+	var tab KindTable
+	for k := range tab {
+		tab[k] = Duration(CommandKind(k), t)
+	}
+	return tab
+}
+
+// EnergyTable tabulates EnergyOf over every command kind.
+func EnergyTable(e Energy) KindTable {
+	var tab KindTable
+	for k := range tab {
+		tab[k] = EnergyOf(CommandKind(k), e)
+	}
+	return tab
+}
+
 // Meter accumulates latency and energy for a stream of commands issued to a
 // set of sub-arrays. One Meter typically tracks one controller's activity;
 // parallel sub-arrays executing the same broadcast command account the
@@ -121,7 +147,10 @@ func EnergyOf(kind CommandKind, e Energy) float64 {
 type Meter struct {
 	timing Timing
 	energy Energy
-	mu     sync.Mutex
+	// dur and pj are Duration and EnergyOf tabulated once for the meter's
+	// models: Record prices a command with two loads.
+	dur, pj KindTable
+	mu      sync.Mutex
 
 	// Cycles counts issued command slots per kind.
 	Counts map[CommandKind]int64
@@ -136,6 +165,8 @@ func NewMeter(t Timing, e Energy) *Meter {
 	return &Meter{
 		timing: t,
 		energy: e,
+		dur:    DurationTable(t),
+		pj:     EnergyTable(e),
 		Counts: make(map[CommandKind]int64),
 	}
 }
@@ -153,8 +184,10 @@ func (m *Meter) Record(kind CommandKind, parallelSubarrays int) {
 	if parallelSubarrays <= 0 {
 		parallelSubarrays = 1
 	}
-	dur := Duration(kind, m.timing)
-	pj := EnergyOf(kind, m.energy)
+	if kind < 0 || int(kind) >= NumCommandKinds {
+		panic(fmt.Sprintf("dram: unknown command kind %v", kind))
+	}
+	dur, pj := m.dur[kind], m.pj[kind]
 	m.mu.Lock()
 	m.Counts[kind]++
 	m.LatencyNS += dur

@@ -286,3 +286,31 @@ func TestAddressValidateRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestKindTablesMatchPricingFunctions pins the tables the Meter, the
+// scheduler and the stream attribution price with to Duration and EnergyOf,
+// value for value, and the Meter to the tables.
+func TestKindTablesMatchPricingFunctions(t *testing.T) {
+	tm, en := DefaultTiming(), DefaultEnergy()
+	dur, pj := DurationTable(tm), EnergyTable(en)
+	m := NewMeter(tm, en)
+	var ns, e float64
+	for k := 0; k < NumCommandKinds; k++ {
+		kind := CommandKind(k)
+		if dur[k] != Duration(kind, tm) || pj[k] != EnergyOf(kind, en) {
+			t.Fatalf("%v: table (%v, %v), functions (%v, %v)", kind, dur[k], pj[k], Duration(kind, tm), EnergyOf(kind, en))
+		}
+		m.Record(kind, 3)
+		ns += Duration(kind, tm)
+		e += 3 * EnergyOf(kind, en)
+	}
+	if m.LatencyNS != ns || m.EnergyPJ != e {
+		t.Fatalf("meter (%v ns, %v pJ), summed functions (%v, %v)", m.LatencyNS, m.EnergyPJ, ns, e)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Meter.Record accepted an unknown command kind")
+		}
+	}()
+	m.Record(CommandKind(NumCommandKinds), 1)
+}

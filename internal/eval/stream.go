@@ -64,12 +64,13 @@ func Stream() StreamReport {
 		}
 	}
 
+	sum := p.Summarize()
 	return StreamReport{
-		Histogram:       p.Stream().Histogram(),
-		StageCosts:      p.Stream().Attribute(p.Timing(), p.Energy()),
-		Whole:           p.ParallelEstimate(),
+		Histogram:       sum.Histogram,
+		StageCosts:      sum.StageCosts,
+		Whole:           sum.Makespan,
 		WholeSharded:    sched.ScheduleStream(pp.Stream().Canonical(), pp.SchedConfig()),
-		PerStage:        p.StageEstimates(),
+		PerStage:        sum.Stages,
 		ParallelMatches: match && p.Stream().Len() == pp.Stream().Len(),
 		Contigs:         len(res.Contigs),
 	}

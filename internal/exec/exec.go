@@ -13,7 +13,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"strings"
 	"sync"
 
@@ -97,12 +97,47 @@ type Recorder interface {
 	Record(c Command)
 }
 
+// record is the stored form of a Command: 8 bytes against Command's 32, so
+// a 1.7 M-command run keeps 14 MB of stream instead of 56 MB.
+type record struct {
+	sub   int32
+	kind  uint8
+	stage Stage
+	rows  uint8
+}
+
+// pack narrows a Command to its stored form. Every field a sub-array emits
+// fits by construction; anything else is a caller bug and panics here, at
+// the emission point, rather than being silently truncated.
+func pack(c Command) record {
+	if c.Subarray < 0 || c.Subarray > math.MaxInt32 ||
+		c.Kind < 0 || int(c.Kind) >= dram.NumCommandKinds ||
+		c.Stage >= numStages || c.Rows < 0 || c.Rows > math.MaxUint8 {
+		panic(fmt.Sprintf("exec: command %+v (kind %d, stage %d, rows %d) is not recordable",
+			c, int(c.Kind), uint8(c.Stage), c.Rows))
+	}
+	return record{sub: int32(c.Subarray), kind: uint8(c.Kind), stage: c.Stage, rows: uint8(c.Rows)}
+}
+
+func (r record) command() Command {
+	return Command{Subarray: int(r.sub), Kind: dram.CommandKind(r.kind), Stage: r.stage, Rows: int(r.rows)}
+}
+
+// The stream stores records in fixed-size chunks: appending never copies
+// what is already recorded (a single growing slice re-copied the whole log
+// at every doubling), and Reset keeps the chunks for the next run.
+const (
+	chunkShift = 13
+	chunkLen   = 1 << chunkShift // 8192 records = 64 KiB
+)
+
 // Stream is the default Recorder: an append-only, mutex-protected command
 // log with aggregation views. Detach a producer by handing it a nil
 // Recorder interface, not a nil *Stream.
 type Stream struct {
-	mu   sync.Mutex
-	cmds []Command
+	mu     sync.Mutex
+	chunks []*[chunkLen]record
+	n      int
 }
 
 // NewStream returns an empty stream.
@@ -110,8 +145,14 @@ func NewStream() *Stream { return &Stream{} }
 
 // Record appends one command.
 func (s *Stream) Record(c Command) {
+	r := pack(c)
 	s.mu.Lock()
-	s.cmds = append(s.cmds, c)
+	ci := s.n >> chunkShift
+	if ci == len(s.chunks) {
+		s.chunks = append(s.chunks, new([chunkLen]record))
+	}
+	s.chunks[ci][s.n&(chunkLen-1)] = r
+	s.n++
 	s.mu.Unlock()
 }
 
@@ -119,7 +160,33 @@ func (s *Stream) Record(c Command) {
 func (s *Stream) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.cmds)
+	return s.n
+}
+
+// each calls fn on every record in issue order. The caller holds s.mu.
+func (s *Stream) each(fn func(record)) {
+	left := s.n
+	for _, ch := range s.chunks {
+		if left < chunkLen {
+			for _, r := range ch[:left] {
+				fn(r)
+			}
+			return
+		}
+		for _, r := range ch {
+			fn(r)
+		}
+		left -= chunkLen
+	}
+}
+
+// Each calls fn on every recorded command in issue order, without copying
+// the stream. The stream's lock is held for the whole walk: fn must not
+// call back into the stream, and concurrent Records wait until it returns.
+func (s *Stream) Each(fn func(Command)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.each(func(r record) { fn(r.command()) })
 }
 
 // Commands returns a copy of the recorded stream in issue order. In
@@ -128,8 +195,8 @@ func (s *Stream) Len() int {
 func (s *Stream) Commands() []Command {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Command, len(s.cmds))
-	copy(out, s.cmds)
+	out := make([]Command, 0, s.n)
+	s.each(func(r record) { out = append(out, r.command()) })
 	return out
 }
 
@@ -143,57 +210,75 @@ func (s *Stream) Commands() []Command {
 // interleaving both reproduces exactly and models the cross-sub-array
 // overlap a controller could extract.
 func (s *Stream) Canonical() []Command {
-	cmds := s.Commands()
-	bySub := make(map[int][]Command)
-	var ids []int
-	for _, c := range cmds {
-		if _, ok := bySub[c.Subarray]; !ok {
-			ids = append(ids, c.Subarray)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Counting sort by sub-array (stable, so each subsequence keeps its
+	// order): end[i] is one past sub-array i's last slot in bySub.
+	var end []int
+	s.each(func(r record) {
+		for int(r.sub) >= len(end) {
+			end = append(end, 0)
 		}
-		bySub[c.Subarray] = append(bySub[c.Subarray], c)
+		end[r.sub]++
+	})
+	next := make([]int, len(end)) // read cursor per sub-array
+	sum := 0
+	for i, n := range end {
+		next[i] = sum
+		sum += n
+		end[i] = sum
 	}
-	sort.Ints(ids)
-	out := make([]Command, 0, len(cmds))
-	pos := make(map[int]int, len(ids))
-	for len(out) < len(cmds) {
-		for _, id := range ids {
-			if pos[id] < len(bySub[id]) {
-				out = append(out, bySub[id][pos[id]])
-				pos[id]++
+	bySub := make([]record, s.n)
+	fill := append([]int(nil), next...)
+	s.each(func(r record) {
+		bySub[fill[r.sub]] = r
+		fill[r.sub]++
+	})
+	// Round-robin over the sub-arrays that still have commands, ascending.
+	live := make([]int, 0, len(end))
+	for i := range end {
+		if next[i] < end[i] {
+			live = append(live, i)
+		}
+	}
+	out := make([]Command, 0, s.n)
+	for len(live) > 0 {
+		keep := live[:0]
+		for _, i := range live {
+			out = append(out, bySub[next[i]].command())
+			if next[i]++; next[i] < end[i] {
+				keep = append(keep, i)
 			}
 		}
+		live = keep
 	}
 	return out
 }
 
-// Reset clears the stream.
+// Reset clears the stream, keeping its chunks for reuse.
 func (s *Stream) Reset() {
 	s.mu.Lock()
-	s.cmds = nil
+	s.n = 0
 	s.mu.Unlock()
+}
+
+// tally runs every record through a fresh Tally priced with t and e. The
+// caller holds s.mu.
+func (s *Stream) tally(t dram.Timing, e dram.Energy) *Tally {
+	ta := NewTally(t, e)
+	s.each(ta.add)
+	return ta
 }
 
 // Totals returns the per-kind command counts — the view the serial
 // dram.Meter maintains independently; tests assert the two never drift.
-func (s *Stream) Totals() map[dram.CommandKind]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[dram.CommandKind]int64)
-	for _, c := range s.cmds {
-		out[c.Kind]++
-	}
-	return out
-}
+func (s *Stream) Totals() map[dram.CommandKind]int64 { return s.Histogram().Totals }
 
 // Subarrays returns how many distinct sub-arrays the stream touched.
 func (s *Stream) Subarrays() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seen := make(map[int]struct{})
-	for _, c := range s.cmds {
-		seen[c.Subarray] = struct{}{}
-	}
-	return len(seen)
+	return s.tally(dram.Timing{}, dram.Energy{}).Subarrays()
 }
 
 // Histogram is the per-stage × per-kind command breakdown of a stream.
@@ -210,21 +295,7 @@ type Histogram struct {
 func (s *Stream) Histogram() Histogram {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := Histogram{
-		PerStage: make(map[Stage]map[dram.CommandKind]int64),
-		Totals:   make(map[dram.CommandKind]int64),
-		Commands: len(s.cmds),
-	}
-	for _, c := range s.cmds {
-		m := h.PerStage[c.Stage]
-		if m == nil {
-			m = make(map[dram.CommandKind]int64)
-			h.PerStage[c.Stage] = m
-		}
-		m[c.Kind]++
-		h.Totals[c.Kind]++
-	}
-	return h
+	return s.tally(dram.Timing{}, dram.Energy{}).Histogram()
 }
 
 // histogramKinds is the rendering order of command kinds.
@@ -288,26 +359,101 @@ func (c StageCost) String() string {
 func (s *Stream) Attribute(t dram.Timing, e dram.Energy) []StageCost {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	costs := make(map[Stage]*StageCost)
-	subs := make(map[Stage]map[int]struct{})
-	for _, c := range s.cmds {
-		sc := costs[c.Stage]
-		if sc == nil {
-			sc = &StageCost{Stage: c.Stage}
-			costs[c.Stage] = sc
-			subs[c.Stage] = make(map[int]struct{})
+	return s.tally(t, e).StageCosts()
+}
+
+// Tally is the running per-stage × per-kind accounting of a command
+// sequence: the histogram and the stage attribution, accumulated in fixed
+// arrays one command at a time and converted to the exported map and slice
+// shapes only when asked. Feed it from Stream.Each next to a scheduler and
+// one walk of the stream yields every accounting view.
+type Tally struct {
+	dur, pj dram.KindTable
+	counts  [numStages][dram.NumCommandKinds]int64
+	// serial and energy accrue per command in stream order — not as
+	// count × price — so the floating-point sums equal the Meter's
+	// command-by-command totals bit for bit.
+	serial, energy [numStages]float64
+	// touched[i] has bit st set once stage st issued a command to
+	// sub-array i.
+	touched []uint8
+}
+
+// numStages must fit touched's per-sub-array bit mask.
+var _ [8 - numStages]struct{}
+
+// NewTally returns an empty tally pricing commands with t and e.
+func NewTally(t dram.Timing, e dram.Energy) *Tally {
+	return &Tally{dur: dram.DurationTable(t), pj: dram.EnergyTable(e)}
+}
+
+// Add accounts one command.
+func (ta *Tally) Add(c Command) { ta.add(pack(c)) }
+
+func (ta *Tally) add(r record) {
+	ta.counts[r.stage][r.kind]++
+	ta.serial[r.stage] += ta.dur[r.kind]
+	ta.energy[r.stage] += ta.pj[r.kind]
+	if int(r.sub) >= len(ta.touched) {
+		ta.touched = append(ta.touched, make([]uint8, int(r.sub)+1-len(ta.touched))...)
+	}
+	ta.touched[r.sub] |= 1 << r.stage
+}
+
+// Subarrays returns how many distinct sub-arrays the commands touched.
+func (ta *Tally) Subarrays() int {
+	n := 0
+	for _, m := range ta.touched {
+		if m != 0 {
+			n++
 		}
-		sc.Commands++
-		sc.SerialNS += dram.Duration(c.Kind, t)
-		sc.EnergyPJ += dram.EnergyOf(c.Kind, e)
-		subs[c.Stage][c.Subarray] = struct{}{}
 	}
-	out := make([]StageCost, 0, len(costs))
-	for st, sc := range costs {
-		sc.Subarrays = len(subs[st])
-		out = append(out, *sc)
+	return n
+}
+
+// Histogram returns the per-stage × per-kind breakdown; stages and kinds
+// with no commands have no map entry.
+func (ta *Tally) Histogram() Histogram {
+	h := Histogram{
+		PerStage: make(map[Stage]map[dram.CommandKind]int64),
+		Totals:   make(map[dram.CommandKind]int64),
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Stage < out[b].Stage })
+	for st := range ta.counts {
+		for k, n := range ta.counts[st] {
+			if n == 0 {
+				continue
+			}
+			m := h.PerStage[Stage(st)]
+			if m == nil {
+				m = make(map[dram.CommandKind]int64)
+				h.PerStage[Stage(st)] = m
+			}
+			m[dram.CommandKind(k)] = n
+			h.Totals[dram.CommandKind(k)] += n
+			h.Commands += int(n)
+		}
+	}
+	return h
+}
+
+// StageCosts returns one StageCost per stage with commands, in stage order.
+func (ta *Tally) StageCosts() []StageCost {
+	var out []StageCost
+	for st := range ta.counts {
+		sc := StageCost{Stage: Stage(st), SerialNS: ta.serial[st], EnergyPJ: ta.energy[st]}
+		for _, n := range ta.counts[st] {
+			sc.Commands += n
+		}
+		if sc.Commands == 0 {
+			continue
+		}
+		for _, m := range ta.touched {
+			if m&(1<<st) != 0 {
+				sc.Subarrays++
+			}
+		}
+		out = append(out, sc)
+	}
 	return out
 }
 

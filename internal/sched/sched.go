@@ -12,9 +12,7 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 
 	"pimassembler/internal/dram"
 	"pimassembler/internal/exec"
@@ -67,13 +65,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// duration returns a command's occupancy of its sub-array — the same
-// per-kind pricing the serial Meter accrues with (dram.Duration), so
-// SerialNS reproduces the Meter's latency total for the same stream.
-func (c Config) duration(kind dram.CommandKind) float64 {
-	return dram.Duration(kind, c.Timing)
-}
-
 // Result summarises one schedule.
 type Result struct {
 	MakespanNS   float64
@@ -90,121 +81,180 @@ func (r Result) String() string {
 		r.Commands, r.MakespanNS/1e3, r.Speedup, r.BusBoundPct, r.PeakParallel)
 }
 
-// endHeap is a min-heap of completion times.
-type endHeap []float64
+// minHeap is a binary min-heap of completion times. It is hand-rolled over
+// []float64 because container/heap boxes every pushed and popped value in
+// an interface — two allocations per scheduled command.
+type minHeap []float64
 
-func (h endHeap) Len() int            { return len(h) }
-func (h endHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h endHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *endHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
-func (h *endHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *minHeap) push(x float64) {
+	a := append(*h, x)
+	i := len(a) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if a[parent] <= x {
+			break
+		}
+		a[i] = a[parent]
+		i = parent
+	}
+	a[i] = x
+	*h = a
 }
 
-// Schedule runs the greedy in-order scheduler: commands issue in stream
-// order, each at the earliest time satisfying (1) the command-bus spacing,
-// (2) its sub-array being free, and (3) its bank having an activation slot.
-// Commands to distinct sub-arrays overlap freely within those constraints,
-// which is exactly the intra-sub-array parallelism the paper exploits.
-func Schedule(cmds []Command, cfg Config) Result {
+// pop removes the minimum, a[0].
+func (h *minHeap) pop() {
+	a := *h
+	n := len(a) - 1
+	x := a[n]
+	a = a[:n]
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && a[child+1] < a[child] {
+			child++
+		}
+		if x <= a[child] {
+			break
+		}
+		a[i] = a[child]
+		i = child
+	}
+	if n > 0 {
+		a[i] = x
+	}
+	*h = a
+}
+
+// popUntil drops every completion time at or before t.
+func (h *minHeap) popUntil(t float64) {
+	for len(*h) > 0 && (*h)[0] <= t {
+		h.pop()
+	}
+}
+
+// scheduler is the greedy in-order scheduler in incremental form: step
+// issues the next command of the stream, result reads the schedule so far.
+// Commands issue in stream order, each at the earliest time satisfying
+// (1) the command-bus spacing, (2) its sub-array being free, and (3) its
+// bank having an activation slot. Commands to distinct sub-arrays overlap
+// freely within those constraints, which is exactly the intra-sub-array
+// parallelism the paper exploits.
+//
+// All state is flat: sub-array ids are dense platform indices, so the
+// per-sub-array free times and the per-bank slot heaps are slices indexed
+// by id and grown on demand.
+type scheduler struct {
+	dur       dram.KindTable // occupancy per kind — the Meter's pricing, so SerialNS reproduces its latency total
+	issueNS   float64
+	perBank   int
+	maxActive int
+
+	subFree []float64 // per sub-array: when its last command completes
+	banks   []minHeap // per bank: completion times of its executing commands
+	// active holds the completion times of every command still executing at
+	// the latest issue time, over all banks; its high-water mark is the
+	// peak parallelism. Issue times never decrease and every duration is
+	// positive (Config.Validate), so a command's start is at or after every
+	// earlier start and before every later end: popping the ends at or
+	// before each start and counting what remains visits exactly the maxima
+	// of the sweep over all (start,+1)/(end,−1) events sorted by time with
+	// ends first. A zero-duration command or a zero issue interval would
+	// break that ordering, and Validate rejects both.
+	active minHeap
+
+	nextIssue, makespan, serial float64
+	commands, peak              int
+}
+
+// newScheduler returns an idle scheduler, panicking on a configuration it
+// cannot run.
+func newScheduler(cfg Config) *scheduler {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	var res Result
-	res.Commands = len(cmds)
-	if len(cmds) == 0 {
-		return res
+	return &scheduler{
+		dur:       dram.DurationTable(cfg.Timing),
+		issueNS:   cfg.IssueIntervalNS,
+		perBank:   cfg.SubarraysPerBank,
+		maxActive: cfg.MaxActivePerBank,
+	}
+}
+
+func (s *scheduler) step(sub int, kind dram.CommandKind) {
+	if sub < 0 {
+		panic(fmt.Sprintf("sched: negative sub-array id %d", sub))
+	}
+	if kind < 0 || int(kind) >= dram.NumCommandKinds {
+		panic(fmt.Sprintf("sched: unknown command kind %v", kind))
+	}
+	dur := s.dur[kind]
+	s.serial += dur
+	s.commands++
+
+	bank := sub / s.perBank
+	if sub >= len(s.subFree) {
+		s.subFree = append(s.subFree, make([]float64, sub+1-len(s.subFree))...)
+	}
+	if bank >= len(s.banks) {
+		s.banks = append(s.banks, make([]minHeap, bank+1-len(s.banks))...)
 	}
 
-	subFree := make(map[int]float64)
-	bankActive := make(map[int]*endHeap)
-	var nextIssue float64
-	var makespan float64
-
-	// Global active-interval tracking for peak parallelism.
-	type edge struct {
-		t     float64
-		delta int
+	start := s.nextIssue
+	if f := s.subFree[sub]; f > start {
+		start = f
 	}
-	var edges []edge
-
-	for _, cmd := range cmds {
-		if cmd.Subarray < 0 {
-			panic(fmt.Sprintf("sched: negative sub-array id %d", cmd.Subarray))
+	// Drop completed intervals, then wait for a slot if saturated.
+	h := &s.banks[bank]
+	h.popUntil(start)
+	if len(*h) >= s.maxActive {
+		if earliest := (*h)[0]; earliest > start {
+			start = earliest
 		}
-		dur := cfg.duration(cmd.Kind)
-		res.SerialNS += dur
-		bank := cmd.Subarray / cfg.SubarraysPerBank
-
-		start := nextIssue
-		if f := subFree[cmd.Subarray]; f > start {
-			start = f
-		}
-		h := bankActive[bank]
-		if h == nil {
-			h = &endHeap{}
-			bankActive[bank] = h
-		}
-		// Drop completed intervals, then wait for a slot if saturated.
-		for h.Len() > 0 && (*h)[0] <= start {
-			heap.Pop(h)
-		}
-		if h.Len() >= cfg.MaxActivePerBank {
-			earliest := (*h)[0]
-			if earliest > start {
-				start = earliest
-			}
-			for h.Len() > 0 && (*h)[0] <= start {
-				heap.Pop(h)
-			}
-		}
-
-		end := start + dur
-		subFree[cmd.Subarray] = end
-		heap.Push(h, end)
-		nextIssue = start + cfg.IssueIntervalNS
-		if end > makespan {
-			makespan = end
-		}
-		edges = append(edges, edge{start, 1}, edge{end, -1})
+		h.popUntil(start)
 	}
 
-	res.MakespanNS = makespan
-	if makespan > 0 {
-		res.Speedup = res.SerialNS / makespan
-		res.BusBoundPct = 100 * float64(len(cmds)) * cfg.IssueIntervalNS / makespan
+	end := start + dur
+	s.subFree[sub] = end
+	h.push(end)
+	s.nextIssue = start + s.issueNS
+	if end > s.makespan {
+		s.makespan = end
+	}
+
+	s.active.popUntil(start)
+	s.active.push(end)
+	if len(s.active) > s.peak {
+		s.peak = len(s.active)
+	}
+}
+
+func (s *scheduler) result() Result {
+	res := Result{
+		MakespanNS:   s.makespan,
+		SerialNS:     s.serial,
+		Commands:     s.commands,
+		PeakParallel: s.peak,
+	}
+	if s.makespan > 0 {
+		res.Speedup = s.serial / s.makespan
+		res.BusBoundPct = 100 * float64(s.commands) * s.issueNS / s.makespan
 		if res.BusBoundPct > 100 {
 			res.BusBoundPct = 100
 		}
 	}
-
-	// Peak parallelism via sweep (ends sort before starts at equal times).
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t != edges[j].t {
-			return edges[i].t < edges[j].t
-		}
-		return edges[i].delta < edges[j].delta
-	})
-	cur, peak := 0, 0
-	for _, e := range edges {
-		cur += e.delta
-		if cur > peak {
-			peak = cur
-		}
-	}
-	res.PeakParallel = peak
 	return res
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// Schedule runs the greedy in-order scheduler over cmds (see scheduler).
+func Schedule(cmds []Command, cfg Config) Result {
+	s := newScheduler(cfg)
+	for _, c := range cmds {
+		s.step(c.Subarray, c.Kind)
 	}
-	return b
+	return s.result()
 }
 
 // ScheduleStream schedules a recorded command stream directly: each typed
@@ -213,11 +263,39 @@ func max(a, b int) int {
 // replaces the old aggregate-count round-robin estimate — the stream is the
 // single source of truth shared with the Meter and the energy attribution.
 func ScheduleStream(cmds []exec.Command, cfg Config) Result {
-	sc := make([]Command, len(cmds))
-	for i, c := range cmds {
-		sc[i] = Command{Subarray: c.Subarray, Kind: c.Kind}
+	s := newScheduler(cfg)
+	for _, c := range cmds {
+		s.step(c.Subarray, c.Kind)
 	}
-	return Schedule(sc, cfg)
+	return s.result()
+}
+
+// stageSet schedules each pipeline stage's subsequence on its own
+// scheduler, created at the stage's first command.
+type stageSet struct {
+	cfg Config
+	by  []*scheduler // indexed by exec.Stage
+}
+
+func (ss *stageSet) step(c exec.Command) {
+	st := int(c.Stage)
+	if st >= len(ss.by) {
+		ss.by = append(ss.by, make([]*scheduler, st+1-len(ss.by))...)
+	}
+	if ss.by[st] == nil {
+		ss.by[st] = newScheduler(ss.cfg)
+	}
+	ss.by[st].step(c.Subarray, c.Kind)
+}
+
+func (ss *stageSet) results() map[exec.Stage]Result {
+	out := make(map[exec.Stage]Result)
+	for st, s := range ss.by {
+		if s != nil {
+			out[exec.Stage(st)] = s.result()
+		}
+	}
+	return out
 }
 
 // ScheduleStages schedules each pipeline stage's subsequence independently,
@@ -225,13 +303,36 @@ func ScheduleStream(cmds []exec.Command, cfg Config) Result {
 // back-to-back in the pipeline, so the whole-run makespan is bounded below
 // by the sum of the per-stage makespans.
 func ScheduleStages(cmds []exec.Command, cfg Config) map[exec.Stage]Result {
-	byStage := make(map[exec.Stage][]Command)
+	ss := stageSet{cfg: cfg}
 	for _, c := range cmds {
-		byStage[c.Stage] = append(byStage[c.Stage], Command{Subarray: c.Subarray, Kind: c.Kind})
+		ss.step(c)
 	}
-	out := make(map[exec.Stage]Result, len(byStage))
-	for st, sc := range byStage {
-		out[st] = Schedule(sc, cfg)
-	}
-	return out
+	return ss.results()
 }
+
+// Pass schedules a command sequence as it streams by — the whole run and
+// every pipeline stage's subsequence at once — so a single walk of a
+// recorded stream (exec.Stream.Each) yields what ScheduleStream and
+// ScheduleStages would compute from two copies of it.
+type Pass struct {
+	whole  *scheduler
+	stages stageSet
+}
+
+// NewPass returns an empty pass. Like Schedule, it panics on an invalid
+// configuration.
+func NewPass(cfg Config) *Pass {
+	return &Pass{whole: newScheduler(cfg), stages: stageSet{cfg: cfg}}
+}
+
+// Add issues the next command of the sequence.
+func (p *Pass) Add(c exec.Command) {
+	p.whole.step(c.Subarray, c.Kind)
+	p.stages.step(c)
+}
+
+// Whole returns the schedule of everything added so far.
+func (p *Pass) Whole() Result { return p.whole.result() }
+
+// Stages returns one schedule per stage added so far.
+func (p *Pass) Stages() map[exec.Stage]Result { return p.stages.results() }

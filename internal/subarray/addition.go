@@ -1,10 +1,6 @@
 package subarray
 
-import (
-	"fmt"
-
-	"pimassembler/internal/bitvec"
-)
+import "fmt"
 
 // This file implements PIM-Assembler's in-memory arithmetic (paper §III,
 // Fig. 8): numbers live bit-planar — an m-bit vector of 256 lane elements
@@ -35,10 +31,8 @@ func (s *Subarray) BitSerialAdd(aBase, bBase, dstBase, carryRow, m int) {
 
 	x1, x2, x3 := s.ComputeRow(0), s.ComputeRow(1), s.ComputeRow(2)
 
-	// Clear the carry: zero the carry row and the latch. (t1 is free here —
-	// the compute primitives below overwrite it before reading.)
-	s.t1.Fill(false)
-	s.Write(carryRow, s.t1)
+	// Clear the carry: zero the carry row and the latch.
+	s.Fill(carryRow, false)
 	s.ResetLatch()
 	s.RowClone(carryRow, x3)
 
@@ -142,7 +136,6 @@ func (s *Subarray) PopCountRows(src []int, dstBase int, scratch []int, m int) {
 
 	// At most two rows remain per weight: assemble two bit-planar numbers
 	// and ripple-add them. Missing positions are zero-filled.
-	zeroVec := bitvec.New(s.cols)
 	aBase := make([]int, m)
 	bBase := make([]int, m)
 	for w := 0; w < m; w++ {
@@ -150,12 +143,12 @@ func (s *Subarray) PopCountRows(src []int, dstBase int, scratch []int, m int) {
 		switch len(rows) {
 		case 0:
 			za, zb := alloc.take(), alloc.take()
-			s.Write(za, zeroVec)
-			s.Write(zb, zeroVec)
+			s.Fill(za, false)
+			s.Fill(zb, false)
 			aBase[w], bBase[w] = za, zb
 		case 1:
 			zb := alloc.take()
-			s.Write(zb, zeroVec)
+			s.Fill(zb, false)
 			aBase[w], bBase[w] = rows[0], zb
 		default:
 			aBase[w], bBase[w] = rows[0], rows[1]
@@ -177,8 +170,7 @@ func (s *Subarray) PopCountRows(src []int, dstBase int, scratch []int, m int) {
 func (s *Subarray) bitSerialAddAt(a, b, dst []int, carryRow int) {
 	m := len(a)
 	x1, x2, x3 := s.ComputeRow(0), s.ComputeRow(1), s.ComputeRow(2)
-	zero := bitvec.New(s.cols)
-	s.Write(carryRow, zero)
+	s.Fill(carryRow, false)
 	s.ResetLatch()
 	s.RowClone(carryRow, x3)
 	for i := 0; i < m; i++ {
@@ -242,8 +234,7 @@ func (s *Subarray) RippleIncrement(counterRows []int, incRow, carryRow, tmpRow, 
 		panic("subarray: RippleIncrement with no counter rows")
 	}
 	x1, x2, x3 := s.ComputeRow(0), s.ComputeRow(1), s.ComputeRow(2)
-	zero := bitvec.New(s.cols)
-	s.Write(zeroRow, zero)
+	s.Fill(zeroRow, false)
 	s.RowClone(incRow, carryRow)
 	for _, cRow := range counterRows {
 		// tmp = counter ⊕ carry.

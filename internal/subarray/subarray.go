@@ -94,20 +94,18 @@ func New(g dram.Geometry, meter *dram.Meter) *Subarray {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	s := &Subarray{
+	// One batch holds the cell rows, the latch and the two scratch rows.
+	vecs := bitvec.NewBatch(g.ColsPerSubarray, g.RowsPerSubarray+3)
+	return &Subarray{
 		rows:        g.RowsPerSubarray,
 		cols:        g.ColsPerSubarray,
 		computeRows: g.ComputeRows,
-		cells:       make([]*bitvec.Vector, g.RowsPerSubarray),
-		latch:       bitvec.New(g.ColsPerSubarray),
-		t1:          bitvec.New(g.ColsPerSubarray),
-		t2:          bitvec.New(g.ColsPerSubarray),
+		cells:       vecs[:g.RowsPerSubarray:g.RowsPerSubarray],
+		latch:       vecs[g.RowsPerSubarray],
+		t1:          vecs[g.RowsPerSubarray+1],
+		t2:          vecs[g.RowsPerSubarray+2],
 		meter:       meter,
 	}
-	for i := range s.cells {
-		s.cells[i] = bitvec.New(g.ColsPerSubarray)
-	}
-	return s
 }
 
 // Rows returns the total row count (data + compute).
@@ -175,6 +173,14 @@ func (s *Subarray) Read(r int) *bitvec.Vector {
 	s.checkRow(r)
 	s.record(dram.CmdRead)
 	return s.cells[r].Clone()
+}
+
+// Fill writes the constant row of all-b bits into row r through the normal
+// memory path — Write of a constant, without the caller building the row.
+func (s *Subarray) Fill(r int, b bool) {
+	s.checkRow(r)
+	s.cells[r].Fill(b)
+	s.record(dram.CmdWrite)
 }
 
 // ReadInto reads row r through the normal memory path into the caller-owned
@@ -368,29 +374,25 @@ func (s *Subarray) XNOREmulatedTRA(srcA, srcB, dst int) {
 	// Scratch rows live in the compute region to avoid clobbering data.
 	notA, notB := s.ComputeRow(3), s.ComputeRow(4)
 	and1, and2 := s.ComputeRow(5), s.ComputeRow(6)
-	zeroV := bitvec.New(s.cols)
-	onesV := bitvec.New(s.cols)
-	onesV.Fill(true)
-
 	// and1 = MAJ(a, b, 0).
-	s.Write(x3, zeroV)
+	s.Fill(x3, false)
 	s.RowClone(srcA, x1)
 	s.RowClone(srcB, x2)
 	s.TRACarry(x1, x2, x3, and1)
 	// notA = a XOR 1, notB = b XOR 1.
-	s.Write(x2, onesV)
+	s.Fill(x2, true)
 	s.RowClone(srcA, x1)
 	s.TwoRowXOR(x1, x2, notA)
-	s.Write(x2, onesV)
+	s.Fill(x2, true)
 	s.RowClone(srcB, x1)
 	s.TwoRowXOR(x1, x2, notB)
 	// and2 = MAJ(notA, notB, 0).
-	s.Write(x3, zeroV)
+	s.Fill(x3, false)
 	s.RowClone(notA, x1)
 	s.RowClone(notB, x2)
 	s.TRACarry(x1, x2, x3, and2)
 	// dst = MAJ(and1, and2, 1) = OR.
-	s.Write(x3, onesV)
+	s.Fill(x3, true)
 	s.RowClone(and1, x1)
 	s.RowClone(and2, x2)
 	s.TRACarry(x1, x2, x3, dst)

@@ -367,3 +367,26 @@ func TestSetMeterSwapsAndRestores(t *testing.T) {
 	}()
 	s.SetMeter(nil)
 }
+
+// TestFillMetersLikeWrite pins Fill as Write of a constant row: same cell
+// state, same single CmdWrite.
+func TestFillMetersLikeWrite(t *testing.T) {
+	a, b := newTestSubarray(), newTestSubarray()
+	ones := bitvec.New(256)
+	ones.Fill(true)
+	for _, s := range []*Subarray{a, b} {
+		s.Poke(9, randomRow(stats.NewRNG(3), 256))
+	}
+	a.Fill(9, true)
+	b.Write(9, ones)
+	if !a.Peek(9).Equal(b.Peek(9)) || !a.Peek(9).AllOnes() {
+		t.Fatal("Fill(true) differs from Write of an all-ones row")
+	}
+	a.Fill(9, false)
+	if a.Peek(9).AnySet() {
+		t.Fatal("Fill(false) left bits set")
+	}
+	if got := a.Meter().Counts[dram.CmdWrite]; got != 2 || a.Meter().TotalCommands() != 2 {
+		t.Fatalf("Fill metered %d writes of %d commands, want 2 of 2", got, a.Meter().TotalCommands())
+	}
+}
