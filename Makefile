@@ -11,7 +11,7 @@ GO ?= go
 # without repeating the full multi-second golden runs.
 RACE_PKGS = ./internal/assembly/... ./internal/bitvec/... ./internal/circuit/... ./internal/core/... ./internal/correct/... ./internal/debruijn/... ./internal/distshard/... ./internal/dram/... ./internal/engine/... ./internal/exec/... ./internal/genome/... ./internal/jobqueue/... ./internal/kmer/... ./internal/parallel/... ./internal/perfmodel/... ./internal/sched/... ./internal/service/... ./internal/shard/... ./internal/subarray/...
 
-.PHONY: all check ci fmt-check build vet test test-race fuzz-smoke bench bench-check reproduce examples clean lint lint-tools service-smoke dist-smoke
+.PHONY: all check ci fmt-check build vet test test-race fuzz-smoke bench bench-check profile reproduce examples clean lint lint-tools service-smoke dist-smoke
 
 all: check
 
@@ -91,13 +91,15 @@ fuzz-smoke:
 # (benchmark name -> iterations + every value/unit pair). BENCHTIME=1x is
 # the CI smoke mode: every benchmark runs once, proving the benchjson
 # artefact pipeline still parses without paying full measurement time.
-BENCH_OUT ?= BENCH_PR12.json
+BENCH_OUT ?= BENCH_PR14.json
 BENCHTIME ?= 1s
 
 # The artefact must carry the functional-engine and scheduler benchmarks:
 # the simulator's accounting cost went unmeasured for ten PRs because no
-# recorded benchmark reached Platform.Summarize.
-BENCH_REQUIRED = BenchmarkPIMEngine BenchmarkScheduleStream
+# recorded benchmark reached Platform.Summarize. The same goes for the
+# software pipeline at the end-to-end benchmark's size: the 2 000-read
+# benchmarks never left the cache, so they never showed the table sizing.
+BENCH_REQUIRED = BenchmarkPIMEngine BenchmarkScheduleStream BenchmarkSoftwarePipeline100k
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run='^$$' . | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
@@ -105,6 +107,18 @@ bench:
 		grep -q "\"$$k" $(BENCH_OUT) || { echo "$$k missing from $(BENCH_OUT)"; exit 1; }; \
 	done
 	@echo "wrote $(BENCH_OUT)"
+
+# CPU and heap profiles of BenchmarkSoftwarePipeline100k (the end-to-end
+# benchmark's sw_100k shape), single-threaded as that benchmark runs it. The
+# test binary and the profiles stay under PROFILE_DIR; read them with
+#   go tool pprof -top $(PROFILE_DIR)/pimassembler.test $(PROFILE_DIR)/cpu.pprof
+PROFILE_DIR ?= /tmp/pimassembler-profile
+
+profile:
+	@mkdir -p $(PROFILE_DIR)
+	GOMAXPROCS=1 $(GO) test -run='^$$' -bench='^BenchmarkSoftwarePipeline100k$$' -benchtime=5x -benchmem \
+		-o $(PROFILE_DIR)/pimassembler.test -cpuprofile $(PROFILE_DIR)/cpu.pprof -memprofile $(PROFILE_DIR)/heap.pprof .
+	@echo "profiles in $(PROFILE_DIR): cpu.pprof heap.pprof (binary pimassembler.test)"
 
 # bench/ is its own Go module (the end-to-end benchmark, BENCHMARK.json's
 # command), so `go build ./...` and `go test ./...` at the root never

@@ -342,6 +342,43 @@ func BenchmarkSoftwarePipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkSoftwarePipeline100k is the sw_100k shape of the end-to-end
+// benchmark (100 k × 101 bp error-free reads of a 1 Mbp genome, k=16):
+// FASTA bytes → scanner source → software engine → contigs. `make profile`
+// writes its CPU and heap profiles.
+func BenchmarkSoftwarePipeline100k(b *testing.B) {
+	rng := stats.NewRNG(1)
+	ref := genome.GenerateGenome(1_000_000, rng)
+	sampler := genome.NewReadSampler(ref, 101, 0, rng)
+	var fasta bytes.Buffer
+	w := genome.NewRecordWriter(&fasta)
+	for i := 0; i < 100_000; i++ {
+		if err := w.Write(genome.Record{Name: fmt.Sprintf("r%d", i), Seq: sampler.Next()}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	eng, err := engine.Lookup("software")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := engine.Options{Options: assembly.Options{K: 16}}
+	var contigs int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := genome.NewScannerSource(genome.NewScanner(bytes.NewReader(fasta.Bytes()), genome.FormatFASTA))
+		rep, err := eng.Assemble(context.Background(), src, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		contigs = len(rep.Contigs)
+	}
+	b.ReportMetric(float64(contigs), "contigs")
+}
+
 func BenchmarkPIMPipeline(b *testing.B) {
 	rng := stats.NewRNG(6)
 	ref := genome.GenerateGenome(2_000, rng)

@@ -54,13 +54,12 @@ type Options struct {
 	// are themselves invariant in the worker count).
 	CountWorkers int
 	// StreamStage1 makes AssembleSource count stage-1 k-mers one read at a
-	// time into a grow-on-demand table instead of draining the source into
-	// a slice first, so resident memory is bounded by the record in flight
-	// plus the table — the out-of-core spill path sets this. It only takes
-	// effect on the serial, uncorrected path (Correct and CountWorkers > 1
-	// need the full read set); Assemble ignores it. Contigs, entries, and
-	// counts are identical either way; only the probe statistics differ
-	// (the streamed table grows instead of being pre-sized).
+	// time instead of draining the source into a slice first, so resident
+	// memory is bounded by the record in flight plus the table — the
+	// out-of-core spill path sets this. It only takes effect on the serial,
+	// uncorrected path (Correct and CountWorkers > 1 need the full read
+	// set); Assemble ignores it. Contigs, entries, counts, and probe
+	// statistics are identical either way.
 	StreamStage1 bool
 }
 

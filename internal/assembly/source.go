@@ -11,16 +11,15 @@ import (
 
 // AssembleSource runs the software reference pipeline over a streaming
 // read source. With Options.StreamStage1 set (and the serial, uncorrected
-// configuration it requires), stage 1 counts k-mers one read at a time
-// into a grow-on-demand table, so resident memory is bounded by the record
-// in flight plus the k-mer table and graph — never the read set. Otherwise
-// the source is drained and handed to Assemble, which pre-sizes the table
-// from the whole input.
+// configuration it requires), stage 1 counts k-mers one read at a time, so
+// resident memory is bounded by the record in flight plus the k-mer table
+// and graph — never the read set. Otherwise the source is drained and
+// handed to Assemble.
 //
-// Both paths insert exactly the same k-mers in the same order, so contigs,
-// entries, counts, and spectra are byte-identical to Assemble over the
-// same reads; only the probe statistics (OpCounts.AvgProbes) reflect the
-// table-growth layout of the chosen path.
+// Both paths feed the same reads in the same order to the same
+// grow-on-demand table (CountTable.AddRead), so contigs, entries, counts,
+// spectra, and probe statistics are identical to Assemble over the same
+// reads.
 func AssembleSource(src genome.ReadSource, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -49,7 +48,7 @@ func AssembleSource(src genome.ReadSource, opts Options) (*Result, error) {
 			return nil, err
 		}
 		totals.add(r, opts.K)
-		kmer.Iterate(r, opts.K, func(km kmer.Kmer) { table.Add(km) })
+		table.AddRead(r)
 	}
 	if totals.reads == 0 {
 		return nil, fmt.Errorf("assembly: no reads")

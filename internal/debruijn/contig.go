@@ -85,12 +85,13 @@ func (g *Graph) Contigs() []Contig {
 	}
 	g.scratch.edgePath = walk[:0]
 
+	// Longest first; only equal lengths are spelled out to break the tie.
 	sort.Slice(contigs, func(a, b int) bool {
-		sa, sb := contigs[a].Seq.String(), contigs[b].Seq.String()
-		if len(sa) != len(sb) {
-			return len(sa) > len(sb)
+		sa, sb := contigs[a].Seq, contigs[b].Seq
+		if sa.Len() != sb.Len() {
+			return sa.Len() > sb.Len()
 		}
-		return sa < sb
+		return sa.String() < sb.String()
 	})
 	return contigs
 }

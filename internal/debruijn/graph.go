@@ -16,7 +16,6 @@ package debruijn
 
 import (
 	"fmt"
-	"sort"
 
 	"pimassembler/internal/genome"
 	"pimassembler/internal/kmer"
@@ -167,26 +166,30 @@ func (g *Graph) finalize() {
 	}
 	n := g.idx.Len()
 
-	// Gather live edges: surviving CSR slots first, then the pending batch.
-	from := make([]int32, 0, g.edges)
-	to := make([]int32, 0, g.edges)
-	kms := make([]kmer.Kmer, 0, g.edges)
-	counts := make([]uint32, 0, g.edges)
-	for id := 0; id+1 < len(g.edgeOff); id++ {
-		for e := g.edgeOff[id]; e < g.edgeOff[id+1]; e++ {
-			if g.edgeDead[e] {
-				continue
+	// The edges to lay out: the pending batch as it stands on a first build,
+	// otherwise the surviving CSR slots followed by the pending batch.
+	from, to, kms, counts := g.pendFrom, g.pendTo, g.pendKmer, g.pendCount
+	if len(g.edgeKmer) > 0 {
+		from = make([]int32, 0, g.edges)
+		to = make([]int32, 0, g.edges)
+		kms = make([]kmer.Kmer, 0, g.edges)
+		counts = make([]uint32, 0, g.edges)
+		for id := 0; id+1 < len(g.edgeOff); id++ {
+			for e := g.edgeOff[id]; e < g.edgeOff[id+1]; e++ {
+				if g.edgeDead[e] {
+					continue
+				}
+				from = append(from, int32(id))
+				to = append(to, g.edgeTo[e])
+				kms = append(kms, g.edgeKmer[e])
+				counts = append(counts, g.edgeCount[e])
 			}
-			from = append(from, int32(id))
-			to = append(to, g.edgeTo[e])
-			kms = append(kms, g.edgeKmer[e])
-			counts = append(counts, g.edgeCount[e])
 		}
+		from = append(from, g.pendFrom...)
+		to = append(to, g.pendTo...)
+		kms = append(kms, g.pendKmer...)
+		counts = append(counts, g.pendCount...)
 	}
-	from = append(from, g.pendFrom...)
-	to = append(to, g.pendTo...)
-	kms = append(kms, g.pendKmer...)
-	counts = append(counts, g.pendCount...)
 
 	// Aliveness: nodes stay pruned unless an edge touches them again; newly
 	// interned nodes are alive.
@@ -237,23 +240,32 @@ func (g *Graph) finalize() {
 	}
 
 	g.alive = alive
-	g.rebuildOrder()
+	g.sortOrder()
 	g.pendFrom, g.pendTo, g.pendKmer, g.pendCount = nil, nil, nil, nil
 	g.dirty = false
 }
 
-// rebuildOrder recomputes the sorted alive-node enumeration and its inverse.
-func (g *Graph) rebuildOrder() {
-	n := g.idx.Len()
-	g.order = g.order[:0]
-	for id := 0; id < n; id++ {
-		if g.alive[id] {
-			g.order = append(g.order, int32(id))
+// sortOrder recomputes the alive-node enumeration in (k-1)-mer order: one
+// radix sort over (node, ID) pairs. Interned nodes are distinct, so the
+// order is total.
+func (g *Graph) sortOrder() {
+	pairs := make([]kmer.Entry, 0, g.idx.Len())
+	for id, alive := range g.alive {
+		if alive {
+			pairs = append(pairs, kmer.Entry{Kmer: g.idx.At(int32(id)), Count: uint32(id)})
 		}
 	}
-	sort.Slice(g.order, func(a, b int) bool {
-		return g.idx.At(g.order[a]) < g.idx.At(g.order[b])
-	})
+	kmer.SortEntries(pairs)
+	g.order = g.order[:0]
+	for _, p := range pairs {
+		g.order = append(g.order, int32(p.Count))
+	}
+	g.rebuildRank()
+}
+
+// rebuildRank recomputes the inverse of order.
+func (g *Graph) rebuildRank() {
+	n := g.idx.Len()
 	if cap(g.rank) < n {
 		g.rank = make([]int32, n)
 	}

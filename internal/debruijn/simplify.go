@@ -37,17 +37,20 @@ func (g *Graph) removeEdgeAt(from, e int32) bool {
 	return true
 }
 
-// pruneIsolated drops nodes with no remaining edges.
+// pruneIsolated drops nodes with no remaining edges. Removing entries keeps
+// order sorted, so it is compacted in place.
 func (g *Graph) pruneIsolated() {
-	changed := false
+	kept := g.order[:0]
 	for _, id := range g.order {
 		if g.outDeg[id] == 0 && g.inDeg[id] == 0 {
 			g.alive[id] = false
-			changed = true
+			continue
 		}
+		kept = append(kept, id)
 	}
-	if changed {
-		g.rebuildOrder()
+	if len(kept) != len(g.order) {
+		g.order = kept
+		g.rebuildRank()
 	}
 }
 

@@ -75,7 +75,8 @@ func (e analyticalEngine) Assemble(ctx context.Context, src genome.ReadSource, o
 		rep.Scaffolds = res.Scaffolds
 		rep.EulerWalk = res.EulerWalk
 		rep.EulerErr = res.EulerErr
-		rep.Counts = &res.Counts
+		counts := res.Counts // a copy: &res.Counts would pin the whole Result
+		rep.Counts = &counts
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -41,6 +41,7 @@ func (e pimEngine) Assemble(ctx context.Context, src genome.ReadSource, opts Opt
 		return nil, err
 	}
 	summary := p.Summarize()
+	counts := res.Counts // a copy: &res.Counts would pin the whole Result
 	rep := &Report{
 		Engine:     e.Name(),
 		Family:     FamilyFunctional,
@@ -48,7 +49,7 @@ func (e pimEngine) Assemble(ctx context.Context, src genome.ReadSource, opts Opt
 		Scaffolds:  res.Scaffolds,
 		EulerWalk:  res.EulerWalk,
 		EulerErr:   res.EulerErr,
-		Counts:     &res.Counts,
+		Counts:     &counts,
 		Functional: &summary,
 	}
 	score(rep, opts)

@@ -30,6 +30,9 @@ func (e softwareEngine) Assemble(ctx context.Context, src genome.ReadSource, opt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// Copies, not &res.Counts: an interior pointer would keep the whole
+	// Result — k-mer table and graph — alive as long as the Report.
+	counts, timings := res.Counts, res.Timings
 	rep := &Report{
 		Engine:    e.Name(),
 		Family:    FamilySoftware,
@@ -37,8 +40,8 @@ func (e softwareEngine) Assemble(ctx context.Context, src genome.ReadSource, opt
 		Scaffolds: res.Scaffolds,
 		EulerWalk: res.EulerWalk,
 		EulerErr:  res.EulerErr,
-		Counts:    &res.Counts,
-		Timings:   &res.Timings,
+		Counts:    &counts,
+		Timings:   &timings,
 	}
 	score(rep, opts)
 	return rep, nil

@@ -34,20 +34,29 @@ func (b Base) String() string { return string(baseLetters[b&3]) }
 // conveniences.
 func (b Base) Complement() Base { return b ^ 0b10 }
 
+// baseCodes maps an ASCII byte to its 2-bit code; every byte that is not a
+// base letter maps to invalidCode, whose high bits survive OR-ing codes
+// together.
+const invalidCode = 0xFF
+
+var baseCodes = func() (codes [256]byte) {
+	for i := range codes {
+		codes[i] = invalidCode
+	}
+	for letters, b := range map[string]Base{"Aa": A, "Cc": C, "Gg": G, "TtUu": T} {
+		for i := 0; i < len(letters); i++ {
+			codes[letters[i]] = byte(b)
+		}
+	}
+	return codes
+}()
+
 // ParseBase converts an ASCII letter (upper or lower case) to a Base.
 func ParseBase(c byte) (Base, error) {
-	switch c {
-	case 'A', 'a':
-		return A, nil
-	case 'C', 'c':
-		return C, nil
-	case 'G', 'g':
-		return G, nil
-	case 'T', 't', 'U', 'u':
-		return T, nil
-	default:
-		return 0, fmt.Errorf("genome: invalid base %q", c)
+	if code := baseCodes[c]; code != invalidCode {
+		return Base(code), nil
 	}
+	return 0, fmt.Errorf("genome: invalid base %q", c)
 }
 
 // Sequence is a DNA sequence stored 2-bit packed, four bases per byte.
@@ -67,15 +76,40 @@ func NewSequence(n int) *Sequence {
 // FromString parses an ASCII sequence. It returns an error on any character
 // that is not A/C/G/T (case-insensitive; U maps to T).
 func FromString(s string) (*Sequence, error) {
-	seq := NewSequence(len(s))
-	for i := 0; i < len(s); i++ {
-		b, err := ParseBase(s[i])
-		if err != nil {
-			return nil, fmt.Errorf("position %d: %w", i, err)
+	return parseBases(s)
+}
+
+// parseBases packs ASCII text into a Sequence a byte — four bases — at a
+// time; the error names the position of the first invalid character.
+func parseBases[T string | []byte](text T) (*Sequence, error) {
+	seq := NewSequence(len(text))
+	whole := len(text) &^ 3
+	for i := 0; i < whole; i += 4 {
+		c0, c1, c2, c3 := baseCodes[text[i]], baseCodes[text[i+1]], baseCodes[text[i+2]], baseCodes[text[i+3]]
+		if c0|c1|c2|c3 > 3 {
+			return nil, firstInvalidBase(text, i)
 		}
-		seq.SetBase(i, b)
+		seq.packed[i/4] = c0 | c1<<2 | c2<<4 | c3<<6
+	}
+	for i := whole; i < len(text); i++ {
+		c := baseCodes[text[i]]
+		if c > 3 {
+			return nil, firstInvalidBase(text, i)
+		}
+		seq.packed[i/4] |= c << (uint(i%4) * 2)
 	}
 	return seq, nil
+}
+
+// firstInvalidBase reports the first invalid character of text at or after
+// from; parseBases calls it once it knows there is one.
+func firstInvalidBase[T string | []byte](text T, from int) error {
+	for i := from; i < len(text); i++ {
+		if _, err := ParseBase(text[i]); err != nil {
+			return fmt.Errorf("position %d: %w", i, err)
+		}
+	}
+	panic("genome: firstInvalidBase called on valid text")
 }
 
 // MustFromString is FromString for trusted literals; it panics on error.

@@ -41,7 +41,7 @@ func DetectFormat(path string) Format {
 // scannerInitBuf allocated up front. Memory use is bounded by the longest
 // single record, never by the stream length.
 const (
-	scannerInitBuf = 1 << 20
+	scannerInitBuf = 1 << 16
 	scannerMaxLine = 1 << 24
 )
 
@@ -66,11 +66,12 @@ type Scanner struct {
 	err    error
 	done   bool
 
-	// FASTA one-record lookahead: the header seen but not yet emitted.
+	// FASTA one-record lookahead: the header seen but not yet emitted, and
+	// the sequence lines gathered so far (the buffer is reused per record).
 	started  bool
 	name     string
 	nameLine int
-	sb       strings.Builder
+	seqText  []byte
 }
 
 // NewScanner wraps r in a streaming record scanner for the given format.
@@ -131,54 +132,51 @@ func (s *Scanner) Err() error { return s.err }
 // Line returns the number of the last input line consumed.
 func (s *Scanner) Line() int { return s.line }
 
-// nextLine returns the next non-blank trimmed line.
-func (s *Scanner) nextLine() (string, bool) {
+// nextLine returns the next non-blank trimmed line; the bytes are valid
+// until the following call.
+func (s *Scanner) nextLine() ([]byte, bool) {
 	for s.sc.Scan() {
 		s.line++
-		t := strings.TrimSpace(s.sc.Text())
-		if t != "" {
+		if t := bytes.TrimSpace(s.sc.Bytes()); len(t) > 0 {
 			return t, true
 		}
 	}
 	if err := s.sc.Err(); err != nil {
 		s.err = err
 	}
-	return "", false
+	return nil, false
 }
 
 func (s *Scanner) scanFASTA() bool {
-	for s.sc.Scan() {
-		s.line++
-		text := strings.TrimSpace(s.sc.Text())
-		switch {
-		case text == "":
-			continue
-		case strings.HasPrefix(text, ">"):
-			emit := s.started
-			var rec Record
-			if emit {
-				var ok bool
-				if rec, ok = s.flushFASTA(); !ok {
-					return false
-				}
-			}
-			s.name = strings.TrimSpace(text[1:])
-			s.nameLine = s.line
-			s.started = true
-			if emit {
-				s.rec = rec
-				return true
-			}
-		default:
+	for {
+		text, ok := s.nextLine()
+		if !ok {
+			break
+		}
+		if text[0] != '>' {
 			if !s.started {
 				s.err = fmt.Errorf("genome: line %d: sequence data before first header", s.line)
 				return false
 			}
-			s.sb.WriteString(text)
+			s.seqText = append(s.seqText, text...)
+			continue
+		}
+		emit := s.started
+		var rec Record
+		if emit {
+			if rec, ok = s.flushFASTA(); !ok {
+				return false
+			}
+		}
+		s.name = string(bytes.TrimSpace(text[1:]))
+		s.nameLine = s.line
+		s.started = true
+		if emit {
+			s.rec = rec
+			return true
 		}
 	}
-	if err := s.sc.Err(); err != nil {
-		s.err = err
+	if s.err != nil {
 		return false
 	}
 	s.done = true
@@ -196,21 +194,22 @@ func (s *Scanner) scanFASTA() bool {
 
 // flushFASTA converts the buffered lookahead into a record.
 func (s *Scanner) flushFASTA() (Record, bool) {
-	seq, err := FromString(s.sb.String())
+	seq, err := parseBases(s.seqText)
 	if err != nil {
 		s.err = fmt.Errorf("genome: line %d: record %q: %w", s.nameLine, s.name, err)
 		return Record{}, false
 	}
-	s.sb.Reset()
+	s.seqText = s.seqText[:0]
 	return Record{Name: s.name, Seq: seq}, true
 }
 
 func (s *Scanner) scanFASTQ() bool {
-	header, ok := s.nextLine()
+	line, ok := s.nextLine()
 	if !ok {
 		s.done = s.err == nil
 		return false
 	}
+	header := string(line)
 	headerLine := s.line
 	if !strings.HasPrefix(header, "@") {
 		s.err = fmt.Errorf("genome: line %d: expected @header, got %q", s.line, header)
@@ -223,9 +222,12 @@ func (s *Scanner) scanFASTQ() bool {
 		}
 		return false
 	}
-	seqLine := s.line
+	// The line's bytes do not outlive the next read, so the sequence is
+	// parsed now; a bad base is still reported after the structural checks.
+	seq, seqErr := parseBases(seqText)
+	seqLine, seqLen := s.line, len(seqText)
 	plus, ok := s.nextLine()
-	if !ok || !strings.HasPrefix(plus, "+") {
+	if !ok || plus[0] != '+' {
 		if s.err == nil {
 			s.err = fmt.Errorf("genome: line %d: expected + separator for record %q", s.line, header)
 		}
@@ -238,14 +240,13 @@ func (s *Scanner) scanFASTQ() bool {
 		}
 		return false
 	}
-	if len(qual) != len(seqText) {
+	if len(qual) != seqLen {
 		s.err = fmt.Errorf("genome: line %d: record %q: quality length %d != sequence length %d",
-			s.line, header, len(qual), len(seqText))
+			s.line, header, len(qual), seqLen)
 		return false
 	}
-	seq, err := FromString(seqText)
-	if err != nil {
-		s.err = fmt.Errorf("genome: line %d: record %q: %w", seqLine, header, err)
+	if seqErr != nil {
+		s.err = fmt.Errorf("genome: line %d: record %q: %w", seqLine, header, seqErr)
 		return false
 	}
 	// Trim the name exactly as the FASTA path does, so a record's name is

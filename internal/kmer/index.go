@@ -8,9 +8,15 @@ package kmer
 // hash maps keyed by Kmer.
 type Index struct {
 	k     int
-	slots []int32 // slot -> id+1; 0 marks an empty slot
-	keys  []Kmer  // slot -> interned k-mer (parallel to slots)
-	kmers []Kmer  // id -> k-mer (the reverse mapping)
+	slots []indexSlot
+	kmers []Kmer // id -> k-mer (the reverse mapping)
+}
+
+// indexSlot keeps a slot's key beside its ID, so a probe reads one cache
+// line.
+type indexSlot struct {
+	key Kmer
+	ref int32 // id+1; 0 marks an empty slot
 }
 
 // NewIndex creates an index for k-mers of length k with room for at least
@@ -20,8 +26,7 @@ func NewIndex(k, hint int) *Index {
 	capacity := tableCapacity(hint)
 	return &Index{
 		k:     k,
-		slots: make([]int32, capacity),
-		keys:  make([]Kmer, capacity),
+		slots: make([]indexSlot, capacity),
 		kmers: make([]Kmer, 0, capacity/2),
 	}
 }
@@ -44,16 +49,15 @@ func (x *Index) Intern(km Kmer) int32 {
 	mask := uint64(len(x.slots) - 1)
 	i := km.Hash() & mask
 	for {
-		s := x.slots[i]
-		if s == 0 {
+		s := &x.slots[i]
+		if s.ref == 0 {
 			id := int32(len(x.kmers))
 			x.kmers = append(x.kmers, km)
-			x.slots[i] = id + 1
-			x.keys[i] = km
+			s.key, s.ref = km, id+1
 			return id
 		}
-		if x.keys[i] == km {
-			return s - 1
+		if s.key == km {
+			return s.ref - 1
 		}
 		i = (i + 1) & mask
 	}
@@ -65,30 +69,28 @@ func (x *Index) Lookup(km Kmer) (int32, bool) {
 	i := km.Hash() & mask
 	for {
 		s := x.slots[i]
-		if s == 0 {
+		if s.ref == 0 {
 			return 0, false
 		}
-		if x.keys[i] == km {
-			return s - 1, true
+		if s.key == km {
+			return s.ref - 1, true
 		}
 		i = (i + 1) & mask
 	}
 }
 
 func (x *Index) grow() {
-	oldSlots, oldKeys := x.slots, x.keys
-	x.slots = make([]int32, len(oldSlots)*2)
-	x.keys = make([]Kmer, len(oldKeys)*2)
+	old := x.slots
+	x.slots = make([]indexSlot, len(old)*2)
 	mask := uint64(len(x.slots) - 1)
-	for i, s := range oldSlots {
-		if s == 0 {
+	for _, s := range old {
+		if s.ref == 0 {
 			continue
 		}
-		j := oldKeys[i].Hash() & mask
-		for x.slots[j] != 0 {
+		j := s.key.Hash() & mask
+		for x.slots[j].ref != 0 {
 			j = (j + 1) & mask
 		}
 		x.slots[j] = s
-		x.keys[j] = oldKeys[i]
 	}
 }

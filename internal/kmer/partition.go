@@ -44,9 +44,8 @@ const (
 // identical to a serial CountTable over the same reads, for any partition
 // count and any worker count. ProbeOps is the sum of the per-partition
 // probe counters: invariant in the worker count (insertion order per
-// partition is pinned to read order), but — like the serial table's
-// dependence on its capacity hint — it reflects the physical layout, so it
-// varies with the partition count.
+// partition is pinned to read order), but it reflects the physical layout,
+// so it varies with the partition count.
 type PartitionedTable struct {
 	k     int
 	shift uint // partition = Hash() >> shift; shift = 64 - log2(P)
@@ -55,7 +54,8 @@ type PartitionedTable struct {
 
 // NewPartitionedTable creates a table of `partitions` partitions (rounded
 // up to a power of two, clamped to [1, 65536]) for k-mers of length k, with
-// aggregate capacity for about hint entries.
+// aggregate capacity for about hint distinct entries before any partition
+// grows.
 func NewPartitionedTable(k, partitions, hint int) *PartitionedTable {
 	checkK(k)
 	if partitions < 1 {
@@ -335,13 +335,7 @@ func CountReadsPartitioned(reads []*genome.Sequence, k, partitions, workers int)
 	if workers <= 0 {
 		workers = parallel.Workers()
 	}
-	hint := 0
-	for _, r := range reads {
-		if r.Len() >= k {
-			hint += r.Len() - k + 1
-		}
-	}
-	t := NewPartitionedTable(k, partitions, hint)
+	t := NewPartitionedTable(k, partitions, 0)
 	nparts := len(t.parts)
 	shift := t.shift
 

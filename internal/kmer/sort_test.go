@@ -55,7 +55,7 @@ func TestSortEntriesMatchesReference(t *testing.T) {
 			es := tc.gen(n)
 			want := append(make([]Entry, 0, n), es...)
 			sort.SliceStable(want, func(a, b int) bool { return want[a].Kmer < want[b].Kmer })
-			sortEntries(es)
+			SortEntries(es)
 			if !reflect.DeepEqual(es, want) {
 				t.Fatalf("%s n=%d: radix order diverges from stable reference", tc.name, n)
 			}
@@ -69,7 +69,7 @@ func TestSortEntriesPresorted(t *testing.T) {
 		es[i] = Entry{Kmer(i * 3), uint32(i + 1)}
 	}
 	want := append([]Entry(nil), es...)
-	sortEntries(es)
+	SortEntries(es)
 	if !reflect.DeepEqual(es, want) {
 		t.Fatal("sorting a sorted slice changed it")
 	}
@@ -77,7 +77,7 @@ func TestSortEntriesPresorted(t *testing.T) {
 	for i := range es {
 		es[i] = want[len(want)-1-i]
 	}
-	sortEntries(es)
+	SortEntries(es)
 	if !reflect.DeepEqual(es, want) {
 		t.Fatal("reverse input not fully sorted")
 	}

@@ -30,27 +30,23 @@ func tableCapacity(hint int) int {
 // CountTable is the software reference k-mer hash table: open addressing
 // with linear probing, the same probe discipline the PIM mapping uses
 // row-by-row inside a sub-array, so its probe statistics transfer directly
-// to the hardware cost model.
+// to the hardware cost model. A slot is one 16-byte Entry, so a probe touches
+// one cache line; a zero count marks an empty slot (Add never stores one).
+// The table doubles at load ½, so its capacity follows the number of
+// distinct k-mers, whatever the number of occurrences.
 type CountTable struct {
 	k        int
-	keys     []Kmer
-	counts   []uint32
-	used     []bool
+	slots    []Entry // Count 0 = empty
 	n        int
-	probeOps int64 // total probe comparisons, for op-count extraction
+	probeOps int64  // total probe comparisons, for op-count extraction
+	sink     uint32 // keeps AddAll's look-ahead loads from being optimised away
 }
 
 // NewCountTable creates a table for k-mers of length k with capacity for at
-// least hint entries before growing.
+// least hint distinct entries before growing.
 func NewCountTable(k int, hint int) *CountTable {
 	checkK(k)
-	capacity := tableCapacity(hint)
-	return &CountTable{
-		k:      k,
-		keys:   make([]Kmer, capacity),
-		counts: make([]uint32, capacity),
-		used:   make([]bool, capacity),
-	}
+	return &CountTable{k: k, slots: make([]Entry, tableCapacity(hint))}
 }
 
 // K returns the table's k-mer length.
@@ -66,74 +62,107 @@ func (t *CountTable) ProbeOps() int64 { return t.probeOps }
 // Add increments the count of km, inserting it if absent, and returns the
 // new count: one iteration of the Hashmap procedure in Fig. 5b.
 func (t *CountTable) Add(km Kmer) uint32 {
-	if t.n*2 >= len(t.keys) {
+	return t.addHashed(km, km.Hash())
+}
+
+// addHashed is Add with km's hash already computed.
+func (t *CountTable) addHashed(km Kmer, hash uint64) uint32 {
+	if t.n*2 >= len(t.slots) {
 		t.grow()
 	}
-	mask := uint64(len(t.keys) - 1)
-	i := km.Hash() & mask
+	mask := uint64(len(t.slots) - 1)
+	i := hash & mask
 	for {
 		t.probeOps++
-		if !t.used[i] {
-			t.used[i] = true
-			t.keys[i] = km
-			t.counts[i] = 1
+		s := &t.slots[i]
+		if s.Count == 0 {
+			s.Kmer, s.Count = km, 1
 			t.n++
 			return 1
 		}
-		if t.keys[i] == km {
-			t.counts[i]++
-			return t.counts[i]
+		if s.Kmer == km {
+			// Saturate: a wrapped count would read as an empty slot.
+			if s.Count != math.MaxUint32 {
+				s.Count++
+			}
+			return s.Count
 		}
 		i = (i + 1) & mask
 	}
 }
 
-// AddAll folds a staged batch of k-mers into the table in slice order: the
-// per-partition drain loop of the parallel counting layer. It is exactly
-// len(kms) Add calls, kept as one tight loop on the hot path.
+// addBatch is how many k-mers AddAll hashes ahead of probing them.
+const addBatch = 64
+
+// AddAll folds k-mers into the table in slice order: exactly len(kms) Add
+// calls, so counts and probe statistics are those of the plain loop. It takes
+// them addBatch at a time, hashing a batch and loading each home slot before
+// probing any: that puts the batch's cache misses in flight together, where
+// the probe loop alone would wait for them one by one.
 func (t *CountTable) AddAll(kms []Kmer) {
-	for _, km := range kms {
-		t.Add(km)
+	var hashes [addBatch]uint64
+	for len(kms) > 0 {
+		batch := kms[:min(len(kms), addBatch)]
+		mask := uint64(len(t.slots) - 1)
+		var loaded uint32
+		for i, km := range batch {
+			hashes[i] = km.Hash()
+			loaded |= t.slots[hashes[i]&mask].Count
+		}
+		t.sink = loaded
+		for i, km := range batch {
+			t.addHashed(km, hashes[i])
+		}
+		kms = kms[len(batch):]
 	}
+}
+
+// AddRead counts every k-mer of r in read order. It is the one stage-1
+// counting step: CountReads and the streaming pipeline both call it read by
+// read, so both see the same table layout and probe statistics.
+func (t *CountTable) AddRead(r *genome.Sequence) {
+	var kms [addBatch]Kmer
+	n := 0
+	Iterate(r, t.k, func(km Kmer) {
+		kms[n] = km
+		if n++; n == len(kms) {
+			t.AddAll(kms[:])
+			n = 0
+		}
+	})
+	t.AddAll(kms[:n])
 }
 
 // Count returns the stored count of km (0 if absent).
 func (t *CountTable) Count(km Kmer) uint32 {
-	mask := uint64(len(t.keys) - 1)
+	mask := uint64(len(t.slots) - 1)
 	i := km.Hash() & mask
 	for {
 		t.probeOps++
-		if !t.used[i] {
-			return 0
-		}
-		if t.keys[i] == km {
-			return t.counts[i]
+		s := &t.slots[i]
+		if s.Count == 0 || s.Kmer == km {
+			return s.Count
 		}
 		i = (i + 1) & mask
 	}
 }
 
+// grow doubles the table. Rehashing costs no probeOps: the counter prices
+// the Hashmap procedure's comparisons, not the host's table maintenance.
 func (t *CountTable) grow() {
-	old := *t
-	t.keys = make([]Kmer, len(old.keys)*2)
-	t.counts = make([]uint32, len(old.counts)*2)
-	t.used = make([]bool, len(old.used)*2)
-	t.n = 0
-	mask := uint64(len(t.keys) - 1)
-	for i, u := range old.used {
-		if !u {
+	old := t.slots
+	t.slots = make([]Entry, len(old)*2)
+	mask := uint64(len(t.slots) - 1)
+	for _, s := range old {
+		if s.Count == 0 {
 			continue
 		}
-		j := old.keys[i].Hash() & mask
-		for t.used[j] {
+		j := s.Kmer.Hash() & mask
+		for t.slots[j].Count != 0 {
 			j = (j + 1) & mask
 		}
-		t.used[j] = true
-		t.keys[j] = old.keys[i]
-		t.counts[j] = old.counts[i]
-		t.n++
+		t.slots[j] = s
 	}
-	t.probeOps = old.probeOps
 }
 
 // Entry is one (k-mer, count) pair.
@@ -146,20 +175,13 @@ type Entry struct {
 // for graph construction and tests. Ordering is the shared radix sort over
 // the packed codes, not a comparison sort.
 func (t *CountTable) Entries() []Entry {
-	out := make([]Entry, 0, t.n)
-	for i, u := range t.used {
-		if u {
-			out = append(out, Entry{t.keys[i], t.counts[i]})
-		}
-	}
-	sortEntries(out)
-	return out
+	return t.FilterMinCount(1)
 }
 
 // Each calls fn for every entry in unspecified order; return false to stop.
 func (t *CountTable) Each(fn func(Kmer, uint32) bool) {
-	for i, u := range t.used {
-		if u && !fn(t.keys[i], t.counts[i]) {
+	for _, s := range t.slots {
+		if s.Count != 0 && !fn(s.Kmer, s.Count) {
 			return
 		}
 	}
@@ -168,15 +190,9 @@ func (t *CountTable) Each(fn func(Kmer, uint32) bool) {
 // CountReads builds a table over every k-mer of every read: stage 1 of the
 // assembly pipeline.
 func CountReads(reads []*genome.Sequence, k int) *CountTable {
-	hint := 0
+	t := NewCountTable(k, 0)
 	for _, r := range reads {
-		if r.Len() >= k {
-			hint += r.Len() - k + 1
-		}
-	}
-	t := NewCountTable(k, hint)
-	for _, r := range reads {
-		Iterate(r, k, func(km Kmer) { t.Add(km) })
+		t.AddRead(r)
 	}
 	return t
 }
@@ -202,29 +218,31 @@ func (t *CountTable) Spectrum() []int64 {
 // FilterMinCount returns the entries with count ≥ min, sorted by k-mer —
 // the low-frequency error-trimming step assemblers apply before graph
 // construction. Survivors are counted first and collected into one exact
-// allocation, then sorted: the old path materialised the full sorted
-// Entries slice only to re-append the survivors through repeated growth.
+// allocation, then sorted.
 func (t *CountTable) FilterMinCount(min uint32) []Entry {
-	if min <= 1 {
-		return t.Entries()
+	if min < 1 {
+		min = 1 // an empty slot's zero count must never pass
 	}
-	survivors := 0
-	for i, u := range t.used {
-		if u && t.counts[i] >= min {
-			survivors++
+	survivors := t.n
+	if min > 1 {
+		survivors = 0
+		for _, s := range t.slots {
+			if s.Count >= min {
+				survivors++
+			}
 		}
 	}
 	out := make([]Entry, 0, survivors)
-	for i, u := range t.used {
-		if u && t.counts[i] >= min {
-			out = append(out, Entry{t.keys[i], t.counts[i]})
+	for _, s := range t.slots {
+		if s.Count >= min {
+			out = append(out, s)
 		}
 	}
-	sortEntries(out)
+	SortEntries(out)
 	return out
 }
 
 // String summarises the table.
 func (t *CountTable) String() string {
-	return fmt.Sprintf("kmer.CountTable{k=%d, distinct=%d, capacity=%d}", t.k, t.n, len(t.keys))
+	return fmt.Sprintf("kmer.CountTable{k=%d, distinct=%d, capacity=%d}", t.k, t.n, len(t.slots))
 }

@@ -1,6 +1,7 @@
 package kmer
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -264,5 +265,50 @@ func TestCountTableProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCountReadsCapacityTracksDistinct: the table is sized by the distinct
+// k-mers it holds, not by how often they occur — at 10× coverage the old
+// occurrence-based pre-size allocated ~32 slots per distinct k-mer.
+func TestCountReadsCapacityTracksDistinct(t *testing.T) {
+	rng := stats.NewRNG(21)
+	g := genome.GenerateGenome(50_000, rng)
+	reads := genome.NewReadSampler(g, 101, 0, rng).Sample(5_000) // 10× coverage
+	for _, k := range []int{16, 32} {
+		tbl := CountReads(reads, k)
+		if got, max := len(tbl.slots), 4*tbl.Len(); got > max {
+			t.Errorf("k=%d: capacity %d for %d distinct k-mers, want at most %d", k, got, tbl.Len(), max)
+		}
+		if 2*tbl.Len() > len(tbl.slots) {
+			t.Errorf("k=%d: load factor above ½: %d entries in %d slots", k, tbl.Len(), len(tbl.slots))
+		}
+	}
+}
+
+// TestAddReadIsTheAddLoop: the batched AddRead/AddAll leave exactly the
+// table — slot for slot, probe for probe — that one Add per k-mer leaves,
+// across batch boundaries, table growth inside a batch, and reads shorter
+// than k.
+func TestAddReadIsTheAddLoop(t *testing.T) {
+	rng := stats.NewRNG(22)
+	g := genome.GenerateGenome(3_000, rng)
+	for _, k := range []int{4, 16, 32} {
+		var reads []*genome.Sequence
+		for _, n := range []int{1, k - 1, k, k + addBatch - 2, k + addBatch - 1, k + addBatch, 700} {
+			reads = append(reads, genome.NewReadSampler(g, n, 0, rng).Sample(3)...)
+		}
+		want := NewCountTable(k, 0)
+		for _, r := range reads {
+			Iterate(r, k, func(km Kmer) { want.Add(km) })
+		}
+		got := CountReads(reads, k)
+		if got.ProbeOps() != want.ProbeOps() || got.Len() != want.Len() {
+			t.Fatalf("k=%d: batched table has %d entries after %d probes, plain loop %d after %d",
+				k, got.Len(), got.ProbeOps(), want.Len(), want.ProbeOps())
+		}
+		if !reflect.DeepEqual(got.slots, want.slots) {
+			t.Fatalf("k=%d: slot layout differs from the plain Add loop", k)
+		}
 	}
 }
