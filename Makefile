@@ -11,7 +11,7 @@ GO ?= go
 # without repeating the full multi-second golden runs.
 RACE_PKGS = ./internal/assembly/... ./internal/bitvec/... ./internal/circuit/... ./internal/core/... ./internal/correct/... ./internal/debruijn/... ./internal/distshard/... ./internal/dram/... ./internal/engine/... ./internal/exec/... ./internal/genome/... ./internal/jobqueue/... ./internal/kmer/... ./internal/parallel/... ./internal/perfmodel/... ./internal/sched/... ./internal/service/... ./internal/shard/... ./internal/subarray/...
 
-.PHONY: all check ci fmt-check build vet test test-race fuzz-smoke bench bench-check profile reproduce examples clean lint lint-tools service-smoke dist-smoke
+.PHONY: all check ci fmt-check build vet test test-race fuzz-smoke bench bench-check profile reproduce examples clean lint lint-tools service-smoke
 
 all: check
 
@@ -64,12 +64,6 @@ lint:
 # with cmd/assemble, validate /metrics, and assert a clean SIGTERM drain.
 service-smoke:
 	$(GO) run ./cmd/servicesmoke
-
-# End-to-end smoke of the multi-process sharded path: build the real
-# cmd/assemble binary, run the same 4-shard out-of-core workload in-process
-# and across 2 worker processes, and byte-compare the contigs.
-dist-smoke:
-	$(GO) run ./cmd/distsmoke
 
 # Short fuzzing pass over every fuzz target in FUZZ_PKGS (Go runs one
 # target per -fuzz invocation, so this loops over `go test -list` per
@@ -128,15 +122,15 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The full local gate, one-to-one with .github/workflows/ci.yml: the check
-# suite, the nested bench module's vet + tests, lint, the daemon smoke, the
-# multi-process sharding smoke, the fuzz smoke, and the bench smoke run.
-# Keep the two in sync — CI must run exactly these commands.
+# suite (whose tests include the multi-process sharding run on the real
+# cmd/assemble binary), the nested bench module's vet + tests, lint, the
+# daemon smoke, the fuzz smoke, and the bench smoke run. Keep the two in
+# sync — CI must run exactly these commands.
 ci:
 	$(MAKE) check
 	$(MAKE) bench-check
 	$(MAKE) lint
 	$(MAKE) service-smoke
-	$(MAKE) dist-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench BENCH_OUT=/tmp/bench.json BENCHTIME=1x
 

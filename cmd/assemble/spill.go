@@ -30,11 +30,12 @@ type spillPlanConfig struct {
 }
 
 // runSpill executes the out-of-core sharded path: stream the input into
-// per-shard spill files, assemble each shard from its file with stage-1
-// streaming and a resident-read admission cap, and merge. Everything on
-// stdout is deterministic (spill sizes and eviction counts depend only on
-// the input and the cap); the wall-clock spill/queue statistics go to
-// stderr. Returns the merged report, the read count, and the exit code.
+// per-shard spill files, then run them through the one shard dispatch loop —
+// in this process under a resident-read admission cap, or across worker
+// processes — and merge. Everything on stdout is deterministic (spill sizes
+// and eviction counts depend only on the input and the cap); the wall-clock
+// spill/queue statistics go to stderr. Returns the merged report, the read
+// count, and the exit code.
 func runSpill(ctx context.Context, in string, cfg spillPlanConfig, stdout, stderr io.Writer) (*engine.Report, int64, int) {
 	f, err := os.Open(in)
 	if err != nil {

@@ -104,38 +104,12 @@ func AssemblePIM(p *core.Platform, reads []*genome.Sequence, opts Options, nSuba
 	if opts.Scaffold {
 		res.Scaffolds = ScaffoldContigs(res.Contigs, opts.MinOverlap)
 	}
-	res.Counts = measurePIMCounts(reads, opts.K, table, g)
+	var totals workloadTotals
+	for _, r := range reads {
+		totals.add(r, opts.K)
+	}
+	res.Counts = measureCounts(opts.K, totals, table.ProbeOps(), table.Len(), g)
 	return res, nil
-}
-
-// measurePIMCounts extracts the operation profile of a functional run for
-// the analytical models — the PIM-side twin of measureCounts, with the
-// probe count taken from the simulated hash table's slot visits.
-func measurePIMCounts(reads []*genome.Sequence, k int, table *core.HashTable, g *debruijn.Graph) OpCounts {
-	t := totalsOf(reads, k)
-	avg := 1.0
-	if t.kmers > 0 {
-		avg = float64(table.ProbeOps()) / float64(t.kmers)
-	}
-	if avg < 1 {
-		avg = 1
-	}
-	readLen := 0
-	if t.reads > 0 {
-		readLen = int((t.bases + t.reads/2) / t.reads)
-	}
-	return OpCounts{
-		K:             k,
-		ReadCount:     t.reads,
-		ReadLen:       readLen,
-		TotalKmers:    float64(t.kmers),
-		DistinctKmers: float64(table.Len()),
-		AvgProbes:     avg,
-		Nodes:         float64(g.NumNodes()),
-		Edges:         float64(g.NumEdges()),
-		CounterBits:   32,
-		DegreeBits:    9,
-	}
 }
 
 // countSerial streams the bank and runs the Hashmap procedure k-mer by

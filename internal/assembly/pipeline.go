@@ -10,6 +10,7 @@ package assembly
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"pimassembler/internal/correct"
@@ -47,19 +48,14 @@ type Options struct {
 	ParallelStage1 bool
 	// CountWorkers fans stage 1 of the software pipeline out over the
 	// hash-partitioned parallel counter (kmer.CountReadsParallel) with this
-	// many workers. 0 or 1 keeps the pinned serial kmer.CountReads path,
-	// byte-identical to previous releases. Contigs, entries, counts, and
-	// spectra are identical for any value; the probe statistics feeding
-	// OpCounts.AvgProbes reflect the partitioned layout when parallel (and
-	// are themselves invariant in the worker count).
+	// many workers; 0 or 1 counts serially, read by read. Contigs, entries,
+	// counts, and spectra are identical for any value; the probe statistics
+	// feeding OpCounts.AvgProbes reflect the partitioned layout when
+	// parallel (and are themselves invariant in the worker count).
 	CountWorkers int
-	// StreamStage1 makes AssembleSource count stage-1 k-mers one read at a
-	// time instead of draining the source into a slice first, so resident
-	// memory is bounded by the record in flight plus the table — the
-	// out-of-core spill path sets this. It only takes effect on the serial,
-	// uncorrected path (Correct and CountWorkers > 1 need the full read
-	// set); Assemble ignores it. Contigs, entries, counts, and probe
-	// statistics are identical either way.
+	// StreamStage1 is ignored: AssembleSource always counts read by read
+	// and drains the source exactly where Correct or CountWorkers > 1 need
+	// the whole read set. The field remains so callers that set it compile.
 	StreamStage1 bool
 }
 
@@ -107,49 +103,92 @@ type Result struct {
 	Counts   OpCounts
 }
 
-// Assemble runs the software reference pipeline over reads.
+// Assemble runs the software reference pipeline over an in-memory read set:
+// AssembleSource over a slice source.
 func Assemble(reads []*genome.Sequence, opts Options) (*Result, error) {
+	return AssembleSource(genome.NewSliceSource(reads), opts)
+}
+
+// AssembleSource runs the software reference pipeline over a read source.
+// Stage 1 pulls one read at a time into a grow-on-demand table, so resident
+// memory is the record in flight plus the k-mer table and graph, not the
+// read set. The source is drained into a slice first only where the
+// algorithm needs every read at once: spectrum correction (Correct) builds
+// its spectrum before it can fix the first read, and the partitioned
+// counter (CountWorkers > 1) scans the read set in chunks.
+func AssembleSource(src genome.ReadSource, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if len(reads) == 0 {
+	if src == nil {
 		return nil, fmt.Errorf("assembly: no reads")
 	}
 	res := &Result{Options: opts}
 
-	// Stage 0 (optional): spectrum-based read correction on copies.
-	if opts.Correct {
-		threshold := opts.SolidThreshold
-		if threshold == 0 {
-			threshold = 3
+	var reads []*genome.Sequence // the whole read set, where a stage needs it
+	if opts.Correct || opts.CountWorkers > 1 {
+		var err error
+		if reads, err = genome.ReadAll(src); err != nil {
+			return nil, err
 		}
-		copies := make([]*genome.Sequence, len(reads))
-		for i, r := range reads {
-			copies[i] = r.Subsequence(0, r.Len())
+		if opts.Correct {
+			reads = corrected(reads, opts)
 		}
-		correct.FromReadsWorkers(copies, opts.K, threshold, 4, opts.CountWorkers).CorrectAll(copies)
-		reads = copies
+		src = genome.NewSliceSource(reads)
 	}
 
-	// Stage 1: k-mer analysis (Hashmap procedure) — serial reference table,
-	// or the hash-partitioned parallel counter when CountWorkers > 1.
+	// Stage 1: k-mer analysis (Hashmap procedure) — the serial reference
+	// table, read by read, or the hash-partitioned parallel counter over
+	// the drained set when CountWorkers > 1.
 	start := time.Now()
-	if opts.CountWorkers > 1 {
+	var table *kmer.CountTable
+	if opts.CountWorkers <= 1 {
+		table = kmer.NewCountTable(opts.K, 0)
+		res.Table = table
+	}
+	var totals workloadTotals
+	for {
+		r, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		totals.add(r, opts.K)
+		if table != nil {
+			table.AddRead(r)
+		}
+	}
+	if totals.reads == 0 {
+		return nil, fmt.Errorf("assembly: no reads")
+	}
+	if table == nil {
 		res.Table = kmer.CountReadsParallel(reads, opts.K, opts.CountWorkers)
-	} else {
-		res.Table = kmer.CountReads(reads, opts.K)
 	}
 	res.Timings.Hashmap = time.Since(start)
 
 	finishStages(res, opts)
-	res.Counts = measureCounts(totalsOf(reads, opts.K), res)
+	res.Counts = measureCounts(opts.K, totals, res.Table.ProbeOps(), res.Table.Len(), res.Graph)
 	return res, nil
 }
 
-// finishStages runs stages 2a, 2b, and 3 from the populated stage-1 table —
-// the shared tail of the slice-backed and streaming entry points. Both call
-// it with identical table contents, which is what makes their contigs
-// byte-identical.
+// corrected returns spectrum-corrected copies of reads (stage 0); the
+// inputs are not mutated.
+func corrected(reads []*genome.Sequence, opts Options) []*genome.Sequence {
+	threshold := opts.SolidThreshold
+	if threshold == 0 {
+		threshold = 3
+	}
+	copies := make([]*genome.Sequence, len(reads))
+	for i, r := range reads {
+		copies[i] = r.Subsequence(0, r.Len())
+	}
+	correct.FromReadsWorkers(copies, opts.K, threshold, 4, opts.CountWorkers).CorrectAll(copies)
+	return copies
+}
+
+// finishStages runs stages 2a, 2b, and 3 from the populated stage-1 table.
 func finishStages(res *Result, opts Options) {
 	// Stage 2a: de Bruijn graph construction (dense interned-ID/CSR core,
 	// pre-sized from the table so the build path never regrows).
@@ -193,9 +232,8 @@ func finishStages(res *Result, opts Options) {
 	}
 }
 
-// workloadTotals are the whole-input aggregates feeding OpCounts; the
-// slice path measures them in one pass, the streaming path accumulates
-// them read by read.
+// workloadTotals are the whole-input aggregates feeding OpCounts,
+// accumulated read by read.
 type workloadTotals struct {
 	reads int64 // read count
 	bases int64 // summed read length
@@ -211,36 +249,31 @@ func (t *workloadTotals) add(r *genome.Sequence, k int) {
 	}
 }
 
-// totalsOf measures a read slice in one pass.
-func totalsOf(reads []*genome.Sequence, k int) workloadTotals {
-	var t workloadTotals
-	for _, r := range reads {
-		t.add(r, k)
-	}
-	return t
-}
-
-// measureCounts extracts the operation counts of this run for the
-// analytical models.
-func measureCounts(t workloadTotals, res *Result) OpCounts {
-	probes := res.Table.ProbeOps()
+// measureCounts extracts the operation profile of one run for the
+// analytical models, software or functional alike: probes is the stage-1
+// table's slot-visit count (CountTable or the simulated core.HashTable),
+// distinct its entry count, g the graph built from it.
+func measureCounts(k int, t workloadTotals, probes int64, distinct int, g *debruijn.Graph) OpCounts {
 	avg := 1.0
 	if t.kmers > 0 {
 		avg = float64(probes) / float64(t.kmers)
+	}
+	if avg < 1 {
+		avg = 1
 	}
 	readLen := 0
 	if t.reads > 0 {
 		readLen = int((t.bases + t.reads/2) / t.reads)
 	}
 	return OpCounts{
-		K:             res.Options.K,
+		K:             k,
 		ReadCount:     t.reads,
 		ReadLen:       readLen,
 		TotalKmers:    float64(t.kmers),
-		DistinctKmers: float64(res.Table.Len()),
+		DistinctKmers: float64(distinct),
 		AvgProbes:     avg,
-		Nodes:         float64(res.Graph.NumNodes()),
-		Edges:         float64(res.Graph.NumEdges()),
+		Nodes:         float64(g.NumNodes()),
+		Edges:         float64(g.NumEdges()),
 		CounterBits:   32,
 		DegreeBits:    9,
 	}

@@ -1,16 +1,60 @@
 package assembly
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"pimassembler/internal/correct"
 	"pimassembler/internal/genome"
+	"pimassembler/internal/kmer"
 	"pimassembler/internal/stats"
 )
 
-// TestStreamStage1MatchesSlice pins that counting from a slice and counting
-// read by read from a source are one function: not only contigs but the
-// table's probe count and every OpCounts field — AvgProbes included — agree.
+// scannerSource serialises reads as FASTA and returns a one-pass,
+// non-resettable source over the text — what a file or network stream looks
+// like to the pipeline.
+func scannerSource(t *testing.T, reads []*genome.Sequence) genome.ReadSource {
+	t.Helper()
+	var buf bytes.Buffer
+	w := genome.NewRecordWriter(&buf)
+	for i, r := range reads {
+		if err := w.Write(genome.Record{Name: fmt.Sprintf("r%d", i), Seq: r}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return genome.NewScannerSource(genome.NewScanner(&buf, genome.FormatFASTA))
+}
+
+func assertSameResult(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if got.Table.ProbeOps() != want.Table.ProbeOps() {
+		t.Errorf("%s: ProbeOps %d, want %d", label, got.Table.ProbeOps(), want.Table.ProbeOps())
+	}
+	if got.Counts != want.Counts {
+		t.Errorf("%s: op counts differ:\n got %+v\nwant %+v", label, got.Counts, want.Counts)
+	}
+	if !reflect.DeepEqual(got.Table.Entries(), want.Table.Entries()) {
+		t.Errorf("%s: table entries differ", label)
+	}
+	if len(got.Contigs) != len(want.Contigs) {
+		t.Fatalf("%s: %d contigs, want %d", label, len(got.Contigs), len(want.Contigs))
+	}
+	for i := range want.Contigs {
+		if !got.Contigs[i].Seq.Equal(want.Contigs[i].Seq) {
+			t.Fatalf("%s: contig %d differs", label, i)
+		}
+	}
+}
+
+// TestStreamStage1MatchesSlice pins that a slice and a one-pass scanner
+// stream are one pipeline: not only contigs but the table's probe count and
+// every OpCounts field — AvgProbes included — agree, with no option set to
+// ask for streaming.
 func TestStreamStage1MatchesSlice(t *testing.T) {
 	rng := stats.NewRNG(0x51)
 	reads := genome.NewReadSampler(genome.GenerateGenome(30_000, rng), 101, 0.005, rng).Sample(3_000)
@@ -20,27 +64,60 @@ func TestStreamStage1MatchesSlice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.StreamStage1 = true
-		got, err := AssembleSource(genome.NewSliceSource(reads), opts)
+		got, err := AssembleSource(scannerSource(t, reads), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Table.ProbeOps() != want.Table.ProbeOps() {
-			t.Errorf("k=%d: streamed ProbeOps %d, slice %d", k, got.Table.ProbeOps(), want.Table.ProbeOps())
-		}
-		if got.Counts != want.Counts {
-			t.Errorf("k=%d: op counts differ:\n got %+v\nwant %+v", k, got.Counts, want.Counts)
-		}
-		if !reflect.DeepEqual(got.Table.Entries(), want.Table.Entries()) {
-			t.Errorf("k=%d: table entries differ", k)
-		}
-		if len(got.Contigs) != len(want.Contigs) {
-			t.Fatalf("k=%d: %d contigs streamed, %d from the slice", k, len(got.Contigs), len(want.Contigs))
-		}
-		for i := range want.Contigs {
-			if !got.Contigs[i].Seq.Equal(want.Contigs[i].Seq) {
-				t.Fatalf("k=%d: contig %d differs", k, i)
-			}
-		}
+		assertSameResult(t, fmt.Sprintf("k=%d", k), got, want)
 	}
+}
+
+// TestWholeReadSetStages pins the two configurations that cannot count read
+// by read: from a one-pass stream, Correct still builds its spectrum over
+// every read before fixing the first, and CountWorkers > 1 still hands the
+// partitioned counter the whole set. Each is checked against the stage run
+// by hand on the slice.
+func TestWholeReadSetStages(t *testing.T) {
+	rng := stats.NewRNG(0x52)
+	reads := genome.NewReadSampler(genome.GenerateGenome(8_000, rng), 80, 0.01, rng).Sample(2_000)
+	const k = 16
+
+	t.Run("correct", func(t *testing.T) {
+		copies := make([]*genome.Sequence, len(reads))
+		for i, r := range reads {
+			copies[i] = r.Subsequence(0, r.Len())
+		}
+		if st := correct.FromReads(copies, k, 3, 4).CorrectAll(copies); st.Edits == 0 {
+			t.Fatal("fixture has nothing to correct")
+		}
+		want, err := Assemble(copies, Options{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AssembleSource(scannerSource(t, reads), Options{K: k, Correct: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, "correct", got, want)
+	})
+
+	t.Run("count-workers", func(t *testing.T) {
+		got, err := AssembleSource(scannerSource(t, reads), Options{K: k, CountWorkers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := kmer.CountReadsParallel(reads, k, 4)
+		if _, ok := got.Table.(*kmer.PartitionedTable); !ok {
+			t.Fatalf("stage-1 table is %T, want the partitioned counter", got.Table)
+		}
+		if !reflect.DeepEqual(got.Table.Entries(), want.Entries()) {
+			t.Error("partitioned entries differ from a direct CountReadsParallel over the slice")
+		}
+		if got.Table.ProbeOps() != want.ProbeOps() {
+			t.Errorf("ProbeOps %d, want %d", got.Table.ProbeOps(), want.ProbeOps())
+		}
+		if got.Counts.ReadCount != int64(len(reads)) {
+			t.Errorf("ReadCount %d, want %d", got.Counts.ReadCount, len(reads))
+		}
+	})
 }

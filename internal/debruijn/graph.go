@@ -10,8 +10,8 @@
 // in/out degrees as []int32 and edge removal via tombstones. Every traversal
 // (Hierholzer, Fleury, contig emission, simplification) walks IDs over these
 // arrays; Kmer-facing accessors are preserved at the API boundary. The
-// retained map-of-slices builder lives in MapGraph as the differential
-// reference. See DESIGN.md §13.
+// map-of-slices builder this replaced survives only as the tests'
+// differential reference (MapGraph, mapref_test.go). See DESIGN.md §13.
 package debruijn
 
 import (

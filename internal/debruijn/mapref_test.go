@@ -12,8 +12,8 @@ import (
 // representation Graph used before the dense interned-ID/CSR refactor
 // (DESIGN.md §13), kept verbatim as the differential reference. The
 // dense-vs-map test suite and fuzz target pin Graph's contigs and Eulerian
-// walks byte-identical to this builder, and BenchmarkSoftwareAssembly uses
-// it as the allocs/op baseline. It is not a production path.
+// walks byte-identical to this builder. It lives in a _test file: it is an
+// oracle, not a production path.
 type MapGraph struct {
 	k     int
 	adj   map[kmer.Kmer][]Edge

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"pimassembler/internal/engine"
+	"pimassembler/internal/genome"
 	"pimassembler/internal/jobqueue"
 	"pimassembler/internal/metrics"
 	"pimassembler/internal/shard"
@@ -27,8 +29,9 @@ const shutdownGrace = 2 * time.Second
 
 // Config describes one distributed sharded run.
 type Config struct {
-	// WorkerProcs is how many worker processes to launch (values < 1 mean
-	// one; clamped to the non-empty shard count so no worker sits idle).
+	// WorkerProcs is the most worker processes alive at once (values < 1
+	// mean one). A process is launched only when a shard finds none idle,
+	// so a run never has more than it has non-empty shards.
 	WorkerProcs int
 	// WorkerCmd is the argv launching one worker (empty means this
 	// process's own executable with "-worker" appended — the same-binary
@@ -41,9 +44,8 @@ type Config struct {
 	// round-robin exactly as shard.AssembleSpill assigns them (empty means
 	// the software reference engine).
 	Engines []string
-	// Opts configures each shard's engine run. StreamStage1 is forced on
-	// for dispatch, mirroring the in-process spill path; Ref and Counts do
-	// not cross the wire (quality is scored in the merge pass).
+	// Opts configures each shard's engine run. Ref and Counts do not cross
+	// the wire (quality is scored in the merge pass).
 	Opts engine.Options
 	// Registry validates engine names coordinator-side before any process
 	// is launched (nil = engine.Default()). Workers resolve names against
@@ -52,35 +54,19 @@ type Config struct {
 	// Timeout bounds each dispatch attempt when positive; an attempt that
 	// exceeds it kills the worker and counts against the retry budget.
 	Timeout time.Duration
-	// Retry carries the jobqueue attempt semantics across processes:
-	// MaxAttempts bounds the attempts per shard and Delay schedules the
-	// backoff between them. Worker crashes, corrupt frames, and timeouts
-	// are transient (retried on a respawned worker); an error frame is
-	// retried only if the worker classified it transient.
+	// Retry is the job queue's per-shard attempt budget and backoff.
+	// Worker crashes, corrupt frames, and timeouts are transient (retried
+	// on a respawned worker); an error frame is retried only if the worker
+	// classified it transient.
 	Retry jobqueue.RetryPolicy
 	// HandshakeTimeout bounds the hello exchange per spawn
 	// (0 = DefaultHandshakeTimeout).
 	HandshakeTimeout time.Duration
 	// Counters optionally receives the dist.* instrumentation
 	// (dist.workers, dist.respawns, dist.jobs, dist.retries, dist.results,
-	// dist.timeouts, dist.frame.errors).
+	// dist.timeouts, dist.frame.errors) beside the job queue's jobs.* and
+	// latency.* series for the dispatch.
 	Counters *metrics.Counters
-}
-
-// engines returns the effective engine list.
-func (c Config) engines() []string {
-	if len(c.Engines) == 0 {
-		return []string{"software"}
-	}
-	return c.Engines
-}
-
-// registry returns the effective coordinator-side registry.
-func (c Config) registry() *engine.Registry {
-	if c.Registry != nil {
-		return c.Registry
-	}
-	return engine.Default()
 }
 
 // handshakeTimeout returns the effective handshake bound.
@@ -91,15 +77,6 @@ func (c Config) handshakeTimeout() time.Duration {
 	return DefaultHandshakeTimeout
 }
 
-// attempts returns the effective per-shard attempt budget (RetryPolicy
-// semantics: values < 1 mean one attempt).
-func (c Config) attempts() int {
-	if c.Retry.MaxAttempts < 1 {
-		return 1
-	}
-	return c.Retry.MaxAttempts
-}
-
 // count bumps a dist counter when instrumentation is attached.
 func (c Config) count(name string, delta int64) {
 	if c.Counters != nil {
@@ -107,269 +84,228 @@ func (c Config) count(name string, delta int64) {
 	}
 }
 
-// dispatchJob is one shard's dispatch unit: idx is the compact launch
-// index (non-empty shards in shard order — the slot order shard.Merge
-// expects), shard the spill-file index.
-type dispatchJob struct {
-	idx    int
-	shard  int
-	engine string
-	path   string
-}
-
 // Assemble runs one distributed sharded assembly over a completed spill
-// partition: launch workers, dispatch one spill file per job, collect the
-// per-shard reports, and merge them through shard.Merge — the exact
-// in-process merge path, so for count-independent options the merged
-// contigs are byte-identical to shard.AssembleSpill and to an unsharded
-// run. Any shard that exhausts its attempt budget fails the run with the
-// shard index and engine named; workers are torn down (and reaped) on
-// every exit path, including context cancellation.
+// partition. It is shard.AssembleSpill with a different executor: the run's
+// engine registry holds, for every engine name in use, a stand-in that
+// forwards the shard's spill file to a worker process, so the dispatch loop,
+// the attempt budget, the per-attempt timeout, the backoff and the
+// first-failure cancellation are the in-process ones, and the reports merge
+// through the same path — for count-independent options the merged contigs
+// are byte-identical to shard.AssembleSpill and to an unsharded run. Any
+// shard that exhausts its attempt budget fails the run with the shard index
+// and engine named; workers are torn down (and reaped) on every exit path,
+// including context cancellation.
 //
 // The caller owns sp and should Close it after use.
 func Assemble(ctx context.Context, sp *shard.Spill, cfg Config) (*shard.Result, error) {
 	if sp == nil || sp.TotalReads() == 0 {
 		return nil, fmt.Errorf("distshard: no reads")
 	}
-	engines := cfg.engines()
-	reg := cfg.registry()
-	for _, name := range engines {
-		if _, err := reg.Lookup(name); err != nil {
+	p := &pool{
+		cfg:   cfg,
+		cmd:   cfg.WorkerCmd,
+		hello: &Hello{Proto: ProtoVersion, K: cfg.Opts.K, OptHash: wireOptions(cfg.Opts).hash()},
+		seen:  make(map[int]bool),
+	}
+	names, known := cfg.Engines, cfg.Registry
+	if len(names) == 0 {
+		names = []string{"software"}
+	}
+	if known == nil {
+		known = engine.Default()
+	}
+	reg := engine.NewRegistry()
+	for _, name := range names {
+		if _, err := known.Lookup(name); err != nil {
 			return nil, err
 		}
+		if _, err := reg.Lookup(name); err != nil { // not yet standing in for this name
+			if err := reg.Register(remoteEngine{name: name, pool: p}); err != nil {
+				return nil, err
+			}
+		}
 	}
-	workerCmd := cfg.WorkerCmd
-	if len(workerCmd) == 0 {
+	if len(p.cmd) == 0 {
 		exe, err := os.Executable()
 		if err != nil {
 			return nil, fmt.Errorf("distshard: resolving worker binary: %w", err)
 		}
-		workerCmd = []string{exe, "-worker"}
+		p.cmd = []string{exe, "-worker"}
 	}
 
-	// Mirror the in-process spill path: stage-1 streaming forced on, empty
-	// tail shards skipped, engines assigned round-robin over the compact
-	// launch order.
-	opts := cfg.Opts
-	opts.StreamStage1 = true
-	wopts := wireOptions(opts)
-	hello := &Hello{Proto: ProtoVersion, K: opts.K, OptHash: wopts.hash()}
-
-	var jobs []dispatchJob
-	for i := 0; i < sp.Shards(); i++ {
-		if sp.Count(i) == 0 {
-			continue
-		}
-		jobs = append(jobs, dispatchJob{
-			idx:    len(jobs),
-			shard:  i,
-			engine: engines[len(jobs)%len(engines)],
-			path:   sp.Path(i),
-		})
+	res, err := shard.AssembleSpill(ctx, sp, shard.Plan{
+		Engines:  names,
+		Opts:     cfg.Opts,
+		Workers:  max(cfg.WorkerProcs, 1), // one job in flight per worker process
+		Registry: reg,
+		Timeout:  cfg.Timeout,
+		Retry:    cfg.Retry,
+		Counters: cfg.Counters,
+		// The gate bounds reads decoded into this process, and none are:
+		// each worker decodes its own shard in its own address space. Admit
+		// every shard at once so no worker waits on the coordinator's budget.
+		MaxResidentReads: int(sp.TotalReads()),
+	})
+	p.close(err == nil)
+	if err != nil {
+		return nil, fmt.Errorf("distshard: %w", err)
 	}
-	names := make([]string, len(jobs))
-	for _, j := range jobs {
-		names[j.idx] = j.engine
-	}
-
-	procs := cfg.WorkerProcs
-	if procs < 1 {
-		procs = 1
-	}
-	if procs > len(jobs) {
-		procs = len(jobs)
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	co := &coordinator{cfg: cfg, cmd: workerCmd, hello: hello, wopts: wopts}
-
-	jobsCh := make(chan dispatchJob)
-	go func() {
-		defer close(jobsCh)
-		for _, j := range jobs {
-			select {
-			case jobsCh <- j:
-			case <-runCtx.Done():
-				return
-			}
-		}
-	}()
-
-	reports := make([]*engine.Report, len(jobs))
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		cancel()
-	}
-	for w := 0; w < procs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			co.runWorkerLoop(runCtx, jobsCh, reports, setErr)
-		}()
-	}
-	wg.Wait()
-
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return shard.Merge(reports, names, cfg.Opts)
+	return res, nil
 }
 
-// coordinator carries the per-run dispatch state shared by the worker
-// runner goroutines.
-type coordinator struct {
+// remoteEngine stands in for one named engine in a run's registry: Assemble
+// forwards the spill file behind src to a worker process, which resolves the
+// name against its own registry and runs the shard there.
+type remoteEngine struct {
+	name string
+	pool *pool
+}
+
+// Name implements engine.Engine.
+func (e remoteEngine) Name() string { return e.name }
+
+// Describe implements engine.Engine.
+func (e remoteEngine) Describe() string { return e.name + " in a worker process" }
+
+// Assemble implements engine.Engine: one dispatch attempt. Retrying it is
+// the job queue's business.
+func (e remoteEngine) Assemble(ctx context.Context, src genome.ReadSource, opts engine.Options) (*engine.Report, error) {
+	ref, ok := src.(interface{ SpillFile() (int, string) })
+	if !ok {
+		return nil, fmt.Errorf("distshard: read source %T is not a spill file", src)
+	}
+	shardIdx, path := ref.SpillFile()
+	return e.pool.run(ctx, &Job{Shard: shardIdx, Engine: e.name, SpillPath: path, Opts: wireOptions(opts)})
+}
+
+// pool is one run's worker processes: spawned when a job finds none idle,
+// handed back after a well-formed reply, reaped after anything else. The job
+// queue runs at most WorkerProcs jobs at once, which is what bounds the pool.
+type pool struct {
 	cfg   Config
 	cmd   []string
 	hello *Hello
-	wopts Options
+
+	mu   sync.Mutex
+	idle []*workerProc
+	seen map[int]bool // shards dispatched at least once
 }
 
-// runWorkerLoop owns one worker process slot: it pulls jobs, keeps a live
-// (respawned as needed) worker under it, and records each shard's report.
-// The first terminal failure cancels the run through setErr.
-func (c *coordinator) runWorkerLoop(ctx context.Context, jobsCh <-chan dispatchJob, reports []*engine.Report, setErr func(error)) {
-	var proc *workerProc
-	defer func() {
-		if proc == nil {
-			return
-		}
-		if ctx.Err() != nil {
-			proc.reap()
-		} else {
-			proc.quit(shutdownGrace)
-		}
-	}()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case j, ok := <-jobsCh:
-			if !ok {
-				return
-			}
-			rep, err := c.runShard(ctx, &proc, j)
-			if err != nil {
-				if ctx.Err() == nil {
-					setErr(err)
-				}
-				return
-			}
-			reports[j.idx] = rep
-		}
+// run is one attempt at one shard on a checked-out worker.
+func (p *pool) run(ctx context.Context, job *Job) (*engine.Report, error) {
+	p.mu.Lock()
+	retry := p.seen[job.Shard]
+	p.seen[job.Shard] = true
+	var w *workerProc
+	if n := len(p.idle); n > 0 {
+		w, p.idle = p.idle[n-1], p.idle[:n-1]
 	}
-}
-
-// runShard drives one shard through its attempt budget on *procp,
-// respawning the worker after any attempt that killed it.
-func (c *coordinator) runShard(ctx context.Context, procp **workerProc, j dispatchJob) (*engine.Report, error) {
-	budget := c.cfg.attempts()
-	c.cfg.count("dist.jobs", 1)
-	for attempt := 1; ; attempt++ {
-		if *procp == nil {
-			p, err := c.spawn(ctx, attempt > 1)
-			if err != nil {
-				return nil, fmt.Errorf("distshard: shard %d (engine %s): %w", j.shard, j.engine, err)
-			}
-			*procp = p
-		}
-		rep, err, dead := c.dispatch(ctx, *procp, j)
-		if err == nil {
-			c.cfg.count("dist.results", 1)
-			return rep, nil
-		}
-		if dead {
-			(*procp).reap()
-			*procp = nil
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if attempt >= budget || !jobqueue.Transient(err) {
-			return nil, fmt.Errorf("distshard: shard %d (engine %s): %w", j.shard, j.engine, err)
-		}
-		c.cfg.count("dist.retries", 1)
-		if err := sleep(ctx, c.cfg.Retry.Delay(attempt+1)); err != nil {
+	p.mu.Unlock()
+	if retry {
+		p.cfg.count("dist.retries", 1)
+	} else {
+		p.cfg.count("dist.jobs", 1)
+	}
+	if w == nil {
+		var err error
+		if w, err = p.spawn(ctx, retry); err != nil {
 			return nil, err
 		}
 	}
+
+	rep, err, dead := p.dispatch(ctx, w, job)
+	if dead {
+		w.reap()
+	} else {
+		p.mu.Lock()
+		p.idle = append(p.idle, w)
+		p.mu.Unlock()
+	}
+	if err == nil {
+		p.cfg.count("dist.results", 1)
+	}
+	return rep, err
 }
 
-// dispatch sends one job frame and waits for its reply under the attempt
-// timeout. dead reports whether the worker must be respawned before the
-// next attempt: crashes, corrupt frames, wrong-shard replies, and timeouts
-// kill it; a well-formed error frame leaves it serving.
-func (c *coordinator) dispatch(ctx context.Context, p *workerProc, j dispatchJob) (rep *engine.Report, err error, dead bool) {
-	job := &Msg{Type: MsgJob, Job: &Job{Shard: j.shard, Engine: j.engine, SpillPath: j.path, Opts: c.wopts}}
-	if err := writeFrame(p.stdin, job); err != nil {
-		c.cfg.count("dist.frame.errors", 1)
-		return nil, jobqueue.MarkTransient(fmt.Errorf("worker %s: %w", p.describe(), err)), true
+// close tears the pool down once every job has settled (so every live
+// worker is idle): a bye and a grace period after a clean run, a kill
+// otherwise.
+func (p *pool) close(graceful bool) {
+	var wg sync.WaitGroup
+	for _, w := range p.idle {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if graceful {
+				w.quit(shutdownGrace)
+			} else {
+				w.reap()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// dispatch sends one job frame and waits for its reply until the attempt's
+// context ends. dead reports whether the worker must be reaped: crashes,
+// corrupt frames, wrong-shard replies, timeouts and cancellation kill it; a
+// well-formed error frame leaves it serving.
+func (p *pool) dispatch(ctx context.Context, w *workerProc, job *Job) (rep *engine.Report, err error, dead bool) {
+	// broken is a worker that left the protocol: transient, and fatal to it.
+	broken := func(err error) (*engine.Report, error, bool) {
+		p.cfg.count("dist.frame.errors", 1)
+		return nil, jobqueue.MarkTransient(err), true
+	}
+	wrongShard := func(got int) error {
+		return fmt.Errorf("worker %s answered shard %d for shard %d", w.describe(), got, job.Shard)
+	}
+	if err := writeFrame(w.stdin, &Msg{Type: MsgJob, Job: job}); err != nil {
+		return broken(fmt.Errorf("worker %s: %w", w.describe(), err))
 	}
 
-	var timeout <-chan time.Time
-	if c.cfg.Timeout > 0 {
-		t := time.NewTimer(c.cfg.Timeout)
-		defer t.Stop()
-		timeout = t.C
-	}
 	select {
 	case <-ctx.Done():
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			p.cfg.count("dist.timeouts", 1)
+			return nil, fmt.Errorf("worker %s: attempt timed out: %w", w.describe(), ctx.Err()), true
+		}
 		return nil, ctx.Err(), true
-	case <-timeout:
-		c.cfg.count("dist.timeouts", 1)
-		return nil, jobqueue.MarkTransient(fmt.Errorf("worker %s: attempt timed out after %v", p.describe(), c.cfg.Timeout)), true
-	case fe := <-p.frames:
+	case fe := <-w.frames:
 		if fe.err != nil {
-			c.cfg.count("dist.frame.errors", 1)
-			return nil, jobqueue.MarkTransient(fmt.Errorf("worker %s died mid-shard: %w%s", p.describe(), fe.err, p.stderrTail())), true
+			return broken(fmt.Errorf("worker %s died mid-shard: %w%s", w.describe(), fe.err, w.stderrTail()))
 		}
 		switch fe.msg.Type {
 		case MsgResult:
-			if fe.msg.Result.Shard != j.shard {
-				c.cfg.count("dist.frame.errors", 1)
-				return nil, jobqueue.MarkTransient(fmt.Errorf("worker %s answered shard %d for shard %d", p.describe(), fe.msg.Result.Shard, j.shard)), true
+			if got := fe.msg.Result.Shard; got != job.Shard {
+				return broken(wrongShard(got))
 			}
 			rep, err := fromWireReport(fe.msg.Result)
 			if err != nil {
-				c.cfg.count("dist.frame.errors", 1)
-				return nil, jobqueue.MarkTransient(err), true
+				return broken(err)
 			}
 			return rep, nil, false
 		case MsgError:
 			we := fe.msg.Error
-			if we.Shard != j.shard {
-				c.cfg.count("dist.frame.errors", 1)
-				return nil, jobqueue.MarkTransient(fmt.Errorf("worker %s answered shard %d for shard %d", p.describe(), we.Shard, j.shard)), true
+			if we.Shard != job.Shard {
+				return broken(wrongShard(we.Shard))
 			}
 			if we.Transient {
 				return nil, jobqueue.MarkTransient(we), false
 			}
 			return nil, we, false
 		default:
-			c.cfg.count("dist.frame.errors", 1)
-			return nil, jobqueue.MarkTransient(fmt.Errorf("worker %s: unexpected frame %q", p.describe(), fe.msg.Type)), true
+			return broken(fmt.Errorf("worker %s: unexpected frame %q", w.describe(), fe.msg.Type))
 		}
 	}
 }
 
 // spawn launches one worker process and completes the handshake. Spawn and
 // handshake failures are terminal — a binary that cannot start or speaks
-// the wrong protocol version will not get better on retry.
-func (c *coordinator) spawn(ctx context.Context, respawn bool) (*workerProc, error) {
-	cmd := exec.Command(c.cmd[0], c.cmd[1:]...)
-	cmd.Env = append(os.Environ(), c.cfg.Env...)
+// the wrong protocol version will not get better on retry — unless it was
+// the attempt's deadline that cut the handshake short.
+func (p *pool) spawn(ctx context.Context, respawn bool) (*workerProc, error) {
+	cmd := exec.Command(p.cmd[0], p.cmd[1:]...)
+	cmd.Env = append(os.Environ(), p.cfg.Env...)
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, err
@@ -381,26 +317,26 @@ func (c *coordinator) spawn(ctx context.Context, respawn bool) (*workerProc, err
 	stderr := &tailBuffer{limit: 4096}
 	cmd.Stderr = stderr
 	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("launching worker %q: %w", c.cmd[0], err)
+		return nil, fmt.Errorf("launching worker %q: %w", p.cmd[0], err)
 	}
-	c.cfg.count("dist.workers", 1)
+	p.cfg.count("dist.workers", 1)
 	if respawn {
-		c.cfg.count("dist.respawns", 1)
+		p.cfg.count("dist.respawns", 1)
 	}
-	p := &workerProc{
+	w := &workerProc{
 		cmd:    cmd,
 		stdin:  stdin,
 		stderr: stderr,
 		frames: make(chan frameOrErr),
 		done:   make(chan struct{}),
 	}
-	go p.readLoop(stdout)
+	go w.readLoop(stdout)
 
-	if err := p.handshake(ctx, c.hello, c.cfg.handshakeTimeout()); err != nil {
-		p.reap()
-		return nil, fmt.Errorf("worker handshake: %w%s", err, p.stderrTail())
+	if err := w.handshake(ctx, p.hello, p.cfg.handshakeTimeout()); err != nil {
+		w.reap()
+		return nil, fmt.Errorf("worker handshake: %w%s", err, w.stderrTail())
 	}
-	return p, nil
+	return w, nil
 }
 
 // frameOrErr is one reader-goroutine delivery: a decoded frame or the
@@ -411,7 +347,8 @@ type frameOrErr struct {
 }
 
 // workerProc is one live worker process plus its pipe plumbing. All
-// methods are called from the owning runner goroutine only.
+// methods are called by whichever job has it checked out of the pool, or by
+// the pool's teardown once it is idle — never by two goroutines at once.
 type workerProc struct {
 	cmd    *exec.Cmd
 	stdin  io.WriteCloser
@@ -560,19 +497,4 @@ func (b *tailBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
-}
-
-// sleep waits d or until ctx ends (the jobqueue backoff discipline).
-func sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

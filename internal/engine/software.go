@@ -7,7 +7,8 @@ import (
 	"pimassembler/internal/genome"
 )
 
-// softwareEngine wraps the plain-Go reference pipeline (assembly.Assemble).
+// softwareEngine wraps the plain-Go reference pipeline
+// (assembly.AssembleSource), so reads stream from src into stage 1.
 type softwareEngine struct{}
 
 // Name implements Engine.

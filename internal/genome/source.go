@@ -87,12 +87,10 @@ func (s *ScannerSource) Next() (*Sequence, error) {
 }
 
 // FileSource streams reads from a FASTA/FASTQ file (format by extension,
-// as DetectFormat). The file opens eagerly — a bad path fails at
-// construction, not mid-assembly — and closes itself at EOF or on the
-// first scan error, so a fully drained source leaks no descriptor even if
-// the consumer never calls Close. It is resettable: Reset reopens the file
-// and scans from the top, which is how spill-backed shard jobs survive
-// queue retries.
+// as DetectFormat). It closes itself at EOF or on the first scan error, so
+// a fully drained source leaks no descriptor even if the consumer never
+// calls Close. It is resettable: after Reset it scans from the top again,
+// which is how spill-backed shard jobs survive queue retries.
 type FileSource struct {
 	path   string
 	format Format
@@ -101,14 +99,26 @@ type FileSource struct {
 	err    error
 }
 
-// OpenFileSource opens path for streaming.
+// OpenFileSource opens path for streaming, eagerly: a bad path fails here,
+// not mid-assembly.
 func OpenFileSource(path string) (*FileSource, error) {
-	fs := &FileSource{path: path, format: DetectFormat(path)}
+	fs := NewFileSource(path)
 	if err := fs.open(); err != nil {
 		return nil, err
 	}
 	return fs, nil
 }
+
+// NewFileSource names path as a source without touching it: the file opens
+// at the first Next (a bad path fails there), so a holder that only passes
+// the source along — to a process that opens Path itself — costs no
+// descriptor.
+func NewFileSource(path string) *FileSource {
+	return &FileSource{path: path, format: DetectFormat(path)}
+}
+
+// Path returns the file the source reads.
+func (s *FileSource) Path() string { return s.path }
 
 func (s *FileSource) open() error {
 	f, err := os.Open(s.path)
@@ -117,12 +127,14 @@ func (s *FileSource) open() error {
 	}
 	s.f = f
 	s.src = NewScannerSource(NewScanner(f, s.format))
-	s.err = nil
 	return nil
 }
 
 // Next implements ReadSource.
 func (s *FileSource) Next() (*Sequence, error) {
+	if s.err == nil && s.src == nil {
+		s.err = s.open()
+	}
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -136,23 +148,25 @@ func (s *FileSource) Next() (*Sequence, error) {
 }
 
 // Close releases the file. It is idempotent; Next after Close returns
-// io.EOF if the stream had drained, the sticky error otherwise.
+// io.EOF if the stream had drained (or never started), the sticky error
+// otherwise.
 func (s *FileSource) Close() error {
+	if s.err == nil {
+		s.err = io.EOF
+	}
 	if s.f == nil {
 		return nil
 	}
 	f := s.f
 	s.f = nil
-	if s.err == nil {
-		s.err = io.EOF
-	}
 	return f.Close()
 }
 
-// Reset reopens the file and restarts from the first record.
+// Reset rewinds to the first record: the file reopens at the next Next.
 func (s *FileSource) Reset() error {
 	s.Close()
-	return s.open()
+	s.src, s.err = nil, nil
+	return nil
 }
 
 // concatSource chains sources end to end.

@@ -121,6 +121,37 @@ func TestFileSourceBadPathFailsEagerly(t *testing.T) {
 	}
 }
 
+// TestNewFileSourceOpensAtFirstNext pins the lazy constructor: naming a file
+// touches nothing (the file may not exist yet), the first Next opens it, a
+// bad path fails there and stays failed, and Reset rewinds without reopening.
+func TestNewFileSourceOpensAtFirstNext(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "late.fasta")
+	src := NewFileSource(path)
+	if src.Path() != path {
+		t.Fatalf("Path = %q, want %q", src.Path(), path)
+	}
+	if err := os.WriteFile(path, []byte(">a\nACGT\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		if got := drain(t, src); len(got) != 1 || got[0].String() != "ACGT" {
+			t.Fatalf("round %d: unexpected reads %v", round, got)
+		}
+		if err := src.Reset(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Next(); err == nil {
+		t.Fatal("Next on a vanished file succeeded")
+	}
+	if _, err := src.Next(); err == nil || err == io.EOF {
+		t.Fatalf("open failure not sticky: %v", err)
+	}
+}
+
 func TestConcatChainsAndResets(t *testing.T) {
 	a := mustSeqs(t, "AA", "CC")
 	b := mustSeqs(t, "GG")

@@ -17,10 +17,11 @@ var ErrClosed = errors.New("jobqueue: stream closed")
 // jobs one at a time as they arrive (a shard splitter, a network server, a
 // tail -f of a manifest) and Waits on individual slots — or Drains the lot
 // — while the bounded worker pool executes at most Workers() jobs
-// concurrently. Slots are assigned in submission order and results are
-// keyed by slot, so the deterministic-output contract of Queue.Run carries
-// over: for independent jobs the per-slot Results are bit-identical
-// whatever the worker count or submission timing.
+// concurrently, handing pool slots out in submission order. Slots are
+// assigned in submission order and results are keyed by slot, so the
+// deterministic-output contract of Queue.Run carries over: for independent
+// jobs the per-slot Results are bit-identical whatever the worker count or
+// submission timing.
 //
 // A Stream is safe for concurrent Submit, Wait, Close, and Drain calls.
 type Stream struct {
@@ -33,7 +34,8 @@ type Stream struct {
 	completed atomic.Int64
 
 	mu     sync.Mutex
-	jobs   []*pendingJob
+	jobs   []*pendingJob // nil once taken
+	ahead  chan struct{} // closed when the latest submission leaves the queue
 	closed bool
 }
 
@@ -77,6 +79,10 @@ func (s *Stream) SubmitCtx(ctx context.Context, spec Spec) (int, error) {
 	slot := len(s.jobs)
 	p := &pendingJob{done: make(chan struct{})}
 	s.jobs = append(s.jobs, p)
+	// dequeued closes once this job holds a pool slot (or was cancelled
+	// waiting for one); the next submission queues behind it.
+	ahead, dequeued := s.ahead, make(chan struct{})
+	s.ahead = dequeued
 	s.mu.Unlock()
 
 	s.q.count("jobs.submitted", 1)
@@ -84,6 +90,14 @@ func (s *Stream) SubmitCtx(ctx context.Context, spec Spec) (int, error) {
 	go func() {
 		defer close(p.done)
 		defer s.completed.Add(1)
+		// Pool slots go to jobs in submission order: wait for the job ahead
+		// to leave the queue before competing for one.
+		if ahead != nil {
+			select {
+			case <-ahead:
+			case <-ctx.Done():
+			}
+		}
 		select {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
@@ -91,6 +105,7 @@ func (s *Stream) SubmitCtx(ctx context.Context, spec Spec) (int, error) {
 			// Cancelled while queued for a pool slot; runJob observes the
 			// dead context immediately and records the cancellation.
 		}
+		close(dequeued)
 		p.res = s.q.runJob(ctx, slot, spec, submitted)
 	}()
 	return slot, nil
@@ -119,19 +134,38 @@ func (s *Stream) Depth() int {
 }
 
 // Wait blocks until the job in slot reaches a terminal state and returns
-// its Result. Waiting on a slot that was never submitted is an error.
-// Multiple goroutines may Wait on the same slot.
+// its Result. Waiting on a slot that was never submitted, or that Take
+// already handed over, is an error. Multiple goroutines may Wait on the
+// same slot.
 func (s *Stream) Wait(slot int) (Result, error) {
 	s.mu.Lock()
-	if slot < 0 || slot >= len(s.jobs) {
-		n := len(s.jobs)
-		s.mu.Unlock()
-		return Result{}, fmt.Errorf("jobqueue: no slot %d (submitted %d)", slot, n)
+	var p *pendingJob
+	if slot >= 0 && slot < len(s.jobs) {
+		p = s.jobs[slot]
 	}
-	p := s.jobs[slot]
+	n := len(s.jobs)
 	s.mu.Unlock()
+	if p == nil {
+		return Result{}, fmt.Errorf("jobqueue: no slot %d (submitted %d; a taken slot is gone)", slot, n)
+	}
 	<-p.done
 	return p.res, nil
+}
+
+// Take is Wait for a caller that keeps the Result itself: once the job is
+// terminal the stream drops its own reference, so the Result — Spec.Source
+// and Report included — lives exactly as long as the caller holds it. A
+// long-lived stream whose results are all taken retains one nil pointer per
+// job. The slot still counts in Submitted and Depth; a later Wait or Take on
+// it is an error, and Drain reports it as a zero Result.
+func (s *Stream) Take(slot int) (Result, error) {
+	r, err := s.Wait(slot)
+	if err == nil {
+		s.mu.Lock()
+		s.jobs[slot] = nil
+		s.mu.Unlock()
+	}
+	return r, err
 }
 
 // Close stops further submissions; already-submitted jobs keep running.
@@ -143,14 +177,17 @@ func (s *Stream) Close() {
 }
 
 // Drain closes the stream, waits for every submitted job, and returns all
-// results in submission-slot order.
+// results in submission-slot order (the zero Result for a taken slot).
 func (s *Stream) Drain() []Result {
 	s.Close()
 	s.mu.Lock()
-	jobs := s.jobs
+	jobs := append([]*pendingJob(nil), s.jobs...)
 	s.mu.Unlock()
 	out := make([]Result, len(jobs))
 	for i, p := range jobs {
+		if p == nil {
+			continue
+		}
 		<-p.done
 		out[i] = p.res
 	}

@@ -3,6 +3,7 @@ package jobqueue_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -95,6 +96,79 @@ func TestStreamWait(t *testing.T) {
 	}
 	if _, err := st.Wait(-1); err == nil {
 		t.Fatal("Wait on a negative slot succeeded")
+	}
+}
+
+// TestStreamDequeuesInSubmissionOrder pins the queue discipline: pool slots
+// go to jobs in the order they were submitted, so with one worker the jobs
+// run in exactly that order.
+func TestStreamDequeuesInSubmissionOrder(t *testing.T) {
+	const jobs = 32
+	var (
+		mu    sync.Mutex
+		order []int
+	)
+	engines := make([]engine.Engine, jobs)
+	for i := range engines {
+		engines[i] = fakeEngine{name: fmt.Sprintf("e%d", i), fn: func(context.Context) (*engine.Report, error) {
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			return okReport("e"), nil
+		}}
+	}
+	st := jobqueue.New(newTestRegistry(t, engines...), jobqueue.WithWorkers(1)).Stream(context.Background())
+	for i := 0; i < jobs; i++ {
+		if _, err := st.Submit(jobqueue.Spec{Engine: fmt.Sprintf("e%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Drain()
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("jobs ran in order %v", order)
+		}
+	}
+}
+
+// TestStreamTake pins the hand-over: Take returns what Wait would, after
+// which the stream no longer answers for the slot — while untaken slots keep
+// their Wait/Drain/Depth behaviour.
+func TestStreamTake(t *testing.T) {
+	q := jobqueue.New(newTestRegistry(t, fakeEngine{name: "ok", fn: func(context.Context) (*engine.Report, error) {
+		return okReport("ok"), nil
+	}}), jobqueue.WithWorkers(2))
+	st := q.Stream(context.Background())
+	for i := 0; i < 3; i++ {
+		if _, err := st.Submit(jobqueue.Spec{Engine: "ok"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := st.Take(1)
+	if err != nil || r.Slot != 1 || r.State != jobqueue.StateDone || r.Report == nil {
+		t.Fatalf("Take(1) = %+v, %v", r, err)
+	}
+	if _, err := st.Take(1); err == nil {
+		t.Error("second Take of a slot succeeded")
+	}
+	if _, err := st.Wait(1); err == nil {
+		t.Error("Wait on a taken slot succeeded")
+	}
+	if _, err := st.Take(7); err == nil {
+		t.Error("Take on an unsubmitted slot succeeded")
+	}
+	if r, err := st.Wait(2); err != nil || r.State != jobqueue.StateDone {
+		t.Errorf("Wait(2) after Take(1) = %+v, %v", r, err)
+	}
+	results := st.Drain()
+	if len(results) != 3 || results[0].State != jobqueue.StateDone || results[2].Report == nil {
+		t.Fatalf("Drain after Take: %+v", results)
+	}
+	if results[1].Report != nil {
+		t.Error("Drain still holds the taken slot's report")
+	}
+	if st.Submitted() != 3 || st.Depth() != 0 {
+		t.Errorf("Submitted %d Depth %d after Take, want 3 and 0", st.Submitted(), st.Depth())
 	}
 }
 

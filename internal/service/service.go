@@ -386,8 +386,10 @@ func (s *Server) dispatch() {
 }
 
 // await parks on one dispatched job's stream slot and records its result.
+// It takes the result off the stream, so the job record is the only thing
+// keeping the reads and the report alive and eviction really frees them.
 func (s *Server) await(j *job, slot int) {
-	res, err := s.stream.Wait(slot)
+	res, err := s.stream.Take(slot)
 	if err != nil {
 		res = jobqueue.Result{Spec: j.spec, State: jobqueue.StateFailed, Err: err}
 	}

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -756,6 +758,43 @@ func TestResultRetention(t *testing.T) {
 	if jobs != 0 {
 		t.Fatalf("%d job records linger after eviction", jobs)
 	}
+}
+
+// TestEvictionFreesReports pins that eviction releases memory, not just the
+// ID: after many more jobs than the retention cap, only the retained
+// records' reports are still reachable. A finalizer on each report counts
+// the collected ones; the dispatch stream used to pin every result for the
+// server's lifetime.
+func TestEvictionFreesReports(t *testing.T) {
+	const jobs, maxRetained = 48, 2
+	var collected atomic.Int64
+	tracked := testEngine{name: "tracked", fn: func(context.Context, genome.ReadSource) (*engine.Report, error) {
+		rep := &engine.Report{Engine: "tracked", Family: engine.FamilySoftware}
+		runtime.SetFinalizer(rep, func(*engine.Report) { collected.Add(1) })
+		return rep, nil
+	}}
+	_, ts := startServer(t, Config{
+		Workers:              2,
+		Registry:             testRegistry(t, tracked),
+		MaxRetainedPerTenant: maxRetained,
+		ResultTTL:            time.Hour,
+	})
+	c := &Client{BaseURL: ts.URL, APIKey: "churn"}
+	ctx := context.Background()
+	reads := fastaWorkload(t, 75, 400, 4)
+	for i := 0; i < jobs; i++ {
+		st, err := c.Submit(ctx, SubmitRequest{Engine: "tracked", Reads: reads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, st.ID, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		runtime.GC()
+		return jobs-collected.Load() <= maxRetained
+	})
 }
 
 // TestDrainStatsSurviveEviction pins that Drain's tally counts every job

@@ -35,7 +35,9 @@ package shard
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"time"
 
 	"pimassembler/internal/assembly"
@@ -67,8 +69,8 @@ type Plan struct {
 	Retry   jobqueue.RetryPolicy
 	// MaxResidentReads caps how many reads the spill-backed path
 	// (AssembleSpill) admits into flight at once across all shards
-	// (<= 0 means DefaultMaxResidentReads). The in-memory Assemble,
-	// which already holds every read, ignores it.
+	// (<= 0 means DefaultMaxResidentReads). The in-memory Assemble, which
+	// already holds every read, reserves nothing against it.
 	MaxResidentReads int
 	// Counters optionally collects the job queue's jobs.*/latency.*
 	// instrumentation for the dispatch (nil = uninstrumented).
@@ -146,13 +148,40 @@ type Result struct {
 	CostEnergyJ float64
 }
 
-// Assemble runs one sharded multi-engine assembly: split, dispatch through
-// the job-queue stream, merge. Any shard failure fails the run with the
-// shard index and engine named.
+// job is one shard's dispatch unit: the shard index that error messages and
+// job names carry, how many reads running it decodes into this process (the
+// resident-read gate's reservation; 0 when the reads are in memory already),
+// and where the reads come from.
+type job struct {
+	shard int
+	reads int
+	src   genome.ReadSource
+}
+
+// Assemble runs one sharded multi-engine assembly over an in-memory read
+// set: split, dispatch through the job-queue stream, merge. Any shard
+// failure fails the run with the shard index and engine named.
 func Assemble(ctx context.Context, reads []*genome.Sequence, plan Plan) (*Result, error) {
 	if len(reads) == 0 {
 		return nil, fmt.Errorf("shard: no reads")
 	}
+	shards := Split(reads, plan.Shards)
+	jobs := make([]job, len(shards))
+	for i, sh := range shards {
+		jobs[i] = job{shard: i, src: genome.NewSliceSource(sh)}
+	}
+	return run(ctx, jobs, plan)
+}
+
+// run is the one shard dispatch loop, whatever built the jobs and whatever
+// executes them: validate the engine names, submit every job to a job-queue
+// stream (engines assigned round-robin over the job list) once its reads fit
+// under the resident-read gate, settle each slot as it finishes — close its
+// source, return its reservation, and on the first terminal failure cancel
+// every other shard — then drain and merge. Attempts, per-attempt timeouts,
+// backoff and the transient/terminal split are the job queue's; the engines
+// in plan.Registry decide where a shard runs.
+func run(ctx context.Context, jobs []job, plan Plan) (*Result, error) {
 	engines := plan.engines()
 	reg := plan.registry()
 	for _, name := range engines {
@@ -161,36 +190,75 @@ func Assemble(ctx context.Context, reads []*genome.Sequence, plan Plan) (*Result
 		}
 	}
 
-	shards := Split(reads, plan.Shards)
-	q := jobqueue.New(reg, jobqueue.WithWorkers(plan.Workers), jobqueue.WithCounters(plan.Counters))
-	st := q.Stream(ctx)
-	names := make([]string, len(shards))
-	for i, sh := range shards {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	gate := newReadGate(plan.maxResidentReads())
+	defer context.AfterFunc(ctx, gate.wake)()
+
+	st := jobqueue.New(reg, jobqueue.WithWorkers(plan.Workers), jobqueue.WithCounters(plan.Counters)).Stream(ctx)
+
+	names := make([]string, len(jobs))
+	var (
+		settled   sync.WaitGroup
+		submitErr error
+	)
+	for i, j := range jobs {
 		names[i] = engines[i%len(engines)]
-		if _, err := st.Submit(jobqueue.Spec{
-			Name:    fmt.Sprintf("shard-%d", i),
+		if submitErr = gate.acquire(ctx, j.reads); submitErr != nil {
+			break
+		}
+		var slot int
+		slot, submitErr = st.Submit(jobqueue.Spec{
+			Name:    fmt.Sprintf("shard-%d", j.shard),
 			Engine:  names[i],
-			Source:  genome.NewSliceSource(sh),
+			Source:  j.src,
 			Opts:    plan.Opts,
 			Timeout: plan.Timeout,
 			Retry:   plan.Retry,
-		}); err != nil {
-			return nil, err
+		})
+		if submitErr != nil {
+			gate.release(j.reads)
+			break
+		}
+		settled.Add(1)
+		go func() {
+			defer settled.Done()
+			r, _ := st.Wait(slot) // submitted above: cannot fail
+			if c, ok := j.src.(io.Closer); ok {
+				c.Close()
+			}
+			gate.release(j.reads)
+			if r.State == jobqueue.StateFailed {
+				cancel()
+			}
+		}()
+	}
+	results := st.Drain()
+	// Sources must be closed before the caller removes a spill directory.
+	settled.Wait()
+
+	// The shard that failed is the one to name, not a sibling its failure
+	// cancelled; with no failure, the first cancelled shard stands for the
+	// caller's own cancellation.
+	bad := -1
+	for i, r := range results {
+		if r.State == jobqueue.StateFailed {
+			bad = i
+			break
+		}
+		if r.Err != nil && bad < 0 {
+			bad = i
 		}
 	}
+	if bad >= 0 {
+		return nil, fmt.Errorf("shard %d (engine %s): %w", jobs[bad].shard, names[bad], results[bad].Err)
+	}
+	if submitErr != nil {
+		return nil, submitErr
+	}
 
-	res := &Result{Engines: names, PerShard: make([]*engine.Report, len(shards))}
-	return finishRun(st, res, plan)
-}
-
-// finishRun drains the dispatch stream into res, aggregates the
-// family-specific accounting, and merges the per-shard reports — the
-// shared tail of the in-memory and spill-backed entry points.
-func finishRun(st *jobqueue.Stream, res *Result, plan Plan) (*Result, error) {
-	for i, r := range st.Drain() {
-		if r.Err != nil {
-			return nil, fmt.Errorf("shard %d (engine %s): %w", i, res.Engines[i], r.Err)
-		}
+	res := &Result{Engines: names, PerShard: make([]*engine.Report, len(jobs))}
+	for i, r := range results {
 		res.PerShard[i] = r.Report
 	}
 	return res.finish(plan.Opts)

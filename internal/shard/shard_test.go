@@ -1,15 +1,19 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pimassembler/internal/assembly"
 	"pimassembler/internal/engine"
 	"pimassembler/internal/genome"
+	"pimassembler/internal/jobqueue"
 	"pimassembler/internal/shard"
 	"pimassembler/internal/stats"
 )
@@ -75,14 +79,16 @@ func TestAssembleErrors(t *testing.T) {
 	if _, err := shard.Assemble(ctx, reads, shard.Plan{Shards: 2, Engines: []string{"no-such-engine"}}); err == nil {
 		t.Error("unknown engine accepted")
 	}
-	// A failing shard names its index and engine.
+	// A failing shard names its index and engine. One worker, so the shards
+	// run in order and shard 0 is the first to fail (with more, it is
+	// whichever failed first: its failure cancels the others).
 	reg := engine.NewRegistry()
 	boom := errors.New("boom")
 	if err := reg.Register(failingEngine{err: boom}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := shard.Assemble(ctx, reads, shard.Plan{
-		Shards: 3, Engines: []string{"failing"}, Registry: reg,
+		Shards: 3, Engines: []string{"failing"}, Registry: reg, Workers: 1,
 		Opts: engine.Options{Options: assembly.Options{K: 16}},
 	})
 	if err == nil || !errors.Is(err, boom) {
@@ -99,6 +105,84 @@ func (failingEngine) Name() string     { return "failing" }
 func (failingEngine) Describe() string { return "always fails" }
 func (e failingEngine) Assemble(context.Context, genome.ReadSource, engine.Options) (*engine.Report, error) {
 	return nil, e.err
+}
+
+// slowEngine counts its runs and holds each one until its context ends —
+// or, if nothing ever cancels it, for far longer than the test should take.
+type slowEngine struct{ started, finished *atomic.Int64 }
+
+func (slowEngine) Name() string     { return "slow" }
+func (slowEngine) Describe() string { return "runs until cancelled" }
+func (e slowEngine) Assemble(ctx context.Context, _ genome.ReadSource, _ engine.Options) (*engine.Report, error) {
+	e.started.Add(1)
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-time.After(30 * time.Second):
+		e.finished.Add(1)
+		return &engine.Report{Engine: "slow", Family: engine.FamilySoftware}, nil
+	}
+}
+
+// TestFirstFailureCancelsSiblings pins the shared loop's failure rule for
+// both in-process drivers: one shard that fails for good stops the shards
+// still running or queued, and the error names that shard and its engine —
+// not a sibling's "context canceled".
+func TestFirstFailureCancelsSiblings(t *testing.T) {
+	reads := workload(4, 1_200, 50, 40, 0)
+	opts := engine.Options{Options: assembly.Options{K: 16}}
+	boom := errors.New("boom")
+	drivers := map[string]func(shard.Plan) error{
+		"memory": func(plan shard.Plan) error {
+			_, err := shard.Assemble(context.Background(), reads, plan)
+			return err
+		},
+		"spill": func(plan shard.Plan) error {
+			sp, err := shard.Partition(context.Background(), bytes.NewReader(fastaBytes(t, reads)),
+				genome.FormatFASTA, shard.SpillConfig{Shards: plan.Shards, Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sp.Close()
+			_, err = shard.AssembleSpill(context.Background(), sp, plan)
+			return err
+		},
+	}
+	for name, drive := range drivers {
+		t.Run(name, func(t *testing.T) {
+			var started, finished atomic.Int64
+			reg := engine.NewRegistry()
+			for _, e := range []engine.Engine{failingEngine{err: boom}, slowEngine{&started, &finished}} {
+				if err := reg.Register(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			begin := time.Now()
+			// Shard 1 of 8 fails; two workers, so most slow shards are
+			// still queued behind the first ones when it does.
+			err := drive(shard.Plan{
+				Shards:   8,
+				Engines:  []string{"slow", "failing", "slow", "slow", "slow", "slow", "slow", "slow"},
+				Registry: reg, Workers: 2, Opts: opts,
+				Retry: jobqueue.RetryPolicy{MaxAttempts: 3},
+			})
+			if !errors.Is(err, boom) || errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want the engine failure itself", err)
+			}
+			if !strings.Contains(err.Error(), "shard 1 (engine failing)") {
+				t.Errorf("err %q does not name the failed shard and engine", err)
+			}
+			if n := finished.Load(); n != 0 {
+				t.Errorf("%d slow shards ran to completion after the failure", n)
+			}
+			if n := started.Load(); n >= 7 {
+				t.Errorf("all %d slow shards started: the queued ones were not cancelled", n)
+			}
+			if d := time.Since(begin); d > 20*time.Second {
+				t.Errorf("run took %v: siblings were waited for, not cancelled", d)
+			}
+		})
+	}
 }
 
 func TestAssembleCancellation(t *testing.T) {

@@ -8,9 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 
-	"pimassembler/internal/engine"
 	"pimassembler/internal/genome"
-	"pimassembler/internal/jobqueue"
 	"pimassembler/internal/metrics"
 )
 
@@ -91,9 +89,9 @@ func (s *Spill) Source(i int) (*genome.FileSource, error) {
 	return genome.OpenFileSource(s.files[i])
 }
 
-// Path returns shard i's spill-file path — the handle the multi-process
-// coordinator hands to worker processes, which open it themselves. The
-// file is gone after Close.
+// Path returns shard i's spill-file path — the handle a shard job carries,
+// and the one worker processes open themselves. The file is gone after
+// Close.
 func (s *Spill) Path(i int) string { return s.files[i] }
 
 // Close removes the spill directory and every file in it.
@@ -296,96 +294,43 @@ func (p Plan) maxResidentReads() int {
 	return DefaultMaxResidentReads
 }
 
+// spillSource is one spill file as a job's read source: a FileSource that
+// opens when an engine pulls the first read, so an engine that hands the
+// shard to another process (internal/distshard) instead asks SpillFile where
+// the shard is and never opens it here.
+type spillSource struct {
+	*genome.FileSource
+	shard int
+}
+
+// SpillFile returns the spill-file index and path behind the source.
+func (s spillSource) SpillFile() (shard int, path string) { return s.shard, s.Path() }
+
 // AssembleSpill assembles a completed spill partition out-of-core: each
 // non-empty shard streams from its spill file through the job queue onto
-// its engine with stage-1 streaming forced on, admissions gated so the
-// decoded reads in flight never exceed Plan.MaxResidentReads, and the
-// per-shard reports merge through the same union-graph re-dedup as the
-// in-memory path. For count-independent options the merged contigs are
-// byte-identical to both the in-memory sharded run and the unsharded run.
+// its engine, admitted only while the decoded reads in flight stay within
+// Plan.MaxResidentReads, and the per-shard reports merge through the same
+// union-graph re-dedup as the in-memory path. (The software engine counts
+// read by read, so its footprint is the record in flight plus its k-mer
+// table; an engine that must drain — the functional simulator — holds at
+// most its shard, which is exactly what the gate admitted.) For
+// count-independent options the merged contigs are byte-identical to both
+// the in-memory sharded run and the unsharded run.
 //
-// The caller owns sp and should Close it after use; AssembleSpill closes
-// only the per-shard sources it opens.
+// The caller owns sp and should Close it after use; every file AssembleSpill
+// opens is closed before it returns.
 func AssembleSpill(ctx context.Context, sp *Spill, plan Plan) (*Result, error) {
 	if sp == nil || sp.TotalReads() == 0 {
 		return nil, fmt.Errorf("shard: no reads")
 	}
-	engines := plan.engines()
-	reg := plan.registry()
-	for _, name := range engines {
-		if _, err := reg.Lookup(name); err != nil {
-			return nil, err
-		}
-	}
-
-	// Stream stage 1 so a shard's resident footprint is the record in
-	// flight plus its k-mer table, not the shard. (Engines that must
-	// drain — the functional simulator — hold at most their shard, which
-	// is exactly what the gate admitted.)
-	opts := plan.Opts
-	opts.StreamStage1 = true
-
-	gate := newReadGate(plan.maxResidentReads())
-	stopWake := context.AfterFunc(ctx, gate.wake)
-	defer stopWake()
-
-	q := jobqueue.New(reg, jobqueue.WithWorkers(plan.Workers), jobqueue.WithCounters(plan.Counters))
-	st := q.Stream(ctx)
-	var wg sync.WaitGroup
-	// Any exit path must close the stream and wait for the per-slot
-	// release goroutines, so sources are closed before the caller removes
-	// the spill directory.
-	settle := func() {
-		st.Close()
-		wg.Wait()
-	}
-
-	var names []string
+	var jobs []job
 	for i := 0; i < sp.Shards(); i++ {
-		if sp.Count(i) == 0 {
-			// Round-robin leaves shards i >= TotalReads empty when there
-			// are fewer reads than shards — mirroring Split's clamp, they
-			// simply do not run.
-			continue
+		// Round-robin leaves shards i >= TotalReads empty when there are
+		// fewer reads than shards — mirroring Split's clamp, they simply do
+		// not run.
+		if sp.Count(i) > 0 {
+			jobs = append(jobs, job{shard: i, reads: sp.Count(i), src: spillSource{genome.NewFileSource(sp.Path(i)), i}})
 		}
-		reserve := sp.Count(i)
-		if err := gate.acquire(ctx, reserve); err != nil {
-			settle()
-			return nil, err
-		}
-		src, err := sp.Source(i)
-		if err != nil {
-			gate.release(reserve)
-			settle()
-			return nil, err
-		}
-		name := engines[len(names)%len(engines)]
-		slot, err := st.Submit(jobqueue.Spec{
-			Name:    fmt.Sprintf("shard-%d", i),
-			Engine:  name,
-			Source:  src,
-			Opts:    opts,
-			Timeout: plan.Timeout,
-			Retry:   plan.Retry,
-		})
-		if err != nil {
-			gate.release(reserve)
-			src.Close()
-			settle()
-			return nil, err
-		}
-		names = append(names, name)
-		wg.Add(1)
-		go func(slot, reserve int, src *genome.FileSource) {
-			defer wg.Done()
-			st.Wait(slot)
-			src.Close()
-			gate.release(reserve)
-		}(slot, reserve, src)
 	}
-
-	res := &Result{Engines: names, PerShard: make([]*engine.Report, len(names))}
-	out, err := finishRun(st, res, plan)
-	wg.Wait()
-	return out, err
+	return run(ctx, jobs, plan)
 }
