@@ -11,11 +11,11 @@ GO ?= go
 # without repeating the full multi-second golden runs.
 RACE_PKGS = ./internal/assembly/... ./internal/bitvec/... ./internal/circuit/... ./internal/core/... ./internal/correct/... ./internal/debruijn/... ./internal/distshard/... ./internal/dram/... ./internal/engine/... ./internal/exec/... ./internal/genome/... ./internal/jobqueue/... ./internal/kmer/... ./internal/parallel/... ./internal/perfmodel/... ./internal/sched/... ./internal/service/... ./internal/shard/... ./internal/subarray/...
 
-.PHONY: all check ci fmt-check build vet test test-race fuzz-smoke bench bench-check profile reproduce examples clean lint lint-tools service-smoke
+.PHONY: all check ci fmt-check build vet reach test test-race fuzz-smoke bench bench-check profile reproduce examples clean lint lint-tools
 
 all: check
 
-check: fmt-check build vet test test-race
+check: fmt-check build vet reach test test-race
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -27,6 +27,15 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every internal/ package must be in the dependency closure of a command, an
+# example or the bench/ module (tests do not count): a package nothing
+# imports still costs tests, docs and review, as internal/isa and
+# internal/energy did for eleven PRs.
+reach:
+	@used=$$({ $(GO) list -deps ./cmd/... ./examples/... && (cd bench && $(GO) list -deps ./...); } | sort -u) || exit 1; \
+	orphans=$$($(GO) list ./internal/... | while read -r p; do echo "$$used" | grep -qxF "$$p" || echo "$$p"; done); \
+	if [ -n "$$orphans" ]; then echo "internal packages that no command, example or benchmark imports:"; echo "$$orphans"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -58,12 +67,6 @@ lint:
 	else \
 		echo "lint: govulncheck not installed (run 'make lint-tools'); skipping"; \
 	fi
-
-# End-to-end smoke of the assembled daemon: build the real binaries, boot
-# on a random port, run a job over HTTP, compare contigs byte-for-byte
-# with cmd/assemble, validate /metrics, and assert a clean SIGTERM drain.
-service-smoke:
-	$(GO) run ./cmd/servicesmoke
 
 # Short fuzzing pass over every fuzz target in FUZZ_PKGS (Go runs one
 # target per -fuzz invocation, so this loops over `go test -list` per
@@ -123,14 +126,13 @@ bench-check:
 
 # The full local gate, one-to-one with .github/workflows/ci.yml: the check
 # suite (whose tests include the multi-process sharding run on the real
-# cmd/assemble binary), the nested bench module's vet + tests, lint, the
-# daemon smoke, the fuzz smoke, and the bench smoke run. Keep the two in
-# sync — CI must run exactly these commands.
+# cmd/assemble binary and the daemon run on the real cmd/assembled binary),
+# the nested bench module's vet + tests, lint, the fuzz smoke, and the bench
+# smoke run. Keep the two in sync — CI must run exactly these commands.
 ci:
 	$(MAKE) check
 	$(MAKE) bench-check
 	$(MAKE) lint
-	$(MAKE) service-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench BENCH_OUT=/tmp/bench.json BENCHTIME=1x
 

@@ -379,7 +379,7 @@ func BenchmarkPIMPipeline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := core.NewDefaultPlatform()
-		if _, err := assembly.AssemblePIM(p, reads, assembly.Options{K: 16}, 16); err != nil {
+		if _, err := assembly.AssemblePIM(p, genome.NewSliceSource(reads), assembly.Options{K: 16}, 16); err != nil {
 			b.Fatal(err)
 		}
 	}

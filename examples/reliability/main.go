@@ -37,7 +37,7 @@ func main() {
 		p := core.NewDefaultPlatform()
 		injector := fault.NewInjector(rates, stats.NewRNG(12))
 		injector.AttachPlatform(p)
-		res, err := assembly.AssemblePIM(p, reads, opts, 16)
+		res, err := assembly.AssemblePIM(p, genome.NewSliceSource(reads), opts, 16)
 		if err != nil {
 			fmt.Printf("%-10s %-22s pipeline failed: %v\n", corner.name,
 				fmt.Sprintf("%.2g / %.2g", rates.TwoRow, rates.TRA), err)

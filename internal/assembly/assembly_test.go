@@ -1,6 +1,7 @@
 package assembly
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"pimassembler/internal/core"
 	"pimassembler/internal/debruijn"
 	"pimassembler/internal/genome"
+	"pimassembler/internal/kmer"
 	"pimassembler/internal/stats"
 )
 
@@ -35,8 +37,15 @@ func TestAssembleValidatesOptions(t *testing.T) {
 	if _, err := Assemble(reads, Options{K: 33}); err == nil {
 		t.Fatal("k=33 accepted")
 	}
-	if _, err := Assemble(nil, Options{K: 16}); err == nil {
-		t.Fatal("empty reads accepted")
+	// No reads is the run's error, whichever backend or whole-set stage
+	// saw the empty source first.
+	for _, o := range []Options{{K: 16}, {K: 16, CountWorkers: 4}, {K: 16, Correct: true}} {
+		if _, err := Assemble(nil, o); err == nil {
+			t.Fatalf("empty reads accepted with %+v", o)
+		}
+		if _, err := AssemblePIM(core.NewDefaultPlatform(), genome.NewSliceSource(nil), o, 8); err == nil {
+			t.Fatalf("empty reads accepted by AssemblePIM with %+v", o)
+		}
 	}
 	if _, err := Assemble(reads, Options{K: 8, Scaffold: true, MinOverlap: 0}); err == nil {
 		t.Fatal("scaffolding without overlap accepted")
@@ -233,9 +242,28 @@ func TestPIMAssemblyMatchesSoftware(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := core.NewDefaultPlatform()
-	pim, err := AssemblePIM(p, reads, opts, 8)
+	pim, err := AssemblePIM(p, scannerSource(t, reads), opts, 8) // a one-pass stream
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The table read back from the simulated rows is the software table,
+	// through every Counter method.
+	if !reflect.DeepEqual(pim.Table.Entries(), sw.Table.Entries()) ||
+		!reflect.DeepEqual(pim.Table.FilterMinCount(2), sw.Table.FilterMinCount(2)) ||
+		!reflect.DeepEqual(pim.Table.Spectrum(), sw.Table.Spectrum()) ||
+		pim.Table.Len() != sw.Table.Len() || pim.Table.K() != sw.Table.K() {
+		t.Error("table read back from the simulated rows differs from the software table")
+	}
+	visited := 0
+	pim.Table.Each(func(km kmer.Kmer, c uint32) bool {
+		visited++
+		if got := pim.Table.Count(km); got != c || sw.Table.Count(km) != c {
+			t.Errorf("k-mer %v: Each says %d, Count %d, software %d", km, c, got, sw.Table.Count(km))
+		}
+		return !t.Failed()
+	})
+	if visited != sw.Table.Len() || pim.Table.Count(kmer.Kmer(1)<<29) != sw.Table.Count(kmer.Kmer(1)<<29) {
+		t.Errorf("Each visited %d of %d entries, or an absent k-mer has a count", visited, sw.Table.Len())
 	}
 	if len(sw.Contigs) != len(pim.Contigs) {
 		t.Fatalf("contig counts differ: software %d, PIM %d", len(sw.Contigs), len(pim.Contigs))
@@ -255,7 +283,7 @@ func TestPIMAssemblyScaffoldOption(t *testing.T) {
 	rng := stats.NewRNG(56)
 	reads := genome.NewReadSampler(genome.GenerateGenome(800, rng), 70, 0, rng).Sample(100)
 	p := core.NewDefaultPlatform()
-	res, err := AssemblePIM(p, reads, Options{K: 13, Scaffold: true, MinOverlap: 10}, 8)
+	res, err := AssemblePIM(p, genome.NewSliceSource(reads), Options{K: 13, Scaffold: true, MinOverlap: 10}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package assembly
 
 import (
-	"fmt"
+	"sort"
 	"sync"
 
 	"pimassembler/internal/core"
@@ -23,14 +23,17 @@ type PIMResult struct {
 	BankSubarrays int
 }
 
-// AssemblePIM runs stages 1-2 on the functional PIM platform, fully
-// memory-resident: the short reads are first stored into the Original
-// Sequence Bank (Fig. 6), then streamed back out through the memory path as
-// the controller parses k-mers into the hash sub-arrays. nSubarrays bounds
-// the hash-table spread (keep it small for tests; the analytical model
+// AssemblePIM runs the pipeline with stages 1-2 on the functional PIM
+// platform, fully memory-resident: the short reads are first stored into the
+// Original Sequence Bank (Fig. 6), then streamed back out through the memory
+// path as the controller parses k-mers into the hash sub-arrays. nSubarrays
+// bounds the hash-table spread (keep it small for tests; the analytical model
 // covers full scale). The returned contigs are produced from the table read
 // back out of the simulated DRAM rows, so every base has passed through the
 // in-memory pipeline twice — once as a banked read, once as a hash entry.
+// Everything around those stages — read correction, the MinCount filter,
+// simplification, contigs, scaffolding — is the host code AssembleSource
+// runs, so every option gives the contigs the software pipeline gives.
 //
 // With opts.ParallelStage1 the k-mer stream is sharded by home sub-array and
 // the Hashmap procedure runs on a bank-keyed worker pool (bounded by the
@@ -38,78 +41,128 @@ type PIMResult struct {
 // bit-identical to the serial path's: every k-mer's probes, inserts, and
 // counter updates stay inside its home sub-array, and the shards preserve
 // the serial arrival order within each sub-array.
-func AssemblePIM(p *core.Platform, reads []*genome.Sequence, opts Options, nSubarrays int) (*PIMResult, error) {
-	if err := opts.validate(); err != nil {
+func AssemblePIM(p *core.Platform, src genome.ReadSource, opts Options, nSubarrays int) (*PIMResult, error) {
+	b := &pimBackend{platform: p, hashN: nSubarrays}
+	res, err := run(b, src, opts)
+	if err != nil {
 		return nil, err
 	}
-	if len(reads) == 0 {
-		return nil, fmt.Errorf("assembly: no reads")
-	}
+	return &PIMResult{Result: *res, Platform: p, HashSubarrays: nSubarrays, BankSubarrays: b.bankN}, nil
+}
 
-	// Stage 0: load the reads into the sequence bank.
+// pimBackend runs stage 1 and the degree computation of the traversal on
+// the simulated platform. Sub-arrays are laid out bank, hash table, graph.
+type pimBackend struct {
+	platform *core.Platform
+	hashN    int // hash-table spread
+	bankN    int // sequence-bank size, known once count has seen the reads
+}
+
+// count stores the reads into the sequence bank, streams them back into
+// the hash sub-arrays, and reads the finished table out through the memory
+// path — once: HashTable.Entries is simulated READ traffic, so every later
+// stage consults the host copy made here.
+func (b *pimBackend) count(src genome.ReadSource, opts Options) (kmer.Counter, workloadTotals, error) {
+	var totals workloadTotals
+	// The bank is sized before the first read is stored, so the source is
+	// drained up front.
+	reads, err := genome.ReadAll(src)
+	if err != nil || len(reads) == 0 {
+		return nil, totals, err
+	}
+	p := b.platform
 	perRow := p.Geometry().ColsPerSubarray / genome.BaseBits
 	rowsNeeded := 0
 	for _, r := range reads {
+		totals.add(r, opts.K)
 		rowsNeeded += (r.Len() + perRow - 1) / perRow
 	}
-	bankN := (rowsNeeded + p.Geometry().DataRows() - 1) / p.Geometry().DataRows()
 	// Row-granular packing can spill across a sub-array boundary once per
 	// sub-array; one spare absorbs it.
-	bankN++
-	bank := core.NewSequenceBank(p, 0, bankN)
+	b.bankN = (rowsNeeded+p.Geometry().DataRows()-1)/p.Geometry().DataRows() + 1
+	bank := core.NewSequenceBank(p, 0, b.bankN)
 	if err := bank.StoreAll(reads); err != nil {
+		return nil, totals, err
+	}
+
+	table := core.NewHashTableAt(p, opts.K, b.bankN, b.hashN)
+	if opts.ParallelStage1 {
+		err = countParallel(p, bank, table, opts.K)
+	} else {
+		err = countSerial(bank, table, opts.K)
+	}
+	if err != nil {
+		return nil, totals, err
+	}
+	return &readback{k: opts.K, entries: table.Entries(), probes: table.ProbeOps()}, totals, nil
+}
+
+// readback is the spectrum as HashTable.Entries read it out of the DRAM
+// rows, served to the host stages as a kmer.Counter. It keeps the rows as
+// read, in their k-mer order, and does not rehash them: a table corrupted by
+// injected faults can hold one k-mer in two rows, and the graph built from
+// it must not depend on a host hash function.
+type readback struct {
+	k       int
+	entries []kmer.Entry // sorted by k-mer
+	probes  int64        // the simulated table's slot comparisons
+}
+
+func (t *readback) K() int                { return t.k }
+func (t *readback) Len() int              { return len(t.entries) }
+func (t *readback) ProbeOps() int64       { return t.probes }
+func (t *readback) Entries() []kmer.Entry { return t.entries }
+
+func (t *readback) Count(km kmer.Kmer) uint32 {
+	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Kmer >= km })
+	if i < len(t.entries) && t.entries[i].Kmer == km {
+		return t.entries[i].Count
+	}
+	return 0
+}
+
+func (t *readback) Each(fn func(kmer.Kmer, uint32) bool) {
+	for _, e := range t.entries {
+		if !fn(e.Kmer, e.Count) {
+			return
+		}
+	}
+}
+
+func (t *readback) FilterMinCount(min uint32) []kmer.Entry {
+	var out []kmer.Entry
+	for _, e := range t.entries {
+		if e.Count >= min {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+func (t *readback) Spectrum() []int64 {
+	var maxC uint32
+	for _, e := range t.entries {
+		maxC = max(maxC, e.Count)
+	}
+	spec := make([]int64, maxC+1)
+	for _, e := range t.entries {
+		spec[e.Count]++
+	}
+	return spec
+}
+
+// walk loads g into the graph sub-arrays and runs the Traverse procedure:
+// in-memory degree computation and start-vertex selection, then the host
+// edge walk the options name.
+func (b *pimBackend) walk(g *debruijn.Graph, opts Options) ([]kmer.Kmer, error) {
+	engine := core.NewGraphEngine(b.platform, g, b.bankN+b.hashN)
+	if !opts.UseFleury {
+		return engine.EulerPath()
+	}
+	if _, err := engine.StartVertex(); err != nil {
 		return nil, err
 	}
-
-	// Stage 1: PIM k-mer analysis, streaming reads back from the bank.
-	table := core.NewHashTableAt(p, opts.K, bankN, nSubarrays)
-	var addErr error
-	if opts.ParallelStage1 {
-		addErr = countParallel(p, bank, table, opts.K)
-	} else {
-		addErr = countSerial(bank, table, opts.K)
-	}
-	if addErr != nil {
-		return nil, addErr
-	}
-
-	// Stage 2a: graph construction from the DRAM-resident table, into the
-	// dense interned-ID/CSR graph pre-sized for the table's entry count.
-	entries := table.Entries()
-	g := debruijn.NewGraphHint(opts.K, len(entries)+1, len(entries))
-	for _, e := range entries {
-		if opts.MinCount > 1 && e.Count < opts.MinCount {
-			continue
-		}
-		g.AddKmer(e.Kmer, e.Count)
-	}
-
-	// Stage 2b: PIM degree computation + traversal, then contigs.
-	res := &PIMResult{
-		Result: Result{
-			Options: opts,
-			Graph:   g,
-		},
-		Platform:      p,
-		HashSubarrays: nSubarrays,
-		BankSubarrays: bankN,
-	}
-	engine := core.NewGraphEngine(p, g, bankN+nSubarrays)
-	if walk, err := engine.EulerPath(); err == nil {
-		res.EulerWalk = walk
-	} else {
-		res.EulerErr = err
-	}
-	res.Contigs = g.Contigs()
-	if opts.Scaffold {
-		res.Scaffolds = ScaffoldContigs(res.Contigs, opts.MinOverlap)
-	}
-	var totals workloadTotals
-	for _, r := range reads {
-		totals.add(r, opts.K)
-	}
-	res.Counts = measureCounts(opts.K, totals, table.ProbeOps(), table.Len(), g)
-	return res, nil
+	return g.FleuryPath()
 }
 
 // countSerial streams the bank and runs the Hashmap procedure k-mer by

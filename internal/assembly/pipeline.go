@@ -2,10 +2,11 @@
 // pipeline (Fig. 5a): (1) k-mer analysis building the frequency hash table,
 // (2) contig generation via de Bruijn graph construction and traversal, and
 // (3) scaffolding. The paper parallelises stages 1-2 on PIM-Assembler and
-// leaves stage 3 to future work; this package provides both the software
-// reference pipeline, the PIM-functional pipeline running on the simulated
-// hardware, and the operation-count extraction that feeds the analytical
-// performance models.
+// leaves stage 3 to future work; this package provides the one pipeline
+// body (run), its two backends — the software reference and the functional
+// PIM platform, which differ only in where stage 1 and the traversal's
+// degree computation execute — and the operation-count extraction that
+// feeds the analytical performance models.
 package assembly
 
 import (
@@ -87,7 +88,8 @@ type StageTimings struct {
 type Result struct {
 	Options Options
 	// Table is the stage-1 counter: *kmer.CountTable on the serial path,
-	// *kmer.PartitionedTable when Options.CountWorkers > 1.
+	// *kmer.PartitionedTable when Options.CountWorkers > 1, and for
+	// AssemblePIM the entries read back out of the simulated rows.
 	Table     kmer.Counter
 	Graph     *debruijn.Graph
 	Contigs   []debruijn.Contig
@@ -101,6 +103,19 @@ type Result struct {
 	EulerErr error
 	Timings  StageTimings
 	Counts   OpCounts
+}
+
+// backend is where one run executes the two steps that differ between the
+// software reference and the PIM platform; everything else in run is shared,
+// so every option means the same thing on either.
+type backend interface {
+	// count is stage 1 (the Hashmap procedure): it drains src into the
+	// k-mer spectrum and the workload totals. No reads is not an error
+	// here — run reports it from the zero totals.
+	count(src genome.ReadSource, opts Options) (kmer.Counter, workloadTotals, error)
+	// walk is the Euler stage of the Traverse procedure over the finished
+	// graph.
+	walk(g *debruijn.Graph, opts Options) ([]kmer.Kmer, error)
 }
 
 // Assemble runs the software reference pipeline over an in-memory read set:
@@ -117,6 +132,14 @@ func Assemble(reads []*genome.Sequence, opts Options) (*Result, error) {
 // its spectrum before it can fix the first read, and the partitioned
 // counter (CountWorkers > 1) scans the read set in chunks.
 func AssembleSource(src genome.ReadSource, opts Options) (*Result, error) {
+	return run(softwareBackend{}, src, opts)
+}
+
+// run is the pipeline of Fig. 5a, the only one: host-side read correction,
+// stage 1 on b, the MinCount filter, graph construction and simplification,
+// the Euler walk on b, contig emission, scaffolding, and the operation
+// profile of what ran.
+func run(b backend, src genome.ReadSource, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -125,51 +148,61 @@ func AssembleSource(src genome.ReadSource, opts Options) (*Result, error) {
 	}
 	res := &Result{Options: opts}
 
-	var reads []*genome.Sequence // the whole read set, where a stage needs it
-	if opts.Correct || opts.CountWorkers > 1 {
-		var err error
-		if reads, err = genome.ReadAll(src); err != nil {
-			return nil, err
-		}
-		if opts.Correct {
-			reads = corrected(reads, opts)
-		}
-		src = genome.NewSliceSource(reads)
-	}
-
-	// Stage 1: k-mer analysis (Hashmap procedure) — the serial reference
-	// table, read by read, or the hash-partitioned parallel counter over
-	// the drained set when CountWorkers > 1.
-	start := time.Now()
-	var table *kmer.CountTable
-	if opts.CountWorkers <= 1 {
-		table = kmer.NewCountTable(opts.K, 0)
-		res.Table = table
-	}
-	var totals workloadTotals
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			break
-		}
+	if opts.Correct {
+		reads, err := genome.ReadAll(src)
 		if err != nil {
 			return nil, err
 		}
-		totals.add(r, opts.K)
-		if table != nil {
-			table.AddRead(r)
-		}
+		src = genome.NewSliceSource(corrected(reads, opts))
+	}
+
+	// Stage 1: k-mer analysis (Hashmap procedure).
+	start := time.Now()
+	table, totals, err := b.count(src, opts)
+	if err != nil {
+		return nil, err
 	}
 	if totals.reads == 0 {
 		return nil, fmt.Errorf("assembly: no reads")
 	}
-	if table == nil {
-		res.Table = kmer.CountReadsParallel(reads, opts.K, opts.CountWorkers)
-	}
+	res.Table = table
 	res.Timings.Hashmap = time.Since(start)
 
-	finishStages(res, opts)
-	res.Counts = measureCounts(opts.K, totals, res.Table.ProbeOps(), res.Table.Len(), res.Graph)
+	// Stage 2a: de Bruijn graph construction (dense interned-ID/CSR core,
+	// pre-sized from the table so the build path never regrows).
+	start = time.Now()
+	if opts.MinCount > 1 {
+		entries := table.FilterMinCount(opts.MinCount)
+		g := debruijn.NewGraphHint(opts.K, len(entries)+1, len(entries))
+		for _, e := range entries {
+			g.AddKmer(e.Kmer, e.Count)
+		}
+		res.Graph = g
+	} else {
+		res.Graph = debruijn.Build(table)
+	}
+	if opts.Simplify {
+		res.Graph.Simplify(2*opts.K, 2*opts.K, 10)
+	}
+	res.Timings.DeBruijn = time.Since(start)
+
+	// Stage 2b: traversal and contig emission.
+	start = time.Now()
+	if walk, err := b.walk(res.Graph, opts); err == nil {
+		res.EulerWalk = walk
+	} else {
+		res.EulerErr = err
+	}
+	res.Contigs = res.Graph.Contigs()
+	res.Timings.Traverse = time.Since(start)
+
+	// Stage 3: scaffolding (the paper's future work; our extension).
+	if opts.Scaffold {
+		start = time.Now()
+		res.Scaffolds = ScaffoldContigs(res.Contigs, opts.MinOverlap)
+		res.Timings.Scaffold = time.Since(start)
+	}
+	res.Counts = measureCounts(opts.K, totals, table.ProbeOps(), table.Len(), res.Graph)
 	return res, nil
 }
 
@@ -188,48 +221,44 @@ func corrected(reads []*genome.Sequence, opts Options) []*genome.Sequence {
 	return copies
 }
 
-// finishStages runs stages 2a, 2b, and 3 from the populated stage-1 table.
-func finishStages(res *Result, opts Options) {
-	// Stage 2a: de Bruijn graph construction (dense interned-ID/CSR core,
-	// pre-sized from the table so the build path never regrows).
-	start := time.Now()
-	if opts.MinCount > 1 {
-		entries := res.Table.FilterMinCount(opts.MinCount)
-		g := debruijn.NewGraphHint(opts.K, len(entries)+1, len(entries))
-		for _, e := range entries {
-			g.AddKmer(e.Kmer, e.Count)
-		}
-		res.Graph = g
-	} else {
-		res.Graph = debruijn.Build(res.Table)
-	}
-	if opts.Simplify {
-		res.Graph.Simplify(2*opts.K, 2*opts.K, 10)
-	}
-	res.Timings.DeBruijn = time.Since(start)
+// softwareBackend is the plain-Go reference: a host hash table and the
+// host graph walk.
+type softwareBackend struct{}
 
-	// Stage 2b: traversal and contig emission.
-	start = time.Now()
+// count fills the serial reference table read by read, or drains src and
+// runs the hash-partitioned parallel counter when CountWorkers > 1.
+func (softwareBackend) count(src genome.ReadSource, opts Options) (kmer.Counter, workloadTotals, error) {
+	var totals workloadTotals
+	if opts.CountWorkers > 1 {
+		reads, err := genome.ReadAll(src)
+		if err != nil {
+			return nil, totals, err
+		}
+		for _, r := range reads {
+			totals.add(r, opts.K)
+		}
+		return kmer.CountReadsParallel(reads, opts.K, opts.CountWorkers), totals, nil
+	}
+	table := kmer.NewCountTable(opts.K, 0)
+	for {
+		r, err := src.Next()
+		if err == io.EOF {
+			return table, totals, nil
+		}
+		if err != nil {
+			return nil, totals, err
+		}
+		totals.add(r, opts.K)
+		table.AddRead(r)
+	}
+}
+
+// walk is Hierholzer's algorithm, or the paper's Fleury traversal.
+func (softwareBackend) walk(g *debruijn.Graph, opts Options) ([]kmer.Kmer, error) {
 	if opts.UseFleury {
-		if walk, err := res.Graph.FleuryPath(); err == nil {
-			res.EulerWalk = walk
-		} else {
-			res.EulerErr = err
-		}
-	} else if walk, err := res.Graph.EulerPath(); err == nil {
-		res.EulerWalk = walk
-	} else {
-		res.EulerErr = err
+		return g.FleuryPath()
 	}
-	res.Contigs = res.Graph.Contigs()
-	res.Timings.Traverse = time.Since(start)
-
-	// Stage 3: scaffolding (the paper's future work; our extension).
-	if opts.Scaffold {
-		start = time.Now()
-		res.Scaffolds = ScaffoldContigs(res.Contigs, opts.MinOverlap)
-		res.Timings.Scaffold = time.Since(start)
-	}
+	return g.EulerPath()
 }
 
 // workloadTotals are the whole-input aggregates feeding OpCounts,

@@ -16,7 +16,7 @@ func pimRun(t *testing.T, parallel bool) (*core.Platform, *PIMResult) {
 	rng := stats.NewRNG(91)
 	reads := genome.NewReadSampler(genome.GenerateGenome(1200, rng), 90, 0, rng).Sample(120)
 	p := core.NewDefaultPlatform()
-	res, err := AssemblePIM(p, reads, Options{K: 15, ParallelStage1: parallel}, 16)
+	res, err := AssemblePIM(p, genome.NewSliceSource(reads), Options{K: 15, ParallelStage1: parallel}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

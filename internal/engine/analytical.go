@@ -60,23 +60,17 @@ func (e analyticalEngine) Assemble(ctx context.Context, src genome.ReadSource, o
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rep := &Report{Engine: e.name, Family: FamilyAnalytical}
-
+	var rep *Report
 	if opts.Counts != nil {
 		// Counts-only pricing: no execution, no contigs.
 		counts := *opts.Counts
-		rep.Counts = &counts
+		rep = &Report{Engine: e.name, Family: FamilyAnalytical, Counts: &counts}
 	} else {
 		res, err := assembly.AssembleSource(src, opts.Options)
 		if err != nil {
 			return nil, err
 		}
-		rep.Contigs = res.Contigs
-		rep.Scaffolds = res.Scaffolds
-		rep.EulerWalk = res.EulerWalk
-		rep.EulerErr = res.EulerErr
-		counts := res.Counts // a copy: &res.Counts would pin the whole Result
-		rep.Counts = &counts
+		rep = NewReport(e.name, FamilyAnalytical, res, opts)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -84,9 +78,8 @@ func (e analyticalEngine) Assemble(ctx context.Context, src genome.ReadSource, o
 	if err := rep.Counts.Validate(); err != nil {
 		return nil, fmt.Errorf("engine %s: %w", e.name, err)
 	}
-	cost := cachedAssemblyCost(e.spec, *rep.Counts)
+	cost := perfmodel.AssemblyCost(e.spec, *rep.Counts)
 	rep.Cost = &cost
-	score(rep, opts)
 	return rep, nil
 }
 
@@ -100,7 +93,7 @@ func EstimateAll(counts assembly.OpCounts) []perfmodel.StageCost {
 		if !ok {
 			continue
 		}
-		out = append(out, cachedAssemblyCost(a.spec, counts))
+		out = append(out, perfmodel.AssemblyCost(a.spec, counts))
 	}
 	return out
 }

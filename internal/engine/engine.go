@@ -5,7 +5,7 @@
 // apples-to-apples: every engine consumes the same reads and Options and
 // produces the same Report shape, with the fields an engine family cannot
 // populate left nil. The registry is the seam the ROADMAP's scaling work
-// (job queues, sharded multi-engine runs, per-engine cost-model caching)
+// (job queues, sharded multi-engine runs)
 // plugs into; see DESIGN.md §10.
 package engine
 
@@ -150,11 +150,26 @@ type Engine interface {
 	Assemble(ctx context.Context, src genome.ReadSource, opts Options) (*Report, error)
 }
 
-// score fills rep.Quality when a reference was provided.
-func score(rep *Report, opts Options) {
-	if opts.Ref == nil || rep.Contigs == nil {
-		return
+// NewReport starts an engine's report from a finished pipeline run — the
+// one place assembly.Result fields become Report fields — and scores the
+// contigs against opts.Ref when there is one. The family-specific blocks
+// are the caller's to add.
+func NewReport(name string, family Family, res *assembly.Result, opts Options) *Report {
+	// A copy, not &res.Counts: an interior pointer would keep the whole
+	// Result — k-mer table and graph — alive as long as the Report.
+	counts := res.Counts
+	rep := &Report{
+		Engine:    name,
+		Family:    family,
+		Contigs:   res.Contigs,
+		Scaffolds: res.Scaffolds,
+		EulerWalk: res.EulerWalk,
+		EulerErr:  res.EulerErr,
+		Counts:    &counts,
 	}
-	q := metrics.Evaluate(rep.Contigs, opts.Ref)
-	rep.Quality = &q
+	if opts.Ref != nil && rep.Contigs != nil {
+		q := metrics.Evaluate(rep.Contigs, opts.Ref)
+		rep.Quality = &q
+	}
+	return rep
 }

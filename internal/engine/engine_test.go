@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -191,27 +193,65 @@ func TestConformanceAllEngines(t *testing.T) {
 }
 
 // TestSoftwareAndPIMEnginesEmitIdenticalContigs is the cross-engine
-// equivalence half of the conformance contract.
+// equivalence half of the conformance contract: on noisy reads, every
+// pipeline option means the same thing on the functional simulator as on
+// the software reference. The pim engine reads a one-pass stream, the
+// software engine the slice.
 func TestSoftwareAndPIMEnginesEmitIdenticalContigs(t *testing.T) {
-	ref, reads := conformanceWorkload()
-	opts := conformanceOptions(ref)
+	rng := stats.NewRNG(0xE17)
+	reads := genome.NewReadSampler(genome.GenerateGenome(2_000, rng), 80, 0.01, rng).Sample(200)
 	ctx := context.Background()
+	records := make([]genome.Record, len(reads))
+	for i, r := range reads {
+		records[i] = genome.Record{Name: fmt.Sprintf("r%d", i), Seq: r}
+	}
+	var fasta bytes.Buffer
+	if err := genome.WriteFASTA(&fasta, records); err != nil {
+		t.Fatal(err)
+	}
 
-	sw, err := mustLookup(t, "software").Assemble(ctx, genome.NewSliceSource(reads), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pim, err := mustLookup(t, "pim").Assemble(ctx, genome.NewSliceSource(reads), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sw.Contigs) != len(pim.Contigs) {
-		t.Fatalf("contig count: software %d, pim %d", len(sw.Contigs), len(pim.Contigs))
-	}
-	for i := range sw.Contigs {
-		if !sw.Contigs[i].Seq.Equal(pim.Contigs[i].Seq) {
-			t.Fatalf("contig %d differs between software and pim engines", i)
-		}
+	for name, o := range map[string]assembly.Options{
+		"default":                   {},
+		"mincount":                  {MinCount: 2},
+		"simplify":                  {Simplify: true},
+		"correct":                   {Correct: true},
+		"correct+simplify+mincount": {Correct: true, Simplify: true, MinCount: 2},
+		"scaffold":                  {Scaffold: true, MinOverlap: 12},
+		"fleury":                    {UseFleury: true},
+	} {
+		o.K = 16
+		opts := Options{Options: o, Subarrays: 16}
+		t.Run(name, func(t *testing.T) {
+			sw, err := mustLookup(t, "software").Assemble(ctx, genome.NewSliceSource(reads), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := genome.NewScannerSource(genome.NewScanner(bytes.NewReader(fasta.Bytes()), genome.FormatFASTA))
+			pim, err := mustLookup(t, "pim").Assemble(ctx, stream, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sw.Contigs) != len(pim.Contigs) {
+				t.Fatalf("contig count: software %d, pim %d", len(sw.Contigs), len(pim.Contigs))
+			}
+			for i := range sw.Contigs {
+				if !sw.Contigs[i].Seq.Equal(pim.Contigs[i].Seq) {
+					t.Fatalf("contig %d differs between software and pim engines", i)
+				}
+			}
+			if len(sw.Scaffolds) != len(pim.Scaffolds) || (o.Scaffold && len(sw.Scaffolds) == 0) {
+				t.Fatalf("scaffold count: software %d, pim %d", len(sw.Scaffolds), len(pim.Scaffolds))
+			}
+			for i := range sw.Scaffolds {
+				if !sw.Scaffolds[i].Seq.Equal(pim.Scaffolds[i].Seq) {
+					t.Fatalf("scaffold %d differs between software and pim engines", i)
+				}
+			}
+			if (sw.EulerWalk == nil) != (pim.EulerWalk == nil) || (sw.EulerErr == nil) != (pim.EulerErr == nil) {
+				t.Fatalf("Euler walk: software %d nodes (err %v), pim %d nodes (err %v)",
+					len(sw.EulerWalk), sw.EulerErr, len(pim.EulerWalk), pim.EulerErr)
+			}
+		})
 	}
 }
 

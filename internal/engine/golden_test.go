@@ -133,7 +133,7 @@ func TestGoldenSimulatedStatistics(t *testing.T) {
 		p := core.NewDefaultPlatform()
 		popts := opts.Options
 		popts.ParallelStage1 = true
-		if _, err := assembly.AssemblePIM(p, reads, popts, opts.Subarrays); err != nil {
+		if _, err := assembly.AssemblePIM(p, genome.NewSliceSource(reads), popts, opts.Subarrays); err != nil {
 			t.Fatal(err)
 		}
 		canonical := p.Stream().Canonical()

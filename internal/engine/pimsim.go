@@ -26,14 +26,8 @@ func (e pimEngine) Assemble(ctx context.Context, src genome.ReadSource, opts Opt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// The simulated sub-array loader addresses reads by bank slot, so the
-	// functional engine drains the source up front.
-	reads, err := genome.ReadAll(src)
-	if err != nil {
-		return nil, err
-	}
 	p := core.NewDefaultPlatform()
-	res, err := assembly.AssemblePIM(p, reads, opts.Options, opts.subarrays())
+	res, err := assembly.AssemblePIM(p, src, opts.Options, opts.subarrays())
 	if err != nil {
 		return nil, err
 	}
@@ -41,17 +35,7 @@ func (e pimEngine) Assemble(ctx context.Context, src genome.ReadSource, opts Opt
 		return nil, err
 	}
 	summary := p.Summarize()
-	counts := res.Counts // a copy: &res.Counts would pin the whole Result
-	rep := &Report{
-		Engine:     e.Name(),
-		Family:     FamilyFunctional,
-		Contigs:    res.Contigs,
-		Scaffolds:  res.Scaffolds,
-		EulerWalk:  res.EulerWalk,
-		EulerErr:   res.EulerErr,
-		Counts:     &counts,
-		Functional: &summary,
-	}
-	score(rep, opts)
+	rep := NewReport(e.Name(), FamilyFunctional, &res.Result, opts)
+	rep.Functional = &summary
 	return rep, nil
 }

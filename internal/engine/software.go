@@ -31,19 +31,8 @@ func (e softwareEngine) Assemble(ctx context.Context, src genome.ReadSource, opt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Copies, not &res.Counts: an interior pointer would keep the whole
-	// Result — k-mer table and graph — alive as long as the Report.
-	counts, timings := res.Counts, res.Timings
-	rep := &Report{
-		Engine:    e.Name(),
-		Family:    FamilySoftware,
-		Contigs:   res.Contigs,
-		Scaffolds: res.Scaffolds,
-		EulerWalk: res.EulerWalk,
-		EulerErr:  res.EulerErr,
-		Counts:    &counts,
-		Timings:   &timings,
-	}
-	score(rep, opts)
+	rep := NewReport(e.Name(), FamilySoftware, res, opts)
+	timings := res.Timings // a copy, as the counts are
+	rep.Timings = &timings
 	return rep, nil
 }

@@ -67,7 +67,7 @@ func FaultStudy() []FaultCorner {
 		p := core.NewDefaultPlatform()
 		injector := fault.NewInjector(corner.Rates, stats.NewRNG(Seed+2))
 		injector.AttachPlatform(p)
-		res, err := assembly.AssemblePIM(p, reads, opts, 16)
+		res, err := assembly.AssemblePIM(p, genome.NewSliceSource(reads), opts, 16)
 		corner.FlippedBits = injector.FlippedBits
 		if err != nil {
 			corner.Failed = true

@@ -46,14 +46,14 @@ func Stream() StreamReport {
 	opts := assembly.Options{K: 16}
 
 	p := core.NewDefaultPlatform()
-	res, err := assembly.AssemblePIM(p, reads, opts, 16)
+	res, err := assembly.AssemblePIM(p, genome.NewSliceSource(reads), opts, 16)
 	if err != nil {
 		panic(err)
 	}
 
 	opts.ParallelStage1 = true
 	pp := core.NewDefaultPlatform()
-	if _, err := assembly.AssemblePIM(pp, reads, opts, 16); err != nil {
+	if _, err := assembly.AssemblePIM(pp, genome.NewSliceSource(reads), opts, 16); err != nil {
 		panic(err)
 	}
 	match := true

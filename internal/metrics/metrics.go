@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 
-	"pimassembler/internal/align"
 	"pimassembler/internal/debruijn"
 	"pimassembler/internal/genome"
 )
@@ -83,7 +82,7 @@ func evaluate(contigs []debruijn.Contig, ref *genome.Sequence, maxEditRate float
 		if idx < 0 {
 			if maxEditRate >= 0 {
 				maxEdits := int(maxEditRate * float64(cl))
-				if align.WithinDistance(c.Seq, ref, maxEdits) {
+				if withinDistance(c.Seq, ref, maxEdits) {
 					rep.NearMiss++
 					alignedBases += cl
 					continue

@@ -352,21 +352,10 @@ func merge(res *Result, opts engine.Options) (*engine.Report, error) {
 		return nil, fmt.Errorf("shard: merge: %w", err)
 	}
 
-	rep := &engine.Report{
-		Engine: label(res.Engines),
-		// The merged contigs come out of the reference pipeline's merge
-		// pass, whatever families the shards ran.
-		Family:    engine.FamilySoftware,
-		Contigs:   mres.Contigs,
-		Scaffolds: mres.Scaffolds,
-		EulerWalk: mres.EulerWalk,
-		EulerErr:  mres.EulerErr,
-		Counts:    mergedCounts(res.PerShard, &mres.Counts),
-	}
-	if opts.Ref != nil {
-		q := metrics.Evaluate(rep.Contigs, opts.Ref)
-		rep.Quality = &q
-	}
+	// The merged contigs come out of the reference pipeline's merge pass,
+	// whatever families the shards ran.
+	rep := engine.NewReport(label(res.Engines), engine.FamilySoftware, mres, opts)
+	rep.Counts = mergedCounts(res.PerShard, rep.Counts)
 	return rep, nil
 }
 
