@@ -73,7 +73,7 @@ lint:
 # package). FUZZTIME=10s is the CI smoke budget; raise it locally for a
 # real hunt.
 FUZZTIME ?= 10s
-FUZZ_PKGS = ./internal/genome ./internal/debruijn ./internal/kmer ./internal/distshard ./internal/sched
+FUZZ_PKGS = ./internal/genome ./internal/debruijn ./internal/kmer ./internal/correct ./internal/distshard ./internal/sched
 
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \
@@ -105,15 +105,18 @@ bench:
 	done
 	@echo "wrote $(BENCH_OUT)"
 
-# CPU and heap profiles of BenchmarkSoftwarePipeline100k (the end-to-end
-# benchmark's sw_100k shape), single-threaded as that benchmark runs it. The
+# CPU and heap profiles of one root benchmark, single-threaded as the
+# end-to-end benchmark runs the software workloads: by default
+# BenchmarkSoftwarePipeline100k (the sw_100k shape);
+# PROFILE_BENCH=BenchmarkSoftwarePipelineNoisy is the sw_noisy_k32 shape. The
 # test binary and the profiles stay under PROFILE_DIR; read them with
 #   go tool pprof -top $(PROFILE_DIR)/pimassembler.test $(PROFILE_DIR)/cpu.pprof
 PROFILE_DIR ?= /tmp/pimassembler-profile
+PROFILE_BENCH ?= BenchmarkSoftwarePipeline100k
 
 profile:
 	@mkdir -p $(PROFILE_DIR)
-	GOMAXPROCS=1 $(GO) test -run='^$$' -bench='^BenchmarkSoftwarePipeline100k$$' -benchtime=5x -benchmem \
+	GOMAXPROCS=1 $(GO) test -run='^$$' -bench='^$(PROFILE_BENCH)$$' -benchtime=5x -benchmem \
 		-o $(PROFILE_DIR)/pimassembler.test -cpuprofile $(PROFILE_DIR)/cpu.pprof -memprofile $(PROFILE_DIR)/heap.pprof .
 	@echo "profiles in $(PROFILE_DIR): cpu.pprof heap.pprof (binary pimassembler.test)"
 

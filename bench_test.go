@@ -340,12 +340,26 @@ func BenchmarkSoftwarePipeline(b *testing.B) {
 // FASTA bytes → scanner source → software engine → contigs. `make profile`
 // writes its CPU and heap profiles.
 func BenchmarkSoftwarePipeline100k(b *testing.B) {
+	benchSoftwarePipeline(b, 1_000_000, 100_000, 0, assembly.Options{K: 16})
+}
+
+// BenchmarkSoftwarePipelineNoisy is the sw_noisy_k32 shape and option set
+// (30 k × 101 bp reads of a 100 kbp genome with 1 % substitutions, k=32,
+// Correct + Simplify + MinCount=2), where read correction is the stage to
+// watch: `make profile PROFILE_BENCH=BenchmarkSoftwarePipelineNoisy`.
+func BenchmarkSoftwarePipelineNoisy(b *testing.B) {
+	benchSoftwarePipeline(b, 100_000, 30_000, 0.01, assembly.Options{K: 32, Correct: true, Simplify: true, MinCount: 2})
+}
+
+// benchSoftwarePipeline times the software engine from encoded FASTA bytes to
+// contigs over reads sampled from a random genome.
+func benchSoftwarePipeline(b *testing.B, genomeLen, reads int, errRate float64, opts assembly.Options) {
 	rng := stats.NewRNG(1)
-	ref := genome.GenerateGenome(1_000_000, rng)
-	sampler := genome.NewReadSampler(ref, 101, 0, rng)
+	ref := genome.GenerateGenome(genomeLen, rng)
+	sampler := genome.NewReadSampler(ref, 101, errRate, rng)
 	var fasta bytes.Buffer
 	w := genome.NewRecordWriter(&fasta)
-	for i := 0; i < 100_000; i++ {
+	for i := 0; i < reads; i++ {
 		if err := w.Write(genome.Record{Name: fmt.Sprintf("r%d", i), Seq: sampler.Next()}); err != nil {
 			b.Fatal(err)
 		}
@@ -357,13 +371,12 @@ func BenchmarkSoftwarePipeline100k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := engine.Options{Options: assembly.Options{K: 16}}
 	var contigs int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := genome.NewScannerSource(genome.NewScanner(bytes.NewReader(fasta.Bytes()), genome.FormatFASTA))
-		rep, err := eng.Assemble(context.Background(), src, opts)
+		rep, err := eng.Assemble(context.Background(), src, engine.Options{Options: opts})
 		if err != nil {
 			b.Fatal(err)
 		}

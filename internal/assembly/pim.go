@@ -121,6 +121,12 @@ func (t *readback) Count(km kmer.Kmer) uint32 {
 	return 0
 }
 
+func (t *readback) CountAll(kms []kmer.Kmer, counts []uint32) {
+	for i, km := range kms {
+		counts[i] = t.Count(km)
+	}
+}
+
 func (t *readback) Each(fn func(kmer.Kmer, uint32) bool) {
 	for _, e := range t.entries {
 		if !fn(e.Kmer, e.Count) {

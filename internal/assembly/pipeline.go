@@ -215,7 +215,7 @@ func corrected(reads []*genome.Sequence, opts Options) []*genome.Sequence {
 	}
 	copies := make([]*genome.Sequence, len(reads))
 	for i, r := range reads {
-		copies[i] = r.Subsequence(0, r.Len())
+		copies[i] = r.Clone()
 	}
 	correct.FromReadsWorkers(copies, opts.K, threshold, 4, opts.CountWorkers).CorrectAll(copies)
 	return copies

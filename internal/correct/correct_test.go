@@ -109,3 +109,31 @@ func TestNewPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestCorrectAllAllocations pins the allocation shape: a CorrectAll call
+// allocates its per-worker scratch (a handful of slices grown to the read
+// length) and the fan-out's bookkeeping — O(workers), nothing per read, per
+// window or per candidate.
+func TestCorrectAllAllocations(t *testing.T) {
+	_, _, reads := errReads(9, 3000, 101, 2000, 0.01)
+	c := FromReads(reads, 21, 3, 4)
+	for _, workers := range []int{1, 4} {
+		c.workers = workers
+		const runs = 3
+		copies := make([][]*genome.Sequence, runs+1) // AllocsPerRun warms up once
+		for i := range copies {
+			copies[i] = cloneReads(reads)
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			if st := c.CorrectAll(copies[next]); st.Edits == 0 {
+				t.Fatal("nothing corrected")
+			}
+			next++
+		})
+		if limit := float64(32 * workers); allocs > limit {
+			t.Errorf("workers=%d: %v allocations repairing %d reads, want at most %v", workers, allocs, len(reads), limit)
+		}
+		t.Logf("workers=%d: %v allocations for %d reads", workers, allocs, len(reads))
+	}
+}

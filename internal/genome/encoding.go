@@ -155,6 +155,17 @@ func (s *Sequence) Subsequence(from, length int) *Sequence {
 	return out
 }
 
+// Clone returns an independent copy of s.
+func (s *Sequence) Clone() *Sequence {
+	return &Sequence{n: s.n, packed: append([]byte(nil), s.packed...)}
+}
+
+// Packed returns the sequence's storage: four bases per byte, base 4i+j in
+// bits 2j and 2j+1 of byte i. The slice aliases s, so a caller may read it
+// but must not write it; it is how the k-mer scans read a sequence without a
+// bounds-checked Base call per base.
+func (s *Sequence) Packed() []byte { return s.packed }
+
 // ReverseComplement returns the reverse complement.
 func (s *Sequence) ReverseComplement() *Sequence {
 	out := NewSequence(s.n)

@@ -328,3 +328,19 @@ func TestFlattenRestoresForwardStrand(t *testing.T) {
 		}
 	}
 }
+
+func TestCloneIsIndependent(t *testing.T) {
+	for _, text := range []string{"", "A", "ACGT", "ACGTACGTA"} {
+		s := MustFromString(text)
+		c := s.Clone()
+		if !c.Equal(s) || c.String() != text {
+			t.Fatalf("clone of %q reads %q", text, c)
+		}
+		if c.Len() > 0 {
+			c.SetBase(0, c.Base(0).Complement())
+			if s.String() != text {
+				t.Fatalf("editing the clone changed the original %q -> %q", text, s)
+			}
+		}
+	}
+}

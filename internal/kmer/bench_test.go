@@ -53,3 +53,34 @@ func BenchmarkCountReads(b *testing.B) {
 		CountReads(reads, 16)
 	}
 }
+
+// BenchmarkCountAll is the corrector's lookup shape — every 32-mer of 101 bp
+// reads against their own spectrum, a read's worth per call — as CountAll
+// through the Counter interface and as one interface Count call per k-mer,
+// which is what the corrector did before.
+func BenchmarkCountAll(b *testing.B) {
+	rng := stats.NewRNG(4)
+	g := genome.GenerateGenome(400_000, rng)
+	reads := genome.NewReadSampler(g, 101, 0.01, rng).Sample(60_000)
+	var tbl Counter = CountReads(reads, 32)
+	var kms []Kmer
+	for _, r := range reads {
+		kms = AppendKmers(kms, r, 32)
+	}
+	counts := make([]uint32, len(kms))
+	const perRead = 101 - 32 + 1
+	b.Run("batched", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for at := 0; at < len(kms); at += perRead {
+				tbl.CountAll(kms[at:at+perRead], counts[at:])
+			}
+		}
+	})
+	b.Run("loop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, km := range kms {
+				counts[j] = tbl.Count(km)
+			}
+		}
+	})
+}

@@ -6,6 +6,7 @@ package kmer
 
 import (
 	"fmt"
+	"slices"
 
 	"pimassembler/internal/genome"
 )
@@ -155,14 +156,64 @@ func Iterate(s *genome.Sequence, k int, fn func(Kmer)) {
 	}
 }
 
+// roller walks the rolling k-mer window of Iterate over a sequence's packed
+// bytes, a batch of k-mers at a time: no per-base bounds-checked Base call
+// and no callback per k-mer. Same k-mers, same order as Iterate.
+type roller struct {
+	packed []byte
+	next   int  // next base to shift in
+	n      int  // sequence length
+	top    uint // bit offset of base k-1
+	km     Kmer // the window ending at base next-1
+}
+
+// newRoller primes the window with the first k-1 bases of s. A sequence
+// shorter than k yields a roller that is already exhausted.
+func newRoller(s *genome.Sequence, k int) roller {
+	checkK(k)
+	r := roller{packed: s.Packed(), n: s.Len(), top: 2 * uint(k-1)}
+	if r.n < k {
+		r.next = r.n
+		return r
+	}
+	for ; r.next < k-1; r.next++ {
+		r.km = r.km>>2 | r.base(r.next)<<r.top
+	}
+	return r
+}
+
+func (r *roller) base(i int) Kmer { return Kmer(r.packed[i>>2] >> (uint(i&3) * 2) & 3) }
+
+// fill writes the next k-mers into dst and returns how many it wrote: len(dst)
+// or however many the sequence has left.
+func (r *roller) fill(dst []Kmer) int {
+	dst = dst[:min(len(dst), r.n-r.next)]
+	km, i := r.km, r.next
+	for j := range dst {
+		km = km>>2 | r.base(i)<<r.top
+		dst[j] = km
+		i++
+	}
+	r.km, r.next = km, i
+	return len(dst)
+}
+
+// AppendKmers appends all k-mers of s, in order, to dst and returns the
+// extended slice — Iterate into a caller-owned buffer.
+func AppendKmers(dst []Kmer, s *genome.Sequence, k int) []Kmer {
+	r := newRoller(s, k)
+	at, n := len(dst), r.n-r.next
+	dst = slices.Grow(dst, n)[:at+n]
+	r.fill(dst[at:])
+	return dst
+}
+
 // Extract returns all k-mers of s in order.
 func Extract(s *genome.Sequence, k int) []Kmer {
 	if s.Len() < k {
 		return nil
 	}
-	out := make([]Kmer, 0, s.Len()-k+1)
-	Iterate(s, k, func(km Kmer) { out = append(out, km) })
-	return out
+	return AppendKmers(nil, s, k)
 }
 
 // ToSequence expands the k-mer back into a Sequence.

@@ -1,6 +1,7 @@
 package kmer
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -100,6 +101,25 @@ func TestIterateMatchesExtract(t *testing.T) {
 		want := FromSequence(s.Subsequence(i, k), k)
 		if km != want {
 			t.Fatalf("k-mer %d: rolling %q != direct %q", i, km.String(k), want.String(k))
+		}
+	}
+}
+
+// TestAppendKmersMatchesIterate pins the packed-byte roll to the per-base
+// one: same k-mers in the same order for every k, for sequences shorter than
+// k, exactly k and longer (every alignment of the last base within its
+// byte), appended after whatever dst already holds.
+func TestAppendKmersMatchesIterate(t *testing.T) {
+	rng := stats.NewRNG(17)
+	g := genome.GenerateGenome(200, rng)
+	for k := 1; k <= MaxK; k++ {
+		for n := 0; n <= k+9; n++ {
+			s := g.Subsequence(n, n)
+			want := []Kmer{42}
+			Iterate(s, k, func(km Kmer) { want = append(want, km) })
+			if got := AppendKmers([]Kmer{42}, s, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d len=%d: AppendKmers %v, Iterate %v", k, n, got, want)
+			}
 		}
 	}
 }

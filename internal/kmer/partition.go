@@ -115,7 +115,16 @@ func (t *PartitionedTable) Add(km Kmer) uint32 {
 
 // Count returns the stored count of km (0 if absent).
 func (t *PartitionedTable) Count(km Kmer) uint32 {
-	return t.parts[t.partition(km)].Count(km)
+	hash := km.Hash()
+	return t.parts[hash>>t.shift].countHashed(km, hash)
+}
+
+// CountAll stores Count(kms[i]) in counts[i] for every i.
+func (t *PartitionedTable) CountAll(kms []Kmer, counts []uint32) {
+	counts = counts[:len(kms)]
+	for i, km := range kms {
+		counts[i] = t.Count(km)
+	}
 }
 
 // Each calls fn for every entry, partition by partition in index order and
