@@ -84,32 +84,20 @@ fuzz-smoke:
 		done; \
 	done
 
-# Root benchmark suite, recorded as a tracked JSON artefact
-# (benchmark name -> iterations + every value/unit pair). BENCHTIME=1x is
-# the CI smoke mode: every benchmark runs once, proving the benchjson
-# artefact pipeline still parses without paying full measurement time.
-BENCH_OUT ?= BENCH_PR14.json
-BENCHTIME ?= 1s
-
-# The artefact must carry the functional-engine and scheduler benchmarks:
-# the simulator's accounting cost went unmeasured for ten PRs because no
-# recorded benchmark reached Platform.Summarize. The same goes for the
-# software pipeline at the end-to-end benchmark's size: the 2 000-read
-# benchmarks never left the cache, so they never showed the table sizing.
-BENCH_REQUIRED = BenchmarkPIMEngine BenchmarkScheduleStream BenchmarkSoftwarePipeline100k
-
+# Every Benchmark* of the root module once, writing no file: the root's
+# paper-artefact and ablation benchmarks (modeled quantities) and the
+# per-package micro-benchmarks execute in CI so they cannot rot. It measures
+# nothing — host performance is bench/run.sh's job (`bash bench/run.sh -out
+# DIR`, then `-compare`).
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run='^$$' . | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
-	@for k in $(BENCH_REQUIRED); do \
-		grep -q "\"$$k" $(BENCH_OUT) || { echo "$$k missing from $(BENCH_OUT)"; exit 1; }; \
-	done
-	@echo "wrote $(BENCH_OUT)"
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # CPU and heap profiles of one root benchmark, single-threaded as the
 # end-to-end benchmark runs the software workloads: by default
 # BenchmarkSoftwarePipeline100k (the sw_100k shape);
-# PROFILE_BENCH=BenchmarkSoftwarePipelineNoisy is the sw_noisy_k32 shape. The
-# test binary and the profiles stay under PROFILE_DIR; read them with
+# PROFILE_BENCH=BenchmarkSoftwarePipelineNoisy is the sw_noisy_k32 shape and
+# PROFILE_BENCH=BenchmarkPIMEngine the functional simulator. The test binary
+# and the profiles stay under PROFILE_DIR; read them with
 #   go tool pprof -top $(PROFILE_DIR)/pimassembler.test $(PROFILE_DIR)/cpu.pprof
 PROFILE_DIR ?= /tmp/pimassembler-profile
 PROFILE_BENCH ?= BenchmarkSoftwarePipeline100k
@@ -130,14 +118,15 @@ bench-check:
 # The full local gate, one-to-one with .github/workflows/ci.yml: the check
 # suite (whose tests include the multi-process sharding run on the real
 # cmd/assemble binary and the daemon run on the real cmd/assembled binary),
-# the nested bench module's vet + tests, lint, the fuzz smoke, and the bench
-# smoke run. Keep the two in sync — CI must run exactly these commands.
+# the nested bench module's vet + tests, lint, the fuzz smoke, and one
+# iteration of every benchmark. Keep the two in sync — CI must run exactly
+# these commands.
 ci:
 	$(MAKE) check
 	$(MAKE) bench-check
 	$(MAKE) lint
 	$(MAKE) fuzz-smoke
-	$(MAKE) bench BENCH_OUT=/tmp/bench.json BENCHTIME=1x
+	$(MAKE) bench
 
 # Regenerate every paper table and figure (text + CSV for the plottable ones).
 reproduce: build

@@ -231,16 +231,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opts := defaults
 	if *refPath != "" {
-		refRecs, err := loadRecords(*refPath)
+		refSeqs, err := loadReads(*refPath)
 		if err != nil {
 			fmt.Fprintln(stderr, "assemble:", err)
 			return exitRuntime
 		}
-		if len(refRecs) != 1 {
-			fmt.Fprintf(stderr, "assemble: reference FASTA must hold exactly one sequence, got %d\n", len(refRecs))
+		if len(refSeqs) != 1 {
+			fmt.Fprintf(stderr, "assemble: reference FASTA must hold exactly one sequence, got %d\n", len(refSeqs))
 			return exitRuntime
 		}
-		opts.Ref = refRecs[0].Seq
+		opts.Ref = refSeqs[0]
 	}
 
 	var rep *engine.Report
@@ -305,8 +305,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "assemble:", err)
 		return exitRuntime
 	}
-	defer f.Close()
-	if err := genome.WriteFASTA(f, records); err != nil {
+	err = genome.WriteFASTA(f, records)
+	// A short write can surface only at close (full disk): exit 0 must mean
+	// the whole contigs file is on its way to the device.
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		fmt.Fprintln(stderr, "assemble:", err)
 		return exitRuntime
 	}
@@ -390,23 +395,6 @@ func report(w io.Writer, rep *engine.Report, parallel bool) {
 		fmt.Fprintf(w, "analytical engine %s (contigs from the measured software reference run):\n  %s\n",
 			rep.Engine, rep.Cost)
 	}
-}
-
-func loadRecords(path string) ([]genome.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var records []genome.Record
-	err = genome.ScanRecords(f, genome.DetectFormat(path), func(r genome.Record) error {
-		records = append(records, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return records, nil
 }
 
 // loadReads streams the input one record at a time — only the packed 2-bit

@@ -105,6 +105,20 @@ func TestRunSingleJob(t *testing.T) {
 	}
 }
 
+// TestRunOutWriteError pins that a contigs file the device cannot hold
+// fails the run: exit 1 with the OS error, never a silent truncated -out.
+func TestRunOutWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	readsPath := writeReads(t, t.TempDir(), "reads.fasta", 42, 120)
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-in", readsPath, "-out", "/dev/full"}, &stdout, &stderr)
+	if code != exitRuntime || !strings.Contains(stderr.String(), "no space left") {
+		t.Fatalf("exit code = %d, want %d with ENOSPC (stderr: %s)", code, exitRuntime, stderr.String())
+	}
+}
+
 // TestRunSharded pins the sharded CLI mode: `-shards 1` output is
 // byte-identical to an unsharded run (stdout and the contigs file), and a
 // multi-shard multi-engine run merges to the same contigs.

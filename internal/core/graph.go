@@ -61,10 +61,6 @@ func NewGraphEngine(p *Platform, g *debruijn.Graph, firstSubarray int) *GraphEng
 // Groups returns the number of vertex intervals.
 func (e *GraphEngine) Groups() int { return e.groups }
 
-// BlocksUsed returns how many adjacency blocks (sub-arrays, excluding
-// transposes) hold at least one edge.
-func (e *GraphEngine) BlocksUsed() int { return len(e.blockSub) }
-
 // SubarraysNeeded returns the paper's allocation formula Ns = ⌈N/f⌉ for this
 // graph on this geometry.
 func (e *GraphEngine) SubarraysNeeded() int {

@@ -35,7 +35,6 @@ type Platform struct {
 	subs   map[int]*subarray.Subarray
 	meter  *dram.Meter
 	stream *exec.Stream
-	stage  exec.Stage
 	fault  subarray.FaultHook
 
 	// bulkMeters is the pool of private per-sub-array meters the bulk
@@ -97,17 +96,6 @@ func (p *Platform) Meter() *dram.Meter { return p.meter }
 // Stream returns the recorded per-sub-array command stream.
 func (p *Platform) Stream() *exec.Stream { return p.stream }
 
-// BeginStage sets the pipeline-stage tag stamped on subsequent commands of
-// every sub-array (materialised now or later). Callers that drive one
-// sub-array at a time (the hash table, the graph engine) may instead tag
-// the individual sub-array via subarray.SetStage.
-func (p *Platform) BeginStage(st exec.Stage) {
-	p.stage = st
-	for _, s := range p.subs {
-		s.SetStage(st)
-	}
-}
-
 // Subarray returns sub-array i, materialising it on first use.
 //
 // Materialisation mutates the platform's sub-array map and is NOT safe for
@@ -124,7 +112,6 @@ func (p *Platform) Subarray(i int) *subarray.Subarray {
 		s = subarray.New(p.geom, p.meter)
 		s.SetFaultHook(p.fault)
 		s.AttachRecorder(p.stream, i)
-		s.SetStage(p.stage)
 		p.subs[i] = s
 	}
 	return s
@@ -148,7 +135,6 @@ func (p *Platform) Reset() {
 	p.subs = make(map[int]*subarray.Subarray)
 	p.meter.Reset()
 	p.stream.Reset()
-	p.stage = exec.StageNone
 }
 
 // String summarises the platform.
@@ -161,15 +147,6 @@ func (p *Platform) String() string {
 func (p *Platform) SchedConfig() sched.Config {
 	return sched.DefaultConfig(p.geom, p.timing)
 }
-
-// ParallelEstimate returns the whole-run controller schedule of the
-// recorded stream (Summarize's Makespan).
-func (p *Platform) ParallelEstimate() sched.Result { return p.Summarize().Makespan }
-
-// StageEstimates schedules each pipeline stage's command subsequence
-// independently — the per-stage makespans the evaluation reports
-// (Summarize's Stages).
-func (p *Platform) StageEstimates() map[exec.Stage]sched.Result { return p.Summarize().Stages }
 
 // Summary bundles every accounting view of one functional run: the serial
 // meter totals, the scheduled whole-run makespan, the per-stage schedules,

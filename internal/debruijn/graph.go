@@ -368,12 +368,6 @@ func (g *Graph) SortedIDs() []int32 {
 	return g.order
 }
 
-// KmerOfID returns the (k-1)-mer interned as id.
-func (g *Graph) KmerOfID(id int32) kmer.Kmer {
-	g.finalize()
-	return g.idx.At(id)
-}
-
 // RankOfID returns id's position within SortedIDs, or -1 for pruned nodes.
 func (g *Graph) RankOfID(id int32) int32 {
 	g.finalize()

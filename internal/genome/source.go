@@ -169,53 +169,6 @@ func (s *FileSource) Reset() error {
 	return nil
 }
 
-// concatSource chains sources end to end.
-type concatSource struct {
-	srcs []ReadSource
-	idx  int
-}
-
-// Concat returns a ReadSource yielding every read of each source in turn,
-// advancing past each child's io.EOF. It is resettable iff every child is.
-func Concat(srcs ...ReadSource) ReadSource {
-	return &concatSource{srcs: srcs}
-}
-
-// Next implements ReadSource.
-func (c *concatSource) Next() (*Sequence, error) {
-	for c.idx < len(c.srcs) {
-		if c.srcs[c.idx] == nil {
-			c.idx++
-			continue
-		}
-		r, err := c.srcs[c.idx].Next()
-		if err == io.EOF {
-			c.idx++
-			continue
-		}
-		return r, err
-	}
-	return nil, io.EOF
-}
-
-// Reset rewinds every child; it fails on the first non-resettable one.
-func (c *concatSource) Reset() error {
-	for _, src := range c.srcs {
-		if src == nil {
-			continue
-		}
-		r, ok := src.(interface{ Reset() error })
-		if !ok {
-			return fmt.Errorf("genome: concat source: child %T is not resettable", src)
-		}
-		if err := r.Reset(); err != nil {
-			return err
-		}
-	}
-	c.idx = 0
-	return nil
-}
-
 // ReadAll drains src into a slice — the bridge for consumers that still
 // need random access (the functional PIM engine's sub-array loader). A nil
 // src yields a nil slice.

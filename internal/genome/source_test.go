@@ -152,27 +152,6 @@ func TestNewFileSourceOpensAtFirstNext(t *testing.T) {
 	}
 }
 
-func TestConcatChainsAndResets(t *testing.T) {
-	a := mustSeqs(t, "AA", "CC")
-	b := mustSeqs(t, "GG")
-	src := Concat(NewSliceSource(a), nil, NewSliceSource(nil), NewSliceSource(b))
-	for round := 0; round < 2; round++ {
-		got := drain(t, src)
-		if len(got) != 3 || got[0] != a[0] || got[1] != a[1] || got[2] != b[0] {
-			t.Fatalf("round %d: unexpected concat order: %v", round, got)
-		}
-		if err := src.(interface{ Reset() error }).Reset(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A non-resettable child makes the concatenation non-resettable.
-	mixed := Concat(NewScannerSource(NewScanner(strings.NewReader(">a\nAC\n"), FormatFASTA)))
-	if err := mixed.(interface{ Reset() error }).Reset(); err == nil {
-		t.Fatal("Reset over a ScannerSource child succeeded")
-	}
-}
-
 func TestReadAllNil(t *testing.T) {
 	reads, err := ReadAll(nil)
 	if err != nil || reads != nil {

@@ -129,9 +129,6 @@ func (s *Scanner) Record() Record { return s.rec }
 // Err returns the first error encountered (nil at a clean end of stream).
 func (s *Scanner) Err() error { return s.err }
 
-// Line returns the number of the last input line consumed.
-func (s *Scanner) Line() int { return s.line }
-
 // nextLine returns the next non-blank trimmed line; the bytes are valid
 // until the following call.
 func (s *Scanner) nextLine() ([]byte, bool) {

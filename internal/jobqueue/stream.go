@@ -111,13 +111,6 @@ func (s *Stream) SubmitCtx(ctx context.Context, spec Spec) (int, error) {
 	return slot, nil
 }
 
-// Submitted returns how many jobs have been accepted so far.
-func (s *Stream) Submitted() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
-}
-
 // Depth returns the queue depth: jobs submitted but not yet terminal. It
 // is the gauge a bounded-admission front door watches — with admission
 // capped upstream, Depth never exceeds that budget plus the pool width.

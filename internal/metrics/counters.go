@@ -105,12 +105,6 @@ func (c *Counters) Snapshot() map[string]int64 {
 	return counts
 }
 
-// LatencySnapshot returns every latency series, keyed by name.
-func (c *Counters) LatencySnapshot() map[string]LatencySummary {
-	_, lats := c.SnapshotAll()
-	return lats
-}
-
 // SnapshotAll returns every counter and every latency series from a single
 // lock acquisition — one consistent view, so renderers (String, the
 // Prometheus exporter) never interleave two reads of a moving registry.

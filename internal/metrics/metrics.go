@@ -135,28 +135,3 @@ func evaluate(contigs []debruijn.Contig, ref *genome.Sequence, maxEditRate float
 	}
 	return rep
 }
-
-// CompareReports returns a short verdict of how b improves (or degrades) on
-// a — used by the simplification and fault studies.
-func CompareReports(a, b Report) string {
-	verdict := func(name string, av, bv float64, higherBetter bool) string {
-		switch {
-		case av == bv:
-			return ""
-		case (bv > av) == higherBetter:
-			return fmt.Sprintf(" %s improved (%.4g -> %.4g);", name, av, bv)
-		default:
-			return fmt.Sprintf(" %s degraded (%.4g -> %.4g);", name, av, bv)
-		}
-	}
-	var sb strings.Builder
-	sb.WriteString("comparison:")
-	sb.WriteString(verdict("N50", float64(a.N50), float64(b.N50), true))
-	sb.WriteString(verdict("genome fraction", a.GenomeFraction, b.GenomeFraction, true))
-	sb.WriteString(verdict("misassemblies", float64(a.Misassembled), float64(b.Misassembled), false))
-	sb.WriteString(verdict("contig count", float64(a.Contigs), float64(b.Contigs), false))
-	if sb.String() == "comparison:" {
-		return "comparison: identical"
-	}
-	return strings.TrimSuffix(sb.String(), ";")
-}

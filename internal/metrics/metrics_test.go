@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"testing"
 
 	"pimassembler/internal/assembly"
@@ -122,17 +121,6 @@ func TestSimplificationImprovesMetrics(t *testing.T) {
 	if repClean.Contigs >= repNoisy.Contigs {
 		t.Fatalf("simplification did not reduce fragmentation: %d vs %d",
 			repClean.Contigs, repNoisy.Contigs)
-	}
-	verdict := CompareReports(repNoisy, repClean)
-	if !strings.Contains(verdict, "N50 improved") {
-		t.Fatalf("verdict missing N50 improvement: %s", verdict)
-	}
-}
-
-func TestCompareReportsIdentical(t *testing.T) {
-	r := Report{N50: 5, GenomeFraction: 0.5}
-	if got := CompareReports(r, r); got != "comparison: identical" {
-		t.Fatalf("got %q", got)
 	}
 }
 

@@ -101,8 +101,8 @@ func TestParsePrometheusRejectsMalformed(t *testing.T) {
 }
 
 // TestSnapshotAllConsistent pins that SnapshotAll sees counters and
-// latencies from one lock acquisition (both halves present) and that the
-// single-map accessors agree with it.
+// latencies from one lock acquisition (both halves present) and that
+// Snapshot agrees with it.
 func TestSnapshotAllConsistent(t *testing.T) {
 	c := NewCounters()
 	c.Add("n", 5)
@@ -116,8 +116,5 @@ func TestSnapshotAllConsistent(t *testing.T) {
 	}
 	if got := c.Snapshot()["n"]; got != 5 {
 		t.Errorf("Snapshot[n] = %d, want 5", got)
-	}
-	if got := c.LatencySnapshot()["l"]; got != lats["l"] {
-		t.Errorf("LatencySnapshot[l] = %+v, want %+v", got, lats["l"])
 	}
 }

@@ -175,20 +175,6 @@ func bandwidthCost(s platforms.Spec, c assembly.OpCounts) StageCost {
 	}
 }
 
-// CostForPlatform prices one workload on the platform named name
-// (case-insensitive, see platforms.ByName) — the registry-friendly entry
-// point the engine layer and CLIs resolve estimates through.
-func CostForPlatform(name string, c assembly.OpCounts) (StageCost, error) {
-	s, err := platforms.ByName(name)
-	if err != nil {
-		return StageCost{}, err
-	}
-	if err := c.Validate(); err != nil {
-		return StageCost{}, err
-	}
-	return AssemblyCost(s, c), nil
-}
-
 // CostsForK prices every platform in specs on the paper-scale workload.
 func CostsForK(specs []platforms.Spec, counts assembly.OpCounts) []StageCost {
 	out := make([]StageCost, 0, len(specs))
@@ -208,9 +194,6 @@ type PdPoint struct {
 
 // EnergyJ returns the run energy (J).
 func (p PdPoint) EnergyJ() float64 { return p.PowerW * p.DelayS }
-
-// EDP returns the energy-delay product (J·s).
-func (p PdPoint) EDP() float64 { return p.PowerW * p.DelayS * p.DelayS }
 
 // PdTradeoff evaluates PIM-Assembler at parallelism degrees pds: replicated
 // sub-array groups split the workload (including per-component traversal

@@ -272,13 +272,6 @@ func (s *Server) HighWater() int {
 	return s.highWater
 }
 
-// Draining reports whether admission has stopped.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining || s.stopped
-}
-
 // submit admits one job or rejects it with ErrDraining / *QuotaError. The
 // spec must already be validated (engine name, parsed reads).
 func (s *Server) submit(tenantKey, name string, spec jobqueue.Spec) (*job, error) {
