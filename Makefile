@@ -73,7 +73,7 @@ lint:
 # package). FUZZTIME=10s is the CI smoke budget; raise it locally for a
 # real hunt.
 FUZZTIME ?= 10s
-FUZZ_PKGS = ./internal/genome ./internal/debruijn ./internal/kmer ./internal/correct ./internal/distshard ./internal/sched
+FUZZ_PKGS = ./internal/genome ./internal/debruijn ./internal/kmer ./internal/correct ./internal/distshard ./internal/sched ./internal/exec
 
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \

@@ -196,7 +196,10 @@ func countSerial(bank *core.SequenceBank, table *core.HashTable, k int) error {
 // goroutines ever touch the same rows, bitmap, or temp region — and workers
 // are pooled per bank, at most the scheduler's per-bank activation budget
 // running concurrently, mirroring the charge-pump constraint the controller
-// enforces in hardware.
+// enforces in hardware. The whole fan-out is one platform parallel region:
+// each hash sub-array records privately and the records merge in sub-array
+// order after the join, so the stream, its schedule and the meter's energy
+// sum do not depend on how the goroutines interleave.
 func countParallel(p *core.Platform, bank *core.SequenceBank, table *core.HashTable, k int) error {
 	shards := make([][]kmer.Kmer, table.Subarrays())
 	bank.Each(func(_ int, r *genome.Sequence) bool {
@@ -207,8 +210,8 @@ func countParallel(p *core.Platform, bank *core.SequenceBank, table *core.HashTa
 		return true
 	})
 
-	// Sub-array materialisation mutates platform maps: do it all up front so
-	// workers only perform concurrent-safe operations.
+	// Materialising controller-side state mutates the table's maps: do it
+	// all up front so workers only touch the sub-arrays they own.
 	table.Materialize()
 
 	// Group shards by bank; each bank gets its own bounded worker pool.
@@ -224,33 +227,35 @@ func countParallel(p *core.Platform, bank *core.SequenceBank, table *core.HashTa
 	}
 
 	errs := make([]error, table.Subarrays())
-	var wg sync.WaitGroup
-	for _, subs := range perBank {
-		queue := make(chan int, len(subs))
-		for _, subIdx := range subs {
-			queue <- subIdx
-		}
-		close(queue)
-		workers := budget
-		if workers > len(subs) {
-			workers = len(subs)
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for subIdx := range queue {
-					for _, km := range shards[subIdx] {
-						if _, err := table.Add(km); err != nil {
-							errs[subIdx] = err
-							break
+	p.ParallelRegion(table.GlobalSubarray(0), table.Subarrays(), func() {
+		var wg sync.WaitGroup
+		for _, subs := range perBank {
+			queue := make(chan int, len(subs))
+			for _, subIdx := range subs {
+				queue <- subIdx
+			}
+			close(queue)
+			workers := budget
+			if workers > len(subs) {
+				workers = len(subs)
+			}
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for subIdx := range queue {
+						for _, km := range shards[subIdx] {
+							if _, err := table.Add(km); err != nil {
+								errs[subIdx] = err
+								break
+							}
 						}
 					}
-				}
-			}()
+				}()
+			}
 		}
-	}
-	wg.Wait()
+		wg.Wait()
+	})
 
 	// Deterministic error selection: lowest failing sub-array wins,
 	// regardless of goroutine completion order.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pimassembler/internal/bitvec"
-	"pimassembler/internal/dram"
 	"pimassembler/internal/exec"
 	"pimassembler/internal/parallel"
 	"pimassembler/internal/subarray"
@@ -20,10 +19,8 @@ import (
 // Chunks on distinct sub-arrays are independent, so the simulator executes
 // them through the parallel fan-out engine: one worker per active sub-array,
 // each processing its own chunk sequence in order. The digital result, the
-// Meter totals, and each sub-array's final state are bit-identical to the
-// serial schedule (chunk 0, 1, 2, ...) for any worker count — only the
-// interleaving of the recorded command stream across sub-arrays varies,
-// which is the already-documented property of parallel functional runs.
+// Meter totals, the recorded command stream and each sub-array's final state
+// are bit-identical for any worker count (see Platform.ParallelRegion).
 
 // BulkPad returns n rounded up to the next multiple of the row size, the
 // padding rule of the AAP instruction set ("the application must pad it
@@ -65,37 +62,19 @@ func bulkWorkers(rowBits int) int {
 // factory is invoked once per worker so row-staging buffers are allocated
 // per worker, not per sub-array; the returned function runs for every
 // sub-array the worker owns.
-//
-// For the duration of the region every sub-array records into a private
-// meter; the privates are merged into the platform meter in sub-array order
-// after the join, so the meter's floating-point sums are bit-identical for
-// any worker count (concurrent accumulation into one meter would make the
-// addition order — and hence the rounding — scheduling-dependent). The
-// private meters are cached on the platform and reset in place, keeping
-// repeated bulk operations allocation-free.
 func (p *Platform) bulkRun(subs []*subarray.Subarray, worker func() func(si int, s *subarray.Subarray)) {
-	for len(p.bulkMeters) < len(subs) {
-		p.bulkMeters = append(p.bulkMeters, dram.NewMeter(p.timing, p.energy))
-	}
-	prev := make([]*dram.Meter, len(subs))
-	for i, s := range subs {
-		p.bulkMeters[i].Reset()
-		prev[i] = s.SetMeter(p.bulkMeters[i])
-	}
 	workers := bulkWorkers(p.geom.RowBits())
 	if workers > len(subs) {
 		workers = len(subs)
 	}
-	parallel.ForEachWorkers(workers, workers, func(w int) {
-		fn := worker()
-		for si := w; si < len(subs); si += workers {
-			fn(si, subs[si])
-		}
+	p.ParallelRegion(0, len(subs), func() {
+		parallel.ForEachWorkers(workers, workers, func(w int) {
+			fn := worker()
+			for si := w; si < len(subs); si += workers {
+				fn(si, subs[si])
+			}
+		})
 	})
-	for i, s := range subs {
-		s.SetMeter(prev[i])
-		p.meter.Merge(p.bulkMeters[i])
-	}
 }
 
 // BulkXNOR computes the elementwise XNOR of two equal-length bit vectors on

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"pimassembler/internal/bitvec"
@@ -17,8 +18,8 @@ func randomBulkOperand(rng *stats.RNG, n int) *bitvec.Vector {
 }
 
 // meterEqual asserts exact equality — including the floating-point latency
-// and energy sums, which the per-sub-array meter merge keeps bit-identical
-// regardless of worker count.
+// and energy sums, and the recorded command stream, all of which the ordered
+// region merge keeps bit-identical regardless of worker count.
 func meterEqual(t *testing.T, workers int, serial, par *Platform) {
 	t.Helper()
 	sm, pm := serial.Meter(), par.Meter()
@@ -26,13 +27,11 @@ func meterEqual(t *testing.T, workers int, serial, par *Platform) {
 		t.Fatalf("workers=%d: meter totals diverged: latency %v vs %v ns, energy %v vs %v pJ",
 			workers, sm.LatencyNS, pm.LatencyNS, sm.EnergyPJ, pm.EnergyPJ)
 	}
-	if len(sm.Counts) != len(pm.Counts) {
-		t.Fatalf("workers=%d: command kinds %d vs %d", workers, len(sm.Counts), len(pm.Counts))
+	if sm.Counts != pm.Counts {
+		t.Fatalf("workers=%d: per-kind counts %v vs %v", workers, pm.Counts, sm.Counts)
 	}
-	for k, v := range sm.Counts {
-		if pm.Counts[k] != v {
-			t.Fatalf("workers=%d: %v count %d vs %d", workers, k, pm.Counts[k], v)
-		}
+	if !reflect.DeepEqual(serial.Stream().Commands(), par.Stream().Commands()) {
+		t.Fatalf("workers=%d: recorded stream diverged from the one-worker run's", workers)
 	}
 }
 

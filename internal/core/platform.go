@@ -37,10 +37,16 @@ type Platform struct {
 	stream *exec.Stream
 	fault  subarray.FaultHook
 
-	// bulkMeters is the pool of private per-sub-array meters the bulk
-	// operations swap in during a parallel region (see bulkRun); cached
-	// here so repeated bulk calls don't reallocate them.
-	bulkMeters []*dram.Meter
+	// regionLogs is the pool of private per-sub-array meters and stream
+	// segments ParallelRegion swaps in; cached here so repeated regions don't
+	// reallocate them.
+	regionLogs []regionLog
+}
+
+// regionLog is what one sub-array records into during a parallel region.
+type regionLog struct {
+	meter  *dram.Meter
+	stream *exec.Stream
 }
 
 // NewPlatform builds a platform from explicit models.
@@ -98,11 +104,10 @@ func (p *Platform) Stream() *exec.Stream { return p.stream }
 
 // Subarray returns sub-array i, materialising it on first use.
 //
-// Materialisation mutates the platform's sub-array map and is NOT safe for
-// concurrent use — parallel drivers must materialise every sub-array they
-// will touch before spawning workers (the sub-array operations themselves
-// record through mutex-protected sinks and may run concurrently on
-// distinct sub-arrays).
+// Materialisation mutates the platform's sub-array map, and every sub-array
+// records into the platform's one unlocked meter and stream: neither is safe
+// for concurrent use. Drive sub-arrays from several goroutines only inside
+// ParallelRegion.
 func (p *Platform) Subarray(i int) *subarray.Subarray {
 	if i < 0 || i >= p.geom.TotalSubarrays() {
 		panic(fmt.Sprintf("core: sub-array %d outside [0,%d)", i, p.geom.TotalSubarrays()))
@@ -115,6 +120,39 @@ func (p *Platform) Subarray(i int) *subarray.Subarray {
 		p.subs[i] = s
 	}
 	return s
+}
+
+// ParallelRegion runs body with sub-arrays [first, first+n) — materialised
+// here, serially — each recording into a private meter and a private stream
+// segment, and after body returns merges both into the platform's in
+// ascending sub-array order. It is the one place the platform's accounting
+// meets concurrency: body may drive those sub-arrays (and no others) from
+// several goroutines, one goroutine per sub-array at a time, and must join
+// them before it returns. Because the merge order is fixed, the stream order,
+// every schedule derived from it and the rounding of the meter's
+// floating-point sums are the same for any goroutine schedule and any worker
+// count — concurrent accumulation into one meter would make the addition
+// order scheduling-dependent.
+func (p *Platform) ParallelRegion(first, n int, body func()) {
+	for len(p.regionLogs) < n {
+		p.regionLogs = append(p.regionLogs, regionLog{dram.NewMeter(p.timing, p.energy), exec.NewStream()})
+	}
+	logs := p.regionLogs[:n]
+	for i, l := range logs {
+		l.meter.Reset()
+		l.stream.Reset()
+		s := p.Subarray(first + i)
+		s.SetMeter(l.meter)
+		s.AttachRecorder(l.stream, first+i)
+	}
+	body()
+	for i, l := range logs {
+		s := p.Subarray(first + i)
+		s.SetMeter(p.meter)
+		s.AttachRecorder(p.stream, first+i)
+		p.meter.Merge(l.meter)
+		p.stream.Append(l.stream)
+	}
 }
 
 // SetFaultHook installs a fault-injection hook on every sub-array the
@@ -172,7 +210,7 @@ type Summary struct {
 }
 
 // Summarize snapshots the platform's accounting after a run. The recorded
-// stream is walked once, in place and under its lock: each command goes
+// stream is walked once, in place: each command goes
 // through the controller's command scheduler (shared bus + per-bank
 // activation budget) — for the whole run and for its pipeline stage — and
 // into the histogram and attribution tally. Every command carries the

@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // CommandKind enumerates the DRAM and PIM command primitives PIM-Assembler's
 // controller issues. The three AAP variants correspond to the paper's §II-B
@@ -141,19 +138,18 @@ func EnergyTable(e Energy) KindTable {
 // parallel sub-arrays executing the same broadcast command account the
 // energy of every participating sub-array but the latency only once.
 //
-// Record and Merge are safe for concurrent use (parallel stage-1 workers
-// share the platform meter); read the exported fields only after the
-// recording goroutines have joined.
+// A Meter has a single writer and takes no lock: a parallel region gives
+// every sub-array it drives a private Meter and merges them, in sub-array
+// order, after its goroutines have joined (core.Platform.ParallelRegion).
 type Meter struct {
 	timing Timing
 	energy Energy
 	// dur and pj are Duration and EnergyOf tabulated once for the meter's
 	// models: Record prices a command with two loads.
 	dur, pj KindTable
-	mu      sync.Mutex
 
-	// Cycles counts issued command slots per kind.
-	Counts map[CommandKind]int64
+	// Counts holds the issued command slots per kind, indexed by CommandKind.
+	Counts [NumCommandKinds]int64
 	// LatencyNS is the accumulated critical-path latency in nanoseconds.
 	LatencyNS float64
 	// EnergyPJ is the accumulated dynamic energy in picojoules.
@@ -167,7 +163,6 @@ func NewMeter(t Timing, e Energy) *Meter {
 		energy: e,
 		dur:    DurationTable(t),
 		pj:     EnergyTable(e),
-		Counts: make(map[CommandKind]int64),
 	}
 }
 
@@ -187,12 +182,9 @@ func (m *Meter) Record(kind CommandKind, parallelSubarrays int) {
 	if kind < 0 || int(kind) >= NumCommandKinds {
 		panic(fmt.Sprintf("dram: unknown command kind %v", kind))
 	}
-	dur, pj := m.dur[kind], m.pj[kind]
-	m.mu.Lock()
 	m.Counts[kind]++
-	m.LatencyNS += dur
-	m.EnergyPJ += float64(parallelSubarrays) * pj
-	m.mu.Unlock()
+	m.LatencyNS += m.dur[kind]
+	m.EnergyPJ += float64(parallelSubarrays) * m.pj[kind]
 }
 
 // TotalCommands returns the total number of recorded command slots.
@@ -213,21 +205,16 @@ func (m *Meter) AveragePowerW() float64 {
 	return m.EnergyPJ / m.LatencyNS / 1000 // pJ/ns = mW; /1000 → W
 }
 
-// Reset clears all accumulated state in place — the counts map is kept so
-// meters reused across parallel bulk regions don't reallocate per region.
+// Reset clears all accumulated state in place.
 func (m *Meter) Reset() {
-	m.mu.Lock()
-	clear(m.Counts)
+	m.Counts = [NumCommandKinds]int64{}
 	m.LatencyNS = 0
 	m.EnergyPJ = 0
-	m.mu.Unlock()
 }
 
 // Merge adds the counts, latency and energy of other into m. Use it to fold
 // per-worker meters from parallel functional simulation into one total.
 func (m *Meter) Merge(other *Meter) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for k, v := range other.Counts {
 		m.Counts[k] += v
 	}

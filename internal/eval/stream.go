@@ -22,9 +22,8 @@ type StreamReport struct {
 	Whole      sched.Result
 	// WholeSharded schedules the sharded-stage-1 run's stream in its
 	// canonical round-robin interleaving: consecutive commands spread over
-	// sub-arrays — what the controller can actually overlap — without the
-	// raw append order's scheduling dependence, so the makespan reproduces
-	// byte-identically across runs and worker counts.
+	// sub-arrays — what the controller can actually overlap — where the
+	// recorded order holds stage 1 sub-array by sub-array.
 	WholeSharded sched.Result
 	PerStage     map[exec.Stage]sched.Result
 	// ParallelMatches reports whether the sharded stage 1 reproduced the

@@ -1,8 +1,8 @@
 // Package exec is the per-sub-array command-stream layer between the
 // functional simulator and the timing/energy models. Every DRAM/PIM command
 // a functional sub-array executes is recorded here as a typed record —
-// which sub-array, which command kind, how many rows the first ACTIVATE
-// opens, and which pipeline stage issued it — so the one recorded stream is
+// which sub-array, which command kind, and which pipeline stage issued it —
+// so the one recorded stream is
 // the single source of truth that the serial Meter, the controller
 // scheduler (internal/sched), and the per-stage energy attribution all
 // consume. The serial Meter totals and the stream totals are maintained in
@@ -13,9 +13,7 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"strings"
-	"sync"
 
 	"pimassembler/internal/dram"
 )
@@ -81,7 +79,9 @@ type Command struct {
 	// Stage is the pipeline phase that issued the command.
 	Stage Stage
 	// Rows is how many rows the command's first ACTIVATE opens (1 for
-	// normal commands, 2 for two-row AAPs, 3 for TRA).
+	// normal commands, 2 for two-row AAPs, 3 for TRA). It is derived: a
+	// stream stores the three fields above and hands every command back with
+	// Rows == Kind.SourceRows(), whatever the recorded value held.
 	Rows int
 }
 
@@ -90,37 +90,54 @@ func (c Command) String() string {
 	return fmt.Sprintf("sub%d %v [%v]", c.Subarray, c.Kind, c.Stage)
 }
 
-// Recorder receives command records. Implementations must be safe for
-// concurrent use: parallel stage-1 workers record from one goroutine per
-// active sub-array group.
-type Recorder interface {
-	Record(c Command)
-}
+// record is the stored form of a Command: 4 bytes against Command's 32 —
+// the kind in bits 0-3, the stage in bits 4-6 and the sub-array index above
+// them — so a 1.7 M-command run keeps 7 MB of stream instead of 56 MB.
+type record uint32
 
-// record is the stored form of a Command: 8 bytes against Command's 32, so
-// a 1.7 M-command run keeps 14 MB of stream instead of 56 MB.
-type record struct {
-	sub   int32
-	kind  uint8
-	stage Stage
-	rows  uint8
-}
+const (
+	kindBits  = 4
+	stageBits = 3
+	subShift  = kindBits + stageBits
+	// maxSubarray is the largest sub-array index a record holds (2^25 − 1;
+	// the default geometry has 2^15 sub-arrays).
+	maxSubarray = 1<<(32-subShift) - 1
+)
+
+// Every kind and every stage must fit its bit field (the stage bound is also
+// what keeps Tally.touched's per-sub-array uint8 mask wide enough).
+var (
+	_ [1<<kindBits - dram.NumCommandKinds]struct{}
+	_ [1<<stageBits - numStages]struct{}
+)
 
 // pack narrows a Command to its stored form. Every field a sub-array emits
 // fits by construction; anything else is a caller bug and panics here, at
 // the emission point, rather than being silently truncated.
 func pack(c Command) record {
-	if c.Subarray < 0 || c.Subarray > math.MaxInt32 ||
-		c.Kind < 0 || int(c.Kind) >= dram.NumCommandKinds ||
-		c.Stage >= numStages || c.Rows < 0 || c.Rows > math.MaxUint8 {
-		panic(fmt.Sprintf("exec: command %+v (kind %d, stage %d, rows %d) is not recordable",
-			c, int(c.Kind), uint8(c.Stage), c.Rows))
+	if uint(c.Subarray) > maxSubarray || uint(c.Kind) >= uint(dram.NumCommandKinds) || c.Stage >= numStages {
+		panic(unrecordable(c))
 	}
-	return record{sub: int32(c.Subarray), kind: uint8(c.Kind), stage: c.Stage, rows: uint8(c.Rows)}
+	return record(c.Subarray)<<subShift | record(c.Stage)<<kindBits | record(c.Kind)
 }
 
+// unrecordable is pack's panic value: an error type instead of a formatted
+// string keeps the formatting, and its cost, out of pack, which then inlines
+// into Record.
+type unrecordable Command
+
+func (c unrecordable) Error() string {
+	return fmt.Sprintf("exec: command with sub-array %d, kind %d, stage %d is not recordable",
+		c.Subarray, int(c.Kind), uint8(c.Stage))
+}
+
+func (r record) sub() int               { return int(r >> subShift) }
+func (r record) kind() dram.CommandKind { return dram.CommandKind(r & (1<<kindBits - 1)) }
+func (r record) stage() Stage           { return Stage(r >> kindBits & (1<<stageBits - 1)) }
+
 func (r record) command() Command {
-	return Command{Subarray: int(r.sub), Kind: dram.CommandKind(r.kind), Stage: r.stage, Rows: int(r.rows)}
+	k := r.kind()
+	return Command{Subarray: r.sub(), Kind: k, Stage: r.stage(), Rows: k.SourceRows()}
 }
 
 // The stream stores records in fixed-size chunks: appending never copies
@@ -128,14 +145,16 @@ func (r record) command() Command {
 // at every doubling), and Reset keeps the chunks for the next run.
 const (
 	chunkShift = 13
-	chunkLen   = 1 << chunkShift // 8192 records = 64 KiB
+	chunkLen   = 1 << chunkShift // 8192 records = 32 KiB
 )
 
-// Stream is the default Recorder: an append-only, mutex-protected command
-// log with aggregation views. Detach a producer by handing it a nil
-// Recorder interface, not a nil *Stream.
+// Stream is an append-only command log with aggregation views. It has a
+// single writer and takes no lock: sub-arrays driven from one goroutine share
+// one stream, and a parallel region gives every sub-array it drives a private
+// stream and appends them, in sub-array order, after its goroutines have
+// joined (core.Platform.ParallelRegion) — so the recorded order, and every
+// schedule derived from it, never depends on goroutine scheduling.
 type Stream struct {
-	mu     sync.Mutex
 	chunks []*[chunkLen]record
 	n      int
 }
@@ -144,26 +163,24 @@ type Stream struct {
 func NewStream() *Stream { return &Stream{} }
 
 // Record appends one command.
-func (s *Stream) Record(c Command) {
-	r := pack(c)
-	s.mu.Lock()
+func (s *Stream) Record(c Command) { s.record(pack(c)) }
+
+func (s *Stream) record(r record) {
 	ci := s.n >> chunkShift
 	if ci == len(s.chunks) {
 		s.chunks = append(s.chunks, new([chunkLen]record))
 	}
 	s.chunks[ci][s.n&(chunkLen-1)] = r
 	s.n++
-	s.mu.Unlock()
 }
+
+// Append adds every command of o, in o's order, to the end of s.
+func (s *Stream) Append(o *Stream) { o.each(s.record) }
 
 // Len returns the number of recorded commands.
-func (s *Stream) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
+func (s *Stream) Len() int { return s.n }
 
-// each calls fn on every record in issue order. The caller holds s.mu.
+// each calls fn on every record in issue order.
 func (s *Stream) each(fn func(record)) {
 	left := s.n
 	for _, ch := range s.chunks {
@@ -181,20 +198,13 @@ func (s *Stream) each(fn func(record)) {
 }
 
 // Each calls fn on every recorded command in issue order, without copying
-// the stream. The stream's lock is held for the whole walk: fn must not
-// call back into the stream, and concurrent Records wait until it returns.
+// the stream.
 func (s *Stream) Each(fn func(Command)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.each(func(r record) { fn(r.command()) })
 }
 
-// Commands returns a copy of the recorded stream in issue order. In
-// parallel runs the inter-sub-array interleaving is scheduling-dependent,
-// but each sub-array's subsequence is deterministic.
+// Commands returns a copy of the recorded stream in issue order.
 func (s *Stream) Commands() []Command {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Command, 0, s.n)
 	s.each(func(r record) { out = append(out, r.command()) })
 	return out
@@ -202,24 +212,21 @@ func (s *Stream) Commands() []Command {
 
 // Canonical returns the commands in a deterministic round-robin
 // interleaving across sub-arrays: each sub-array's own subsequence is
-// preserved (that order is deterministic even under parallel functional
-// runs), and commands are drawn one at a time from every non-exhausted
+// preserved, and commands are drawn one at a time from every non-exhausted
 // sub-array in ascending index order. Use it to schedule a stream recorded
-// by a parallel run — the raw append order depends on goroutine scheduling,
-// so a makespan derived from it would not reproduce, while the canonical
-// interleaving both reproduces exactly and models the cross-sub-array
-// overlap a controller could extract.
+// by a parallel run: the recorded order holds each region sub-array by
+// sub-array, which an in-order scheduler can hardly overlap, while the
+// canonical interleaving models the cross-sub-array overlap a controller
+// could extract.
 func (s *Stream) Canonical() []Command {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// Counting sort by sub-array (stable, so each subsequence keeps its
 	// order): end[i] is one past sub-array i's last slot in bySub.
 	var end []int
 	s.each(func(r record) {
-		for int(r.sub) >= len(end) {
+		for r.sub() >= len(end) {
 			end = append(end, 0)
 		}
-		end[r.sub]++
+		end[r.sub()]++
 	})
 	next := make([]int, len(end)) // read cursor per sub-array
 	sum := 0
@@ -231,8 +238,8 @@ func (s *Stream) Canonical() []Command {
 	bySub := make([]record, s.n)
 	fill := append([]int(nil), next...)
 	s.each(func(r record) {
-		bySub[fill[r.sub]] = r
-		fill[r.sub]++
+		bySub[fill[r.sub()]] = r
+		fill[r.sub()]++
 	})
 	// Round-robin over the sub-arrays that still have commands, ascending.
 	live := make([]int, 0, len(end))
@@ -256,14 +263,9 @@ func (s *Stream) Canonical() []Command {
 }
 
 // Reset clears the stream, keeping its chunks for reuse.
-func (s *Stream) Reset() {
-	s.mu.Lock()
-	s.n = 0
-	s.mu.Unlock()
-}
+func (s *Stream) Reset() { s.n = 0 }
 
-// tally runs every record through a fresh Tally priced with t and e. The
-// caller holds s.mu.
+// tally runs every record through a fresh Tally priced with t and e.
 func (s *Stream) tally(t dram.Timing, e dram.Energy) *Tally {
 	ta := NewTally(t, e)
 	s.each(ta.add)
@@ -276,8 +278,6 @@ func (s *Stream) Totals() map[dram.CommandKind]int64 { return s.Histogram().Tota
 
 // Subarrays returns how many distinct sub-arrays the stream touched.
 func (s *Stream) Subarrays() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.tally(dram.Timing{}, dram.Energy{}).Subarrays()
 }
 
@@ -293,8 +293,6 @@ type Histogram struct {
 
 // Histogram aggregates the stream.
 func (s *Stream) Histogram() Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.tally(dram.Timing{}, dram.Energy{}).Histogram()
 }
 
@@ -357,8 +355,6 @@ func (c StageCost) String() string {
 // functions the Meter accrues with — so summing the stages reproduces the
 // Meter's serial totals exactly.
 func (s *Stream) Attribute(t dram.Timing, e dram.Energy) []StageCost {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.tally(t, e).StageCosts()
 }
 
@@ -379,9 +375,6 @@ type Tally struct {
 	touched []uint8
 }
 
-// numStages must fit touched's per-sub-array bit mask.
-var _ [8 - numStages]struct{}
-
 // NewTally returns an empty tally pricing commands with t and e.
 func NewTally(t dram.Timing, e dram.Energy) *Tally {
 	return &Tally{dur: dram.DurationTable(t), pj: dram.EnergyTable(e)}
@@ -391,13 +384,14 @@ func NewTally(t dram.Timing, e dram.Energy) *Tally {
 func (ta *Tally) Add(c Command) { ta.add(pack(c)) }
 
 func (ta *Tally) add(r record) {
-	ta.counts[r.stage][r.kind]++
-	ta.serial[r.stage] += ta.dur[r.kind]
-	ta.energy[r.stage] += ta.pj[r.kind]
-	if int(r.sub) >= len(ta.touched) {
-		ta.touched = append(ta.touched, make([]uint8, int(r.sub)+1-len(ta.touched))...)
+	sub, kind, stage := r.sub(), r.kind(), r.stage()
+	ta.counts[stage][kind]++
+	ta.serial[stage] += ta.dur[kind]
+	ta.energy[stage] += ta.pj[kind]
+	if sub >= len(ta.touched) {
+		ta.touched = append(ta.touched, make([]uint8, sub+1-len(ta.touched))...)
 	}
-	ta.touched[r.sub] |= 1 << r.stage
+	ta.touched[sub] |= 1 << stage
 }
 
 // Subarrays returns how many distinct sub-arrays the commands touched.
@@ -455,14 +449,4 @@ func (ta *Tally) StageCosts() []StageCost {
 		out = append(out, sc)
 	}
 	return out
-}
-
-// Tee fans one record out to several recorders.
-type Tee []Recorder
-
-// Record implements Recorder.
-func (t Tee) Record(c Command) {
-	for _, r := range t {
-		r.Record(c)
-	}
 }

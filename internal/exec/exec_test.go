@@ -2,7 +2,6 @@ package exec
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"pimassembler/internal/dram"
@@ -79,36 +78,6 @@ func TestAttributeMatchesMeter(t *testing.T) {
 	}
 	if !near(pj, m.EnergyPJ) {
 		t.Fatalf("attributed energy %v pJ, meter %v pJ", pj, m.EnergyPJ)
-	}
-}
-
-func TestStreamConcurrentRecord(t *testing.T) {
-	s := NewStream()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				s.Record(Command{Subarray: w, Kind: dram.CmdAAP2, Stage: StageHashmap, Rows: 2})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if s.Len() != 800 {
-		t.Fatalf("len %d, want 800", s.Len())
-	}
-	if s.Subarrays() != 8 {
-		t.Fatalf("subarrays %d, want 8", s.Subarrays())
-	}
-}
-
-func TestTee(t *testing.T) {
-	a, b := NewStream(), NewStream()
-	tee := Tee{a, b}
-	tee.Record(Command{Subarray: 1, Kind: dram.CmdRead, Stage: StageNone, Rows: 1})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("tee fan-out wrong: %d, %d", a.Len(), b.Len())
 	}
 }
 

@@ -3,7 +3,6 @@ package exec
 import (
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 
 	"pimassembler/internal/dram"
@@ -146,11 +145,11 @@ func TestTallyMatchesMapViews(t *testing.T) {
 // compact record cannot hold panics instead of being truncated.
 func TestRecordRejectsUnrecordable(t *testing.T) {
 	for _, c := range []Command{
-		{Subarray: -1, Kind: dram.CmdRead, Rows: 1},
-		{Subarray: 0, Kind: dram.CommandKind(dram.NumCommandKinds), Rows: 1},
-		{Subarray: 0, Kind: dram.CommandKind(-1), Rows: 1},
-		{Subarray: 0, Kind: dram.CmdRead, Stage: numStages, Rows: 1},
-		{Subarray: 0, Kind: dram.CmdRead, Rows: 256},
+		{Subarray: -1, Kind: dram.CmdRead},
+		{Subarray: maxSubarray + 1, Kind: dram.CmdRead},
+		{Subarray: 0, Kind: dram.CommandKind(dram.NumCommandKinds)},
+		{Subarray: 0, Kind: dram.CommandKind(-1)},
+		{Subarray: 0, Kind: dram.CmdRead, Stage: numStages},
 	} {
 		func() {
 			defer func() {
@@ -163,30 +162,53 @@ func TestRecordRejectsUnrecordable(t *testing.T) {
 	}
 }
 
-// TestEachWaitsOutConcurrentRecords walks the stream while other goroutines
-// append to it: every walk must see a prefix-consistent snapshot (run under
-// -race by make test-race).
-func TestEachWaitsOutConcurrentRecords(t *testing.T) {
-	s := NewStream()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 3*chunkLen; i++ {
-				s.Record(Command{Subarray: w, Kind: dram.CmdAAP2, Stage: StageHashmap, Rows: 2})
-			}
-		}(w)
-	}
-	for i := 0; i < 20; i++ {
-		n, before := 0, s.Len()
-		s.Each(func(Command) { n++ })
-		if after := s.Len(); n < before || n > after {
-			t.Errorf("walk saw %d commands, stream held %d before and %d after", n, before, after)
+// TestAppendConcatenates is the parallel-region merge at stream level: a
+// stream appended to another lands after it, whole and in order, across
+// chunk boundaries on both sides, and is itself left as it was.
+func TestAppendConcatenates(t *testing.T) {
+	for _, n := range [][2]int{{0, 0}, {0, 5}, {5, 0}, {chunkLen - 1, 2}, {chunkLen, chunkLen}, {3, 2*chunkLen + 9}} {
+		a, wantA := randomStream(11, n[0])
+		b, wantB := randomStream(12, n[1])
+		a.Append(b)
+		want := append(wantA, wantB...)
+		if got := a.Commands(); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("%v: appended stream differs from the concatenation", n)
+		}
+		if got := b.Commands(); len(got) != len(wantB) || (len(wantB) > 0 && !reflect.DeepEqual(got, wantB)) {
+			t.Fatalf("%v: Append changed its argument", n)
 		}
 	}
-	wg.Wait()
-	if s.Len() != 12*chunkLen {
-		t.Fatalf("len %d, want %d", s.Len(), 12*chunkLen)
-	}
+}
+
+// FuzzRecordRoundTrip drives the 4-byte record encoding from both sides:
+// any {Subarray, Kind, Stage} either does not fit and panics in pack, or
+// comes back from pack → command() unchanged, with Rows derived from Kind.
+func FuzzRecordRoundTrip(f *testing.F) {
+	f.Add(0, 0, uint8(0))
+	f.Add(maxSubarray, dram.NumCommandKinds-1, uint8(numStages-1))
+	f.Add(maxSubarray+1, 0, uint8(0))
+	f.Add(-1, int(dram.CmdAAP3), uint8(StageHashmap))
+	f.Add(5, dram.NumCommandKinds, uint8(StageInput))
+	f.Add(5, -1, uint8(StageInput))
+	f.Add(5, int(dram.CmdAAP2), uint8(numStages))
+	f.Fuzz(func(t *testing.T, sub, kind int, stage uint8) {
+		c := Command{Subarray: sub, Kind: dram.CommandKind(kind), Stage: Stage(stage)}
+		fits := sub >= 0 && sub <= maxSubarray && kind >= 0 && kind < dram.NumCommandKinds && Stage(stage) < numStages
+		var got Command
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			got = pack(c).command()
+			return false
+		}()
+		if panicked == fits {
+			t.Fatalf("%+v: fits=%v but pack panicked=%v", c, fits, panicked)
+		}
+		if !fits {
+			return
+		}
+		c.Rows = c.Kind.SourceRows()
+		if got != c {
+			t.Fatalf("round trip %+v, want %+v", got, c)
+		}
+	})
 }

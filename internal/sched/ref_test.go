@@ -202,6 +202,48 @@ func TestScheduleMatchesReference(t *testing.T) {
 	}
 }
 
+// TestChainShapesMatchReference pins the shapes the scheduler's chain mode
+// tells apart, which the random streams above only brush: one long chain to
+// a single sub-array (every command but the first skips the heaps), two
+// sub-arrays alternating (no command does), and runs of random length
+// hopping between a few sub-arrays (chains start, end and hand their
+// completion time back to the heaps) — each on the default controller, on a
+// bus-bound one (every command completes before the next may issue), and on
+// one whose banks have a single activation slot, so that the command ending a
+// chain waits on the completion time the chain handed back.
+func TestChainShapesMatchReference(t *testing.T) {
+	const n = 10_000
+	rng := stats.NewRNG(0xC4A1)
+	run, left := 0, 0
+	shapes := []struct {
+		name string
+		sub  func(i int) int
+	}{
+		{"chain", func(int) int { return 5 }},
+		{"alternating", func(i int) int { return 5 + i%2 }},
+		{"runs", func(int) int {
+			if left == 0 {
+				run, left = rng.Intn(4), 1+rng.Intn(40)
+			}
+			left--
+			return run
+		}},
+	}
+	busBound, oneSlot := cfg(), cfg()
+	busBound.IssueIntervalNS = 2 * busBound.Timing.AAP()
+	oneSlot.SubarraysPerBank, oneSlot.MaxActivePerBank = 4, 1
+	for _, shape := range shapes {
+		cmds := make([]exec.Command, n)
+		for i := range cmds {
+			sub := shape.sub(i)
+			cmds[i] = exec.Command{Subarray: sub, Kind: allKinds[rng.Intn(len(allKinds))], Stage: exec.Stage(1 + sub%2)}
+		}
+		t.Run(shape.name, func(t *testing.T) { checkAgainstReference(t, cmds, cfg()) })
+		t.Run(shape.name+"/bus-bound", func(t *testing.T) { checkAgainstReference(t, cmds, busBound) })
+		t.Run(shape.name+"/one-slot", func(t *testing.T) { checkAgainstReference(t, cmds, oneSlot) })
+	}
+}
+
 // FuzzSchedule drives the same comparison from fuzzer-chosen seeds and
 // sizes.
 func FuzzSchedule(f *testing.F) {

@@ -164,6 +164,15 @@ type scheduler struct {
 	// ends first. A zero-duration command or a zero issue interval would
 	// break that ordering, and Validate rejects both.
 	active minHeap
+	// chain is the sub-array the last command went to if that command was
+	// the only one executing when it issued, else -1. A further command to
+	// the same sub-array then meets no constraint but the bus and its
+	// predecessor, and takes that predecessor's place as the only entry of
+	// its bank's heap and of active: step computes its times from subFree
+	// alone and leaves both heaps stale until endChain, when a command to
+	// another sub-array ends the chain. A serial functional run is almost
+	// all such chains — dozens of commands per k-mer to its home sub-array.
+	chain int
 
 	nextIssue, makespan, serial float64
 	commands, peak              int
@@ -180,6 +189,18 @@ func newScheduler(cfg Config) *scheduler {
 		issueNS:   cfg.IssueIntervalNS,
 		perBank:   cfg.SubarraysPerBank,
 		maxActive: cfg.MaxActivePerBank,
+		chain:     -1,
+	}
+}
+
+// endChain gives the two one-entry heaps the completion time the chain kept
+// in subFree only.
+func (s *scheduler) endChain() {
+	if s.chain >= 0 {
+		end := s.subFree[s.chain]
+		s.banks[s.chain/s.perBank][0] = end
+		s.active[0] = end
+		s.chain = -1
 	}
 }
 
@@ -194,40 +215,53 @@ func (s *scheduler) step(sub int, kind dram.CommandKind) {
 	s.serial += dur
 	s.commands++
 
-	bank := sub / s.perBank
-	if sub >= len(s.subFree) {
-		s.subFree = append(s.subFree, make([]float64, sub+1-len(s.subFree))...)
-	}
-	if bank >= len(s.banks) {
-		s.banks = append(s.banks, make([]minHeap, bank+1-len(s.banks))...)
+	chained := sub == s.chain
+	var h *minHeap
+	if !chained {
+		s.endChain()
+		bank := sub / s.perBank
+		if sub >= len(s.subFree) {
+			s.subFree = append(s.subFree, make([]float64, sub+1-len(s.subFree))...)
+		}
+		if bank >= len(s.banks) {
+			s.banks = append(s.banks, make([]minHeap, bank+1-len(s.banks))...)
+		}
+		h = &s.banks[bank]
 	}
 
 	start := s.nextIssue
 	if f := s.subFree[sub]; f > start {
 		start = f
 	}
-	// Drop completed intervals, then wait for a slot if saturated.
-	h := &s.banks[bank]
-	h.popUntil(start)
-	if len(*h) >= s.maxActive {
-		if earliest := (*h)[0]; earliest > start {
-			start = earliest
-		}
+	if !chained {
+		// Drop completed intervals, then wait for a slot if saturated.
 		h.popUntil(start)
+		if len(*h) >= s.maxActive {
+			if earliest := (*h)[0]; earliest > start {
+				start = earliest
+			}
+			h.popUntil(start)
+		}
 	}
 
 	end := start + dur
 	s.subFree[sub] = end
-	h.push(end)
 	s.nextIssue = start + s.issueNS
 	if end > s.makespan {
 		s.makespan = end
 	}
+	if chained {
+		return
+	}
 
+	h.push(end)
 	s.active.popUntil(start)
 	s.active.push(end)
 	if len(s.active) > s.peak {
 		s.peak = len(s.active)
+	}
+	if len(s.active) == 1 {
+		s.chain = sub
 	}
 }
 

@@ -44,14 +44,16 @@ type Subarray struct {
 	// rec receives typed per-command records (nil disables recording); id
 	// is the platform-global sub-array index stamped on every record and
 	// stage the pipeline phase tag the current caller set.
-	rec   exec.Recorder
+	rec   *exec.Stream
 	id    int
 	stage exec.Stage
 }
 
-// AttachRecorder binds the sub-array to a command-stream recorder under the
-// given platform-global sub-array id. A nil recorder detaches.
-func (s *Subarray) AttachRecorder(r exec.Recorder, id int) {
+// AttachRecorder binds the sub-array to a command stream under the given
+// platform-global sub-array id. A nil stream detaches. Like the meter, the
+// stream has no lock: sub-arrays driven from different goroutines must not
+// share one (see SetMeter).
+func (s *Subarray) AttachRecorder(r *exec.Stream, id int) {
 	s.rec = r
 	s.id = id
 }
@@ -62,18 +64,13 @@ func (s *Subarray) SetStage(st exec.Stage) { s.stage = st }
 // Stage returns the current stage tag.
 func (s *Subarray) Stage() exec.Stage { return s.stage }
 
-// record accounts one command on the serial meter and, when a recorder is
+// record accounts one command on the serial meter and, when a stream is
 // attached, emits the typed per-sub-array record. Both views are fed from
 // this single point so they cannot drift.
 func (s *Subarray) record(kind dram.CommandKind) {
 	s.meter.Record(kind, 1)
 	if s.rec != nil {
-		s.rec.Record(exec.Command{
-			Subarray: s.id,
-			Kind:     kind,
-			Stage:    s.stage,
-			Rows:     kind.SourceRows(),
-		})
+		s.rec.Record(exec.Command{Subarray: s.id, Kind: kind, Stage: s.stage})
 	}
 }
 
@@ -88,8 +85,8 @@ func (s *Subarray) applyFault(kind dram.CommandKind, result *bitvec.Vector) {
 }
 
 // New creates a sub-array from a geometry and a command meter. The meter may
-// be shared across sub-arrays that execute sequentially, or one per
-// sub-array for parallel regions (merge afterwards).
+// be shared across sub-arrays that execute sequentially; sub-arrays driven
+// from different goroutines each need their own (merge afterwards).
 func New(g dram.Geometry, meter *dram.Meter) *Subarray {
 	if err := g.Validate(); err != nil {
 		panic(err)
@@ -148,10 +145,10 @@ func (s *Subarray) checkComputeRow(r int) {
 func (s *Subarray) Meter() *dram.Meter { return s.meter }
 
 // SetMeter replaces the sub-array's command meter, returning the previous
-// one. Parallel bulk drivers hand each worker-owned sub-array a private
-// meter for the duration of a fan-out and merge the private totals in
-// sub-array order afterwards, so the accumulated floating-point latency and
-// energy sums never depend on goroutine scheduling.
+// one. A parallel region hands each sub-array it drives a private meter (and
+// a private stream, through AttachRecorder) and merges them in sub-array
+// order after the join, so neither needs a lock and the accumulated
+// floating-point sums never depend on goroutine scheduling.
 func (s *Subarray) SetMeter(m *dram.Meter) *dram.Meter {
 	if m == nil {
 		panic("subarray: nil meter")
