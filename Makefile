@@ -95,7 +95,9 @@ bench:
 # CPU and heap profiles of one root benchmark, single-threaded as the
 # end-to-end benchmark runs the software workloads: by default
 # BenchmarkSoftwarePipeline100k (the sw_100k shape);
-# PROFILE_BENCH=BenchmarkSoftwarePipelineNoisy is the sw_noisy_k32 shape and
+# PROFILE_BENCH=BenchmarkSoftwarePipelineNoisy is the sw_noisy_k32 shape,
+# PROFILE_BENCH=BenchmarkSoftwarePipelineLowCoverage one dist_60k shard (the
+# graph build and the contig walk outweigh counting) and
 # PROFILE_BENCH=BenchmarkPIMEngine the functional simulator. The test binary
 # and the profiles stay under PROFILE_DIR; read them with
 #   go tool pprof -top $(PROFILE_DIR)/pimassembler.test $(PROFILE_DIR)/cpu.pprof

@@ -1,7 +1,7 @@
 // Package pimassembler's root benchmarks regenerate the paper's evaluation
 // artefacts (one benchmark per table/figure — see DESIGN.md §3) and run the
 // ablation studies of DESIGN.md §6 (ablation_test.go); both report modeled
-// quantities. The rest of the file is the three `make profile` inputs. Host
+// quantities. The rest of the file is the four `make profile` inputs. Host
 // performance is measured by the end-to-end benchmark under bench/
 // (`bash bench/run.sh -out DIR`, `-compare`), not here: a benchmark whose
 // call BENCHMARK.json already times does not belong in this package.
@@ -206,6 +206,15 @@ func BenchmarkSoftwarePipeline100k(b *testing.B) {
 // watch: `make profile PROFILE_BENCH=BenchmarkSoftwarePipelineNoisy`.
 func BenchmarkSoftwarePipelineNoisy(b *testing.B) {
 	benchSoftwarePipeline(b, 100_000, 30_000, 0.01, assembly.Options{K: 32, Correct: true, Simplify: true, MinCount: 2})
+}
+
+// BenchmarkSoftwarePipelineLowCoverage is one dist_60k shard (15 k × 101 bp
+// error-free reads of a 600 kbp genome, 2.5×, k=16): ≈ 2 k contigs over a
+// graph ≈ 90 % the size of the unsharded one, so stage 2 outweighs counting
+// and the contig walk refills its lanes thousands of times:
+// `make profile PROFILE_BENCH=BenchmarkSoftwarePipelineLowCoverage`.
+func BenchmarkSoftwarePipelineLowCoverage(b *testing.B) {
+	benchSoftwarePipeline(b, 600_000, 15_000, 0, assembly.Options{K: 16})
 }
 
 // benchSoftwarePipeline times the software engine from encoded FASTA bytes to

@@ -168,19 +168,16 @@ func run(b backend, src genome.ReadSource, opts Options) (*Result, error) {
 	res.Table = table
 	res.Timings.Hashmap = time.Since(start)
 
-	// Stage 2a: de Bruijn graph construction (dense interned-ID/CSR core,
-	// pre-sized from the table so the build path never regrows).
+	// Stage 2a: de Bruijn graph construction, from the table's sorted
+	// entries as they are.
 	start = time.Now()
+	var entries []kmer.Entry
 	if opts.MinCount > 1 {
-		entries := table.FilterMinCount(opts.MinCount)
-		g := debruijn.NewGraphHint(opts.K, len(entries)+1, len(entries))
-		for _, e := range entries {
-			g.AddKmer(e.Kmer, e.Count)
-		}
-		res.Graph = g
+		entries = table.FilterMinCount(opts.MinCount)
 	} else {
-		res.Graph = debruijn.Build(table)
+		entries = table.Entries()
 	}
+	res.Graph = debruijn.BuildEntries(opts.K, entries)
 	if opts.Simplify {
 		res.Graph.Simplify(2*opts.K, 2*opts.K, 10)
 	}

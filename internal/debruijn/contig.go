@@ -15,75 +15,92 @@ type Contig struct {
 	MeanCoverage float64
 }
 
+// walkLanes is how many contig walks Contigs advances in lock-step. A walk
+// is a chain of dependent cache misses — node record, edge record, next node
+// record — and the walks are independent of one another, so eight of them
+// keep eight misses in flight where one would wait for each in turn.
+const walkLanes = 8
+
+// spelling accumulates one contig while its walk runs: the first edge
+// contributes its whole k-mer (the start node and one base), every later
+// edge its last base.
+type spelling struct {
+	bases    []byte // one base per byte
+	coverage float64
+}
+
+func (s *spelling) add(k int, ed edge) {
+	if len(s.bases) == 0 {
+		for i := 0; i < k-1; i++ {
+			s.bases = append(s.bases, byte(ed.kmer.Base(i)))
+		}
+	}
+	s.bases = append(s.bases, byte(ed.kmer.Base(k-1)))
+	s.coverage += float64(ed.count)
+}
+
+// contig packs the spelled walk into a Contig and resets s for the next.
+func (s *spelling) contig(k int) Contig {
+	seq := genome.NewSequence(len(s.bases))
+	for i, b := range s.bases {
+		seq.SetBase(i, genome.Base(b))
+	}
+	edges := len(s.bases) - (k - 1)
+	c := Contig{Seq: seq, EdgeCount: edges, MeanCoverage: s.coverage / float64(edges)}
+	s.bases, s.coverage = s.bases[:0], 0
+	return c
+}
+
 // Contigs emits the maximal non-branching paths of the graph — the contig
 // set of the assembly's stage 2 (Fig. 5a step 2: contigs I, II, III in the
 // worked example). A path extends through nodes with in-degree 1 and
 // out-degree 1 and stops at any branch, tip, or merge; isolated cycles are
-// emitted once each. The walk runs on node IDs with a reusable per-edge
-// used mask instead of a per-call map, and each contig's sequence is written
-// in one allocation.
+// emitted once each.
 func (g *Graph) Contigs() []Contig {
 	g.finalize()
-	var contigs []Contig
-	used := g.scratch.ensureEdges(len(g.edgeKmer))
+	used := g.scratch.ensureEdges(len(g.edges))
 
-	internal := func(id int32) bool {
-		return g.outDeg[id] == 1 && g.inDeg[id] == 1
-	}
-	// firstOut returns node id's single live out-edge (callers guarantee
-	// out-degree ≥ 1).
-	firstOut := func(id int32) int32 {
-		return g.firstLiveEdge(id, g.edgeOff[id])
-	}
-
-	walk := g.scratch.edgePath[:0]
-
-	// Paths starting at every edge that leaves a non-internal node.
-	for _, start := range g.order {
-		if internal(start) {
+	// A path starts at every live edge that leaves a non-internal node. No
+	// two paths share an edge (an internal node is entered by one edge only),
+	// so they can be walked in any interleaving.
+	seeds := g.scratch.seeds[:0]
+	for id, nd := range g.nodes[:len(g.kmers)] {
+		if nd.out == 0 || nd.in == 1 && nd.out == 1 {
 			continue
 		}
-		for e := g.edgeOff[start]; e < g.edgeOff[start+1]; e++ {
-			if g.edgeDead[e] || used[e] {
+		for e, hi := g.span(int32(id)); e < hi; e++ {
+			if !g.dead.get(e) {
+				seeds = append(seeds, e)
+			}
+		}
+	}
+	g.scratch.seeds = seeds
+	contigs := make([]Contig, len(seeds))
+	walked := g.walkSeeds(seeds, contigs, used)
+
+	// Isolated cycles where every node is internal: what the paths left.
+	if walked < g.numEdges {
+		var sp spelling
+		for start, nd := range g.nodes[:len(g.kmers)] {
+			if nd.in != 1 || nd.out != 1 {
 				continue
 			}
-			used[e] = true
-			walk = append(walk[:0], e)
-			cur := g.edgeTo[e]
-			for internal(cur) {
-				next := firstOut(cur)
-				if used[next] {
+			e := g.firstLiveEdge(nd.off)
+			if used.get(e) {
+				continue
+			}
+			for {
+				used.set(e)
+				sp.add(g.k, g.edges[e])
+				cur := g.edges[e].to
+				if int(cur) == start {
 					break
 				}
-				used[next] = true
-				walk = append(walk, next)
-				cur = g.edgeTo[next]
+				e = g.firstLiveEdge(g.nodes[cur].off)
 			}
-			contigs = append(contigs, g.spellEdgeWalk(start, walk))
+			contigs = append(contigs, sp.contig(g.k))
 		}
 	}
-
-	// Isolated cycles where every node is internal.
-	for _, start := range g.order {
-		if !internal(start) {
-			continue
-		}
-		first := firstOut(start)
-		if used[first] {
-			continue
-		}
-		used[first] = true
-		walk = append(walk[:0], first)
-		cur := g.edgeTo[first]
-		for cur != start {
-			next := firstOut(cur)
-			used[next] = true
-			walk = append(walk, next)
-			cur = g.edgeTo[next]
-		}
-		contigs = append(contigs, g.spellEdgeWalk(start, walk))
-	}
-	g.scratch.edgePath = walk[:0]
 
 	// Longest first; only equal lengths are spelled out to break the tie.
 	sort.Slice(contigs, func(a, b int) bool {
@@ -96,28 +113,55 @@ func (g *Graph) Contigs() []Contig {
 	return contigs
 }
 
-// spellEdgeWalk converts a start node plus a chain of edge indices into a
-// Contig: the start (k-1)-mer followed by one base per edge, written into a
-// single pre-sized sequence.
-func (g *Graph) spellEdgeWalk(start int32, walk []int32) Contig {
-	nodeLen := g.NodeLen()
-	seq := genome.NewSequence(nodeLen + len(walk))
-	startKm := g.idx.At(start)
-	for i := 0; i < nodeLen; i++ {
-		seq.SetBase(i, startKm.Base(i))
+// walkSeeds walks the path of every seed edge, leaving seed i's contig in
+// contigs[i] and marking the edges it crosses in used, and returns how many
+// it crossed. It advances walkLanes paths at a time: every lane's edge
+// record is loaded before any is looked at, then every lane's node record,
+// and a lane whose path has ended takes the next seed.
+func (g *Graph) walkSeeds(seeds []int32, contigs []Contig, used bitset) int {
+	type lane struct {
+		spelling
+		seed int   // index of the path in seeds and contigs
+		e    int32 // edge slot to cross next
 	}
-	var coverage float64
-	for i, e := range walk {
-		// The appended base is the target node's last base — equivalently
-		// the edge k-mer's base k-1.
-		seq.SetBase(nodeLen+i, g.edgeKmer[e].Base(g.k-1))
-		coverage += float64(g.edgeCount[e])
+	var lanes [walkLanes]lane
+	active := min(walkLanes, len(seeds))
+	for l := 0; l < active; l++ {
+		lanes[l].seed, lanes[l].e = l, seeds[l]
 	}
-	return Contig{
-		Seq:          seq,
-		EdgeCount:    len(walk),
-		MeanCoverage: coverage / float64(len(walk)),
+	next, walked := active, 0
+	var eds [walkLanes]edge
+	var nds [walkLanes]node
+	for active > 0 {
+		for l := 0; l < active; l++ {
+			eds[l] = g.edges[lanes[l].e]
+		}
+		for l := 0; l < active; l++ {
+			used.set(lanes[l].e)
+			lanes[l].add(g.k, eds[l])
+			nds[l] = g.nodes[eds[l].to]
+		}
+		walked += active
+		for l := 0; l < active; l++ {
+			ln := &lanes[l]
+			if nd := nds[l]; nd.in == 1 && nd.out == 1 {
+				ln.e = g.firstLiveEdge(nd.off)
+				continue
+			}
+			contigs[ln.seed] = ln.contig(g.k)
+			if next < len(seeds) {
+				ln.seed, ln.e = next, seeds[next]
+				next++
+				continue
+			}
+			// No seed left: retire the lane by moving the last one here.
+			active--
+			lanes[l], lanes[active] = lanes[active], lanes[l]
+			nds[l] = nds[active]
+			l--
+		}
 	}
+	return walked
 }
 
 // N50 computes the N50 statistic of a contig set: the largest length L such

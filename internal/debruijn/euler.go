@@ -14,11 +14,11 @@ var ErrNoEulerian = errors.New("debruijn: graph has no Eulerian path or circuit"
 // Hierholzer's algorithm — the efficient traversal used for large graphs.
 // The walk visits every edge exactly once; spelling it reconstructs a
 // superstring of the reads. The traversal runs entirely on node IDs over the
-// CSR arrays: a per-node edge cursor replaces the consumable adjacency-map
+// CSR records: a per-node edge cursor replaces the consumable adjacency-map
 // copy, so the only allocation is the returned walk.
 func (g *Graph) EulerPath() ([]kmer.Kmer, error) {
 	g.finalize()
-	if g.edges == 0 {
+	if g.numEdges == 0 {
 		return nil, ErrNoEulerian
 	}
 	class, start := g.balanceID()
@@ -26,20 +26,25 @@ func (g *Graph) EulerPath() ([]kmer.Kmer, error) {
 		return nil, ErrNoEulerian
 	}
 
-	n := g.idx.Len()
+	n := len(g.kmers)
 	g.scratch.ensureNodes(n)
 	cursor := g.scratch.cursor
-	copy(cursor, g.edgeOff[:n])
+	for id := range cursor {
+		cursor[id] = g.nodes[id].off
+	}
 
 	// Hierholzer with an explicit stack; the walk assembles reversed.
 	stack := append(g.scratch.stack[:0], start)
 	walk := g.scratch.walk[:0]
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
-		e := g.firstLiveEdge(v, cursor[v])
-		if e < g.edgeOff[v+1] {
+		e, hi := cursor[v], g.nodes[v+1].off
+		for e < hi && g.dead.get(e) {
+			e++
+		}
+		if e < hi {
 			cursor[v] = e + 1
-			stack = append(stack, g.edgeTo[e])
+			stack = append(stack, g.edges[e].to)
 		} else {
 			cursor[v] = e
 			walk = append(walk, v)
@@ -48,7 +53,7 @@ func (g *Graph) EulerPath() ([]kmer.Kmer, error) {
 	}
 	g.scratch.stack, g.scratch.walk = stack[:0], walk
 
-	if len(walk) != g.edges+1 {
+	if len(walk) != g.numEdges+1 {
 		// Disconnected edge set slipped through (defensive; EdgeConnected
 		// should have caught it).
 		return nil, ErrNoEulerian
@@ -56,7 +61,7 @@ func (g *Graph) EulerPath() ([]kmer.Kmer, error) {
 	// Convert to k-mers, reversing into the fresh result slice.
 	out := make([]kmer.Kmer, len(walk))
 	for i, id := range walk {
-		out[len(walk)-1-i] = g.idx.At(id)
+		out[len(walk)-1-i] = g.kmers[id]
 	}
 	return out, nil
 }
@@ -69,7 +74,7 @@ func (g *Graph) EulerPath() ([]kmer.Kmer, error) {
 // per-node slices of CSR edge indices.
 func (g *Graph) FleuryPath() ([]kmer.Kmer, error) {
 	g.finalize()
-	if g.edges == 0 {
+	if g.numEdges == 0 {
 		return nil, ErrNoEulerian
 	}
 	class, start := g.balanceID()
@@ -77,16 +82,16 @@ func (g *Graph) FleuryPath() ([]kmer.Kmer, error) {
 		return nil, ErrNoEulerian
 	}
 
-	n := g.idx.Len()
+	n := len(g.kmers)
 	adj := make([][]int32, n)
-	for id := 0; id < n; id++ {
-		for e := g.edgeOff[id]; e < g.edgeOff[id+1]; e++ {
-			if !g.edgeDead[e] {
+	for id := range adj {
+		for e, hi := g.span(int32(id)); e < hi; e++ {
+			if !g.dead.get(e) {
 				adj[id] = append(adj[id], e)
 			}
 		}
 	}
-	remaining := g.edges
+	remaining := g.numEdges
 
 	removeEdge := func(from int32, idx int) {
 		adj[from] = append(adj[from][:idx:idx], adj[from][idx+1:]...)
@@ -118,7 +123,7 @@ func (g *Graph) FleuryPath() ([]kmer.Kmer, error) {
 			stack = stack[:len(stack)-1]
 			for _, e := range adj[u] {
 				count++
-				if to := g.edgeTo[e]; !seen[to] {
+				if to := g.edges[e].to; !seen[to] {
 					seen[to] = true
 					stack = append(stack, to)
 				}
@@ -128,7 +133,7 @@ func (g *Graph) FleuryPath() ([]kmer.Kmer, error) {
 		return count
 	}
 
-	walk := []kmer.Kmer{g.idx.At(start)}
+	walk := []kmer.Kmer{g.kmers[start]}
 	v := start
 	for remaining > 0 {
 		out := adj[v]
@@ -142,9 +147,9 @@ func (g *Graph) FleuryPath() ([]kmer.Kmer, error) {
 				removeEdge(v, i)
 				// Not a bridge if every remaining edge stays reachable
 				// from the successor.
-				if reachableEdges(g.edgeTo[e]) == remaining {
-					v = g.edgeTo[e]
-					walk = append(walk, g.idx.At(v))
+				if reachableEdges(g.edges[e].to) == remaining {
+					v = g.edges[e].to
+					walk = append(walk, g.kmers[v])
 					moved = true
 					break
 				}
@@ -157,8 +162,8 @@ func (g *Graph) FleuryPath() ([]kmer.Kmer, error) {
 		// Single exit, or every alternative is a bridge: take edge 0.
 		e := adj[v][0]
 		removeEdge(v, 0)
-		v = g.edgeTo[e]
-		walk = append(walk, g.idx.At(v))
+		v = g.edges[e].to
+		walk = append(walk, g.kmers[v])
 	}
 	return walk, nil
 }
@@ -167,11 +172,11 @@ func (g *Graph) FleuryPath() ([]kmer.Kmer, error) {
 // nodes overlap correctly and every graph edge is used exactly once.
 func (g *Graph) ValidateWalk(walk []kmer.Kmer) error {
 	g.finalize()
-	if len(walk) != g.edges+1 {
+	if len(walk) != g.numEdges+1 {
 		return fmt.Errorf("debruijn: walk has %d nodes, want %d for %d edges",
-			len(walk), g.edges+1, g.edges)
+			len(walk), g.numEdges+1, g.numEdges)
 	}
-	used := g.scratch.ensureEdges(len(g.edgeKmer))
+	used := g.scratch.ensureEdges(len(g.edges))
 	var extraKm kmer.Kmer
 	extra := 0
 	for i := 0; i+1 < len(walk); i++ {
@@ -181,12 +186,11 @@ func (g *Graph) ValidateWalk(walk []kmer.Kmer) error {
 		if km.Prefix(g.k) != from || km.Suffix(g.k) != to {
 			return fmt.Errorf("debruijn: step %d: %v -> %v is not a de Bruijn transition", i, from, to)
 		}
-		id, ok := g.idx.Lookup(from)
 		matched := false
-		if ok {
-			for e := g.edgeOff[id]; e < g.edgeOff[id+1]; e++ {
-				if !g.edgeDead[e] && !used[e] && g.edgeKmer[e] == km {
-					used[e] = true
+		if id, ok := g.nodeID(from); ok {
+			for e, hi := g.span(id); e < hi; e++ {
+				if !g.dead.get(e) && !used.get(e) && g.edges[e].kmer == km {
+					used.set(e)
 					matched = true
 					break
 				}
@@ -197,11 +201,11 @@ func (g *Graph) ValidateWalk(walk []kmer.Kmer) error {
 			extra++
 		}
 	}
-	for id := 0; id+1 < len(g.edgeOff); id++ {
-		for e := g.edgeOff[id]; e < g.edgeOff[id+1]; e++ {
-			if !g.edgeDead[e] && !used[e] {
+	for id, from := range g.kmers {
+		for e, hi := g.span(int32(id)); e < hi; e++ {
+			if !g.dead.get(e) && !used.get(e) {
 				return fmt.Errorf("debruijn: edge %s (from node %v) unused",
-					g.edgeKmer[e].String(g.k), g.idx.At(int32(id)))
+					g.edges[e].kmer.String(g.k), from)
 			}
 		}
 	}

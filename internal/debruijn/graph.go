@@ -4,18 +4,24 @@
 // contigs are spelled from Eulerian traversals (Fleury, as the paper's
 // Traverse procedure names) or from maximal non-branching paths.
 //
-// Representation: nodes are interned into dense int32 IDs by a kmer.Index
-// and the adjacency is CSR-style flat arrays (edge offsets plus parallel
-// edge-target/k-mer/count arrays) built in a finalize pass, with per-node
-// in/out degrees as []int32 and edge removal via tombstones. Every traversal
-// (Hierholzer, Fleury, contig emission, simplification) walks IDs over these
-// arrays; Kmer-facing accessors are preserved at the API boundary. The
-// map-of-slices builder this replaced survives only as the tests'
-// differential reference (MapGraph, mapref_test.go). See DESIGN.md §13.
+// Representation: a finalize pass sorts the pending edges by k-mer (a no-op
+// for a count table's entries) and merge-joins their prefixes against their
+// suffixes, which yields the node list in (k-1)-mer order — a node's ID is
+// its rank there — and a CSR adjacency of one record per node (edge offset,
+// live in/out degree) and one per edge (k-mer, target ID, count), with edge
+// removal via a tombstone bitset. Nothing is hashed: a (k-1)-mer is resolved
+// by binary search over the node list. Every traversal (Hierholzer, Fleury,
+// contig emission, simplification) walks IDs over these records; Kmer-facing
+// accessors are preserved at the API boundary. The map-of-slices builder
+// this replaced survives only as the tests' differential reference
+// (MapGraph, mapref_test.go). See DESIGN.md §13.
 package debruijn
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 
 	"pimassembler/internal/genome"
 	"pimassembler/internal/kmer"
@@ -29,36 +35,62 @@ type Edge struct {
 	Count uint32
 }
 
-// Graph is a de Bruijn graph over (k-1)-mer nodes, stored densely: node IDs
-// from a kmer.Index, CSR adjacency, flat degree vectors.
+// node is what a walk reads when it stands on a vertex: where its edge
+// slots start (they end at the next node's off) and how many live edges
+// enter and leave it.
+type node struct {
+	off     int32
+	in, out int32
+}
+
+// live reports whether a live edge touches the node: whether it exists.
+func (nd node) live() bool { return nd.in|nd.out != 0 }
+
+// edge is what a walk reads when it crosses an edge slot.
+type edge struct {
+	kmer  kmer.Kmer
+	to    int32 // target node ID
+	count uint32
+}
+
+// bitset is one mark per edge slot: an eighth of a byte each, so the marks
+// of a million-edge graph stay in cache under the random accesses of a walk.
+type bitset []uint64
+
+func (b bitset) get(i int32) bool { return b[i>>6]>>(uint(i)&63)&1 != 0 }
+func (b bitset) set(i int32)      { b[i>>6] |= 1 << (uint(i) & 63) }
+
+// Graph is a de Bruijn graph over (k-1)-mer nodes, stored densely.
+//
+// A node exists while a live edge touches it, and only then: removing a
+// node's last edge removes the node, and AddKmer brings it back. Node IDs are
+// ranks in the sorted node list of the last finalize pass, so they are
+// renumbered by the first query after an AddKmer; nothing may hold an ID
+// across AddKmer.
 type Graph struct {
-	k   int         // k-mer (edge) length; nodes are (k-1)-mers
-	idx *kmer.Index // (k-1)-mer -> dense node ID, in first-insertion order
+	k int // k-mer (edge) length; nodes are (k-1)-mers
 
-	// Edges accumulated by AddKmer, folded into the CSR arrays by the next
+	// Edges accumulated by AddKmer, folded into the CSR records by the next
 	// finalize pass.
-	pendFrom  []int32
-	pendTo    []int32
-	pendKmer  []kmer.Kmer
-	pendCount []uint32
+	pend         []kmer.Entry
+	pendUnsorted bool // pend is not in ascending k-mer order
 
-	// CSR adjacency, valid while !dirty: node i owns edge slots
-	// edgeOff[i]..edgeOff[i+1], sorted by edge k-mer (the deterministic
-	// order Out always exposed). Simplification tombstones slots via
-	// edgeDead instead of compacting; the next finalize drops tombstones.
-	edgeOff   []int32
-	edgeTo    []int32
-	edgeKmer  []kmer.Kmer
-	edgeCount []uint32
-	edgeDead  []bool
+	// Valid while !dirty. kmers[id] is node id's (k-1)-mer, ascending;
+	// nodes[id] its record, with one sentinel record closing the last edge
+	// segment. A node's slots are sorted by edge k-mer (the deterministic
+	// order Out always exposed). Simplification tombstones slots in dead
+	// instead of compacting; the next finalize drops tombstones.
+	kmers []kmer.Kmer
+	nodes []node
+	edges []edge
+	dead  bitset
 
-	inDeg  []int32 // live in-degree per node ID
-	outDeg []int32 // live out-degree per node ID
-	alive  []bool  // false once pruneIsolated dropped the node
-	order  []int32 // alive node IDs sorted by (k-1)-mer value
-	rank   []int32 // node ID -> position in order (-1 when pruned)
-	edges  int     // live edge count
-	dirty  bool
+	numEdges int // live edges, pending ones included
+	dirty    bool
+
+	// The live IDs in ascending order and its inverse, built by SortedIDs
+	// and dropped whenever a node comes or goes.
+	order, rank []int32
 
 	scratch traversalScratch
 }
@@ -72,8 +104,8 @@ type traversalScratch struct {
 	walk     []int32 // traversal output before Kmer conversion
 	seen     []bool  // per-node visit marks
 	parent   []int32 // union-find parents (EdgeConnected)
-	edgeUsed []bool  // per-edge marks (Contigs, ValidateWalk)
-	edgePath []int32 // edge-index path buffer (simplify walks)
+	edgeUsed bitset  // per-edge marks (Contigs, ValidateWalk)
+	seeds    []int32 // first edge slot of every walk (Contigs)
 }
 
 // ensureNodes sizes the per-node scratch for n nodes.
@@ -89,14 +121,13 @@ func (s *traversalScratch) ensureNodes(n int) {
 }
 
 // ensureEdges returns the per-edge mark buffer, cleared, for m edges.
-func (s *traversalScratch) ensureEdges(m int) []bool {
-	if cap(s.edgeUsed) < m {
-		s.edgeUsed = make([]bool, m)
+func (s *traversalScratch) ensureEdges(m int) bitset {
+	words := (m + 63) / 64
+	if cap(s.edgeUsed) < words {
+		s.edgeUsed = make(bitset, words)
 	}
-	s.edgeUsed = s.edgeUsed[:m]
-	for i := range s.edgeUsed {
-		s.edgeUsed[i] = false
-	}
+	s.edgeUsed = s.edgeUsed[:words]
+	clear(s.edgeUsed)
 	return s.edgeUsed
 }
 
@@ -111,19 +142,16 @@ func NewGraph(k int) *Graph {
 	return NewGraphHint(k, 0, 0)
 }
 
-// NewGraphHint creates an empty graph pre-sized for about nodesHint nodes
-// and edgesHint edges — the arena-style allocation graph construction from a
-// count table uses so the build path neither rehashes nor regrows.
+// NewGraphHint creates an empty graph with room for edgesHint AddKmer calls.
+// nodesHint sizes nothing — the node list is derived from the edges, not
+// grown beside them — and remains for the callers that pass it.
 func NewGraphHint(k, nodesHint, edgesHint int) *Graph {
 	if k < 2 || k > kmer.MaxK {
 		panic(fmt.Sprintf("debruijn: k=%d outside [2,%d]", k, kmer.MaxK))
 	}
-	g := &Graph{k: k, idx: kmer.NewIndex(k-1, nodesHint)}
+	g := &Graph{k: k}
 	if edgesHint > 0 {
-		g.pendFrom = make([]int32, 0, edgesHint)
-		g.pendTo = make([]int32, 0, edgesHint)
-		g.pendKmer = make([]kmer.Kmer, 0, edgesHint)
-		g.pendCount = make([]uint32, 0, edgesHint)
+		g.pend = make([]kmer.Entry, 0, edgesHint)
 	}
 	return g
 }
@@ -132,166 +160,164 @@ func NewGraphHint(k, nodesHint, edgesHint int) *Graph {
 // the MEM_insert pair of the DeBruijn procedure (node_1 = k_mer[0..k-2],
 // node_2 = k_mer[1..k-1]).
 func (g *Graph) AddKmer(km kmer.Kmer, count uint32) {
-	from := g.idx.Intern(km.Prefix(g.k))
-	to := g.idx.Intern(km.Suffix(g.k))
-	g.pendFrom = append(g.pendFrom, from)
-	g.pendTo = append(g.pendTo, to)
-	g.pendKmer = append(g.pendKmer, km)
-	g.pendCount = append(g.pendCount, count)
-	g.edges++
+	if n := len(g.pend); n > 0 && km < g.pend[n-1].Kmer {
+		g.pendUnsorted = true
+	}
+	g.pend = append(g.pend, kmer.Entry{Kmer: km, Count: count})
+	g.numEdges++
 	g.dirty = true
 }
 
 // Build constructs the graph from a k-mer counter — the serial CountTable
-// or the hash-partitioned parallel table alike — inserting each distinct
-// k-mer once (frequency kept as edge weight). Insertion order does not
-// matter — finalize sorts every adjacency segment by k-mer — so the table
-// is streamed unsorted rather than paying Entries' sort.
+// or the hash-partitioned parallel table alike — with one edge per distinct
+// k-mer (frequency kept as edge weight).
 func Build(t kmer.Counter) *Graph {
-	g := NewGraphHint(t.K(), t.Len()+1, t.Len())
-	t.Each(func(km kmer.Kmer, count uint32) bool {
-		g.AddKmer(km, count)
-		return true
+	return BuildEntries(t.K(), t.Entries())
+}
+
+// BuildEntries constructs the graph with one edge per entry, reading the
+// slice in place rather than copying it edge by edge. Entries in ascending
+// k-mer order — what Counter.Entries and FilterMinCount return — are laid out
+// as they are; any other order is sorted first, in the caller's slice. The
+// graph keeps no reference to entries once it is built.
+func BuildEntries(k int, entries []kmer.Entry) *Graph {
+	g := NewGraph(k)
+	g.pend = entries
+	g.pendUnsorted = !slices.IsSortedFunc(entries, func(a, b kmer.Entry) int {
+		return cmp.Compare(a.Kmer, b.Kmer)
 	})
+	g.numEdges = len(entries)
+	g.dirty = true
 	g.finalize()
 	return g
 }
 
-// finalize folds pending AddKmer edges (plus surviving CSR edges) into fresh
-// CSR arrays: a counting sort by source node, then a per-segment sort by
-// edge k-mer for the deterministic adjacency order every traversal assumes.
+// finalize folds the pending AddKmer edges, plus the surviving edge slots of
+// an earlier pass, into fresh node and edge records.
 func (g *Graph) finalize() {
 	if !g.dirty {
 		return
 	}
-	n := g.idx.Len()
-
-	// The edges to lay out: the pending batch as it stands on a first build,
-	// otherwise the surviving CSR slots followed by the pending batch.
-	from, to, kms, counts := g.pendFrom, g.pendTo, g.pendKmer, g.pendCount
-	if len(g.edgeKmer) > 0 {
-		from = make([]int32, 0, g.edges)
-		to = make([]int32, 0, g.edges)
-		kms = make([]kmer.Kmer, 0, g.edges)
-		counts = make([]uint32, 0, g.edges)
-		for id := 0; id+1 < len(g.edgeOff); id++ {
-			for e := g.edgeOff[id]; e < g.edgeOff[id+1]; e++ {
-				if g.edgeDead[e] {
-					continue
-				}
-				from = append(from, int32(id))
-				to = append(to, g.edgeTo[e])
-				kms = append(kms, g.edgeKmer[e])
-				counts = append(counts, g.edgeCount[e])
+	es, unsorted := g.pend, g.pendUnsorted
+	if len(g.edges) > 0 {
+		// Slot order is by source node, not by k-mer. Survivors go first so
+		// the stable sort keeps a re-added k-mer behind its older twin.
+		es = make([]kmer.Entry, 0, g.numEdges)
+		for i, e := range g.edges {
+			if !g.dead.get(int32(i)) {
+				es = append(es, kmer.Entry{Kmer: e.kmer, Count: e.count})
 			}
 		}
-		from = append(from, g.pendFrom...)
-		to = append(to, g.pendTo...)
-		kms = append(kms, g.pendKmer...)
-		counts = append(counts, g.pendCount...)
+		es, unsorted = append(es, g.pend...), true
 	}
-
-	// Aliveness: nodes stay pruned unless an edge touches them again; newly
-	// interned nodes are alive.
-	alive := make([]bool, n)
-	for id := range alive {
-		alive[id] = id >= len(g.alive) || g.alive[id]
+	if unsorted {
+		kmer.SortEntries(es)
 	}
-	for i := range g.pendFrom {
-		alive[g.pendFrom[i]] = true
-		alive[g.pendTo[i]] = true
-	}
-
-	// Counting sort by source node into the CSR layout.
-	g.outDeg = make([]int32, n)
-	g.inDeg = make([]int32, n)
-	for i := range from {
-		g.outDeg[from[i]]++
-		g.inDeg[to[i]]++
-	}
-	g.edgeOff = make([]int32, n+1)
-	for id := 0; id < n; id++ {
-		g.edgeOff[id+1] = g.edgeOff[id] + g.outDeg[id]
-	}
-	pos := append([]int32(nil), g.edgeOff[:n]...)
-	g.edgeTo = make([]int32, len(from))
-	g.edgeKmer = make([]kmer.Kmer, len(from))
-	g.edgeCount = make([]uint32, len(from))
-	for i := range from {
-		p := pos[from[i]]
-		pos[from[i]]++
-		g.edgeTo[p] = to[i]
-		g.edgeKmer[p] = kms[i]
-		g.edgeCount[p] = counts[i]
-	}
-	g.edgeDead = make([]bool, len(from))
-
-	// Sort each node's segment by edge k-mer (out-degree is at most 4 for
-	// distinct k-mers, so insertion sort is exact and allocation-free).
-	for id := 0; id < n; id++ {
-		lo, hi := g.edgeOff[id], g.edgeOff[id+1]
-		for i := lo + 1; i < hi; i++ {
-			for j := i; j > lo && g.edgeKmer[j] < g.edgeKmer[j-1]; j-- {
-				g.edgeKmer[j], g.edgeKmer[j-1] = g.edgeKmer[j-1], g.edgeKmer[j]
-				g.edgeTo[j], g.edgeTo[j-1] = g.edgeTo[j-1], g.edgeTo[j]
-				g.edgeCount[j], g.edgeCount[j-1] = g.edgeCount[j-1], g.edgeCount[j]
-			}
-		}
-	}
-
-	g.alive = alive
-	g.sortOrder()
-	g.pendFrom, g.pendTo, g.pendKmer, g.pendCount = nil, nil, nil, nil
+	g.layout(es)
+	g.pend, g.pendUnsorted = nil, false
 	g.dirty = false
 }
 
-// sortOrder recomputes the alive-node enumeration in (k-1)-mer order: one
-// radix sort over (node, ID) pairs. Interned nodes are distinct, so the
-// order is total.
-func (g *Graph) sortOrder() {
-	pairs := make([]kmer.Entry, 0, g.idx.Len())
-	for id, alive := range g.alive {
-		if alive {
-			pairs = append(pairs, kmer.Entry{Kmer: g.idx.At(int32(id)), Count: uint32(id)})
+// layout derives every record from the edges in ascending k-mer order, in
+// sequential passes. Base 0 sits in a k-mer's low bits, so the list is
+// already grouped by suffix node (km>>2 never decreases, and a run's length
+// is that node's in-degree) and its prefix nodes form four ascending runs,
+// one per last base. Merging the four prefix runs with the suffix stream
+// visits every node once, in (k-1)-mer order: its ID is its rank, its edge
+// slots are the run heads equal to it — taken in run order, which is k-mer
+// order — and the suffix run equal to it names the edges that target it.
+func (g *Graph) layout(es []kmer.Entry) {
+	m := len(es)
+	nodeBits := 2 * uint(g.k-1)
+	nodeMask := kmer.Kmer(kmer.Mask(g.k - 1))
+	// Above every (k-1)-mer: those have at most 62 bits.
+	const exhausted = ^kmer.Kmer(0)
+
+	// Run b is es[cur[b]:end[b]], head[b] the prefix node at its cursor.
+	var cur, end [4]int
+	for b := 1; b < 4; b++ {
+		cur[b] = sort.Search(m, func(i int) bool { return es[i].Kmer>>nodeBits >= kmer.Kmer(b) })
+		end[b-1] = cur[b]
+	}
+	end[3] = m
+	var head [4]kmer.Kmer
+	for b := range head {
+		head[b] = exhausted
+		if cur[b] < end[b] {
+			head[b] = es[cur[b]].Kmer & nodeMask
 		}
 	}
-	kmer.SortEntries(pairs)
-	g.order = g.order[:0]
-	for _, p := range pairs {
-		g.order = append(g.order, int32(p.Count))
+	// The suffix stream is es itself; suffix is the node at its cursor s.
+	s, suffix := 0, exhausted
+	if m > 0 {
+		suffix = es[0].Kmer >> 2
 	}
-	g.rebuildRank()
+
+	// A graph has one node more than edges per unbranched path, so a little
+	// headroom covers all but the tip-ridden ones, which grow the slices.
+	g.kmers = make([]kmer.Kmer, 0, m+m/8+1)
+	g.nodes = make([]node, 0, m+m/8+2)
+	g.edges = make([]edge, 0, m)
+	// target[i] is the node ID edge es[i] leads to, known once the merge
+	// reaches its suffix; until then the edge's slot remembers i.
+	target := make([]int32, m)
+	for {
+		n := min(suffix, head[0], head[1], head[2], head[3])
+		if n == exhausted {
+			break
+		}
+		id := int32(len(g.kmers))
+		nd := node{off: int32(len(g.edges))}
+		for suffix == n {
+			target[s] = id
+			nd.in++
+			s++
+			suffix = exhausted
+			if s < m {
+				suffix = es[s].Kmer >> 2
+			}
+		}
+		for b := range head {
+			for head[b] == n {
+				e := es[cur[b]]
+				g.edges = append(g.edges, edge{kmer: e.Kmer, to: int32(cur[b]), count: e.Count})
+				cur[b]++
+				head[b] = exhausted
+				if cur[b] < end[b] {
+					head[b] = es[cur[b]].Kmer & nodeMask
+				}
+			}
+		}
+		nd.out = int32(len(g.edges)) - nd.off
+		g.kmers = append(g.kmers, n)
+		g.nodes = append(g.nodes, nd)
+	}
+	g.nodes = append(g.nodes, node{off: int32(m)})
+	for i := range g.edges {
+		g.edges[i].to = target[g.edges[i].to]
+	}
+	g.dead = make(bitset, (m+63)/64)
+	g.order, g.rank = nil, nil
 }
 
-// rebuildRank recomputes the inverse of order.
-func (g *Graph) rebuildRank() {
-	n := g.idx.Len()
-	if cap(g.rank) < n {
-		g.rank = make([]int32, n)
-	}
-	g.rank = g.rank[:n]
-	for i := range g.rank {
-		g.rank[i] = -1
-	}
-	for i, id := range g.order {
-		g.rank[id] = int32(i)
-	}
+// span returns node id's edge slots, live and dead, as [lo, hi).
+func (g *Graph) span(id int32) (lo, hi int32) {
+	return g.nodes[id].off, g.nodes[id+1].off
 }
 
 // nodeID resolves a (k-1)-mer to its live node ID.
 func (g *Graph) nodeID(n kmer.Kmer) (int32, bool) {
-	id, ok := g.idx.Lookup(n)
-	if !ok || !g.alive[id] {
+	id, ok := slices.BinarySearch(g.kmers, n)
+	if !ok || !g.nodes[id].live() {
 		return 0, false
 	}
-	return id, true
+	return int32(id), true
 }
 
-// firstLiveEdge returns the first live edge slot of node id at or after e,
-// or g.edgeOff[id+1] when the segment is exhausted.
-func (g *Graph) firstLiveEdge(id int32, e int32) int32 {
-	hi := g.edgeOff[id+1]
-	for e < hi && g.edgeDead[e] {
+// firstLiveEdge returns the first live edge slot at or after e. The caller
+// knows there is one: e starts the slots of a node with a live out-edge.
+func (g *Graph) firstLiveEdge(e int32) int32 {
+	for g.dead.get(e) {
 		e++
 	}
 	return e
@@ -300,11 +326,17 @@ func (g *Graph) firstLiveEdge(id int32, e int32) int32 {
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int {
 	g.finalize()
-	return len(g.order)
+	n := 0
+	for _, nd := range g.nodes[:len(g.kmers)] {
+		if nd.live() {
+			n++
+		}
+	}
+	return n
 }
 
 // NumEdges returns the edge count (distinct k-mers).
-func (g *Graph) NumEdges() int { return g.edges }
+func (g *Graph) NumEdges() int { return g.numEdges }
 
 // OutDegree returns the out-degree of node n.
 func (g *Graph) OutDegree(n kmer.Kmer) int {
@@ -313,7 +345,7 @@ func (g *Graph) OutDegree(n kmer.Kmer) int {
 	if !ok {
 		return 0
 	}
-	return int(g.outDeg[id])
+	return int(g.nodes[id].out)
 }
 
 // InDegree returns the in-degree of node n.
@@ -323,7 +355,7 @@ func (g *Graph) InDegree(n kmer.Kmer) int {
 	if !ok {
 		return 0
 	}
-	return int(g.inDeg[id])
+	return int(g.nodes[id].in)
 }
 
 // Out returns the outgoing edges of n in deterministic (k-mer sorted) order.
@@ -333,22 +365,19 @@ func (g *Graph) Out(n kmer.Kmer) []Edge {
 	if !ok {
 		return nil
 	}
-	out := make([]Edge, 0, g.outDeg[id])
-	for e := g.edgeOff[id]; e < g.edgeOff[id+1]; e++ {
-		if g.edgeDead[e] {
-			continue
-		}
-		out = append(out, Edge{Kmer: g.edgeKmer[e], To: g.idx.At(g.edgeTo[e]), Count: g.edgeCount[e]})
-	}
+	out := make([]Edge, 0, g.nodes[id].out)
+	g.EachOutID(id, func(to int32, km kmer.Kmer, count uint32) {
+		out = append(out, Edge{Kmer: km, To: g.kmers[to], Count: count})
+	})
 	return out
 }
 
 // Nodes returns all nodes sorted by value.
 func (g *Graph) Nodes() []kmer.Kmer {
-	g.finalize()
-	out := make([]kmer.Kmer, len(g.order))
-	for i, id := range g.order {
-		out[i] = g.idx.At(id)
+	ids := g.SortedIDs()
+	out := make([]kmer.Kmer, len(ids))
+	for i, id := range ids {
+		out[i] = g.kmers[id]
 	}
 	return out
 }
@@ -362,15 +391,29 @@ func (g *Graph) HasNode(n kmer.Kmer) bool {
 
 // SortedIDs returns the live node IDs in (k-1)-mer sorted order — the same
 // enumeration as Nodes, for ID-indexed consumers (internal/core's graph
-// engine). The slice is owned by the graph; callers must not mutate it.
+// engine). IDs ascend with the (k-1)-mer, so this is every ID until an edge
+// removal takes a node away. The slice is owned by the graph; callers must
+// not mutate it, and like every ID it is stale after the next AddKmer.
 func (g *Graph) SortedIDs() []int32 {
 	g.finalize()
+	if g.order == nil {
+		g.order = make([]int32, 0, len(g.kmers))
+		g.rank = make([]int32, len(g.kmers))
+		for id := range g.kmers {
+			g.rank[id] = -1
+			if g.nodes[id].live() {
+				g.rank[id] = int32(len(g.order))
+				g.order = append(g.order, int32(id))
+			}
+		}
+	}
 	return g.order
 }
 
-// RankOfID returns id's position within SortedIDs, or -1 for pruned nodes.
+// RankOfID returns id's position within SortedIDs, or -1 for a node no live
+// edge touches any more. id must come from this graph since its last AddKmer.
 func (g *Graph) RankOfID(id int32) int32 {
-	g.finalize()
+	g.SortedIDs()
 	return g.rank[id]
 }
 
@@ -378,11 +421,11 @@ func (g *Graph) RankOfID(id int32) int32 {
 // adjacency order, without materialising an []Edge.
 func (g *Graph) EachOutID(id int32, fn func(to int32, km kmer.Kmer, count uint32)) {
 	g.finalize()
-	for e := g.edgeOff[id]; e < g.edgeOff[id+1]; e++ {
-		if g.edgeDead[e] {
-			continue
+	for e, hi := g.span(id); e < hi; e++ {
+		if !g.dead.get(e) {
+			ed := g.edges[e]
+			fn(ed.to, ed.kmer, ed.count)
 		}
-		fn(g.edgeTo[e], g.edgeKmer[e], g.edgeCount[e])
 	}
 }
 
@@ -410,19 +453,19 @@ func (g *Graph) Balance() (BalanceClass, kmer.Kmer) {
 	if class == BalanceNone || start < 0 {
 		return class, 0
 	}
-	return class, g.idx.At(start)
+	return class, g.kmers[start]
 }
 
 // balanceID is Balance over node IDs; start is -1 for an empty circuit.
 func (g *Graph) balanceID() (BalanceClass, int32) {
 	var start int32 = -1
 	plus, minus := 0, 0
-	for _, id := range g.order {
-		switch diff := g.outDeg[id] - g.inDeg[id]; {
+	for id, nd := range g.nodes[:len(g.kmers)] {
+		switch diff := nd.out - nd.in; {
 		case diff == 0:
 		case diff == 1:
 			plus++
-			start = id
+			start = int32(id)
 		case diff == -1:
 			minus++
 		default:
@@ -431,9 +474,9 @@ func (g *Graph) balanceID() (BalanceClass, int32) {
 	}
 	switch {
 	case plus == 0 && minus == 0:
-		for _, id := range g.order {
-			if g.outDeg[id] > 0 {
-				return BalanceCircuit, id
+		for id, nd := range g.nodes[:len(g.kmers)] {
+			if nd.out > 0 {
+				return BalanceCircuit, int32(id)
 			}
 		}
 		return BalanceCircuit, -1
@@ -450,7 +493,7 @@ func (g *Graph) balanceID() (BalanceClass, int32) {
 // reusable parent/seen scratch.
 func (g *Graph) EdgeConnected() bool {
 	g.finalize()
-	n := g.idx.Len()
+	n := len(g.kmers)
 	g.scratch.ensureNodes(n)
 	parent, touched := g.scratch.parent, g.scratch.seen
 	for i := 0; i < n; i++ {
@@ -466,15 +509,16 @@ func (g *Graph) EdgeConnected() bool {
 		return x
 	}
 	any := false
-	for id := 0; id+1 < len(g.edgeOff); id++ {
-		for e := g.edgeOff[id]; e < g.edgeOff[id+1]; e++ {
-			if g.edgeDead[e] {
+	for id := int32(0); int(id) < n; id++ {
+		for e, hi := g.span(id); e < hi; e++ {
+			if g.dead.get(e) {
 				continue
 			}
+			to := g.edges[e].to
 			any = true
 			touched[id] = true
-			touched[g.edgeTo[e]] = true
-			ra, rb := find(int32(id)), find(g.edgeTo[e])
+			touched[to] = true
+			ra, rb := find(id), find(to)
 			if ra != rb {
 				parent[ra] = rb
 			}
@@ -519,5 +563,5 @@ func (g *Graph) Spell(walk []kmer.Kmer) *genome.Sequence {
 
 // String summarises the graph.
 func (g *Graph) String() string {
-	return fmt.Sprintf("debruijn.Graph{k=%d, nodes=%d, edges=%d}", g.k, g.NumNodes(), g.edges)
+	return fmt.Sprintf("debruijn.Graph{k=%d, nodes=%d, edges=%d}", g.k, g.NumNodes(), g.numEdges)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // MapGraph is the retained map-of-slices de Bruijn builder: the
-// representation Graph used before the dense interned-ID/CSR refactor
+// representation Graph used before the dense ID/CSR refactor
 // (DESIGN.md §13), kept verbatim as the differential reference. The
 // dense-vs-map test suite and fuzz target pin Graph's contigs and Eulerian
 // walks byte-identical to this builder. It lives in a _test file: it is an

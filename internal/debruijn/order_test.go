@@ -8,27 +8,42 @@ import (
 	"pimassembler/internal/stats"
 )
 
-// refOrder is the comparison sort the node order was built with before the
-// radix sort over (node, ID) pairs: the oracle sortOrder and pruneIsolated's
-// in-place compaction are checked against.
-func refOrder(g *Graph) []int32 {
+// refOrder is the comparison sort the node order was first built with: the
+// oracle the merge-join's node list and SortedIDs' skipping of edgeless
+// nodes are checked against. The degrees it reads are recounted from the
+// live edge slots, not taken from the node records.
+func refOrder(t *testing.T, g *Graph) []int32 {
+	t.Helper()
+	g.finalize()
+	in, out := make([]int32, len(g.kmers)), make([]int32, len(g.kmers))
+	for id := range g.kmers {
+		for e, hi := g.span(int32(id)); e < hi; e++ {
+			if !g.dead.get(e) {
+				out[id]++
+				in[g.edges[e].to]++
+			}
+		}
+	}
 	var order []int32
-	for id := 0; id < g.idx.Len(); id++ {
-		if g.alive[id] {
+	for id := range g.kmers {
+		if nd := g.nodes[id]; nd.in != in[id] || nd.out != out[id] {
+			t.Fatalf("node %d: degrees %d in %d out, its live edges say %d in %d out", id, nd.in, nd.out, in[id], out[id])
+		}
+		if in[id]+out[id] > 0 {
 			order = append(order, int32(id))
 		}
 	}
 	sort.Slice(order, func(a, b int) bool {
-		return g.idx.At(order[a]) < g.idx.At(order[b])
+		return g.kmers[order[a]] < g.kmers[order[b]]
 	})
 	return order
 }
 
 func assertOrderMatchesReference(t *testing.T, g *Graph, when string) {
 	t.Helper()
-	got, want := g.SortedIDs(), refOrder(g)
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d ordered nodes, reference %d", when, len(got), len(want))
+	got, want := g.SortedIDs(), refOrder(t, g)
+	if len(got) != len(want) || len(got) != g.NumNodes() {
+		t.Fatalf("%s: %d ordered nodes, reference %d, NumNodes %d", when, len(got), len(want), g.NumNodes())
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -36,13 +51,13 @@ func assertOrderMatchesReference(t *testing.T, g *Graph, when string) {
 		}
 	}
 	ranked := 0
-	for id := 0; id < g.idx.Len(); id++ {
+	for id := range g.kmers {
 		switch r := g.RankOfID(int32(id)); {
 		case r >= 0 && got[r] != int32(id):
 			t.Fatalf("%s: rank[%d] = %d but order[%d] = %d", when, id, r, r, got[r])
 		case r >= 0:
 			ranked++
-		case g.alive[id]:
+		case g.nodes[id].live():
 			t.Fatalf("%s: live node %d has no rank", when, id)
 		}
 	}
@@ -51,7 +66,7 @@ func assertOrderMatchesReference(t *testing.T, g *Graph, when string) {
 	}
 }
 
-// TestNodeOrderMatchesComparisonSort: the radix node order equals the old
+// TestNodeOrderMatchesComparisonSort: the merged node order equals the old
 // sort.Slice order on random graphs — after the first build, after
 // simplification has pruned nodes, and after a second AddKmer + finalize
 // round on the pruned graph (new nodes, revived nodes, surviving CSR edges).

@@ -1,9 +1,8 @@
 package debruijn
 
 import (
+	"slices"
 	"sort"
-
-	"pimassembler/internal/kmer"
 )
 
 // Graph simplification: the error-removal passes Velvet-class assemblers
@@ -13,8 +12,10 @@ import (
 // parallel paths between the same endpoints seeded by an error mid-read.
 // Both passes preserve the dominant (higher-coverage) structure.
 //
-// All passes operate on node IDs and CSR edge indices; removal tombstones
-// the edge slot and updates the flat degree vectors in place.
+// All passes operate on node IDs and CSR edge slots; removal tombstones the
+// slot and updates its two nodes' live degrees in place. A node whose last
+// edge goes is gone with it (the node-set rule of Graph): every pass reads a
+// node with no live edge as one it has nothing to do at.
 
 // SimplifyStats reports what a simplification pass removed.
 type SimplifyStats struct {
@@ -27,31 +28,15 @@ type SimplifyStats struct {
 // removeEdgeAt tombstones edge slot e of node from. Returns false when the
 // slot was already dead.
 func (g *Graph) removeEdgeAt(from, e int32) bool {
-	if g.edgeDead[e] {
+	if g.dead.get(e) {
 		return false
 	}
-	g.edgeDead[e] = true
-	g.outDeg[from]--
-	g.inDeg[g.edgeTo[e]]--
-	g.edges--
+	g.dead.set(e)
+	g.nodes[from].out--
+	g.nodes[g.edges[e].to].in--
+	g.numEdges--
+	g.order, g.rank = nil, nil // either end may have lost its last edge
 	return true
-}
-
-// pruneIsolated drops nodes with no remaining edges. Removing entries keeps
-// order sorted, so it is compacted in place.
-func (g *Graph) pruneIsolated() {
-	kept := g.order[:0]
-	for _, id := range g.order {
-		if g.outDeg[id] == 0 && g.inDeg[id] == 0 {
-			g.alive[id] = false
-			continue
-		}
-		kept = append(kept, id)
-	}
-	if len(kept) != len(g.order) {
-		g.order = kept
-		g.rebuildRank()
-	}
 }
 
 // ClipTips removes dead-end branches of at most maxLen edges whose mean
@@ -66,49 +51,48 @@ func (g *Graph) ClipTips(maxLen int) int {
 	removed := 0
 	// A tip starts at a node whose in-degree is 0 (forward tip) or ends at
 	// a node with out-degree 0 (reverse tip), and is shorter than maxLen.
-	for _, start := range g.order {
+	for start := int32(0); int(start) < len(g.kmers); start++ {
 		// Forward tip: orphan start node with exactly one way forward.
-		if g.inDeg[start] == 0 && g.outDeg[start] == 1 {
+		if nd := g.nodes[start]; nd.in == 0 && nd.out == 1 {
 			path, end := g.walkForward(start, maxLen)
 			if path != nil {
 				// It is a clippable tip when it merges into a node that has
 				// other inputs (the main path continues without it).
-				if g.inDeg[end] > 1 {
+				if g.nodes[end].in > 1 {
 					removed += g.removePath(start, path)
 				}
 			}
 		}
 		// Reverse tip: dead end with exactly one way back, hanging off a
 		// branching node (error near the read's tail).
-		if g.outDeg[start] == 0 && g.inDeg[start] == 1 {
+		if nd := g.nodes[start]; nd.out == 0 && nd.in == 1 {
 			path, branch := g.walkBackward(start, maxLen)
 			if path != nil {
-				if g.outDeg[branch] > 1 {
+				if g.nodes[branch].out > 1 {
 					removed += g.removePath(branch, path)
 				}
 			}
 		}
 	}
-	g.pruneIsolated()
 	return removed
 }
 
 // predecessorEdge returns node n's single live incoming edge slot and its
 // source node, or ok=false when n has other than exactly one predecessor
 // edge. A predecessor's edge k-mer is n prepended with one base (e = b·n in
-// sequence order), so there are at most four candidates to probe.
+// sequence order), so the at most four sources are that base followed by n's
+// first k-2 bases: they differ in base 0, the lowest bits, only, and sit side
+// by side in the sorted node list — one binary search finds them all.
 func (g *Graph) predecessorEdge(n int32) (from, edge int32, ok bool) {
-	nk := g.idx.At(n)
+	e0 := g.kmers[n] << 2 // the edge k-mer for b = T, which encodes as 00
+	p0 := e0.Prefix(g.k)
+	pid, _ := slices.BinarySearch(g.kmers, p0)
 	count := 0
-	for b := 0; b < 4; b++ {
-		e := (kmer.Kmer(b) | nk<<2) & kmer.Kmer(kmer.Mask(g.k))
-		pid, found := g.idx.Lookup(e.Prefix(g.k))
-		if !found {
-			continue
-		}
-		for slot := g.edgeOff[pid]; slot < g.edgeOff[pid+1]; slot++ {
-			if !g.edgeDead[slot] && g.edgeKmer[slot] == e {
-				from, edge = pid, slot
+	for ; pid < len(g.kmers) && g.kmers[pid]>>2 == p0>>2; pid++ {
+		e := e0 | g.kmers[pid]&3
+		for slot, hi := g.span(int32(pid)); slot < hi; slot++ {
+			if !g.dead.get(slot) && g.edges[slot].kmer == e {
+				from, edge = int32(pid), slot
 				count++
 			}
 		}
@@ -130,7 +114,7 @@ func (g *Graph) walkBackward(end int32, maxLen int) ([]int32, int32) {
 		}
 		rev = append(rev, edge)
 		cur = from
-		if g.outDeg[cur] > 1 || g.inDeg[cur] != 1 {
+		if nd := g.nodes[cur]; nd.out > 1 || nd.in != 1 {
 			// Reached the branch point.
 			for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 				rev[i], rev[j] = rev[j], rev[i]
@@ -148,13 +132,13 @@ func (g *Graph) walkForward(start int32, maxLen int) ([]int32, int32) {
 	var path []int32
 	cur := start
 	for len(path) < maxLen {
-		if g.outDeg[cur] != 1 {
+		if g.nodes[cur].out != 1 {
 			return nil, cur
 		}
-		e := g.firstLiveEdge(cur, g.edgeOff[cur])
+		e := g.firstLiveEdge(g.nodes[cur].off)
 		path = append(path, e)
-		cur = g.edgeTo[e]
-		if g.inDeg[cur] > 1 || g.outDeg[cur] != 1 {
+		cur = g.edges[e].to
+		if nd := g.nodes[cur]; nd.in > 1 || nd.out != 1 {
 			return path, cur
 		}
 	}
@@ -169,7 +153,7 @@ func (g *Graph) removePath(start int32, path []int32) int {
 		if g.removeEdgeAt(cur, e) {
 			removed++
 		}
-		cur = g.edgeTo[e]
+		cur = g.edges[e].to
 	}
 	return removed
 }
@@ -180,8 +164,8 @@ func (g *Graph) removePath(start int32, path []int32) int {
 func (g *Graph) PopBubbles(maxLen int) int {
 	g.finalize()
 	popped := 0
-	for _, branch := range g.order {
-		if g.outDeg[branch] < 2 {
+	for branch := int32(0); int(branch) < len(g.kmers); branch++ {
+		if g.nodes[branch].out < 2 {
 			continue
 		}
 		// Trace each outgoing simple path to its merge node.
@@ -191,18 +175,18 @@ func (g *Graph) PopBubbles(maxLen int) int {
 			cov  float64
 		}
 		var traces []trace
-		for first := g.edgeOff[branch]; first < g.edgeOff[branch+1]; first++ {
-			if g.edgeDead[first] {
+		for first, hi := g.span(branch); first < hi; first++ {
+			if g.dead.get(first) {
 				continue
 			}
 			path := []int32{first}
-			cur := g.edgeTo[first]
-			cov := float64(g.edgeCount[first])
-			for len(path) < maxLen && g.inDeg[cur] == 1 && g.outDeg[cur] == 1 {
-				e := g.firstLiveEdge(cur, g.edgeOff[cur])
+			cur := g.edges[first].to
+			cov := float64(g.edges[first].count)
+			for len(path) < maxLen && g.nodes[cur].in == 1 && g.nodes[cur].out == 1 {
+				e := g.firstLiveEdge(g.nodes[cur].off)
 				path = append(path, e)
-				cov += float64(g.edgeCount[e])
-				cur = g.edgeTo[e]
+				cov += float64(g.edges[e].count)
+				cur = g.edges[e].to
 			}
 			traces = append(traces, trace{path: path, end: cur, cov: cov / float64(len(path))})
 		}
@@ -221,7 +205,6 @@ func (g *Graph) PopBubbles(maxLen int) int {
 			}
 		}
 	}
-	g.pruneIsolated()
 	return popped
 }
 
@@ -233,16 +216,13 @@ func (g *Graph) PopBubbles(maxLen int) int {
 func (g *Graph) CoverageCutoff(min uint32) int {
 	g.finalize()
 	removed := 0
-	for _, id := range g.order {
-		for e := g.edgeOff[id]; e < g.edgeOff[id+1]; e++ {
-			if !g.edgeDead[e] && g.edgeCount[e] < min {
-				if g.removeEdgeAt(id, e) {
-					removed++
-				}
+	for id := int32(0); int(id) < len(g.kmers); id++ {
+		for e, hi := g.span(id); e < hi; e++ {
+			if g.edges[e].count < min && g.removeEdgeAt(id, e) {
+				removed++
 			}
 		}
 	}
-	g.pruneIsolated()
 	return removed
 }
 
@@ -252,16 +232,16 @@ func (g *Graph) CoverageCutoff(min uint32) int {
 func (g *Graph) Simplify(tipLen, bubbleLen, maxRounds int) SimplifyStats {
 	var st SimplifyStats
 	for round := 0; round < maxRounds; round++ {
-		before := g.edges
+		before := g.numEdges
 		clipped := g.ClipTips(tipLen)
 		bubbles := g.PopBubbles(bubbleLen)
 		st.TipsClipped += clipped
 		st.BubblesPopped += bubbles
 		st.RoundsRun++
-		if g.edges == before {
+		if g.numEdges == before {
 			break
 		}
-		st.EdgesRemoved += before - g.edges
+		st.EdgesRemoved += before - g.numEdges
 	}
 	return st
 }

@@ -2,13 +2,14 @@ package kmer
 
 // SortEntries orders entries by ascending k-mer code in place: the shared
 // sorting primitive behind CountTable.Entries, FilterMinCount, the
-// per-partition runs of PartitionedTable, and the de Bruijn graph's node
-// order (which sorts (node, ID) pairs). It replaces the old comparison
+// per-partition runs of PartitionedTable, and the de Bruijn graph's edge
+// order when k-mers were added out of order. It replaces the old comparison
 // sort (O(n log n) sort.Slice) with an LSD radix sort over the packed
 // uint64 codes — O(n) passes, one pass per byte the codes actually occupy,
 // so a k=16 table pays 4 passes and a k=8 table 2. The sort is stable,
-// which is stronger than the old sort.Slice guarantee; tables never hold
-// duplicate keys, so the output order is identical either way.
+// which is stronger than the old sort.Slice guarantee: tables never hold
+// duplicate keys, so their output order is identical either way, and a
+// graph given one k-mer twice keeps the two edges in insertion order.
 func SortEntries(es []Entry) {
 	n := len(es)
 	if n < 2 {

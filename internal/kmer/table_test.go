@@ -1,6 +1,7 @@
 package kmer
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -360,6 +361,41 @@ func TestAddReadIsTheAddLoop(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.slots, want.slots) {
 			t.Fatalf("k=%d: slot layout differs from the plain Add loop", k)
+		}
+	}
+}
+
+// TestTableCapacitySizing is the regression test for the capacity-sizing
+// overflow: the old doubling loop compared against hint*2, which wraps
+// negative for hints above MaxInt/2 and then spins forever (capacity
+// eventually overflows to 0 and 0 *= 2 never terminates). tableCapacity
+// must terminate and stay a power of two for every hint.
+func TestTableCapacitySizing(t *testing.T) {
+	cases := []struct {
+		hint, want int
+	}{
+		{-5, 16},
+		{0, 16},
+		{8, 16},
+		{9, 32},
+		{16, 32},
+		{17, 64},
+		{1 << 20, 1 << 21},
+	}
+	for _, c := range cases {
+		if got := tableCapacity(c.hint); got != c.want {
+			t.Errorf("tableCapacity(%d) = %d, want %d", c.hint, got, c.want)
+		}
+	}
+
+	// Huge hints must terminate (the regression) and still return a
+	// positive power of two. (The old loop compared capacity < hint*2, so
+	// any hint above MaxInt/2 wrapped the bound negative, capacity doubled
+	// to zero, and 0 *= 2 spun forever.)
+	for _, hint := range []int{math.MaxInt, math.MaxInt / 2, math.MaxInt/2 + 1, math.MaxInt / 4} {
+		got := tableCapacity(hint)
+		if got <= 0 || got&(got-1) != 0 {
+			t.Fatalf("tableCapacity(%d) = %d, not a positive power of two", hint, got)
 		}
 	}
 }
