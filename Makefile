@@ -2,14 +2,13 @@
 
 GO ?= go
 
-# Packages with concurrency (the parallel fan-out engine, the engine
-# registry, the stages driven through them, and everything they record
-# through) plus the data-plane packages those stages share — the dense
-# graph core, k-mer tables, and sequences; the race-detector gate runs on
-# these. internal/eval runs with -short so the race pass exercises the
-# harness — including the concurrent cross-engine comparison experiment —
-# without repeating the full multi-second golden runs.
-RACE_PKGS = ./internal/assembly/... ./internal/bitvec/... ./internal/circuit/... ./internal/core/... ./internal/correct/... ./internal/debruijn/... ./internal/distshard/... ./internal/dram/... ./internal/engine/... ./internal/exec/... ./internal/genome/... ./internal/jobqueue/... ./internal/kmer/... ./internal/parallel/... ./internal/perfmodel/... ./internal/sched/... ./internal/service/... ./internal/shard/... ./internal/subarray/...
+# The race-detector gate covers every internal/ package by default, so a new
+# package is race-tested without anyone remembering to list it. The one
+# exclusion is internal/eval, whose full multi-second golden runs would be
+# repeated under the detector: it runs with -short instead, which still
+# exercises the harness, including the concurrent cross-engine comparison.
+RACE_EXCLUDE = pimassembler/internal/eval
+RACE_PKGS = $(filter-out $(RACE_EXCLUDE),$(shell $(GO) list ./internal/...))
 
 .PHONY: all check ci fmt-check build vet reach test test-race fuzz-smoke bench bench-check profile reproduce examples clean lint lint-tools
 
@@ -42,7 +41,7 @@ test:
 
 test-race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -short ./internal/eval/...
+	$(GO) test -race -short $(RACE_EXCLUDE)
 
 # Static analysis beyond vet. staticcheck and govulncheck are pinned and
 # installed by `make lint-tools` (CI does this); locally, lint runs

@@ -293,19 +293,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	contigs := rep.Contigs
 
-	records := make([]genome.Record, len(contigs))
-	for i, c := range contigs {
-		records[i] = genome.Record{
-			Name: fmt.Sprintf("contig_%d len=%d cov=%.1f", i, c.Seq.Len(), c.MeanCoverage),
-			Seq:  c.Seq,
-		}
-	}
 	f, err := os.Create(*out)
 	if err != nil {
 		fmt.Fprintln(stderr, "assemble:", err)
 		return exitRuntime
 	}
-	err = genome.WriteFASTA(f, records)
+	err = debruijn.WriteContigsFASTA(f, contigs)
 	// A short write can surface only at close (full disk): exit 0 must mean
 	// the whole contigs file is on its way to the device.
 	if cerr := f.Close(); err == nil {

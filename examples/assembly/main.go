@@ -35,7 +35,7 @@ func main() {
 		}
 		rep := metrics.Evaluate(res.Contigs, ref)
 		fmt.Printf("  k=%-2d distinct=%7d  %s  hashmap=%v deBruijn=%v traverse=%v\n",
-			k, res.Table.Len(), rep,
+			k, int(res.Counts.DistinctKmers), rep,
 			res.Timings.Hashmap.Round(1e6), res.Timings.DeBruijn.Round(1e6), res.Timings.Traverse.Round(1e6))
 	}
 

@@ -99,15 +99,22 @@ func TestAssembleFleuryOnSmallInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Assemble(reads, Options{K: 12, UseFleury: true})
+	pim, err := AssemblePIM(core.NewDefaultPlatform(), genome.NewSliceSource(reads), Options{K: 12}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (h.EulerWalk == nil) != (f.EulerWalk == nil) {
-		t.Fatal("Fleury and Hierholzer disagree on traversability")
-	}
-	if len(h.Contigs) != len(f.Contigs) {
-		t.Fatal("traversal choice changed the contig set")
+	// The paper's Fleury traversal is the cross-validation reference for
+	// the Hierholzer walk either backend emits.
+	for name, res := range map[string]*Result{"software": h, "pim": &pim.Result} {
+		walk, ferr := res.Graph.FleuryPath()
+		if (res.EulerWalk == nil) != (ferr != nil) {
+			t.Fatalf("%s: Fleury and Hierholzer disagree on traversability: %v vs %v", name, ferr, res.EulerErr)
+		}
+		if ferr == nil {
+			if err := res.Graph.ValidateWalk(walk); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
 	}
 }
 
@@ -126,7 +133,7 @@ func TestMeasuredCountsConsistent(t *testing.T) {
 	if c.TotalKmers != wantTotal {
 		t.Fatalf("total k-mers %.0f, want %.0f", c.TotalKmers, wantTotal)
 	}
-	if int(c.DistinctKmers) != res.Table.Len() {
+	if int(c.DistinctKmers) != kmer.CountReads(reads, 14).Len() {
 		t.Fatal("distinct count mismatch")
 	}
 	if int(c.Edges) != res.Graph.NumEdges() {
@@ -246,24 +253,28 @@ func TestPIMAssemblyMatchesSoftware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The table read back from the simulated rows is the software table,
-	// through every Counter method.
-	if !reflect.DeepEqual(pim.Table.Entries(), sw.Table.Entries()) ||
-		!reflect.DeepEqual(pim.Table.FilterMinCount(2), sw.Table.FilterMinCount(2)) ||
-		!reflect.DeepEqual(pim.Table.Spectrum(), sw.Table.Spectrum()) ||
-		pim.Table.Len() != sw.Table.Len() || pim.Table.K() != sw.Table.K() {
-		t.Error("table read back from the simulated rows differs from the software table")
-	}
-	visited := 0
-	pim.Table.Each(func(km kmer.Kmer, c uint32) bool {
-		visited++
-		if got := pim.Table.Count(km); got != c || sw.Table.Count(km) != c {
-			t.Errorf("k-mer %v: Each says %d, Count %d, software %d", km, c, got, sw.Table.Count(km))
+	// The spectrum read back from the simulated rows is the software
+	// table's, unfiltered and filtered; only the probe count is each
+	// table's own.
+	for _, o := range []Options{opts, {K: 15, MinCount: 2}} {
+		want, err := softwareBackend{}.count(genome.NewSliceSource(reads), o)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return !t.Failed()
-	})
-	if visited != sw.Table.Len() || pim.Table.Count(kmer.Kmer(1)<<29) != sw.Table.Count(kmer.Kmer(1)<<29) {
-		t.Errorf("Each visited %d of %d entries, or an absent k-mer has a count", visited, sw.Table.Len())
+		b := &pimBackend{platform: core.NewDefaultPlatform(), hashN: 8}
+		got, err := b.count(scannerSource(t, reads), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.MinCount > 1 && len(want.entries) == want.distinct {
+			t.Fatal("fixture has nothing to filter")
+		}
+		if !reflect.DeepEqual(got.entries, want.entries) || got.distinct != want.distinct || got.totals != want.totals {
+			t.Errorf("MinCount=%d: spectrum read back from the simulated rows differs from the software table's", o.MinCount)
+		}
+		if got.probes < got.totals.kmers {
+			t.Errorf("MinCount=%d: %d probes for %d k-mers", o.MinCount, got.probes, got.totals.kmers)
+		}
 	}
 	if len(sw.Contigs) != len(pim.Contigs) {
 		t.Fatalf("contig counts differ: software %d, PIM %d", len(sw.Contigs), len(pim.Contigs))

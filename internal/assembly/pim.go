@@ -1,7 +1,7 @@
 package assembly
 
 import (
-	"sort"
+	"context"
 	"sync"
 
 	"pimassembler/internal/core"
@@ -42,8 +42,14 @@ type PIMResult struct {
 // counter updates stay inside its home sub-array, and the shards preserve
 // the serial arrival order within each sub-array.
 func AssemblePIM(p *core.Platform, src genome.ReadSource, opts Options, nSubarrays int) (*PIMResult, error) {
+	return AssemblePIMContext(context.Background(), p, src, opts, nSubarrays)
+}
+
+// AssemblePIMContext is AssemblePIM under a context: a cancelled ctx ends
+// the run with ctx.Err() at the next read or stage boundary.
+func AssemblePIMContext(ctx context.Context, p *core.Platform, src genome.ReadSource, opts Options, nSubarrays int) (*PIMResult, error) {
 	b := &pimBackend{platform: p, hashN: nSubarrays}
-	res, err := run(b, src, opts)
+	res, err := run(ctx, b, src, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -60,21 +66,23 @@ type pimBackend struct {
 
 // count stores the reads into the sequence bank, streams them back into
 // the hash sub-arrays, and reads the finished table out through the memory
-// path — once: HashTable.Entries is simulated READ traffic, so every later
-// stage consults the host copy made here.
-func (b *pimBackend) count(src genome.ReadSource, opts Options) (kmer.Counter, workloadTotals, error) {
-	var totals workloadTotals
+// path — once: HashTable.Entries is simulated READ traffic. The rows are
+// handed on as read, in their k-mer order, never rehashed: a table corrupted
+// by injected faults can hold one k-mer in two rows, and the graph built
+// from it must not depend on a host hash function.
+func (b *pimBackend) count(src genome.ReadSource, opts Options) (spectrum, error) {
+	var sp spectrum
 	// The bank is sized before the first read is stored, so the source is
 	// drained up front.
 	reads, err := genome.ReadAll(src)
 	if err != nil || len(reads) == 0 {
-		return nil, totals, err
+		return sp, err
 	}
 	p := b.platform
 	perRow := p.Geometry().ColsPerSubarray / genome.BaseBits
 	rowsNeeded := 0
 	for _, r := range reads {
-		totals.add(r, opts.K)
+		sp.totals.add(r, opts.K)
 		rowsNeeded += (r.Len() + perRow - 1) / perRow
 	}
 	// Row-granular packing can spill across a sub-array boundary once per
@@ -82,7 +90,7 @@ func (b *pimBackend) count(src genome.ReadSource, opts Options) (kmer.Counter, w
 	b.bankN = (rowsNeeded+p.Geometry().DataRows()-1)/p.Geometry().DataRows() + 1
 	bank := core.NewSequenceBank(p, 0, b.bankN)
 	if err := bank.StoreAll(reads); err != nil {
-		return nil, totals, err
+		return sp, err
 	}
 
 	table := core.NewHashTableAt(p, opts.K, b.bankN, b.hashN)
@@ -92,83 +100,28 @@ func (b *pimBackend) count(src genome.ReadSource, opts Options) (kmer.Counter, w
 		err = countSerial(bank, table, opts.K)
 	}
 	if err != nil {
-		return nil, totals, err
+		return sp, err
 	}
-	return &readback{k: opts.K, entries: table.Entries(), probes: table.ProbeOps()}, totals, nil
-}
-
-// readback is the spectrum as HashTable.Entries read it out of the DRAM
-// rows, served to the host stages as a kmer.Counter. It keeps the rows as
-// read, in their k-mer order, and does not rehash them: a table corrupted by
-// injected faults can hold one k-mer in two rows, and the graph built from
-// it must not depend on a host hash function.
-type readback struct {
-	k       int
-	entries []kmer.Entry // sorted by k-mer
-	probes  int64        // the simulated table's slot comparisons
-}
-
-func (t *readback) K() int                { return t.k }
-func (t *readback) Len() int              { return len(t.entries) }
-func (t *readback) ProbeOps() int64       { return t.probes }
-func (t *readback) Entries() []kmer.Entry { return t.entries }
-
-func (t *readback) Count(km kmer.Kmer) uint32 {
-	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Kmer >= km })
-	if i < len(t.entries) && t.entries[i].Kmer == km {
-		return t.entries[i].Count
-	}
-	return 0
-}
-
-func (t *readback) CountAll(kms []kmer.Kmer, counts []uint32) {
-	for i, km := range kms {
-		counts[i] = t.Count(km)
-	}
-}
-
-func (t *readback) Each(fn func(kmer.Kmer, uint32) bool) {
-	for _, e := range t.entries {
-		if !fn(e.Kmer, e.Count) {
-			return
+	entries := table.Entries()
+	sp.distinct, sp.probes = len(entries), table.ProbeOps()
+	if opts.MinCount > 1 {
+		kept := entries[:0]
+		for _, e := range entries {
+			if e.Count >= opts.MinCount {
+				kept = append(kept, e)
+			}
 		}
+		entries = kept
 	}
-}
-
-func (t *readback) FilterMinCount(min uint32) []kmer.Entry {
-	var out []kmer.Entry
-	for _, e := range t.entries {
-		if e.Count >= min {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func (t *readback) Spectrum() []int64 {
-	var maxC uint32
-	for _, e := range t.entries {
-		maxC = max(maxC, e.Count)
-	}
-	spec := make([]int64, maxC+1)
-	for _, e := range t.entries {
-		spec[e.Count]++
-	}
-	return spec
+	sp.entries = entries
+	return sp, nil
 }
 
 // walk loads g into the graph sub-arrays and runs the Traverse procedure:
 // in-memory degree computation and start-vertex selection, then the host
-// edge walk the options name.
-func (b *pimBackend) walk(g *debruijn.Graph, opts Options) ([]kmer.Kmer, error) {
-	engine := core.NewGraphEngine(b.platform, g, b.bankN+b.hashN)
-	if !opts.UseFleury {
-		return engine.EulerPath()
-	}
-	if _, err := engine.StartVertex(); err != nil {
-		return nil, err
-	}
-	return g.FleuryPath()
+// edge walk.
+func (b *pimBackend) walk(g *debruijn.Graph) ([]kmer.Kmer, error) {
+	return core.NewGraphEngine(b.platform, g, b.bankN+b.hashN).EulerPath()
 }
 
 // countSerial streams the bank and runs the Hashmap procedure k-mer by

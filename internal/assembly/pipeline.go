@@ -10,6 +10,7 @@
 package assembly
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -27,9 +28,6 @@ type Options struct {
 	// MinCount drops k-mers observed fewer times before graph construction
 	// (0 or 1 keeps everything).
 	MinCount uint32
-	// UseFleury selects the paper's Fleury traversal for the Euler stage
-	// instead of Hierholzer (slow; only sensible on small graphs).
-	UseFleury bool
 	// Simplify runs the Velvet-style error-removal passes (tip clipping
 	// and bubble popping) after graph construction. Combine with MinCount
 	// for noisy reads.
@@ -76,7 +74,10 @@ func (o Options) validate() error {
 	return nil
 }
 
-// StageTimings records wall-clock spent in each software stage.
+// StageTimings records wall-clock spent in each software stage. Hashmap is
+// everything that produces the spectrum — counting, the MinCount filter and
+// the sort that orders the entries; DeBruijn is graph layout and
+// simplification over those entries.
 type StageTimings struct {
 	Hashmap  time.Duration
 	DeBruijn time.Duration
@@ -86,11 +87,7 @@ type StageTimings struct {
 
 // Result is a completed assembly.
 type Result struct {
-	Options Options
-	// Table is the stage-1 counter: *kmer.CountTable on the serial path,
-	// *kmer.PartitionedTable when Options.CountWorkers > 1, and for
-	// AssemblePIM the entries read back out of the simulated rows.
-	Table     kmer.Counter
+	Options   Options
 	Graph     *debruijn.Graph
 	Contigs   []debruijn.Contig
 	Scaffolds []Scaffold
@@ -110,18 +107,34 @@ type Result struct {
 // so every option means the same thing on either.
 type backend interface {
 	// count is stage 1 (the Hashmap procedure): it drains src into the
-	// k-mer spectrum and the workload totals. No reads is not an error
-	// here — run reports it from the zero totals.
-	count(src genome.ReadSource, opts Options) (kmer.Counter, workloadTotals, error)
+	// k-mer spectrum. No reads is not an error here — run reports it from
+	// the zero totals.
+	count(src genome.ReadSource, opts Options) (spectrum, error)
 	// walk is the Euler stage of the Traverse procedure over the finished
 	// graph.
-	walk(g *debruijn.Graph, opts Options) ([]kmer.Kmer, error)
+	walk(g *debruijn.Graph) ([]kmer.Kmer, error)
+}
+
+// spectrum is everything stage 1 hands on: the counted k-mers for graph
+// construction and the numbers the operation profile needs. Whatever
+// counted them — a host table, partitioned tables, simulated DRAM rows — is
+// garbage once count returns.
+type spectrum struct {
+	// entries are the k-mers with count ≥ Options.MinCount in ascending
+	// k-mer order, the form debruijn.BuildEntries lays out as it stands.
+	entries []kmer.Entry
+	// distinct is how many k-mers were counted, before the MinCount filter.
+	distinct int
+	// probes is the counting table's slot comparisons, OpCounts.AvgProbes'
+	// numerator.
+	probes int64
+	totals workloadTotals
 }
 
 // Assemble runs the software reference pipeline over an in-memory read set:
 // AssembleSource over a slice source.
 func Assemble(reads []*genome.Sequence, opts Options) (*Result, error) {
-	return AssembleSource(genome.NewSliceSource(reads), opts)
+	return AssembleSource(context.Background(), genome.NewSliceSource(reads), opts)
 }
 
 // AssembleSource runs the software reference pipeline over a read source.
@@ -130,22 +143,40 @@ func Assemble(reads []*genome.Sequence, opts Options) (*Result, error) {
 // read set. The source is drained into a slice first only where the
 // algorithm needs every read at once: spectrum correction (Correct) builds
 // its spectrum before it can fix the first read, and the partitioned
-// counter (CountWorkers > 1) scans the read set in chunks.
-func AssembleSource(src genome.ReadSource, opts Options) (*Result, error) {
-	return run(softwareBackend{}, src, opts)
+// counter (CountWorkers > 1) scans the read set in chunks. A cancelled ctx
+// ends the run with ctx.Err() at the next read or stage boundary.
+func AssembleSource(ctx context.Context, src genome.ReadSource, opts Options) (*Result, error) {
+	return run(ctx, softwareBackend{}, src, opts)
+}
+
+// cancelSource ends a read stream with ctx's error once ctx is done, so
+// every loop that drains reads — stage 1 read by read, ReadAll where a stage
+// needs the whole set — stops at the next read.
+type cancelSource struct {
+	ctx context.Context
+	src genome.ReadSource
+}
+
+func (s cancelSource) Next() (*genome.Sequence, error) {
+	if err := s.ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.src.Next()
 }
 
 // run is the pipeline of Fig. 5a, the only one: host-side read correction,
-// stage 1 on b, the MinCount filter, graph construction and simplification,
-// the Euler walk on b, contig emission, scaffolding, and the operation
-// profile of what ran.
-func run(b backend, src genome.ReadSource, opts Options) (*Result, error) {
+// stage 1 on b (which applies the MinCount filter), graph construction and
+// simplification, the Euler walk on b, contig emission, scaffolding, and the
+// operation profile of what ran. ctx is checked before every read pulled
+// from src and between stages.
+func run(ctx context.Context, b backend, src genome.ReadSource, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	if src == nil {
 		return nil, fmt.Errorf("assembly: no reads")
 	}
+	src = cancelSource{ctx, src}
 	res := &Result{Options: opts}
 
 	if opts.Correct {
@@ -153,45 +184,48 @@ func run(b backend, src genome.ReadSource, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		src = genome.NewSliceSource(corrected(reads, opts))
+		src = cancelSource{ctx, genome.NewSliceSource(corrected(reads, opts))}
 	}
 
 	// Stage 1: k-mer analysis (Hashmap procedure).
 	start := time.Now()
-	table, totals, err := b.count(src, opts)
+	sp, err := b.count(src, opts)
 	if err != nil {
 		return nil, err
 	}
-	if totals.reads == 0 {
+	if sp.totals.reads == 0 {
 		return nil, fmt.Errorf("assembly: no reads")
 	}
-	res.Table = table
 	res.Timings.Hashmap = time.Since(start)
-
-	// Stage 2a: de Bruijn graph construction, from the table's sorted
-	// entries as they are.
-	start = time.Now()
-	var entries []kmer.Entry
-	if opts.MinCount > 1 {
-		entries = table.FilterMinCount(opts.MinCount)
-	} else {
-		entries = table.Entries()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	res.Graph = debruijn.BuildEntries(opts.K, entries)
+
+	// Stage 2a: de Bruijn graph construction, from the sorted entries as
+	// they are.
+	start = time.Now()
+	res.Graph = debruijn.BuildEntries(opts.K, sp.entries)
+	sp.entries = nil // the graph's now; it drops them once it is laid out
 	if opts.Simplify {
 		res.Graph.Simplify(2*opts.K, 2*opts.K, 10)
 	}
 	res.Timings.DeBruijn = time.Since(start)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	// Stage 2b: traversal and contig emission.
 	start = time.Now()
-	if walk, err := b.walk(res.Graph, opts); err == nil {
+	if walk, err := b.walk(res.Graph); err == nil {
 		res.EulerWalk = walk
 	} else {
 		res.EulerErr = err
 	}
 	res.Contigs = res.Graph.Contigs()
 	res.Timings.Traverse = time.Since(start)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	// Stage 3: scaffolding (the paper's future work; our extension).
 	if opts.Scaffold {
@@ -199,7 +233,7 @@ func run(b backend, src genome.ReadSource, opts Options) (*Result, error) {
 		res.Scaffolds = ScaffoldContigs(res.Contigs, opts.MinOverlap)
 		res.Timings.Scaffold = time.Since(start)
 	}
-	res.Counts = measureCounts(opts.K, totals, table.ProbeOps(), table.Len(), res.Graph)
+	res.Counts = measureCounts(opts.K, sp, res.Graph)
 	return res, nil
 }
 
@@ -223,38 +257,45 @@ func corrected(reads []*genome.Sequence, opts Options) []*genome.Sequence {
 type softwareBackend struct{}
 
 // count fills the serial reference table read by read, or drains src and
-// runs the hash-partitioned parallel counter when CountWorkers > 1.
-func (softwareBackend) count(src genome.ReadSource, opts Options) (kmer.Counter, workloadTotals, error) {
-	var totals workloadTotals
+// runs the hash-partitioned parallel counter when CountWorkers > 1, and
+// reads the filtered, sorted entries out of whichever it was.
+func (softwareBackend) count(src genome.ReadSource, opts Options) (spectrum, error) {
+	var sp spectrum
+	var table interface {
+		FilterMinCount(min uint32) []kmer.Entry
+		Len() int
+		ProbeOps() int64
+	}
 	if opts.CountWorkers > 1 {
 		reads, err := genome.ReadAll(src)
 		if err != nil {
-			return nil, totals, err
+			return sp, err
 		}
 		for _, r := range reads {
-			totals.add(r, opts.K)
+			sp.totals.add(r, opts.K)
 		}
-		return kmer.CountReadsParallel(reads, opts.K, opts.CountWorkers), totals, nil
+		table = kmer.CountReadsParallel(reads, opts.K, opts.CountWorkers)
+	} else {
+		serial := kmer.NewCountTable(opts.K, 0)
+		for {
+			r, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return sp, err
+			}
+			sp.totals.add(r, opts.K)
+			serial.AddRead(r)
+		}
+		table = serial
 	}
-	table := kmer.NewCountTable(opts.K, 0)
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return table, totals, nil
-		}
-		if err != nil {
-			return nil, totals, err
-		}
-		totals.add(r, opts.K)
-		table.AddRead(r)
-	}
+	sp.entries, sp.distinct, sp.probes = table.FilterMinCount(opts.MinCount), table.Len(), table.ProbeOps()
+	return sp, nil
 }
 
-// walk is Hierholzer's algorithm, or the paper's Fleury traversal.
-func (softwareBackend) walk(g *debruijn.Graph, opts Options) ([]kmer.Kmer, error) {
-	if opts.UseFleury {
-		return g.FleuryPath()
-	}
+// walk is Hierholzer's algorithm.
+func (softwareBackend) walk(g *debruijn.Graph) ([]kmer.Kmer, error) {
 	return g.EulerPath()
 }
 
@@ -276,13 +317,13 @@ func (t *workloadTotals) add(r *genome.Sequence, k int) {
 }
 
 // measureCounts extracts the operation profile of one run for the
-// analytical models, software or functional alike: probes is the stage-1
-// table's slot-visit count (CountTable or the simulated core.HashTable),
-// distinct its entry count, g the graph built from it.
-func measureCounts(k int, t workloadTotals, probes int64, distinct int, g *debruijn.Graph) OpCounts {
+// analytical models, software or functional alike, from what stage 1 handed
+// on and the graph g built from it.
+func measureCounts(k int, sp spectrum, g *debruijn.Graph) OpCounts {
+	t := sp.totals
 	avg := 1.0
 	if t.kmers > 0 {
-		avg = float64(probes) / float64(t.kmers)
+		avg = float64(sp.probes) / float64(t.kmers)
 	}
 	if avg < 1 {
 		avg = 1
@@ -296,7 +337,7 @@ func measureCounts(k int, t workloadTotals, probes int64, distinct int, g *debru
 		ReadCount:     t.reads,
 		ReadLen:       readLen,
 		TotalKmers:    float64(t.kmers),
-		DistinctKmers: float64(distinct),
+		DistinctKmers: float64(sp.distinct),
 		AvgProbes:     avg,
 		Nodes:         float64(g.NumNodes()),
 		Edges:         float64(g.NumEdges()),

@@ -2,10 +2,14 @@ package assembly
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
+	"pimassembler/internal/core"
 	"pimassembler/internal/correct"
 	"pimassembler/internal/genome"
 	"pimassembler/internal/kmer"
@@ -32,14 +36,8 @@ func scannerSource(t *testing.T, reads []*genome.Sequence) genome.ReadSource {
 
 func assertSameResult(t *testing.T, label string, got, want *Result) {
 	t.Helper()
-	if got.Table.ProbeOps() != want.Table.ProbeOps() {
-		t.Errorf("%s: ProbeOps %d, want %d", label, got.Table.ProbeOps(), want.Table.ProbeOps())
-	}
 	if got.Counts != want.Counts {
 		t.Errorf("%s: op counts differ:\n got %+v\nwant %+v", label, got.Counts, want.Counts)
-	}
-	if !reflect.DeepEqual(got.Table.Entries(), want.Table.Entries()) {
-		t.Errorf("%s: table entries differ", label)
 	}
 	if len(got.Contigs) != len(want.Contigs) {
 		t.Fatalf("%s: %d contigs, want %d", label, len(got.Contigs), len(want.Contigs))
@@ -52,9 +50,9 @@ func assertSameResult(t *testing.T, label string, got, want *Result) {
 }
 
 // TestStreamStage1MatchesSlice pins that a slice and a one-pass scanner
-// stream are one pipeline: not only contigs but the table's probe count and
-// every OpCounts field — AvgProbes included — agree, with no option set to
-// ask for streaming.
+// stream are one pipeline: not only contigs but the whole stage-1 hand-off
+// (entries, distinct, probes, totals) and every OpCounts field — AvgProbes
+// included — agree, with no option set to ask for streaming.
 func TestStreamStage1MatchesSlice(t *testing.T) {
 	rng := stats.NewRNG(0x51)
 	reads := genome.NewReadSampler(genome.GenerateGenome(30_000, rng), 101, 0.005, rng).Sample(3_000)
@@ -64,11 +62,23 @@ func TestStreamStage1MatchesSlice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AssembleSource(scannerSource(t, reads), opts)
+		got, err := AssembleSource(context.Background(), scannerSource(t, reads), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameResult(t, fmt.Sprintf("k=%d", k), got, want)
+
+		wantSp, err := softwareBackend{}.count(genome.NewSliceSource(reads), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotSp, err := softwareBackend{}.count(scannerSource(t, reads), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotSp, wantSp) {
+			t.Errorf("k=%d: stage-1 hand-off differs between stream and slice", k)
+		}
 	}
 }
 
@@ -94,7 +104,7 @@ func TestWholeReadSetStages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AssembleSource(scannerSource(t, reads), Options{K: k, Correct: true})
+		got, err := AssembleSource(context.Background(), scannerSource(t, reads), Options{K: k, Correct: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,22 +112,59 @@ func TestWholeReadSetStages(t *testing.T) {
 	})
 
 	t.Run("count-workers", func(t *testing.T) {
-		got, err := AssembleSource(scannerSource(t, reads), Options{K: k, CountWorkers: 4})
+		got, err := AssembleSource(context.Background(), scannerSource(t, reads), Options{K: k, CountWorkers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := softwareBackend{}.count(scannerSource(t, reads), Options{K: k, CountWorkers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := kmer.CountReadsParallel(reads, k, 4)
-		if _, ok := got.Table.(*kmer.PartitionedTable); !ok {
-			t.Fatalf("stage-1 table is %T, want the partitioned counter", got.Table)
+		if serial := kmer.CountReads(reads, k); serial.ProbeOps() == want.ProbeOps() {
+			t.Fatal("fixture cannot tell the partitioned counter from the serial one")
 		}
-		if !reflect.DeepEqual(got.Table.Entries(), want.Entries()) {
+		if !reflect.DeepEqual(sp.entries, want.Entries()) || sp.distinct != want.Len() {
 			t.Error("partitioned entries differ from a direct CountReadsParallel over the slice")
 		}
-		if got.Table.ProbeOps() != want.ProbeOps() {
-			t.Errorf("ProbeOps %d, want %d", got.Table.ProbeOps(), want.ProbeOps())
+		if sp.probes != want.ProbeOps() {
+			t.Errorf("probes %d, want the partitioned counter's %d", sp.probes, want.ProbeOps())
 		}
 		if got.Counts.ReadCount != int64(len(reads)) {
 			t.Errorf("ReadCount %d, want %d", got.Counts.ReadCount, len(reads))
 		}
 	})
+}
+
+// cancelAtEOF cancels a context as it reports the end of its reads: stage 1
+// has every read by then, so only a stage boundary can notice.
+type cancelAtEOF struct {
+	genome.ReadSource
+	cancel context.CancelFunc
+}
+
+func (s cancelAtEOF) Next() (*genome.Sequence, error) {
+	r, err := s.ReadSource.Next()
+	if err == io.EOF {
+		s.cancel()
+	}
+	return r, err
+}
+
+// TestRunChecksContextBetweenStages pins the stage-boundary half of
+// cancellation on both backends: a context cancelled after the last read was
+// pulled still ends the run with its error, before any contig is emitted.
+func TestRunChecksContextBetweenStages(t *testing.T) {
+	rng := stats.NewRNG(0x53)
+	reads := genome.NewReadSampler(genome.GenerateGenome(1_000, rng), 80, 0, rng).Sample(60)
+	for name, b := range map[string]backend{
+		"software": softwareBackend{},
+		"pim":      &pimBackend{platform: core.NewDefaultPlatform(), hashN: 8},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err := run(ctx, b, cancelAtEOF{genome.NewSliceSource(reads), cancel}, Options{K: 15})
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Errorf("%s: result %v, error %v; want context.Canceled", name, res, err)
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"pimassembler/internal/core"
 	"pimassembler/internal/dram"
+	"pimassembler/internal/exec"
 	"pimassembler/internal/genome"
 	"pimassembler/internal/sched"
 	"pimassembler/internal/stats"
@@ -55,7 +56,9 @@ func TestStreamMatchesMeter(t *testing.T) {
 
 	// Per-stage attribution sums back to the Meter totals.
 	var ns, pj float64
-	for _, c := range p.Stream().Attribute(p.Timing(), p.Energy()) {
+	ta := exec.NewTally(p.Timing(), p.Energy())
+	p.Stream().Each(ta.Add)
+	for _, c := range ta.StageCosts() {
 		ns += c.SerialNS
 		pj += c.EnergyPJ
 	}
@@ -153,6 +156,26 @@ func TestParallelStage1Deterministic(t *testing.T) {
 	}
 	if s1, s2 := p1.Summarize(), p2.Summarize(); !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("summaries differ across runs:\n%+v\n%+v", s1, s2)
+	}
+}
+
+// TestCommandStreamReproducible demands more than equal totals of two runs
+// over the same reads: the recorded streams are equal command for command,
+// so block → sub-array placement and the PopCount issue order of the graph
+// stage are functions of the graph, not of a map's iteration order.
+func TestCommandStreamReproducible(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		p1, _ := pimRun(t, parallel)
+		p2, _ := pimRun(t, parallel)
+		c1, c2 := p1.Stream().Commands(), p2.Stream().Commands()
+		if len(c1) != len(c2) {
+			t.Fatalf("parallel=%v: %d commands, then %d", parallel, len(c1), len(c2))
+		}
+		for i := range c1 {
+			if c1[i] != c2[i] {
+				t.Fatalf("parallel=%v: command %d of %d is %v in one run and %v in the next", parallel, i, len(c1), c1[i], c2[i])
+			}
+		}
 	}
 }
 

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"pimassembler/internal/bitvec"
 	"pimassembler/internal/debruijn"
 	"pimassembler/internal/exec"
 	"pimassembler/internal/kmer"
-	"pimassembler/internal/mapping"
 )
 
 // GraphEngine maps a de Bruijn graph onto PIM-Assembler sub-arrays following
@@ -22,17 +23,25 @@ type GraphEngine struct {
 	graph    *debruijn.Graph
 	nodes    []kmer.Kmer // sorted, indexed by the graph's node rank
 
-	lanes    int            // vertices per interval (sub-array column count)
-	groups   int            // number of intervals
-	blockSub map[[2]int]int // (srcGroup, dstGroup) -> sub-array id (forward)
-	transSub map[[2]int]int // (srcGroup, dstGroup) -> sub-array id (transpose)
-	nextSub  int
+	lanes int // vertices per interval (sub-array column count)
+	// The non-empty adjacency blocks and their transposes, each in ascending
+	// (srcGroup, dstGroup) order: placement and reduction follow it, so a
+	// run's command stream is the same every time.
+	blocks, transposes []graphBlock
+	nextSub            int
 
 	// Row plan inside a graph sub-array.
 	matrixBase  int
 	degreeBase  int
 	scratchBase int
 	degreeBits  int
+}
+
+// graphBlock is one interval×interval adjacency block (or its transpose) and
+// the sub-array holding it.
+type graphBlock struct {
+	key [2]int // (srcGroup, dstGroup)
+	sub int
 }
 
 // NewGraphEngine loads g into the platform's sub-arrays and returns the
@@ -45,26 +54,14 @@ func NewGraphEngine(p *Platform, g *debruijn.Graph, firstSubarray int) *GraphEng
 		graph:      g,
 		nodes:      g.Nodes(),
 		lanes:      p.geom.ColsPerSubarray,
-		blockSub:   make(map[[2]int]int),
-		transSub:   make(map[[2]int]int),
 		nextSub:    firstSubarray,
 		degreeBits: 9, // PopCountRows over 256 rows needs 2^m > 256
 	}
 	e.matrixBase = 0
 	e.degreeBase = e.matrixBase + e.lanes
 	e.scratchBase = e.degreeBase + 2*e.degreeBits
-	e.groups = (len(e.nodes) + e.lanes - 1) / e.lanes
 	e.load()
 	return e
-}
-
-// Groups returns the number of vertex intervals.
-func (e *GraphEngine) Groups() int { return e.groups }
-
-// SubarraysNeeded returns the paper's allocation formula Ns = ⌈N/f⌉ for this
-// graph on this geometry.
-func (e *GraphEngine) SubarraysNeeded() int {
-	return mapping.SubarraysForVertices(len(e.nodes), e.platform.geom.RowsPerSubarray, e.platform.geom.ColsPerSubarray)
 }
 
 // load writes the adjacency blocks (and transposes) into sub-array rows.
@@ -88,24 +85,29 @@ func (e *GraphEngine) load() {
 			ensure(trows, blockKey{sg, dg})[dl].Set(sr, true)
 		})
 	}
-	for key, vs := range rows {
-		sub := e.platform.Subarray(e.nextSub)
-		sub.SetStage(exec.StageDeBruijn)
-		e.blockSub[key] = e.nextSub
-		e.nextSub++
-		for r, v := range vs {
-			sub.Write(e.matrixBase+r, v)
-		}
+	// rows and trows hold the same blocks; place both in one sorted order.
+	keys := make([]blockKey, 0, len(rows))
+	for key := range rows {
+		keys = append(keys, key)
 	}
-	for key, vs := range trows {
-		sub := e.platform.Subarray(e.nextSub)
-		sub.SetStage(exec.StageDeBruijn)
-		e.transSub[key] = e.nextSub
-		e.nextSub++
-		for r, v := range vs {
-			sub.Write(e.matrixBase+r, v)
+	slices.SortFunc(keys, func(a, b blockKey) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	place := func(m map[blockKey][]*bitvec.Vector) []graphBlock {
+		placed := make([]graphBlock, 0, len(keys))
+		for _, key := range keys {
+			sub := e.platform.Subarray(e.nextSub)
+			sub.SetStage(exec.StageDeBruijn)
+			placed = append(placed, graphBlock{key, e.nextSub})
+			e.nextSub++
+			for r, v := range m[key] {
+				sub.Write(e.matrixBase+r, v)
+			}
 		}
+		return placed
 	}
+	e.blocks = place(rows)
+	e.transposes = place(trows)
 }
 
 // Degrees computes the in- and out-degree of every node with in-memory
@@ -116,13 +118,13 @@ func (e *GraphEngine) load() {
 func (e *GraphEngine) Degrees() (in, out []int) {
 	in = make([]int, len(e.nodes))
 	out = make([]int, len(e.nodes))
-	e.reduceBlocks(e.blockSub, func(dstGroup, lane, partial int) {
+	e.reduceBlocks(e.blocks, func(dstGroup, lane, partial int) {
 		node := dstGroup*e.lanes + lane
 		if node < len(in) {
 			in[node] += partial
 		}
 	}, false)
-	e.reduceBlocks(e.transSub, func(srcGroup, lane, partial int) {
+	e.reduceBlocks(e.transposes, func(srcGroup, lane, partial int) {
 		node := srcGroup*e.lanes + lane
 		if node < len(out) {
 			out[node] += partial
@@ -131,11 +133,11 @@ func (e *GraphEngine) Degrees() (in, out []int) {
 	return in, out
 }
 
-// reduceBlocks runs PopCountRows on every block of table and feeds each
-// lane's partial count to sink(group, lane, partial). For the forward
-// blocks the reduced axis is the destination group; for transposes the
-// source group (selected by transposed).
-func (e *GraphEngine) reduceBlocks(table map[[2]int]int, sink func(group, lane, partial int), transposed bool) {
+// reduceBlocks runs PopCountRows on every block of table, in order, and
+// feeds each lane's partial count to sink(group, lane, partial). For the
+// forward blocks the reduced axis is the destination group; for transposes
+// the source group (selected by transposed).
+func (e *GraphEngine) reduceBlocks(table []graphBlock, sink func(group, lane, partial int), transposed bool) {
 	scratch := make([]int, e.lanes+3*e.degreeBits+4)
 	for i := range scratch {
 		scratch[i] = e.scratchBase + i
@@ -145,13 +147,13 @@ func (e *GraphEngine) reduceBlocks(table map[[2]int]int, sink func(group, lane, 
 		src[i] = e.matrixBase + i
 	}
 	row := bitvec.New(e.lanes) // host-side image of the counter row being read
-	for key, subIdx := range table {
-		sub := e.platform.Subarray(subIdx)
+	for _, b := range table {
+		sub := e.platform.Subarray(b.sub)
 		sub.SetStage(exec.StageTraverse)
 		sub.PopCountRows(src, e.degreeBase, scratch, e.degreeBits)
-		group := key[1]
+		group := b.key[1]
 		if transposed {
-			group = key[0]
+			group = b.key[0]
 		}
 		// Read the bit-planar partial counters back through the memory
 		// path (the controller's merge step).

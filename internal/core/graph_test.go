@@ -7,6 +7,7 @@ import (
 	"pimassembler/internal/dram"
 	"pimassembler/internal/genome"
 	"pimassembler/internal/kmer"
+	"pimassembler/internal/mapping"
 	"pimassembler/internal/stats"
 )
 
@@ -25,7 +26,7 @@ func TestGraphEngineDegreesMatchSoftware(t *testing.T) {
 	// placement and the controller merge.
 	g := buildGraph(t, 9, 300, 9)
 	e := NewGraphEngine(p, g, 0)
-	if e.Groups() < 2 {
+	if len(e.nodes) <= e.lanes {
 		t.Fatalf("expected >=2 intervals for %d nodes", g.NumNodes())
 	}
 	in, out := e.Degrees()
@@ -96,8 +97,11 @@ func TestGraphEngineAllocationFormula(t *testing.T) {
 	g := buildGraph(t, 13, 300, 9)
 	e := NewGraphEngine(p, g, 0)
 	n := g.NumNodes()
-	want := (n + 255) / 256 // f = min(1024, 256) = 256
-	if got := e.SubarraysNeeded(); got != want {
+	geo := p.Geometry()
+	want := mapping.SubarraysForVertices(n, geo.RowsPerSubarray, geo.ColsPerSubarray) // f = min(1024, 256)
+	// Blocks are in ascending (src, dst) order, so the last one names the
+	// highest interval the engine divided the vertices into.
+	if got := e.blocks[len(e.blocks)-1].key[0] + 1; got != want || want != (n+255)/256 {
 		t.Fatalf("Ns = %d, want ceil(%d/256) = %d", got, n, want)
 	}
 }

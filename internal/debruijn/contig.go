@@ -1,6 +1,8 @@
 package debruijn
 
 import (
+	"fmt"
+	"io"
 	"sort"
 
 	"pimassembler/internal/genome"
@@ -13,6 +15,21 @@ type Contig struct {
 	EdgeCount int
 	// MeanCoverage is the average multiplicity of the spelled k-mers.
 	MeanCoverage float64
+}
+
+// WriteContigsFASTA writes a contig set as FASTA records named
+// "contig_<index> len=<bases> cov=<mean coverage>": the one rendering every
+// front door — cmd/assemble's output file, the service's contigs endpoint —
+// emits, so the two stay byte-identical.
+func WriteContigsFASTA(w io.Writer, contigs []Contig) error {
+	rw := genome.NewRecordWriter(w)
+	for i, c := range contigs {
+		name := fmt.Sprintf("contig_%d len=%d cov=%.1f", i, c.Seq.Len(), c.MeanCoverage)
+		if err := rw.Write(genome.Record{Name: name, Seq: c.Seq}); err != nil {
+			return err
+		}
+	}
+	return rw.Flush()
 }
 
 // walkLanes is how many contig walks Contigs advances in lock-step. A walk

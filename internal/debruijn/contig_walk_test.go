@@ -1,8 +1,10 @@
 package debruijn
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"pimassembler/internal/genome"
@@ -270,3 +272,29 @@ func FuzzContigsMatchSerialWalk(f *testing.F) {
 		assertContigsMatchSerialWalk(t, g)
 	})
 }
+
+// TestWriteContigsFASTA pins the record format both front doors serve: the
+// header fields, one-decimal coverage, 70-column wrapping, and a write error
+// passed on.
+func TestWriteContigsFASTA(t *testing.T) {
+	contigs := []Contig{
+		{Seq: genome.MustFromString(strings.Repeat("ACGT", 18)), EdgeCount: 60, MeanCoverage: 12.345},
+		{Seq: genome.MustFromString("GATTACA"), EdgeCount: 1, MeanCoverage: 1},
+	}
+	var buf strings.Builder
+	if err := WriteContigsFASTA(&buf, contigs); err != nil {
+		t.Fatal(err)
+	}
+	want := ">contig_0 len=72 cov=12.3\n" + strings.Repeat("ACGT", 18)[:70] + "\nGT\n" +
+		">contig_1 len=7 cov=1.0\nGATTACA\n"
+	if buf.String() != want {
+		t.Fatalf("got\n%s\nwant\n%s", buf.String(), want)
+	}
+	if err := WriteContigsFASTA(failingWriter{}, contigs); err == nil {
+		t.Fatal("a failing writer's error was dropped")
+	}
+}
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }

@@ -168,16 +168,15 @@ func (g *Graph) AddKmer(km kmer.Kmer, count uint32) {
 	g.dirty = true
 }
 
-// Build constructs the graph from a k-mer counter — the serial CountTable
-// or the hash-partitioned parallel table alike — with one edge per distinct
+// Build constructs the graph from a counted table, one edge per distinct
 // k-mer (frequency kept as edge weight).
-func Build(t kmer.Counter) *Graph {
+func Build(t *kmer.CountTable) *Graph {
 	return BuildEntries(t.K(), t.Entries())
 }
 
 // BuildEntries constructs the graph with one edge per entry, reading the
 // slice in place rather than copying it edge by edge. Entries in ascending
-// k-mer order — what Counter.Entries and FilterMinCount return — are laid out
+// k-mer order — what CountTable.Entries and FilterMinCount return — are laid out
 // as they are; any other order is sorted first, in the caller's slice. The
 // graph keeps no reference to entries once it is built.
 func BuildEntries(k int, entries []kmer.Entry) *Graph {

@@ -33,8 +33,8 @@ func NewMapGraph(k int) *MapGraph {
 	}
 }
 
-// BuildMap constructs the map-based graph from a k-mer counter.
-func BuildMap(t kmer.Counter) *MapGraph {
+// BuildMap constructs the map-based graph from a counted table.
+func BuildMap(t *kmer.CountTable) *MapGraph {
 	g := NewMapGraph(t.K())
 	for _, e := range t.Entries() {
 		g.AddKmer(e.Kmer, e.Count)

@@ -19,9 +19,9 @@ import (
 	"pimassembler/internal/shard"
 )
 
-// DefaultHandshakeTimeout bounds how long the coordinator waits for a
-// freshly spawned worker's hello echo.
-const DefaultHandshakeTimeout = 10 * time.Second
+// handshakeTimeout bounds how long the coordinator waits for a freshly
+// spawned worker's hello echo.
+const handshakeTimeout = 10 * time.Second
 
 // shutdownGrace is how long a worker gets to exit after the bye frame
 // before it is force-killed.
@@ -59,22 +59,11 @@ type Config struct {
 	// on a respawned worker); an error frame is retried only if the worker
 	// classified it transient.
 	Retry jobqueue.RetryPolicy
-	// HandshakeTimeout bounds the hello exchange per spawn
-	// (0 = DefaultHandshakeTimeout).
-	HandshakeTimeout time.Duration
 	// Counters optionally receives the dist.* instrumentation
 	// (dist.workers, dist.respawns, dist.jobs, dist.retries, dist.results,
 	// dist.timeouts, dist.frame.errors) beside the job queue's jobs.* and
 	// latency.* series for the dispatch.
 	Counters *metrics.Counters
-}
-
-// handshakeTimeout returns the effective handshake bound.
-func (c Config) handshakeTimeout() time.Duration {
-	if c.HandshakeTimeout > 0 {
-		return c.HandshakeTimeout
-	}
-	return DefaultHandshakeTimeout
 }
 
 // count bumps a dist counter when instrumentation is attached.
@@ -332,7 +321,7 @@ func (p *pool) spawn(ctx context.Context, respawn bool) (*workerProc, error) {
 	}
 	go w.readLoop(stdout)
 
-	if err := w.handshake(ctx, p.hello, p.cfg.handshakeTimeout()); err != nil {
+	if err := w.handshake(ctx, p.hello, handshakeTimeout); err != nil {
 		w.reap()
 		return nil, fmt.Errorf("worker handshake: %w%s", err, w.stderrTail())
 	}

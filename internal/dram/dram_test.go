@@ -209,84 +209,6 @@ func TestThroughputConfigUses8Banks(t *testing.T) {
 	}
 }
 
-func TestAddressRoundTrip(t *testing.T) {
-	g := Default()
-	cases := []Address{
-		{0, 0, 0, 0},
-		{0, 0, 0, 1023},
-		{1, 3, 7, 512},
-		{g.Banks() - 1, g.MATsPerBank() - 1, g.SubarraysPerMAT - 1, g.RowsPerSubarray - 1},
-	}
-	for _, a := range cases {
-		if err := a.Validate(g); err != nil {
-			t.Fatalf("%v: %v", a, err)
-		}
-		back, err := DecodeFlatRow(g, a.FlatRow(g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back != a {
-			t.Fatalf("round trip %v -> %v", a, back)
-		}
-	}
-}
-
-func TestAddressFlatRowProperty(t *testing.T) {
-	g := Default()
-	// Every flat row decodes to a valid address that re-encodes to itself.
-	total := int64(g.TotalSubarrays()) * int64(g.RowsPerSubarray)
-	for _, flat := range []int64{0, 1, 1023, 1024, total / 2, total - 1} {
-		a, err := DecodeFlatRow(g, flat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Validate(g); err != nil {
-			t.Fatalf("flat %d decodes invalid %v", flat, a)
-		}
-		if a.FlatRow(g) != flat {
-			t.Fatalf("flat %d re-encodes to %d", flat, a.FlatRow(g))
-		}
-	}
-	if _, err := DecodeFlatRow(g, total); err == nil {
-		t.Fatal("out-of-range flat row accepted")
-	}
-	if _, err := DecodeFlatRow(g, -1); err == nil {
-		t.Fatal("negative flat row accepted")
-	}
-}
-
-func TestSubarrayAddressAgreesWithGlobal(t *testing.T) {
-	g := Default()
-	for _, sub := range []int{0, 1, g.SubarraysPerBank() - 1, g.SubarraysPerBank(), g.TotalSubarrays() - 1} {
-		a, err := SubarrayAddress(g, sub, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.GlobalSubarray(g) != sub {
-			t.Fatalf("sub-array %d maps to %d", sub, a.GlobalSubarray(g))
-		}
-	}
-	if _, err := SubarrayAddress(g, g.TotalSubarrays(), 0); err == nil {
-		t.Fatal("out-of-range sub-array accepted")
-	}
-	if _, err := SubarrayAddress(g, 0, g.RowsPerSubarray); err == nil {
-		t.Fatal("out-of-range row accepted")
-	}
-}
-
-func TestAddressValidateRejects(t *testing.T) {
-	g := Default()
-	for _, a := range []Address{
-		{Bank: -1}, {Bank: g.Banks()},
-		{MAT: g.MATsPerBank()}, {Subarray: g.SubarraysPerMAT},
-		{Row: g.RowsPerSubarray},
-	} {
-		if err := a.Validate(g); err == nil {
-			t.Fatalf("invalid address %v accepted", a)
-		}
-	}
-}
-
 // TestKindTablesMatchPricingFunctions pins the tables the Meter, the
 // scheduler and the stream attribution price with to Duration and EnergyOf,
 // value for value, and the Meter to the tables.

@@ -57,23 +57,21 @@ func (e analyticalEngine) Describe() string {
 
 // Assemble implements Engine.
 func (e analyticalEngine) Assemble(ctx context.Context, src genome.ReadSource, opts Options) (*Report, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	var rep *Report
 	if opts.Counts != nil {
-		// Counts-only pricing: no execution, no contigs.
+		// Counts-only pricing: no execution, no contigs, and no pipeline
+		// run to notice a cancelled context.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		counts := *opts.Counts
 		rep = &Report{Engine: e.name, Family: FamilyAnalytical, Counts: &counts}
 	} else {
-		res, err := assembly.AssembleSource(src, opts.Options)
+		res, err := assembly.AssembleSource(ctx, src, opts.Options)
 		if err != nil {
 			return nil, err
 		}
 		rep = NewReport(e.name, FamilyAnalytical, res, opts)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 	if err := rep.Counts.Validate(); err != nil {
 		return nil, fmt.Errorf("engine %s: %w", e.name, err)

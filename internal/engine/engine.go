@@ -145,8 +145,9 @@ type Engine interface {
 	Describe() string
 	// Assemble runs the workload pulled from src. Slice callers wrap
 	// their reads in genome.NewSliceSource; src may be nil for counts-only
-	// analytical runs. Cancellation is checked at stage boundaries; a
-	// cancelled context returns ctx.Err().
+	// analytical runs. Cancellation is checked before every read pulled
+	// from src and at stage boundaries; a cancelled context returns
+	// ctx.Err().
 	Assemble(ctx context.Context, src genome.ReadSource, opts Options) (*Report, error)
 }
 
@@ -156,7 +157,7 @@ type Engine interface {
 // are the caller's to add.
 func NewReport(name string, family Family, res *assembly.Result, opts Options) *Report {
 	// A copy, not &res.Counts: an interior pointer would keep the whole
-	// Result — k-mer table and graph — alive as long as the Report.
+	// Result — the graph — alive as long as the Report.
 	counts := res.Counts
 	rep := &Report{
 		Engine:    name,

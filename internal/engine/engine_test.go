@@ -217,7 +217,6 @@ func TestSoftwareAndPIMEnginesEmitIdenticalContigs(t *testing.T) {
 		"correct":                   {Correct: true},
 		"correct+simplify+mincount": {Correct: true, Simplify: true, MinCount: 2},
 		"scaffold":                  {Scaffold: true, MinOverlap: 12},
-		"fleury":                    {UseFleury: true},
 	} {
 		o.K = 16
 		opts := Options{Options: o, Subarrays: 16}

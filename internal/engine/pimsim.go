@@ -8,9 +8,9 @@ import (
 	"pimassembler/internal/genome"
 )
 
-// pimEngine wraps the functional PIM simulator (assembly.AssemblePIM) over
-// a fresh default platform per run, so concurrent engine runs never share
-// sub-array state, meters, or command streams.
+// pimEngine wraps the functional PIM simulator (assembly.AssemblePIMContext)
+// over a fresh default platform per run, so concurrent engine runs never
+// share sub-array state, meters, or command streams.
 type pimEngine struct{}
 
 // Name implements Engine.
@@ -23,15 +23,9 @@ func (pimEngine) Describe() string {
 
 // Assemble implements Engine.
 func (e pimEngine) Assemble(ctx context.Context, src genome.ReadSource, opts Options) (*Report, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	p := core.NewDefaultPlatform()
-	res, err := assembly.AssemblePIM(p, src, opts.Options, opts.subarrays())
+	res, err := assembly.AssemblePIMContext(ctx, p, src, opts.Options, opts.subarrays())
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	summary := p.Summarize()

@@ -21,14 +21,8 @@ func (softwareEngine) Describe() string {
 
 // Assemble implements Engine.
 func (e softwareEngine) Assemble(ctx context.Context, src genome.ReadSource, opts Options) (*Report, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res, err := assembly.AssembleSource(src, opts.Options)
+	res, err := assembly.AssembleSource(ctx, src, opts.Options)
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	rep := NewReport(e.Name(), FamilySoftware, res, opts)

@@ -349,15 +349,6 @@ func (c StageCost) String() string {
 		c.Stage, c.Commands, c.SerialNS/1e3, c.EnergyPJ/1e6, c.Subarrays)
 }
 
-// Attribute prices every stage's commands with the given timing and energy
-// models, returning one StageCost per stage present in the stream, in stage
-// order. The per-kind pricing is dram.Duration/dram.EnergyOf — the same
-// functions the Meter accrues with — so summing the stages reproduces the
-// Meter's serial totals exactly.
-func (s *Stream) Attribute(t dram.Timing, e dram.Energy) []StageCost {
-	return s.tally(t, e).StageCosts()
-}
-
 // Tally is the running per-stage × per-kind accounting of a command
 // sequence: the histogram and the stage attribution, accumulated in fixed
 // arrays one command at a time and converted to the exported map and slice

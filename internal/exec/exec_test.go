@@ -59,7 +59,9 @@ func TestAttributeMatchesMeter(t *testing.T) {
 		m.Record(k, 1)
 		s.Record(Command{Subarray: i % 5, Kind: k, Stage: stages[i%len(stages)], Rows: k.SourceRows()})
 	}
-	costs := s.Attribute(tm, en)
+	ta := NewTally(tm, en)
+	s.Each(ta.Add)
+	costs := ta.StageCosts()
 	if len(costs) != len(stages) {
 		t.Fatalf("got %d stage costs, want %d", len(costs), len(stages))
 	}

@@ -126,8 +126,8 @@ func TestTallyMatchesMapViews(t *testing.T) {
 	if got := s.Totals(); !reflect.DeepEqual(got, wantHist.Totals) {
 		t.Fatalf("Totals %v, want %v", got, wantHist.Totals)
 	}
-	if got := s.Attribute(tm, en); !reflect.DeepEqual(got, wantCosts) {
-		t.Fatalf("Attribute\n got %+v\nwant %+v", got, wantCosts)
+	if got := s.tally(tm, en).StageCosts(); !reflect.DeepEqual(got, wantCosts) {
+		t.Fatalf("StageCosts\n got %+v\nwant %+v", got, wantCosts)
 	}
 	if got := s.Subarrays(); got != len(seen) {
 		t.Fatalf("Subarrays %d, want %d", got, len(seen))

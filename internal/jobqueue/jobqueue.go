@@ -235,20 +235,20 @@ func (q *Queue) Workers() int {
 	return parallel.Workers()
 }
 
-// Run executes every job and returns the results in submission-slot order.
-// The pool runs at most Workers() jobs concurrently; a cancelled ctx marks
-// in-flight and still-queued jobs Cancelled (with ctx.Err()) without
-// affecting jobs that already finished — one job's failure never poisons
-// another's result. Run never returns a non-positional error: per-job
-// outcomes are in the Results.
+// Run executes every job and returns the results in submission-slot order:
+// a Stream that is handed the whole batch and drained, so the stream's
+// semaphore is the only pool. At most Workers() jobs run concurrently; a
+// cancelled ctx marks in-flight and still-queued jobs Cancelled (with
+// ctx.Err()) without affecting jobs that already finished — one job's
+// failure never poisons another's result. Run never returns a
+// non-positional error: per-job outcomes are in the Results.
 func (q *Queue) Run(ctx context.Context, specs []Spec) []Result {
-	results := make([]Result, len(specs))
-	q.count("jobs.submitted", int64(len(specs)))
-	submitted := time.Now()
-	parallel.ForEachWorkers(q.Workers(), len(specs), func(i int) {
-		results[i] = q.runJob(ctx, i, specs[i], submitted)
-	})
-	return results
+	s := q.Stream(ctx)
+	for _, spec := range specs {
+		// Submit fails only on a closed stream; this one closes in Drain.
+		_, _ = s.Submit(spec)
+	}
+	return s.Drain()
 }
 
 // runJob drives one job through its lifecycle.

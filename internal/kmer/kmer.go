@@ -1,7 +1,7 @@
 // Package kmer implements k-mer extraction and counting: the packed k-mer
-// representation, the software reference hash table the PIM results are
-// cross-checked against, and frequency-spectrum utilities. The PIM-mapped
-// hash table itself lives in internal/core, built on these types.
+// representation and the software reference hash tables the PIM results
+// are cross-checked against. The PIM-mapped hash table itself lives in
+// internal/core, built on these types.
 package kmer
 
 import (

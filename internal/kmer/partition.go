@@ -1,8 +1,6 @@
 package kmer
 
 import (
-	"fmt"
-
 	"pimassembler/internal/genome"
 	"pimassembler/internal/parallel"
 )
@@ -37,10 +35,10 @@ const (
 // Kmer.Hash, each partition owning an independent CountTable (its own
 // capacity, growth schedule, and probe counter). Routing is a pure function
 // of the k-mer, so a distinct k-mer lives in exactly one partition and the
-// aggregate (counts, entries, spectra) is the disjoint union of the
+// aggregate (counts, entries) is the disjoint union of the
 // per-partition tables — no cross-partition merge of counts ever happens.
 //
-// Determinism: entries order, counts, Len, Spectrum, and FilterMinCount are
+// Determinism: entries order, counts, Len, and FilterMinCount are
 // identical to a serial CountTable over the same reads, for any partition
 // count and any worker count. ProbeOps is the sum of the per-partition
 // probe counters: invariant in the worker count (insertion order per
@@ -80,14 +78,6 @@ func NewPartitionedTable(k, partitions, hint int) *PartitionedTable {
 // K returns the table's k-mer length.
 func (t *PartitionedTable) K() int { return t.k }
 
-// NumPartitions returns the partition count (a power of two).
-func (t *PartitionedTable) NumPartitions() int { return len(t.parts) }
-
-// partition returns the index of the partition owning km.
-func (t *PartitionedTable) partition(km Kmer) int {
-	return int(km.Hash() >> t.shift)
-}
-
 // Len returns the number of distinct k-mers stored across all partitions.
 func (t *PartitionedTable) Len() int {
 	n := 0
@@ -106,13 +96,6 @@ func (t *PartitionedTable) ProbeOps() int64 {
 	return ops
 }
 
-// Add increments the count of km in its home partition and returns the new
-// count. Not safe for concurrent use — the parallel counting pipeline gives
-// every worker disjoint partitions instead of sharing Add.
-func (t *PartitionedTable) Add(km Kmer) uint32 {
-	return t.parts[t.partition(km)].Add(km)
-}
-
 // Count returns the stored count of km (0 if absent).
 func (t *PartitionedTable) Count(km Kmer) uint32 {
 	hash := km.Hash()
@@ -124,24 +107,6 @@ func (t *PartitionedTable) CountAll(kms []Kmer, counts []uint32) {
 	counts = counts[:len(kms)]
 	for i, km := range kms {
 		counts[i] = t.Count(km)
-	}
-}
-
-// Each calls fn for every entry, partition by partition in index order and
-// in each partition's slot order; return false to stop.
-func (t *PartitionedTable) Each(fn func(Kmer, uint32) bool) {
-	stopped := false
-	for _, p := range t.parts {
-		p.Each(func(km Kmer, c uint32) bool {
-			if !fn(km, c) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
-			return
-		}
 	}
 }
 
@@ -162,31 +127,6 @@ func (t *PartitionedTable) FilterMinCount(min uint32) []Entry {
 	runs := make([][]Entry, len(t.parts))
 	parallel.ForEach(len(t.parts), func(i int) { runs[i] = t.parts[i].FilterMinCount(min) })
 	return mergeEntryRuns(runs)
-}
-
-// Spectrum returns the frequency spectrum summed over partitions —
-// identical to the serial table's, since every distinct k-mer is counted in
-// exactly one partition.
-func (t *PartitionedTable) Spectrum() []int64 {
-	specs := parallel.Map(len(t.parts), func(i int) []int64 { return t.parts[i].Spectrum() })
-	maxLen := 1
-	for _, s := range specs {
-		if len(s) > maxLen {
-			maxLen = len(s)
-		}
-	}
-	out := make([]int64, maxLen)
-	for _, s := range specs {
-		for c, v := range s {
-			out[c] += v
-		}
-	}
-	return out
-}
-
-// String summarises the table.
-func (t *PartitionedTable) String() string {
-	return fmt.Sprintf("kmer.PartitionedTable{k=%d, distinct=%d, partitions=%d}", t.k, t.Len(), len(t.parts))
 }
 
 // mergeEntryRuns merges sorted entry runs into one sorted slice. Distinct
@@ -251,7 +191,7 @@ func mergeEntryRuns(runs [][]Entry) []Entry {
 
 // CountReadsParallel builds a hash-partitioned table over every k-mer of
 // every read — stage 1 of the assembly pipeline, fanned out over workers on
-// DefaultPartitions partitions. Counts, entries order, spectra, and
+// DefaultPartitions partitions. Counts, entries order, and
 // ProbeOps are bit-identical for any worker count; counts and entries are
 // additionally identical to the serial CountReads table.
 func CountReadsParallel(reads []*genome.Sequence, k, workers int) *PartitionedTable {

@@ -42,7 +42,6 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 			for k := 2; k <= 8; k++ {
 				serial := CountReads(reads, k)
 				wantEntries := serial.Entries()
-				wantSpec := serial.Spectrum()
 				wantTrim := serial.FilterMinCount(2)
 				for _, parts := range []int{1, 4, 64} {
 					for _, workers := range workerSweeps {
@@ -52,9 +51,6 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 						}
 						if got := pt.Entries(); !reflect.DeepEqual(got, wantEntries) {
 							t.Fatalf("k=%d P=%d W=%d: entries diverge from serial", k, parts, workers)
-						}
-						if got := pt.Spectrum(); !reflect.DeepEqual(got, wantSpec) {
-							t.Fatalf("k=%d P=%d W=%d: spectrum diverges from serial", k, parts, workers)
 						}
 						if got := pt.FilterMinCount(2); !reflect.DeepEqual(got, wantTrim) {
 							t.Fatalf("k=%d P=%d W=%d: FilterMinCount diverges from serial", k, parts, workers)
@@ -100,8 +96,8 @@ func TestPartitionedWorkerInvariance(t *testing.T) {
 func TestCountReadsParallelDefault(t *testing.T) {
 	reads := countWorkload(23, 400, 60, 64, 0)
 	pt := CountReadsParallel(reads, 8, 2)
-	if pt.NumPartitions() != DefaultPartitions {
-		t.Fatalf("partitions %d, want %d", pt.NumPartitions(), DefaultPartitions)
+	if len(pt.parts) != DefaultPartitions {
+		t.Fatalf("partitions %d, want %d", len(pt.parts), DefaultPartitions)
 	}
 	want := CountReadsPartitioned(reads, 8, DefaultPartitions, 2)
 	if pt.ProbeOps() != want.ProbeOps() || !reflect.DeepEqual(pt.Entries(), want.Entries()) {
@@ -117,56 +113,18 @@ func TestPartitionedTableGeometry(t *testing.T) {
 		{maxPartitions, maxPartitions}, {maxPartitions + 1, maxPartitions},
 	} {
 		pt := NewPartitionedTable(16, tc.req, 0)
-		if pt.NumPartitions() != tc.want {
-			t.Errorf("partitions(%d) = %d, want %d", tc.req, pt.NumPartitions(), tc.want)
+		if len(pt.parts) != tc.want {
+			t.Errorf("partitions(%d) = %d, want %d", tc.req, len(pt.parts), tc.want)
 		}
 	}
 	// One partition must route everything to index 0 (Hash() >> 64 == 0).
 	pt := NewPartitionedTable(16, 1, 0)
 	rng := stats.NewRNG(3)
 	for i := 0; i < 100; i++ {
-		pt.Add(Kmer(rng.Uint64()) & Kmer(Mask(16)))
-	}
-	if pt.parts[0].Len() != pt.Len() {
-		t.Fatal("single-partition table scattered keys")
-	}
-}
-
-// TestPartitionedAddAndEach covers the direct mutation path and Each's
-// early-termination across partition boundaries.
-func TestPartitionedAddAndEach(t *testing.T) {
-	pt := NewPartitionedTable(6, 8, 0)
-	rng := stats.NewRNG(6)
-	ref := make(map[Kmer]uint32)
-	for i := 0; i < 2000; i++ {
-		km := Kmer(rng.Uint64()%200) & Kmer(Mask(6))
-		if got, want := pt.Add(km), ref[km]+1; got != want {
-			t.Fatalf("Add returned %d, want %d", got, want)
-		}
-		ref[km]++
-	}
-	if pt.Len() != len(ref) {
-		t.Fatalf("Len %d, want %d", pt.Len(), len(ref))
-	}
-	visited := 0
-	pt.Each(func(km Kmer, c uint32) bool {
-		if ref[km] != c {
-			t.Fatalf("Each saw %v=%d, want %d", km, c, ref[km])
-		}
-		visited++
-		return true
-	})
-	if visited != len(ref) {
-		t.Fatalf("Each visited %d entries, want %d", visited, len(ref))
-	}
-	for _, stop := range []int{1, 2, len(ref) / 2, len(ref)} {
-		calls := 0
-		pt.Each(func(Kmer, uint32) bool {
-			calls++
-			return calls < stop
-		})
-		if calls != stop {
-			t.Fatalf("early stop at %d made %d calls", stop, calls)
+		km := Kmer(rng.Uint64()) & Kmer(Mask(16))
+		pt.parts[0].Add(km)
+		if pt.Count(km) == 0 {
+			t.Fatalf("single-partition table routed %v away from partition 0", km)
 		}
 	}
 }

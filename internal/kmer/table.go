@@ -1,7 +1,6 @@
 package kmer
 
 import (
-	"fmt"
 	"math"
 
 	"pimassembler/internal/genome"
@@ -212,24 +211,6 @@ func CountReads(reads []*genome.Sequence, k int) *CountTable {
 	return t
 }
 
-// Spectrum returns the frequency spectrum: spectrum[c] is the number of
-// distinct k-mers observed exactly c times (index 0 unused).
-func (t *CountTable) Spectrum() []int64 {
-	var maxC uint32
-	t.Each(func(_ Kmer, c uint32) bool {
-		if c > maxC {
-			maxC = c
-		}
-		return true
-	})
-	spec := make([]int64, maxC+1)
-	t.Each(func(_ Kmer, c uint32) bool {
-		spec[c]++
-		return true
-	})
-	return spec
-}
-
 // FilterMinCount returns the entries with count ≥ min, sorted by k-mer —
 // the low-frequency error-trimming step assemblers apply before graph
 // construction. Survivors are counted first and collected into one exact
@@ -255,9 +236,4 @@ func (t *CountTable) FilterMinCount(min uint32) []Entry {
 	}
 	SortEntries(out)
 	return out
-}
-
-// String summarises the table.
-func (t *CountTable) String() string {
-	return fmt.Sprintf("kmer.CountTable{k=%d, distinct=%d, capacity=%d}", t.k, t.n, len(t.slots))
 }

@@ -100,10 +100,14 @@ func TestSpectrumSumsToDistinct(t *testing.T) {
 	rng := stats.NewRNG(10)
 	g := genome.GenerateGenome(1000, rng)
 	tbl := CountReads(genome.TilingReads(g, 100, 50), 15)
-	spec := tbl.Spectrum()
+	spec := make(map[uint32]int64)
+	tbl.Each(func(_ Kmer, c uint32) bool {
+		spec[c]++
+		return true
+	})
 	var total int64
-	for _, c := range spec {
-		total += c
+	for _, n := range spec {
+		total += n
 	}
 	if total != int64(tbl.Len()) {
 		t.Fatalf("spectrum sums to %d, want %d", total, tbl.Len())
@@ -138,21 +142,15 @@ func TestSpectrumUnderGrowth(t *testing.T) {
 		ref[km]++
 	}
 	wantSpec := make(map[uint32]int64)
-	var maxC uint32
 	for _, c := range ref {
 		wantSpec[c]++
-		if c > maxC {
-			maxC = c
-		}
 	}
-	spec := tbl.Spectrum()
-	if len(spec) != int(maxC)+1 {
-		t.Fatalf("spectrum length %d, want %d", len(spec), maxC+1)
+	spec := make(map[uint32]int64)
+	for _, e := range tbl.Entries() {
+		spec[e.Count]++
 	}
-	for c, n := range spec {
-		if n != wantSpec[uint32(c)] {
-			t.Fatalf("spectrum[%d] = %d, want %d", c, n, wantSpec[uint32(c)])
-		}
+	if !reflect.DeepEqual(spec, wantSpec) {
+		t.Fatalf("spectrum %v, want %v", spec, wantSpec)
 	}
 }
 
@@ -238,10 +236,12 @@ func TestProbeOpsMonotone(t *testing.T) {
 	if tbl.ProbeOps() <= before {
 		t.Fatal("probe counter must advance on Add")
 	}
-	part := NewPartitionedTable(8, 4, 8)
-	part.Add(MustParse("ACGTACGT"))
+	part := CountReadsPartitioned([]*genome.Sequence{genome.MustFromString("ACGTACGT")}, 8, 4, 1)
 	queries := []Kmer{MustParse("ACGTACGT"), MustParse("TTTTTTTT")}
-	for _, c := range []Counter{tbl, part} {
+	for _, c := range []interface {
+		Counter
+		ProbeOps() int64
+	}{tbl, part} {
 		mid := c.ProbeOps()
 		counts := make([]uint32, len(queries))
 		c.CountAll(queries, counts)

@@ -3,47 +3,7 @@ package mapping
 import (
 	"fmt"
 	"math"
-
-	"pimassembler/internal/kmer"
 )
-
-// IntervalBlockPartition implements Fig. 8's graph placement: vertices are
-// hashed into M intervals, edges into M² blocks (source interval ×
-// destination interval), and each block is allocated to a chip and mapped to
-// its sub-arrays as adjacency-matrix rows.
-type IntervalBlockPartition struct {
-	M int // number of intervals (= chips along one block axis)
-}
-
-// NewIntervalBlockPartition creates a partition over M intervals.
-func NewIntervalBlockPartition(m int) IntervalBlockPartition {
-	if m <= 0 {
-		panic(fmt.Sprintf("mapping: non-positive interval count %d", m))
-	}
-	return IntervalBlockPartition{M: m}
-}
-
-// Interval returns the interval of a vertex ((k-1)-mer node), using the
-// hash-based division of [21], [22].
-func (p IntervalBlockPartition) Interval(node kmer.Kmer) int {
-	return int(node.Hash() % uint64(p.M))
-}
-
-// Block returns the (source, destination) block coordinates of an edge.
-func (p IntervalBlockPartition) Block(from, to kmer.Kmer) (src, dst int) {
-	return p.Interval(from), p.Interval(to)
-}
-
-// BlockID flattens block coordinates to a chip assignment in [0, M²).
-func (p IntervalBlockPartition) BlockID(src, dst int) int {
-	if src < 0 || src >= p.M || dst < 0 || dst >= p.M {
-		panic(fmt.Sprintf("mapping: block (%d,%d) outside %dx%d", src, dst, p.M, p.M))
-	}
-	return src*p.M + dst
-}
-
-// Blocks returns M², the number of edge blocks (= chips used).
-func (p IntervalBlockPartition) Blocks() int { return p.M * p.M }
 
 // SubarraysForVertices returns Ns = ⌈N/f⌉, the number of sub-arrays needed
 // to process an N-vertex sub-graph where each a×b sub-array handles up to
@@ -57,17 +17,6 @@ func SubarraysForVertices(n, a, b int) int {
 		f = b
 	}
 	return (n + f - 1) / f
-}
-
-// BlockLoad tallies how many edges of an edge list land in each block —
-// the balance check motivating hash-based interval division.
-func (p IntervalBlockPartition) BlockLoad(edges [][2]kmer.Kmer) []int {
-	load := make([]int, p.Blocks())
-	for _, e := range edges {
-		s, d := p.Block(e[0], e[1])
-		load[p.BlockID(s, d)]++
-	}
-	return load
 }
 
 // Replication models the parallelism-degree knob of the Fig. 10 trade-off

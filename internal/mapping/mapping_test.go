@@ -101,37 +101,6 @@ func TestHashPlacementSpreadsLoad(t *testing.T) {
 	}
 }
 
-func TestIntervalBlockPartition(t *testing.T) {
-	p := NewIntervalBlockPartition(4)
-	if p.Blocks() != 16 {
-		t.Fatalf("blocks %d, want M²=16", p.Blocks())
-	}
-	f := func(a, b uint64) bool {
-		s, d := p.Block(kmer.Kmer(a), kmer.Kmer(b))
-		id := p.BlockID(s, d)
-		return s >= 0 && s < 4 && d >= 0 && d < 4 && id >= 0 && id < 16
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBlockLoadBalance(t *testing.T) {
-	p := NewIntervalBlockPartition(4)
-	rng := stats.NewRNG(10)
-	edges := make([][2]kmer.Kmer, 8000)
-	for i := range edges {
-		edges[i] = [2]kmer.Kmer{kmer.Kmer(rng.Uint64()), kmer.Kmer(rng.Uint64())}
-	}
-	load := p.BlockLoad(edges)
-	mean := len(edges) / p.Blocks()
-	for b, l := range load {
-		if l < mean/2 || l > mean*2 {
-			t.Fatalf("block %d holds %d edges (mean %d); hash division unbalanced", b, l, mean)
-		}
-	}
-}
-
 func TestSubarraysForVertices(t *testing.T) {
 	// Ns = ceil(N/f), f = min(a,b).
 	if got := SubarraysForVertices(1000, 1024, 256); got != 4 {
@@ -172,10 +141,8 @@ func TestReplicationMonotonicity(t *testing.T) {
 func TestPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewHashPlacement(0, DefaultLayout(dram.Default())) },
-		func() { NewIntervalBlockPartition(0) },
 		func() { DefaultReplication(0) },
 		func() { SubarraysForVertices(5, 0, 4) },
-		func() { NewIntervalBlockPartition(2).BlockID(2, 0) },
 	} {
 		func() {
 			defer func() {

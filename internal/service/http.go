@@ -269,15 +269,7 @@ func (s *Server) handleContigs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	// Record naming matches cmd/assemble's output file byte for byte.
-	records := make([]genome.Record, len(res.Report.Contigs))
-	for i, c := range res.Report.Contigs {
-		records[i] = genome.Record{
-			Name: fmt.Sprintf("contig_%d len=%d cov=%.1f", i, c.Seq.Len(), c.MeanCoverage),
-			Seq:  c.Seq,
-		}
-	}
-	if err := genome.WriteFASTA(w, records); err != nil {
+	if err := debruijn.WriteContigsFASTA(w, res.Report.Contigs); err != nil {
 		// Headers are gone; all we can do is drop the connection.
 		s.counters.Add("service.http.write_errors", 1)
 	}

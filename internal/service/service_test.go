@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pimassembler/internal/debruijn"
 	"pimassembler/internal/engine"
 	"pimassembler/internal/genome"
 	"pimassembler/internal/jobqueue"
@@ -409,15 +410,8 @@ func defaultEngineOptions(k int) engine.Options {
 // (and cmd/assemble's output file) does.
 func renderContigs(t *testing.T, rep *engine.Report) []byte {
 	t.Helper()
-	records := make([]genome.Record, len(rep.Contigs))
-	for i, c := range rep.Contigs {
-		records[i] = genome.Record{
-			Name: fmt.Sprintf("contig_%d len=%d cov=%.1f", i, c.Seq.Len(), c.MeanCoverage),
-			Seq:  c.Seq,
-		}
-	}
 	var buf bytes.Buffer
-	if err := genome.WriteFASTA(&buf, records); err != nil {
+	if err := debruijn.WriteContigsFASTA(&buf, rep.Contigs); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
