@@ -56,8 +56,9 @@ func runBatch(path, defaultEngine string, defaults engine.Options, workers int, 
 //	<input-path> <engine> [k=N] [mincount=N] [subarrays=N] [timeout=DUR] [retries=N] [backoff=DUR]
 //
 // with '#' starting a comment. Per-job keys override the command-line
-// defaults; the reads load eagerly so a bad path fails the whole batch
-// before anything runs.
+// defaults; every line's options are validated before its input is opened,
+// and the reads load eagerly, so a bad line or path fails the whole batch —
+// named as path:line — before anything runs.
 func loadManifest(path, defaultEngine string, defaults engine.Options) ([]jobqueue.Spec, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -107,7 +108,6 @@ func parseManifestJob(fields []string, defaultEngine string, defaults engine.Opt
 				return spec, fmt.Errorf("k: %w", err)
 			}
 			spec.Opts.K = n
-			spec.Opts.MinOverlap = n - 4
 		case "mincount":
 			n, err := strconv.ParseUint(val, 10, 32)
 			if err != nil {
@@ -144,6 +144,9 @@ func parseManifestJob(fields []string, defaultEngine string, defaults engine.Opt
 	}
 	if spec.Retry.MaxAttempts > 1 && spec.Retry.Backoff == 0 {
 		spec.Retry.Backoff = 100 * time.Millisecond
+	}
+	if err := spec.Opts.Validate(); err != nil {
+		return spec, err
 	}
 	reads, err := loadReads(input)
 	if err != nil {

@@ -22,8 +22,10 @@
 // the output is byte-identical to the same run without -worker-procs.
 //
 // Exit codes: 0 on success, 1 when a run (or any batch job or worker
-// serving loop) fails, 2 on usage errors (bad flags, unreadable manifest,
-// unknown engine name).
+// serving loop) fails, 2 on usage errors — bad flags, an option set no run
+// can execute (k outside [2,32], -scaffold at k <= 4; also on a manifest
+// line, reported as path:line), an unreadable manifest, an unknown engine
+// name — all reported before any input is opened.
 package main
 
 import (
@@ -39,6 +41,7 @@ import (
 	"pimassembler/internal/distshard"
 	"pimassembler/internal/engine"
 	"pimassembler/internal/genome"
+	"pimassembler/internal/jobqueue"
 	workerpool "pimassembler/internal/parallel"
 	"pimassembler/internal/shard"
 )
@@ -132,11 +135,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Scaffold:       *scaffold,
 			Simplify:       *simplify,
 			Correct:        *correctF,
-			MinOverlap:     *k - 4,
 			ParallelStage1: *parallel,
 			CountWorkers:   *countWkrs,
 		},
 		Subarrays: *nsub,
+	}
+	if err := defaults.Validate(); err != nil {
+		fmt.Fprintln(stderr, "assemble:", err)
+		return exitUsage
 	}
 
 	if *batch != "" {
@@ -245,31 +251,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var rep *engine.Report
 	nReads := int64(len(reads))
+	plan := shard.Plan{
+		Shards:           *shards,
+		Engines:          shardNames,
+		Opts:             opts,
+		Workers:          *workers,
+		MaxResidentReads: *maxRes,
+	}
 	switch {
 	case *spillDir != "":
 		var code int
-		rep, nReads, code = runSpill(context.Background(), *in, spillPlanConfig{
-			dir:           *spillDir,
-			shards:        *shards,
-			maxResident:   *maxRes,
-			engines:       shardNames,
-			opts:          opts,
-			workers:       *workers,
-			parallel:      *parallel,
-			workerProcs:   *workerN,
-			workerTimeout: *workerTO,
-			workerRetries: *workerRty,
+		rep, nReads, code = runSpill(context.Background(), *in, *spillDir, plan, distshard.Config{
+			WorkerProcs: *workerN,
+			Timeout:     *workerTO,
+			Retry:       jobqueue.RetryPolicy{MaxAttempts: *workerRty + 1},
 		}, stdout, stderr)
 		if code != exitOK {
 			return code
 		}
 	case *shards > 0:
-		res, err := shard.Assemble(context.Background(), reads, shard.Plan{
-			Shards:  *shards,
-			Engines: shardNames,
-			Opts:    opts,
-			Workers: *workers,
-		})
+		res, err := shard.Assemble(context.Background(), reads, plan)
 		if err != nil {
 			fmt.Fprintln(stderr, "assemble:", err)
 			return exitRuntime
@@ -399,13 +400,5 @@ func loadReads(path string) ([]*genome.Sequence, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var reads []*genome.Sequence
-	err = genome.ScanRecords(f, genome.DetectFormat(path), func(r genome.Record) error {
-		reads = append(reads, r.Seq)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return reads, nil
+	return genome.ReadAll(genome.NewScannerSource(genome.NewScanner(f, genome.DetectFormat(path))))
 }

@@ -48,12 +48,25 @@ func TestRunExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// An option set no run can execute is a usage error before any input is
+	// opened: these rows name an input that does not exist, which would be
+	// exit 1 "no such file" had anything tried to read it.
+	nope := filepath.Join(dir, "nope.fasta")
+	badKManifest := filepath.Join(dir, "badk.manifest")
+	if err := os.WriteFile(badKManifest, []byte("# a comment line\n"+nope+" software k=40\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []struct {
 		name   string
 		args   []string
 		code   int
 		stderr string // required substring of stderr ("" = no requirement)
 	}{
+		{"k-out-of-range", []string{"-in", nope, "-k", "40"}, exitUsage, "k=40 outside"},
+		{"k-out-of-range-distributed", []string{"-in", nope, "-k", "40", "-shards", "2", "-spill-dir", dir, "-worker-procs", "2"}, exitUsage, "k=40 outside"},
+		{"scaffold-without-overlap", []string{"-in", nope, "-k", "3", "-scaffold"}, exitUsage, "positive overlap"},
+		{"batch-line-k-out-of-range", []string{"-batch", badKManifest}, exitUsage, badKManifest + ":2: assembly: k=40 outside"},
 		{"no-input", []string{}, exitUsage, "-in is required"},
 		{"bad-flag", []string{"-no-such-flag"}, exitUsage, "flag provided but not defined"},
 		{"bad-flag-value", []string{"-k", "banana"}, exitUsage, "invalid value"},

@@ -5,48 +5,34 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"pimassembler/internal/distshard"
 	"pimassembler/internal/engine"
 	"pimassembler/internal/genome"
-	"pimassembler/internal/jobqueue"
 	"pimassembler/internal/metrics"
 	"pimassembler/internal/shard"
 )
 
-// spillPlanConfig carries the flag state for one out-of-core run.
-type spillPlanConfig struct {
-	dir           string
-	shards        int
-	maxResident   int
-	engines       []string
-	opts          engine.Options
-	workers       int
-	parallel      bool
-	workerProcs   int
-	workerTimeout time.Duration
-	workerRetries int
-}
-
 // runSpill executes the out-of-core sharded path: stream the input into
-// per-shard spill files, then run them through the one shard dispatch loop —
-// in this process under a resident-read admission cap, or across worker
-// processes — and merge. Everything on stdout is deterministic (spill sizes
-// and eviction counts depend only on the input and the cap); the wall-clock
+// plan.Shards spill files under dir, then run them through the one shard
+// dispatch loop — across dist.WorkerProcs worker processes when that is
+// positive, else in this process under the plan's resident-read admission
+// cap — and merge. Everything on stdout is deterministic (spill sizes and
+// eviction counts depend only on the input and the cap); the wall-clock
 // spill/queue statistics go to stderr. Returns the merged report, the read
 // count, and the exit code.
-func runSpill(ctx context.Context, in string, cfg spillPlanConfig, stdout, stderr io.Writer) (*engine.Report, int64, int) {
+func runSpill(ctx context.Context, in, dir string, plan shard.Plan, dist distshard.Config, stdout, stderr io.Writer) (*engine.Report, int64, int) {
 	f, err := os.Open(in)
 	if err != nil {
 		fmt.Fprintln(stderr, "assemble:", err)
 		return nil, 0, exitRuntime
 	}
 	counters := metrics.NewCounters()
+	plan.Counters = counters
 	sp, err := shard.Partition(ctx, f, genome.DetectFormat(in), shard.SpillConfig{
-		Shards:           cfg.shards,
-		Dir:              cfg.dir,
-		MaxResidentReads: cfg.maxResident,
+		Shards:           plan.Shards,
+		Dir:              dir,
+		MaxResidentReads: plan.MaxResidentReads,
 		Counters:         counters,
 	})
 	f.Close()
@@ -56,7 +42,7 @@ func runSpill(ctx context.Context, in string, cfg spillPlanConfig, stdout, stder
 	}
 	defer sp.Close()
 
-	cap := cfg.maxResident
+	cap := plan.MaxResidentReads
 	if cap <= 0 {
 		cap = shard.DefaultMaxResidentReads
 	}
@@ -64,25 +50,13 @@ func runSpill(ctx context.Context, in string, cfg spillPlanConfig, stdout, stder
 		sp.TotalReads(), sp.Shards(), sp.Bytes(), sp.Evictions(), cap)
 
 	var res *shard.Result
-	if cfg.workerProcs > 0 {
+	if dist.WorkerProcs > 0 {
 		fmt.Fprintf(stdout, "distributed: dispatching %d spill files across %d worker processes\n",
-			sp.Shards(), cfg.workerProcs)
-		res, err = distshard.Assemble(ctx, sp, distshard.Config{
-			WorkerProcs: cfg.workerProcs,
-			Engines:     cfg.engines,
-			Opts:        cfg.opts,
-			Timeout:     cfg.workerTimeout,
-			Retry:       jobqueue.RetryPolicy{MaxAttempts: cfg.workerRetries + 1},
-			Counters:    counters,
-		})
+			sp.Shards(), dist.WorkerProcs)
+		dist.Engines, dist.Opts, dist.Counters = plan.Engines, plan.Opts, counters
+		res, err = distshard.Assemble(ctx, sp, dist)
 	} else {
-		res, err = shard.AssembleSpill(ctx, sp, shard.Plan{
-			Engines:          cfg.engines,
-			Opts:             cfg.opts,
-			Workers:          cfg.workers,
-			MaxResidentReads: cfg.maxResident,
-			Counters:         counters,
-		})
+		res, err = shard.AssembleSpill(ctx, sp, plan)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "assemble:", err)
@@ -91,7 +65,7 @@ func runSpill(ctx context.Context, in string, cfg spillPlanConfig, stdout, stder
 	if len(res.PerShard) > 1 {
 		shardReport(stdout, res)
 	} else {
-		report(stdout, res.Report, cfg.parallel)
+		report(stdout, res.Report, plan.Opts.ParallelStage1)
 	}
 	fmt.Fprintf(stderr, "spill statistics (wall clock):\n%s", counters)
 	return res.Report, sp.TotalReads(), exitOK

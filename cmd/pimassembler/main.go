@@ -15,8 +15,6 @@
 //	pimassembler faults    # Table I rates injected into the pipeline
 //	pimassembler stream    # per-stage command histogram + makespan + energy
 //	pimassembler engines   # cross-engine comparison over the engine registry
-//	pimassembler shards    # shard-count sweep vs the unsharded reference
-//	pimassembler spill     # out-of-core spill sweep vs the in-memory paths
 //	pimassembler all       # everything, in order
 //
 // Exit codes: 0 on success, 2 on usage errors (bad flags, unknown
@@ -53,8 +51,6 @@ var runners = map[string]func(io.Writer){
 	"sens":    eval.RenderSensitivity,
 	"stream":  eval.RenderStream,
 	"engines": eval.RenderEngines,
-	"shards":  eval.RenderShards,
-	"spill":   eval.RenderSpill,
 	"all":     eval.RenderAll,
 }
 
@@ -101,6 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, "usage: pimassembler [-csv] [-workers N] <experiment>")
-	fmt.Fprintln(w, "experiments: fig2b fig3a fig3b table1 area fig9 fig10 fig11 faults ksweep sens stream engines shards spill all")
+	fmt.Fprintln(w, "experiments: fig2b fig3a fig3b table1 area fig9 fig10 fig11 faults ksweep sens stream engines all")
 	fmt.Fprintln(w, "exit codes: 0 success; 2 usage error (bad flag, unknown experiment, no CSV form)")
 }

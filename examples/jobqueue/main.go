@@ -37,7 +37,7 @@ func main() {
 		{Name: "tenant-c", Engine: "pim-assembler", Source: genome.NewSliceSource(c), Opts: opts},
 		{Name: "chr14-estimate", Engine: "drisa-3t1c", Opts: engine.Options{Counts: &counts}},
 		{Name: "tenant-a-k22", Engine: "software", Source: genome.NewSliceSource(a),
-			Opts:    engine.Options{Options: assembly.Options{K: 22, MinOverlap: 18}},
+			Opts:    engine.Options{Options: assembly.Options{K: 22}},
 			Timeout: 30 * time.Second,
 			Retry:   jobqueue.RetryPolicy{MaxAttempts: 3, Backoff: 50 * time.Millisecond}},
 	}

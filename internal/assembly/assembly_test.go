@@ -47,8 +47,22 @@ func TestAssembleValidatesOptions(t *testing.T) {
 			t.Fatalf("empty reads accepted by AssemblePIM with %+v", o)
 		}
 	}
-	if _, err := Assemble(reads, Options{K: 8, Scaffold: true, MinOverlap: 0}); err == nil {
-		t.Fatal("scaffolding without overlap accepted")
+	// An unset MinOverlap is K-4: k = 8 scaffolds on overlap 4, and k = 4
+	// leaves no overlap to join on.
+	rng := stats.NewRNG(5)
+	sampled := genome.NewReadSampler(genome.GenerateGenome(600, rng), 40, 0, rng).Sample(120)
+	res, err := Assemble(sampled, Options{K: 8, Scaffold: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ScaffoldContigs(res.Contigs, 4); len(want) == 0 || !reflect.DeepEqual(res.Scaffolds, want) {
+		t.Fatalf("k=8 with MinOverlap unset: %d scaffolds, want the %d of overlap 4", len(res.Scaffolds), len(want))
+	}
+	if _, err := Assemble(reads, Options{K: 4, Scaffold: true}); err == nil {
+		t.Fatal("scaffolding on a zero overlap (k=4, MinOverlap unset) accepted")
+	}
+	if _, err := Assemble(reads, Options{K: 8, Scaffold: true, MinOverlap: -1}); err == nil {
+		t.Fatal("scaffolding on a negative overlap accepted")
 	}
 }
 

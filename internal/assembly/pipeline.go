@@ -39,7 +39,8 @@ type Options struct {
 	SolidThreshold uint32
 	// Scaffold enables stage 3 (greedy overlap scaffolding).
 	Scaffold bool
-	// MinOverlap is the minimum contig overlap stage 3 will join on.
+	// MinOverlap is the minimum contig overlap stage 3 will join on; zero
+	// means K-4 (12 at the paper's k = 16).
 	MinOverlap int
 	// ParallelStage1 shards stage 1 of AssemblePIM across the hash table's
 	// sub-arrays with a bank-keyed worker pool (bit-identical to the serial
@@ -61,17 +62,28 @@ type Options struct {
 // DefaultOptions returns a pipeline configuration matching the paper's
 // primary setting (k = 16, no trimming, stages 1-2).
 func DefaultOptions() Options {
-	return Options{K: 16, MinCount: 0, MinOverlap: 12}
+	return Options{K: 16}
 }
 
-func (o Options) validate() error {
+// Validate reports the option sets no run can execute. It is the one check
+// every front door makes before it opens an input or admits a job — the CLI's
+// flags, a manifest line, a request body — and the one run makes again.
+func (o Options) Validate() error {
 	if o.K < 2 || o.K > kmer.MaxK {
 		return fmt.Errorf("assembly: k=%d outside [2,%d]", o.K, kmer.MaxK)
 	}
-	if o.Scaffold && o.MinOverlap <= 0 {
-		return fmt.Errorf("assembly: scaffolding needs a positive overlap, got %d", o.MinOverlap)
+	if o.Scaffold && o.minOverlap() <= 0 {
+		return fmt.Errorf("assembly: scaffolding needs a positive overlap, got %d at k=%d", o.minOverlap(), o.K)
 	}
 	return nil
+}
+
+// minOverlap is the overlap stage 3 joins on: MinOverlap, or K-4 when unset.
+func (o Options) minOverlap() int {
+	if o.MinOverlap != 0 {
+		return o.MinOverlap
+	}
+	return o.K - 4
 }
 
 // StageTimings records wall-clock spent in each software stage. Hashmap is
@@ -170,7 +182,7 @@ func (s cancelSource) Next() (*genome.Sequence, error) {
 // operation profile of what ran. ctx is checked before every read pulled
 // from src and between stages.
 func run(ctx context.Context, b backend, src genome.ReadSource, opts Options) (*Result, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if src == nil {
@@ -230,7 +242,7 @@ func run(ctx context.Context, b backend, src genome.ReadSource, opts Options) (*
 	// Stage 3: scaffolding (the paper's future work; our extension).
 	if opts.Scaffold {
 		start = time.Now()
-		res.Scaffolds = ScaffoldContigs(res.Contigs, opts.MinOverlap)
+		res.Scaffolds = ScaffoldContigs(res.Contigs, opts.minOverlap())
 		res.Timings.Scaffold = time.Since(start)
 	}
 	res.Counts = measureCounts(opts.K, sp, res.Graph)

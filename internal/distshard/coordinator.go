@@ -93,7 +93,7 @@ func Assemble(ctx context.Context, sp *shard.Spill, cfg Config) (*shard.Result, 
 	p := &pool{
 		cfg:   cfg,
 		cmd:   cfg.WorkerCmd,
-		hello: &Hello{Proto: ProtoVersion, K: cfg.Opts.K, OptHash: wireOptions(cfg.Opts).hash()},
+		hello: &Hello{Proto: ProtoVersion, K: cfg.Opts.K, OptHash: optHash(cfg.Opts)},
 		seen:  make(map[int]bool),
 	}
 	names, known := cfg.Engines, cfg.Registry
@@ -164,7 +164,7 @@ func (e remoteEngine) Assemble(ctx context.Context, src genome.ReadSource, opts 
 		return nil, fmt.Errorf("distshard: read source %T is not a spill file", src)
 	}
 	shardIdx, path := ref.SpillFile()
-	return e.pool.run(ctx, &Job{Shard: shardIdx, Engine: e.name, SpillPath: path, Opts: wireOptions(opts)})
+	return e.pool.run(ctx, &Job{Shard: shardIdx, Engine: e.name, SpillPath: path, Opts: opts})
 }
 
 // pool is one run's worker processes: spawned when a job finds none idle,

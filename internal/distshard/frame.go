@@ -42,7 +42,7 @@ import (
 // ProtoVersion is this binary's wire-protocol version. The handshake
 // carries it in both directions; any mismatch aborts the worker before a
 // job is dispatched.
-const ProtoVersion = 1
+const ProtoVersion = 2
 
 // MaxFramePayload caps one frame's JSON payload. A length prefix beyond it
 // is rejected as hostile or corrupt before any payload is read.
@@ -87,12 +87,16 @@ type Hello struct {
 }
 
 // Job dispatches one shard: the spill file to stream, the engine to run it
-// on, and the full run options (hash-checked against the handshake).
+// on, and the full run options (hash-checked against the handshake). Opts
+// is engine.Options as it stands: its scalar pipeline parameters cross the
+// wire, Ref and Counts (tagged json:"-") never do — quality scoring happens
+// in the coordinator's merge pass, and counts-only analytical runs have no
+// spill file to dispatch.
 type Job struct {
-	Shard     int     `json:"shard"`
-	Engine    string  `json:"engine"`
-	SpillPath string  `json:"spillPath"`
-	Opts      Options `json:"opts"`
+	Shard     int            `json:"shard"`
+	Engine    string         `json:"engine"`
+	SpillPath string         `json:"spillPath"`
+	Opts      engine.Options `json:"opts"`
 }
 
 // WireError is a worker-reported job failure. Transient mirrors
@@ -109,32 +113,14 @@ func (e *WireError) Error() string {
 	return fmt.Sprintf("distshard: worker error on shard %d: %s", e.Shard, e.Msg)
 }
 
-// Options is the wire form of engine.Options: the scalar pipeline
-// parameters only. Ref and Counts never cross the wire — quality scoring
-// happens in the coordinator's merge pass, and counts-only analytical runs
-// have no spill file to dispatch.
-type Options struct {
-	Assembly  assembly.Options `json:"assembly"`
-	Subarrays int              `json:"subarrays"`
-}
-
-// wireOptions projects the engine options onto the wire form.
-func wireOptions(o engine.Options) Options {
-	return Options{Assembly: o.Options, Subarrays: o.Subarrays}
-}
-
-// engineOptions rebuilds the engine options a worker runs with.
-func (o Options) engineOptions() engine.Options {
-	return engine.Options{Options: o.Assembly, Subarrays: o.Subarrays}
-}
-
-// hash fingerprints the options for the handshake and the per-job check:
-// FNV-64a over the canonical JSON encoding (struct field order is fixed,
-// so the encoding is deterministic).
-func (o Options) hash() string {
+// optHash fingerprints the options for the handshake and the per-job
+// check: FNV-64a over their JSON encoding (struct field order is fixed, so
+// the encoding is deterministic).
+func optHash(o engine.Options) string {
 	b, err := json.Marshal(o)
 	if err != nil {
-		// Options is a closed scalar struct; Marshal cannot fail on it.
+		// What Options encodes is a closed set of scalars; Marshal cannot
+		// fail on it.
 		panic(fmt.Sprintf("distshard: hashing options: %v", err))
 	}
 	h := fnv.New64a()

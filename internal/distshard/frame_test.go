@@ -10,13 +10,14 @@ import (
 
 	"pimassembler/internal/assembly"
 	"pimassembler/internal/engine"
+	"pimassembler/internal/genome"
 )
 
 // sampleMsgs covers every frame type with a representative payload.
 func sampleMsgs() []*Msg {
-	wopts := wireOptions(engine.Options{Options: assembly.Options{K: 16, MinCount: 2}, Subarrays: 8})
+	wopts := engine.Options{Options: assembly.Options{K: 16, MinCount: 2}, Subarrays: 8}
 	return []*Msg{
-		{Type: MsgHello, Hello: &Hello{Proto: ProtoVersion, K: 16, OptHash: wopts.hash()}},
+		{Type: MsgHello, Hello: &Hello{Proto: ProtoVersion, K: 16, OptHash: optHash(wopts)}},
 		{Type: MsgJob, Job: &Job{Shard: 3, Engine: "software", SpillPath: "/tmp/x/shard-0003.fasta", Opts: wopts}},
 		{Type: MsgResult, Result: &WireReport{
 			Shard: 3, Engine: "software", Family: 0,
@@ -106,7 +107,7 @@ func frameBytes(t *testing.T, payload string) []byte {
 // scenario — changes the hash.
 func TestOptionsHashDiscriminates(t *testing.T) {
 	base := engine.Options{Options: assembly.Options{K: 16, MinCount: 2}, Subarrays: 8}
-	if wireOptions(base).hash() != wireOptions(base).hash() {
+	if optHash(base) != optHash(base) {
 		t.Fatal("identical options hash differently")
 	}
 	variants := []engine.Options{
@@ -116,9 +117,16 @@ func TestOptionsHashDiscriminates(t *testing.T) {
 		{Options: assembly.Options{K: 16, MinCount: 2}, Subarrays: 16},
 	}
 	for i, v := range variants {
-		if wireOptions(v).hash() == wireOptions(base).hash() {
+		if optHash(v) == optHash(base) {
 			t.Errorf("variant %d collides with the base options hash", i)
 		}
+	}
+	// Ref and Counts are a run's inputs, not its parameters: they do not
+	// cross the wire, so they must not move the fingerprint either.
+	inputs := base
+	inputs.Ref, inputs.Counts = genome.MustFromString("ACGT"), &assembly.OpCounts{ReadCount: 1}
+	if optHash(inputs) != optHash(base) {
+		t.Error("Ref/Counts changed the options hash")
 	}
 }
 
@@ -144,7 +152,7 @@ func TestRunWorkerProtocolErrors(t *testing.T) {
 	t.Run("options hash mismatch", func(t *testing.T) {
 		in := new(bytes.Buffer)
 		out := new(bytes.Buffer)
-		wopts := wireOptions(engine.Options{Options: assembly.Options{K: 16}})
+		wopts := engine.Options{Options: assembly.Options{K: 16}}
 		writeFrame(in, &Msg{Type: MsgHello, Hello: &Hello{Proto: ProtoVersion, K: 16, OptHash: "0000000000000000"}})
 		writeFrame(in, &Msg{Type: MsgJob, Job: &Job{Shard: 0, Engine: "software", SpillPath: "/nope", Opts: wopts}})
 		err := RunWorker(in, out, nil)

@@ -66,7 +66,7 @@ func RunWorker(r io.Reader, w io.Writer, reg *engine.Registry) error {
 		case MsgBye:
 			return nil
 		case MsgJob:
-			if got := m.Job.Opts.hash(); got != hello.OptHash {
+			if got := optHash(m.Job.Opts); got != hello.OptHash {
 				return fmt.Errorf("distshard: job %d options hash %s does not match handshake %s", m.Job.Shard, got, hello.OptHash)
 			}
 			if err := writeFrame(bw, runJob(reg, m.Job)); err != nil {
@@ -102,7 +102,7 @@ func runJob(reg *engine.Registry, job *Job) *Msg {
 		return fail(err)
 	}
 	defer src.Close()
-	rep, err := eng.Assemble(context.Background(), src, job.Opts.engineOptions())
+	rep, err := eng.Assemble(context.Background(), src, job.Opts)
 	if err != nil {
 		return fail(err)
 	}

@@ -65,15 +65,17 @@ type Options struct {
 	Subarrays int
 
 	// Ref optionally provides the reference genome; when set, engines fill
-	// Report.Quality with the contigs scored against it.
-	Ref *genome.Sequence
+	// Report.Quality with the contigs scored against it. Ref and Counts are
+	// not part of the options' JSON form (the worker-process wire format and
+	// its handshake hash): both are inputs, not parameters.
+	Ref *genome.Sequence `json:"-"`
 
 	// Counts optionally provides a precomputed operation profile for the
 	// analytical engines (e.g. assembly.PaperOpCounts for the full-scale
 	// chr14 workload). When set, an analytical engine prices these counts
 	// directly — reads may be nil and no contigs are produced. Other
 	// families ignore it.
-	Counts *assembly.OpCounts
+	Counts *assembly.OpCounts `json:"-"`
 }
 
 // DefaultOptions mirrors assembly.DefaultOptions at the engine layer.

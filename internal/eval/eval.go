@@ -288,7 +288,6 @@ func RenderAll(w io.Writer) {
 		RenderFig2b, RenderFig3a, RenderFig3b, RenderTableI, RenderArea,
 		RenderFig9, RenderFig10, RenderFig11, RenderKSweep,
 		RenderSensitivity, RenderFaultStudy, RenderStream, RenderEngines,
-		RenderShards, RenderSpill,
 	}
 	rendered := parallel.Map(len(sections), func(i int) []byte {
 		var buf bytes.Buffer

@@ -98,7 +98,7 @@ func TestRenderAllContainsEveryArtifact(t *testing.T) {
 	for _, marker := range []string{
 		"Fig. 3a", "Fig. 3b", "Table I", "Area overhead",
 		"Fig. 9a", "Fig. 9b", "Fig. 10", "Fig. 11",
-		"Cross-engine comparison", "E17 — shard-count sweep",
+		"Cross-engine comparison",
 	} {
 		if !strings.Contains(out, marker) {
 			t.Errorf("RenderAll missing %q", marker)

@@ -251,6 +251,18 @@ func (q *Queue) Run(ctx context.Context, specs []Spec) []Result {
 	return s.Drain()
 }
 
+// Do runs one job to its terminal Result on the caller's goroutine, under
+// ctx: the attempt budget, per-attempt deadline, backoff, jobs.* counters
+// and latency series of Run, without a pool or a slot table. It is for a
+// caller that does its own queueing and bounds its own concurrency (the
+// service's tenant queues): admitted is when that caller accepted the job,
+// so Result.Wait spans the caller's queue. A ctx already done returns
+// Cancelled at once without resolving or touching the engine.
+func (q *Queue) Do(ctx context.Context, spec Spec, admitted time.Time) Result {
+	q.count("jobs.submitted", 1)
+	return q.runJob(ctx, 0, spec, admitted)
+}
+
 // runJob drives one job through its lifecycle.
 func (q *Queue) runJob(ctx context.Context, slot int, spec Spec, submitted time.Time) Result {
 	res := Result{Slot: slot, Spec: spec, State: StateQueued}

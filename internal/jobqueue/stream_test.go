@@ -131,47 +131,6 @@ func TestStreamDequeuesInSubmissionOrder(t *testing.T) {
 	}
 }
 
-// TestStreamTake pins the hand-over: Take returns what Wait would, after
-// which the stream no longer answers for the slot — while untaken slots keep
-// their Wait/Drain/Depth behaviour.
-func TestStreamTake(t *testing.T) {
-	q := jobqueue.New(newTestRegistry(t, fakeEngine{name: "ok", fn: func(context.Context) (*engine.Report, error) {
-		return okReport("ok"), nil
-	}}), jobqueue.WithWorkers(2))
-	st := q.Stream(context.Background())
-	for i := 0; i < 3; i++ {
-		if _, err := st.Submit(jobqueue.Spec{Engine: "ok"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, err := st.Take(1)
-	if err != nil || r.Slot != 1 || r.State != jobqueue.StateDone || r.Report == nil {
-		t.Fatalf("Take(1) = %+v, %v", r, err)
-	}
-	if _, err := st.Take(1); err == nil {
-		t.Error("second Take of a slot succeeded")
-	}
-	if _, err := st.Wait(1); err == nil {
-		t.Error("Wait on a taken slot succeeded")
-	}
-	if _, err := st.Take(7); err == nil {
-		t.Error("Take on an unsubmitted slot succeeded")
-	}
-	if r, err := st.Wait(2); err != nil || r.State != jobqueue.StateDone {
-		t.Errorf("Wait(2) after Take(1) = %+v, %v", r, err)
-	}
-	results := st.Drain()
-	if len(results) != 3 || results[0].State != jobqueue.StateDone || results[2].Report == nil {
-		t.Fatalf("Drain after Take: %+v", results)
-	}
-	if results[1].Report != nil {
-		t.Error("Drain still holds the taken slot's report")
-	}
-	if st.Depth() != 0 {
-		t.Errorf("Depth %d after Take, want 0", st.Depth())
-	}
-}
-
 // TestStreamSubmitAfterClose is the deadlock regression: a closed stream
 // must reject Submit with ErrClosed immediately.
 func TestStreamSubmitAfterClose(t *testing.T) {
@@ -208,7 +167,9 @@ func TestStreamSubmitAfterClose(t *testing.T) {
 // TestStreamCancellation: cancelling the session context terminates queued
 // and in-flight jobs as Cancelled without wedging Drain.
 func TestStreamCancellation(t *testing.T) {
-	started := make(chan struct{})
+	// Buffered: the engine may get here before the test is receiving, and
+	// its non-blocking send must not be lost.
+	started := make(chan struct{}, 1)
 	block := make(chan struct{})
 	defer close(block)
 	stuck := fakeEngine{name: "stuck", fn: func(ctx context.Context) (*engine.Report, error) {

@@ -45,8 +45,9 @@ type SubmitRequest struct {
 	Reads string `json:"reads"`
 	// Format is "fasta" (default) or "fastq".
 	Format string `json:"format,omitempty"`
-	// K is the k-mer length (default 16); MinOverlap follows it as k-4,
-	// mirroring the CLI.
+	// K is the k-mer length (default 16). The pipeline options below mean
+	// what the CLI's flags of the same name mean, and assembly.Options.Validate
+	// rejects the same combinations here (400) as there (exit 2).
 	K        int    `json:"k,omitempty"`
 	MinCount uint32 `json:"min_count,omitempty"`
 	Scaffold bool   `json:"scaffold,omitempty"`
@@ -181,30 +182,31 @@ func (s *Server) buildSpec(req SubmitRequest) (jobqueue.Spec, error) {
 	default:
 		return jobqueue.Spec{}, fmt.Errorf("unknown read format %q (want fasta or fastq)", req.Format)
 	}
-	var reads []*genome.Sequence
-	err := genome.ScanRecords(strings.NewReader(req.Reads), format, func(rec genome.Record) error {
-		reads = append(reads, rec.Seq)
-		return nil
-	})
+	opts := engine.Options{
+		Options: assembly.Options{
+			K:            req.K,
+			MinCount:     req.MinCount,
+			Scaffold:     req.Scaffold,
+			Simplify:     req.Simplify,
+			Correct:      req.Correct,
+			CountWorkers: req.CountWorkers,
+		},
+		Subarrays: req.Subarrays,
+	}
+	if opts.K == 0 {
+		opts.K = 16
+	}
+	// Reject here, as a 400, what could only fail the pipeline's own
+	// validation once admitted.
+	if err := opts.Validate(); err != nil {
+		return jobqueue.Spec{}, err
+	}
+	reads, err := genome.ReadAll(genome.NewScannerSource(genome.NewScanner(strings.NewReader(req.Reads), format)))
 	if err != nil {
 		return jobqueue.Spec{}, fmt.Errorf("parsing reads: %v", err)
 	}
 	if len(reads) == 0 {
 		return jobqueue.Spec{}, errors.New("no reads in request")
-	}
-
-	k := req.K
-	if k == 0 {
-		k = 16
-	}
-	if k < 2 || k > 32 {
-		return jobqueue.Spec{}, fmt.Errorf("k=%d outside the supported range [2, 32]", k)
-	}
-	// MinOverlap follows k as k-4; scaffolding needs it positive, so reject
-	// the combination here as a 400 instead of admitting a job that can
-	// only fail pipeline validation at run time.
-	if req.Scaffold && k-4 < 1 {
-		return jobqueue.Spec{}, fmt.Errorf("scaffold requires k > 4 (k=%d yields min overlap %d)", k, k-4)
 	}
 	timeout := s.defTimeout
 	if req.TimeoutMS > 0 {
@@ -215,21 +217,10 @@ func (s *Server) buildSpec(req SubmitRequest) (jobqueue.Spec, error) {
 		retry.MaxAttempts = req.MaxAttempts
 	}
 	return jobqueue.Spec{
-		Name:   req.Name,
-		Engine: req.Engine,
-		Source: genome.NewSliceSource(reads),
-		Opts: engine.Options{
-			Options: assembly.Options{
-				K:            k,
-				MinCount:     req.MinCount,
-				Scaffold:     req.Scaffold,
-				Simplify:     req.Simplify,
-				Correct:      req.Correct,
-				MinOverlap:   k - 4,
-				CountWorkers: req.CountWorkers,
-			},
-			Subarrays: req.Subarrays,
-		},
+		Name:    req.Name,
+		Engine:  req.Engine,
+		Source:  genome.NewSliceSource(reads),
+		Opts:    opts,
 		Timeout: timeout,
 		Retry:   retry,
 	}, nil

@@ -1,11 +1,12 @@
 // Package service is the repository's front door: a long-lived HTTP daemon
-// serving multi-tenant assembly jobs over jobqueue.Stream. It adds the
-// three things the bare queue does not have — bounded admission with
-// backpressure (a fixed pending-job budget per tenant and globally,
-// rejected with 429 + Retry-After instead of queueing unboundedly),
-// round-robin fair dispatch across tenants, and a graceful drain state
+// serving multi-tenant assembly jobs. It owns the only queue a job waits
+// in — per-tenant FIFOs under a fixed pending-job budget per tenant and
+// globally (a full budget answers 429 + Retry-After instead of queueing
+// unboundedly), dispatched round-robin across tenants onto at most Workers
+// concurrent jobqueue.Queue.Do calls, which bring the attempt budget, the
+// per-attempt deadline and the jobs.* counters — and a graceful drain state
 // machine (stop admitting, finish or cancel in-flight jobs within a
-// deadline, then stop) — plus a Prometheus /metrics endpoint exporting the
+// deadline, then stop), plus a Prometheus /metrics endpoint exporting the
 // shared metrics.Counters. See DESIGN.md §16.
 //
 // Determinism: the service inherits the queue's contract. Job payloads are
@@ -19,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -126,8 +128,8 @@ type tenant struct {
 	retained []*job
 }
 
-// Server is the daemon: admission control and fair dispatch in front of a
-// jobqueue.Stream, plus the HTTP face in http.go. Construct with New;
+// Server is the daemon: admission control, the tenant queues and fair
+// dispatch, plus the HTTP face in http.go. Construct with New;
 // every Server must eventually be shut down with Drain or Close.
 type Server struct {
 	registry     *engine.Registry
@@ -140,7 +142,7 @@ type Server struct {
 	bodyLimit    int64
 	retry        jobqueue.RetryPolicy
 	counters     *metrics.Counters
-	stream       *jobqueue.Stream
+	queue        *jobqueue.Queue
 	ctx          context.Context
 	cancel       context.CancelFunc
 
@@ -200,7 +202,6 @@ func New(cfg Config) *Server {
 		counters = metrics.NewCounters()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	q := jobqueue.New(reg, jobqueue.WithWorkers(workers), jobqueue.WithCounters(counters))
 	s := &Server{
 		registry:       reg,
 		workers:        workers,
@@ -212,7 +213,7 @@ func New(cfg Config) *Server {
 		bodyLimit:      bodyLimit,
 		retry:          cfg.Retry,
 		counters:       counters,
-		stream:         q.Stream(ctx),
+		queue:          jobqueue.New(reg, jobqueue.WithCounters(counters)),
 		ctx:            ctx,
 		cancel:         cancel,
 		jobs:           make(map[string]*job),
@@ -339,9 +340,9 @@ func (s *Server) lookup(tenantKey, id string) *job {
 
 // dispatch is the fairness loop: whenever a worker slot is free and a
 // tenant has queued jobs, it pops the next tenant off the round-robin ring,
-// dispatches that tenant's oldest job onto the stream, and re-queues the
-// tenant at the back of the ring — so a tenant with a deep backlog cannot
-// starve one with a single job. It exits when the server stops.
+// starts that tenant's oldest job, and re-queues the tenant at the back of
+// the ring — so a tenant with a deep backlog cannot starve one with a single
+// job. It exits when the server stops.
 func (s *Server) dispatch() {
 	defer close(s.dispatcherDone)
 	s.mu.Lock()
@@ -363,36 +364,23 @@ func (s *Server) dispatch() {
 		s.queued--
 		s.inflight++
 		j.state = jobqueue.StateRunning
-		spec, jctx := j.spec, j.ctx
-
-		s.mu.Unlock()
-		slot, err := s.stream.SubmitCtx(jctx, spec)
-		s.mu.Lock()
-		if err != nil {
-			// The stream refuses jobs only once closed, i.e. during final
-			// shutdown; record the job failed rather than losing it.
-			s.finishLocked(j, jobqueue.Result{Spec: spec, State: jobqueue.StateFailed, Err: err})
-			continue
-		}
-		go s.await(j, slot)
+		go s.run(j)
 	}
 }
 
-// await parks on one dispatched job's stream slot and records its result.
-// It takes the result off the stream, so the job record is the only thing
-// keeping the reads and the report alive and eviction really frees them.
-func (s *Server) await(j *job, slot int) {
-	res, err := s.stream.Take(slot)
-	if err != nil {
-		res = jobqueue.Result{Spec: j.spec, State: jobqueue.StateFailed, Err: err}
-	}
+// run takes one dispatched job to its terminal result and gives the worker
+// slot back. Drain returns only once every admitted job is terminal, which
+// is what waits for these goroutines.
+func (s *Server) run(j *job) {
+	res := s.queue.Do(j.ctx, j.spec, j.submitted)
 	s.mu.Lock()
+	s.inflight--
 	s.finishLocked(j, res)
 	s.mu.Unlock()
 }
 
-// finishLocked records a dispatched job's terminal result and applies the
-// retention policy: the record joins its tenant's retained FIFO (so status
+// finishLocked records a job's terminal result and applies the retention
+// policy: the record joins its tenant's retained FIFO (so status
 // and contigs stay pollable), the per-tenant cap evicts the oldest result
 // beyond it, and the terminal tally survives any later eviction. Callers
 // hold mu.
@@ -402,7 +390,6 @@ func (s *Server) finishLocked(j *job, res jobqueue.Result) {
 	j.finished = time.Now()
 	j.cancel()
 	close(j.done)
-	s.inflight--
 	s.pending--
 	switch res.State {
 	case jobqueue.StateDone:
@@ -470,10 +457,28 @@ func (s *Server) evictExpired(now time.Time) {
 	}
 }
 
-// cancelJob cancels one job's context. A queued job is still dispatched —
-// into its dead context — so it flows through the queue and records
-// Cancelled exactly like a mid-run cancellation.
-func (s *Server) cancelJob(j *job) { j.cancel() }
+// cancelJob cancels one job. A running job sees its context end at the next
+// read or stage boundary and records Cancelled when its attempt returns. A
+// queued job leaves its tenant's FIFO (and the tenant the ring, if that was
+// its last) and is recorded Cancelled here, so its admission slot is free
+// before any worker is.
+func (s *Server) cancelJob(j *job) {
+	j.cancel()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j.state != jobqueue.StateQueued {
+		return
+	}
+	t := s.tenants[j.tenant]
+	t.queue = slices.DeleteFunc(t.queue, func(q *job) bool { return q == j })
+	if len(t.queue) == 0 {
+		s.active = slices.DeleteFunc(s.active, func(a *tenant) bool { return a == t })
+	}
+	s.queued--
+	// Do on a dead context returns at once, engine untouched: it is here so
+	// the result and the jobs.* counters are the queue's own.
+	s.finishLocked(j, s.queue.Do(j.ctx, j.spec, j.submitted))
+}
 
 // BeginDrain stops admission (idempotent): new submissions get ErrDraining,
 // /healthz turns 503, in-flight and queued jobs keep running.
@@ -538,7 +543,6 @@ func (s *Server) Drain(ctx context.Context) DrainStats {
 	s.stopped = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.stream.Close()
 	<-s.dispatcherDone
 	s.cancel()
 	<-s.sweeperDone

@@ -318,6 +318,128 @@ func TestCancelMidRun(t *testing.T) {
 	}
 }
 
+// TestCancelQueuedFreesSlot pins DELETE on a job no worker has picked up:
+// it leaves its tenant's queue and records Cancelled at once — while the
+// only worker is still busy — so a tenant at its budget makes room by
+// cancelling.
+func TestCancelQueuedFreesSlot(t *testing.T) {
+	block, release := blockingEngine("block")
+	defer release()
+	srv, ts := startServer(t, Config{Registry: testRegistry(t, block), Workers: 1, MaxPendingPerTenant: 2})
+	c := &Client{BaseURL: ts.URL, APIKey: "a"}
+	ctx := context.Background()
+	reads := fastaWorkload(t, 11, 600, 20)
+
+	blocker, err := c.Submit(ctx, SubmitRequest{Engine: "block", Reads: reads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		cur, err := c.Status(ctx, blocker.ID)
+		return err == nil && cur.State == "running"
+	})
+	queued, err := c.Submit(ctx, SubmitRequest{Engine: "block", Reads: reads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Cancel(ctx, queued.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "cancelled" || st.Error == "" || st.Attempts != 0 {
+		t.Fatalf("cancelled queued job: %+v, want cancelled, with its error, after no attempt", st)
+	}
+	if cur, err := c.Status(ctx, blocker.ID); err != nil || cur.State != "running" {
+		t.Fatalf("the blocker is %q (%v), want still running", cur.State, err)
+	}
+	samples, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]float64{
+		`pim_service_tenant_pending{tenant="a"}`: 1,
+		"pim_service_pending":                    1,
+		"pim_service_queued":                     0,
+		"pim_service_inflight":                   1,
+		"pim_jobs_submitted_total":               2,
+		"pim_jobs_cancelled_total":               1,
+	} {
+		if got := samples[name]; got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	// The freed slot admits a third job, and a second cancel is a no-op.
+	third, err := c.Submit(ctx, SubmitRequest{Engine: "block", Reads: reads})
+	if err != nil {
+		t.Fatalf("submission after cancelling a queued job: %v", err)
+	}
+	if st, err = c.Cancel(ctx, queued.ID); err != nil || st.State != "cancelled" {
+		t.Fatalf("second cancel: %+v, %v", st, err)
+	}
+	release()
+	for _, id := range []string{blocker.ID, third.ID} {
+		if st, err := c.Wait(ctx, id, 0); err != nil || st.State != "done" {
+			t.Fatalf("job %s: %+v, %v, want done", id, st, err)
+		}
+	}
+	if stats := srv.Close(); stats != (DrainStats{Done: 2, Cancelled: 1}) {
+		t.Fatalf("drain stats %v, want 2 done, 1 cancelled", stats)
+	}
+}
+
+// TestWaitCoversTenantQueue pins what wait_ms means: the time from admission
+// to the first attempt, the tenant queue included. With one worker held for
+// a known time after a second job was admitted, that job waited at least
+// that long, and the latency.queue series saw both jobs.
+func TestWaitCoversTenantQueue(t *testing.T) {
+	block, release := blockingEngine("block")
+	defer release()
+	_, ts := startServer(t, Config{Registry: testRegistry(t, block), Workers: 1})
+	c := &Client{BaseURL: ts.URL}
+	ctx := context.Background()
+	reads := fastaWorkload(t, 12, 600, 20)
+
+	first, err := c.Submit(ctx, SubmitRequest{Engine: "block", Reads: reads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.Submit(ctx, SubmitRequest{Engine: "software", Reads: reads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const held = 50 * time.Millisecond
+	time.Sleep(held)
+	release()
+	st1, err := c.Wait(ctx, first.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := c.Wait(ctx, second.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st1.State != "done" || st2.State != "done" {
+		t.Fatalf("states %q, %q, want done", st1.State, st2.State)
+	}
+	heldMS := float64(held) / float64(time.Millisecond)
+	if st1.RunMS < heldMS {
+		t.Errorf("first job run_ms = %.1f, want >= the %.0f ms it was held", st1.RunMS, heldMS)
+	}
+	if st2.WaitMS < heldMS {
+		t.Errorf("second job wait_ms = %.1f, want >= the %.0f ms it sat behind the first", st2.WaitMS, heldMS)
+	}
+	samples, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := samples["pim_latency_queue_seconds_count"]; got != 2 {
+		t.Errorf("pim_latency_queue_seconds_count = %v, want 2 (one per job)", got)
+	}
+	if got := samples["pim_latency_queue_seconds_sum"]; got < held.Seconds() {
+		t.Errorf("pim_latency_queue_seconds_sum = %v s, want >= %v", got, held.Seconds())
+	}
+}
+
 // TestContigsBeforeDone pins the 409 on fetching results early.
 func TestContigsBeforeDone(t *testing.T) {
 	block, release := blockingEngine("block")
@@ -402,7 +524,6 @@ func TestHTTPDeterminism(t *testing.T) {
 func defaultEngineOptions(k int) engine.Options {
 	opts := engine.Options{}
 	opts.K = k
-	opts.MinOverlap = k - 4
 	return opts
 }
 

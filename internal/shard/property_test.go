@@ -82,6 +82,10 @@ func TestShardCountInvariance(t *testing.T) {
 					t.Fatalf("k=%d: %v", k, err)
 				}
 				assertSameContigs(t, tr.name, base, res.Report)
+				if res.Commands != 0 || res.CostTotalS != 0 {
+					t.Errorf("k=%d: software-only shards carry functional/analytical aggregates (%d commands, %g s)",
+						k, res.Commands, res.CostTotalS)
+				}
 				c := res.Report.Counts
 				if c == nil {
 					t.Fatalf("k=%d: merged report has no counts", k)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -197,10 +198,10 @@ func TestAssembleCancellation(t *testing.T) {
 	}
 }
 
-// TestHeterogeneousEngines runs a software+functional engine mix and checks
-// the round-robin assignment, the functional aggregates, and that the
-// merged contigs still match the unsharded software reference (the
-// cross-engine conformance property extended to shards).
+// TestHeterogeneousEngines runs a software+functional engine mix and an
+// all-functional split and checks the round-robin assignment, the functional
+// aggregates, and that the merged contigs still match the unsharded software
+// reference (the cross-engine conformance property extended to shards).
 func TestHeterogeneousEngines(t *testing.T) {
 	reads := workload(4, 2_000, 101, 120, 0)
 	opts := engine.Options{Options: assembly.Options{K: 16}, Subarrays: 16}
@@ -214,36 +215,43 @@ func TestHeterogeneousEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := shard.Assemble(context.Background(), reads, shard.Plan{
-		Shards: 4, Engines: []string{"software", "pim"}, Opts: opts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantEngines := []string{"software", "pim", "software", "pim"}
-	for i, name := range res.Engines {
-		if name != wantEngines[i] {
-			t.Errorf("shard %d engine %s, want %s", i, name, wantEngines[i])
+	for _, tc := range []struct {
+		shards      int
+		engines     []string
+		wantEngines []string
+		wantLabel   string
+	}{
+		{4, []string{"software", "pim"}, []string{"software", "pim", "software", "pim"}, "software+pim"},
+		{2, []string{"pim"}, []string{"pim", "pim"}, "pim"},
+	} {
+		res, err := shard.Assemble(context.Background(), reads, shard.Plan{
+			Shards: tc.shards, Engines: tc.engines, Opts: opts,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if res.Commands <= 0 || res.EnergyPJ <= 0 || res.MakespanNS <= 0 {
-		t.Errorf("functional aggregates not populated: commands=%d energy=%.1f makespan=%.1f",
-			res.Commands, res.EnergyPJ, res.MakespanNS)
-	}
-	// Makespan is a max, energy a sum: the sum of per-shard makespans must
-	// be at least the recorded max.
-	var maxSeen float64
-	for _, rep := range res.PerShard {
-		if rep.Functional != nil && rep.Functional.Makespan.MakespanNS > maxSeen {
-			maxSeen = rep.Functional.Makespan.MakespanNS
+		if !reflect.DeepEqual(res.Engines, tc.wantEngines) {
+			t.Errorf("%s: shard engines %v, want %v", tc.wantLabel, res.Engines, tc.wantEngines)
 		}
-	}
-	if res.MakespanNS != maxSeen {
-		t.Errorf("MakespanNS = %.1f, want per-shard max %.1f", res.MakespanNS, maxSeen)
-	}
-	assertSameContigs(t, "heterogeneous 4-shard", base, res.Report)
-	if !strings.Contains(res.Report.Engine, "software+pim") {
-		t.Errorf("merged engine label %q", res.Report.Engine)
+		if res.Commands <= 0 || res.EnergyPJ <= 0 || res.MakespanNS <= 0 {
+			t.Errorf("%s: functional aggregates not populated: commands=%d energy=%.1f makespan=%.1f",
+				tc.wantLabel, res.Commands, res.EnergyPJ, res.MakespanNS)
+		}
+		// Makespan is a max, energy a sum: the recorded makespan must be the
+		// largest per-shard one.
+		var maxSeen float64
+		for _, rep := range res.PerShard {
+			if rep.Functional != nil && rep.Functional.Makespan.MakespanNS > maxSeen {
+				maxSeen = rep.Functional.Makespan.MakespanNS
+			}
+		}
+		if res.MakespanNS != maxSeen {
+			t.Errorf("%s: MakespanNS = %.1f, want per-shard max %.1f", tc.wantLabel, res.MakespanNS, maxSeen)
+		}
+		assertSameContigs(t, tc.wantLabel, base, res.Report)
+		if !strings.Contains(res.Report.Engine, tc.wantLabel) {
+			t.Errorf("%s: merged engine label %q", tc.wantLabel, res.Report.Engine)
+		}
 	}
 }
 

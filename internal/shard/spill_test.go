@@ -251,6 +251,7 @@ func TestSpillMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var spillBytes int64
 	for k := 1; k <= 8; k++ {
 		inMem, err := shard.Assemble(context.Background(), reads, shard.Plan{Shards: k, Opts: opts})
 		if err != nil {
@@ -269,8 +270,14 @@ func TestSpillMatchesInMemory(t *testing.T) {
 		}
 		assertSameContigs(t, fmt.Sprintf("shards=%d spill vs unsharded", k), base, spill.Report)
 		assertSameContigs(t, fmt.Sprintf("shards=%d spill vs in-memory", k), inMem.Report, spill.Report)
-		if k > 1 && sp.Evictions() == 0 {
+		if sp.Evictions() == 0 {
 			t.Errorf("shards=%d: no evictions despite cap %d < %d reads", k, cap, len(reads))
+		}
+		// The spill files hold the same records however many there are.
+		if k == 1 {
+			spillBytes = sp.Bytes()
+		} else if sp.Bytes() != spillBytes {
+			t.Errorf("shards=%d: %d spill bytes, want the %d of one shard", k, sp.Bytes(), spillBytes)
 		}
 		if got, want := spill.Report.Counts.ReadCount, base.Counts.ReadCount; got != want {
 			t.Errorf("shards=%d: merged ReadCount %d, want %d", k, got, want)
