@@ -47,9 +47,9 @@ type HashTable struct {
 	base     int // first sub-array index of the table's region
 	ops      OpProfile
 	place    mapping.HashPlacement
-	subs     map[int]*tableSub // sub-array (region-relative) -> controller-side state
-	distinct int64             // atomic: parallel stage-1 workers insert concurrently
-	probes   int64             // atomic: cumulative Add slot visits (see ProbeOps)
+	subs     []*tableSub // by region-relative sub-array: controller-side state, nil until first use
+	distinct int64       // atomic: parallel stage-1 workers insert concurrently
+	probes   int64       // atomic: cumulative Add slot visits (see ProbeOps)
 }
 
 // tableSub is the controller-side state of one hash sub-array: the slot
@@ -101,7 +101,7 @@ func NewHashTableAt(p *Platform, k, base, nSubarrays int) *HashTable {
 		k:        k,
 		base:     base,
 		place:    mapping.NewHashPlacement(nSubarrays, p.layout),
-		subs:     make(map[int]*tableSub),
+		subs:     make([]*tableSub, nSubarrays),
 	}
 }
 
@@ -134,7 +134,7 @@ func (t *HashTable) GlobalSubarray(subIdx int) int { return t.base + subIdx }
 
 // Materialize eagerly materialises every sub-array and its controller-side
 // state. Parallel drivers must call it before spawning workers:
-// Platform.Subarray and the state map are mutated on first touch and are
+// Platform.Subarray and the state slice are mutated on first touch and are
 // not safe for concurrent initialisation.
 func (t *HashTable) Materialize() {
 	for i := 0; i < t.place.Subarrays; i++ {
@@ -157,8 +157,8 @@ func (t *HashTable) decodeRow(v *bitvec.Vector) kmer.Kmer {
 }
 
 func (t *HashTable) sub(i int) *tableSub {
-	st, ok := t.subs[i]
-	if !ok {
+	st := t.subs[i]
+	if st == nil {
 		lay := t.platform.layout
 		st = &tableSub{
 			occupied: make([]bool, lay.KmerRows),
@@ -278,15 +278,12 @@ func (t *HashTable) readCounter(s *subarray.Subarray, st *tableSub, slot int) ui
 // tagged StageDeBruijn: it is the dispatch feeding graph construction.
 func (t *HashTable) Entries() []kmer.Entry {
 	var out []kmer.Entry
-	subs := make([]int, 0, len(t.subs))
-	for subIdx := range t.subs {
-		subs = append(subs, subIdx)
-	}
-	sort.Ints(subs)
-	for _, subIdx := range subs {
+	for subIdx, st := range t.subs {
+		if st == nil {
+			continue
+		}
 		s := t.platform.Subarray(t.base + subIdx)
 		s.SetStage(exec.StageDeBruijn)
-		st := t.subs[subIdx]
 		for slot, used := range st.occupied {
 			if !used {
 				continue
@@ -313,9 +310,15 @@ type Stats struct {
 // Stats reports footprint and operation counts from the platform meter.
 func (t *HashTable) Stats() Stats {
 	m := t.platform.meter
+	used := 0
+	for _, st := range t.subs {
+		if st != nil {
+			used++
+		}
+	}
 	return Stats{
 		Distinct:  t.Len(),
-		Subarrays: len(t.subs),
+		Subarrays: used,
 		XNOROps:   m.Counts[dram.CmdAAP2],
 		AddAAPs:   m.Counts[dram.CmdAAP3],
 		CopyAAPs:  m.Counts[dram.CmdAAPCopy],

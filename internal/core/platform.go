@@ -37,8 +37,8 @@ type Platform struct {
 	stream *exec.Stream
 	fault  subarray.FaultHook
 
-	// regionLogs is the pool of private per-sub-array meters and stream
-	// segments ParallelRegion swaps in; cached here so repeated regions don't
+	// regionLogs is the pool of private per-sub-array meters and streams
+	// ParallelRegion swaps in; cached here so repeated regions don't
 	// reallocate them.
 	regionLogs []regionLog
 }
@@ -123,10 +123,10 @@ func (p *Platform) Subarray(i int) *subarray.Subarray {
 }
 
 // ParallelRegion runs body with sub-arrays [first, first+n) — materialised
-// here, serially — each recording into a private meter and a private stream
-// segment, and after body returns merges both into the platform's in
-// ascending sub-array order. It is the one place the platform's accounting
-// meets concurrency: body may drive those sub-arrays (and no others) from
+// here, serially — each recording into a private meter and a private stream,
+// and after body returns merges both into the platform's in ascending
+// sub-array order. It is the one place the platform's accounting meets
+// concurrency: body may drive those sub-arrays (and no others) from
 // several goroutines, one goroutine per sub-array at a time, and must join
 // them before it returns. Because the merge order is fixed, the stream order,
 // every schedule derived from it and the rounding of the meter's
@@ -210,19 +210,17 @@ type Summary struct {
 }
 
 // Summarize snapshots the platform's accounting after a run. The recorded
-// stream is walked once, in place: each command goes
-// through the controller's command scheduler (shared bus + per-bank
-// activation budget) — for the whole run and for its pipeline stage — and
-// into the histogram and attribution tally. Every command carries the
-// sub-array it actually executed in, so the makespans reflect the run's real
-// data placement rather than a synthetic spread of aggregate counts.
+// stream is walked once, in place, a segment at a time: each segment's
+// commands go through the controller's command scheduler (shared bus +
+// per-bank activation budget) — for the whole run and for their pipeline
+// stage — and into the histogram and attribution tally, in one loop
+// (sched.Pass.AddSegment). Every command carries the sub-array it actually
+// executed in, so the makespans reflect the run's real data placement rather
+// than a synthetic spread of aggregate counts.
 func (p *Platform) Summarize() Summary {
 	pass := sched.NewPass(p.SchedConfig())
 	tally := exec.NewTally(p.timing, p.energy)
-	p.stream.Each(func(c exec.Command) {
-		pass.Add(c)
-		tally.Add(c)
-	})
+	p.stream.EachSegment(func(seg exec.Segment) { pass.AddSegment(seg, tally) })
 	return Summary{
 		Commands:        p.meter.TotalCommands(),
 		SerialLatencyNS: p.meter.LatencyNS,

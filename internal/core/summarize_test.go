@@ -1,0 +1,108 @@
+package core_test
+
+import (
+	"reflect"
+	"testing"
+
+	"pimassembler/internal/assembly"
+	"pimassembler/internal/bitvec"
+	"pimassembler/internal/core"
+	"pimassembler/internal/exec"
+	"pimassembler/internal/genome"
+	"pimassembler/internal/parallel"
+	"pimassembler/internal/sched"
+	"pimassembler/internal/stats"
+)
+
+// perCommandSummarize is Summarize as it was before the stream stored
+// segments, kept as its oracle: every recorded command, one at a time,
+// through the whole-run scheduler, its stage's scheduler and an exec.Tally.
+func perCommandSummarize(p *core.Platform) core.Summary {
+	cmds := p.Stream().Commands()
+	tally := exec.NewTally(p.Timing(), p.Energy())
+	for _, c := range cmds {
+		tally.Add(c)
+	}
+	m := p.Meter()
+	return core.Summary{
+		Commands:        m.TotalCommands(),
+		SerialLatencyNS: m.LatencyNS,
+		EnergyPJ:        m.EnergyPJ,
+		Subarrays:       p.MaterializedSubarrays(),
+		Makespan:        sched.ScheduleStream(cmds, p.SchedConfig()),
+		Stages:          sched.ScheduleStages(cmds, p.SchedConfig()),
+		Histogram:       tally.Histogram(),
+		StageCosts:      tally.StageCosts(),
+	}
+}
+
+// pimPlatform runs AssemblePIM over reads sampled from a genome of genomeLen
+// bases with 16 hash sub-arrays and returns the platform it ran on.
+func pimPlatform(tb testing.TB, seed uint64, genomeLen, reads int, opts assembly.Options) *core.Platform {
+	tb.Helper()
+	rng := stats.NewRNG(seed)
+	ref := genome.GenerateGenome(genomeLen, rng)
+	p := core.NewDefaultPlatform()
+	src := genome.NewSliceSource(genome.NewReadSampler(ref, 101, 0, rng).Sample(reads))
+	if _, err := assembly.AssemblePIM(p, src, opts, 16); err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// TestSummarizeMatchesPerCommandWalk pins the segment walk against the
+// per-command one, with DeepEqual — every schedule field, every histogram
+// count and every float of the attribution — on a serial run (long segments
+// to each k-mer's home sub-array), a parallel-stage-1 run (stage 1 recorded
+// sub-array by sub-array, merged by Stream.Append) and a bulk run
+// (BulkXNOR then BulkAdd over eight workers).
+func TestSummarizeMatchesPerCommandWalk(t *testing.T) {
+	bulk := func() *core.Platform {
+		defer parallel.SetWorkers(0)
+		parallel.SetWorkers(8)
+		p := core.NewDefaultPlatform()
+		rng := stats.NewRNG(3)
+		n := p.BulkPad(40 * p.Geometry().RowBits())
+		vec := func() *bitvec.Vector {
+			v := bitvec.New(n)
+			for i := 0; i < n; i++ {
+				v.Set(i, rng.Float64() < 0.5)
+			}
+			return v
+		}
+		p.BulkXNOR(vec(), vec())
+		p.BulkAdd([]*bitvec.Vector{vec(), vec(), vec()}, []*bitvec.Vector{vec(), vec(), vec()})
+		return p
+	}
+	for _, run := range []struct {
+		name string
+		p    func() *core.Platform
+	}{
+		{"serial", func() *core.Platform { return pimPlatform(t, 91, 1200, 120, assembly.Options{K: 15}) }},
+		{"parallel-stage1", func() *core.Platform {
+			return pimPlatform(t, 91, 1200, 120, assembly.Options{K: 15, ParallelStage1: true})
+		}},
+		{"bulk", bulk},
+	} {
+		t.Run(run.name, func(t *testing.T) {
+			p := run.p()
+			if got, want := p.Summarize(), perCommandSummarize(p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Summarize\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// BenchmarkSummarize times Summarize alone, on the command stream of one
+// pim_600-shaped run (200 reads of 101 bp from a 2.6 kbp genome, k = 16, 16
+// hash sub-arrays) recorded once: the walk's cost without the simulator
+// around it. make bench runs it once.
+func BenchmarkSummarize(b *testing.B) {
+	p := pimPlatform(b, 1, 2_600, 200, assembly.Options{K: 16})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Summarize()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.Stream().Len()), "ns/cmd")
+}

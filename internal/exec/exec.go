@@ -13,6 +13,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"pimassembler/internal/dram"
@@ -90,40 +92,48 @@ func (c Command) String() string {
 	return fmt.Sprintf("sub%d %v [%v]", c.Subarray, c.Kind, c.Stage)
 }
 
-// record is the stored form of a Command: 4 bytes against Command's 32 —
-// the kind in bits 0-3, the stage in bits 4-6 and the sub-array index above
-// them — so a 1.7 M-command run keeps 7 MB of stream instead of 56 MB.
-type record uint32
+// Segment is a run of consecutive commands that one sub-array executed under
+// one pipeline stage — the unit the stream stores and the accounting walks.
+// The controller sends a k-mer's probe, compare and increment commands to its
+// home sub-array in one burst, so a serial run is a few long segments (about
+// a hundred commands each) rather than loose commands.
+type Segment struct {
+	// Subarray is the platform-global sub-array index every command of the
+	// segment executed in.
+	Subarray int
+	// Stage is the pipeline phase that issued them.
+	Stage Stage
+	// Kinds holds one dram.CommandKind per command, in issue order. From
+	// Stream.EachSegment it aliases the stream: read it during the walk only.
+	Kinds []uint8
+}
 
 const (
+	// maxSubarray is the largest sub-array index a stream holds (2^25 − 1;
+	// the default geometry has 2^15 sub-arrays).
+	maxSubarray = 1<<25 - 1
+	// kindBits and stageBits are the fields of Canonical's one-byte sort
+	// key; stageBits also bounds Tally.touched's per-sub-array uint8 mask.
 	kindBits  = 4
 	stageBits = 3
-	subShift  = kindBits + stageBits
-	// maxSubarray is the largest sub-array index a record holds (2^25 − 1;
-	// the default geometry has 2^15 sub-arrays).
-	maxSubarray = 1<<(32-subShift) - 1
 )
 
-// Every kind and every stage must fit its bit field (the stage bound is also
-// what keeps Tally.touched's per-sub-array uint8 mask wide enough).
+// Every kind and every stage must fit its bit field.
 var (
 	_ [1<<kindBits - dram.NumCommandKinds]struct{}
 	_ [1<<stageBits - numStages]struct{}
 )
 
-// pack narrows a Command to its stored form. Every field a sub-array emits
-// fits by construction; anything else is a caller bug and panics here, at
-// the emission point, rather than being silently truncated.
-func pack(c Command) record {
-	if uint(c.Subarray) > maxSubarray || uint(c.Kind) >= uint(dram.NumCommandKinds) || c.Stage >= numStages {
-		panic(unrecordable(c))
-	}
-	return record(c.Subarray)<<subShift | record(c.Stage)<<kindBits | record(c.Kind)
+// recordable reports whether the stream can hold c. Every field a sub-array
+// emits fits by construction; anything else is a caller bug and panics at
+// the emission point rather than being silently truncated.
+func recordable(c Command) bool {
+	return uint(c.Subarray) <= maxSubarray && uint(c.Kind) < uint(dram.NumCommandKinds) && c.Stage < numStages
 }
 
-// unrecordable is pack's panic value: an error type instead of a formatted
-// string keeps the formatting, and its cost, out of pack, which then inlines
-// into Record.
+// unrecordable is the panic value for a command the stream cannot hold: an
+// error type instead of a formatted string keeps the formatting, and its
+// cost, off the recording path.
 type unrecordable Command
 
 func (c unrecordable) Error() string {
@@ -131,22 +141,29 @@ func (c unrecordable) Error() string {
 		c.Subarray, int(c.Kind), uint8(c.Stage))
 }
 
-func (r record) sub() int               { return int(r >> subShift) }
-func (r record) kind() dram.CommandKind { return dram.CommandKind(r & (1<<kindBits - 1)) }
-func (r record) stage() Stage           { return Stage(r >> kindBits & (1<<stageBits - 1)) }
+// The stream stores one byte per command — its kind — in fixed-size chunks,
+// and one header per segment, also chunked: appending never copies what is
+// already recorded (a single growing slice re-copied the whole log at every
+// doubling), and Reset keeps the chunks for the next run. A segment never
+// straddles two kind chunks, so every segment's kinds are one contiguous
+// slice; the command that fills a chunk closes its segment.
+const (
+	chunkShift    = 15
+	chunkLen      = 1 << chunkShift // 32 768 kinds = 32 KiB
+	segChunkShift = 12
+	segChunkLen   = 1 << segChunkShift // 4096 headers = 32 KiB
+)
 
-func (r record) command() Command {
-	k := r.kind()
-	return Command{Subarray: r.sub(), Kind: k, Stage: r.stage(), Rows: k.SourceRows()}
+// segment is the stored header of a Segment: its kinds are the n bytes that
+// follow the previous segment's. n fits because a segment lies inside one
+// kind chunk.
+type segment struct {
+	sub   uint32
+	n     uint16
+	stage Stage
 }
 
-// The stream stores records in fixed-size chunks: appending never copies
-// what is already recorded (a single growing slice re-copied the whole log
-// at every doubling), and Reset keeps the chunks for the next run.
-const (
-	chunkShift = 13
-	chunkLen   = 1 << chunkShift // 8192 records = 32 KiB
-)
+var _ [math.MaxUint16 + 1 - chunkLen]struct{} // segment.n holds a whole chunk
 
 // Stream is an append-only command log with aggregation views. It has a
 // single writer and takes no lock: sub-arrays driven from one goroutine share
@@ -155,58 +172,103 @@ const (
 // joined (core.Platform.ParallelRegion) — so the recorded order, and every
 // schedule derived from it, never depends on goroutine scheduling.
 type Stream struct {
-	chunks []*[chunkLen]record
-	n      int
+	kinds   []*[chunkLen]uint8
+	headers []*[segChunkLen]segment
+	n, segs int // commands and segments recorded
+	// open is the last segment's header and cur its kind chunk. Record and
+	// Append extend it while the sub-array and the stage repeat and the chunk
+	// has room (n is not a multiple of chunkLen), and open a new one
+	// otherwise — always on an empty or Reset stream, where open may be stale.
+	open *segment
+	cur  *[chunkLen]uint8
 }
 
 // NewStream returns an empty stream.
 func NewStream() *Stream { return &Stream{} }
 
-// Record appends one command.
-func (s *Stream) Record(c Command) { s.record(pack(c)) }
-
-func (s *Stream) record(r record) {
-	ci := s.n >> chunkShift
-	if ci == len(s.chunks) {
-		s.chunks = append(s.chunks, new([chunkLen]record))
+// Record appends one command, extending the open segment or opening a new
+// one when the sub-array or the stage changes or the kind chunk is full.
+func (s *Stream) Record(c Command) {
+	if s.n&(chunkLen-1) == 0 || c.Subarray != int(s.open.sub) || c.Stage != s.open.stage || uint(c.Kind) >= uint(dram.NumCommandKinds) {
+		s.openFor(c)
 	}
-	s.chunks[ci][s.n&(chunkLen-1)] = r
+	s.cur[s.n&(chunkLen-1)] = uint8(c.Kind)
+	s.open.n++
 	s.n++
 }
 
-// Append adds every command of o, in o's order, to the end of s.
-func (s *Stream) Append(o *Stream) { o.each(s.record) }
+// openFor checks c and opens the segment it starts.
+func (s *Stream) openFor(c Command) {
+	if !recordable(c) {
+		panic(unrecordable(c))
+	}
+	s.openSegment(uint32(c.Subarray), c.Stage)
+}
+
+// openSegment appends an empty segment header for sub under st, and the kind
+// chunk it starts in if that is new.
+func (s *Stream) openSegment(sub uint32, st Stage) {
+	ci := s.n >> chunkShift
+	if ci == len(s.kinds) {
+		s.kinds = append(s.kinds, new([chunkLen]uint8))
+	}
+	if s.segs>>segChunkShift == len(s.headers) {
+		s.headers = append(s.headers, new([segChunkLen]segment))
+	}
+	s.open = &s.headers[s.segs>>segChunkShift][s.segs&(segChunkLen-1)]
+	*s.open = segment{sub: sub, stage: st}
+	s.segs++
+	s.cur = s.kinds[ci]
+}
+
+// Append adds every command of o, in o's order, to the end of s, a segment
+// at a time.
+func (s *Stream) Append(o *Stream) {
+	o.EachSegment(func(seg Segment) {
+		kinds := seg.Kinds
+		for len(kinds) > 0 {
+			if s.n&(chunkLen-1) == 0 || seg.Subarray != int(s.open.sub) || seg.Stage != s.open.stage {
+				s.openSegment(uint32(seg.Subarray), seg.Stage)
+			}
+			m := copy(s.cur[s.n&(chunkLen-1):], kinds)
+			s.open.n += uint16(m)
+			s.n += m
+			kinds = kinds[m:]
+		}
+	})
+}
 
 // Len returns the number of recorded commands.
 func (s *Stream) Len() int { return s.n }
 
-// each calls fn on every record in issue order.
-func (s *Stream) each(fn func(record)) {
-	left := s.n
-	for _, ch := range s.chunks {
-		if left < chunkLen {
-			for _, r := range ch[:left] {
-				fn(r)
-			}
-			return
-		}
-		for _, r := range ch {
-			fn(r)
-		}
-		left -= chunkLen
+// EachSegment calls fn on every segment in issue order, without copying the
+// stream. Consecutive segments may share a sub-array and a stage (a segment
+// ends where a kind chunk does).
+func (s *Stream) EachSegment(fn func(Segment)) {
+	first := 0 // index of the segment's first command
+	for i := 0; i < s.segs; i++ {
+		h := &s.headers[i>>segChunkShift][i&(segChunkLen-1)]
+		lo, hi := first&(chunkLen-1), first&(chunkLen-1)+int(h.n)
+		fn(Segment{Subarray: int(h.sub), Stage: h.stage, Kinds: s.kinds[first>>chunkShift][lo:hi:hi]})
+		first += int(h.n)
 	}
 }
 
 // Each calls fn on every recorded command in issue order, without copying
 // the stream.
 func (s *Stream) Each(fn func(Command)) {
-	s.each(func(r record) { fn(r.command()) })
+	s.EachSegment(func(seg Segment) {
+		for _, k := range seg.Kinds {
+			kind := dram.CommandKind(k)
+			fn(Command{Subarray: seg.Subarray, Kind: kind, Stage: seg.Stage, Rows: kind.SourceRows()})
+		}
+	})
 }
 
 // Commands returns a copy of the recorded stream in issue order.
 func (s *Stream) Commands() []Command {
 	out := make([]Command, 0, s.n)
-	s.each(func(r record) { out = append(out, r.command()) })
+	s.Each(func(c Command) { out = append(out, c) })
 	return out
 }
 
@@ -220,41 +282,48 @@ func (s *Stream) Commands() []Command {
 // could extract.
 func (s *Stream) Canonical() []Command {
 	// Counting sort by sub-array (stable, so each subsequence keeps its
-	// order): end[i] is one past sub-array i's last slot in bySub.
-	var end []int
-	s.each(func(r record) {
-		for r.sub() >= len(end) {
-			end = append(end, 0)
-		}
-		end[r.sub()]++
-	})
+	// order) over the distinct sub-arrays ids, ascending, so that the cost
+	// follows the segments and not the largest index: end[r] is one past
+	// sub-array ids[r]'s last slot in bySub, which holds each command as
+	// stage<<kindBits | kind.
+	var ids []int
+	s.EachSegment(func(seg Segment) { ids = append(ids, seg.Subarray) })
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	rank := func(sub int) int { r, _ := slices.BinarySearch(ids, sub); return r }
+	end := make([]int, len(ids))
+	s.EachSegment(func(seg Segment) { end[rank(seg.Subarray)] += len(seg.Kinds) })
 	next := make([]int, len(end)) // read cursor per sub-array
 	sum := 0
-	for i, n := range end {
-		next[i] = sum
+	for r, n := range end {
+		next[r] = sum
 		sum += n
-		end[i] = sum
+		end[r] = sum
 	}
-	bySub := make([]record, s.n)
+	bySub := make([]uint8, s.n)
 	fill := append([]int(nil), next...)
-	s.each(func(r record) {
-		bySub[fill[r.sub()]] = r
-		fill[r.sub()]++
-	})
-	// Round-robin over the sub-arrays that still have commands, ascending.
-	live := make([]int, 0, len(end))
-	for i := range end {
-		if next[i] < end[i] {
-			live = append(live, i)
+	s.EachSegment(func(seg Segment) {
+		r := rank(seg.Subarray)
+		at := bySub[fill[r]:]
+		for j, k := range seg.Kinds {
+			at[j] = uint8(seg.Stage)<<kindBits | k
 		}
+		fill[r] += len(seg.Kinds)
+	})
+	// Round-robin over the sub-arrays, ascending; each has commands.
+	live := make([]int, len(ids))
+	for r := range live {
+		live[r] = r
 	}
 	out := make([]Command, 0, s.n)
 	for len(live) > 0 {
 		keep := live[:0]
-		for _, i := range live {
-			out = append(out, bySub[next[i]].command())
-			if next[i]++; next[i] < end[i] {
-				keep = append(keep, i)
+		for _, r := range live {
+			b := bySub[next[r]]
+			kind := dram.CommandKind(b & (1<<kindBits - 1))
+			out = append(out, Command{Subarray: ids[r], Kind: kind, Stage: Stage(b >> kindBits), Rows: kind.SourceRows()})
+			if next[r]++; next[r] < end[r] {
+				keep = append(keep, r)
 			}
 		}
 		live = keep
@@ -263,12 +332,12 @@ func (s *Stream) Canonical() []Command {
 }
 
 // Reset clears the stream, keeping its chunks for reuse.
-func (s *Stream) Reset() { s.n = 0 }
+func (s *Stream) Reset() { s.n, s.segs = 0, 0 }
 
-// tally runs every record through a fresh Tally priced with t and e.
+// tally runs every segment through a fresh Tally priced with t and e.
 func (s *Stream) tally(t dram.Timing, e dram.Energy) *Tally {
 	ta := NewTally(t, e)
-	s.each(ta.add)
+	s.EachSegment(ta.AddSegment)
 	return ta
 }
 
@@ -349,18 +418,24 @@ func (c StageCost) String() string {
 		c.Stage, c.Commands, c.SerialNS/1e3, c.EnergyPJ/1e6, c.Subarrays)
 }
 
+// StageSums is one stage's running share of a Tally: its command count per
+// kind, and its serial time and energy accrued command by command in stream
+// order — not as count × price — so the floating-point sums equal the
+// Meter's command-by-command totals bit for bit.
+type StageSums struct {
+	Counts   [dram.NumCommandKinds]int64
+	SerialNS float64
+	EnergyPJ float64
+}
+
 // Tally is the running per-stage × per-kind accounting of a command
 // sequence: the histogram and the stage attribution, accumulated in fixed
-// arrays one command at a time and converted to the exported map and slice
-// shapes only when asked. Feed it from Stream.Each next to a scheduler and
+// arrays a segment at a time and converted to the exported map and slice
+// shapes only when asked. Fed next to a scheduler (sched.Pass.AddSegment),
 // one walk of the stream yields every accounting view.
 type Tally struct {
 	dur, pj dram.KindTable
-	counts  [numStages][dram.NumCommandKinds]int64
-	// serial and energy accrue per command in stream order — not as
-	// count × price — so the floating-point sums equal the Meter's
-	// command-by-command totals bit for bit.
-	serial, energy [numStages]float64
+	stages  [numStages]StageSums
 	// touched[i] has bit st set once stage st issued a command to
 	// sub-array i.
 	touched []uint8
@@ -371,18 +446,42 @@ func NewTally(t dram.Timing, e dram.Energy) *Tally {
 	return &Tally{dur: dram.DurationTable(t), pj: dram.EnergyTable(e)}
 }
 
-// Add accounts one command.
-func (ta *Tally) Add(c Command) { ta.add(pack(c)) }
-
-func (ta *Tally) add(r record) {
-	sub, kind, stage := r.sub(), r.kind(), r.stage()
-	ta.counts[stage][kind]++
-	ta.serial[stage] += ta.dur[kind]
-	ta.energy[stage] += ta.pj[kind]
+// Open marks sub-array sub as touched by stage st and returns st's running
+// sums with the tally's duration and energy tables: the entry point of a
+// caller that accounts a segment inside its own loop, as
+// sched.Pass.AddSegment does. Such a caller adds, for each command of the
+// segment in issue order, one count and the command's two prices — what
+// AddSegment does.
+func (ta *Tally) Open(sub int, st Stage) (sums *StageSums, dur, pj *dram.KindTable) {
+	if uint(sub) > maxSubarray || st >= numStages {
+		panic(unrecordable(Command{Subarray: sub, Stage: st}))
+	}
 	if sub >= len(ta.touched) {
 		ta.touched = append(ta.touched, make([]uint8, sub+1-len(ta.touched))...)
 	}
-	ta.touched[sub] |= 1 << stage
+	ta.touched[sub] |= 1 << st
+	return &ta.stages[st], &ta.dur, &ta.pj
+}
+
+// AddSegment accounts a segment's commands.
+func (ta *Tally) AddSegment(seg Segment) {
+	sums, dur, pj := ta.Open(seg.Subarray, seg.Stage)
+	serial, energy := sums.SerialNS, sums.EnergyPJ
+	for _, k := range seg.Kinds {
+		sums.Counts[k]++
+		serial += dur[k]
+		energy += pj[k]
+	}
+	sums.SerialNS, sums.EnergyPJ = serial, energy
+}
+
+// Add accounts one command: the one-command segment.
+func (ta *Tally) Add(c Command) {
+	if !recordable(c) {
+		panic(unrecordable(c))
+	}
+	kind := [1]uint8{uint8(c.Kind)}
+	ta.AddSegment(Segment{Subarray: c.Subarray, Stage: c.Stage, Kinds: kind[:]})
 }
 
 // Subarrays returns how many distinct sub-arrays the commands touched.
@@ -403,8 +502,8 @@ func (ta *Tally) Histogram() Histogram {
 		PerStage: make(map[Stage]map[dram.CommandKind]int64),
 		Totals:   make(map[dram.CommandKind]int64),
 	}
-	for st := range ta.counts {
-		for k, n := range ta.counts[st] {
+	for st := range ta.stages {
+		for k, n := range ta.stages[st].Counts {
 			if n == 0 {
 				continue
 			}
@@ -424,9 +523,9 @@ func (ta *Tally) Histogram() Histogram {
 // StageCosts returns one StageCost per stage with commands, in stage order.
 func (ta *Tally) StageCosts() []StageCost {
 	var out []StageCost
-	for st := range ta.counts {
-		sc := StageCost{Stage: Stage(st), SerialNS: ta.serial[st], EnergyPJ: ta.energy[st]}
-		for _, n := range ta.counts[st] {
+	for st, sums := range ta.stages {
+		sc := StageCost{Stage: Stage(st), SerialNS: sums.SerialNS, EnergyPJ: sums.EnergyPJ}
+		for _, n := range sums.Counts {
 			sc.Commands += n
 		}
 		if sc.Commands == 0 {

@@ -180,35 +180,85 @@ func TestAppendConcatenates(t *testing.T) {
 	}
 }
 
-// FuzzRecordRoundTrip drives the 4-byte record encoding from both sides:
-// any {Subarray, Kind, Stage} either does not fit and panics in pack, or
-// comes back from pack → command() unchanged, with Rows derived from Kind.
+// FuzzRecordRoundTrip records a fuzzed command sequence — script byte b is
+// one command of kind b&7, and moves to another of eight sub-arrays when bit
+// 3 is set and to another stage when bit 4 is, so the sub-array and the
+// stage change at fuzzed points, up to every command — optionally starting
+// two commands before a kind chunk ends, then one more command {sub, kind,
+// stage} that either fits or panics at emission and leaves the stream as it
+// was. What was recorded must come back unchanged through Each, Commands and
+// Canonical, with Rows derived from Kind, in one segment per run of one
+// sub-array and one stage (cut where a chunk ends).
 func FuzzRecordRoundTrip(f *testing.F) {
-	f.Add(0, 0, uint8(0))
-	f.Add(maxSubarray, dram.NumCommandKinds-1, uint8(numStages-1))
-	f.Add(maxSubarray+1, 0, uint8(0))
-	f.Add(-1, int(dram.CmdAAP3), uint8(StageHashmap))
-	f.Add(5, dram.NumCommandKinds, uint8(StageInput))
-	f.Add(5, -1, uint8(StageInput))
-	f.Add(5, int(dram.CmdAAP2), uint8(numStages))
-	f.Fuzz(func(t *testing.T, sub, kind int, stage uint8) {
-		c := Command{Subarray: sub, Kind: dram.CommandKind(kind), Stage: Stage(stage)}
+	f.Add(0, 0, uint8(0), []byte(nil), false)
+	f.Add(maxSubarray, dram.NumCommandKinds-1, uint8(numStages-1), []byte{0x18, 0x38, 0x58, 0x78}, false)
+	f.Add(maxSubarray+1, 0, uint8(0), []byte{1, 2, 3}, true)
+	f.Add(-1, int(dram.CmdAAP3), uint8(StageHashmap), []byte{0x0d, 0x2d, 0x4d, 0x0d}, false)
+	f.Add(5, dram.NumCommandKinds, uint8(StageInput), []byte{0xff, 0xe7, 0x10, 0x30}, true)
+	f.Add(5, -1, uint8(StageInput), []byte{0x04, 0x05, 0x06}, false)
+	f.Add(5, int(dram.CmdAAP2), uint8(numStages), []byte{0x3f, 0x3f, 0x5f}, true)
+	f.Fuzz(func(t *testing.T, sub, kind int, stage uint8, script []byte, straddle bool) {
+		s := NewStream()
+		var want []Command
+		rec := func(c Command) {
+			c.Rows = c.Kind.SourceRows()
+			s.Record(c)
+			want = append(want, c)
+		}
+		if straddle {
+			for i := 0; i < chunkLen-2; i++ {
+				rec(Command{Subarray: 2, Kind: dram.CmdRead, Stage: StageInput})
+			}
+		}
+		cur := Command{Subarray: 3, Stage: StageHashmap}
+		for _, b := range script {
+			if b&0x08 != 0 {
+				cur.Subarray = int(b>>5) * 7
+			}
+			if b&0x10 != 0 {
+				cur.Stage = Stage(int(b>>5) % int(numStages))
+			}
+			cur.Kind = dram.CommandKind(b & 7)
+			rec(cur)
+		}
+
+		last := Command{Subarray: sub, Kind: dram.CommandKind(kind), Stage: Stage(stage)}
 		fits := sub >= 0 && sub <= maxSubarray && kind >= 0 && kind < dram.NumCommandKinds && Stage(stage) < numStages
-		var got Command
 		panicked := func() (p bool) {
 			defer func() { p = recover() != nil }()
-			got = pack(c).command()
+			rec(last)
 			return false
 		}()
 		if panicked == fits {
-			t.Fatalf("%+v: fits=%v but pack panicked=%v", c, fits, panicked)
+			t.Fatalf("%+v: fits=%v but Record panicked=%v", last, fits, panicked)
 		}
-		if !fits {
-			return
+
+		if s.Len() != len(want) {
+			t.Fatalf("Len %d, recorded %d", s.Len(), len(want))
 		}
-		c.Rows = c.Kind.SourceRows()
-		if got != c {
-			t.Fatalf("round trip %+v, want %+v", got, c)
+		var walked []Command
+		s.Each(func(c Command) { walked = append(walked, c) })
+		if !reflect.DeepEqual(walked, want) || (len(want) > 0 && !reflect.DeepEqual(s.Commands(), want)) {
+			t.Fatal("Each or Commands differs from what was recorded")
+		}
+		if canon, ref := s.Canonical(), refCanonical(want); len(canon) != len(ref) || (len(ref) > 0 && !reflect.DeepEqual(canon, ref)) {
+			t.Fatal("Canonical differs from the reference interleaving")
+		}
+		wantSegs := 0
+		for i, c := range want {
+			if i == 0 || i%chunkLen == 0 || c.Subarray != want[i-1].Subarray || c.Stage != want[i-1].Stage {
+				wantSegs++
+			}
+		}
+		segs := 0
+		s.EachSegment(func(seg Segment) {
+			if len(seg.Kinds) == 0 {
+				t.Fatal("empty segment")
+			}
+			segs++
+		})
+		if segs != wantSegs {
+			t.Fatalf("%d segments, want one per run: %d", segs, wantSegs)
 		}
 	})
 }

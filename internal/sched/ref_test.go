@@ -3,6 +3,7 @@ package sched
 import (
 	"container/heap"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -151,16 +152,36 @@ func randomCase(rng *stats.RNG, n int) ([]exec.Command, Config) {
 	return cmds, c
 }
 
+// segments cuts cmds into the segments a stream would hold: maximal runs of
+// one sub-array under one stage, each cut further every maxLen commands (a
+// stream cuts where a kind chunk ends).
+func segments(cmds []exec.Command, maxLen int) []exec.Segment {
+	var out []exec.Segment
+	for _, c := range cmds {
+		if n := len(out); n > 0 && out[n-1].Subarray == c.Subarray && out[n-1].Stage == c.Stage && len(out[n-1].Kinds) < maxLen {
+			out[n-1].Kinds = append(out[n-1].Kinds, uint8(c.Kind))
+			continue
+		}
+		out = append(out, exec.Segment{Subarray: c.Subarray, Stage: c.Stage, Kinds: []uint8{uint8(c.Kind)}})
+	}
+	return out
+}
+
 // checkAgainstReference runs one stream through every production entry
-// point — Schedule, ScheduleStream, ScheduleStages, and a Pass — and
-// demands the oracle's Result from each.
+// point — Schedule, ScheduleStream, ScheduleStages, and a Pass fed the
+// stream's segments three ways: one command at a time, cut every seven
+// commands, and whole — and demands the oracle's Result from each, and from
+// the Pass's tally what exec.Tally.Add makes of the commands one by one.
 func checkAgainstReference(t *testing.T, cmds []exec.Command, c Config) {
 	t.Helper()
 	plain := make([]Command, len(cmds))
 	byStage := make(map[exec.Stage][]Command)
+	en := dram.DefaultEnergy()
+	wantTally := exec.NewTally(c.Timing, en)
 	for i, cmd := range cmds {
 		plain[i] = Command{Subarray: cmd.Subarray, Kind: cmd.Kind}
 		byStage[cmd.Stage] = append(byStage[cmd.Stage], plain[i])
+		wantTally.Add(cmd)
 	}
 	want := refSchedule(plain, c)
 	if got := Schedule(plain, c); got != want {
@@ -169,21 +190,35 @@ func checkAgainstReference(t *testing.T, cmds []exec.Command, c Config) {
 	if got := ScheduleStream(cmds, c); got != want {
 		t.Fatalf("ScheduleStream %+v, reference %+v", got, want)
 	}
-	pass := NewPass(c)
-	for _, cmd := range cmds {
-		pass.Add(cmd)
-	}
-	if got := pass.Whole(); got != want {
-		t.Fatalf("Pass.Whole %+v, reference %+v", got, want)
-	}
-	stages, passStages := ScheduleStages(cmds, c), pass.Stages()
-	if len(stages) != len(byStage) || len(passStages) != len(byStage) {
-		t.Fatalf("got %d / %d stages, want %d", len(stages), len(passStages), len(byStage))
+	stages := ScheduleStages(cmds, c)
+	if len(stages) != len(byStage) {
+		t.Fatalf("ScheduleStages: %d stages, want %d", len(stages), len(byStage))
 	}
 	for st, sub := range byStage {
-		want := refSchedule(sub, c)
-		if stages[st] != want || passStages[st] != want {
-			t.Fatalf("stage %v: ScheduleStages %+v, Pass %+v, reference %+v", st, stages[st], passStages[st], want)
+		if want := refSchedule(sub, c); stages[st] != want {
+			t.Fatalf("stage %v: ScheduleStages %+v, reference %+v", st, stages[st], want)
+		}
+	}
+	for _, maxLen := range []int{1, 7, len(cmds)} {
+		pass, ta := NewPass(c), exec.NewTally(c.Timing, en)
+		for _, seg := range segments(cmds, maxLen) {
+			pass.AddSegment(seg, ta)
+		}
+		if got := pass.Whole(); got != want {
+			t.Fatalf("segments of ≤ %d: Pass.Whole %+v, reference %+v", maxLen, got, want)
+		}
+		passStages := pass.Stages()
+		if len(passStages) != len(byStage) {
+			t.Fatalf("segments of ≤ %d: Pass has %d stages, want %d", maxLen, len(passStages), len(byStage))
+		}
+		for st, sub := range byStage {
+			if want := refSchedule(sub, c); passStages[st] != want {
+				t.Fatalf("segments of ≤ %d, stage %v: Pass %+v, reference %+v", maxLen, st, passStages[st], want)
+			}
+		}
+		if !reflect.DeepEqual(ta.Histogram(), wantTally.Histogram()) || !reflect.DeepEqual(ta.StageCosts(), wantTally.StageCosts()) ||
+			ta.Subarrays() != wantTally.Subarrays() {
+			t.Fatalf("segments of ≤ %d: the Pass's tally differs from Tally.Add over the commands", maxLen)
 		}
 	}
 }
@@ -202,50 +237,100 @@ func TestScheduleMatchesReference(t *testing.T) {
 	}
 }
 
+// runSpec is one run of a shape: min to max commands (inclusive) to one
+// sub-array under one stage, of a fixed kind or, kind < 0, random ones.
+type runSpec struct {
+	sub      int
+	stage    exec.Stage
+	min, max int
+	kind     dram.CommandKind
+}
+
+// cycleRuns returns a shape that issues runs in turn, over and over, drawing
+// each run's length anew.
+func cycleRuns(rng *stats.RNG, runs ...runSpec) func(int) exec.Command {
+	j, left := -1, 0
+	return func(int) exec.Command {
+		for left == 0 {
+			j = (j + 1) % len(runs)
+			left = runs[j].min + rng.Intn(runs[j].max-runs[j].min+1)
+		}
+		left--
+		r := runs[j]
+		if r.kind < 0 {
+			r.kind = allKinds[rng.Intn(len(allKinds))]
+		}
+		return exec.Command{Subarray: r.sub, Kind: r.kind, Stage: r.stage}
+	}
+}
+
 // TestChainShapesMatchReference pins the shapes the scheduler's chain mode
-// tells apart, which the random streams above only brush: one long chain to
-// a single sub-array (every command but the first skips the heaps), two
-// sub-arrays alternating (no command does), and runs of random length
-// hopping between a few sub-arrays (chains start, end and hand their
-// completion time back to the heaps) — each on the default controller, on a
-// bus-bound one (every command completes before the next may issue), and on
-// one whose banks have a single activation slot, so that the command ending a
-// chain waits on the completion time the chain handed back.
+// and the Pass's fused segment loop tell apart, which the random streams
+// above only brush: one long chain to a single sub-array (every command but
+// the first skips the heaps), two sub-arrays alternating (no command does,
+// and every segment is one command), and runs of random length hopping
+// between a few sub-arrays (chains start, end and hand their completion time
+// back to the heaps). Then the segment shapes: a chain broken by short runs
+// to another sub-array, so that each segment opens in the middle of the
+// other's chain; a segment opening with its bank at MaxActivePerBank (three
+// one-command segments to the bank's other sub-arrays before it, which fill
+// the three-slot controller's bank and queue on the one-slot one's); a
+// sub-array returning to a stage whose scheduler is still chained on it
+// while the whole-run scheduler is chained elsewhere, and the reverse, a
+// stage change on one sub-array; and one-command segments on a single
+// sub-array whose stage flips every command. Each runs on the default
+// controller, on a bus-bound one (every command completes before the next
+// may issue), on one whose banks have a single activation slot, so that the
+// command ending a chain waits on the completion time the chain handed back,
+// and on one with three.
 func TestChainShapesMatchReference(t *testing.T) {
 	const n = 10_000
 	rng := stats.NewRNG(0xC4A1)
+	random := dram.CommandKind(-1)
+	hm, tr := exec.StageHashmap, exec.StageTraverse
 	run, left := 0, 0
+	bySub := func(sub int) exec.Command {
+		return exec.Command{Subarray: sub, Kind: allKinds[rng.Intn(len(allKinds))], Stage: exec.Stage(1 + sub%2)}
+	}
 	shapes := []struct {
 		name string
-		sub  func(i int) int
+		cmd  func(i int) exec.Command
 	}{
-		{"chain", func(int) int { return 5 }},
-		{"alternating", func(i int) int { return 5 + i%2 }},
-		{"runs", func(int) int {
+		{"chain", func(int) exec.Command { return bySub(5) }},
+		{"alternating", func(i int) exec.Command { return bySub(5 + i%2) }},
+		{"runs", func(int) exec.Command {
 			if left == 0 {
 				run, left = rng.Intn(4), 1+rng.Intn(40)
 			}
 			left--
-			return run
+			return bySub(run)
 		}},
+		{"interrupted", cycleRuns(rng, runSpec{5, hm, 10, 70, random}, runSpec{6, hm, 1, 3, random})},
+		{"bank-full", cycleRuns(rng,
+			runSpec{0, hm, 1, 1, dram.CmdAAP3}, runSpec{1, hm, 1, 1, dram.CmdAAP3}, runSpec{2, hm, 1, 1, dram.CmdAAP3},
+			runSpec{3, hm, 1, 40, random})},
+		{"stage-chained", cycleRuns(rng, runSpec{5, hm, 1, 40, random}, runSpec{6, tr, 1, 3, random})},
+		{"whole-chained", cycleRuns(rng, runSpec{5, hm, 1, 40, random}, runSpec{5, tr, 1, 40, random}, runSpec{6, tr, 1, 3, random})},
+		{"stage-flips", cycleRuns(rng, runSpec{5, exec.StageInput, 1, 1, random}, runSpec{5, hm, 1, 1, random})},
 	}
-	busBound, oneSlot := cfg(), cfg()
+	busBound, oneSlot, threeSlot := cfg(), cfg(), cfg()
 	busBound.IssueIntervalNS = 2 * busBound.Timing.AAP()
 	oneSlot.SubarraysPerBank, oneSlot.MaxActivePerBank = 4, 1
+	threeSlot.SubarraysPerBank, threeSlot.MaxActivePerBank = 4, 3
 	for _, shape := range shapes {
 		cmds := make([]exec.Command, n)
 		for i := range cmds {
-			sub := shape.sub(i)
-			cmds[i] = exec.Command{Subarray: sub, Kind: allKinds[rng.Intn(len(allKinds))], Stage: exec.Stage(1 + sub%2)}
+			cmds[i] = shape.cmd(i)
 		}
 		t.Run(shape.name, func(t *testing.T) { checkAgainstReference(t, cmds, cfg()) })
 		t.Run(shape.name+"/bus-bound", func(t *testing.T) { checkAgainstReference(t, cmds, busBound) })
 		t.Run(shape.name+"/one-slot", func(t *testing.T) { checkAgainstReference(t, cmds, oneSlot) })
+		t.Run(shape.name+"/three-slot", func(t *testing.T) { checkAgainstReference(t, cmds, threeSlot) })
 	}
 }
 
-// FuzzSchedule drives the same comparison from fuzzer-chosen seeds and
-// sizes.
+// FuzzSchedule drives the same comparison — the segment entry point
+// included — from fuzzer-chosen seeds and sizes.
 func FuzzSchedule(f *testing.F) {
 	f.Add(uint64(0), uint16(0))
 	f.Add(uint64(1), uint16(1))

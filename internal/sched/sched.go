@@ -6,9 +6,9 @@
 // of parallelism): the scheduler derives that parallelism from first
 // principles — issue bandwidth, per-sub-array occupancy, and the per-bank
 // activation budget. Its input is the recorded command stream of
-// internal/exec (ScheduleStream), so the functional run's real sub-array
-// attribution — not a synthetic spread of aggregate counts — determines the
-// overlap.
+// internal/exec (Pass, a segment at a time, or ScheduleStream over a copy),
+// so the functional run's real sub-array attribution — not a synthetic
+// spread of aggregate counts — determines the overlap.
 package sched
 
 import (
@@ -171,7 +171,8 @@ type scheduler struct {
 	// its bank's heap and of active: step computes its times from subFree
 	// alone and leaves both heaps stale until endChain, when a command to
 	// another sub-array ends the chain. A serial functional run is almost
-	// all such chains — dozens of commands per k-mer to its home sub-array.
+	// all such chains — dozens of commands per k-mer to its home sub-array —
+	// which Pass.AddSegment runs as one loop per segment.
 	chain int
 
 	nextIssue, makespan, serial float64
@@ -311,15 +312,15 @@ type stageSet struct {
 	by  []*scheduler // indexed by exec.Stage
 }
 
-func (ss *stageSet) step(c exec.Command) {
-	st := int(c.Stage)
-	if st >= len(ss.by) {
-		ss.by = append(ss.by, make([]*scheduler, st+1-len(ss.by))...)
+// get returns stage st's scheduler, creating it if st has none yet.
+func (ss *stageSet) get(st exec.Stage) *scheduler {
+	if int(st) >= len(ss.by) {
+		ss.by = append(ss.by, make([]*scheduler, int(st)+1-len(ss.by))...)
 	}
 	if ss.by[st] == nil {
 		ss.by[st] = newScheduler(ss.cfg)
 	}
-	ss.by[st].step(c.Subarray, c.Kind)
+	return ss.by[st]
 }
 
 func (ss *stageSet) results() map[exec.Stage]Result {
@@ -339,15 +340,15 @@ func (ss *stageSet) results() map[exec.Stage]Result {
 func ScheduleStages(cmds []exec.Command, cfg Config) map[exec.Stage]Result {
 	ss := stageSet{cfg: cfg}
 	for _, c := range cmds {
-		ss.step(c)
+		ss.get(c.Stage).step(c.Subarray, c.Kind)
 	}
 	return ss.results()
 }
 
-// Pass schedules a command sequence as it streams by — the whole run and
-// every pipeline stage's subsequence at once — so a single walk of a
-// recorded stream (exec.Stream.Each) yields what ScheduleStream and
-// ScheduleStages would compute from two copies of it.
+// Pass schedules a recorded stream as it streams by, a segment at a time —
+// the whole run and every pipeline stage's subsequence at once — so a single
+// walk of the stream (exec.Stream.EachSegment) yields what ScheduleStream
+// and ScheduleStages would compute from two copies of it.
 type Pass struct {
 	whole  *scheduler
 	stages stageSet
@@ -359,10 +360,77 @@ func NewPass(cfg Config) *Pass {
 	return &Pass{whole: newScheduler(cfg), stages: stageSet{cfg: cfg}}
 }
 
-// Add issues the next command of the sequence.
-func (p *Pass) Add(c exec.Command) {
-	p.whole.step(c.Subarray, c.Kind)
-	p.stages.step(c)
+// AddSegment issues the segment's commands, in order, to the whole-run
+// schedule and to its stage's, and accounts them on ta, in one loop.
+//
+// Commands take step's general path until both schedulers are chained on
+// the segment's sub-array — usually two or three commands into the segment,
+// once the previous segment's last commands have completed. A scheduler
+// chained on a sub-array stays chained while commands go to it, so from then
+// on every command of the segment is a chained step on both, and the rest of
+// the segment runs in one fused loop that keeps each scheduler's next issue
+// time, sub-array free time, makespan and serial sum, and the tally's sums,
+// in locals. It does the float operations of step's chained path and of
+// exec.Tally.AddSegment, in the same order, so every Result and every tally
+// figure is bit-identical to feeding the commands one at a time.
+func (p *Pass) AddSegment(seg exec.Segment, ta *exec.Tally) {
+	kinds := seg.Kinds
+	if len(kinds) == 0 {
+		return
+	}
+	sub := seg.Subarray
+	sums, tdur, tpj := ta.Open(sub, seg.Stage)
+	whole, stage := p.whole, p.stages.get(seg.Stage)
+	tSerial, tEnergy := sums.SerialNS, sums.EnergyPJ
+	i := 0
+	for i < len(kinds) && (i == 0 || whole.chain != sub || stage.chain != sub) {
+		k := kinds[i]
+		whole.step(sub, dram.CommandKind(k))
+		stage.step(sub, dram.CommandKind(k))
+		sums.Counts[k]++
+		tSerial += tdur[k]
+		tEnergy += tpj[k]
+		i++
+	}
+	if rest := kinds[i:]; len(rest) > 0 {
+		// Both schedulers come from one Config: one duration table, one bus.
+		dur, issue := &whole.dur, whole.issueNS
+		wNext, wFree, wMake, wSerial := whole.nextIssue, whole.subFree[sub], whole.makespan, whole.serial
+		sNext, sFree, sMake, sSerial := stage.nextIssue, stage.subFree[sub], stage.makespan, stage.serial
+		for _, k := range rest {
+			d := dur[k]
+			wSerial += d
+			start := wNext
+			if wFree > start {
+				start = wFree
+			}
+			wFree = start + d
+			wNext = start + issue
+			if wFree > wMake {
+				wMake = wFree
+			}
+
+			sSerial += d
+			start = sNext
+			if sFree > start {
+				start = sFree
+			}
+			sFree = start + d
+			sNext = start + issue
+			if sFree > sMake {
+				sMake = sFree
+			}
+
+			sums.Counts[k]++
+			tSerial += tdur[k]
+			tEnergy += tpj[k]
+		}
+		whole.nextIssue, whole.subFree[sub], whole.makespan, whole.serial = wNext, wFree, wMake, wSerial
+		stage.nextIssue, stage.subFree[sub], stage.makespan, stage.serial = sNext, sFree, sMake, sSerial
+		whole.commands += len(rest)
+		stage.commands += len(rest)
+	}
+	sums.SerialNS, sums.EnergyPJ = tSerial, tEnergy
 }
 
 // Whole returns the schedule of everything added so far.

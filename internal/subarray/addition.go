@@ -108,9 +108,9 @@ func (s *Subarray) PopCountRows(src []int, dstBase int, scratch []int, m int) {
 	// weights[w] lists rows currently holding weight-2^w partial bits.
 	weights := make([][]int, m+1)
 	weights[0] = append([]int(nil), src...)
-	// Track which rows came from the pool so they can be recycled; source
-	// rows must stay intact.
-	pooled := make(map[int]bool, len(scratch))
+	// pooled[r] is set while row r holds a partial the pool handed out, so
+	// that it goes back once consumed; source rows must stay intact.
+	pooled := make([]bool, s.rows)
 
 	for w := 0; w <= m; w++ {
 		for len(weights[w]) >= 3 {
@@ -128,7 +128,7 @@ func (s *Subarray) PopCountRows(src []int, dstBase int, scratch []int, m int) {
 			for _, r := range []int{a, b, c} {
 				if pooled[r] {
 					alloc.give(r)
-					delete(pooled, r)
+					pooled[r] = false
 				}
 			}
 		}

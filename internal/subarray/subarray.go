@@ -65,8 +65,10 @@ func (s *Subarray) SetStage(st exec.Stage) { s.stage = st }
 func (s *Subarray) Stage() exec.Stage { return s.stage }
 
 // record accounts one command on the serial meter and, when a stream is
-// attached, emits the typed per-sub-array record. Both views are fed from
-// this single point so they cannot drift.
+// attached, emits the typed per-sub-array record: the stream extends its
+// open segment while this sub-array and stage repeat, and opens a new one
+// when they change. Both views are fed from this single point so they cannot
+// drift.
 func (s *Subarray) record(kind dram.CommandKind) {
 	s.meter.Record(kind, 1)
 	if s.rec != nil {
