@@ -8,6 +8,7 @@ import (
 	"pimassembler/internal/core"
 	"pimassembler/internal/dram"
 	"pimassembler/internal/kmer"
+	"pimassembler/internal/mapping"
 	"pimassembler/internal/sched"
 	"pimassembler/internal/stats"
 	"pimassembler/internal/subarray"
@@ -21,7 +22,7 @@ import (
 // row-wide XNOR.
 func BenchmarkAblationTwoRowVsTRAXnor(b *testing.B) {
 	run := func(b *testing.B, emulateAmbit bool) {
-		s := subarray.New(dram.Default(), dram.NewMeter(dram.DefaultTiming(), dram.DefaultEnergy()))
+		s, m := newSubarray()
 		rng := stats.NewRNG(7)
 		s.Poke(0, randomRow(rng, 256))
 		s.Poke(1, randomRow(rng, 256))
@@ -34,8 +35,8 @@ func BenchmarkAblationTwoRowVsTRAXnor(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		b.ReportMetric(float64(s.Meter().TotalCommands())/float64(b.N), "cmds/op")
-		b.ReportMetric(s.Meter().LatencyNS/float64(b.N), "modeled-ns/op")
+		b.ReportMetric(float64(m.TotalCommands())/float64(b.N), "cmds/op")
+		b.ReportMetric(m.LatencyNS/float64(b.N), "modeled-ns/op")
 	}
 	b.Run("two-row", func(b *testing.B) { run(b, false) })
 	b.Run("ambit-TRA", func(b *testing.B) { run(b, true) })
@@ -47,7 +48,7 @@ func BenchmarkAblationTwoRowVsTRAXnor(b *testing.B) {
 // Ambit (7x) compresses to 2.3x end to end.
 func BenchmarkAblationRowCloneStaging(b *testing.B) {
 	b.Run("compute-only", func(b *testing.B) {
-		s := subarray.New(dram.Default(), dram.NewMeter(dram.DefaultTiming(), dram.DefaultEnergy()))
+		s, m := newSubarray()
 		rng := stats.NewRNG(10)
 		x1, x2 := s.ComputeRow(0), s.ComputeRow(1)
 		s.Poke(x1, randomRow(rng, 256))
@@ -56,10 +57,10 @@ func BenchmarkAblationRowCloneStaging(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.TwoRowXNOR(x1, x2, 5)
 		}
-		b.ReportMetric(float64(s.Meter().TotalCommands())/float64(b.N), "cmds/op")
+		b.ReportMetric(float64(m.TotalCommands())/float64(b.N), "cmds/op")
 	})
 	b.Run("with-staging", func(b *testing.B) {
-		s := subarray.New(dram.Default(), dram.NewMeter(dram.DefaultTiming(), dram.DefaultEnergy()))
+		s, m := newSubarray()
 		rng := stats.NewRNG(10)
 		s.Poke(0, randomRow(rng, 256))
 		s.Poke(1, randomRow(rng, 256))
@@ -67,7 +68,7 @@ func BenchmarkAblationRowCloneStaging(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.XNOR(0, 1, 5)
 		}
-		b.ReportMetric(float64(s.Meter().TotalCommands())/float64(b.N), "cmds/op")
+		b.ReportMetric(float64(m.TotalCommands())/float64(b.N), "cmds/op")
 	})
 }
 
@@ -109,57 +110,66 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 func BenchmarkAblationBitSerialAdd(b *testing.B) {
 	for _, m := range []int{8, 32} {
 		b.Run(fmt.Sprintf("in-memory/width%d", m), func(b *testing.B) {
-			s := newBenchSubarray(m)
+			s, meter := newBenchSubarray(m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.BitSerialAdd(0, 100, 200, 300, m)
 			}
-			b.ReportMetric(float64(s.Meter().TotalCommands())/float64(b.N), "cmds/op")
-			b.ReportMetric(s.Meter().LatencyNS/float64(b.N), "modeled-ns/op")
+			b.ReportMetric(float64(meter.TotalCommands())/float64(b.N), "cmds/op")
+			b.ReportMetric(meter.LatencyNS/float64(b.N), "modeled-ns/op")
 			// In-memory adds run concurrently in every sub-array; the cost
 			// is the same whether 1 or 8 sub-arrays of a MAT are adding.
-			b.ReportMetric(s.Meter().LatencyNS/float64(b.N), "modeled-ns/8-subarrays")
+			b.ReportMetric(meter.LatencyNS/float64(b.N), "modeled-ns/8-subarrays")
 		})
 		b.Run(fmt.Sprintf("dpu-word/width%d", m), func(b *testing.B) {
-			s := newBenchSubarray(m)
+			s, meter := newBenchSubarray(m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dpuWordAdd(s, 0, 100, 200, m)
+				dpuWordAdd(s, meter, 0, 100, 200, m)
 			}
-			b.ReportMetric(float64(s.Meter().TotalCommands())/float64(b.N), "cmds/op")
-			b.ReportMetric(s.Meter().LatencyNS/float64(b.N), "modeled-ns/op")
+			b.ReportMetric(float64(meter.TotalCommands())/float64(b.N), "cmds/op")
+			b.ReportMetric(meter.LatencyNS/float64(b.N), "modeled-ns/op")
 			// One DPU serves a whole MAT: with all 8 sub-arrays adding, the
 			// shared word-serial unit becomes the bottleneck — the
 			// crossover that justifies in-memory arithmetic for bulk work.
-			b.ReportMetric(8*s.Meter().LatencyNS/float64(b.N), "modeled-ns/8-subarrays")
+			b.ReportMetric(8*meter.LatencyNS/float64(b.N), "modeled-ns/8-subarrays")
 		})
 	}
 }
 
-func newBenchSubarray(m int) *subarray.Subarray {
-	s := subarray.New(dram.Default(), dram.NewMeter(dram.DefaultTiming(), dram.DefaultEnergy()))
+// newSubarray returns a default-geometry sub-array and the meter it records
+// its commands on.
+func newSubarray() (*subarray.Subarray, *dram.Meter) {
+	m := dram.NewMeter(dram.DefaultTiming(), dram.DefaultEnergy())
+	return subarray.New(dram.Default(), m), m
+}
+
+func newBenchSubarray(m int) (*subarray.Subarray, *dram.Meter) {
+	s, meter := newSubarray()
 	rng := stats.NewRNG(12)
 	for bit := 0; bit < m; bit++ {
 		s.Poke(bit, randomRow(rng, 256))
 		s.Poke(100+bit, randomRow(rng, 256))
 	}
-	return s
+	return s, meter
 }
 
 // dpuWordAdd models the non-PIM alternative: stream both bit-plane regions
 // through the row buffer to the DPU, add there, and write the result back.
-func dpuWordAdd(s *subarray.Subarray, aBase, bBase, dstBase, m int) {
+func dpuWordAdd(s *subarray.Subarray, meter *dram.Meter, aBase, bBase, dstBase, m int) {
+	cols := dram.Default().ColsPerSubarray
 	planesA := make([]*bitvec.Vector, m)
 	planesB := make([]*bitvec.Vector, m)
 	for i := 0; i < m; i++ {
-		planesA[i] = s.Read(aBase + i)
-		planesB[i] = s.Read(bBase + i)
+		planesA[i], planesB[i] = bitvec.New(cols), bitvec.New(cols)
+		s.ReadInto(aBase+i, planesA[i])
+		s.ReadInto(bBase+i, planesB[i])
 	}
 	out := make([]*bitvec.Vector, m+1)
 	for i := range out {
-		out[i] = bitvec.New(s.Cols())
+		out[i] = bitvec.New(cols)
 	}
-	for lane := 0; lane < s.Cols(); lane++ {
+	for lane := 0; lane < cols; lane++ {
 		var av, bv uint64
 		for i := 0; i < m; i++ {
 			if planesA[i].Get(lane) {
@@ -175,8 +185,8 @@ func dpuWordAdd(s *subarray.Subarray, aBase, bBase, dstBase, m int) {
 		}
 	}
 	// The DPU is word-serial: one op per lane, then write back.
-	for lane := 0; lane < s.Cols(); lane++ {
-		s.Meter().Record(dram.CmdDPU, 1)
+	for lane := 0; lane < cols; lane++ {
+		meter.Record(dram.CmdDPU, 1)
 	}
 	for i := 0; i <= m; i++ {
 		s.Write(dstBase+i, out[i])
@@ -194,7 +204,7 @@ func BenchmarkAblationHashCapacity(b *testing.B) {
 				p := core.NewDefaultPlatform()
 				tbl := core.NewHashTable(p, 16, 1)
 				rng := stats.NewRNG(13)
-				n := int(fill * float64(p.Layout().KmerRows))
+				n := int(fill * float64(mapping.DefaultLayout(p.Geometry()).KmerRows))
 				for j := 0; j < n; j++ {
 					if _, err := tbl.Add(kmer.Kmer(rng.Uint64()) & kmer.Kmer(kmer.Mask(16))); err != nil {
 						b.Fatal(err)

@@ -1,10 +1,13 @@
-// Package pimassembler's root benchmarks regenerate the paper's evaluation
-// artefacts (one benchmark per table/figure — see DESIGN.md §3) and run the
-// ablation studies of DESIGN.md §6 (ablation_test.go); both report modeled
-// quantities. The rest of the file is the four `make profile` inputs. Host
-// performance is measured by the end-to-end benchmark under bench/
-// (`bash bench/run.sh -out DIR`, `-compare`), not here: a benchmark whose
-// call BENCHMARK.json already times does not belong in this package.
+// Package pimassembler is the repository root. It holds no production code,
+// only tests of the tree as a whole: the reachability gate TestReach
+// (reach_test.go, DESIGN.md §2), the benchmarks that regenerate the paper's
+// evaluation artefacts (one per table/figure — see DESIGN.md §3) and the
+// ablation studies of DESIGN.md §6 (ablation_test.go); both kinds of
+// benchmark report modeled quantities. The rest of this file is the four
+// `make profile` inputs. Host performance is measured by the end-to-end
+// benchmark under bench/ (`bash bench/run.sh -out DIR`, `-compare`), not
+// here: a benchmark whose call BENCHMARK.json already times does not belong
+// in this package.
 package pimassembler
 
 import (

@@ -66,6 +66,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"k-out-of-range", []string{"-in", nope, "-k", "40"}, exitUsage, "k=40 outside"},
 		{"k-out-of-range-distributed", []string{"-in", nope, "-k", "40", "-shards", "2", "-spill-dir", dir, "-worker-procs", "2"}, exitUsage, "k=40 outside"},
 		{"scaffold-without-overlap", []string{"-in", nope, "-k", "3", "-scaffold"}, exitUsage, "positive overlap"},
+		{"subarrays-beyond-geometry", []string{"-in", nope, "-engine", "pim", "-subarrays", "40000"}, exitUsage, "subarrays=40000 outside"},
 		{"batch-line-k-out-of-range", []string{"-batch", badKManifest}, exitUsage, badKManifest + ":2: assembly: k=40 outside"},
 		{"no-input", []string{}, exitUsage, "-in is required"},
 		{"bad-flag", []string{"-no-such-flag"}, exitUsage, "flag provided but not defined"},

@@ -26,18 +26,6 @@ type MateScaffold struct {
 	Support int
 }
 
-// Span returns the scaffold's estimated total span in bases.
-func (m MateScaffold) Span(contigs []debruijn.Contig) int {
-	span := 0
-	for _, ci := range m.Contigs {
-		span += contigs[ci].Seq.Len()
-	}
-	for _, g := range m.Gaps {
-		span += g
-	}
-	return span
-}
-
 // contigAnchor locates a read on a contig: which contig and at what offset.
 type contigAnchor struct {
 	contig int

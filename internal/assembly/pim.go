@@ -2,6 +2,7 @@ package assembly
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"pimassembler/internal/core"
@@ -88,6 +89,9 @@ func (b *pimBackend) count(src genome.ReadSource, opts Options) (spectrum, error
 	// Row-granular packing can spill across a sub-array boundary once per
 	// sub-array; one spare absorbs it.
 	b.bankN = (rowsNeeded+p.Geometry().DataRows()-1)/p.Geometry().DataRows() + 1
+	if total := p.Geometry().TotalSubarrays(); b.bankN+b.hashN > total {
+		return sp, fmt.Errorf("assembly: %d sequence-bank and %d hash sub-arrays exceed the geometry's %d", b.bankN, b.hashN, total)
+	}
 	bank := core.NewSequenceBank(p, 0, b.bankN)
 	if err := bank.StoreAll(reads); err != nil {
 		return sp, err

@@ -56,8 +56,8 @@ func TestStreamMatchesMeter(t *testing.T) {
 
 	// Per-stage attribution sums back to the Meter totals.
 	var ns, pj float64
-	ta := exec.NewTally(p.Timing(), p.Energy())
-	p.Stream().Each(ta.Add)
+	ta := exec.NewTally(dram.DefaultTiming(), dram.DefaultEnergy())
+	p.Stream().EachSegment(ta.AddSegment)
 	for _, c := range ta.StageCosts() {
 		ns += c.SerialNS
 		pj += c.EnergyPJ

@@ -44,17 +44,6 @@ func NewBatch(n, count int) []*Vector {
 	return out
 }
 
-// FromBits builds a vector from a slice of booleans (bit 0 first).
-func FromBits(bits []bool) *Vector {
-	v := New(len(bits))
-	for i, b := range bits {
-		if b {
-			v.Set(i, true)
-		}
-	}
-	return v
-}
-
 // Len returns the vector width in bits.
 func (v *Vector) Len() int { return v.n }
 
@@ -203,24 +192,6 @@ func (v *Vector) Xor(a, b *Vector) {
 	}
 }
 
-// And sets v = a AND b elementwise.
-func (v *Vector) And(a, b *Vector) {
-	v.sameWidth(a)
-	v.sameWidth(b)
-	for i := range v.words {
-		v.words[i] = a.words[i] & b.words[i]
-	}
-}
-
-// Or sets v = a OR b elementwise.
-func (v *Vector) Or(a, b *Vector) {
-	v.sameWidth(a)
-	v.sameWidth(b)
-	for i := range v.words {
-		v.words[i] = a.words[i] | b.words[i]
-	}
-}
-
 // Not sets v = NOT a elementwise.
 func (v *Vector) Not(a *Vector) {
 	v.sameWidth(a)
@@ -263,16 +234,6 @@ func (v *Vector) PopCount() int {
 // AllOnes reports whether every bit is set — the DPU's row-wide AND
 // reduction used for k-mer match detection.
 func (v *Vector) AllOnes() bool { return v.PopCount() == v.n }
-
-// AnySet reports whether any bit is set.
-func (v *Vector) AnySet() bool {
-	for _, w := range v.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // Equal reports whether v and o hold identical bits.
 func (v *Vector) Equal(o *Vector) bool {

@@ -15,12 +15,44 @@ func randomVec(rng *stats.RNG, n int) *Vector {
 	return v
 }
 
+// fromBits builds a vector from a slice of booleans (bit 0 first).
+func fromBits(bits []bool) *Vector {
+	v := New(len(bits))
+	for i, b := range bits {
+		if b {
+			v.Set(i, true)
+		}
+	}
+	return v
+}
+
+// And and Or are the operations TestMaj3AmbitIdentities checks majority
+// against; the simulator computes AND and OR only as majorities.
+
+// And sets v = a AND b elementwise.
+func (v *Vector) And(a, b *Vector) {
+	v.sameWidth(a)
+	v.sameWidth(b)
+	for i := range v.words {
+		v.words[i] = a.words[i] & b.words[i]
+	}
+}
+
+// Or sets v = a OR b elementwise.
+func (v *Vector) Or(a, b *Vector) {
+	v.sameWidth(a)
+	v.sameWidth(b)
+	for i := range v.words {
+		v.words[i] = a.words[i] | b.words[i]
+	}
+}
+
 func TestNewZeroed(t *testing.T) {
 	v := New(130)
 	if v.Len() != 130 {
 		t.Fatalf("len %d", v.Len())
 	}
-	if v.AnySet() {
+	if v.PopCount() != 0 {
 		t.Fatal("new vector has set bits")
 	}
 }
@@ -63,8 +95,8 @@ func TestOutOfRangePanics(t *testing.T) {
 }
 
 func TestXnorTruthTable(t *testing.T) {
-	a := FromBits([]bool{false, false, true, true})
-	b := FromBits([]bool{false, true, false, true})
+	a := fromBits([]bool{false, false, true, true})
+	b := fromBits([]bool{false, true, false, true})
 	v := New(4)
 	v.Xnor(a, b)
 	want := []bool{true, false, false, true}
@@ -76,9 +108,9 @@ func TestXnorTruthTable(t *testing.T) {
 }
 
 func TestMaj3TruthTable(t *testing.T) {
-	a := FromBits([]bool{false, false, false, false, true, true, true, true})
-	b := FromBits([]bool{false, false, true, true, false, false, true, true})
-	c := FromBits([]bool{false, true, false, true, false, true, false, true})
+	a := fromBits([]bool{false, false, false, false, true, true, true, true})
+	b := fromBits([]bool{false, false, true, true, false, false, true, true})
+	c := fromBits([]bool{false, true, false, true, false, true, false, true})
 	v := New(8)
 	v.Maj3(a, b, c)
 	want := []bool{false, false, false, true, false, true, true, true}
@@ -143,7 +175,7 @@ func TestFill(t *testing.T) {
 		t.Fatalf("fill(true) popcount %d", v.PopCount())
 	}
 	v.Fill(false)
-	if v.AnySet() {
+	if v.PopCount() != 0 {
 		t.Fatal("fill(false) left bits set")
 	}
 }
@@ -176,7 +208,7 @@ func TestEqual(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	v := FromBits([]bool{true, false, true})
+	v := fromBits([]bool{true, false, true})
 	if s := v.String(); s != "101" {
 		t.Fatalf("String() = %q", s)
 	}
@@ -267,8 +299,8 @@ func TestNewBatchVectorsAreIndependent(t *testing.T) {
 			if v.Len() != n {
 				t.Fatalf("width %d: vector %d has len %d", n, i, v.Len())
 			}
-			if want := i == 2; v.AnySet() != want || v.AllOnes() != want {
-				t.Fatalf("width %d: vector %d set=%v after filling vector 2", n, i, v.AnySet())
+			if want := i == 2; (v.PopCount() != 0) != want || v.AllOnes() != want {
+				t.Fatalf("width %d: vector %d popcount %d after filling vector 2", n, i, v.PopCount())
 			}
 		}
 		if !vs[2].Equal(vs[2].Clone()) || vs[2].Equal(New(n)) {

@@ -9,9 +9,6 @@ import (
 
 func TestInverterRails(t *testing.T) {
 	for _, inv := range []Inverter{NormalInverter(), LowVsInverter(), HighVsInverter()} {
-		if err := inv.Validate(); err != nil {
-			t.Fatal(err)
-		}
 		if out := inv.Vout(0); out < 0.95*Vdd {
 			t.Errorf("Vs=%.2f: Vout(0) = %.3f, want near Vdd", inv.Vs, out)
 		}
@@ -89,7 +86,7 @@ func TestSenseCarryMajority(t *testing.T) {
 		if got != want {
 			t.Errorf("MAJ(%v,%v,%v) = %v, want %v", a, b, c, got, want)
 		}
-		if sa.Latch() != got {
+		if sa.latch != got {
 			t.Error("carry not latched")
 		}
 	}
@@ -142,9 +139,6 @@ func TestModeString(t *testing.T) {
 
 func TestShareVoltageBounds(t *testing.T) {
 	p := DefaultCellParams()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// All-zero cells pull the bit-line below Vdd/2, all-one cells above.
 	v0 := ShareVoltage(p.CBL, []float64{p.CCell, p.CCell}, []float64{0, 0})
 	v2 := ShareVoltage(p.CBL, []float64{p.CCell, p.CCell}, []float64{Vdd, Vdd})
@@ -218,7 +212,7 @@ func TestTransientXNORAllCases(t *testing.T) {
 			t.Errorf("DiDj=%v%v: final cell %.3f, want near GND", b2i(di), b2i(dj), final)
 		}
 		// BL carries XOR2 in this MUX configuration.
-		bl := FinalBL(samples)
+		bl := samples[len(samples)-1].VBL
 		if (di != dj) && bl < 0.9*Vdd {
 			t.Errorf("BL %.3f, want Vdd for XOR=1", bl)
 		}

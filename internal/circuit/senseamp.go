@@ -87,9 +87,6 @@ func NewSenseAmp() *SenseAmp {
 	}
 }
 
-// Latch returns the current D-latch (carry) state.
-func (sa *SenseAmp) Latch() bool { return sa.latch }
-
 // SetLatch loads the D-latch, e.g. to clear carry before an addition.
 func (sa *SenseAmp) SetLatch(v bool) { sa.latch = v }
 

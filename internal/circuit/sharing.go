@@ -23,17 +23,6 @@ func DefaultCellParams() CellParams {
 	}
 }
 
-// Validate checks the parameters are physical.
-func (p CellParams) Validate() error {
-	if p.CCell <= 0 || p.CBL <= 0 {
-		return fmt.Errorf("circuit: capacitances must be positive: %+v", p)
-	}
-	if p.CWBL < 0 || p.CCross < 0 {
-		return fmt.Errorf("circuit: coupling capacitances must be non-negative: %+v", p)
-	}
-	return nil
-}
-
 // ShareVoltage returns the bit-line voltage after charge sharing between the
 // precharged bit-line (Vdd/2) and the given cell voltages, each stored on
 // its own capacitor. cellCaps[i] is the (possibly variation-perturbed)

@@ -143,11 +143,3 @@ func FinalCellVoltage(samples []Sample) float64 {
 	}
 	return samples[len(samples)-1].VCell
 }
-
-// FinalBL returns the last bit-line voltage of a waveform.
-func FinalBL(samples []Sample) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	return samples[len(samples)-1].VBL
-}

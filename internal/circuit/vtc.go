@@ -12,10 +12,7 @@
 // model computes directly.
 package circuit
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Vdd is the nominal supply voltage of the 45 nm process, in volts.
 const Vdd = 1.2
@@ -54,14 +51,3 @@ func (inv Inverter) Vout(vin float64) float64 {
 // comparator: output is true (logic '1') when the inverter output is above
 // Vdd/2, i.e. when vin is below the switching voltage.
 func (inv Inverter) Logic(vin float64) bool { return inv.Vout(vin) > Vdd/2 }
-
-// Validate checks the inverter parameters.
-func (inv Inverter) Validate() error {
-	if inv.Vs <= 0 || inv.Vs >= Vdd {
-		return fmt.Errorf("circuit: switching voltage %.3f outside (0, Vdd)", inv.Vs)
-	}
-	if inv.Gain <= 1 {
-		return fmt.Errorf("circuit: inverter gain %.2f must exceed 1", inv.Gain)
-	}
-	return nil
-}

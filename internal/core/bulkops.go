@@ -106,52 +106,6 @@ func (p *Platform) BulkXNOR(a, b *bitvec.Vector) *bitvec.Vector {
 	return out
 }
 
-// BulkAdd computes the elementwise sum of two vectors of elemBits-wide lanes
-// stored bit-planar: a and b are slices of bit-plane vectors (length
-// elemBits, each a multiple of the row size long). The result has
-// elemBits+1 planes.
-func (p *Platform) BulkAdd(a, b []*bitvec.Vector) []*bitvec.Vector {
-	if len(a) == 0 || len(a) != len(b) {
-		panic(fmt.Sprintf("core: BulkAdd needs equal non-empty plane counts, got %d and %d", len(a), len(b)))
-	}
-	for i := range a {
-		p.checkBulk(a[i], b[i])
-	}
-	m := len(a)
-	row := p.geom.RowBits()
-	n := a[0].Len()
-	nChunks := n / row
-	out := make([]*bitvec.Vector, m+1)
-	for i := range out {
-		out[i] = bitvec.New(n)
-	}
-	subs := p.bulkSubarrays(nChunks)
-	p.bulkRun(subs, func() func(int, *subarray.Subarray) {
-		op, res := bitvec.New(row), bitvec.New(row)
-		return func(si int, s *subarray.Subarray) {
-			for chunk := si; chunk < nChunks; chunk += len(subs) {
-				off := chunk * row
-				// The reserved region is too small for 3m+1 rows; bulk mode
-				// owns the whole sub-array, so stage operands in the
-				// data-row space.
-				aBase, bBase, dBase, carry := 0, m, 2*m, 3*m+2
-				for i := 0; i < m; i++ {
-					a[i].CopySlice(op, off)
-					s.Write(aBase+i, op)
-					b[i].CopySlice(op, off)
-					s.Write(bBase+i, op)
-				}
-				s.BitSerialAdd(aBase, bBase, dBase, carry, m)
-				for i := 0; i <= m; i++ {
-					s.ReadInto(dBase+i, res)
-					out[i].WriteSlice(off, res)
-				}
-			}
-		}
-	})
-	return out
-}
-
 func (p *Platform) checkBulk(a, b *bitvec.Vector) {
 	if a.Len() != b.Len() {
 		panic(fmt.Sprintf("core: bulk operand lengths differ: %d vs %d", a.Len(), b.Len()))

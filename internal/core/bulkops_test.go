@@ -61,35 +61,6 @@ func TestBulkXNORParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestBulkAddParallelMatchesSerial(t *testing.T) {
-	defer parallel.SetWorkers(0)
-	rng := stats.NewRNG(42)
-	const m = 5
-	serial := NewDefaultPlatform()
-	lanes := serial.BulkPad(20 * serial.Geometry().RowBits())
-	a := make([]*bitvec.Vector, m)
-	b := make([]*bitvec.Vector, m)
-	for i := range a {
-		a[i] = randomBulkOperand(rng, lanes)
-		b[i] = randomBulkOperand(rng, lanes)
-	}
-
-	parallel.SetWorkers(1)
-	want := serial.BulkAdd(a, b)
-
-	for _, workers := range []int{3, 7} {
-		parallel.SetWorkers(workers)
-		par := NewDefaultPlatform()
-		got := par.BulkAdd(a, b)
-		for plane := range want {
-			if !got[plane].Equal(want[plane]) {
-				t.Fatalf("workers=%d: plane %d diverged from serial", workers, plane)
-			}
-		}
-		meterEqual(t, workers, serial, par)
-	}
-}
-
 // TestBulkSubarrayStateMatchesSerial checks the final cell state of every
 // touched sub-array is worker-count independent: each chunk lands on the
 // same sub-array (chunk mod active) under any schedule, so the last chunk
@@ -112,7 +83,7 @@ func TestBulkSubarrayStateMatchesSerial(t *testing.T) {
 	if serial.MaterializedSubarrays() != par.MaterializedSubarrays() {
 		t.Fatalf("materialised %d vs %d sub-arrays", serial.MaterializedSubarrays(), par.MaterializedSubarrays())
 	}
-	base := serial.Layout().ReservedBase()
+	base := serial.layout.ReservedBase()
 	for si := 0; si < serial.MaterializedSubarrays(); si++ {
 		ss, ps := serial.Subarray(si), par.Subarray(si)
 		for r := base; r < base+3; r++ {

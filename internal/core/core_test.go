@@ -94,16 +94,16 @@ func TestHashTableCount(t *testing.T) {
 	p := NewDefaultPlatform()
 	tbl := NewHashTable(p, 8, 2)
 	km := kmer.MustParse("ACGTACGT")
-	if got := tbl.Count(km); got != 0 {
-		t.Fatalf("absent count %d", got)
+	if got := tbl.Entries(); len(got) != 0 {
+		t.Fatalf("empty table reads back %v", got)
 	}
 	for i := 0; i < 5; i++ {
 		if _, err := tbl.Add(km); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := tbl.Count(km); got != 5 {
-		t.Fatalf("count %d, want 5", got)
+	if got := tbl.Entries(); len(got) != 1 || got[0] != (kmer.Entry{Kmer: km, Count: 5}) {
+		t.Fatalf("entries %v, want one k-mer counted 5 times", got)
 	}
 }
 
@@ -130,17 +130,17 @@ func TestHashTableUsesPIMOps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := tbl.Stats()
-	if st.XNOROps == 0 {
+	m := p.Meter()
+	if m.Counts[dram.CmdAAP2] == 0 {
 		t.Error("no PIM_XNOR issued: comparisons must be in-memory")
 	}
-	if st.AddAAPs == 0 {
+	if m.Counts[dram.CmdAAP3] == 0 {
 		t.Error("no TRA issued: counter increments must be in-memory")
 	}
-	if st.CopyAAPs == 0 {
+	if m.Counts[dram.CmdAAPCopy] == 0 {
 		t.Error("no RowClone issued: staging must be in-memory")
 	}
-	if st.DPUOps == 0 {
+	if m.Counts[dram.CmdDPU] == 0 {
 		t.Error("no DPU reductions issued: match detection must be metered")
 	}
 }
@@ -206,10 +206,10 @@ func TestEndToEndOpProfileCosts(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		kms = append(kms, distinct...)
 	}
-	build := func(profile OpProfile) ([]kmer.Entry, float64) {
+	build := func(majorityXNOR bool) ([]kmer.Entry, float64) {
 		p := NewDefaultPlatform()
 		tbl := NewHashTable(p, 16, 8)
-		tbl.SetOpProfile(profile)
+		tbl.majorityXNOR = majorityXNOR
 		for _, km := range kms {
 			if _, err := tbl.Add(km); err != nil {
 				t.Fatal(err)
@@ -217,8 +217,8 @@ func TestEndToEndOpProfileCosts(t *testing.T) {
 		}
 		return tbl.Entries(), p.Meter().LatencyNS
 	}
-	nativeEntries, nativeNS := build(OpsNative)
-	emuEntries, emuNS := build(OpsMajorityEmulated)
+	nativeEntries, nativeNS := build(false)
+	emuEntries, emuNS := build(true)
 	if len(nativeEntries) != len(emuEntries) {
 		t.Fatalf("entry counts differ: %d vs %d", len(nativeEntries), len(emuEntries))
 	}
@@ -270,42 +270,4 @@ func TestBulkXNORRejectsUnpadded(t *testing.T) {
 		}
 	}()
 	p.BulkXNOR(bitvec.New(100), bitvec.New(100))
-}
-
-func TestBulkAddFunctional(t *testing.T) {
-	p := NewDefaultPlatform()
-	rng := stats.NewRNG(6)
-	const m = 6
-	lanes := p.BulkPad(512)
-	a := make([]*bitvec.Vector, m)
-	b := make([]*bitvec.Vector, m)
-	av := make([]uint64, lanes)
-	bv := make([]uint64, lanes)
-	for i := range av {
-		av[i] = rng.Uint64() & (1<<m - 1)
-		bv[i] = rng.Uint64() & (1<<m - 1)
-	}
-	for bit := 0; bit < m; bit++ {
-		a[bit] = bitvec.New(lanes)
-		b[bit] = bitvec.New(lanes)
-		for lane := 0; lane < lanes; lane++ {
-			a[bit].Set(lane, av[lane]&(1<<uint(bit)) != 0)
-			b[bit].Set(lane, bv[lane]&(1<<uint(bit)) != 0)
-		}
-	}
-	sum := p.BulkAdd(a, b)
-	if len(sum) != m+1 {
-		t.Fatalf("result planes %d, want %d", len(sum), m+1)
-	}
-	for lane := 0; lane < lanes; lane++ {
-		var got uint64
-		for bit := 0; bit <= m; bit++ {
-			if sum[bit].Get(lane) {
-				got |= 1 << uint(bit)
-			}
-		}
-		if got != av[lane]+bv[lane] {
-			t.Fatalf("lane %d: %d + %d = %d", lane, av[lane], bv[lane], got)
-		}
-	}
 }

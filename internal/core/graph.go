@@ -188,7 +188,7 @@ func (e *GraphEngine) StartVertex() (kmer.Kmer, error) {
 			}
 			start, found = n, true
 		case -1:
-			// end vertex; allowed once — Balance() fully validates.
+			// end vertex; allowed once — the host EulerPath fully validates.
 		default:
 			return 0, fmt.Errorf("core: vertex %v unbalanced by %d", n, out[i]-in[i])
 		}

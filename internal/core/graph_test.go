@@ -7,7 +7,6 @@ import (
 	"pimassembler/internal/dram"
 	"pimassembler/internal/genome"
 	"pimassembler/internal/kmer"
-	"pimassembler/internal/mapping"
 	"pimassembler/internal/stats"
 )
 
@@ -30,12 +29,16 @@ func TestGraphEngineDegreesMatchSoftware(t *testing.T) {
 		t.Fatalf("expected >=2 intervals for %d nodes", g.NumNodes())
 	}
 	in, out := e.Degrees()
-	for i, n := range g.Nodes() {
-		if in[i] != g.InDegree(n) {
-			t.Fatalf("node %v in-degree %d, want %d", n, in[i], g.InDegree(n))
-		}
-		if out[i] != g.OutDegree(n) {
-			t.Fatalf("node %v out-degree %d, want %d", n, out[i], g.OutDegree(n))
+	wantIn, wantOut := map[int32]int{}, map[int32]int{}
+	for _, id := range g.SortedIDs() {
+		g.EachOutID(id, func(to int32, _ kmer.Kmer, _ uint32) {
+			wantOut[id]++
+			wantIn[to]++
+		})
+	}
+	for i, id := range g.SortedIDs() {
+		if in[i] != wantIn[id] || out[i] != wantOut[id] {
+			t.Fatalf("node %d degrees in %d out %d, want %d and %d", i, in[i], out[i], wantIn[id], wantOut[id])
 		}
 	}
 }
@@ -52,11 +55,8 @@ func TestGraphEngineStartVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	class, want := g.Balance()
-	if class != debruijn.BalancePath {
-		t.Fatalf("expected a path graph, got %v", class)
-	}
-	if start != want {
+	// A chain starts at its first (k-1)-mer.
+	if want := kmer.FromSequence(s, 3); start != want {
 		t.Fatalf("start %v, want %v", start, want)
 	}
 }
@@ -98,7 +98,9 @@ func TestGraphEngineAllocationFormula(t *testing.T) {
 	e := NewGraphEngine(p, g, 0)
 	n := g.NumNodes()
 	geo := p.Geometry()
-	want := mapping.SubarraysForVertices(n, geo.RowsPerSubarray, geo.ColsPerSubarray) // f = min(1024, 256)
+	// Ns = ceil(N/f) with f = min(rows, cols) vertices per sub-array.
+	f := min(geo.RowsPerSubarray, geo.ColsPerSubarray)
+	want := (n + f - 1) / f
 	// Blocks are in ascending (src, dst) order, so the last one names the
 	// highest interval the engine divided the vertices into.
 	if got := e.blocks[len(e.blocks)-1].key[0] + 1; got != want || want != (n+255)/256 {

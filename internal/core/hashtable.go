@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"pimassembler/internal/bitvec"
-	"pimassembler/internal/dram"
 	"pimassembler/internal/exec"
 	"pimassembler/internal/kmer"
 	"pimassembler/internal/mapping"
@@ -17,19 +16,6 @@ import (
 // ErrTableFull reports that a sub-array's k-mer region has no free slot left
 // on the probe path.
 var ErrTableFull = errors.New("core: sub-array k-mer region full")
-
-// OpProfile selects how the hash table's row comparisons execute.
-type OpProfile int
-
-const (
-	// OpsNative uses the paper's single-cycle two-row XNOR (3 command
-	// slots staged).
-	OpsNative OpProfile = iota
-	// OpsMajorityEmulated uses the Ambit-style majority/NOT composition
-	// (18 command slots) — the baseline-emulation mode for end-to-end
-	// functional cost comparison.
-	OpsMajorityEmulated
-)
 
 // HashTable is the PIM-mapped k-mer hash table of Fig. 6: each k-mer lives
 // in one row of its home sub-array's k-mer region, its frequency counter in
@@ -45,11 +31,16 @@ type HashTable struct {
 	platform *Platform
 	k        int
 	base     int // first sub-array index of the table's region
-	ops      OpProfile
 	place    mapping.HashPlacement
 	subs     []*tableSub // by region-relative sub-array: controller-side state, nil until first use
 	distinct int64       // atomic: parallel stage-1 workers insert concurrently
 	probes   int64       // atomic: cumulative Add slot visits (see ProbeOps)
+
+	// majorityXNOR makes every comparison the Ambit-style majority/NOT
+	// composition (18 command slots) instead of the paper's single-cycle
+	// two-row XNOR (3 staged): the baseline the end-to-end ablation
+	// TestEndToEndOpProfileCosts builds the same table with.
+	majorityXNOR bool
 }
 
 // tableSub is the controller-side state of one hash sub-array: the slot
@@ -62,14 +53,9 @@ type tableSub struct {
 	counter  []int          // row indices of the counter being incremented
 }
 
-// SetOpProfile switches the comparison implementation (default OpsNative).
-// Call before the first Add; mixing profiles mid-run is allowed but makes
-// cost comparisons meaningless.
-func (t *HashTable) SetOpProfile(p OpProfile) { t.ops = p }
-
-// compare runs the profile's XNOR into dst.
+// compare runs the table's XNOR into dst.
 func (t *HashTable) compare(s *subarray.Subarray, queryRow, entryRow, dst int) {
-	if t.ops == OpsMajorityEmulated {
+	if t.majorityXNOR {
 		s.XNOREmulatedTRA(queryRow, entryRow, dst)
 		return
 	}
@@ -104,9 +90,6 @@ func NewHashTableAt(p *Platform, k, base, nSubarrays int) *HashTable {
 		subs:     make([]*tableSub, nSubarrays),
 	}
 }
-
-// K returns the k-mer length.
-func (t *HashTable) K() int { return t.k }
 
 // Len returns the number of distinct k-mers stored.
 func (t *HashTable) Len() int { return int(atomic.LoadInt64(&t.distinct)) }
@@ -230,34 +213,6 @@ func (t *HashTable) incrementCounter(s *subarray.Subarray, st *tableSub, slot, o
 	s.RippleIncrement(st.counter, oneHotRow, resv+1, resv+2, resv+3)
 }
 
-// Count probes for km and returns its stored frequency (0 if absent). The
-// probe path is identical to Add's; reading the counter lane issues one
-// memory Read per counter bit-plane row.
-func (t *HashTable) Count(km kmer.Kmer) uint32 {
-	lay := t.platform.layout
-	subIdx, home := t.place.Place(km)
-	s := t.platform.Subarray(t.base + subIdx)
-	s.SetStage(exec.StageHashmap)
-	st := t.sub(subIdx)
-	bm := st.occupied
-
-	tempQuery := lay.TempBase()
-	xnorOut := lay.ReservedBase()
-	s.Write(tempQuery, t.encodeRow(st, km))
-
-	for probe := 0; probe < lay.KmerRows; probe++ {
-		slot := (home + probe) % lay.KmerRows
-		if !bm[slot] {
-			return 0
-		}
-		t.compare(s, tempQuery, lay.KmerRow(slot), xnorOut)
-		if s.MatchAllOnes(xnorOut) {
-			return t.readCounter(s, st, slot)
-		}
-	}
-	return 0
-}
-
 // readCounter reads a slot's frequency lane through the memory path.
 func (t *HashTable) readCounter(s *subarray.Subarray, st *tableSub, slot int) uint32 {
 	lay := t.platform.layout
@@ -295,33 +250,4 @@ func (t *HashTable) Entries() []kmer.Entry {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Kmer < out[b].Kmer })
 	return out
-}
-
-// Stats summarises the table's footprint and command mix.
-type Stats struct {
-	Distinct  int
-	Subarrays int
-	XNOROps   int64
-	AddAAPs   int64
-	CopyAAPs  int64
-	DPUOps    int64
-}
-
-// Stats reports footprint and operation counts from the platform meter.
-func (t *HashTable) Stats() Stats {
-	m := t.platform.meter
-	used := 0
-	for _, st := range t.subs {
-		if st != nil {
-			used++
-		}
-	}
-	return Stats{
-		Distinct:  t.Len(),
-		Subarrays: used,
-		XNOROps:   m.Counts[dram.CmdAAP2],
-		AddAAPs:   m.Counts[dram.CmdAAP3],
-		CopyAAPs:  m.Counts[dram.CmdAAPCopy],
-		DPUOps:    m.Counts[dram.CmdDPU],
-	}
 }

@@ -87,15 +87,6 @@ func NewDefaultPlatform() *Platform {
 // Geometry returns the platform's memory organisation.
 func (p *Platform) Geometry() dram.Geometry { return p.geom }
 
-// Timing returns the platform's timing model.
-func (p *Platform) Timing() dram.Timing { return p.timing }
-
-// Energy returns the platform's energy model.
-func (p *Platform) Energy() dram.Energy { return p.energy }
-
-// Layout returns the hash-table region layout.
-func (p *Platform) Layout() mapping.Layout { return p.layout }
-
 // Meter returns the shared command meter.
 func (p *Platform) Meter() *dram.Meter { return p.meter }
 

@@ -19,7 +19,7 @@ func regionWork(s *subarray.Subarray, id int) {
 		s.Fill(0, i%2 == 0)
 		s.RowClone(0, 1)
 		if i%3 == 0 {
-			s.DPUPopCount(1)
+			s.MatchAllOnes(1)
 		}
 	}
 }

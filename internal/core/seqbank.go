@@ -51,9 +51,6 @@ func NewSequenceBank(p *Platform, firstSubarray, nSubarrays int) *SequenceBank {
 // BasesPerRow returns the packing density (128 bp for 256-bit rows).
 func (b *SequenceBank) BasesPerRow() int { return b.platform.geom.ColsPerSubarray / genome.BaseBits }
 
-// Len returns the number of stored reads.
-func (b *SequenceBank) Len() int { return len(b.reads) }
-
 // Store writes a read into the bank (memory-path writes, metered) and
 // returns its handle.
 func (b *SequenceBank) Store(read *genome.Sequence) (int, error) {

@@ -27,8 +27,8 @@ func TestSequenceBankRoundTrip(t *testing.T) {
 			t.Fatalf("read %d corrupted through the bank", i)
 		}
 	}
-	if bank.Len() != len(reads) {
-		t.Fatalf("bank holds %d reads", bank.Len())
+	if len(bank.reads) != len(reads) {
+		t.Fatalf("bank holds %d reads", len(bank.reads))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"pimassembler/internal/assembly"
 	"pimassembler/internal/bitvec"
 	"pimassembler/internal/core"
+	"pimassembler/internal/dram"
 	"pimassembler/internal/exec"
 	"pimassembler/internal/genome"
 	"pimassembler/internal/parallel"
@@ -19,9 +20,9 @@ import (
 // through the whole-run scheduler, its stage's scheduler and an exec.Tally.
 func perCommandSummarize(p *core.Platform) core.Summary {
 	cmds := p.Stream().Commands()
-	tally := exec.NewTally(p.Timing(), p.Energy())
+	tally := exec.NewTally(dram.DefaultTiming(), dram.DefaultEnergy())
 	for _, c := range cmds {
-		tally.Add(c)
+		tally.AddSegment(exec.Segment{Subarray: c.Subarray, Stage: c.Stage, Kinds: []uint8{uint8(c.Kind)}})
 	}
 	m := p.Meter()
 	return core.Summary{
@@ -55,7 +56,7 @@ func pimPlatform(tb testing.TB, seed uint64, genomeLen, reads int, opts assembly
 // count and every float of the attribution — on a serial run (long segments
 // to each k-mer's home sub-array), a parallel-stage-1 run (stage 1 recorded
 // sub-array by sub-array, merged by Stream.Append) and a bulk run
-// (BulkXNOR then BulkAdd over eight workers).
+// (two BulkXNORs over eight workers).
 func TestSummarizeMatchesPerCommandWalk(t *testing.T) {
 	bulk := func() *core.Platform {
 		defer parallel.SetWorkers(0)
@@ -71,7 +72,7 @@ func TestSummarizeMatchesPerCommandWalk(t *testing.T) {
 			return v
 		}
 		p.BulkXNOR(vec(), vec())
-		p.BulkAdd([]*bitvec.Vector{vec(), vec(), vec()}, []*bitvec.Vector{vec(), vec(), vec()})
+		p.BulkXNOR(vec(), vec())
 		return p
 	}
 	for _, run := range []struct {

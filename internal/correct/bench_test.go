@@ -11,7 +11,7 @@ import (
 // the timer; every iteration repairs a fresh copy of the reads.
 func BenchmarkCorrectAll(b *testing.B) {
 	_, _, reads := errReads(1, 100_000, 101, 30_000, 0.01)
-	c := FromReads(reads, 32, 3, 4)
+	c := FromReadsWorkers(reads, 32, 3, 4, 1)
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			c.workers = workers

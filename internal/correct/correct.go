@@ -119,18 +119,12 @@ func (c *Corrector) hotSpot(counts []uint32) int {
 	return pos
 }
 
-// CorrectRead repairs a single read in place, returning the number of edits
-// applied. The heuristic: while weak k-mers remain (and the edit budget
+// correctRead repairs a single read in place on a caller-owned scratch,
+// returning the number of edits applied and whether the read is left with
+// weak k-mers. The heuristic: while weak k-mers remain (and the edit budget
 // holds), pick the position where the most weak windows overlap, try the
 // three alternative bases, and keep the one that maximises the number of
 // solid covering k-mers; stop when no substitution improves.
-func (c *Corrector) CorrectRead(read *genome.Sequence) int {
-	edits, _ := c.correctRead(new(scratch), read)
-	return edits
-}
-
-// correctRead is CorrectRead on a caller-owned scratch; it also reports
-// whether the read is left with weak k-mers.
 func (c *Corrector) correctRead(s *scratch, read *genome.Sequence) (edits int, damaged bool) {
 	weak := c.scan(s, read)
 	for edits < c.MaxCorrections && weak > 0 {
@@ -206,16 +200,12 @@ func (c *Corrector) CorrectAll(reads []*genome.Sequence) Stats {
 	return st
 }
 
-// FromReads counts the reads' own spectrum and builds a corrector from it —
-// the usual self-correction bootstrap.
-func FromReads(reads []*genome.Sequence, k int, solidThreshold uint32, maxCorrections int) *Corrector {
-	return FromReadsWorkers(reads, k, solidThreshold, maxCorrections, 1)
-}
-
-// FromReadsWorkers is FromReads with the spectrum counted by the parallel
-// hash-partitioned counter when workers > 1 (serial CountReads otherwise),
-// and CorrectAll fanned out over the same number of workers. The spectrum —
-// and therefore every correction decision — is identical either way.
+// FromReadsWorkers counts the reads' own spectrum and builds a corrector from
+// it — the usual self-correction bootstrap. With workers > 1 the spectrum is
+// counted by the parallel hash-partitioned counter (serial CountReads
+// otherwise) and CorrectAll fans out over the same number of workers. The
+// spectrum — and therefore every correction decision — is identical either
+// way.
 func FromReadsWorkers(reads []*genome.Sequence, k int, solidThreshold uint32, maxCorrections, workers int) *Corrector {
 	var table kmer.Counter
 	if workers > 1 {

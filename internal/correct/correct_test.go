@@ -31,7 +31,7 @@ func errReads(seed uint64, genomeLen, readLen, n int, rate float64) (*genome.Seq
 
 func TestCorrectSingleError(t *testing.T) {
 	_, clean, noisy := errReads(1, 3000, 80, 1200, 0.002)
-	c := FromReads(noisy, 15, 3, 4)
+	c := FromReadsWorkers(noisy, 15, 3, 4, 1)
 	st := c.CorrectAll(noisy)
 	if st.Corrected == 0 || st.Edits == 0 {
 		t.Fatalf("nothing corrected: %+v", st)
@@ -58,7 +58,7 @@ func TestCorrectLeavesCleanReadsAlone(t *testing.T) {
 	for i, r := range reads {
 		originals[i] = r.String()
 	}
-	c := FromReads(reads, 15, 3, 4)
+	c := FromReadsWorkers(reads, 15, 3, 4, 1)
 	st := c.CorrectAll(reads)
 	if st.Edits != 0 {
 		t.Fatalf("clean reads edited: %+v", st)
@@ -74,7 +74,7 @@ func TestCorrectionShrinksSpectrum(t *testing.T) {
 	_, _, noisy := errReads(3, 3000, 80, 1200, 0.003)
 	k := 15
 	before := kmer.CountReads(noisy, k).Len()
-	FromReads(noisy, k, 3, 4).CorrectAll(noisy)
+	FromReadsWorkers(noisy, k, 3, 4, 1).CorrectAll(noisy)
 	after := kmer.CountReads(noisy, k).Len()
 	trueKmers := 3000 - k + 1
 	if after >= before {
@@ -86,9 +86,9 @@ func TestCorrectionShrinksSpectrum(t *testing.T) {
 }
 
 func TestShortReadUntouched(t *testing.T) {
-	c := FromReads([]*genome.Sequence{genome.MustFromString("ACGTACGTACGTACGTACGT")}, 15, 2, 4)
+	c := FromReadsWorkers([]*genome.Sequence{genome.MustFromString("ACGTACGTACGTACGTACGT")}, 15, 2, 4, 1)
 	short := genome.MustFromString("ACGT")
-	if c.CorrectRead(short) != 0 {
+	if st := c.CorrectAll([]*genome.Sequence{short}); st.Edits != 0 {
 		t.Fatal("read shorter than k must not be edited")
 	}
 }
@@ -116,7 +116,7 @@ func TestNewPanics(t *testing.T) {
 // window or per candidate.
 func TestCorrectAllAllocations(t *testing.T) {
 	_, _, reads := errReads(9, 3000, 101, 2000, 0.01)
-	c := FromReads(reads, 21, 3, 4)
+	c := FromReadsWorkers(reads, 21, 3, 4, 1)
 	for _, workers := range []int{1, 4} {
 		c.workers = workers
 		const runs = 3

@@ -11,10 +11,11 @@
 // live in/out degree) and one per edge (k-mer, target ID, count), with edge
 // removal via a tombstone bitset. Nothing is hashed: a (k-1)-mer is resolved
 // by binary search over the node list. Every traversal (Hierholzer, Fleury,
-// contig emission, simplification) walks IDs over these records; Kmer-facing
-// accessors are preserved at the API boundary. The map-of-slices builder
-// this replaced survives only as the tests' differential reference
-// (MapGraph, mapref_test.go). See DESIGN.md §13.
+// contig emission, simplification) walks IDs over these records. The
+// Kmer-facing per-node accessors the tests read the graph through live in
+// view_test.go, and the map-of-slices builder this replaced survives only as
+// the tests' differential reference (MapGraph, mapref_test.go). See
+// DESIGN.md §13.
 package debruijn
 
 import (
@@ -23,17 +24,8 @@ import (
 	"slices"
 	"sort"
 
-	"pimassembler/internal/genome"
 	"pimassembler/internal/kmer"
 )
-
-// Edge is one de Bruijn edge: the k-mer it was built from, the node it
-// leads to, and the observed multiplicity (hash-table count).
-type Edge struct {
-	Kmer  kmer.Kmer
-	To    kmer.Kmer // suffix node
-	Count uint32
-}
 
 // node is what a walk reads when it stands on a vertex: where its edge
 // slots start (they end at the next node's off) and how many live edges
@@ -130,9 +122,6 @@ func (s *traversalScratch) ensureEdges(m int) bitset {
 	clear(s.edgeUsed)
 	return s.edgeUsed
 }
-
-// K returns the edge (k-mer) length.
-func (g *Graph) K() int { return g.k }
 
 // NodeLen returns the node ((k-1)-mer) length.
 func (g *Graph) NodeLen() int { return g.k - 1 }
@@ -337,40 +326,6 @@ func (g *Graph) NumNodes() int {
 // NumEdges returns the edge count (distinct k-mers).
 func (g *Graph) NumEdges() int { return g.numEdges }
 
-// OutDegree returns the out-degree of node n.
-func (g *Graph) OutDegree(n kmer.Kmer) int {
-	g.finalize()
-	id, ok := g.nodeID(n)
-	if !ok {
-		return 0
-	}
-	return int(g.nodes[id].out)
-}
-
-// InDegree returns the in-degree of node n.
-func (g *Graph) InDegree(n kmer.Kmer) int {
-	g.finalize()
-	id, ok := g.nodeID(n)
-	if !ok {
-		return 0
-	}
-	return int(g.nodes[id].in)
-}
-
-// Out returns the outgoing edges of n in deterministic (k-mer sorted) order.
-func (g *Graph) Out(n kmer.Kmer) []Edge {
-	g.finalize()
-	id, ok := g.nodeID(n)
-	if !ok {
-		return nil
-	}
-	out := make([]Edge, 0, g.nodes[id].out)
-	g.EachOutID(id, func(to int32, km kmer.Kmer, count uint32) {
-		out = append(out, Edge{Kmer: km, To: g.kmers[to], Count: count})
-	})
-	return out
-}
-
 // Nodes returns all nodes sorted by value.
 func (g *Graph) Nodes() []kmer.Kmer {
 	ids := g.SortedIDs()
@@ -379,13 +334,6 @@ func (g *Graph) Nodes() []kmer.Kmer {
 		out[i] = g.kmers[id]
 	}
 	return out
-}
-
-// HasNode reports whether n exists.
-func (g *Graph) HasNode(n kmer.Kmer) bool {
-	g.finalize()
-	_, ok := g.nodeID(n)
-	return ok
 }
 
 // SortedIDs returns the live node IDs in (k-1)-mer sorted order — the same
@@ -417,7 +365,7 @@ func (g *Graph) RankOfID(id int32) int32 {
 }
 
 // EachOutID visits node id's live outgoing edges in the deterministic
-// adjacency order, without materialising an []Edge.
+// adjacency order.
 func (g *Graph) EachOutID(id int32, fn func(to int32, km kmer.Kmer, count uint32)) {
 	g.finalize()
 	for e, hi := g.span(id); e < hi; e++ {
@@ -442,20 +390,11 @@ const (
 	BalanceNone
 )
 
-// Balance inspects degree balance and returns the class plus the start node
-// for a traversal (the +1 node for a path; the smallest node with outgoing
-// edges for a circuit). This is the out/in-degree scan of the paper's
-// Traverse procedure, realised in hardware by PIM_Add row reductions.
-func (g *Graph) Balance() (BalanceClass, kmer.Kmer) {
-	g.finalize()
-	class, start := g.balanceID()
-	if class == BalanceNone || start < 0 {
-		return class, 0
-	}
-	return class, g.kmers[start]
-}
-
-// balanceID is Balance over node IDs; start is -1 for an empty circuit.
+// balanceID classifies the graph's degree balance for an Eulerian traversal
+// and returns its start node: the +1 node of a path, the smallest node with
+// outgoing edges of a circuit (-1 for an empty one). This is the out/in-degree
+// scan of the paper's Traverse procedure, realised in hardware by PIM_Add row
+// reductions.
 func (g *Graph) balanceID() (BalanceClass, int32) {
 	var start int32 = -1
 	plus, minus := 0, 0
@@ -541,23 +480,6 @@ func (g *Graph) EdgeConnected() bool {
 		}
 	}
 	return true
-}
-
-// Spell converts a node walk (sequence of (k-1)-mers where consecutive
-// nodes overlap by k-2) into a DNA sequence.
-func (g *Graph) Spell(walk []kmer.Kmer) *genome.Sequence {
-	if len(walk) == 0 {
-		return genome.NewSequence(0)
-	}
-	nodeLen := g.NodeLen()
-	seq := genome.NewSequence(nodeLen + len(walk) - 1)
-	for i := 0; i < nodeLen; i++ {
-		seq.SetBase(i, walk[0].Base(i))
-	}
-	for i, n := range walk[1:] {
-		seq.SetBase(nodeLen+i, n.LastBase(nodeLen))
-	}
-	return seq
 }
 
 // String summarises the graph.

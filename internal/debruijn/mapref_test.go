@@ -261,7 +261,7 @@ func (g *MapGraph) Contigs() []Contig {
 // by repeated append — the pre-refactor spelling.
 func (g *MapGraph) spellEdgeWalk(start kmer.Kmer, walk []Edge) Contig {
 	nodeLen := g.NodeLen()
-	seq := start.ToSequence(nodeLen)
+	seq := genome.MustFromString(start.String(nodeLen))
 	var coverage float64
 	for _, e := range walk {
 		tail := genome.NewSequence(1)

@@ -208,24 +208,6 @@ func (g *Graph) PopBubbles(maxLen int) int {
 	return popped
 }
 
-// CoverageCutoff removes every edge observed fewer than min times —
-// Velvet's -cov_cutoff pass. At typical sequencing depth true k-mers appear
-// ~coverage times while error k-mers appear once or twice, so a small
-// cutoff removes the error mass that topology-only passes cannot reach
-// (error arms braided into other error arms). Returns edges removed.
-func (g *Graph) CoverageCutoff(min uint32) int {
-	g.finalize()
-	removed := 0
-	for id := int32(0); int(id) < len(g.kmers); id++ {
-		for e, hi := g.span(id); e < hi; e++ {
-			if g.edges[e].count < min && g.removeEdgeAt(id, e) {
-				removed++
-			}
-		}
-	}
-	return removed
-}
-
 // Simplify runs tip clipping and bubble popping to convergence (bounded at
 // maxRounds) and reports what was removed. tipLen/bubbleLen bound the
 // branch lengths considered; Velvet's defaults correspond to ~2k.

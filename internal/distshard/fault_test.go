@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -122,7 +123,7 @@ func TestPersistentFaultNamesShard(t *testing.T) {
 		t.Errorf("dist.retries = %d, want >= 1", got)
 	}
 	assertNoChildren(t)
-	dir := sp.Dir()
+	dir := filepath.Dir(sp.Path(0))
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -142,8 +142,6 @@ func EnergyTable(e Energy) KindTable {
 // every sub-array it drives a private Meter and merges them, in sub-array
 // order, after its goroutines have joined (core.Platform.ParallelRegion).
 type Meter struct {
-	timing Timing
-	energy Energy
 	// dur and pj are Duration and EnergyOf tabulated once for the meter's
 	// models: Record prices a command with two loads.
 	dur, pj KindTable
@@ -158,19 +156,8 @@ type Meter struct {
 
 // NewMeter returns a Meter using the given timing and energy models.
 func NewMeter(t Timing, e Energy) *Meter {
-	return &Meter{
-		timing: t,
-		energy: e,
-		dur:    DurationTable(t),
-		pj:     EnergyTable(e),
-	}
+	return &Meter{dur: DurationTable(t), pj: EnergyTable(e)}
 }
-
-// Timing returns the meter's timing model.
-func (m *Meter) Timing() Timing { return m.timing }
-
-// Energy returns the meter's energy model.
-func (m *Meter) Energy() Energy { return m.energy }
 
 // Record accounts one command broadcast to parallelSubarrays sub-arrays.
 // Latency accrues once (the sub-arrays operate in lock step); energy accrues
@@ -194,15 +181,6 @@ func (m *Meter) TotalCommands() int64 {
 		t += c
 	}
 	return t
-}
-
-// AveragePowerW returns dynamic power averaged over the accumulated latency,
-// in watts. Returns 0 when no latency has accrued.
-func (m *Meter) AveragePowerW() float64 {
-	if m.LatencyNS <= 0 {
-		return 0
-	}
-	return m.EnergyPJ / m.LatencyNS / 1000 // pJ/ns = mW; /1000 → W
 }
 
 // Reset clears all accumulated state in place.

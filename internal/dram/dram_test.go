@@ -41,12 +41,6 @@ func TestGeometryDerivedCounts(t *testing.T) {
 	if got := g.ParallelBits(); got != g.ActiveSubarrays()*256 {
 		t.Fatalf("ParallelBits %d inconsistent", got)
 	}
-	if got := g.SubarrayBits(); got != 1024*256 {
-		t.Fatalf("SubarrayBits %d", got)
-	}
-	if got := g.CapacityBits(); got != int64(g.TotalSubarrays())*1024*256 {
-		t.Fatalf("CapacityBits %d", got)
-	}
 }
 
 func TestGeometryValidateRejectsBadConfigs(t *testing.T) {
@@ -75,13 +69,10 @@ func TestTimingDerived(t *testing.T) {
 	if err := tm.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tm.RowCycle(), tm.TRAS+tm.TRP; got != want {
-		t.Fatalf("RowCycle %v, want %v", got, want)
-	}
 	if got, want := tm.AAP(), 2*tm.TRAS+tm.TRP; got != want {
 		t.Fatalf("AAP %v, want %v", got, want)
 	}
-	if tm.AAP() <= tm.RowCycle() {
+	if tm.AAP() <= tm.TRAS+tm.TRP {
 		t.Fatal("AAP must cost more than a single row cycle")
 	}
 }
@@ -155,19 +146,6 @@ func TestMeterParallelEnergyScalesNotLatency(t *testing.T) {
 	}
 	if par.EnergyPJ <= seq.EnergyPJ {
 		t.Fatal("broadcast command energy must scale with sub-array count")
-	}
-}
-
-func TestMeterAveragePower(t *testing.T) {
-	m := NewMeter(DefaultTiming(), DefaultEnergy())
-	if m.AveragePowerW() != 0 {
-		t.Fatal("empty meter power must be 0")
-	}
-	m.Record(CmdActivate, 1)
-	// pJ/ns/1000 = W
-	want := m.EnergyPJ / m.LatencyNS / 1000
-	if got := m.AveragePowerW(); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("power %v, want %v", got, want)
 	}
 }
 

@@ -114,14 +114,6 @@ func (g Geometry) RowBits() int { return g.ColsPerSubarray }
 // per in-memory compute cycle.
 func (g Geometry) ParallelBits() int { return g.ActiveSubarrays() * g.RowBits() }
 
-// SubarrayBits returns the storage capacity of one sub-array in bits.
-func (g Geometry) SubarrayBits() int { return g.RowsPerSubarray * g.ColsPerSubarray }
-
-// CapacityBits returns the storage capacity of the memory group in bits.
-func (g Geometry) CapacityBits() int64 {
-	return int64(g.TotalSubarrays()) * int64(g.SubarrayBits())
-}
-
 // String implements fmt.Stringer.
 func (g Geometry) String() string {
 	return fmt.Sprintf("dram.Geometry{%dx%d subarrays, %d/MAT, %dx%d MATs, %dx%d banks, %d active}",

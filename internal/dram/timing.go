@@ -38,11 +38,6 @@ func (t Timing) Validate() error {
 	return nil
 }
 
-// RowCycle returns tRC = tRAS + tRP, the minimum interval between successive
-// ACTIVATEs to the same sub-array. A single-ACTIVATE PIM step (one AP pair)
-// costs one row cycle.
-func (t Timing) RowCycle() float64 { return t.TRAS + t.TRP }
-
 // AAP returns the latency of one ACTIVATE-ACTIVATE-PRECHARGE primitive. Per
 // RowClone/Ambit, the second ACTIVATE overlaps the tail of the first row
 // restore, so an AAP costs roughly 2·tRAS + tRP rather than two full row

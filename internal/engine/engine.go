@@ -11,10 +11,12 @@ package engine
 
 import (
 	"context"
+	"fmt"
 
 	"pimassembler/internal/assembly"
 	"pimassembler/internal/core"
 	"pimassembler/internal/debruijn"
+	"pimassembler/internal/dram"
 	"pimassembler/internal/genome"
 	"pimassembler/internal/kmer"
 	"pimassembler/internal/metrics"
@@ -86,6 +88,20 @@ func DefaultOptions() Options {
 // DefaultSubarrays is the functional engine's hash-table spread when
 // Options.Subarrays is zero.
 const DefaultSubarrays = 16
+
+// Validate reports options no engine can run: what assembly.Options.Validate
+// rejects, and a Subarrays the functional engine's hash table cannot take
+// out of the default geometry with room left for its sequence bank. Every
+// front door (flags, manifest lines, requests) calls it before queueing.
+func (o Options) Validate() error {
+	if err := o.Options.Validate(); err != nil {
+		return err
+	}
+	if total := dram.Default().TotalSubarrays(); o.Subarrays < 0 || o.Subarrays >= total {
+		return fmt.Errorf("engine: subarrays=%d outside [0,%d), the default geometry's sub-array count", o.Subarrays, total)
+	}
+	return nil
+}
 
 func (o Options) subarrays() int {
 	if o.Subarrays > 0 {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pimassembler/internal/assembly"
+	"pimassembler/internal/dram"
 	"pimassembler/internal/genome"
 	"pimassembler/internal/perfmodel"
 	"pimassembler/internal/platforms"
@@ -331,6 +332,32 @@ func TestEnginesRejectEmptyInput(t *testing.T) {
 	for _, e := range Engines() {
 		if _, err := e.Assemble(ctx, nil, Options{Options: assembly.Options{K: 16}}); err == nil {
 			t.Errorf("engine %s accepted nil reads without counts", e.Name())
+		}
+	}
+}
+
+// TestSubarraysBeyondTheGeometry pins both halves of the bound on the pim
+// engine's hash region: Validate rejects a Subarrays the default geometry
+// cannot hold beside a sequence bank, and a region that passes Validate but
+// does not fit beside the bank this read set needs fails the run with an
+// error — as does an unvalidated one — instead of panicking in core.
+func TestSubarraysBeyondTheGeometry(t *testing.T) {
+	total := dram.Default().TotalSubarrays()
+	for _, tc := range []struct {
+		subarrays int
+		valid     bool
+	}{{0, true}, {16, true}, {total - 1, true}, {total, false}, {1 << 30, false}, {-1, false}} {
+		opts := Options{Options: assembly.Options{K: 16}, Subarrays: tc.subarrays}
+		if err := opts.Validate(); (err == nil) != tc.valid {
+			t.Errorf("Subarrays=%d: Validate() = %v, want valid=%v", tc.subarrays, err, tc.valid)
+		}
+	}
+	_, reads := conformanceWorkload()
+	pim := mustLookup(t, "pim")
+	for _, subarrays := range []int{total - 1, 1 << 30} {
+		opts := Options{Options: assembly.Options{K: 16}, Subarrays: subarrays}
+		if _, err := pim.Assemble(context.Background(), genome.NewSliceSource(reads), opts); err == nil {
+			t.Errorf("Subarrays=%d: pim engine assembled beyond the geometry", subarrays)
 		}
 	}
 }

@@ -241,15 +241,6 @@ func AssemblyRatios() []string {
 // Fig10Pds lists the swept parallelism degrees.
 func Fig10Pds() []int { return []int{1, 2, 4, 8} }
 
-// Fig10 evaluates the Pd trade-off for k = 16 and 32.
-func Fig10() map[int][]perfmodel.PdPoint {
-	out := make(map[int][]perfmodel.PdPoint)
-	for _, k := range []int{16, 32} {
-		out[k] = perfmodel.PdTradeoff(PaperCounts(k), Fig10Pds())
-	}
-	return out
-}
-
 // RenderFig10 writes the power/delay series and the optimum.
 func RenderFig10(w io.Writer) {
 	fmt.Fprintln(w, "Fig. 10 — power/delay vs parallelism degree (Pd)")

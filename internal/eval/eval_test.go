@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pimassembler/internal/circuit"
+	"pimassembler/internal/perfmodel"
 )
 
 func TestFig3aWaveforms(t *testing.T) {
@@ -55,8 +56,8 @@ func TestFig9CoversAllKsAndPlatforms(t *testing.T) {
 }
 
 func TestFig10OptimumAtTwo(t *testing.T) {
-	for k, pts := range Fig10() {
-		if len(pts) != 4 {
+	for _, k := range []int{16, 32} {
+		if pts := perfmodel.PdTradeoff(PaperCounts(k), Fig10Pds()); len(pts) != 4 {
 			t.Fatalf("k=%d: %d Pd points", k, len(pts))
 		}
 	}

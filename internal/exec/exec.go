@@ -345,11 +345,6 @@ func (s *Stream) tally(t dram.Timing, e dram.Energy) *Tally {
 // dram.Meter maintains independently; tests assert the two never drift.
 func (s *Stream) Totals() map[dram.CommandKind]int64 { return s.Histogram().Totals }
 
-// Subarrays returns how many distinct sub-arrays the stream touched.
-func (s *Stream) Subarrays() int {
-	return s.tally(dram.Timing{}, dram.Energy{}).Subarrays()
-}
-
 // Histogram is the per-stage × per-kind command breakdown of a stream.
 type Histogram struct {
 	// PerStage maps stage -> kind -> count.
@@ -473,26 +468,6 @@ func (ta *Tally) AddSegment(seg Segment) {
 		energy += pj[k]
 	}
 	sums.SerialNS, sums.EnergyPJ = serial, energy
-}
-
-// Add accounts one command: the one-command segment.
-func (ta *Tally) Add(c Command) {
-	if !recordable(c) {
-		panic(unrecordable(c))
-	}
-	kind := [1]uint8{uint8(c.Kind)}
-	ta.AddSegment(Segment{Subarray: c.Subarray, Stage: c.Stage, Kinds: kind[:]})
-}
-
-// Subarrays returns how many distinct sub-arrays the commands touched.
-func (ta *Tally) Subarrays() int {
-	n := 0
-	for _, m := range ta.touched {
-		if m != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Histogram returns the per-stage × per-kind breakdown; stages and kinds

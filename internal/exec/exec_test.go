@@ -17,8 +17,8 @@ func TestStreamViews(t *testing.T) {
 	if s.Len() != 4 {
 		t.Fatalf("len %d, want 4", s.Len())
 	}
-	if s.Subarrays() != 3 {
-		t.Fatalf("subarrays %d, want 3", s.Subarrays())
+	if n := touched(s.tally(dram.Timing{}, dram.Energy{})); n != 3 {
+		t.Fatalf("subarrays %d, want 3", n)
 	}
 	tot := s.Totals()
 	if tot[dram.CmdAAP2] != 2 || tot[dram.CmdWrite] != 1 || tot[dram.CmdDPU] != 1 {
@@ -60,7 +60,7 @@ func TestAttributeMatchesMeter(t *testing.T) {
 		s.Record(Command{Subarray: i % 5, Kind: k, Stage: stages[i%len(stages)], Rows: k.SourceRows()})
 	}
 	ta := NewTally(tm, en)
-	s.Each(ta.Add)
+	s.Each(func(c Command) { addCommand(ta, c) })
 	costs := ta.StageCosts()
 	if len(costs) != len(stages) {
 		t.Fatalf("got %d stage costs, want %d", len(costs), len(stages))
@@ -93,6 +93,22 @@ func TestStageStrings(t *testing.T) {
 	if Stage(200).String() == "" {
 		t.Fatal("out-of-range stage should still render")
 	}
+}
+
+// touched returns how many distinct sub-arrays ta's commands touched.
+func touched(ta *Tally) int {
+	n := 0
+	for _, m := range ta.touched {
+		if m != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// addCommand accounts one command on ta as a one-command segment.
+func addCommand(ta *Tally, c Command) {
+	ta.AddSegment(Segment{Subarray: c.Subarray, Stage: c.Stage, Kinds: []uint8{uint8(c.Kind)}})
 }
 
 func near(a, b float64) bool {

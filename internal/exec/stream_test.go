@@ -129,14 +129,15 @@ func TestTallyMatchesMapViews(t *testing.T) {
 	if got := s.tally(tm, en).StageCosts(); !reflect.DeepEqual(got, wantCosts) {
 		t.Fatalf("StageCosts\n got %+v\nwant %+v", got, wantCosts)
 	}
-	if got := s.Subarrays(); got != len(seen) {
+	if got := touched(s.tally(tm, en)); got != len(seen) {
 		t.Fatalf("Subarrays %d, want %d", got, len(seen))
 	}
 
-	// A Tally fed from Each is the same accounting without the stream.
+	// A Tally fed one command at a time from Each is the same accounting
+	// without the stream.
 	ta := NewTally(tm, en)
-	s.Each(ta.Add)
-	if !reflect.DeepEqual(ta.Histogram(), wantHist) || !reflect.DeepEqual(ta.StageCosts(), wantCosts) || ta.Subarrays() != len(seen) {
+	s.Each(func(c Command) { addCommand(ta, c) })
+	if !reflect.DeepEqual(ta.Histogram(), wantHist) || !reflect.DeepEqual(ta.StageCosts(), wantCosts) || touched(ta) != len(seen) {
 		t.Fatal("Tally fed from Each differs from the stream's own views")
 	}
 }

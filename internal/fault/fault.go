@@ -97,23 +97,10 @@ func (in *Injector) Hook() subarray.FaultHook {
 	}
 }
 
-// Attach installs the injector on a sub-array.
-func (in *Injector) Attach(s *subarray.Subarray) {
-	s.SetFaultHook(in.Hook())
-}
-
 // AttachPlatform installs the injector on every sub-array of a platform,
 // present and future.
 func (in *Injector) AttachPlatform(p *core.Platform) {
 	p.SetFaultHook(in.Hook())
-}
-
-// ErrorRate returns the observed per-op error rate.
-func (in *Injector) ErrorRate() float64 {
-	if in.TotalOps == 0 {
-		return 0
-	}
-	return float64(in.AffectedOps) / float64(in.TotalOps)
 }
 
 // String summarises the injector's activity.

@@ -27,7 +27,7 @@ func randomRow(rng *stats.RNG, n int) *bitvec.Vector {
 func TestZeroRateIsTransparent(t *testing.T) {
 	s := newSub()
 	in := NewInjector(Rates{}, stats.NewRNG(1))
-	in.Attach(s)
+	s.SetFaultHook(in.Hook())
 	rng := stats.NewRNG(2)
 	a, b := randomRow(rng, 256), randomRow(rng, 256)
 	s.Poke(0, a)
@@ -50,7 +50,7 @@ func TestInjectionRateObserved(t *testing.T) {
 	s := newSub()
 	const rate = 0.01
 	in := NewInjector(Rates{TwoRow: rate, TRA: rate}, stats.NewRNG(3))
-	in.Attach(s)
+	s.SetFaultHook(in.Hook())
 	rng := stats.NewRNG(4)
 	s.Poke(0, randomRow(rng, 256))
 	s.Poke(1, randomRow(rng, 256))
@@ -62,7 +62,7 @@ func TestInjectionRateObserved(t *testing.T) {
 	if math.Abs(got-rate)/rate > 0.25 {
 		t.Fatalf("observed flip rate %.4f vs configured %.4f", got, rate)
 	}
-	if in.ErrorRate() <= 0 {
+	if in.AffectedOps == 0 {
 		t.Fatal("no affected ops at a 1% bit rate over 256-bit rows")
 	}
 }
@@ -71,7 +71,7 @@ func TestMechanismSpecificRates(t *testing.T) {
 	s := newSub()
 	// TRA faults only: two-row results stay clean.
 	in := NewInjector(Rates{TRA: 0.5}, stats.NewRNG(5))
-	in.Attach(s)
+	s.SetFaultHook(in.Hook())
 	rng := stats.NewRNG(6)
 	a, b := randomRow(rng, 256), randomRow(rng, 256)
 	s.Poke(0, a)
@@ -133,7 +133,7 @@ func TestHashTableUnderVariation(t *testing.T) {
 		tbl := core.NewHashTable(p, 12, 4)
 		// Attach the hook to every sub-array the table will touch.
 		for i := 0; i < 4; i++ {
-			in.Attach(p.Subarray(i))
+			p.Subarray(i).SetFaultHook(in.Hook())
 		}
 		ref := make(map[kmer.Kmer]uint32)
 		for i := 0; i < 300; i++ {

@@ -20,14 +20,7 @@ func ReadFASTA(r io.Reader) ([]Record, error) {
 	return readAll(r, FormatFASTA)
 }
 
-// ReadFASTQ parses all records from a FASTQ stream, discarding quality
-// strings (the assembler, like the paper's, treats reads as exact) after
-// checking they match the sequence length. A slurping wrapper over the
-// streaming Scanner.
-func ReadFASTQ(r io.Reader) ([]Record, error) {
-	return readAll(r, FormatFASTQ)
-}
-
+// readAll slurps every record of the stream in format.
 func readAll(r io.Reader, format Format) ([]Record, error) {
 	var records []Record
 	err := ScanRecords(r, format, func(rec Record) error {

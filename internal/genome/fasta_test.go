@@ -64,7 +64,7 @@ func TestFASTARoundTrip(t *testing.T) {
 
 func TestReadFASTQ(t *testing.T) {
 	in := "@r1\nACGT\n+\nIIII\n@r2\nGGCC\n+r2\nIIII\n"
-	recs, err := ReadFASTQ(strings.NewReader(in))
+	recs, err := readAll(strings.NewReader(in), FormatFASTQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +84,14 @@ func TestReadFASTQTruncated(t *testing.T) {
 		"r1\nACGT\n+\nIIII\n",     // bad header
 		"@r1\nACGT\nIIII\nIIII\n", // bad separator
 	} {
-		if _, err := ReadFASTQ(strings.NewReader(in)); err == nil {
+		if _, err := readAll(strings.NewReader(in), FormatFASTQ); err == nil {
 			t.Errorf("malformed FASTQ accepted: %q", in)
 		}
 	}
 }
 
 func TestReadFASTQEmpty(t *testing.T) {
-	recs, err := ReadFASTQ(strings.NewReader(""))
+	recs, err := readAll(strings.NewReader(""), FormatFASTQ)
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("empty stream: %v, %d records", err, len(recs))
 	}

@@ -76,7 +76,7 @@ func FuzzReadFASTQ(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		recs, err := ReadFASTQ(strings.NewReader(s))
+		recs, err := readAll(strings.NewReader(s), FormatFASTQ)
 		if err != nil {
 			return
 		}
@@ -179,7 +179,7 @@ func FuzzScanRecords(f *testing.F) {
 			if format == FormatFASTA {
 				slurped, slurpErr = ReadFASTA(strings.NewReader(s))
 			} else {
-				slurped, slurpErr = ReadFASTQ(strings.NewReader(s))
+				slurped, slurpErr = readAll(strings.NewReader(s), FormatFASTQ)
 			}
 			if (streamErr == nil) != (slurpErr == nil) {
 				t.Fatalf("%v: stream err %v, slurp err %v", format, streamErr, slurpErr)

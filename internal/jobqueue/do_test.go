@@ -68,7 +68,8 @@ func TestDoCancelsOneJob(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if l := c.Latency("latency.queue"); l.Count != 2 {
+	_, lats := c.SnapshotAll()
+	if l := lats["latency.queue"]; l.Count != 2 {
 		t.Errorf("latency.queue count = %d, want 2 (one per job that started)", l.Count)
 	}
 }

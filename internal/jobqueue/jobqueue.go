@@ -62,11 +62,6 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
-
 // RetryPolicy bounds the attempts of one job. Backoff is deterministic
 // exponential (base doubling per retry, capped) — no jitter, so a fixed
 // manifest replays identically.
@@ -199,20 +194,12 @@ func WithWorkers(n int) Option { return func(q *Queue) { q.workers = n } }
 // jobs.* counters and latency.* series through it.
 func WithCounters(c *metrics.Counters) Option { return func(q *Queue) { q.counters = c } }
 
-// WithObserver registers a lifecycle hook: observe(slot, state) fires
-// synchronously on every transition of every job, from the dispatching
-// worker's goroutine. The observer must be race-safe.
-func WithObserver(observe func(slot int, state State)) Option {
-	return func(q *Queue) { q.observe = observe }
-}
-
 // Queue is a bounded worker-pool job server over an engine registry.
 // A Queue is stateless between Run calls and safe for concurrent Runs.
 type Queue struct {
 	reg      *engine.Registry
 	workers  int
 	counters *metrics.Counters
-	observe  func(slot int, state State)
 }
 
 // New builds a queue over reg (nil means the default engine registry).
@@ -265,12 +252,11 @@ func (q *Queue) Do(ctx context.Context, spec Spec, admitted time.Time) Result {
 
 // runJob drives one job through its lifecycle.
 func (q *Queue) runJob(ctx context.Context, slot int, spec Spec, submitted time.Time) Result {
-	res := Result{Slot: slot, Spec: spec, State: StateQueued}
-	q.transition(slot, &res, StateQueued)
+	res := Result{Slot: slot, Spec: spec}
 	if err := ctx.Err(); err != nil {
 		// Cancelled while still queued: never ran.
 		res.Err = err
-		q.finish(slot, &res, StateCancelled)
+		q.finish(&res, StateCancelled)
 		return res
 	}
 
@@ -278,13 +264,12 @@ func (q *Queue) runJob(ctx context.Context, slot int, spec Spec, submitted time.
 	if err != nil {
 		// Unknown engine is a submission error, not a transient one.
 		res.Err = err
-		q.finish(slot, &res, StateFailed)
+		q.finish(&res, StateFailed)
 		return res
 	}
 
 	started := time.Now()
 	res.Wait = started.Sub(submitted)
-	q.transition(slot, &res, StateRunning)
 
 	budget := spec.Retry.attempts()
 	for attempt := 1; ; attempt++ {
@@ -296,7 +281,7 @@ func (q *Queue) runJob(ctx context.Context, slot int, spec Spec, submitted time.
 				res.Err = err
 				res.Run = time.Since(started)
 				q.observeLatency(&res)
-				q.finish(slot, &res, StateFailed)
+				q.finish(&res, StateFailed)
 				return res
 			}
 		}
@@ -307,7 +292,7 @@ func (q *Queue) runJob(ctx context.Context, slot int, spec Spec, submitted time.
 			res.Report = rep
 			res.Run = time.Since(started)
 			q.observeLatency(&res)
-			q.finish(slot, &res, StateDone)
+			q.finish(&res, StateDone)
 			return res
 		}
 		if ctx.Err() != nil {
@@ -316,14 +301,14 @@ func (q *Queue) runJob(ctx context.Context, slot int, spec Spec, submitted time.
 			res.Err = ctx.Err()
 			res.Run = time.Since(started)
 			q.observeLatency(&res)
-			q.finish(slot, &res, StateCancelled)
+			q.finish(&res, StateCancelled)
 			return res
 		}
 		if attempt >= budget || !Transient(err) {
 			res.Err = err
 			res.Run = time.Since(started)
 			q.observeLatency(&res)
-			q.finish(slot, &res, StateFailed)
+			q.finish(&res, StateFailed)
 			return res
 		}
 		q.count("jobs.retries", 1)
@@ -331,7 +316,7 @@ func (q *Queue) runJob(ctx context.Context, slot int, spec Spec, submitted time.
 			res.Err = err
 			res.Run = time.Since(started)
 			q.observeLatency(&res)
-			q.finish(slot, &res, StateCancelled)
+			q.finish(&res, StateCancelled)
 			return res
 		}
 	}
@@ -363,21 +348,10 @@ func resetSource(src genome.ReadSource) error {
 	return nil
 }
 
-// transition records a non-terminal lifecycle step.
-func (q *Queue) transition(slot int, res *Result, s State) {
-	res.State = s
-	if q.observe != nil {
-		q.observe(slot, s)
-	}
-}
-
 // finish records the terminal state and its counter.
-func (q *Queue) finish(slot int, res *Result, s State) {
+func (q *Queue) finish(res *Result, s State) {
 	res.State = s
 	q.count("jobs."+s.String(), 1)
-	if q.observe != nil {
-		q.observe(slot, s)
-	}
 }
 
 // observeLatency reports the job's wall-clock series.

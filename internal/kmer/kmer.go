@@ -105,9 +105,6 @@ func (km Kmer) Extend(k int, b genome.Base) Kmer {
 	return (km & Kmer(Mask(k-1))) | Kmer(b)<<(2*uint(k-1))
 }
 
-// FirstBase returns base 0.
-func (km Kmer) FirstBase() genome.Base { return km.Base(0) }
-
 // LastBase returns base k-1.
 func (km Kmer) LastBase(k int) genome.Base { return km.Base(k - 1) }
 
@@ -214,14 +211,4 @@ func Extract(s *genome.Sequence, k int) []Kmer {
 		return nil
 	}
 	return AppendKmers(nil, s, k)
-}
-
-// ToSequence expands the k-mer back into a Sequence.
-func (km Kmer) ToSequence(k int) *genome.Sequence {
-	checkK(k)
-	s := genome.NewSequence(k)
-	for i := 0; i < k; i++ {
-		s.SetBase(i, km.Base(i))
-	}
-	return s
 }

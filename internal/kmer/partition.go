@@ -110,19 +110,11 @@ func (t *PartitionedTable) CountAll(kms []Kmer, counts []uint32) {
 	}
 }
 
-// Entries returns all entries sorted by k-mer value, identical to the
-// serial CountTable order: each partition's run is sorted independently (in
-// parallel, radix), then the P runs are merged — linear in the entry count
-// for the fixed partition counts in use, instead of a global O(n log n)
-// comparison sort.
-func (t *PartitionedTable) Entries() []Entry {
-	runs := make([][]Entry, len(t.parts))
-	parallel.ForEach(len(t.parts), func(i int) { runs[i] = t.parts[i].Entries() })
-	return mergeEntryRuns(runs)
-}
-
-// FilterMinCount returns the entries with count ≥ min, sorted by k-mer:
-// per-partition filtered runs merged the same way as Entries.
+// FilterMinCount returns the entries with count ≥ min, sorted by k-mer value
+// as the serial CountTable sorts them: each partition's run is filtered and
+// sorted independently (in parallel, radix), then the P runs are merged —
+// linear in the entry count for the fixed partition counts in use, instead
+// of a global O(n log n) comparison sort.
 func (t *PartitionedTable) FilterMinCount(min uint32) []Entry {
 	runs := make([][]Entry, len(t.parts))
 	parallel.ForEach(len(t.parts), func(i int) { runs[i] = t.parts[i].FilterMinCount(min) })

@@ -49,7 +49,7 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 						if pt.Len() != serial.Len() {
 							t.Fatalf("k=%d P=%d W=%d: Len %d, want %d", k, parts, workers, pt.Len(), serial.Len())
 						}
-						if got := pt.Entries(); !reflect.DeepEqual(got, wantEntries) {
+						if got := pt.FilterMinCount(1); !reflect.DeepEqual(got, wantEntries) {
 							t.Fatalf("k=%d P=%d W=%d: entries diverge from serial", k, parts, workers)
 						}
 						if got := pt.FilterMinCount(2); !reflect.DeepEqual(got, wantTrim) {
@@ -77,14 +77,14 @@ func TestPartitionedWorkerInvariance(t *testing.T) {
 	reads := countWorkload(21, 2_000, 101, 150, 0)
 	for _, k := range []int{4, 16, 31} {
 		base := CountReadsPartitioned(reads, k, DefaultPartitions, 1)
-		baseEntries := base.Entries()
+		baseEntries := base.FilterMinCount(1)
 		for _, workers := range []int{2, 4, runtime.NumCPU(), 3 * runtime.NumCPU()} {
 			pt := CountReadsPartitioned(reads, k, DefaultPartitions, workers)
 			if pt.ProbeOps() != base.ProbeOps() {
 				t.Fatalf("k=%d workers=%d: ProbeOps %d, want %d (workers=1)",
 					k, workers, pt.ProbeOps(), base.ProbeOps())
 			}
-			if !reflect.DeepEqual(pt.Entries(), baseEntries) {
+			if !reflect.DeepEqual(pt.FilterMinCount(1), baseEntries) {
 				t.Fatalf("k=%d workers=%d: entries diverge from workers=1", k, workers)
 			}
 		}
@@ -100,7 +100,7 @@ func TestCountReadsParallelDefault(t *testing.T) {
 		t.Fatalf("partitions %d, want %d", len(pt.parts), DefaultPartitions)
 	}
 	want := CountReadsPartitioned(reads, 8, DefaultPartitions, 2)
-	if pt.ProbeOps() != want.ProbeOps() || !reflect.DeepEqual(pt.Entries(), want.Entries()) {
+	if pt.ProbeOps() != want.ProbeOps() || !reflect.DeepEqual(pt.FilterMinCount(1), want.FilterMinCount(1)) {
 		t.Fatal("CountReadsParallel differs from explicit DefaultPartitions call")
 	}
 }

@@ -5,20 +5,6 @@ import (
 	"math"
 )
 
-// SubarraysForVertices returns Ns = ⌈N/f⌉, the number of sub-arrays needed
-// to process an N-vertex sub-graph where each a×b sub-array handles up to
-// f = min(a, b) vertices (the allocation stage of Fig. 8).
-func SubarraysForVertices(n, a, b int) int {
-	if n < 0 || a <= 0 || b <= 0 {
-		panic(fmt.Sprintf("mapping: invalid allocation n=%d a=%d b=%d", n, a, b))
-	}
-	f := a
-	if b < a {
-		f = b
-	}
-	return (n + f - 1) / f
-}
-
 // Replication models the parallelism-degree knob of the Fig. 10 trade-off
 // study: Pd replicated sub-array groups process independent work slices.
 type Replication struct {

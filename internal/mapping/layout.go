@@ -102,10 +102,6 @@ func (l Layout) checkSlot(i int) {
 	}
 }
 
-// BasesPerRow returns how many 2-bit bases one row stores (128 for the
-// paper's 256-column sub-array).
-func (l Layout) BasesPerRow() int { return l.Cols / 2 }
-
 // HashPlacement assigns k-mers to (sub-array, home slot) pairs: the
 // correlated partitioning that keeps a k-mer's entry, counter, and probes
 // local to one sub-array.

@@ -22,9 +22,6 @@ func TestDefaultLayoutFitsGeometry(t *testing.T) {
 	if total := l.KmerRows + l.ValueRows + l.TempRows + l.ReservedRows; total != g.DataRows() {
 		t.Fatalf("layout covers %d rows, want %d", total, g.DataRows())
 	}
-	if l.BasesPerRow() != 128 {
-		t.Fatalf("bases per row %d, paper stores up to 128 bp", l.BasesPerRow())
-	}
 }
 
 func TestLayoutCounterCoverage(t *testing.T) {
@@ -101,22 +98,6 @@ func TestHashPlacementSpreadsLoad(t *testing.T) {
 	}
 }
 
-func TestSubarraysForVertices(t *testing.T) {
-	// Ns = ceil(N/f), f = min(a,b).
-	if got := SubarraysForVertices(1000, 1024, 256); got != 4 {
-		t.Fatalf("Ns = %d, want 4", got)
-	}
-	if got := SubarraysForVertices(1, 1024, 256); got != 1 {
-		t.Fatalf("Ns = %d, want 1", got)
-	}
-	if got := SubarraysForVertices(0, 1024, 256); got != 0 {
-		t.Fatalf("Ns = %d, want 0", got)
-	}
-	if got := SubarraysForVertices(257, 1024, 256); got != 2 {
-		t.Fatalf("Ns = %d, want 2", got)
-	}
-}
-
 func TestReplicationMonotonicity(t *testing.T) {
 	prevSpeed, prevPower := 0.0, 0.0
 	for _, pd := range []int{1, 2, 4, 8} {
@@ -142,7 +123,6 @@ func TestPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewHashPlacement(0, DefaultLayout(dram.Default())) },
 		func() { DefaultReplication(0) },
-		func() { SubarraysForVertices(5, 0, 4) },
 	} {
 		func() {
 			defer func() {

@@ -91,14 +91,6 @@ func (c *Counters) Observe(name string, d time.Duration) {
 	c.lats[name] = l
 }
 
-// Latency returns a snapshot of the named latency series (zero value when
-// never observed).
-func (c *Counters) Latency(name string) LatencySummary {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lats[name]
-}
-
 // Snapshot returns every counter value, keyed by name.
 func (c *Counters) Snapshot() map[string]int64 {
 	counts, _ := c.SnapshotAll()

@@ -29,15 +29,21 @@ func TestCountersAddGet(t *testing.T) {
 	}
 }
 
+// latency reads one latency series out of a consistent snapshot.
+func latency(c *Counters, name string) LatencySummary {
+	_, lats := c.SnapshotAll()
+	return lats[name]
+}
+
 func TestCountersLatency(t *testing.T) {
 	c := NewCounters()
-	if l := c.Latency("missing"); l.Count != 0 || l.Mean() != 0 {
+	if l := latency(c, "missing"); l.Count != 0 || l.Mean() != 0 {
 		t.Fatalf("unset latency = %+v", l)
 	}
 	c.Observe("run", 10*time.Millisecond)
 	c.Observe("run", 30*time.Millisecond)
 	c.Observe("run", 20*time.Millisecond)
-	l := c.Latency("run")
+	l := latency(c, "run")
 	if l.Count != 3 {
 		t.Fatalf("count = %d, want 3", l.Count)
 	}
@@ -81,7 +87,7 @@ func TestCountersConcurrent(t *testing.T) {
 	if got := c.Get("n"); got != 8000 {
 		t.Fatalf("n = %d, want 8000", got)
 	}
-	if l := c.Latency("lat"); l.Count != 8000 {
+	if l := latency(c, "lat"); l.Count != 8000 {
 		t.Fatalf("lat count = %d, want 8000", l.Count)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"pimassembler/internal/core"
 	"pimassembler/internal/dram"
 	"pimassembler/internal/kmer"
+	"pimassembler/internal/mapping"
 	"pimassembler/internal/platforms"
 	"pimassembler/internal/stats"
 )
@@ -50,7 +51,7 @@ func TestHashmapCostFormulaMatchesFunctionalSimulator(t *testing.T) {
 	probes = m.Counts[dram.CmdDPU]
 	avgProbes := float64(probes) / float64(adds)
 
-	lay := p.Layout()
+	lay := mapping.DefaultLayout(p.Geometry())
 	formula := HashmapAAPsPerAdd(platforms.PIMAssembler(), lay.CounterBits, avgProbes)
 	modelNS := formula * platforms.AAPLatencyNS()
 
@@ -77,7 +78,7 @@ func TestRippleIncrementCostExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := p.Meter()
-	bits := p.Layout().CounterBits
+	bits := mapping.DefaultLayout(p.Geometry()).CounterBits
 
 	wantWrites := int64(2 + 1)          // temp query + one-hot + zero row
 	wantCopies := int64(1 + 1 + 6*bits) // insert clone + carry seed + per-bit staging

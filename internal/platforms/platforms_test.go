@@ -129,7 +129,7 @@ func TestBandwidthPlatformsAreBandwidthLimited(t *testing.T) {
 }
 
 func TestXNORFasterThanAddEverywhereInSitu(t *testing.T) {
-	for _, s := range PIMBaselines() {
+	for _, s := range []Spec{Ambit(), DRISA1T1C(), DRISA3T1C(), PIMAssembler()} {
 		if s.Throughput(OpXNOR, 1<<28) <= s.Throughput(OpAdd, 1<<28) {
 			t.Errorf("%s: bit-serial add should not beat single-pass XNOR", s.Name)
 		}

@@ -238,11 +238,6 @@ func All() []Spec {
 	return []Spec{CPU(), GPU(), HMC(), Ambit(), DRISA1T1C(), DRISA3T1C(), PIMAssembler()}
 }
 
-// PIMBaselines returns the four in-situ platforms (P-A last).
-func PIMBaselines() []Spec {
-	return []Spec{Ambit(), DRISA1T1C(), DRISA3T1C(), PIMAssembler()}
-}
-
 // Names returns the seven platform names in the paper's comparison order.
 func Names() []string {
 	specs := All()

@@ -113,13 +113,6 @@ func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 	return st, err
 }
 
-// Cancel requests one job's cancellation.
-func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
-	var st JobStatus
-	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st)
-	return st, err
-}
-
 // Wait polls the job every interval until it reaches a terminal state (or
 // ctx ends). A zero interval polls every 10ms.
 func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (JobStatus, error) {

@@ -39,6 +39,14 @@ func fastaWorkload(t *testing.T, seed uint64, genomeLen, reads int) string {
 	return sb.String()
 }
 
+// cancelJob requests one job's cancellation through the client, as DELETE
+// /v1/jobs/{id}.
+func cancelJob(ctx context.Context, c *Client, id string) (JobStatus, error) {
+	var st JobStatus
+	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st)
+	return st, err
+}
+
 // testEngine is a scriptable engine for lifecycle tests.
 type testEngine struct {
 	name string
@@ -145,6 +153,8 @@ func TestHandlerErrors(t *testing.T) {
 			`{"engine":"software","k":64,"reads":` + mustJSON(reads) + `}`, http.StatusBadRequest},
 		{"scaffold with k too small for an overlap", "POST", "/v1/jobs",
 			`{"engine":"software","k":4,"scaffold":true,"reads":` + mustJSON(reads) + `}`, http.StatusBadRequest},
+		{"pim hash region beyond the geometry", "POST", "/v1/jobs",
+			`{"engine":"pim","subarrays":40000,"reads":` + mustJSON(reads) + `}`, http.StatusBadRequest},
 		{"unknown job ID", "GET", "/v1/jobs/j-999", "", http.StatusNotFound},
 		{"unknown job contigs", "GET", "/v1/jobs/j-999/contigs", "", http.StatusNotFound},
 		{"unknown job cancel", "DELETE", "/v1/jobs/j-999", "", http.StatusNotFound},
@@ -303,7 +313,7 @@ func TestCancelMidRun(t *testing.T) {
 		cur, err := c.Status(ctx, st.ID)
 		return err == nil && cur.State == "running"
 	})
-	if _, err := c.Cancel(ctx, st.ID); err != nil {
+	if _, err := cancelJob(ctx, c, st.ID); err != nil {
 		t.Fatal(err)
 	}
 	final, err := c.Wait(ctx, st.ID, 0)
@@ -342,7 +352,7 @@ func TestCancelQueuedFreesSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Cancel(ctx, queued.ID)
+	st, err := cancelJob(ctx, c, queued.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +383,7 @@ func TestCancelQueuedFreesSlot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submission after cancelling a queued job: %v", err)
 	}
-	if st, err = c.Cancel(ctx, queued.ID); err != nil || st.State != "cancelled" {
+	if st, err = cancelJob(ctx, c, queued.ID); err != nil || st.State != "cancelled" {
 		t.Fatalf("second cancel: %+v, %v", st, err)
 	}
 	release()

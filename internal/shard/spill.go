@@ -79,9 +79,6 @@ func (s *Spill) Bytes() int64 { return s.bytes }
 // record buffers to disk mid-stream (the final flush is not an eviction).
 func (s *Spill) Evictions() int64 { return s.evictions }
 
-// Dir returns the private spill directory (gone after Close).
-func (s *Spill) Dir() string { return s.dir }
-
 // Source opens shard i's spill file for streaming re-reads. The caller
 // owns the returned source and should Close it (a fully drained source
 // closes itself).

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -89,11 +90,11 @@ func TestPartitionRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		a, err := os.ReadFile(sp.Dir() + fmt.Sprintf("/shard-%04d.fasta", i))
+		a, err := os.ReadFile(sp.Path(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(sp2.Dir() + fmt.Sprintf("/shard-%04d.fasta", i))
+		b, err := os.ReadFile(sp2.Path(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestPartitionRoundRobin(t *testing.T) {
 	}
 	sp2.Close()
 
-	dir := sp.Dir()
+	dir := filepath.Dir(sp.Path(0))
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // pokePlanar stores the m-bit values vals (one per lane) bit-planar at base.
 func pokePlanar(s *Subarray, base, m int, vals []uint64) {
 	for bit := 0; bit < m; bit++ {
-		row := bitvec.New(s.Cols())
+		row := bitvec.New(s.latch.Len())
 		for lane, v := range vals {
 			row.Set(lane, v&(1<<uint(bit)) != 0)
 		}
@@ -54,7 +54,7 @@ func TestBitSerialAddCycleCount(t *testing.T) {
 	pokePlanar(s, 0, 8, []uint64{3})
 	pokePlanar(s, 10, 8, []uint64{200})
 	s.BitSerialAdd(0, 10, 20, 30, 8)
-	m := s.Meter()
+	m := s.meter
 	// The paper counts 2·m compute cycles: one Sum AAP and one Carry (TRA)
 	// AAP per bit position.
 	if got := m.Counts[dram.CmdAAP2]; got != 8 {
@@ -72,7 +72,7 @@ func TestBitSerialAddProperty(t *testing.T) {
 		rng := stats.NewRNG(seed)
 		m := 1 + rng.Intn(16)
 		s := newTestSubarray()
-		lanes := s.Cols()
+		lanes := s.latch.Len()
 		a := make([]uint64, lanes)
 		b := make([]uint64, lanes)
 		mask := uint64(1)<<uint(m) - 1

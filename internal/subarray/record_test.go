@@ -45,8 +45,8 @@ func TestRecordedCommandsAllocateOnlyChunks(t *testing.T) {
 		t.Fatalf("%d commands on one sub-array made %d allocations, %.2f B per command; want ≤ 34 (chunks and their lists) and ≤ 1.1 B", n, mallocs, perCmd)
 	}
 	t.Logf("one sub-array: %d allocations, %.2f B per command", mallocs, perCmd)
-	if stream.Len() != n || s.Meter().Counts[dram.CmdAAPCopy] != n {
-		t.Fatalf("stream holds %d commands, meter %d, want %d", stream.Len(), s.Meter().Counts[dram.CmdAAPCopy], n)
+	if stream.Len() != n || s.meter.Counts[dram.CmdAAPCopy] != n {
+		t.Fatalf("stream holds %d commands, meter %d, want %d", stream.Len(), s.meter.Counts[dram.CmdAAPCopy], n)
 	}
 
 	other := newTestSubarray()

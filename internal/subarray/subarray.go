@@ -28,7 +28,6 @@ type FaultHook func(kind dram.CommandKind, result *bitvec.Vector)
 // Subarray models one computational sub-array.
 type Subarray struct {
 	rows        int
-	cols        int
 	computeRows int
 
 	cells []*bitvec.Vector // row-major cell state
@@ -60,9 +59,6 @@ func (s *Subarray) AttachRecorder(r *exec.Stream, id int) {
 
 // SetStage tags subsequent commands with the pipeline stage issuing them.
 func (s *Subarray) SetStage(st exec.Stage) { s.stage = st }
-
-// Stage returns the current stage tag.
-func (s *Subarray) Stage() exec.Stage { return s.stage }
 
 // record accounts one command on the serial meter and, when a stream is
 // attached, emits the typed per-sub-array record: the stream extends its
@@ -97,7 +93,6 @@ func New(g dram.Geometry, meter *dram.Meter) *Subarray {
 	vecs := bitvec.NewBatch(g.ColsPerSubarray, g.RowsPerSubarray+3)
 	return &Subarray{
 		rows:        g.RowsPerSubarray,
-		cols:        g.ColsPerSubarray,
 		computeRows: g.ComputeRows,
 		cells:       vecs[:g.RowsPerSubarray:g.RowsPerSubarray],
 		latch:       vecs[g.RowsPerSubarray],
@@ -106,15 +101,6 @@ func New(g dram.Geometry, meter *dram.Meter) *Subarray {
 		meter:       meter,
 	}
 }
-
-// Rows returns the total row count (data + compute).
-func (s *Subarray) Rows() int { return s.rows }
-
-// Cols returns the number of bit-lines.
-func (s *Subarray) Cols() int { return s.cols }
-
-// DataRows returns the number of regular rows.
-func (s *Subarray) DataRows() int { return s.rows - s.computeRows }
 
 // ComputeRow returns the absolute row index of compute row x(i+1), i.e.
 // ComputeRow(0) is x1. Compute rows occupy the top of the row space.
@@ -143,9 +129,6 @@ func (s *Subarray) checkComputeRow(r int) {
 	}
 }
 
-// Meter returns the command meter.
-func (s *Subarray) Meter() *dram.Meter { return s.meter }
-
 // SetMeter replaces the sub-array's command meter, returning the previous
 // one. A parallel region hands each sub-array it drives a private meter (and
 // a private stream, through AttachRecorder) and merges them in sub-array
@@ -165,13 +148,6 @@ func (s *Subarray) Write(r int, data *bitvec.Vector) {
 	s.checkRow(r)
 	s.cells[r].CopyFrom(data)
 	s.record(dram.CmdWrite)
-}
-
-// Read returns a copy of row r through the normal memory path.
-func (s *Subarray) Read(r int) *bitvec.Vector {
-	s.checkRow(r)
-	s.record(dram.CmdRead)
-	return s.cells[r].Clone()
 }
 
 // Fill writes the constant row of all-b bits into row r through the normal
@@ -295,9 +271,6 @@ func (s *Subarray) ResetLatch() {
 	s.record(dram.CmdDPU)
 }
 
-// LatchState returns a copy of the carry latch.
-func (s *Subarray) LatchState() *bitvec.Vector { return s.latch.Clone() }
-
 // XNOR is the staged convenience operation the controller issues for
 // PIM_XNOR: RowClone srcA→x1, RowClone srcB→x2, then the single-cycle
 // two-row XNOR into dst. Cost: 3 AAPs.
@@ -315,47 +288,6 @@ func (s *Subarray) MatchAllOnes(r int) bool {
 	s.checkRow(r)
 	s.record(dram.CmdDPU)
 	return s.cells[r].AllOnes()
-}
-
-// DPUPopCount is the DPU's population-count reduction over row r, used by
-// degree accumulation checks.
-func (s *Subarray) DPUPopCount(r int) int {
-	s.checkRow(r)
-	s.record(dram.CmdDPU)
-	return s.cells[r].PopCount()
-}
-
-// TwoRowNOR drives dst with the low-Vs detector's NOR2 of two compute rows
-// (the out1 path of Fig. 2b, selected by the MUX). Destructive like the
-// other two-row activations: the compute rows restore to the result.
-func (s *Subarray) TwoRowNOR(xa, xb, dst int) {
-	s.checkComputeRow(xa)
-	s.checkComputeRow(xb)
-	s.checkRow(dst)
-	res, or := s.t1, s.t2
-	or.Or(s.cells[xa], s.cells[xb])
-	res.Not(or)
-	s.applyFault(dram.CmdAAP2, res)
-	s.cells[xa].CopyFrom(res)
-	s.cells[xb].CopyFrom(res)
-	s.cells[dst].CopyFrom(res)
-	s.record(dram.CmdAAP2)
-}
-
-// TwoRowNAND drives dst with the high-Vs detector's NAND2 of two compute
-// rows (the out2 path of Fig. 2b).
-func (s *Subarray) TwoRowNAND(xa, xb, dst int) {
-	s.checkComputeRow(xa)
-	s.checkComputeRow(xb)
-	s.checkRow(dst)
-	res, and := s.t1, s.t2
-	and.And(s.cells[xa], s.cells[xb])
-	res.Not(and)
-	s.applyFault(dram.CmdAAP2, res)
-	s.cells[xa].CopyFrom(res)
-	s.cells[xb].CopyFrom(res)
-	s.cells[dst].CopyFrom(res)
-	s.record(dram.CmdAAP2)
 }
 
 // XNOREmulatedTRA computes srcA XNOR srcB into dst using only the

@@ -12,6 +12,13 @@ func newTestSubarray() *Subarray {
 	return New(dram.Default(), dram.NewMeter(dram.DefaultTiming(), dram.DefaultEnergy()))
 }
 
+// read returns a copy of row r through the metered memory path.
+func read(s *Subarray, r int) *bitvec.Vector {
+	v := bitvec.New(s.latch.Len())
+	s.ReadInto(r, v)
+	return v
+}
+
 func randomRow(rng *stats.RNG, n int) *bitvec.Vector {
 	v := bitvec.New(n)
 	for i := 0; i < n; i++ {
@@ -22,8 +29,8 @@ func randomRow(rng *stats.RNG, n int) *bitvec.Vector {
 
 func TestLayout(t *testing.T) {
 	s := newTestSubarray()
-	if s.Rows() != 1024 || s.Cols() != 256 || s.DataRows() != 1016 {
-		t.Fatalf("layout %d/%d/%d", s.Rows(), s.Cols(), s.DataRows())
+	if s.rows != 1024 || s.latch.Len() != 256 || s.rows-s.computeRows != 1016 {
+		t.Fatalf("layout %d/%d/%d", s.rows, s.latch.Len(), s.rows-s.computeRows)
 	}
 	if s.ComputeRow(0) != 1016 || s.ComputeRow(7) != 1023 {
 		t.Fatal("compute rows misplaced")
@@ -47,11 +54,11 @@ func TestWriteRead(t *testing.T) {
 	s := newTestSubarray()
 	v := randomRow(stats.NewRNG(1), 256)
 	s.Write(10, v)
-	if !s.Read(10).Equal(v) {
+	if !read(s, 10).Equal(v) {
 		t.Fatal("read-back mismatch")
 	}
-	if s.Meter().Counts[dram.CmdWrite] != 1 || s.Meter().Counts[dram.CmdRead] != 1 {
-		t.Fatalf("counts %v", s.Meter().Counts)
+	if s.meter.Counts[dram.CmdWrite] != 1 || s.meter.Counts[dram.CmdRead] != 1 {
+		t.Fatalf("counts %v", s.meter.Counts)
 	}
 }
 
@@ -62,7 +69,7 @@ func TestPeekPokeFree(t *testing.T) {
 	if !s.Peek(5).Equal(v) {
 		t.Fatal("poke/peek mismatch")
 	}
-	if s.Meter().TotalCommands() != 0 {
+	if s.meter.TotalCommands() != 0 {
 		t.Fatal("peek/poke must not account commands")
 	}
 }
@@ -75,7 +82,7 @@ func TestRowClone(t *testing.T) {
 	if !s.Peek(100).Equal(v) {
 		t.Fatal("RowClone mismatch")
 	}
-	if s.Meter().Counts[dram.CmdAAPCopy] != 1 {
+	if s.meter.Counts[dram.CmdAAPCopy] != 1 {
 		t.Fatal("RowClone must cost one copy AAP")
 	}
 }
@@ -97,7 +104,7 @@ func TestTwoRowXNOR(t *testing.T) {
 	if !s.Peek(x1).Equal(want) || !s.Peek(x2).Equal(want) {
 		t.Fatal("compute rows must restore to the XNOR result (Fig. 3a)")
 	}
-	if s.Meter().Counts[dram.CmdAAP2] != 1 {
+	if s.meter.Counts[dram.CmdAAP2] != 1 {
 		t.Fatal("XNOR must be a single AAP cycle")
 	}
 }
@@ -141,13 +148,13 @@ func TestTRACarry(t *testing.T) {
 	if !s.Peek(70).Equal(want) {
 		t.Fatal("TRA majority wrong")
 	}
-	if !s.LatchState().Equal(want) {
+	if !s.latch.Equal(want) {
 		t.Fatal("carry not latched")
 	}
 	if !s.Peek(x1).Equal(want) || !s.Peek(x3).Equal(want) {
 		t.Fatal("TRA must restore majority into all three rows")
 	}
-	if s.Meter().Counts[dram.CmdAAP3] != 1 {
+	if s.meter.Counts[dram.CmdAAP3] != 1 {
 		t.Fatal("TRA must be one 3-source AAP")
 	}
 }
@@ -185,7 +192,7 @@ func TestXNORConvenienceCostsThreeAAPs(t *testing.T) {
 	if !s.Peek(3).Equal(want) {
 		t.Fatal("staged XNOR wrong")
 	}
-	m := s.Meter()
+	m := s.meter
 	if m.Counts[dram.CmdAAPCopy] != 2 || m.Counts[dram.CmdAAP2] != 1 {
 		t.Fatalf("staged XNOR must cost 2 copies + 1 compute AAP, got %v", m.Counts)
 	}
@@ -208,20 +215,8 @@ func TestMatchAllOnes(t *testing.T) {
 	if s.MatchAllOnes(4) {
 		t.Fatal("row with a zero bit matched")
 	}
-	if s.Meter().Counts[dram.CmdDPU] != 2 {
+	if s.meter.Counts[dram.CmdDPU] != 2 {
 		t.Fatal("DPU reduction must be metered")
-	}
-}
-
-func TestDPUPopCount(t *testing.T) {
-	s := newTestSubarray()
-	v := bitvec.New(256)
-	for i := 0; i < 77; i++ {
-		v.Set(i*3%256, true)
-	}
-	s.Poke(9, v)
-	if got := s.DPUPopCount(9); got != v.PopCount() {
-		t.Fatalf("popcount %d, want %d", got, v.PopCount())
 	}
 }
 
@@ -234,68 +229,12 @@ func TestResetLatch(t *testing.T) {
 	s.Poke(x2, ones)
 	s.Poke(x3, ones)
 	s.TRACarry(x1, x2, x3, 90)
-	if !s.LatchState().AnySet() {
+	if s.latch.PopCount() == 0 {
 		t.Fatal("latch should be set")
 	}
 	s.ResetLatch()
-	if s.LatchState().AnySet() {
+	if s.latch.PopCount() != 0 {
 		t.Fatal("latch should be clear")
-	}
-}
-
-func TestTwoRowNORAndNAND(t *testing.T) {
-	s := newTestSubarray()
-	rng := stats.NewRNG(14)
-	a, b := randomRow(rng, 256), randomRow(rng, 256)
-	x1, x2 := s.ComputeRow(0), s.ComputeRow(1)
-
-	s.Poke(x1, a)
-	s.Poke(x2, b)
-	s.TwoRowNOR(x1, x2, 30)
-	wantNOR := bitvec.New(256)
-	or := bitvec.New(256)
-	or.Or(a, b)
-	wantNOR.Not(or)
-	if !s.Peek(30).Equal(wantNOR) {
-		t.Fatal("NOR result wrong")
-	}
-
-	s.Poke(x1, a)
-	s.Poke(x2, b)
-	s.TwoRowNAND(x1, x2, 31)
-	wantNAND := bitvec.New(256)
-	and := bitvec.New(256)
-	and.And(a, b)
-	wantNAND.Not(and)
-	if !s.Peek(31).Equal(wantNAND) {
-		t.Fatal("NAND result wrong")
-	}
-}
-
-// Fig. 2b identity: XOR2 = NAND2 AND NOT(NOR2); the SA's three outputs must
-// be mutually consistent on the functional model as well.
-func TestDetectorIdentity(t *testing.T) {
-	s := newTestSubarray()
-	rng := stats.NewRNG(15)
-	a, b := randomRow(rng, 256), randomRow(rng, 256)
-	x1, x2 := s.ComputeRow(0), s.ComputeRow(1)
-
-	s.Poke(x1, a)
-	s.Poke(x2, b)
-	s.TwoRowNOR(x1, x2, 40)
-	s.Poke(x1, a)
-	s.Poke(x2, b)
-	s.TwoRowNAND(x1, x2, 41)
-	s.Poke(x1, a)
-	s.Poke(x2, b)
-	s.TwoRowXOR(x1, x2, 42)
-
-	notNor := bitvec.New(256)
-	notNor.Not(s.Peek(40))
-	expect := bitvec.New(256)
-	expect.And(s.Peek(41), notNor)
-	if !s.Peek(42).Equal(expect) {
-		t.Fatal("XOR != NAND AND NOT(NOR)")
 	}
 }
 
@@ -316,14 +255,14 @@ func TestXNOREmulatedTRAMatchesNative(t *testing.T) {
 		t.Fatal("emulation clobbered its operands")
 	}
 	// The emulation must cost several times the native op.
-	emuCmds := s.Meter().TotalCommands()
+	emuCmds := s.meter.TotalCommands()
 	s2 := newTestSubarray()
 	s2.Poke(0, a)
 	s2.Poke(1, b)
 	s2.XNOR(0, 1, 20)
-	if emuCmds < 5*s2.Meter().TotalCommands() {
+	if emuCmds < 5*s2.meter.TotalCommands() {
 		t.Fatalf("emulation used %d commands vs native %d; cost model implausible",
-			emuCmds, s2.Meter().TotalCommands())
+			emuCmds, s2.meter.TotalCommands())
 	}
 }
 
@@ -336,17 +275,14 @@ func TestReadInto(t *testing.T) {
 	if !dst.Equal(v) {
 		t.Fatal("ReadInto mismatch")
 	}
-	if !dst.Equal(s.Read(5)) {
-		t.Fatal("ReadInto disagrees with Read")
-	}
-	if got := s.Meter().Counts[dram.CmdRead]; got != 2 {
-		t.Fatalf("CmdRead count %d, want 2 (ReadInto must meter like Read)", got)
+	if got := s.meter.Counts[dram.CmdRead]; got != 1 {
+		t.Fatalf("CmdRead count %d, want 1 (ReadInto is a metered read)", got)
 	}
 }
 
 func TestSetMeterSwapsAndRestores(t *testing.T) {
 	s := newTestSubarray()
-	orig := s.Meter()
+	orig := s.meter
 	private := dram.NewMeter(dram.DefaultTiming(), dram.DefaultEnergy())
 	if prev := s.SetMeter(private); prev != orig {
 		t.Fatal("SetMeter did not return the previous meter")
@@ -356,7 +292,7 @@ func TestSetMeterSwapsAndRestores(t *testing.T) {
 		t.Fatal("command metered on the wrong meter after swap")
 	}
 	s.SetMeter(orig)
-	s.Read(3)
+	read(s, 3)
 	if orig.Counts[dram.CmdRead] != 1 {
 		t.Fatal("command not metered on the restored meter")
 	}
@@ -383,10 +319,10 @@ func TestFillMetersLikeWrite(t *testing.T) {
 		t.Fatal("Fill(true) differs from Write of an all-ones row")
 	}
 	a.Fill(9, false)
-	if a.Peek(9).AnySet() {
+	if a.Peek(9).PopCount() != 0 {
 		t.Fatal("Fill(false) left bits set")
 	}
-	if got := a.Meter().Counts[dram.CmdWrite]; got != 2 || a.Meter().TotalCommands() != 2 {
-		t.Fatalf("Fill metered %d writes of %d commands, want 2 of 2", got, a.Meter().TotalCommands())
+	if got := a.meter.Counts[dram.CmdWrite]; got != 2 || a.meter.TotalCommands() != 2 {
+		t.Fatalf("Fill metered %d writes of %d commands, want 2 of 2", got, a.meter.TotalCommands())
 	}
 }
