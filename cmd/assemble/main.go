@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		paired     = fs.Bool("paired", false, "treat input as interleaved paired-end reads and run mate-pair scaffolding")
 		insert     = fs.Int("insert", 400, "paired mode: mean library insert size")
 		workers    = fs.Int("workers", 0, "worker count for parallel stages and the batch job queue (0 = GOMAXPROCS); results are bit-identical for any value")
-		countWkrs  = fs.Int("count-workers", 0, "hash-partitioned parallel stage-1 k-mer counting workers (0/1 = pinned serial path; contigs identical for any value)")
+		countWkrs  = fs.Int("count-workers", 0, "goroutines that fold the stage-1 k-mer counter's buckets and count the -correct spectrum (0/1 = the calling goroutine; contigs identical for any value)")
 		batch      = fs.String("batch", "", "run a manifest of jobs through the concurrent queue (one '<input> <engine> [key=value ...]' per line)")
 		shards     = fs.Int("shards", 0, "split the reads into N deterministic shards and merge (0 = unsharded; output is invariant in N)")
 		shardEng   = fs.String("shard-engines", "", "comma-separated engine list assigned to shards round-robin (requires -shards; default: -engine)")

@@ -16,10 +16,11 @@ func countWorkersWorkload(seed uint64, genomeLen, readLen, n int, errRate float6
 }
 
 // TestCountWorkersContigsIdentical is the end-to-end determinism pin for
-// the parallel stage-1 counter: for the four PR-5 workload shapes, contigs,
-// Euler walks, and every count-derived OpCounts field (probe statistics
-// excepted — those legitimately reflect the partitioned layout) are
-// identical between the serial path and CountWorkers ∈ {2, 4, NumCPU}.
+// the worker count of stage 1's fold rounds: for the four shard
+// property-test workload shapes and one that takes the counter past its
+// bucket split, contigs, Euler walks and every OpCounts field, AvgProbes
+// included, are identical between one worker and CountWorkers ∈ {2, 4,
+// NumCPU}.
 func TestCountWorkersContigsIdentical(t *testing.T) {
 	trials := []struct {
 		name                         string
@@ -31,6 +32,7 @@ func TestCountWorkersContigsIdentical(t *testing.T) {
 		{"erroneous reads", 22, 1_500, 80, 200, 0.01},
 		{"short genome", 23, 400, 60, 64, 0},
 		{"reads barely above k", 24, 900, 18, 120, 0},
+		{"past the bucket split", 25, 60_000, 101, 1_200, 0.005},
 	}
 	for _, tr := range trials {
 		t.Run(tr.name, func(t *testing.T) {
@@ -78,7 +80,7 @@ func TestCountWorkersOptionSurface(t *testing.T) {
 
 // assertSameAssembly compares every deterministic field of two software
 // pipeline results: contigs byte for byte, walks, and the OpCounts the
-// analytical models consume, minus the layout-dependent probe average.
+// analytical models consume.
 func assertSameAssembly(t *testing.T, workers int, want, got *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Contigs, want.Contigs) {
@@ -93,9 +95,7 @@ func assertSameAssembly(t *testing.T, workers int, want, got *Result) {
 	if !reflect.DeepEqual(got.Scaffolds, want.Scaffolds) {
 		t.Fatalf("CountWorkers=%d: scaffolds diverge from serial", workers)
 	}
-	gc, wc := got.Counts, want.Counts
-	gc.AvgProbes, wc.AvgProbes = 0, 0
-	if gc != wc {
-		t.Fatalf("CountWorkers=%d: op counts diverge beyond AvgProbes:\n got %+v\nwant %+v", workers, gc, wc)
+	if got.Counts != want.Counts {
+		t.Fatalf("CountWorkers=%d: op counts diverge:\n got %+v\nwant %+v", workers, got.Counts, want.Counts)
 	}
 }

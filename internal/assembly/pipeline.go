@@ -46,16 +46,15 @@ type Options struct {
 	// sub-arrays with a bank-keyed worker pool (bit-identical to the serial
 	// path; ignored by the software reference pipeline).
 	ParallelStage1 bool
-	// CountWorkers fans stage 1 of the software pipeline out over the
-	// hash-partitioned parallel counter (kmer.CountReadsParallel) with this
-	// many workers; 0 or 1 counts serially, read by read. Contigs, entries,
-	// counts, and spectra are identical for any value; the probe statistics
-	// feeding OpCounts.AvgProbes reflect the partitioned layout when
-	// parallel (and are themselves invariant in the worker count).
+	// CountWorkers is how many goroutines fold the software pipeline's
+	// stage-1 buckets (kmer.BucketTable) and the correction pre-count; 0 or
+	// 1 folds on the calling goroutine. Reads are pulled one at a time
+	// either way, and contigs, entries, counts and OpCounts, AvgProbes
+	// included, are identical for any value.
 	CountWorkers int
 	// StreamStage1 is ignored: AssembleSource always counts read by read
-	// and drains the source exactly where Correct or CountWorkers > 1 need
-	// the whole read set. The field remains so callers that set it compile.
+	// and drains the source only where Correct needs the whole read set.
+	// The field remains so callers that set it compile.
 	StreamStage1 bool
 }
 
@@ -129,7 +128,7 @@ type backend interface {
 
 // spectrum is everything stage 1 hands on: the counted k-mers for graph
 // construction and the numbers the operation profile needs. Whatever
-// counted them — a host table, partitioned tables, simulated DRAM rows — is
+// counted them — host bucket tables, simulated DRAM rows — is
 // garbage once count returns.
 type spectrum struct {
 	// entries are the k-mers with count ≥ Options.MinCount in ascending
@@ -150,13 +149,13 @@ func Assemble(reads []*genome.Sequence, opts Options) (*Result, error) {
 }
 
 // AssembleSource runs the software reference pipeline over a read source.
-// Stage 1 pulls one read at a time into a grow-on-demand table, so resident
-// memory is the record in flight plus the k-mer table and graph, not the
-// read set. The source is drained into a slice first only where the
-// algorithm needs every read at once: spectrum correction (Correct) builds
-// its spectrum before it can fix the first read, and the partitioned
-// counter (CountWorkers > 1) scans the read set in chunks. A cancelled ctx
-// ends the run with ctx.Err() at the next read or stage boundary.
+// Stage 1 pulls one read at a time into the bucketed counter, so resident
+// memory is the record in flight plus the staging slab, the k-mer tables and
+// the graph, not the read set. The source is drained into a slice first only
+// where the algorithm needs every read at once: spectrum correction
+// (Correct) builds its spectrum before it can fix the first read. A
+// cancelled ctx ends the run with ctx.Err() at the next read or stage
+// boundary.
 func AssembleSource(ctx context.Context, src genome.ReadSource, opts Options) (*Result, error) {
 	return run(ctx, softwareBackend{}, src, opts)
 }
@@ -268,39 +267,21 @@ func corrected(reads []*genome.Sequence, opts Options) []*genome.Sequence {
 // host graph walk.
 type softwareBackend struct{}
 
-// count fills the serial reference table read by read, or drains src and
-// runs the hash-partitioned parallel counter when CountWorkers > 1, and
-// reads the filtered, sorted entries out of whichever it was.
+// count folds src into a bucketed counter read by read, on CountWorkers
+// goroutines, and reads the filtered, sorted entries out of it.
 func (softwareBackend) count(src genome.ReadSource, opts Options) (spectrum, error) {
 	var sp spectrum
-	var table interface {
-		FilterMinCount(min uint32) []kmer.Entry
-		Len() int
-		ProbeOps() int64
-	}
-	if opts.CountWorkers > 1 {
-		reads, err := genome.ReadAll(src)
+	table := kmer.NewBucketTable(opts.K, opts.CountWorkers)
+	for {
+		r, err := src.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			return sp, err
 		}
-		for _, r := range reads {
-			sp.totals.add(r, opts.K)
-		}
-		table = kmer.CountReadsParallel(reads, opts.K, opts.CountWorkers)
-	} else {
-		serial := kmer.NewCountTable(opts.K, 0)
-		for {
-			r, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return sp, err
-			}
-			sp.totals.add(r, opts.K)
-			serial.AddRead(r)
-		}
-		table = serial
+		sp.totals.add(r, opts.K)
+		table.AddRead(r)
 	}
 	sp.entries, sp.distinct, sp.probes = table.FilterMinCount(opts.MinCount), table.Len(), table.ProbeOps()
 	return sp, nil

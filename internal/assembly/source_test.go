@@ -12,7 +12,6 @@ import (
 	"pimassembler/internal/core"
 	"pimassembler/internal/correct"
 	"pimassembler/internal/genome"
-	"pimassembler/internal/kmer"
 	"pimassembler/internal/stats"
 )
 
@@ -82,11 +81,11 @@ func TestStreamStage1MatchesSlice(t *testing.T) {
 	}
 }
 
-// TestWholeReadSetStages pins the two configurations that cannot count read
-// by read: from a one-pass stream, Correct still builds its spectrum over
-// every read before fixing the first, and CountWorkers > 1 still hands the
-// partitioned counter the whole set. Each is checked against the stage run
-// by hand on the slice.
+// TestWholeReadSetStages pins which configurations need the whole read set.
+// From a one-pass stream, Correct still builds its spectrum over every read
+// before fixing the first, checked against the stage run by hand on the
+// slice. CountWorkers > 1 does not: it pulls reads one at a time like the
+// serial count, hands on the same spectrum, and stops at a cancel.
 func TestWholeReadSetStages(t *testing.T) {
 	rng := stats.NewRNG(0x52)
 	reads := genome.NewReadSampler(genome.GenerateGenome(8_000, rng), 80, 0.01, rng).Sample(2_000)
@@ -112,28 +111,48 @@ func TestWholeReadSetStages(t *testing.T) {
 	})
 
 	t.Run("count-workers", func(t *testing.T) {
-		got, err := AssembleSource(context.Background(), scannerSource(t, reads), Options{K: k, CountWorkers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
 		sp, err := softwareBackend{}.count(scannerSource(t, reads), Options{K: k, CountWorkers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := kmer.CountReadsParallel(reads, k, 4)
-		if serial := kmer.CountReads(reads, k); serial.ProbeOps() == want.ProbeOps() {
-			t.Fatal("fixture cannot tell the partitioned counter from the serial one")
+		want, err := softwareBackend{}.count(genome.NewSliceSource(reads), Options{K: k})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(sp.entries, want.FilterMinCount(1)) || sp.distinct != want.Len() {
-			t.Error("partitioned entries differ from a direct CountReadsParallel over the slice")
+		if !reflect.DeepEqual(sp, want) {
+			t.Error("stage-1 hand-off on 4 workers differs from the one-worker count")
 		}
-		if sp.probes != want.ProbeOps() {
-			t.Errorf("probes %d, want the partitioned counter's %d", sp.probes, want.ProbeOps())
+
+		const cancelAt = 300
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		src := &cancelAfter{ReadSource: scannerSource(t, reads), n: cancelAt, cancel: cancel}
+		res, err := AssembleSource(ctx, src, Options{K: k, CountWorkers: 4})
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("result %v, error %v; want context.Canceled", res, err)
 		}
-		if got.Counts.ReadCount != int64(len(reads)) {
-			t.Errorf("ReadCount %d, want %d", got.Counts.ReadCount, len(reads))
+		if src.pulled != cancelAt {
+			t.Errorf("pulled %d reads, want the %d before the cancel: CountWorkers > 1 must not drain the source", src.pulled, cancelAt)
 		}
 	})
+}
+
+// cancelAfter cancels a context once it has handed out n reads and counts
+// every read pulled from it.
+type cancelAfter struct {
+	genome.ReadSource
+	n, pulled int
+	cancel    context.CancelFunc
+}
+
+func (s *cancelAfter) Next() (*genome.Sequence, error) {
+	r, err := s.ReadSource.Next()
+	if err == nil {
+		if s.pulled++; s.pulled == s.n {
+			s.cancel()
+		}
+	}
+	return r, err
 }
 
 // cancelAtEOF cancels a context as it reports the end of its reads: stage 1

@@ -35,7 +35,7 @@ type Corrector struct {
 }
 
 // New builds a corrector from a counted spectrum — the serial CountTable or
-// the hash-partitioned parallel table alike.
+// the bucketed BucketTable alike.
 func New(table kmer.Counter, solidThreshold uint32, maxCorrections int) *Corrector {
 	if solidThreshold == 0 {
 		panic("correct: solid threshold must be positive")
@@ -172,7 +172,9 @@ func (c *Corrector) CorrectAll(reads []*genome.Sequence) Stats {
 	if len(reads) == 0 {
 		return st
 	}
-	workers := max(c.workers, 1)
+	// More workers than reads would leave some without a chunk, and a
+	// worker count near MaxInt would overflow the chunk size.
+	workers := min(max(c.workers, 1), len(reads))
 	spans := parallel.Spans(len(reads), (len(reads)+workers-1)/workers)
 	parts := make([]Stats, len(spans))
 	parallel.ForEachWorkers(workers, len(spans), func(i int) {
@@ -202,10 +204,10 @@ func (c *Corrector) CorrectAll(reads []*genome.Sequence) Stats {
 
 // FromReadsWorkers counts the reads' own spectrum and builds a corrector from
 // it — the usual self-correction bootstrap. With workers > 1 the spectrum is
-// counted by the parallel hash-partitioned counter (serial CountReads
-// otherwise) and CorrectAll fans out over the same number of workers. The
-// spectrum — and therefore every correction decision — is identical either
-// way.
+// counted by the bucketed counter folding on that many workers (serial
+// CountReads otherwise) and CorrectAll fans out over the same number of
+// workers. The spectrum — and therefore every correction decision — is
+// identical either way.
 func FromReadsWorkers(reads []*genome.Sequence, k int, solidThreshold uint32, maxCorrections, workers int) *Corrector {
 	var table kmer.Counter
 	if workers > 1 {

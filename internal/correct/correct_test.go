@@ -1,6 +1,7 @@
 package correct
 
 import (
+	"math"
 	"testing"
 
 	"pimassembler/internal/genome"
@@ -90,6 +91,30 @@ func TestShortReadUntouched(t *testing.T) {
 	short := genome.MustFromString("ACGT")
 	if st := c.CorrectAll([]*genome.Sequence{short}); st.Edits != 0 {
 		t.Fatal("read shorter than k must not be edited")
+	}
+}
+
+// TestCorrectHugeWorkerCount is the regression test for a worker count near
+// MaxInt: CorrectAll's chunk size overflowed to zero and parallel.Spans
+// panicked, taking the daemon down with it. Any worker count must repair
+// exactly what one worker repairs.
+func TestCorrectHugeWorkerCount(t *testing.T) {
+	_, _, noisy := errReads(4, 3000, 80, 600, 0.005)
+	want := cloneReads(noisy)
+	wantStats := FromReadsWorkers(want, 15, 3, 4, 1).CorrectAll(want)
+	if wantStats.Edits == 0 {
+		t.Fatal("fixture has nothing to correct")
+	}
+	for _, workers := range []int{len(noisy) + 1, math.MaxInt} {
+		got := cloneReads(noisy)
+		if st := FromReadsWorkers(got, 15, 3, 4, workers).CorrectAll(got); st != wantStats {
+			t.Fatalf("workers=%d: %+v, want %+v", workers, st, wantStats)
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("workers=%d: read %d differs from the one-worker repair", workers, i)
+			}
+		}
 	}
 }
 

@@ -175,7 +175,7 @@ func TestCorrectMatchesOracle(t *testing.T) {
 			}
 			tables := map[string]kmer.Counter{
 				"serial":      kmer.CountReads(reads, k),
-				"partitioned": kmer.CountReadsPartitioned(reads, k, 8, 2),
+				"partitioned": kmer.CountReadsParallel(reads, k, 2),
 			}
 			for _, budget := range []int{1, 4} {
 				// Both tables hold the same spectrum, so one oracle run

@@ -84,3 +84,29 @@ func BenchmarkCountAll(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSpectrum is stage 1 alone at the sw_100k shape — 100 000 × 101 bp
+// error-free reads of a 1 Mbp genome, k = 16 — from reads to the sorted
+// entries graph construction takes: the serial table (CountReads +
+// FilterMinCount) against the bucketed counter the pipeline runs.
+func BenchmarkSpectrum(b *testing.B) {
+	rng := stats.NewRNG(5)
+	g := genome.GenerateGenome(1_000_000, rng)
+	reads := genome.NewReadSampler(g, 101, 0, rng).Sample(100_000)
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			CountReads(reads, 16).FilterMinCount(1)
+		}
+	})
+	b.Run("bucketed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t := NewBucketTable(16, 1)
+			for _, r := range reads {
+				t.AddRead(r)
+			}
+			t.FilterMinCount(1)
+		}
+	})
+}

@@ -1,0 +1,242 @@
+package kmer
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"pimassembler/internal/genome"
+	"pimassembler/internal/stats"
+)
+
+// countWorkload builds one of the four workload shapes of the shard
+// property-test suite's trials: clean reads, erroneous reads, a short
+// genome, and reads barely above k.
+func countWorkload(seed uint64, genomeLen, readLen, n int, errRate float64) []*genome.Sequence {
+	rng := stats.NewRNG(seed)
+	ref := genome.GenerateGenome(genomeLen, rng)
+	return genome.NewReadSampler(ref, readLen, errRate, rng).Sample(n)
+}
+
+var countTrials = []struct {
+	name                         string
+	seed                         uint64
+	genomeLen, readLen, numReads int
+	errRate                      float64
+}{
+	{"clean reads", 21, 2_000, 101, 150, 0},
+	{"erroneous reads", 22, 1_500, 80, 200, 0.01},
+	{"short genome", 23, 400, 60, 64, 0},
+	{"reads barely above k", 24, 900, 18, 120, 0},
+}
+
+// bucketSizes are the three sizes the bucketed counter behaves differently
+// at: still one table, split with everything staged in one round, and split
+// with at least one fold round started by a full slab.
+var bucketSizes = []struct {
+	name              string
+	genomeLen, nReads int
+	split, fold       bool
+}{
+	{"below the split", 20_000, 200, false, false},
+	{"just past the split", 120_000, 1_000, true, false},
+	{"past a fold round", 300_000, 32_000, true, true},
+}
+
+// addReads feeds reads to t one at a time and reports how many fold rounds
+// a full slab started on the way.
+func addReads(t *BucketTable, reads []*genome.Sequence) (folds int) {
+	for _, r := range reads {
+		before := t.cut
+		t.AddRead(r)
+		if t.cut < before {
+			folds++
+		}
+	}
+	return folds
+}
+
+// assertMatchesSerial compares every reader of a bucketed counter with the
+// serial CountTable over the same reads: entries, trimmed entries, Len, and
+// Count and CountAll over every counted k-mer plus some absent ones.
+func assertMatchesSerial(t *testing.T, label string, serial *CountTable, bt *BucketTable) {
+	t.Helper()
+	want := serial.Entries()
+	if bt.Len() != serial.Len() {
+		t.Fatalf("%s: Len %d, want %d", label, bt.Len(), serial.Len())
+	}
+	if got := bt.FilterMinCount(1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: entries diverge from serial", label)
+	}
+	if got := bt.FilterMinCount(2); !reflect.DeepEqual(got, serial.FilterMinCount(2)) {
+		t.Fatalf("%s: FilterMinCount(2) diverges from serial", label)
+	}
+	k := serial.K()
+	queries := make([]Kmer, 0, len(want)+64)
+	for _, e := range want {
+		queries = append(queries, e.Kmer)
+	}
+	rng := stats.NewRNG(uint64(len(want)))
+	for i := 0; i < 63; i++ {
+		queries = append(queries, Kmer(rng.Uint64())&Kmer(Mask(k)))
+	}
+	queries = append(queries, Kmer(Mask(k)))
+	got, wantCounts := make([]uint32, len(queries)), make([]uint32, len(queries))
+	bt.CountAll(queries, got)
+	serial.CountAll(queries, wantCounts)
+	for i, km := range queries {
+		if got[i] != wantCounts[i] || bt.Count(km) != wantCounts[i] {
+			t.Fatalf("%s: %v counts %d (CountAll) / %d (Count), want %d", label, km, got[i], bt.Count(km), wantCounts[i])
+		}
+	}
+}
+
+// TestPartitionedMatchesSerial is the differential pin of the bucketed
+// counter against CountReads: the four shard workload shapes at k ∈ {2..8},
+// and three sizes — below the split, just past it, past a fold round — at
+// k ∈ {8, 16, 31, 32}.
+func TestPartitionedMatchesSerial(t *testing.T) {
+	for _, tr := range countTrials {
+		t.Run(tr.name, func(t *testing.T) {
+			reads := countWorkload(tr.seed, tr.genomeLen, tr.readLen, tr.numReads, tr.errRate)
+			for k := 2; k <= 8; k++ {
+				serial := CountReads(reads, k)
+				for _, workers := range []int{1, 4, runtime.NumCPU()} {
+					assertMatchesSerial(t, "", serial, CountReadsParallel(reads, k, workers))
+				}
+			}
+		})
+	}
+	for i, size := range bucketSizes {
+		t.Run(size.name, func(t *testing.T) {
+			reads := countWorkload(uint64(31+i), size.genomeLen, 101, size.nReads, 0)
+			for _, k := range []int{8, 16, 31, 32} {
+				bt := NewBucketTable(k, 1)
+				folds := addReads(bt, reads)
+				if split := bt.staged != nil; split != size.split || (folds > 0) != size.fold {
+					t.Fatalf("k=%d: split %v after %d fold rounds; the size is meant to split: %v, fold: %v",
+						k, split, folds, size.split, size.fold)
+				}
+				assertMatchesSerial(t, fmt.Sprintf("k=%d", k), CountReads(reads, k), bt)
+			}
+		})
+	}
+}
+
+// TestPartitionedWorkerInvariance pins the full bit-identity contract across
+// worker counts: entries, Len and ProbeOps, which depends on each bucket's
+// insertion order, at every size.
+func TestPartitionedWorkerInvariance(t *testing.T) {
+	for i, size := range bucketSizes {
+		reads := countWorkload(uint64(41+i), size.genomeLen, 101, size.nReads, 0.002)
+		for _, k := range []int{16, 31} {
+			base := CountReadsParallel(reads, k, 1)
+			entries := base.FilterMinCount(1)
+			for _, workers := range []int{2, 4, runtime.NumCPU()} {
+				bt := CountReadsParallel(reads, k, workers)
+				if bt.ProbeOps() != base.ProbeOps() || bt.Len() != base.Len() {
+					t.Fatalf("%s, k=%d, workers=%d: %d distinct after %d probes, want %d after %d (workers=1)",
+						size.name, k, workers, bt.Len(), bt.ProbeOps(), base.Len(), base.ProbeOps())
+				}
+				if !reflect.DeepEqual(bt.FilterMinCount(1), entries) {
+					t.Fatalf("%s, k=%d, workers=%d: entries diverge from workers=1", size.name, k, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestCountReadsParallelDefault pins CountReadsParallel to the streaming
+// form — NewBucketTable, then AddRead read by read — and to returning a
+// settled table, one nobody's lookup has to fold.
+func TestCountReadsParallelDefault(t *testing.T) {
+	reads := countWorkload(23, 120_000, 101, 1_000, 0)
+	bt := CountReadsParallel(reads, 16, 2)
+	if bt.staged == nil || bt.cut != 0 {
+		t.Fatalf("split %v, %d blocks still staged: want a split, settled table", bt.staged != nil, bt.cut)
+	}
+	want := NewBucketTable(16, 2)
+	addReads(want, reads)
+	if bt.ProbeOps() != want.ProbeOps() || !reflect.DeepEqual(bt.FilterMinCount(1), want.FilterMinCount(1)) {
+		t.Fatal("CountReadsParallel differs from NewBucketTable + AddRead")
+	}
+}
+
+// TestBucketTableGeometry pins the split rule and the routing: k < 8 has too
+// few k-mers to split, and at k ≥ 8 the table splits on the first read after
+// which it holds more than splitDistinct k-mers, into numBuckets tables of
+// which table b holds exactly the k-mers with code prefix b.
+func TestBucketTableGeometry(t *testing.T) {
+	reads := countWorkload(51, 200_000, 101, 3_000, 0)
+	small := CountReadsParallel(reads, 7, 1)
+	if small.staged != nil || len(small.tables) != 1 || small.Len() < 1<<14-16 {
+		t.Fatalf("k=7: split %v into %d tables holding %d k-mers; want one table of nearly all 16384",
+			small.staged != nil, len(small.tables), small.Len())
+	}
+	for _, k := range []int{8, 16, 32} {
+		bt := NewBucketTable(k, 1)
+		for _, r := range reads {
+			before := bt.tables[0].Len()
+			bt.AddRead(r)
+			if bt.staged != nil {
+				if before > splitDistinct {
+					t.Fatalf("k=%d: split one read late, at %d distinct", k, before)
+				}
+				break
+			}
+		}
+		if bt.staged == nil {
+			t.Fatalf("k=%d: never split", k)
+		}
+		if len(bt.tables) != numBuckets || bt.shift != 2*uint(k)-bucketBits || bt.Len() <= splitDistinct {
+			t.Fatalf("k=%d: %d tables, shift %d, %d distinct", k, len(bt.tables), bt.shift, bt.Len())
+		}
+		for b, tbl := range bt.tables {
+			for _, e := range tbl.Entries() {
+				if int(e.Kmer>>bt.shift) != b {
+					t.Fatalf("k=%d: bucket %d holds %v", k, b, e.Kmer)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitCarriesSaturatedCounts pins that counts near MaxUint32 cross the
+// split intact and keep saturating after it, as Add saturates.
+func TestSplitCarriesSaturatedCounts(t *testing.T) {
+	const k = 16
+	reads := countWorkload(61, 120_000, 101, 1_000, 0)
+	kms := Extract(reads[0], k)
+	x, y := kms[0], kms[1]
+	bt := NewBucketTable(k, 1)
+	bt.AddRead(reads[0])
+	single := bt.tables[0]
+	for i := range single.slots {
+		switch single.slots[i].Kmer {
+		case x:
+			single.slots[i].Count = math.MaxUint32 - 1
+		case y:
+			single.slots[i].Count = math.MaxUint32
+		}
+	}
+	addReads(bt, reads[1:])
+	if bt.staged == nil {
+		t.Fatal("fixture never splits")
+	}
+	if bt.Count(x) < math.MaxUint32-1 || bt.Count(y) != math.MaxUint32 {
+		t.Fatalf("after the split: x=%d y=%d, want ≥ %d and %d", bt.Count(x), bt.Count(y), uint32(math.MaxUint32-1), uint32(math.MaxUint32))
+	}
+	// x three times and y once more, all staged and folded after the split.
+	bt.AddRead(genome.MustFromString(strings.Repeat(x.String(k), 3) + y.String(k)))
+	for _, e := range bt.FilterMinCount(math.MaxUint32) {
+		if e.Kmer != x && e.Kmer != y {
+			t.Fatalf("%v reached MaxUint32", e.Kmer)
+		}
+	}
+	if bt.Count(x) != math.MaxUint32 || bt.Count(y) != math.MaxUint32 {
+		t.Fatalf("x=%d y=%d, want both saturated at %d", bt.Count(x), bt.Count(y), uint32(math.MaxUint32))
+	}
+}

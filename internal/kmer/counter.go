@@ -2,13 +2,14 @@ package kmer
 
 // Counter is the lookup contract of a finished stage-1 table: what read
 // correction (internal/correct), its one consumer, asks of the spectrum.
-// The serial CountTable and the hash-partitioned PartitionedTable both
-// satisfy it, so the corrector runs over either. It is not the stage-1 →
-// stage-2 hand-off: the assembly pipeline passes graph construction one
-// k-mer-sorted []Entry (debruijn.BuildEntries) and drops the table.
+// The serial CountTable and the bucketed BucketTable both satisfy it, so the
+// corrector runs over either. It is not the stage-1 → stage-2 hand-off: the
+// assembly pipeline passes graph construction one k-mer-sorted []Entry
+// (debruijn.BuildEntries) and drops the table.
 //
-// Every method is read-only, so a Counter is safe for concurrent readers
-// once counting has finished.
+// Every method is read-only once counting has finished (a BucketTable's
+// first read after its last AddRead folds what is staged), so a finished
+// Counter is safe for concurrent readers.
 type Counter interface {
 	// K returns the k-mer length.
 	K() int
@@ -21,5 +22,5 @@ type Counter interface {
 
 var (
 	_ Counter = (*CountTable)(nil)
-	_ Counter = (*PartitionedTable)(nil)
+	_ Counter = (*BucketTable)(nil)
 )

@@ -5,32 +5,41 @@ import (
 	"testing"
 
 	"pimassembler/internal/genome"
+	"pimassembler/internal/stats"
 )
 
-// FuzzPartitionedVsSerial is the differential target for the parallel
-// counting layer: arbitrary bytes become a read set, and the partitioned
-// counter (fuzzed partition and worker counts) must agree with the serial
-// CountTable on length, entries order, spectrum, and trimmed entries.
+// FuzzPartitionedVsSerial is the differential target for the bucketed
+// counter: arbitrary bytes become reads, counted before and after bulk reads
+// that may take the counter past its split, and the counter (fuzzed k and
+// worker count) must agree with the serial CountTable on length, entries
+// order, trimmed entries and ProbeOps across worker counts.
 func FuzzPartitionedVsSerial(f *testing.F) {
-	f.Add([]byte("CGTGCGTGCTT"), uint8(5), uint8(4), uint8(2))
-	f.Add([]byte{}, uint8(2), uint8(1), uint8(1))
-	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 255, 254, 9, 9, 9}, uint8(3), uint8(64), uint8(8))
-	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"), uint8(8), uint8(16), uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, kRaw, partsRaw, workersRaw uint8) {
-		k := 2 + int(kRaw)%7 // 2..8, the property-test sweep
-		parts := 1 + int(partsRaw)%128
+	f.Add([]byte("CGTGCGTGCTT"), uint8(3), uint8(2), uint16(0))
+	f.Add([]byte{}, uint8(0), uint8(1), uint16(0))
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 255, 254, 9, 9, 9}, uint8(14), uint8(8), uint16(600))
+	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"), uint8(30), uint8(3), uint16(1000))
+	f.Fuzz(func(t *testing.T, data []byte, kRaw, workersRaw uint8, bulk uint16) {
+		k := 2 + int(kRaw)%(MaxK-1)
 		workers := 1 + int(workersRaw)%8
-		reads := fuzzReads(data, k)
+		fuzzed := fuzzReads(data, k)
+		rng := stats.NewRNG(uint64(bulk))
+		var reads []*genome.Sequence
+		reads = append(reads, fuzzed...)
+		reads = append(reads, genome.NewReadSampler(genome.GenerateGenome(40_000, rng), 101, 0, rng).Sample(int(bulk)%1200)...)
+		reads = append(reads, fuzzed...)
 		serial := CountReads(reads, k)
-		pt := CountReadsPartitioned(reads, k, parts, workers)
-		if pt.Len() != serial.Len() {
-			t.Fatalf("Len %d, want %d", pt.Len(), serial.Len())
+		bt := CountReadsParallel(reads, k, workers)
+		if bt.Len() != serial.Len() {
+			t.Fatalf("Len %d, want %d", bt.Len(), serial.Len())
 		}
-		if !reflect.DeepEqual(pt.FilterMinCount(1), serial.Entries()) {
+		if !reflect.DeepEqual(bt.FilterMinCount(1), serial.Entries()) {
 			t.Fatal("entries diverge from serial")
 		}
-		if !reflect.DeepEqual(pt.FilterMinCount(2), serial.FilterMinCount(2)) {
+		if !reflect.DeepEqual(bt.FilterMinCount(2), serial.FilterMinCount(2)) {
 			t.Fatal("FilterMinCount diverges from serial")
+		}
+		if one := CountReadsParallel(reads, k, 1); one.ProbeOps() != bt.ProbeOps() {
+			t.Fatalf("ProbeOps %d on %d workers, %d on one", bt.ProbeOps(), workers, one.ProbeOps())
 		}
 	})
 }

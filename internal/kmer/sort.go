@@ -1,23 +1,24 @@
 package kmer
 
 // SortEntries orders entries by ascending k-mer code in place: the shared
-// sorting primitive behind CountTable.Entries, FilterMinCount, the
-// per-partition runs of PartitionedTable, and the de Bruijn graph's edge
-// order when k-mers were added out of order. It replaces the old comparison
-// sort (O(n log n) sort.Slice) with an LSD radix sort over the packed
-// uint64 codes — O(n) passes, one pass per byte the codes actually occupy,
-// so a k=16 table pays 4 passes and a k=8 table 2. The sort is stable,
-// which is stronger than the old sort.Slice guarantee: tables never hold
-// duplicate keys, so their output order is identical either way, and a
-// graph given one k-mer twice keeps the two edges in insertion order.
-func SortEntries(es []Entry) {
+// sorting primitive behind CountTable.Entries, FilterMinCount, the bucket
+// runs of BucketTable, and the de Bruijn graph's edge order when k-mers were
+// added out of order. It replaces the old comparison sort (O(n log n)
+// sort.Slice) with an LSD radix sort over the packed uint64 codes — O(n)
+// passes, one pass per byte the codes actually occupy, so a k=16 table pays 4
+// passes and a k=8 table 2. The sort is stable, which is stronger than the
+// old sort.Slice guarantee: tables never hold duplicate keys, so their output
+// order is identical either way, and a graph given one k-mer twice keeps the
+// two edges in insertion order.
+func SortEntries(es []Entry) { sortEntries(es, nil) }
+
+// sortEntries is SortEntries with a caller-owned scratch buffer, grown when
+// it is shorter than es and returned for the next call.
+func sortEntries(es, buf []Entry) []Entry {
 	n := len(es)
-	if n < 2 {
-		return
-	}
 	if n <= 48 {
 		insertionSortEntries(es)
-		return
+		return buf
 	}
 
 	// One gathering pass builds the histogram of every byte lane; uniform
@@ -36,8 +37,10 @@ func SortEntries(es []Entry) {
 		hist[7][byte(v>>56)]++
 	}
 
-	buf := make([]Entry, n)
-	src, dst := es, buf
+	if cap(buf) < n {
+		buf = make([]Entry, n)
+	}
+	src, dst := es, buf[:n]
 	for b := 0; b < 8; b++ {
 		h := &hist[b]
 		shift := uint(8 * b)
@@ -62,6 +65,7 @@ func SortEntries(es []Entry) {
 	if &src[0] != &es[0] {
 		copy(es, src)
 	}
+	return buf
 }
 
 // insertionSortEntries handles the short slices where radix bookkeeping

@@ -37,8 +37,9 @@ type CountTable struct {
 	k        int
 	slots    []Entry // Count 0 = empty
 	n        int
-	probeOps int64  // total probe comparisons, for op-count extraction
-	sink     uint32 // keeps AddAll's look-ahead loads from being optimised away
+	probeOps int64     // total probe comparisons, for op-count extraction
+	sink     uint32    // keeps AddAll's look-ahead loads from being optimised away
+	pool     *slotPool // where grow takes and leaves slot arrays; nil allocates
 }
 
 // NewCountTable creates a table for k-mers of length k with capacity for at
@@ -165,18 +166,25 @@ func (t *CountTable) CountAll(kms []Kmer, counts []uint32) {
 // the Hashmap procedure's comparisons, not the host's table maintenance.
 func (t *CountTable) grow() {
 	old := t.slots
-	t.slots = make([]Entry, len(old)*2)
-	mask := uint64(len(t.slots) - 1)
+	t.slots = t.pool.get(len(old) * 2)
 	for _, s := range old {
-		if s.Count == 0 {
-			continue
+		if s.Count != 0 {
+			t.place(s)
 		}
-		j := s.Kmer.Hash() & mask
-		for t.slots[j].Count != 0 {
-			j = (j + 1) & mask
-		}
-		t.slots[j] = s
 	}
+	t.pool.put(old)
+}
+
+// place stores e, whose k-mer the table does not hold, in the first empty
+// slot from its home. It neither counts probes nor checks the load: it is
+// the re-insertion of growth and of a bucket split.
+func (t *CountTable) place(e Entry) {
+	mask := uint64(len(t.slots) - 1)
+	j := e.Kmer.Hash() & mask
+	for t.slots[j].Count != 0 {
+		j = (j + 1) & mask
+	}
+	t.slots[j] = e
 }
 
 // Entry is one (k-mer, count) pair.
@@ -216,24 +224,35 @@ func CountReads(reads []*genome.Sequence, k int) *CountTable {
 // construction. Survivors are counted first and collected into one exact
 // allocation, then sorted.
 func (t *CountTable) FilterMinCount(min uint32) []Entry {
-	if min < 1 {
-		min = 1 // an empty slot's zero count must never pass
-	}
-	survivors := t.n
-	if min > 1 {
-		survivors = 0
-		for _, s := range t.slots {
-			if s.Count >= min {
-				survivors++
-			}
-		}
-	}
-	out := make([]Entry, 0, survivors)
-	for _, s := range t.slots {
-		if s.Count >= min {
-			out = append(out, s)
-		}
-	}
+	out := make([]Entry, t.survivors(min))
+	t.filter(out, min)
 	SortEntries(out)
 	return out
+}
+
+// survivors counts the entries with count ≥ min.
+func (t *CountTable) survivors(min uint32) int {
+	if min <= 1 {
+		return t.n
+	}
+	n := 0
+	for _, s := range t.slots {
+		if s.Count >= min {
+			n++
+		}
+	}
+	return n
+}
+
+// filter copies the entries with count ≥ min into dst in slot order; len(dst)
+// is survivors(min).
+func (t *CountTable) filter(dst []Entry, min uint32) {
+	min = max(min, 1) // an empty slot's zero count must never pass
+	i := 0
+	for _, s := range t.slots {
+		if s.Count >= min {
+			dst[i] = s
+			i++
+		}
+	}
 }

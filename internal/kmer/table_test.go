@@ -236,7 +236,7 @@ func TestProbeOpsMonotone(t *testing.T) {
 	if tbl.ProbeOps() <= before {
 		t.Fatal("probe counter must advance on Add")
 	}
-	part := CountReadsPartitioned([]*genome.Sequence{genome.MustFromString("ACGTACGT")}, 8, 4, 1)
+	part := CountReadsParallel([]*genome.Sequence{genome.MustFromString("ACGTACGT")}, 8, 1)
 	queries := []Kmer{MustParse("ACGTACGT"), MustParse("TTTTTTTT")}
 	for _, c := range []interface {
 		Counter
@@ -270,7 +270,10 @@ func TestCountAllIsTheCountLoop(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		queries = append(queries, Kmer(rng.Uint64())&Kmer(Mask(k))) // almost surely absent
 	}
-	for _, c := range []Counter{CountReads(reads, k), CountReadsPartitioned(reads, k, 8, 2)} {
+	// A larger read set takes the bucketed counter past its split, so its
+	// lookups route to bucket tables.
+	split := append(genome.NewReadSampler(genome.GenerateGenome(60_000, rng), 101, 0, rng).Sample(1_000), reads...)
+	for _, c := range []Counter{CountReads(reads, k), CountReadsParallel(reads, k, 2), CountReadsParallel(split, k, 2)} {
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)

@@ -14,7 +14,7 @@
 //     task order, before the fan-out), so the stream a task consumes does
 //     not depend on which worker ran it or when.
 //  3. Results are slotted by task index (Map) or written to caller-owned
-//     per-task locations (ForEach), never appended in completion order.
+//     per-task locations (ForEachWorkers), never appended in completion order.
 //
 // Under this contract workers=1 executes the exact computation the parallel
 // run does, which is what the "parallel == serial" regression tests assert.
@@ -50,11 +50,6 @@ func SetWorkers(n int) {
 		n = 0
 	}
 	workerOverride.Store(int64(n))
-}
-
-// ForEach runs fn(0..n-1) on the default worker count.
-func ForEach(n int, fn func(i int)) {
-	ForEachWorkers(Workers(), n, fn)
 }
 
 // ForEachWorkers runs fn(0..n-1) on at most workers goroutines. Tasks are

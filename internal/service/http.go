@@ -55,7 +55,8 @@ type SubmitRequest struct {
 	Correct  bool   `json:"correct,omitempty"`
 	// Subarrays bounds the functional PIM engine's hash-table spread.
 	Subarrays int `json:"subarrays,omitempty"`
-	// CountWorkers fans stage-1 counting out over the partitioned counter.
+	// CountWorkers is how many goroutines fold stage 1's k-mer buckets
+	// and count the correction spectrum; contigs are the same for any value.
 	CountWorkers int `json:"count_workers,omitempty"`
 	// TimeoutMS bounds each attempt (0 = the server's default timeout).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`

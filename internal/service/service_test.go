@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -467,6 +468,41 @@ func TestContigsBeforeDone(t *testing.T) {
 	release()
 	if _, err := c.Wait(ctx, st.ID, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHugeCountWorkers is the regression test for a correcting job with a
+// worker count near MaxInt, which used to panic in a job goroutine and take
+// the daemon down: the job now completes with the contigs of a one-worker
+// job, and the daemon keeps answering.
+func TestHugeCountWorkers(t *testing.T) {
+	_, ts := startServer(t, Config{Workers: 1})
+	c := &Client{BaseURL: ts.URL}
+	ctx := context.Background()
+	reads := fastaWorkload(t, 12, 1500, 200)
+	var contigs [][]byte
+	for _, workers := range []int{0, math.MaxInt} {
+		st, err := c.Submit(ctx, SubmitRequest{Engine: "software", Reads: reads, K: 16, Correct: true, CountWorkers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = c.Wait(ctx, st.ID, 0); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != "done" {
+			t.Fatalf("count_workers=%d: state %q, error %q", workers, st.State, st.Error)
+		}
+		got, err := c.Contigs(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		contigs = append(contigs, got)
+	}
+	if !bytes.Equal(contigs[0], contigs[1]) {
+		t.Error("count_workers=MaxInt contigs differ from the one-worker job's")
+	}
+	if _, err := c.Metrics(ctx); err != nil {
+		t.Fatalf("daemon stopped answering: %v", err)
 	}
 }
 
