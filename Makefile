@@ -10,7 +10,7 @@ GO ?= go
 RACE_EXCLUDE = pimassembler/internal/eval
 RACE_PKGS = $(filter-out $(RACE_EXCLUDE),$(shell $(GO) list ./internal/...))
 
-.PHONY: all check ci fmt-check build vet test test-race fuzz-smoke bench bench-check profile reproduce examples clean lint lint-tools
+.PHONY: all check ci fmt-check build vet test test-race fuzz-smoke bench bench-check examples-check profile reproduce examples clean lint lint-tools
 
 all: check
 
@@ -110,15 +110,24 @@ profile:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# The examples that panic when two paths disagree: quickstart and throughput
+# check the simulated bulk XNOR against the host's, assembly the pim engine's
+# contigs against the software engine's. A few seconds together.
+examples-check:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/throughput
+	$(GO) run ./examples/assembly
+
 # The full local gate, one-to-one with .github/workflows/ci.yml: the check
 # suite (whose tests include the multi-process sharding run on the real
 # cmd/assemble binary and the daemon run on the real cmd/assembled binary),
-# the nested bench module's vet + tests, lint, the fuzz smoke, and one
-# iteration of every benchmark. Keep the two in sync — CI must run exactly
-# these commands.
+# the nested bench module's vet + tests, the cross-checking examples, lint,
+# the fuzz smoke, and one iteration of every benchmark. Keep the two in sync
+# — CI must run exactly these commands.
 ci:
 	$(MAKE) check
 	$(MAKE) bench-check
+	$(MAKE) examples-check
 	$(MAKE) lint
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench

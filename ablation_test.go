@@ -35,7 +35,7 @@ func BenchmarkAblationTwoRowVsTRAXnor(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		b.ReportMetric(float64(m.TotalCommands())/float64(b.N), "cmds/op")
+		b.ReportMetric(float64(commands(m))/float64(b.N), "cmds/op")
 		b.ReportMetric(m.LatencyNS/float64(b.N), "modeled-ns/op")
 	}
 	b.Run("two-row", func(b *testing.B) { run(b, false) })
@@ -57,7 +57,7 @@ func BenchmarkAblationRowCloneStaging(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.TwoRowXNOR(x1, x2, 5)
 		}
-		b.ReportMetric(float64(m.TotalCommands())/float64(b.N), "cmds/op")
+		b.ReportMetric(float64(commands(m))/float64(b.N), "cmds/op")
 	})
 	b.Run("with-staging", func(b *testing.B) {
 		s, m := newSubarray()
@@ -68,7 +68,7 @@ func BenchmarkAblationRowCloneStaging(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.XNOR(0, 1, 5)
 		}
-		b.ReportMetric(float64(m.TotalCommands())/float64(b.N), "cmds/op")
+		b.ReportMetric(float64(commands(m))/float64(b.N), "cmds/op")
 	})
 }
 
@@ -96,7 +96,7 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				probes = float64(p.Meter().Counts[dram.CmdDPU]) / float64(len(kms))
+				probes = float64(p.Summarize().Histogram.Totals[dram.CmdDPU]) / float64(len(kms))
 			}
 			b.ReportMetric(probes, "match-probes/insert")
 		})
@@ -115,7 +115,7 @@ func BenchmarkAblationBitSerialAdd(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.BitSerialAdd(0, 100, 200, 300, m)
 			}
-			b.ReportMetric(float64(meter.TotalCommands())/float64(b.N), "cmds/op")
+			b.ReportMetric(float64(commands(meter))/float64(b.N), "cmds/op")
 			b.ReportMetric(meter.LatencyNS/float64(b.N), "modeled-ns/op")
 			// In-memory adds run concurrently in every sub-array; the cost
 			// is the same whether 1 or 8 sub-arrays of a MAT are adding.
@@ -127,7 +127,7 @@ func BenchmarkAblationBitSerialAdd(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dpuWordAdd(s, meter, 0, 100, 200, m)
 			}
-			b.ReportMetric(float64(meter.TotalCommands())/float64(b.N), "cmds/op")
+			b.ReportMetric(float64(commands(meter))/float64(b.N), "cmds/op")
 			b.ReportMetric(meter.LatencyNS/float64(b.N), "modeled-ns/op")
 			// One DPU serves a whole MAT: with all 8 sub-arrays adding, the
 			// shared word-serial unit becomes the bottleneck — the
@@ -142,6 +142,15 @@ func BenchmarkAblationBitSerialAdd(b *testing.B) {
 func newSubarray() (*subarray.Subarray, *dram.Meter) {
 	m := dram.NewMeter(dram.DefaultTiming(), dram.DefaultEnergy())
 	return subarray.New(dram.Default(), m), m
+}
+
+// commands returns how many command slots m has recorded.
+func commands(m *dram.Meter) int64 {
+	var n int64
+	for _, c := range m.Counts {
+		n += c
+	}
+	return n
 }
 
 func newBenchSubarray(m int) (*subarray.Subarray, *dram.Meter) {
@@ -210,7 +219,7 @@ func BenchmarkAblationHashCapacity(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				probes = float64(p.Meter().Counts[dram.CmdDPU]) / float64(n)
+				probes = float64(p.Summarize().Histogram.Totals[dram.CmdDPU]) / float64(n)
 			}
 			b.ReportMetric(probes, "match-probes/insert")
 		})

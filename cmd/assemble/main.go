@@ -74,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		engineName = fs.String("engine", "software", "assembly engine (see -list-engines)")
 		listEng    = fs.Bool("list-engines", false, "list the registered engines and exit")
 		nsub       = fs.Int("subarrays", 16, "PIM engine: sub-arrays for the hash table")
-		parallel   = fs.Bool("parallel", false, "PIM engine: shard stage 1 across hash sub-arrays (bit-identical)")
 		scaffold   = fs.Bool("scaffold", false, "run stage 3 (greedy scaffolding)")
 		simplify   = fs.Bool("simplify", false, "run Velvet-style tip/bubble removal after graph construction")
 		correctF   = fs.Bool("correct", false, "run k-mer-spectrum read correction before counting")
@@ -130,13 +129,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	defaults := engine.Options{
 		Options: assembly.Options{
-			K:              *k,
-			MinCount:       uint32(*minCount),
-			Scaffold:       *scaffold,
-			Simplify:       *simplify,
-			Correct:        *correctF,
-			ParallelStage1: *parallel,
-			CountWorkers:   *countWkrs,
+			K:            *k,
+			MinCount:     uint32(*minCount),
+			Scaffold:     *scaffold,
+			Simplify:     *simplify,
+			Correct:      *correctF,
+			CountWorkers: *countWkrs,
 		},
 		Subarrays: *nsub,
 	}
@@ -281,7 +279,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		} else {
 			// One shard is the identity merge: same report, same output,
 			// byte for byte, as the unsharded run.
-			report(stdout, rep, *parallel)
+			report(stdout, rep)
 		}
 	default:
 		var err error
@@ -290,7 +288,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "assemble:", err)
 			return exitRuntime
 		}
-		report(stdout, rep, *parallel)
+		report(stdout, rep)
 	}
 	contigs := rep.Contigs
 
@@ -362,19 +360,15 @@ func shardReport(w io.Writer, res *shard.Result) {
 }
 
 // report prints the engine-family-specific accounting of the run.
-func report(w io.Writer, rep *engine.Report, parallel bool) {
+func report(w io.Writer, rep *engine.Report) {
 	switch {
 	case rep.Timings != nil:
 		fmt.Fprintf(w, "software pipeline: hashmap %v, deBruijn %v, traverse %v\n",
 			rep.Timings.Hashmap, rep.Timings.DeBruijn, rep.Timings.Traverse)
 	case rep.Functional != nil:
 		s := rep.Functional
-		mode := "serial stage 1"
-		if parallel {
-			mode = "sharded stage 1"
-		}
-		fmt.Fprintf(w, "PIM functional run (%s): %d commands, %.2f ms serial command time, %.2f µJ array energy\n",
-			mode, s.Commands, s.SerialLatencyNS/1e6, s.EnergyPJ/1e6)
+		fmt.Fprintf(w, "PIM functional run (serial stage 1): %d commands, %.2f ms serial command time, %.2f µJ array energy\n",
+			s.Commands, s.SerialLatencyNS/1e6, s.EnergyPJ/1e6)
 		fmt.Fprintf(w, "scheduled makespan: %.2f ms (%.1fx overlap across %d sub-arrays)\n",
 			s.Makespan.MakespanNS/1e6, s.Makespan.Speedup, s.Subarrays)
 		fmt.Fprintln(w, "per-stage command histogram:")

@@ -70,6 +70,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"batch-line-k-out-of-range", []string{"-batch", badKManifest}, exitUsage, badKManifest + ":2: assembly: k=40 outside"},
 		{"no-input", []string{}, exitUsage, "-in is required"},
 		{"bad-flag", []string{"-no-such-flag"}, exitUsage, "flag provided but not defined"},
+		{"parallel-stage1-flag-removed", []string{"-in", readsPath, "-engine", "pim", "-parallel"}, exitUsage, "flag provided but not defined: -parallel"},
 		{"bad-flag-value", []string{"-k", "banana"}, exitUsage, "invalid value"},
 		{"unknown-engine", []string{"-in", readsPath, "-engine", "warp-drive"}, exitUsage, "unknown engine"},
 		{"missing-input-file", []string{"-in", filepath.Join(dir, "nope.fasta")}, exitRuntime, "no such file"},

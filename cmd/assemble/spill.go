@@ -65,7 +65,7 @@ func runSpill(ctx context.Context, in, dir string, plan shard.Plan, dist distsha
 	if len(res.PerShard) > 1 {
 		shardReport(stdout, res)
 	} else {
-		report(stdout, res.Report, plan.Opts.ParallelStage1)
+		report(stdout, res.Report)
 	}
 	fmt.Fprintf(stderr, "spill statistics (wall clock):\n%s", counters)
 	return res.Report, sp.TotalReads(), exitOK

@@ -79,21 +79,6 @@ func main() {
 		fmt.Printf("  %s  makespan %.1f µs\n", c, fn.Stages[c.Stage].MakespanNS/1e3)
 	}
 
-	// Sharded stage 1 reproduces the serial run bit for bit.
-	popts := opts
-	popts.ParallelStage1 = true
-	ppim, err := pim.Assemble(ctx, genome.NewSliceSource(small), popts)
-	if err != nil {
-		panic(err)
-	}
-	for i := range pimRep.Contigs {
-		if !pimRep.Contigs[i].Seq.Equal(ppim.Contigs[i].Seq) {
-			panic("parallel stage 1 diverged from the serial path")
-		}
-	}
-	fmt.Printf("sharded stage 1: identical contigs, %d commands (serial %d)\n",
-		ppim.Functional.Histogram.Commands, fn.Histogram.Commands)
-
 	// Stage 3 extension: greedy scaffolding.
 	scaffolds := assembly.ScaffoldContigs(sw.Contigs, 12)
 	fmt.Printf("stage 3 (extension): %d contigs -> %d scaffolds\n", len(sw.Contigs), len(scaffolds))

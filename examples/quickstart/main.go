@@ -44,9 +44,9 @@ func main() {
 	for _, e := range table.Entries() {
 		fmt.Printf("  %s  %d\n", e.Kmer.String(5), e.Count)
 	}
-	m := p.Meter()
+	sum := p.Summarize()
 	fmt.Printf("command stream: %d commands, %.1f µs serial, %.1f nJ\n",
-		m.TotalCommands(), m.LatencyNS/1e3, m.EnergyPJ/1e3)
+		sum.Commands, sum.SerialLatencyNS/1e3, sum.EnergyPJ/1e3)
 
 	// 4. End-to-end assembly of a random 2 kbp genome from overlapping reads.
 	g := genome.GenerateGenome(2000, stats.NewRNG(42))

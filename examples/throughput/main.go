@@ -44,9 +44,9 @@ func main() {
 	if !got.Equal(want) {
 		panic("functional bulk XNOR diverged from host computation")
 	}
-	m := p.Meter()
+	sum := p.Summarize()
 	fmt.Printf("\nfunctional cross-check: %d-bit XNOR on %d sub-arrays — %d commands, result verified\n",
-		n, p.MaterializedSubarrays(), m.TotalCommands())
+		n, sum.Subarrays, sum.Commands)
 }
 
 func throughput(name string, op platforms.BulkOp) float64 {

@@ -299,7 +299,7 @@ func TestPIMAssemblyMatchesSoftware(t *testing.T) {
 				i, sw.Contigs[i].Seq, pim.Contigs[i].Seq)
 		}
 	}
-	if p.Meter().TotalCommands() == 0 {
+	if p.Summarize().Commands == 0 {
 		t.Fatal("PIM run issued no DRAM commands")
 	}
 }

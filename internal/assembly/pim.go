@@ -3,7 +3,6 @@ package assembly
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"pimassembler/internal/core"
 	"pimassembler/internal/debruijn"
@@ -13,8 +12,8 @@ import (
 
 // PIMResult is an assembly executed on the functional PIM simulator: the
 // hash table was built with in-memory XNOR probes and ripple increments, the
-// graph degrees with in-memory popcounts, and the command stream is on the
-// platform meter and the platform's exec.Stream.
+// graph degrees with in-memory popcounts, and every command is recorded in
+// the platform's exec.Stream.
 type PIMResult struct {
 	Result
 	Platform *core.Platform
@@ -36,12 +35,10 @@ type PIMResult struct {
 // simplification, contigs, scaffolding — is the host code AssembleSource
 // runs, so every option gives the contigs the software pipeline gives.
 //
-// With opts.ParallelStage1 the k-mer stream is sharded by home sub-array and
-// the Hashmap procedure runs on a bank-keyed worker pool (bounded by the
-// scheduler's per-bank activation budget). The resulting table is
-// bit-identical to the serial path's: every k-mer's probes, inserts, and
-// counter updates stay inside its home sub-array, and the shards preserve
-// the serial arrival order within each sub-array.
+// Stage 1 is simulated in arrival order, one k-mer at a time. The overlap a
+// controller gets from the k-mers' home sub-arrays is modelled, not run on
+// host goroutines: p.Stream().Canonical() interleaves the recorded commands
+// across sub-arrays, and sched.ScheduleStream prices that interleaving.
 func AssemblePIM(p *core.Platform, src genome.ReadSource, opts Options, nSubarrays int) (*PIMResult, error) {
 	return AssemblePIMContext(context.Background(), p, src, opts, nSubarrays)
 }
@@ -98,12 +95,7 @@ func (b *pimBackend) count(src genome.ReadSource, opts Options) (spectrum, error
 	}
 
 	table := core.NewHashTableAt(p, opts.K, b.bankN, b.hashN)
-	if opts.ParallelStage1 {
-		err = countParallel(p, bank, table, opts.K)
-	} else {
-		err = countSerial(bank, table, opts.K)
-	}
-	if err != nil {
+	if err := countTable(bank, table, opts.K); err != nil {
 		return sp, err
 	}
 	entries := table.Entries()
@@ -128,9 +120,9 @@ func (b *pimBackend) walk(g *debruijn.Graph) ([]kmer.Kmer, error) {
 	return core.NewGraphEngine(b.platform, g, b.bankN+b.hashN).EulerPath()
 }
 
-// countSerial streams the bank and runs the Hashmap procedure k-mer by
+// countTable streams the bank and runs the Hashmap procedure k-mer by
 // k-mer, stopping the read stream at the first hash-table error.
-func countSerial(bank *core.SequenceBank, table *core.HashTable, k int) error {
+func countTable(bank *core.SequenceBank, table *core.HashTable, k int) error {
 	var addErr error
 	bank.Each(func(_ int, r *genome.Sequence) bool {
 		kmer.Iterate(r, k, func(km kmer.Kmer) {
@@ -144,82 +136,4 @@ func countSerial(bank *core.SequenceBank, table *core.HashTable, k int) error {
 		return addErr == nil
 	})
 	return addErr
-}
-
-// countParallel is the sharded Hashmap procedure. The read stream is fetched
-// from the bank exactly as in the serial path (same dispatch traffic), but
-// the parsed k-mers are routed into per-home-sub-array shards that preserve
-// the serial arrival order. One worker then owns each sub-array — no two
-// goroutines ever touch the same rows, bitmap, or temp region — and workers
-// are pooled per bank, at most the scheduler's per-bank activation budget
-// running concurrently, mirroring the charge-pump constraint the controller
-// enforces in hardware. The whole fan-out is one platform parallel region:
-// each hash sub-array records privately and the records merge in sub-array
-// order after the join, so the stream, its schedule and the meter's energy
-// sum do not depend on how the goroutines interleave.
-func countParallel(p *core.Platform, bank *core.SequenceBank, table *core.HashTable, k int) error {
-	shards := make([][]kmer.Kmer, table.Subarrays())
-	bank.Each(func(_ int, r *genome.Sequence) bool {
-		kmer.Iterate(r, k, func(km kmer.Kmer) {
-			home := table.Home(km)
-			shards[home] = append(shards[home], km)
-		})
-		return true
-	})
-
-	// Materialising controller-side state mutates the table's maps: do it
-	// all up front so workers only touch the sub-arrays they own.
-	table.Materialize()
-
-	// Group shards by bank; each bank gets its own bounded worker pool.
-	spb := p.Geometry().SubarraysPerBank()
-	budget := p.SchedConfig().MaxActivePerBank
-	perBank := make(map[int][]int)
-	for subIdx, shard := range shards {
-		if len(shard) == 0 {
-			continue
-		}
-		b := table.GlobalSubarray(subIdx) / spb
-		perBank[b] = append(perBank[b], subIdx)
-	}
-
-	errs := make([]error, table.Subarrays())
-	p.ParallelRegion(table.GlobalSubarray(0), table.Subarrays(), func() {
-		var wg sync.WaitGroup
-		for _, subs := range perBank {
-			queue := make(chan int, len(subs))
-			for _, subIdx := range subs {
-				queue <- subIdx
-			}
-			close(queue)
-			workers := budget
-			if workers > len(subs) {
-				workers = len(subs)
-			}
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for subIdx := range queue {
-						for _, km := range shards[subIdx] {
-							if _, err := table.Add(km); err != nil {
-								errs[subIdx] = err
-								break
-							}
-						}
-					}
-				}()
-			}
-		}
-		wg.Wait()
-	})
-
-	// Deterministic error selection: lowest failing sub-array wins,
-	// regardless of goroutine completion order.
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

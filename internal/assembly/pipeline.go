@@ -42,10 +42,6 @@ type Options struct {
 	// MinOverlap is the minimum contig overlap stage 3 will join on; zero
 	// means K-4 (12 at the paper's k = 16).
 	MinOverlap int
-	// ParallelStage1 shards stage 1 of AssemblePIM across the hash table's
-	// sub-arrays with a bank-keyed worker pool (bit-identical to the serial
-	// path; ignored by the software reference pipeline).
-	ParallelStage1 bool
 	// CountWorkers is how many goroutines fold the software pipeline's
 	// stage-1 buckets (kmer.BucketTable) and the correction pre-count; 0 or
 	// 1 folds on the calling goroutine. Reads are pulled one at a time

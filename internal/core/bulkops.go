@@ -19,8 +19,9 @@ import (
 // Chunks on distinct sub-arrays are independent, so the simulator executes
 // them through the parallel fan-out engine: one worker per active sub-array,
 // each processing its own chunk sequence in order. The digital result, the
-// Meter totals, the recorded command stream and each sub-array's final state
-// are bit-identical for any worker count (see Platform.ParallelRegion).
+// recorded command stream — and so every total Summarize reads off it — and
+// each sub-array's final state are bit-identical for any worker count (see
+// Platform.ParallelRegion).
 
 // BulkPad returns n rounded up to the next multiple of the row size, the
 // padding rule of the AAP instruction set ("the application must pad it

@@ -17,28 +17,25 @@ func randomBulkOperand(rng *stats.RNG, n int) *bitvec.Vector {
 	return v
 }
 
-// meterEqual asserts exact equality — including the floating-point latency
-// and energy sums, and the recorded command stream, all of which the ordered
-// region merge keeps bit-identical regardless of worker count.
-func meterEqual(t *testing.T, workers int, serial, par *Platform) {
+// summariesEqual asserts exact equality of the recorded command stream and of
+// everything Summarize reads off it — the floating-point serial time and
+// energy included — which the ordered region append keeps bit-identical
+// regardless of worker count.
+func summariesEqual(t *testing.T, workers int, serial, par *Platform) {
 	t.Helper()
-	sm, pm := serial.Meter(), par.Meter()
-	if sm.LatencyNS != pm.LatencyNS || sm.EnergyPJ != pm.EnergyPJ {
-		t.Fatalf("workers=%d: meter totals diverged: latency %v vs %v ns, energy %v vs %v pJ",
-			workers, sm.LatencyNS, pm.LatencyNS, sm.EnergyPJ, pm.EnergyPJ)
-	}
-	if sm.Counts != pm.Counts {
-		t.Fatalf("workers=%d: per-kind counts %v vs %v", workers, pm.Counts, sm.Counts)
-	}
 	if !reflect.DeepEqual(serial.Stream().Commands(), par.Stream().Commands()) {
 		t.Fatalf("workers=%d: recorded stream diverged from the one-worker run's", workers)
+	}
+	if s, p := serial.Summarize(), par.Summarize(); !reflect.DeepEqual(s, p) {
+		t.Fatalf("workers=%d: Summarize diverged from the one-worker run's:\n got %+v\nwant %+v", workers, p, s)
 	}
 }
 
 // TestBulkXNORParallelMatchesSerial pins the determinism contract: the bulk
-// fan-out must produce the identical digital result and identical meter
-// totals for any worker count, because chunk->sub-array assignment, RNG-free
-// data flow, and the ordered meter merge are all scheduling-independent.
+// fan-out must produce the identical digital result and an identical
+// Summarize() for any worker count, because chunk->sub-array assignment,
+// RNG-free data flow, and the ordered stream append are all
+// scheduling-independent.
 func TestBulkXNORParallelMatchesSerial(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	rng := stats.NewRNG(41)
@@ -57,7 +54,7 @@ func TestBulkXNORParallelMatchesSerial(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("workers=%d: result diverged from serial", workers)
 		}
-		meterEqual(t, workers, serial, par)
+		summariesEqual(t, workers, serial, par)
 	}
 }
 
@@ -80,11 +77,11 @@ func TestBulkSubarrayStateMatchesSerial(t *testing.T) {
 	par := NewDefaultPlatform()
 	par.BulkXNOR(a, b)
 
-	if serial.MaterializedSubarrays() != par.MaterializedSubarrays() {
-		t.Fatalf("materialised %d vs %d sub-arrays", serial.MaterializedSubarrays(), par.MaterializedSubarrays())
+	if len(serial.subs) != len(par.subs) {
+		t.Fatalf("materialised %d vs %d sub-arrays", len(serial.subs), len(par.subs))
 	}
 	base := serial.layout.ReservedBase()
-	for si := 0; si < serial.MaterializedSubarrays(); si++ {
+	for si := 0; si < len(serial.subs); si++ {
 		ss, ps := serial.Subarray(si), par.Subarray(si)
 		for r := base; r < base+3; r++ {
 			if !ss.Peek(r).Equal(ps.Peek(r)) {

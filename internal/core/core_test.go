@@ -26,7 +26,7 @@ func TestNewPlatformValidates(t *testing.T) {
 
 func TestPlatformLazySubarrays(t *testing.T) {
 	p := NewDefaultPlatform()
-	if p.MaterializedSubarrays() != 0 {
+	if len(p.subs) != 0 {
 		t.Fatal("fresh platform has materialised sub-arrays")
 	}
 	s1 := p.Subarray(5)
@@ -34,11 +34,11 @@ func TestPlatformLazySubarrays(t *testing.T) {
 	if s1 != s2 {
 		t.Fatal("Subarray not idempotent")
 	}
-	if p.MaterializedSubarrays() != 1 {
+	if len(p.subs) != 1 {
 		t.Fatal("materialisation count wrong")
 	}
 	p.Reset()
-	if p.MaterializedSubarrays() != 0 || p.Meter().TotalCommands() != 0 {
+	if len(p.subs) != 0 || p.Summarize().Commands != 0 {
 		t.Fatal("reset incomplete")
 	}
 }
@@ -130,17 +130,17 @@ func TestHashTableUsesPIMOps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := p.Meter()
-	if m.Counts[dram.CmdAAP2] == 0 {
+	m := p.Summarize().Histogram.Totals
+	if m[dram.CmdAAP2] == 0 {
 		t.Error("no PIM_XNOR issued: comparisons must be in-memory")
 	}
-	if m.Counts[dram.CmdAAP3] == 0 {
+	if m[dram.CmdAAP3] == 0 {
 		t.Error("no TRA issued: counter increments must be in-memory")
 	}
-	if m.Counts[dram.CmdAAPCopy] == 0 {
+	if m[dram.CmdAAPCopy] == 0 {
 		t.Error("no RowClone issued: staging must be in-memory")
 	}
-	if m.Counts[dram.CmdDPU] == 0 {
+	if m[dram.CmdDPU] == 0 {
 		t.Error("no DPU reductions issued: match detection must be metered")
 	}
 }
@@ -215,7 +215,7 @@ func TestEndToEndOpProfileCosts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return tbl.Entries(), p.Meter().LatencyNS
+		return tbl.Entries(), p.Summarize().SerialLatencyNS
 	}
 	nativeEntries, nativeNS := build(false)
 	emuEntries, emuNS := build(true)

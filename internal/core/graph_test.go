@@ -81,13 +81,13 @@ func TestGraphEngineUsesPIMAdds(t *testing.T) {
 	p := NewDefaultPlatform()
 	g := buildGraph(t, 5, 120, 8)
 	e := NewGraphEngine(p, g, 0)
-	p.Meter().Reset()
+	p.Stream().Reset()
 	e.Degrees()
-	m := p.Meter()
-	if m.Counts[dram.CmdAAP3] == 0 {
+	m := p.Summarize().Histogram.Totals
+	if m[dram.CmdAAP3] == 0 {
 		t.Error("degree reduction issued no TRA carries: PIM_Add must run in memory")
 	}
-	if m.Counts[dram.CmdAAP2] == 0 {
+	if m[dram.CmdAAP2] == 0 {
 		t.Error("degree reduction issued no two-row AAPs: CSA sums must run in memory")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"pimassembler/internal/bitvec"
 	"pimassembler/internal/exec"
@@ -33,8 +32,8 @@ type HashTable struct {
 	base     int // first sub-array index of the table's region
 	place    mapping.HashPlacement
 	subs     []*tableSub // by region-relative sub-array: controller-side state, nil until first use
-	distinct int64       // atomic: parallel stage-1 workers insert concurrently
-	probes   int64       // atomic: cumulative Add slot visits (see ProbeOps)
+	distinct int
+	probes   int64 // cumulative Add slot visits (see ProbeOps)
 
 	// majorityXNOR makes every comparison the Ambit-style majority/NOT
 	// composition (18 command slots) instead of the paper's single-cycle
@@ -45,8 +44,7 @@ type HashTable struct {
 
 // tableSub is the controller-side state of one hash sub-array: the slot
 // occupancy bitmap plus the staging buffers every Add into that sub-array
-// reuses. A sub-array has one driver at a time (parallel stage 1 gives each
-// worker whole sub-arrays), so the buffers need no lock.
+// reuses. A table is used from one goroutine, so neither needs a lock.
 type tableSub struct {
 	occupied []bool
 	row      *bitvec.Vector // host-side image of the row being written or read
@@ -92,39 +90,12 @@ func NewHashTableAt(p *Platform, k, base, nSubarrays int) *HashTable {
 }
 
 // Len returns the number of distinct k-mers stored.
-func (t *HashTable) Len() int { return int(atomic.LoadInt64(&t.distinct)) }
+func (t *HashTable) Len() int { return t.distinct }
 
 // ProbeOps returns the cumulative number of slot visits Add has performed —
 // the functional analogue of kmer.CountTable.ProbeOps, feeding the
 // operation-count extraction of the analytical models.
-func (t *HashTable) ProbeOps() int64 { return atomic.LoadInt64(&t.probes) }
-
-// Subarrays returns the size of the table's sub-array region.
-func (t *HashTable) Subarrays() int { return t.place.Subarrays }
-
-// Home returns the region-relative sub-array index km is placed in — the
-// shard key parallel stage-1 drivers partition the k-mer stream by. All of
-// one k-mer's probes, inserts, and counter updates stay inside this
-// sub-array, so two k-mers with different homes never share state.
-func (t *HashTable) Home(km kmer.Kmer) int {
-	subIdx, _ := t.place.Place(km)
-	return subIdx
-}
-
-// GlobalSubarray converts a region-relative sub-array index (a Home value)
-// into the platform-global index, e.g. for bank grouping.
-func (t *HashTable) GlobalSubarray(subIdx int) int { return t.base + subIdx }
-
-// Materialize eagerly materialises every sub-array and its controller-side
-// state. Parallel drivers must call it before spawning workers:
-// Platform.Subarray and the state slice are mutated on first touch and are
-// not safe for concurrent initialisation.
-func (t *HashTable) Materialize() {
-	for i := 0; i < t.place.Subarrays; i++ {
-		t.platform.Subarray(t.base + i)
-		t.sub(i)
-	}
-}
+func (t *HashTable) ProbeOps() int64 { return t.probes }
 
 // encodeRow packs a k-mer into the full-row staging buffer (2k bits of
 // payload, zero-padded) so whole-row XNOR comparison is exact.
@@ -173,7 +144,7 @@ func (t *HashTable) Add(km kmer.Kmer) (inserted bool, err error) {
 	s.Write(tempQuery, t.encodeRow(st, km))
 
 	for probe := 0; probe < lay.KmerRows; probe++ {
-		atomic.AddInt64(&t.probes, 1)
+		t.probes++
 		slot := (home + probe) % lay.KmerRows
 		row := lay.KmerRow(slot)
 		if !bm[slot] {
@@ -181,7 +152,7 @@ func (t *HashTable) Add(km kmer.Kmer) (inserted bool, err error) {
 			// row and increment the zeroed counter lane to 1.
 			s.RowClone(tempQuery, row)
 			bm[slot] = true
-			atomic.AddInt64(&t.distinct, 1)
+			t.distinct++
 			t.incrementCounter(s, st, slot, tempOneHot)
 			return true, nil
 		}

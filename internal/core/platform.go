@@ -21,11 +21,10 @@ import (
 //
 // Sub-arrays are materialised lazily: a functional run touches only the
 // sub-arrays its data maps to, while the geometry may describe thousands.
-// Every command a sub-array executes is accounted twice from one emission
-// point: the shared Meter accumulates the *serial* command-slot totals, and
-// the exec.Stream records the typed per-sub-array command — the artifact
-// the controller scheduler (makespan) and the per-stage energy attribution
-// consume.
+// Every command a sub-array executes is recorded once, as a typed
+// per-sub-array record in the platform's exec.Stream — the one record that
+// the serial totals, the controller scheduler (makespan) and the per-stage
+// energy attribution are all read off (Summarize).
 type Platform struct {
 	geom   dram.Geometry
 	timing dram.Timing
@@ -33,20 +32,13 @@ type Platform struct {
 	layout mapping.Layout
 
 	subs   map[int]*subarray.Subarray
-	meter  *dram.Meter
 	stream *exec.Stream
 	fault  subarray.FaultHook
 
-	// regionLogs is the pool of private per-sub-array meters and streams
+	// regionStreams is the pool of private per-sub-array streams
 	// ParallelRegion swaps in; cached here so repeated regions don't
 	// reallocate them.
-	regionLogs []regionLog
-}
-
-// regionLog is what one sub-array records into during a parallel region.
-type regionLog struct {
-	meter  *dram.Meter
-	stream *exec.Stream
+	regionStreams []*exec.Stream
 }
 
 // NewPlatform builds a platform from explicit models.
@@ -70,7 +62,6 @@ func NewPlatform(g dram.Geometry, t dram.Timing, e dram.Energy) (*Platform, erro
 		energy: e,
 		layout: layout,
 		subs:   make(map[int]*subarray.Subarray),
-		meter:  dram.NewMeter(t, e),
 		stream: exec.NewStream(),
 	}, nil
 }
@@ -87,17 +78,14 @@ func NewDefaultPlatform() *Platform {
 // Geometry returns the platform's memory organisation.
 func (p *Platform) Geometry() dram.Geometry { return p.geom }
 
-// Meter returns the shared command meter.
-func (p *Platform) Meter() *dram.Meter { return p.meter }
-
 // Stream returns the recorded per-sub-array command stream.
 func (p *Platform) Stream() *exec.Stream { return p.stream }
 
 // Subarray returns sub-array i, materialising it on first use.
 //
 // Materialisation mutates the platform's sub-array map, and every sub-array
-// records into the platform's one unlocked meter and stream: neither is safe
-// for concurrent use. Drive sub-arrays from several goroutines only inside
+// records into the platform's one unlocked stream: neither is safe for
+// concurrent use. Drive sub-arrays from several goroutines only inside
 // ParallelRegion.
 func (p *Platform) Subarray(i int) *subarray.Subarray {
 	if i < 0 || i >= p.geom.TotalSubarrays() {
@@ -105,7 +93,7 @@ func (p *Platform) Subarray(i int) *subarray.Subarray {
 	}
 	s, ok := p.subs[i]
 	if !ok {
-		s = subarray.New(p.geom, p.meter)
+		s = subarray.New(p.geom, nil)
 		s.SetFaultHook(p.fault)
 		s.AttachRecorder(p.stream, i)
 		p.subs[i] = s
@@ -114,35 +102,28 @@ func (p *Platform) Subarray(i int) *subarray.Subarray {
 }
 
 // ParallelRegion runs body with sub-arrays [first, first+n) — materialised
-// here, serially — each recording into a private meter and a private stream,
-// and after body returns merges both into the platform's in ascending
-// sub-array order. It is the one place the platform's accounting meets
-// concurrency: body may drive those sub-arrays (and no others) from
-// several goroutines, one goroutine per sub-array at a time, and must join
-// them before it returns. Because the merge order is fixed, the stream order,
-// every schedule derived from it and the rounding of the meter's
-// floating-point sums are the same for any goroutine schedule and any worker
-// count — concurrent accumulation into one meter would make the addition
-// order scheduling-dependent.
+// here, serially — each recording into a private stream, and after body
+// returns appends those streams to the platform's in ascending sub-array
+// order. It is the one place the platform's accounting meets concurrency,
+// and BulkXNOR its one caller: body may drive those sub-arrays (and no
+// others) from several goroutines, one goroutine per sub-array at a time,
+// and must join them before it returns. Because the append order is fixed,
+// the stream order — and so every schedule and every floating-point sum
+// Summarize derives from it — is the same for any goroutine schedule and any
+// worker count.
 func (p *Platform) ParallelRegion(first, n int, body func()) {
-	for len(p.regionLogs) < n {
-		p.regionLogs = append(p.regionLogs, regionLog{dram.NewMeter(p.timing, p.energy), exec.NewStream()})
+	for len(p.regionStreams) < n {
+		p.regionStreams = append(p.regionStreams, exec.NewStream())
 	}
-	logs := p.regionLogs[:n]
-	for i, l := range logs {
-		l.meter.Reset()
-		l.stream.Reset()
-		s := p.Subarray(first + i)
-		s.SetMeter(l.meter)
-		s.AttachRecorder(l.stream, first+i)
+	streams := p.regionStreams[:n]
+	for i, st := range streams {
+		st.Reset()
+		p.Subarray(first+i).AttachRecorder(st, first+i)
 	}
 	body()
-	for i, l := range logs {
-		s := p.Subarray(first + i)
-		s.SetMeter(p.meter)
-		s.AttachRecorder(p.stream, first+i)
-		p.meter.Merge(l.meter)
-		p.stream.Append(l.stream)
+	for i, st := range streams {
+		p.Subarray(first+i).AttachRecorder(p.stream, first+i)
+		p.stream.Append(st)
 	}
 }
 
@@ -156,13 +137,9 @@ func (p *Platform) SetFaultHook(h subarray.FaultHook) {
 	}
 }
 
-// MaterializedSubarrays returns how many sub-arrays a run has touched.
-func (p *Platform) MaterializedSubarrays() int { return len(p.subs) }
-
-// Reset clears all sub-array state, the meter, and the command stream.
+// Reset clears all sub-array state and the command stream.
 func (p *Platform) Reset() {
 	p.subs = make(map[int]*subarray.Subarray)
-	p.meter.Reset()
 	p.stream.Reset()
 }
 
@@ -177,16 +154,18 @@ func (p *Platform) SchedConfig() sched.Config {
 	return sched.DefaultConfig(p.geom, p.timing)
 }
 
-// Summary bundles every accounting view of one functional run: the serial
-// meter totals, the scheduled whole-run makespan, the per-stage schedules,
-// and the command histogram and energy attribution derived from the
-// recorded stream. It is the functional half of an engine.Report.
+// Summary bundles every accounting view of one functional run, all derived
+// from the recorded stream: the serial totals, the scheduled whole-run
+// makespan, the per-stage schedules, and the command histogram and energy
+// attribution. It is the functional half of an engine.Report.
 type Summary struct {
-	// Commands is the total command-slot count (the Meter view).
+	// Commands is the total command-slot count.
 	Commands int64
-	// SerialLatencyNS is the summed serial command time.
+	// SerialLatencyNS is the serial command time: every command's duration,
+	// summed in stream order.
 	SerialLatencyNS float64
-	// EnergyPJ is the accumulated array dynamic energy.
+	// EnergyPJ is the array dynamic energy: every command's energy, summed
+	// in stream order.
 	EnergyPJ float64
 	// Subarrays is how many sub-arrays the run touched.
 	Subarrays int
@@ -204,22 +183,25 @@ type Summary struct {
 // stream is walked once, in place, a segment at a time: each segment's
 // commands go through the controller's command scheduler (shared bus +
 // per-bank activation budget) — for the whole run and for their pipeline
-// stage — and into the histogram and attribution tally, in one loop
-// (sched.Pass.AddSegment). Every command carries the sub-array it actually
-// executed in, so the makespans reflect the run's real data placement rather
-// than a synthetic spread of aggregate counts.
+// stage — and into the histogram, attribution and energy tally, in one loop
+// (sched.Pass.AddSegment). The serial totals are that walk's: the command
+// count from the tally, the serial time from the whole-run schedule and the
+// energy from the tally's stream-order sum. Every command carries the
+// sub-array it actually executed in, so the makespans reflect the run's real
+// data placement rather than a synthetic spread of aggregate counts.
 func (p *Platform) Summarize() Summary {
 	pass := sched.NewPass(p.SchedConfig())
 	tally := exec.NewTally(p.timing, p.energy)
 	p.stream.EachSegment(func(seg exec.Segment) { pass.AddSegment(seg, tally) })
+	whole, hist := pass.Whole(), tally.Histogram()
 	return Summary{
-		Commands:        p.meter.TotalCommands(),
-		SerialLatencyNS: p.meter.LatencyNS,
-		EnergyPJ:        p.meter.EnergyPJ,
+		Commands:        int64(hist.Commands),
+		SerialLatencyNS: whole.SerialNS,
+		EnergyPJ:        tally.EnergyPJ(),
 		Subarrays:       len(p.subs),
-		Makespan:        pass.Whole(),
+		Makespan:        whole,
 		Stages:          pass.Stages(),
-		Histogram:       tally.Histogram(),
+		Histogram:       hist,
 		StageCosts:      tally.StageCosts(),
 	}
 }

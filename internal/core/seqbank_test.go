@@ -42,14 +42,14 @@ func TestSequenceBankPacksDensely(t *testing.T) {
 	if _, err := bank.Store(genome.GenerateGenome(101, stats.NewRNG(2))); err != nil {
 		t.Fatal(err)
 	}
-	m := p.Meter().Counts[dram.CmdWrite]
+	m := p.Summarize().Histogram.Totals[dram.CmdWrite]
 	if m != 1 {
 		t.Fatalf("101 bp read used %d row writes, want 1", m)
 	}
 	if _, err := bank.Store(genome.GenerateGenome(129, stats.NewRNG(3))); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Meter().Counts[dram.CmdWrite] - m; got != 2 {
+	if got := p.Summarize().Histogram.Totals[dram.CmdWrite] - m; got != 2 {
 		t.Fatalf("129 bp read used %d row writes, want 2", got)
 	}
 }

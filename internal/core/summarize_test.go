@@ -17,19 +17,29 @@ import (
 
 // perCommandSummarize is Summarize as it was before the stream stored
 // segments, kept as its oracle: every recorded command, one at a time,
-// through the whole-run scheduler, its stage's scheduler and an exec.Tally.
+// through the whole-run scheduler, its stage's scheduler and an exec.Tally,
+// with the three serial totals summed command by command in stream order.
+// Subarrays, how many sub-arrays the run materialised, is no walk figure and
+// is taken from Summarize.
 func perCommandSummarize(p *core.Platform) core.Summary {
 	cmds := p.Stream().Commands()
-	tally := exec.NewTally(dram.DefaultTiming(), dram.DefaultEnergy())
+	tm, en := dram.DefaultTiming(), dram.DefaultEnergy()
+	tally := exec.NewTally(tm, en)
+	var latency, energy float64
 	for _, c := range cmds {
-		tally.AddSegment(exec.Segment{Subarray: c.Subarray, Stage: c.Stage, Kinds: []uint8{uint8(c.Kind)}})
+		sums, total, dur, pj := tally.Open(c.Subarray, c.Stage)
+		sums.Counts[c.Kind]++
+		sums.SerialNS += dur[c.Kind]
+		sums.EnergyPJ += pj[c.Kind]
+		*total += pj[c.Kind]
+		latency += dram.Duration(c.Kind, tm)
+		energy += dram.EnergyOf(c.Kind, en)
 	}
-	m := p.Meter()
 	return core.Summary{
-		Commands:        m.TotalCommands(),
-		SerialLatencyNS: m.LatencyNS,
-		EnergyPJ:        m.EnergyPJ,
-		Subarrays:       p.MaterializedSubarrays(),
+		Commands:        int64(len(cmds)),
+		SerialLatencyNS: latency,
+		EnergyPJ:        energy,
+		Subarrays:       p.Summarize().Subarrays,
 		Makespan:        sched.ScheduleStream(cmds, p.SchedConfig()),
 		Stages:          sched.ScheduleStages(cmds, p.SchedConfig()),
 		Histogram:       tally.Histogram(),
@@ -53,10 +63,10 @@ func pimPlatform(tb testing.TB, seed uint64, genomeLen, reads int, opts assembly
 
 // TestSummarizeMatchesPerCommandWalk pins the segment walk against the
 // per-command one, with DeepEqual — every schedule field, every histogram
-// count and every float of the attribution — on a serial run (long segments
-// to each k-mer's home sub-array), a parallel-stage-1 run (stage 1 recorded
-// sub-array by sub-array, merged by Stream.Append) and a bulk run
-// (two BulkXNORs over eight workers).
+// count and every float of the totals and the attribution — on a serial run
+// (long segments to each k-mer's home sub-array) and a bulk run (two
+// BulkXNORs over eight workers, each region recorded sub-array by sub-array
+// and merged by Stream.Append).
 func TestSummarizeMatchesPerCommandWalk(t *testing.T) {
 	bulk := func() *core.Platform {
 		defer parallel.SetWorkers(0)
@@ -80,9 +90,6 @@ func TestSummarizeMatchesPerCommandWalk(t *testing.T) {
 		p    func() *core.Platform
 	}{
 		{"serial", func() *core.Platform { return pimPlatform(t, 91, 1200, 120, assembly.Options{K: 15}) }},
-		{"parallel-stage1", func() *core.Platform {
-			return pimPlatform(t, 91, 1200, 120, assembly.Options{K: 15, ParallelStage1: true})
-		}},
 		{"bulk", bulk},
 	} {
 		t.Run(run.name, func(t *testing.T) {
@@ -100,10 +107,11 @@ func TestSummarizeMatchesPerCommandWalk(t *testing.T) {
 // around it. make bench runs it once.
 func BenchmarkSummarize(b *testing.B) {
 	p := pimPlatform(b, 1, 2_600, 200, assembly.Options{K: 16})
+	cmds := float64(p.Summarize().Commands)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Summarize()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.Stream().Len()), "ns/cmd")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cmds, "ns/cmd")
 }

@@ -42,7 +42,7 @@ import (
 // ProtoVersion is this binary's wire-protocol version. The handshake
 // carries it in both directions; any mismatch aborts the worker before a
 // job is dispatched.
-const ProtoVersion = 2
+const ProtoVersion = 3
 
 // MaxFramePayload caps one frame's JSON payload. A length prefix beyond it
 // is rejected as hostile or corrupt before any payload is read.

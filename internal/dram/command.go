@@ -133,14 +133,14 @@ func EnergyTable(e Energy) KindTable {
 	return tab
 }
 
-// Meter accumulates latency and energy for a stream of commands issued to a
-// set of sub-arrays. One Meter typically tracks one controller's activity;
-// parallel sub-arrays executing the same broadcast command account the
-// energy of every participating sub-array but the latency only once.
+// Meter accumulates latency and energy for the commands of a detached
+// sub-array — one no platform has attached to a command stream, as in the
+// kernel micro-benchmarks and the sub-array's own tests; a platform's
+// sub-arrays record into its exec.Stream instead. Parallel sub-arrays
+// executing the same broadcast command account the energy of every
+// participating sub-array but the latency only once.
 //
-// A Meter has a single writer and takes no lock: a parallel region gives
-// every sub-array it drives a private Meter and merges them, in sub-array
-// order, after its goroutines have joined (core.Platform.ParallelRegion).
+// A Meter has a single writer and takes no lock.
 type Meter struct {
 	// dur and pj are Duration and EnergyOf tabulated once for the meter's
 	// models: Record prices a command with two loads.
@@ -172,30 +172,4 @@ func (m *Meter) Record(kind CommandKind, parallelSubarrays int) {
 	m.Counts[kind]++
 	m.LatencyNS += m.dur[kind]
 	m.EnergyPJ += float64(parallelSubarrays) * m.pj[kind]
-}
-
-// TotalCommands returns the total number of recorded command slots.
-func (m *Meter) TotalCommands() int64 {
-	var t int64
-	for _, c := range m.Counts {
-		t += c
-	}
-	return t
-}
-
-// Reset clears all accumulated state in place.
-func (m *Meter) Reset() {
-	m.Counts = [NumCommandKinds]int64{}
-	m.LatencyNS = 0
-	m.EnergyPJ = 0
-}
-
-// Merge adds the counts, latency and energy of other into m. Use it to fold
-// per-worker meters from parallel functional simulation into one total.
-func (m *Meter) Merge(other *Meter) {
-	for k, v := range other.Counts {
-		m.Counts[k] += v
-	}
-	m.LatencyNS += other.LatencyNS
-	m.EnergyPJ += other.EnergyPJ
 }

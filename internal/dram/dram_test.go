@@ -149,25 +149,6 @@ func TestMeterParallelEnergyScalesNotLatency(t *testing.T) {
 	}
 }
 
-func TestMeterMergeAndReset(t *testing.T) {
-	a := NewMeter(DefaultTiming(), DefaultEnergy())
-	b := NewMeter(DefaultTiming(), DefaultEnergy())
-	a.Record(CmdRead, 1)
-	b.Record(CmdRead, 1)
-	b.Record(CmdWrite, 1)
-	a.Merge(b)
-	if a.Counts[CmdRead] != 2 || a.Counts[CmdWrite] != 1 {
-		t.Fatalf("merged counts %v", a.Counts)
-	}
-	if a.TotalCommands() != 3 {
-		t.Fatalf("total %d", a.TotalCommands())
-	}
-	a.Reset()
-	if a.TotalCommands() != 0 || a.LatencyNS != 0 || a.EnergyPJ != 0 {
-		t.Fatal("reset did not clear meter")
-	}
-}
-
 func TestCommandKindString(t *testing.T) {
 	if CmdAAP3.String() != "AAP.3src" {
 		t.Fatalf("got %q", CmdAAP3.String())

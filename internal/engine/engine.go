@@ -145,7 +145,7 @@ type Report struct {
 	// Timings is the software family's wall-clock stage breakdown.
 	Timings *assembly.StageTimings
 	// Functional is the functional family's command-stream accounting:
-	// serial meter totals, scheduled makespan, per-stage schedules, and the
+	// serial totals, scheduled makespan, per-stage schedules, and the
 	// command histogram/energy attribution.
 	Functional *core.Summary
 	// Cost is the analytical family's modeled per-stage latency/energy and

@@ -10,7 +10,7 @@ import (
 
 // pimEngine wraps the functional PIM simulator (assembly.AssemblePIMContext)
 // over a fresh default platform per run, so concurrent engine runs never
-// share sub-array state, meters, or command streams.
+// share sub-array state or command streams.
 type pimEngine struct{}
 
 // Name implements Engine.

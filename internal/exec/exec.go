@@ -1,14 +1,12 @@
 // Package exec is the per-sub-array command-stream layer between the
 // functional simulator and the timing/energy models. Every DRAM/PIM command
-// a functional sub-array executes is recorded here as a typed record —
+// a platform sub-array executes is recorded here, once, as a typed record —
 // which sub-array, which command kind, and which pipeline stage issued it —
-// so the one recorded stream is
-// the single source of truth that the serial Meter, the controller
-// scheduler (internal/sched), and the per-stage energy attribution all
-// consume. The serial Meter totals and the stream totals are maintained in
-// lock step by internal/subarray and cross-checked by tests; the scheduler
-// derives the parallel makespan from the stream's real sub-array
-// attribution instead of a synthetic round-robin spread.
+// so the one recorded stream is the platform's only accounting record: the
+// serial command totals, the controller scheduler (internal/sched), and the
+// per-stage energy attribution are all read off it. The scheduler derives
+// the parallel makespan from the stream's real sub-array attribution instead
+// of a synthetic round-robin spread.
 package exec
 
 import (
@@ -170,7 +168,8 @@ var _ [math.MaxUint16 + 1 - chunkLen]struct{} // segment.n holds a whole chunk
 // one stream, and a parallel region gives every sub-array it drives a private
 // stream and appends them, in sub-array order, after its goroutines have
 // joined (core.Platform.ParallelRegion) — so the recorded order, and every
-// schedule derived from it, never depends on goroutine scheduling.
+// schedule and floating-point sum derived from it, never depends on
+// goroutine scheduling.
 type Stream struct {
 	kinds   []*[chunkLen]uint8
 	headers []*[segChunkLen]segment
@@ -238,9 +237,6 @@ func (s *Stream) Append(o *Stream) {
 	})
 }
 
-// Len returns the number of recorded commands.
-func (s *Stream) Len() int { return s.n }
-
 // EachSegment calls fn on every segment in issue order, without copying the
 // stream. Consecutive segments may share a sub-array and a stage (a segment
 // ends where a kind chunk does).
@@ -275,11 +271,12 @@ func (s *Stream) Commands() []Command {
 // Canonical returns the commands in a deterministic round-robin
 // interleaving across sub-arrays: each sub-array's own subsequence is
 // preserved, and commands are drawn one at a time from every non-exhausted
-// sub-array in ascending index order. Use it to schedule a stream recorded
-// by a parallel run: the recorded order holds each region sub-array by
-// sub-array, which an in-order scheduler can hardly overlap, while the
-// canonical interleaving models the cross-sub-array overlap a controller
-// could extract.
+// sub-array in ascending index order. It depends on nothing but those
+// subsequences, so any two runs that issue the same commands to each
+// sub-array — whatever order they interleaved them in — share it. Use it to
+// model the cross-sub-array overlap a controller could extract: the recorded
+// order of a serial run sends each k-mer's burst to its home sub-array before
+// the next begins, which an in-order scheduler can hardly overlap.
 func (s *Stream) Canonical() []Command {
 	// Counting sort by sub-array (stable, so each subsequence keeps its
 	// order) over the distinct sub-arrays ids, ascending, so that the cost
@@ -334,18 +331,8 @@ func (s *Stream) Canonical() []Command {
 // Reset clears the stream, keeping its chunks for reuse.
 func (s *Stream) Reset() { s.n, s.segs = 0, 0 }
 
-// tally runs every segment through a fresh Tally priced with t and e.
-func (s *Stream) tally(t dram.Timing, e dram.Energy) *Tally {
-	ta := NewTally(t, e)
-	s.EachSegment(ta.AddSegment)
-	return ta
-}
-
-// Totals returns the per-kind command counts — the view the serial
-// dram.Meter maintains independently; tests assert the two never drift.
-func (s *Stream) Totals() map[dram.CommandKind]int64 { return s.Histogram().Totals }
-
-// Histogram is the per-stage × per-kind command breakdown of a stream.
+// Histogram is the per-stage × per-kind command breakdown of a stream
+// (Tally.Histogram).
 type Histogram struct {
 	// PerStage maps stage -> kind -> count.
 	PerStage map[Stage]map[dram.CommandKind]int64
@@ -353,11 +340,6 @@ type Histogram struct {
 	Totals map[dram.CommandKind]int64
 	// Commands is the total record count.
 	Commands int
-}
-
-// Histogram aggregates the stream.
-func (s *Stream) Histogram() Histogram {
-	return s.tally(dram.Timing{}, dram.Energy{}).Histogram()
 }
 
 // histogramKinds is the rendering order of command kinds.
@@ -415,8 +397,8 @@ func (c StageCost) String() string {
 
 // StageSums is one stage's running share of a Tally: its command count per
 // kind, and its serial time and energy accrued command by command in stream
-// order — not as count × price — so the floating-point sums equal the
-// Meter's command-by-command totals bit for bit.
+// order — not as count × price — so the floating-point sums are those of a
+// command-by-command walk of the stream, bit for bit.
 type StageSums struct {
 	Counts   [dram.NumCommandKinds]int64
 	SerialNS float64
@@ -424,13 +406,17 @@ type StageSums struct {
 }
 
 // Tally is the running per-stage × per-kind accounting of a command
-// sequence: the histogram and the stage attribution, accumulated in fixed
-// arrays a segment at a time and converted to the exported map and slice
-// shapes only when asked. Fed next to a scheduler (sched.Pass.AddSegment),
-// one walk of the stream yields every accounting view.
+// sequence: the histogram, the stage attribution and the whole run's energy,
+// accumulated in fixed arrays a segment at a time and converted to the
+// exported map and slice shapes only when asked. Fed next to a scheduler
+// (sched.Pass.AddSegment), one walk of the stream yields every accounting
+// view.
 type Tally struct {
 	dur, pj dram.KindTable
 	stages  [numStages]StageSums
+	// energy is the whole run's energy, accrued command by command in stream
+	// order: not the sum of the stages' subtotals, which rounds differently.
+	energy float64
 	// touched[i] has bit st set once stage st issued a command to
 	// sub-array i.
 	touched []uint8
@@ -442,12 +428,12 @@ func NewTally(t dram.Timing, e dram.Energy) *Tally {
 }
 
 // Open marks sub-array sub as touched by stage st and returns st's running
-// sums with the tally's duration and energy tables: the entry point of a
-// caller that accounts a segment inside its own loop, as
-// sched.Pass.AddSegment does. Such a caller adds, for each command of the
-// segment in issue order, one count and the command's two prices — what
-// AddSegment does.
-func (ta *Tally) Open(sub int, st Stage) (sums *StageSums, dur, pj *dram.KindTable) {
+// sums, the whole run's running energy, and the tally's duration and energy
+// tables: the entry point of a caller that accounts a segment inside its own
+// loop, as sched.Pass.AddSegment does. Such a caller adds, for each command
+// of the segment in issue order, one count, the command's two prices to the
+// stage's sums and its energy to the run's.
+func (ta *Tally) Open(sub int, st Stage) (sums *StageSums, total *float64, dur, pj *dram.KindTable) {
 	if uint(sub) > maxSubarray || st >= numStages {
 		panic(unrecordable(Command{Subarray: sub, Stage: st}))
 	}
@@ -455,20 +441,12 @@ func (ta *Tally) Open(sub int, st Stage) (sums *StageSums, dur, pj *dram.KindTab
 		ta.touched = append(ta.touched, make([]uint8, sub+1-len(ta.touched))...)
 	}
 	ta.touched[sub] |= 1 << st
-	return &ta.stages[st], &ta.dur, &ta.pj
+	return &ta.stages[st], &ta.energy, &ta.dur, &ta.pj
 }
 
-// AddSegment accounts a segment's commands.
-func (ta *Tally) AddSegment(seg Segment) {
-	sums, dur, pj := ta.Open(seg.Subarray, seg.Stage)
-	serial, energy := sums.SerialNS, sums.EnergyPJ
-	for _, k := range seg.Kinds {
-		sums.Counts[k]++
-		serial += dur[k]
-		energy += pj[k]
-	}
-	sums.SerialNS, sums.EnergyPJ = serial, energy
-}
+// EnergyPJ returns the whole run's dynamic energy: every command's price,
+// summed in stream order.
+func (ta *Tally) EnergyPJ() float64 { return ta.energy }
 
 // Histogram returns the per-stage × per-kind breakdown; stages and kinds
 // with no commands have no map entry.

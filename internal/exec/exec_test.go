@@ -14,17 +14,18 @@ func TestStreamViews(t *testing.T) {
 	s.Record(Command{Subarray: 3, Kind: dram.CmdWrite, Stage: StageInput, Rows: 1})
 	s.Record(Command{Subarray: 7, Kind: dram.CmdDPU, Stage: StageTraverse, Rows: 1})
 
-	if s.Len() != 4 {
-		t.Fatalf("len %d, want 4", s.Len())
+	if s.n != 4 {
+		t.Fatalf("len %d, want 4", s.n)
 	}
-	if n := touched(s.tally(dram.Timing{}, dram.Energy{})); n != 3 {
+	ta := tallyOf(s, dram.Timing{}, dram.Energy{})
+	if n := touched(ta); n != 3 {
 		t.Fatalf("subarrays %d, want 3", n)
 	}
-	tot := s.Totals()
+	h := ta.Histogram()
+	tot := h.Totals
 	if tot[dram.CmdAAP2] != 2 || tot[dram.CmdWrite] != 1 || tot[dram.CmdDPU] != 1 {
 		t.Fatalf("totals %v", tot)
 	}
-	h := s.Histogram()
 	if h.Commands != 4 {
 		t.Fatalf("histogram commands %d", h.Commands)
 	}
@@ -39,8 +40,8 @@ func TestStreamViews(t *testing.T) {
 		t.Fatalf("commands copy wrong: %v", cmds)
 	}
 	s.Reset()
-	if s.Len() != 0 {
-		t.Fatalf("reset left %d commands", s.Len())
+	if s.n != 0 {
+		t.Fatalf("reset left %d commands", s.n)
 	}
 }
 
@@ -81,6 +82,11 @@ func TestAttributeMatchesMeter(t *testing.T) {
 	if !near(pj, m.EnergyPJ) {
 		t.Fatalf("attributed energy %v pJ, meter %v pJ", pj, m.EnergyPJ)
 	}
+	// The run's energy is summed command by command in stream order, as the
+	// meter sums it: the two agree bit for bit.
+	if ta.EnergyPJ() != m.EnergyPJ {
+		t.Fatalf("run energy %v pJ, meter %v pJ", ta.EnergyPJ(), m.EnergyPJ)
+	}
 }
 
 func TestStageStrings(t *testing.T) {
@@ -95,6 +101,13 @@ func TestStageStrings(t *testing.T) {
 	}
 }
 
+// tallyOf accounts every command of s on a fresh Tally priced with t and e.
+func tallyOf(s *Stream, t dram.Timing, e dram.Energy) *Tally {
+	ta := NewTally(t, e)
+	s.Each(func(c Command) { addCommand(ta, c) })
+	return ta
+}
+
 // touched returns how many distinct sub-arrays ta's commands touched.
 func touched(ta *Tally) int {
 	n := 0
@@ -106,9 +119,14 @@ func touched(ta *Tally) int {
 	return n
 }
 
-// addCommand accounts one command on ta as a one-command segment.
+// addCommand accounts one command on ta, as sched.Pass.AddSegment accounts
+// each command of a segment.
 func addCommand(ta *Tally, c Command) {
-	ta.AddSegment(Segment{Subarray: c.Subarray, Stage: c.Stage, Kinds: []uint8{uint8(c.Kind)}})
+	sums, total, dur, pj := ta.Open(c.Subarray, c.Stage)
+	sums.Counts[c.Kind]++
+	sums.SerialNS += dur[c.Kind]
+	sums.EnergyPJ += pj[c.Kind]
+	*total += pj[c.Kind]
 }
 
 func near(a, b float64) bool {

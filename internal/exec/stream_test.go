@@ -55,8 +55,8 @@ func TestChunkedStreamRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 17} {
 		s, want := randomStream(uint64(n)+1, n)
 		for round := 0; round < 2; round++ {
-			if s.Len() != n {
-				t.Fatalf("n=%d: Len %d", n, s.Len())
+			if s.n != n {
+				t.Fatalf("n=%d: Len %d", n, s.n)
 			}
 			got := s.Commands()
 			if len(got) != n || (n > 0 && !reflect.DeepEqual(got, want)) {
@@ -71,7 +71,7 @@ func TestChunkedStreamRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: Canonical differs from the reference interleaving", n)
 			}
 			s.Reset()
-			if s.Len() != 0 || len(s.Commands()) != 0 {
+			if s.n != 0 || len(s.Commands()) != 0 {
 				t.Fatalf("n=%d: Reset left commands behind", n)
 			}
 			for _, c := range want {
@@ -81,10 +81,10 @@ func TestChunkedStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTallyMatchesMapViews recomputes the histogram and the attribution the
-// way the stream used to — maps keyed per command, pricing through
-// dram.Duration/EnergyOf in stream order — and demands the array-backed
-// Tally's exported shapes equal them exactly, floats included.
+// TestTallyMatchesMapViews recomputes the histogram, the attribution and the
+// run's energy the way the stream used to — maps keyed per command, pricing
+// through dram.Duration/EnergyOf in stream order — and demands the
+// array-backed Tally's exported shapes equal them exactly, floats included.
 func TestTallyMatchesMapViews(t *testing.T) {
 	tm, en := dram.DefaultTiming(), dram.DefaultEnergy()
 	s, cmds := randomStream(7, 2*chunkLen+5)
@@ -97,6 +97,7 @@ func TestTallyMatchesMapViews(t *testing.T) {
 	costs := make(map[Stage]*StageCost)
 	subs := make(map[Stage]map[int]struct{})
 	seen := make(map[int]struct{})
+	var wantEnergy float64
 	for _, c := range cmds {
 		if wantHist.PerStage[c.Stage] == nil {
 			wantHist.PerStage[c.Stage] = make(map[dram.CommandKind]int64)
@@ -111,6 +112,7 @@ func TestTallyMatchesMapViews(t *testing.T) {
 		sc.EnergyPJ += dram.EnergyOf(c.Kind, en)
 		subs[c.Stage][c.Subarray] = struct{}{}
 		seen[c.Subarray] = struct{}{}
+		wantEnergy += dram.EnergyOf(c.Kind, en)
 	}
 	var wantCosts []StageCost
 	for _, st := range Stages() {
@@ -120,24 +122,25 @@ func TestTallyMatchesMapViews(t *testing.T) {
 		}
 	}
 
-	if got := s.Histogram(); !reflect.DeepEqual(got, wantHist) {
+	whole := tallyOf(s, tm, en)
+	if got := whole.Histogram(); !reflect.DeepEqual(got, wantHist) {
 		t.Fatalf("Histogram\n got %+v\nwant %+v", got, wantHist)
 	}
-	if got := s.Totals(); !reflect.DeepEqual(got, wantHist.Totals) {
-		t.Fatalf("Totals %v, want %v", got, wantHist.Totals)
-	}
-	if got := s.tally(tm, en).StageCosts(); !reflect.DeepEqual(got, wantCosts) {
+	if got := whole.StageCosts(); !reflect.DeepEqual(got, wantCosts) {
 		t.Fatalf("StageCosts\n got %+v\nwant %+v", got, wantCosts)
 	}
-	if got := touched(s.tally(tm, en)); got != len(seen) {
+	if got := touched(whole); got != len(seen) {
 		t.Fatalf("Subarrays %d, want %d", got, len(seen))
+	}
+	if got := whole.EnergyPJ(); got != wantEnergy {
+		t.Fatalf("EnergyPJ %v, want %v", got, wantEnergy)
 	}
 
 	// A Tally fed one command at a time from Each is the same accounting
 	// without the stream.
 	ta := NewTally(tm, en)
 	s.Each(func(c Command) { addCommand(ta, c) })
-	if !reflect.DeepEqual(ta.Histogram(), wantHist) || !reflect.DeepEqual(ta.StageCosts(), wantCosts) || touched(ta) != len(seen) {
+	if !reflect.DeepEqual(ta.Histogram(), wantHist) || !reflect.DeepEqual(ta.StageCosts(), wantCosts) || touched(ta) != len(seen) || ta.EnergyPJ() != wantEnergy {
 		t.Fatal("Tally fed from Each differs from the stream's own views")
 	}
 }
@@ -234,8 +237,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			t.Fatalf("%+v: fits=%v but Record panicked=%v", last, fits, panicked)
 		}
 
-		if s.Len() != len(want) {
-			t.Fatalf("Len %d, recorded %d", s.Len(), len(want))
+		if s.n != len(want) {
+			t.Fatalf("Len %d, recorded %d", s.n, len(want))
 		}
 		var walked []Command
 		s.Each(func(c Command) { walked = append(walked, c) })

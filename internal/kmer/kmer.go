@@ -108,26 +108,6 @@ func (km Kmer) Extend(k int, b genome.Base) Kmer {
 // LastBase returns base k-1.
 func (km Kmer) LastBase(k int) genome.Base { return km.Base(k - 1) }
 
-// ReverseComplement returns the reverse complement k-mer.
-func (km Kmer) ReverseComplement(k int) Kmer {
-	checkK(k)
-	var rc Kmer
-	for i := 0; i < k; i++ {
-		rc |= Kmer(km.Base(i).Complement()) << (2 * uint(k-1-i))
-	}
-	return rc
-}
-
-// Canonical returns the lexicographically smaller of km and its reverse
-// complement (optional strand normalisation; the paper's pipeline is
-// single-stranded, so the assembler uses it only when configured to).
-func (km Kmer) Canonical(k int) Kmer {
-	if rc := km.ReverseComplement(k); rc < km {
-		return rc
-	}
-	return km
-}
-
 // Hash mixes the k-mer into a well-distributed 64-bit value
 // (splitmix64 finaliser), used for both the software table and the
 // sub-array home-slot assignment of the PIM mapping.

@@ -68,26 +68,6 @@ func TestFirstLastBase(t *testing.T) {
 	}
 }
 
-func TestReverseComplement(t *testing.T) {
-	km := MustParse("AACGT")
-	if got := km.ReverseComplement(5).String(5); got != "ACGTT" {
-		t.Fatalf("revcomp %q", got)
-	}
-}
-
-func TestCanonicalIdempotent(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := stats.NewRNG(seed)
-		k := 1 + rng.Intn(MaxK)
-		km := Kmer(rng.Uint64()) & Kmer(Mask(k))
-		c := km.Canonical(k)
-		return c.Canonical(k) == c && (c == km || c == km.ReverseComplement(k))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIterateMatchesExtract(t *testing.T) {
 	rng := stats.NewRNG(3)
 	s := genome.GenerateGenome(300, rng)

@@ -27,7 +27,6 @@ type Report struct {
 	GenomeFraction float64 // fraction of reference positions covered by aligned contigs
 	Duplication    float64 // aligned bases / covered reference bases
 	Misassembled   int     // contigs that are not reference substrings
-	NearMiss       int     // non-exact contigs within the edit tolerance (EvaluateTolerant only)
 }
 
 // String implements fmt.Stringer.
@@ -39,27 +38,9 @@ func (r Report) String() string {
 }
 
 // Evaluate scores contigs against the reference with exact substring
-// alignment (appropriate for clean synthetic references). For runs with
-// sequencing errors or injected faults, EvaluateTolerant also recognises
-// near-miss contigs.
+// alignment (appropriate for clean synthetic references): a contig that is
+// no substring of the reference counts as misassembled.
 func Evaluate(contigs []debruijn.Contig, ref *genome.Sequence) Report {
-	return evaluate(contigs, ref, -1)
-}
-
-// EvaluateTolerant scores contigs like Evaluate but reclassifies non-exact
-// contigs whose banded semi-global edit distance to the reference is at
-// most maxEditRate × contig length as near-misses instead of
-// misassemblies. Near-miss contigs count toward aligned bases but not
-// positional coverage (their exact placement is ambiguous). Quadratic in
-// contig × reference length — intended for test-scale references.
-func EvaluateTolerant(contigs []debruijn.Contig, ref *genome.Sequence, maxEditRate float64) Report {
-	if maxEditRate < 0 || maxEditRate >= 1 {
-		panic(fmt.Sprintf("metrics: edit rate %v outside [0,1)", maxEditRate))
-	}
-	return evaluate(contigs, ref, maxEditRate)
-}
-
-func evaluate(contigs []debruijn.Contig, ref *genome.Sequence, maxEditRate float64) Report {
 	rep := Report{
 		Contigs:      len(contigs),
 		ReferenceLen: ref.Len(),
@@ -80,14 +61,6 @@ func evaluate(contigs []debruijn.Contig, ref *genome.Sequence, maxEditRate float
 		s := c.Seq.String()
 		idx := strings.Index(text, s)
 		if idx < 0 {
-			if maxEditRate >= 0 {
-				maxEdits := int(maxEditRate * float64(cl))
-				if withinDistance(c.Seq, ref, maxEdits) {
-					rep.NearMiss++
-					alignedBases += cl
-					continue
-				}
-			}
 			rep.Misassembled++
 			continue
 		}

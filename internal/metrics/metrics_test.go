@@ -132,37 +132,3 @@ func TestEvaluateEmpty(t *testing.T) {
 		t.Fatalf("empty evaluation %+v", rep)
 	}
 }
-
-func TestEvaluateTolerantNearMiss(t *testing.T) {
-	rng := stats.NewRNG(20)
-	ref := genome.GenerateGenome(800, rng)
-	// A contig with one substitution: not an exact substring, but within a
-	// 2% edit tolerance.
-	c := ref.Subsequence(100, 200)
-	c.SetBase(50, genome.Base((int(c.Base(50))+1)%4))
-	rep := Evaluate([]debruijn.Contig{contigOf(c)}, ref)
-	if rep.Misassembled != 1 {
-		t.Fatal("exact evaluation must flag the edited contig")
-	}
-	tol := EvaluateTolerant([]debruijn.Contig{contigOf(c)}, ref, 0.02)
-	if tol.NearMiss != 1 || tol.Misassembled != 0 {
-		t.Fatalf("tolerant evaluation: %+v", tol)
-	}
-	// A genuinely chimeric contig stays misassembled even under tolerance.
-	chimera := ref.Subsequence(0, 100).Append(ref.Subsequence(500, 100))
-	tol2 := EvaluateTolerant([]debruijn.Contig{contigOf(chimera)}, ref, 0.02)
-	if tol2.Misassembled != 1 || tol2.NearMiss != 0 {
-		t.Fatalf("chimera misclassified: %+v", tol2)
-	}
-}
-
-func TestEvaluateTolerantPanics(t *testing.T) {
-	rng := stats.NewRNG(21)
-	ref := genome.GenerateGenome(100, rng)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	EvaluateTolerant(nil, ref, 1.5)
-}

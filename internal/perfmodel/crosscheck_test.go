@@ -39,16 +39,16 @@ func TestHashmapCostFormulaMatchesFunctionalSimulator(t *testing.T) {
 			adds++
 		}
 	}
-	m := p.Meter()
-	// Functional modeled latency per Add (the meter prices each command at
-	// its own duration; the formula prices everything in AAP-cycle
-	// equivalents, so latency is the common currency).
-	nsPerAdd := m.LatencyNS / float64(adds)
+	sum := p.Summarize()
+	// Functional modeled latency per Add (the serial time prices each
+	// command at its own duration; the formula prices everything in
+	// AAP-cycle equivalents, so latency is the common currency).
+	nsPerAdd := sum.SerialLatencyNS / float64(adds)
 
 	// Measured probes per Add: every DPU op is one occupied-slot match
 	// test; empty-slot hits don't compare. The model's AvgProbes counts
 	// comparisons, so derive it the same way.
-	probes = m.Counts[dram.CmdDPU]
+	probes = sum.Histogram.Totals[dram.CmdDPU]
 	avgProbes := float64(probes) / float64(adds)
 
 	lay := mapping.DefaultLayout(p.Geometry())
@@ -77,24 +77,24 @@ func TestRippleIncrementCostExact(t *testing.T) {
 	if _, err := tbl.Add(kmer.MustParse("ACGTACGTACGTACGT")); err != nil {
 		t.Fatal(err)
 	}
-	m := p.Meter()
+	m := p.Summarize().Histogram.Totals
 	bits := mapping.DefaultLayout(p.Geometry()).CounterBits
 
 	wantWrites := int64(2 + 1)          // temp query + one-hot + zero row
 	wantCopies := int64(1 + 1 + 6*bits) // insert clone + carry seed + per-bit staging
 	wantAAP2 := int64(bits)             // XOR per bit
 	wantAAP3 := int64(bits)             // TRA-AND per bit
-	if m.Counts[dram.CmdWrite] != wantWrites {
-		t.Errorf("writes %d, want %d", m.Counts[dram.CmdWrite], wantWrites)
+	if m[dram.CmdWrite] != wantWrites {
+		t.Errorf("writes %d, want %d", m[dram.CmdWrite], wantWrites)
 	}
-	if m.Counts[dram.CmdAAPCopy] != wantCopies {
-		t.Errorf("copies %d, want %d", m.Counts[dram.CmdAAPCopy], wantCopies)
+	if m[dram.CmdAAPCopy] != wantCopies {
+		t.Errorf("copies %d, want %d", m[dram.CmdAAPCopy], wantCopies)
 	}
-	if m.Counts[dram.CmdAAP2] != wantAAP2 {
-		t.Errorf("AAP2 %d, want %d", m.Counts[dram.CmdAAP2], wantAAP2)
+	if m[dram.CmdAAP2] != wantAAP2 {
+		t.Errorf("AAP2 %d, want %d", m[dram.CmdAAP2], wantAAP2)
 	}
-	if m.Counts[dram.CmdAAP3] != wantAAP3 {
-		t.Errorf("AAP3 %d, want %d", m.Counts[dram.CmdAAP3], wantAAP3)
+	if m[dram.CmdAAP3] != wantAAP3 {
+		t.Errorf("AAP3 %d, want %d", m[dram.CmdAAP3], wantAAP3)
 	}
 }
 
@@ -105,10 +105,9 @@ func TestBitSerialAddCyclesMatchModel(t *testing.T) {
 	s := p.Subarray(0)
 	const m = 16
 	s.BitSerialAdd(0, 100, 200, 300, m)
-	meter := p.Meter()
 	// Remove the fixed setup (zero write, latch reset, carry seed copy,
 	// final carry copy).
-	slots := float64(meter.TotalCommands()-4) / float64(m)
+	slots := float64(p.Summarize().Commands-4) / float64(m)
 	want := platforms.PIMAssembler().AddCyclesPerBit
 	if math.Abs(slots-want) > 0.01 {
 		t.Fatalf("functional add %.2f slots/bit, model says %.0f", slots, want)

@@ -181,7 +181,11 @@ func checkAgainstReference(t *testing.T, cmds []exec.Command, c Config) {
 	for i, cmd := range cmds {
 		plain[i] = Command{Subarray: cmd.Subarray, Kind: cmd.Kind}
 		byStage[cmd.Stage] = append(byStage[cmd.Stage], plain[i])
-		wantTally.AddSegment(exec.Segment{Subarray: cmd.Subarray, Stage: cmd.Stage, Kinds: []uint8{uint8(cmd.Kind)}})
+		sums, total, dur, pj := wantTally.Open(cmd.Subarray, cmd.Stage)
+		sums.Counts[cmd.Kind]++
+		sums.SerialNS += dur[cmd.Kind]
+		sums.EnergyPJ += pj[cmd.Kind]
+		*total += pj[cmd.Kind]
 	}
 	want := refSchedule(plain, c)
 	if got := Schedule(plain, c); got != want {
@@ -216,7 +220,7 @@ func checkAgainstReference(t *testing.T, cmds []exec.Command, c Config) {
 				t.Fatalf("segments of ≤ %d, stage %v: Pass %+v, reference %+v", maxLen, st, passStages[st], want)
 			}
 		}
-		if !reflect.DeepEqual(ta.Histogram(), wantTally.Histogram()) || !reflect.DeepEqual(ta.StageCosts(), wantTally.StageCosts()) {
+		if !reflect.DeepEqual(ta.Histogram(), wantTally.Histogram()) || !reflect.DeepEqual(ta.StageCosts(), wantTally.StageCosts()) || ta.EnergyPJ() != wantTally.EnergyPJ() {
 			t.Fatalf("segments of ≤ %d: the Pass's tally differs from a tally of the commands one by one", maxLen)
 		}
 	}

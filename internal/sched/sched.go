@@ -1,7 +1,7 @@
 // Package sched is the controller's command scheduler model: it maps a
 // stream of per-sub-array DRAM commands onto the shared command bus and the
 // banks' concurrency limits, computing the parallel makespan that the
-// simple serial Meter total over-states. This is the timing glue between
+// serial command-time total over-states. This is the timing glue between
 // the functional simulator and the analytical models (which assume a level
 // of parallelism): the scheduler derives that parallelism from first
 // principles — issue bandwidth, per-sub-array occupancy, and the per-bank
@@ -68,7 +68,7 @@ func (c Config) Validate() error {
 // Result summarises one schedule.
 type Result struct {
 	MakespanNS   float64
-	SerialNS     float64 // sum of command durations (the Meter view)
+	SerialNS     float64 // sum of command durations (the serial command time)
 	Commands     int
 	Speedup      float64 // SerialNS / MakespanNS
 	BusBoundPct  float64 // fraction of makespan the bus was issuing
@@ -147,7 +147,7 @@ func (h *minHeap) popUntil(t float64) {
 // per-sub-array free times and the per-bank slot heaps are slices indexed
 // by id and grown on demand.
 type scheduler struct {
-	dur       dram.KindTable // occupancy per kind — the Meter's pricing, so SerialNS reproduces its latency total
+	dur       dram.KindTable // occupancy per kind — dram.Duration, so SerialNS is the serial command time
 	issueNS   float64
 	perBank   int
 	maxActive int
@@ -296,7 +296,8 @@ func Schedule(cmds []Command, cfg Config) Result {
 // record keeps the sub-array the functional simulator actually executed it
 // in, so the computed overlap reflects the run's real data placement. This
 // replaces the old aggregate-count round-robin estimate — the stream is the
-// single source of truth shared with the Meter and the energy attribution.
+// single source of truth shared with the serial totals and the energy
+// attribution.
 func ScheduleStream(cmds []exec.Command, cfg Config) Result {
 	s := newScheduler(cfg)
 	for _, c := range cmds {
@@ -379,9 +380,9 @@ func (p *Pass) AddSegment(seg exec.Segment, ta *exec.Tally) {
 		return
 	}
 	sub := seg.Subarray
-	sums, tdur, tpj := ta.Open(sub, seg.Stage)
+	sums, total, tdur, tpj := ta.Open(sub, seg.Stage)
 	whole, stage := p.whole, p.stages.get(seg.Stage)
-	tSerial, tEnergy := sums.SerialNS, sums.EnergyPJ
+	tSerial, tEnergy, tTotal := sums.SerialNS, sums.EnergyPJ, *total
 	i := 0
 	for i < len(kinds) && (i == 0 || whole.chain != sub || stage.chain != sub) {
 		k := kinds[i]
@@ -390,6 +391,7 @@ func (p *Pass) AddSegment(seg exec.Segment, ta *exec.Tally) {
 		sums.Counts[k]++
 		tSerial += tdur[k]
 		tEnergy += tpj[k]
+		tTotal += tpj[k]
 		i++
 	}
 	if rest := kinds[i:]; len(rest) > 0 {
@@ -424,13 +426,14 @@ func (p *Pass) AddSegment(seg exec.Segment, ta *exec.Tally) {
 			sums.Counts[k]++
 			tSerial += tdur[k]
 			tEnergy += tpj[k]
+			tTotal += tpj[k]
 		}
 		whole.nextIssue, whole.subFree[sub], whole.makespan, whole.serial = wNext, wFree, wMake, wSerial
 		stage.nextIssue, stage.subFree[sub], stage.makespan, stage.serial = sNext, sFree, sMake, sSerial
 		whole.commands += len(rest)
 		stage.commands += len(rest)
 	}
-	sums.SerialNS, sums.EnergyPJ = tSerial, tEnergy
+	sums.SerialNS, sums.EnergyPJ, *total = tSerial, tEnergy, tTotal
 }
 
 // Whole returns the schedule of everything added so far.

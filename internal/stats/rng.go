@@ -63,11 +63,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Uniform returns a uniform float64 in [lo, hi).
-func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Ziggurat tables for NormFloat64 (Marsaglia–Tsang, 128 layers), computed
 // once at init rather than pasted as literals. zigRN is the start of the
 // right tail; each layer (and the tail) has area 9.91256303526217e-3.

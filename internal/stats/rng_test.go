@@ -122,16 +122,6 @@ func TestGaussianScaling(t *testing.T) {
 	}
 }
 
-func TestUniformRange(t *testing.T) {
-	r := NewRNG(4)
-	for i := 0; i < 10000; i++ {
-		x := r.Uniform(-3, 5)
-		if x < -3 || x >= 5 {
-			t.Fatalf("Uniform(-3,5) returned %v", x)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(11)
 	p := r.Perm(50)

@@ -4,12 +4,12 @@ import (
 	"runtime"
 	"testing"
 
-	"pimassembler/internal/dram"
 	"pimassembler/internal/exec"
 )
 
-// recordedSubarray is a sub-array attached the way core.Platform attaches
-// one: a meter and a command stream, both fed by every command.
+// recordedSubarray is a sub-array attached to a command stream the way
+// core.Platform attaches one. The stream then records every command; the
+// meter it was built with must stay empty.
 func recordedSubarray() (*Subarray, *exec.Stream) {
 	s, stream := newTestSubarray(), exec.NewStream()
 	s.AttachRecorder(stream, 7)
@@ -45,8 +45,9 @@ func TestRecordedCommandsAllocateOnlyChunks(t *testing.T) {
 		t.Fatalf("%d commands on one sub-array made %d allocations, %.2f B per command; want ≤ 34 (chunks and their lists) and ≤ 1.1 B", n, mallocs, perCmd)
 	}
 	t.Logf("one sub-array: %d allocations, %.2f B per command", mallocs, perCmd)
-	if stream.Len() != n || s.meter.Counts[dram.CmdAAPCopy] != n {
-		t.Fatalf("stream holds %d commands, meter %d, want %d", stream.Len(), s.meter.Counts[dram.CmdAAPCopy], n)
+	if len(stream.Commands()) != n || totalCommands(s.meter) != 0 {
+		t.Fatalf("stream holds %d commands and the meter %d, want %d and 0: an attached sub-array records into one sink",
+			len(stream.Commands()), totalCommands(s.meter), n)
 	}
 
 	other := newTestSubarray()
@@ -65,14 +66,14 @@ func TestRecordedCommandsAllocateOnlyChunks(t *testing.T) {
 			n, mallocs, perCmd, 2*(16+segChunks)+2)
 	}
 	t.Logf("alternating sub-arrays (the worst case): %d allocations, %.2f B per command", mallocs, perCmd)
-	if stream.Len() != n {
-		t.Fatalf("stream holds %d commands, want %d", stream.Len(), n)
+	if len(stream.Commands()) != n {
+		t.Fatalf("stream holds %d commands, want %d", len(stream.Commands()), n)
 	}
 }
 
 // BenchmarkRecordedCommand times one simulated command end to end — the row
-// copy plus its accounting on the meter and the stream — the unit every
-// functional run is made of. make bench runs it once.
+// copy plus its record in the stream — the unit every functional run is made
+// of. make bench runs it once.
 func BenchmarkRecordedCommand(b *testing.B) {
 	s, stream := recordedSubarray()
 	b.ReportAllocs()

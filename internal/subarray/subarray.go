@@ -4,11 +4,12 @@
 // bit-line, and the MAT-level DPU reduction port.
 //
 // Every operation both computes the digital result and records its DRAM
-// command cost on the sub-array's Meter, so functional runs double as
-// cycle/energy measurements. The digital fast path is property-tested
-// against the analog model in internal/circuit (see verify_test.go): the
-// charge-sharing sense amplifier and these bitwise operations are the same
-// function expressed at two abstraction levels.
+// command, once: into the command stream a platform attaches
+// (AttachRecorder), or, on a detached sub-array, into its Meter. Functional
+// runs double as cycle/energy measurements. The digital fast path is
+// property-tested against the analog model in internal/circuit (see
+// verify_test.go): the charge-sharing sense amplifier and these bitwise
+// operations are the same function expressed at two abstraction levels.
 package subarray
 
 import (
@@ -32,7 +33,7 @@ type Subarray struct {
 
 	cells []*bitvec.Vector // row-major cell state
 	latch *bitvec.Vector   // per-column SA D-latch (carry storage)
-	meter *dram.Meter
+	meter *dram.Meter      // the sink while no stream is attached
 	fault FaultHook
 
 	// t1, t2 are scratch rows reused by the compute primitives, which keep
@@ -40,18 +41,19 @@ type Subarray struct {
 	// overwrites them first; they are never aliased with cell rows.
 	t1, t2 *bitvec.Vector
 
-	// rec receives typed per-command records (nil disables recording); id
-	// is the platform-global sub-array index stamped on every record and
-	// stage the pipeline phase tag the current caller set.
+	// rec receives typed per-command records (nil: the meter does); id is
+	// the platform-global sub-array index stamped on every record and stage
+	// the pipeline phase tag the current caller set.
 	rec   *exec.Stream
 	id    int
 	stage exec.Stage
 }
 
 // AttachRecorder binds the sub-array to a command stream under the given
-// platform-global sub-array id. A nil stream detaches. Like the meter, the
-// stream has no lock: sub-arrays driven from different goroutines must not
-// share one (see SetMeter).
+// platform-global sub-array id; from then on the stream, not the meter,
+// records every command. A nil stream detaches. The stream has no lock:
+// sub-arrays driven from different goroutines must not share one (see
+// core.Platform.ParallelRegion).
 func (s *Subarray) AttachRecorder(r *exec.Stream, id int) {
 	s.rec = r
 	s.id = id
@@ -60,16 +62,17 @@ func (s *Subarray) AttachRecorder(r *exec.Stream, id int) {
 // SetStage tags subsequent commands with the pipeline stage issuing them.
 func (s *Subarray) SetStage(st exec.Stage) { s.stage = st }
 
-// record accounts one command on the serial meter and, when a stream is
-// attached, emits the typed per-sub-array record: the stream extends its
-// open segment while this sub-array and stage repeat, and opens a new one
-// when they change. Both views are fed from this single point so they cannot
-// drift.
+// record accounts one command in exactly one sink. With a stream attached it
+// emits the typed per-sub-array record — the stream extends its open segment
+// while this sub-array and stage repeat, and opens a new one when they
+// change — and every other view (serial totals, schedules, energy) is read
+// off that stream. A detached sub-array accounts the command on its meter.
 func (s *Subarray) record(kind dram.CommandKind) {
-	s.meter.Record(kind, 1)
 	if s.rec != nil {
 		s.rec.Record(exec.Command{Subarray: s.id, Kind: kind, Stage: s.stage})
+		return
 	}
+	s.meter.Record(kind, 1)
 }
 
 // SetFaultHook installs (or clears, with nil) the fault-injection hook.
@@ -82,9 +85,12 @@ func (s *Subarray) applyFault(kind dram.CommandKind, result *bitvec.Vector) {
 	}
 }
 
-// New creates a sub-array from a geometry and a command meter. The meter may
-// be shared across sub-arrays that execute sequentially; sub-arrays driven
-// from different goroutines each need their own (merge afterwards).
+// New creates a sub-array from a geometry and the command meter it records
+// into while no stream is attached. The meter may be shared across
+// sub-arrays that execute sequentially; sub-arrays driven from different
+// goroutines each need their own. A sub-array that is attached to a stream
+// before its first command — as every platform sub-array is — needs none
+// (nil).
 func New(g dram.Geometry, meter *dram.Meter) *Subarray {
 	if err := g.Validate(); err != nil {
 		panic(err)
@@ -127,20 +133,6 @@ func (s *Subarray) checkComputeRow(r int) {
 	if !s.IsComputeRow(r) {
 		panic(fmt.Sprintf("subarray: row %d is not a compute row; the modified row decoder only multi-activates x1..x%d", r, s.computeRows))
 	}
-}
-
-// SetMeter replaces the sub-array's command meter, returning the previous
-// one. A parallel region hands each sub-array it drives a private meter (and
-// a private stream, through AttachRecorder) and merges them in sub-array
-// order after the join, so neither needs a lock and the accumulated
-// floating-point sums never depend on goroutine scheduling.
-func (s *Subarray) SetMeter(m *dram.Meter) *dram.Meter {
-	if m == nil {
-		panic("subarray: nil meter")
-	}
-	old := s.meter
-	s.meter = m
-	return old
 }
 
 // Write stores data into row r through the normal memory path.

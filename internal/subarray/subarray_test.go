@@ -12,6 +12,15 @@ func newTestSubarray() *Subarray {
 	return New(dram.Default(), dram.NewMeter(dram.DefaultTiming(), dram.DefaultEnergy()))
 }
 
+// totalCommands returns how many command slots m has recorded.
+func totalCommands(m *dram.Meter) int64 {
+	var n int64
+	for _, c := range m.Counts {
+		n += c
+	}
+	return n
+}
+
 // read returns a copy of row r through the metered memory path.
 func read(s *Subarray, r int) *bitvec.Vector {
 	v := bitvec.New(s.latch.Len())
@@ -69,7 +78,7 @@ func TestPeekPokeFree(t *testing.T) {
 	if !s.Peek(5).Equal(v) {
 		t.Fatal("poke/peek mismatch")
 	}
-	if s.meter.TotalCommands() != 0 {
+	if totalCommands(s.meter) != 0 {
 		t.Fatal("peek/poke must not account commands")
 	}
 }
@@ -255,14 +264,14 @@ func TestXNOREmulatedTRAMatchesNative(t *testing.T) {
 		t.Fatal("emulation clobbered its operands")
 	}
 	// The emulation must cost several times the native op.
-	emuCmds := s.meter.TotalCommands()
+	emuCmds := totalCommands(s.meter)
 	s2 := newTestSubarray()
 	s2.Poke(0, a)
 	s2.Poke(1, b)
 	s2.XNOR(0, 1, 20)
-	if emuCmds < 5*s2.meter.TotalCommands() {
+	if emuCmds < 5*totalCommands(s2.meter) {
 		t.Fatalf("emulation used %d commands vs native %d; cost model implausible",
-			emuCmds, s2.meter.TotalCommands())
+			emuCmds, totalCommands(s2.meter))
 	}
 }
 
@@ -278,30 +287,6 @@ func TestReadInto(t *testing.T) {
 	if got := s.meter.Counts[dram.CmdRead]; got != 1 {
 		t.Fatalf("CmdRead count %d, want 1 (ReadInto is a metered read)", got)
 	}
-}
-
-func TestSetMeterSwapsAndRestores(t *testing.T) {
-	s := newTestSubarray()
-	orig := s.meter
-	private := dram.NewMeter(dram.DefaultTiming(), dram.DefaultEnergy())
-	if prev := s.SetMeter(private); prev != orig {
-		t.Fatal("SetMeter did not return the previous meter")
-	}
-	s.Write(3, randomRow(stats.NewRNG(18), 256))
-	if private.Counts[dram.CmdWrite] != 1 || orig.Counts[dram.CmdWrite] != 0 {
-		t.Fatal("command metered on the wrong meter after swap")
-	}
-	s.SetMeter(orig)
-	read(s, 3)
-	if orig.Counts[dram.CmdRead] != 1 {
-		t.Fatal("command not metered on the restored meter")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil meter accepted")
-		}
-	}()
-	s.SetMeter(nil)
 }
 
 // TestFillMetersLikeWrite pins Fill as Write of a constant row: same cell
@@ -322,7 +307,7 @@ func TestFillMetersLikeWrite(t *testing.T) {
 	if a.Peek(9).PopCount() != 0 {
 		t.Fatal("Fill(false) left bits set")
 	}
-	if got := a.meter.Counts[dram.CmdWrite]; got != 2 || a.meter.TotalCommands() != 2 {
-		t.Fatalf("Fill metered %d writes of %d commands, want 2 of 2", got, a.meter.TotalCommands())
+	if got := a.meter.Counts[dram.CmdWrite]; got != 2 || totalCommands(a.meter) != 2 {
+		t.Fatalf("Fill metered %d writes of %d commands, want 2 of 2", got, totalCommands(a.meter))
 	}
 }

@@ -29,13 +29,13 @@ var reachAllowlist = map[string]string{
 	"circuit.SenseAmp.SenseSum":   "analog oracle subarray/verify_test.go checks SumWithLatch and BitSerialAdd against",
 	"circuit.SenseAmp.SetLatch":   "loads the carry for subarray/verify_test.go's analog full adder",
 	"debruijn.Graph.FleuryPath":   "the paper's reference walk: TestFleuryMatchesHierholzer, TestDenseFleuryMatchesMapEuler and assembly's TestAssembleFleuryOnSmallInput",
-	"exec.Stream.Commands":        "the command list core's TestParallelRegionMergesInSubarrayOrder, TestBulkXNORParallelMatchesSerial and TestSummarizeMatchesPerCommandWalk and assembly's TestStreamMatchesMeter and TestCommandStreamReproducible compare",
+	"exec.Stream.Commands":        "the command list core's TestParallelRegionMergesInSubarrayOrder, TestBulkXNORParallelMatchesSerial and TestSummarizeMatchesPerCommandWalk and assembly's TestCommandStreamReproducible compare",
 	"genome.Sequence.Append":      "builds metrics_test's chimeric contigs and debruijn's cyclic fixtures (contig_walk_test, mapref_test)",
 	"kmer.CountTable.Add":         "builds the k-mer-by-k-mer reference tables of core, debruijn, correct and perfmodel tests",
 	"kmer.MustParse":              "k-mer literals of core, debruijn and perfmodel tests",
 	"platforms.ByName":            "platform lookup of perfmodel's costOf and TestMBRShape and of platforms' ratio tests",
 	"sched.Schedule":              "schedules the synthetic command mix of ablation_test.go's BenchmarkAblationSchedulerSpread",
-	"sched.ScheduleStages":        "per-stage oracle of core's TestSummarizeMatchesPerCommandWalk and the stage schedules engine's TestGoldenSimulatedStatistics pins",
+	"sched.ScheduleStages":        "per-stage oracle of core's TestSummarizeMatchesPerCommandWalk and the canonical stage schedules engine's TestGoldenSimulatedStatistics pins",
 	"stats.RNG.Perm":              "shuffles the contigs of assembly's mate-pair scaffolding tests (cutContigs)",
 	"subarray.Subarray.Peek":      "unmetered row introspection of fault, core and assembly tests",
 	"subarray.Subarray.Poke":      "unmetered row setup of fault tests and ablation_test.go's benchmarks",
@@ -43,18 +43,6 @@ var reachAllowlist = map[string]string{
 	// Paper-facing models pinned against the paper.
 	"circuit.Enables":              "Fig. 2a's enable-signal table, pinned by TestEnablesMatchPaperTable",
 	"circuit.SenseAmp.SenseMemory": "Fig. 2a's W/R mode on the analog model, pinned by TestSenseMemoryReadsStoredValue",
-
-	// No caller but the tests that pin them: deleting one deletes those
-	// tests too, which EXPERIMENTS.md E33 schedules.
-	"kmer.Kmer.Canonical":       "TestCanonicalIdempotent",
-	"metrics.EvaluateTolerant":  "TestEvaluateTolerantNearMiss, TestEvaluateTolerantPanics (and withinDistance's four tests)",
-	"stats.GeoMean":             "TestGeoMean, TestGeoMeanPanicsOnNonPositive",
-	"stats.Histogram.Add":       "TestHistogram",
-	"stats.Histogram.BinCenter": "TestHistogram",
-	"stats.Histogram.Total":     "TestHistogram",
-	"stats.NewHistogram":        "TestHistogram, TestHistogramPanicsOnBadBounds",
-	"stats.RNG.Uniform":         "TestUniformRange",
-	"stats.Summarize":           "TestSummarizeKnown and the four other TestSummarize* tests",
 }
 
 // TestReach is the repository's reachability gate, in two halves.
