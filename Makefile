@@ -21,8 +21,11 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# The 32-bit build catches constant and shift overflow where code
+# arithmetic meets int-sized counts.
 build:
 	$(GO) build ./...
+	GOARCH=386 $(GO) build ./...
 
 vet:
 	$(GO) vet ./...

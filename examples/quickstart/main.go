@@ -35,7 +35,7 @@ func main() {
 	p.Reset()
 	table := core.NewHashTable(p, 5, 1)
 	s := genome.MustFromString("CGTGCGTGCTT")
-	for _, km := range kmer.Extract(s, 5) {
+	for _, km := range kmer.AppendKmers(nil, s, 5) {
 		if _, err := table.Add(km); err != nil {
 			panic(err)
 		}

@@ -99,3 +99,23 @@ func assertSameAssembly(t *testing.T, workers int, want, got *Result) {
 		t.Fatalf("CountWorkers=%d: op counts diverge:\n got %+v\nwant %+v", workers, got.Counts, want.Counts)
 	}
 }
+
+// TestHugeCountWorkers pins a worker count no host has, on reads that pass
+// the bucket split and are corrected, to the one-worker contigs and op
+// counts. The fold and the correction clamp their fan-out to GOMAXPROCS
+// (kmer TestWorkersClampedToGOMAXPROCS, correct TestCorrectHugeWorkerCount),
+// so such a request starts no more goroutines than a host-sized one.
+func TestHugeCountWorkers(t *testing.T) {
+	reads := countWorkersWorkload(25, 60_000, 101, 1_200, 0.005)
+	opts := Options{K: 16, Correct: true, SolidThreshold: 2}
+	base, err := Assemble(reads, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.CountWorkers = 1_000_000
+	got, err := Assemble(reads, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAssembly(t, opts.CountWorkers, base, got)
+}

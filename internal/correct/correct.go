@@ -14,6 +14,7 @@ package correct
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 
 	"pimassembler/internal/genome"
@@ -172,9 +173,7 @@ func (c *Corrector) CorrectAll(reads []*genome.Sequence) Stats {
 	if len(reads) == 0 {
 		return st
 	}
-	// More workers than reads would leave some without a chunk, and a
-	// worker count near MaxInt would overflow the chunk size.
-	workers := min(max(c.workers, 1), len(reads))
+	workers := c.fanOut(len(reads))
 	spans := parallel.Spans(len(reads), (len(reads)+workers-1)/workers)
 	parts := make([]Stats, len(spans))
 	parallel.ForEachWorkers(workers, len(spans), func(i int) {
@@ -200,6 +199,14 @@ func (c *Corrector) CorrectAll(reads []*genome.Sequence) Stats {
 		st.Unrepairable += p.Unrepairable
 	}
 	return st
+}
+
+// fanOut is how many goroutines CorrectAll repairs n > 0 reads on: the
+// requested workers, but no more than GOMAXPROCS, which a request does not
+// pick, and no more than the reads, which would leave a worker without a
+// chunk.
+func (c *Corrector) fanOut(n int) int {
+	return min(max(c.workers, 1), runtime.GOMAXPROCS(0), n)
 }
 
 // FromReadsWorkers counts the reads' own spectrum and builds a corrector from

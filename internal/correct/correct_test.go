@@ -2,6 +2,7 @@ package correct
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"pimassembler/internal/genome"
@@ -97,7 +98,7 @@ func TestShortReadUntouched(t *testing.T) {
 // TestCorrectHugeWorkerCount is the regression test for a worker count near
 // MaxInt: CorrectAll's chunk size overflowed to zero and parallel.Spans
 // panicked, taking the daemon down with it. Any worker count must repair
-// exactly what one worker repairs.
+// exactly what one worker repairs, on at most GOMAXPROCS goroutines.
 func TestCorrectHugeWorkerCount(t *testing.T) {
 	_, _, noisy := errReads(4, 3000, 80, 600, 0.005)
 	want := cloneReads(noisy)
@@ -107,7 +108,11 @@ func TestCorrectHugeWorkerCount(t *testing.T) {
 	}
 	for _, workers := range []int{len(noisy) + 1, math.MaxInt} {
 		got := cloneReads(noisy)
-		if st := FromReadsWorkers(got, 15, 3, 4, workers).CorrectAll(got); st != wantStats {
+		c := FromReadsWorkers(got, 15, 3, 4, workers)
+		if n := c.fanOut(len(got)); n > runtime.GOMAXPROCS(0) {
+			t.Fatalf("workers=%d: fans out %d ways, more than GOMAXPROCS = %d", workers, n, runtime.GOMAXPROCS(0))
+		}
+		if st := c.CorrectAll(got); st != wantStats {
 			t.Fatalf("workers=%d: %+v, want %+v", workers, st, wantStats)
 		}
 		for i := range got {

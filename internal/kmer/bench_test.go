@@ -85,28 +85,40 @@ func BenchmarkCountAll(b *testing.B) {
 	})
 }
 
-// BenchmarkSpectrum is stage 1 alone at the sw_100k shape — 100 000 × 101 bp
-// error-free reads of a 1 Mbp genome, k = 16 — from reads to the sorted
-// entries graph construction takes: the serial table (CountReads +
-// FilterMinCount) against the bucketed counter the pipeline runs.
+// BenchmarkSpectrum is stage 1 alone, from reads to the sorted entries graph
+// construction takes: the serial table (CountReads + FilterMinCount) against
+// the bucketed counter the pipeline runs. k16 is the sw_100k shape — 100 000
+// × 101 bp error-free reads of a 1 Mbp genome — where the buckets hold 4-byte
+// codes; k32 is the sw_noisy_k32 shape — 30 000 × 101 bp reads of a 100 kbp
+// genome with 1 % errors — where they hold 8-byte ones.
 func BenchmarkSpectrum(b *testing.B) {
-	rng := stats.NewRNG(5)
-	g := genome.GenerateGenome(1_000_000, rng)
-	reads := genome.NewReadSampler(g, 101, 0, rng).Sample(100_000)
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			CountReads(reads, 16).FilterMinCount(1)
-		}
-	})
-	b.Run("bucketed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t := NewBucketTable(16, 1)
-			for _, r := range reads {
-				t.AddRead(r)
+	shapes := []struct {
+		name                string
+		k, genomeLen, reads int
+		errRate             float64
+	}{
+		{"k16", 16, 1_000_000, 100_000, 0},
+		{"k32", 32, 100_000, 30_000, 0.01},
+	}
+	for _, sh := range shapes {
+		rng := stats.NewRNG(5)
+		g := genome.GenerateGenome(sh.genomeLen, rng)
+		reads := genome.NewReadSampler(g, 101, sh.errRate, rng).Sample(sh.reads)
+		b.Run(sh.name+"/serial", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				CountReads(reads, sh.k).FilterMinCount(1)
 			}
-			t.FilterMinCount(1)
-		}
-	})
+		})
+		b.Run(sh.name+"/bucketed", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t := NewBucketTable(sh.k, 1)
+				for _, r := range reads {
+					t.AddRead(r)
+				}
+				t.FilterMinCount(1)
+			}
+		})
+	}
 }

@@ -2,6 +2,8 @@ package kmer
 
 import (
 	"math/bits"
+	"runtime"
+	"slices"
 	"sync"
 
 	"pimassembler/internal/genome"
@@ -19,9 +21,12 @@ const (
 	// bucketBits is the width of the k-mer-code prefix that names a bucket.
 	bucketBits = 8
 	numBuckets = 1 << bucketBits
+	// maxK32 is the largest k whose code bits below the bucket prefix,
+	// 2k - bucketBits of them, fit a uint32.
+	maxK32 = (32 + bucketBits) / 2
 	// stageBlock is the k-mers in one staging block and stageBudget the
-	// k-mers of the slab the blocks are cut from (16 MiB). A fold round
-	// starts when a bucket needs a block and the slab has none left.
+	// k-mers of the slab the blocks are cut from. A fold round starts when a
+	// bucket needs a block and the slab has none left.
 	stageBlock  = 1 << 10
 	stageBudget = 1 << 21
 )
@@ -36,6 +41,11 @@ const (
 // missing on every add. Buckets are value ranges, so the sorted entries are
 // the buckets' sorted runs laid end to end.
 //
+// A bucket's prefix fixes the top code bits, so the buckets stage and store
+// only the low ones: 4 bytes of them for k ≤ maxK32, the whole 8-byte code
+// above. Either way a k-mer's home slot is the hash of its whole code, so
+// the width changes no probe.
+//
 // A bucket's k-mers reach its table in read order whatever the worker count,
 // so counts, entries, Len and ProbeOps are the same for every worker count,
 // and counts and entries are those of CountReads. ProbeOps sums the probes of
@@ -49,133 +59,46 @@ const (
 // goroutines may look up at once.
 type BucketTable struct {
 	k       int
-	workers int // fold and read-out goroutines, in [1, numBuckets]
-	// tables holds the single table before the split and bucket b's table
-	// at index b after it. shift is 64 before the split, so every k-mer maps
-	// to index 0, and 2k-bucketBits after it.
-	tables []*CountTable
-	shift  uint
-	probes int64 // the single table's probes, once it has split
-	staged *[numBuckets]stage
-	slab   []Kmer // the staging blocks, cut in order
-	cut    int    // blocks cut from slab since the last fold
-	pool   slotPool
+	workers int   // fold and read-out goroutines, in [1, GOMAXPROCS]
+	cur     phase // the single *CountTable until the split, then the buckets
+	// split builds the buckets, at the code width NewBucketTable picked,
+	// from the single table.
+	split func(single *CountTable, workers int) phase
 }
 
-// stage is the k-mers staged for one bucket since the last fold, in read
-// order: its filled blocks, then the first n k-mers of open.
-type stage struct {
-	full [][]Kmer
-	open []Kmer
-	n    int
+// phase is what a BucketTable counts with: the single CountTable before the
+// split, a *buckets after it.
+type phase interface {
+	AddRead(r *genome.Sequence)
+	Len() int
+	ProbeOps() int64
+	Count(km Kmer) uint32
+	CountAll(kms []Kmer, counts []uint32)
+	FilterMinCount(min uint32) []Entry
+	// settle folds whatever is staged.
+	settle()
 }
 
 // NewBucketTable returns an empty counter for k-mers of length k whose fold
-// rounds and read-out run on up to workers goroutines (≤ 1: the caller's).
+// rounds and read-out run on up to workers goroutines (≤ 1: the caller's),
+// never more than GOMAXPROCS.
 func NewBucketTable(k, workers int) *BucketTable {
 	checkK(k)
-	t := &BucketTable{k: k, workers: min(max(workers, 1), numBuckets), shift: 64}
-	t.tables = []*CountTable{t.newTable(0)}
+	t := &BucketTable{k: k, workers: min(max(workers, 1), runtime.GOMAXPROCS(0)), cur: NewCountTable(k, 0)}
+	if k <= maxK32 {
+		t.split = splitBuckets[uint32]
+	} else {
+		t.split = splitBuckets[Kmer]
+	}
 	return t
-}
-
-// newTable returns an empty table for hint entries that grows through the
-// counter's slot pool.
-func (t *BucketTable) newTable(hint int) *CountTable {
-	return &CountTable{k: t.k, slots: t.pool.get(tableCapacity(hint)), pool: &t.pool}
 }
 
 // AddRead counts every k-mer of r: into the single table before the split,
 // into the buckets' staging blocks after it.
 func (t *BucketTable) AddRead(r *genome.Sequence) {
-	if t.staged == nil {
-		single := t.tables[0]
-		single.AddRead(r)
-		if single.Len() > splitDistinct {
-			t.split()
-		}
-		return
-	}
-	var kms [addBatch]Kmer
-	for roll := newRoller(r, t.k); ; {
-		n := roll.fill(kms[:])
-		if n == 0 {
-			return
-		}
-		for _, km := range kms[:n] {
-			s := &t.staged[uint8(km>>t.shift)]
-			if s.n == len(s.open) {
-				t.nextBlock(s)
-			}
-			s.open[s.n] = km
-			s.n++
-		}
-	}
-}
-
-// split moves the single table's entries, counts and all, into bucket
-// tables sized for what each receives. No bucket holds anything yet, so
-// every entry is a plain placement.
-func (t *BucketTable) split() {
-	single := t.tables[0]
-	t.shift = 2*uint(t.k) - bucketBits
-	var sizes [numBuckets]int
-	for _, s := range single.slots {
-		if s.Count != 0 {
-			sizes[uint8(s.Kmer>>t.shift)]++
-		}
-	}
-	t.tables = make([]*CountTable, numBuckets)
-	for b := range t.tables {
-		t.tables[b] = t.newTable(sizes[b])
-	}
-	for _, s := range single.slots {
-		if s.Count != 0 {
-			tbl := t.tables[uint8(s.Kmer>>t.shift)]
-			tbl.place(s)
-			tbl.n++
-		}
-	}
-	t.probes = single.probeOps
-	t.pool.put(single.slots)
-	t.staged = new([numBuckets]stage)
-}
-
-// nextBlock files s's open block, which is full or absent, and cuts s a new
-// one, folding every bucket first when the slab has no block left.
-func (t *BucketTable) nextBlock(s *stage) {
-	if s.n > 0 {
-		s.full, s.n = append(s.full, s.open), 0
-	}
-	if t.cut == stageBudget/stageBlock {
-		t.fold()
-	}
-	if t.slab == nil {
-		t.slab = make([]Kmer, stageBudget)
-	}
-	at := t.cut * stageBlock
-	s.open, s.n = t.slab[at:at+stageBlock:at+stageBlock], 0
-	t.cut++
-}
-
-// fold adds every staged k-mer to its bucket's table, one bucket at a time
-// on each worker, and frees the slab for the next round.
-func (t *BucketTable) fold() {
-	parallel.ForEachWorkers(t.workers, numBuckets, func(b int) {
-		s, tbl := &t.staged[b], t.tables[b]
-		for _, blk := range s.full {
-			tbl.AddAll(blk)
-		}
-		tbl.AddAll(s.open[:s.n])
-		s.full, s.open, s.n = s.full[:0], nil, 0
-	})
-	t.cut = 0
-}
-
-// settle folds whatever is staged.
-func (t *BucketTable) settle() {
-	if t.cut > 0 {
-		t.fold()
+	t.cur.AddRead(r)
+	if single, ok := t.cur.(*CountTable); ok && single.Len() > splitDistinct {
+		t.cur = t.split(single, t.workers)
 	}
 }
 
@@ -183,62 +106,20 @@ func (t *BucketTable) settle() {
 func (t *BucketTable) K() int { return t.k }
 
 // Len returns the number of distinct k-mers counted.
-func (t *BucketTable) Len() int {
-	t.settle()
-	n := 0
-	for _, tbl := range t.tables {
-		n += tbl.n
-	}
-	return n
-}
+func (t *BucketTable) Len() int { return t.cur.Len() }
 
 // ProbeOps returns the slot comparisons of every table that counted.
-func (t *BucketTable) ProbeOps() int64 {
-	t.settle()
-	ops := t.probes
-	for _, tbl := range t.tables {
-		ops += tbl.probeOps
-	}
-	return ops
-}
+func (t *BucketTable) ProbeOps() int64 { return t.cur.ProbeOps() }
 
 // Count returns the stored count of km (0 if absent).
-func (t *BucketTable) Count(km Kmer) uint32 {
-	t.settle()
-	return t.tables[uint8(km>>t.shift)].countHashed(km, km.Hash())
-}
+func (t *BucketTable) Count(km Kmer) uint32 { return t.cur.Count(km) }
 
 // CountAll stores Count(kms[i]) in counts[i] for every i.
-func (t *BucketTable) CountAll(kms []Kmer, counts []uint32) {
-	t.settle()
-	counts = counts[:len(kms)]
-	for i, km := range kms {
-		counts[i] = t.tables[uint8(km>>t.shift)].countHashed(km, km.Hash())
-	}
-}
+func (t *BucketTable) CountAll(kms []Kmer, counts []uint32) { t.cur.CountAll(kms, counts) }
 
 // FilterMinCount returns the entries with count ≥ min, sorted by k-mer, as
-// CountTable.FilterMinCount does. The survivors are counted table by table
-// and collected into one allocation, each table's run filtered into its
-// place and radix-sorted there with one scratch buffer per worker.
-func (t *BucketTable) FilterMinCount(min uint32) []Entry {
-	t.settle()
-	at := make([]int, len(t.tables)+1)
-	for i, tbl := range t.tables {
-		at[i+1] = at[i] + tbl.survivors(min)
-	}
-	out := make([]Entry, at[len(t.tables)])
-	spans := parallel.Spans(len(t.tables), (len(t.tables)+t.workers-1)/t.workers)
-	parallel.ForEachWorkers(t.workers, len(spans), func(w int) {
-		var scratch []Entry
-		for i := spans[w].Lo; i < spans[w].Hi; i++ {
-			run := out[at[i]:at[i+1]]
-			t.tables[i].filter(run, min)
-			scratch = sortEntries(run, scratch)
-		}
-	})
-	return out
-}
+// CountTable.FilterMinCount does.
+func (t *BucketTable) FilterMinCount(min uint32) []Entry { return t.cur.FilterMinCount(min) }
 
 // CountReadsParallel counts every k-mer of every read on a BucketTable whose
 // fold rounds run on workers goroutines, and returns it settled.
@@ -247,20 +128,183 @@ func CountReadsParallel(reads []*genome.Sequence, k, workers int) *BucketTable {
 	for _, r := range reads {
 		t.AddRead(r)
 	}
-	t.settle()
+	t.cur.settle()
 	return t
+}
+
+// buckets is a BucketTable after its split, storing codes at width C: bucket
+// b's table holds the k-mers b<<shift | code.
+type buckets[C code] struct {
+	k       int
+	shift   uint
+	workers int
+	probes  int64 // the single table's probes
+	tables  [numBuckets]table[C]
+	staged  [numBuckets]stage[C]
+	slab    []C // the staging blocks, cut in order
+	cut     int // blocks cut from slab since the last fold
+	pool    slotPool[C]
+}
+
+// stage is the codes staged for one bucket since the last fold, in read
+// order: its filled blocks, then the first n codes of open.
+type stage[C code] struct {
+	full [][]C
+	open []C
+	n    int
+}
+
+// splitBuckets moves the single table's entries, counts and all, into bucket
+// tables sized for what each receives. No bucket holds anything yet, so
+// every entry is a plain placement.
+func splitBuckets[C code](single *CountTable, workers int) phase {
+	b := &buckets[C]{k: single.k, shift: 2*uint(single.k) - bucketBits, workers: workers, probes: single.probeOps}
+	var sizes [numBuckets]int
+	for _, s := range single.slots {
+		if s.Count != 0 {
+			sizes[uint8(s.Kmer>>b.shift)]++
+		}
+	}
+	for i := range b.tables {
+		b.tables[i] = table[C]{prefix: Kmer(i) << b.shift, slots: b.pool.get(tableCapacity(sizes[i])), pool: &b.pool}
+	}
+	for _, s := range single.slots {
+		if s.Count != 0 {
+			tbl := &b.tables[uint8(s.Kmer>>b.shift)]
+			tbl.place(slot[C]{C(s.Kmer), s.Count})
+			tbl.n++
+		}
+	}
+	return b
+}
+
+// AddRead stages the low code bits of each k-mer of r in its bucket's open
+// block.
+func (b *buckets[C]) AddRead(r *genome.Sequence) {
+	var kms [addBatch]Kmer
+	for roll := newRoller(r, b.k); ; {
+		n := roll.fill(kms[:])
+		if n == 0 {
+			return
+		}
+		for _, km := range kms[:n] {
+			s := &b.staged[uint8(km>>b.shift)]
+			if s.n == len(s.open) {
+				b.nextBlock(s)
+			}
+			s.open[s.n] = C(km)
+			s.n++
+		}
+	}
+}
+
+// nextBlock files s's open block, which is full or absent, and cuts s a new
+// one, folding every bucket first when the slab has no block left.
+func (b *buckets[C]) nextBlock(s *stage[C]) {
+	if s.n > 0 {
+		s.full, s.n = append(s.full, s.open), 0
+	}
+	if b.cut == stageBudget/stageBlock {
+		b.fold()
+	}
+	if b.slab == nil {
+		b.slab = make([]C, stageBudget)
+	}
+	at := b.cut * stageBlock
+	s.open, s.n = b.slab[at:at+stageBlock:at+stageBlock], 0
+	b.cut++
+}
+
+// fold adds every staged code to its bucket's table, one bucket at a time
+// on each worker, and frees the slab for the next round.
+func (b *buckets[C]) fold() {
+	parallel.ForEachWorkers(b.workers, numBuckets, func(i int) {
+		s, tbl := &b.staged[i], &b.tables[i]
+		for _, blk := range s.full {
+			tbl.addAll(blk)
+		}
+		tbl.addAll(s.open[:s.n])
+		s.full, s.open, s.n = s.full[:0], nil, 0
+	})
+	b.cut = 0
+}
+
+// settle and the readers below implement phase for the buckets; every
+// reader settles first.
+func (b *buckets[C]) settle() {
+	if b.cut > 0 {
+		b.fold()
+	}
+}
+
+func (b *buckets[C]) Len() int {
+	b.settle()
+	n := 0
+	for i := range b.tables {
+		n += b.tables[i].n
+	}
+	return n
+}
+
+func (b *buckets[C]) ProbeOps() int64 {
+	b.settle()
+	ops := b.probes
+	for i := range b.tables {
+		ops += b.tables[i].probeOps
+	}
+	return ops
+}
+
+func (b *buckets[C]) Count(km Kmer) uint32 {
+	b.settle()
+	return b.tables[uint8(km>>b.shift)].count(C(km), km.Hash())
+}
+
+func (b *buckets[C]) CountAll(kms []Kmer, counts []uint32) {
+	b.settle()
+	counts = counts[:len(kms)]
+	for i, km := range kms {
+		counts[i] = b.tables[uint8(km>>b.shift)].count(C(km), km.Hash())
+	}
+}
+
+// FilterMinCount counts the survivors table by table and allocates the
+// entries once. Each worker then takes a span of tables and, for each,
+// filters its slots into a reused run, radix-sorts the run over the code
+// bits alone, and widens it into its place in the entries.
+func (b *buckets[C]) FilterMinCount(min uint32) []Entry {
+	b.settle()
+	var at [numBuckets + 1]int
+	for i := range b.tables {
+		at[i+1] = at[i] + b.tables[i].survivors(min)
+	}
+	out := make([]Entry, at[numBuckets])
+	spans := parallel.Spans(numBuckets, (numBuckets+b.workers-1)/b.workers)
+	parallel.ForEachWorkers(b.workers, len(spans), func(w int) {
+		var run, scratch []slot[C]
+		for i := spans[w].Lo; i < spans[w].Hi; i++ {
+			tbl, dst := &b.tables[i], out[at[i]:at[i+1]]
+			run = slices.Grow(run[:0], len(dst))[:len(dst)]
+			tbl.filter(run, min)
+			scratch = sortSlots(run, scratch)
+			for j, s := range run {
+				dst[j] = Entry{tbl.prefix | Kmer(s.Kmer), s.Count}
+			}
+		}
+	})
+	return out
 }
 
 // slotPool keeps the slot arrays that tables grew out of, by size, for the
 // next table that grows to that size. Growth is rare next to adds, so one
 // mutex serves every fold worker. A nil pool allocates and keeps nothing.
-type slotPool struct {
+type slotPool[C code] struct {
 	mu   sync.Mutex
-	free [bits.UintSize][][]Entry // free[i] holds arrays of 1<<i slots
+	free [bits.UintSize][][]slot[C] // free[i] holds arrays of 1<<i slots
 }
 
 // get returns n zeroed slots; n is a power of two.
-func (p *slotPool) get(n int) []Entry {
+func (p *slotPool[C]) get(n int) []slot[C] {
 	if p != nil {
 		i := bits.TrailingZeros(uint(n))
 		p.mu.Lock()
@@ -273,11 +317,11 @@ func (p *slotPool) get(n int) []Entry {
 		}
 		p.mu.Unlock()
 	}
-	return make([]Entry, n)
+	return make([]slot[C], n)
 }
 
 // put hands s, which no table uses any more, to the next get of its size.
-func (p *slotPool) put(s []Entry) {
+func (p *slotPool[C]) put(s []slot[C]) {
 	if p == nil {
 		return
 	}

@@ -50,14 +50,37 @@ var bucketSizes = []struct {
 // a full slab started on the way.
 func addReads(t *BucketTable, reads []*genome.Sequence) (folds int) {
 	for _, r := range reads {
-		before := t.cut
+		before := cutBlocks(t)
 		t.AddRead(r)
-		if t.cut < before {
+		if cutBlocks(t) < before {
 			folds++
 		}
 	}
 	return folds
 }
+
+// isSplit reports whether t has split into buckets.
+func isSplit(t *BucketTable) bool {
+	_, single := t.cur.(*CountTable)
+	return !single
+}
+
+// cutBlocks returns the staging blocks cut since t's last fold round, 0
+// before the split.
+func cutBlocks(t *BucketTable) int {
+	switch b := t.cur.(type) {
+	case *buckets[uint32]:
+		return b.cut
+	case *buckets[Kmer]:
+		return b.cut
+	}
+	return 0
+}
+
+// pastFoldProbesK16 is the ProbeOps of the "past a fold round" size at
+// k = 16 when the buckets stored whole 8-byte codes: the code width must
+// not move a probe.
+const pastFoldProbesK16 = 3_522_552
 
 // assertMatchesSerial compares every reader of a bucketed counter with the
 // serial CountTable over the same reads: entries, trimmed entries, Len, and
@@ -97,7 +120,8 @@ func assertMatchesSerial(t *testing.T, label string, serial *CountTable, bt *Buc
 // TestPartitionedMatchesSerial is the differential pin of the bucketed
 // counter against CountReads: the four shard workload shapes at k ∈ {2..8},
 // and three sizes — below the split, just past it, past a fold round — at
-// k ∈ {8, 16, 31, 32}.
+// k ∈ {8, 16, 20, 21, 31, 32}, which spans both code widths and the
+// boundary between them.
 func TestPartitionedMatchesSerial(t *testing.T) {
 	for _, tr := range countTrials {
 		t.Run(tr.name, func(t *testing.T) {
@@ -113,14 +137,17 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 	for i, size := range bucketSizes {
 		t.Run(size.name, func(t *testing.T) {
 			reads := countWorkload(uint64(31+i), size.genomeLen, 101, size.nReads, 0)
-			for _, k := range []int{8, 16, 31, 32} {
+			for _, k := range []int{8, 16, 20, 21, 31, 32} {
 				bt := NewBucketTable(k, 1)
 				folds := addReads(bt, reads)
-				if split := bt.staged != nil; split != size.split || (folds > 0) != size.fold {
+				if split := isSplit(bt); split != size.split || (folds > 0) != size.fold {
 					t.Fatalf("k=%d: split %v after %d fold rounds; the size is meant to split: %v, fold: %v",
 						k, split, folds, size.split, size.fold)
 				}
 				assertMatchesSerial(t, fmt.Sprintf("k=%d", k), CountReads(reads, k), bt)
+				if size.fold && k == 16 && bt.ProbeOps() != pastFoldProbesK16 {
+					t.Fatalf("k=16: %d probes, want %d", bt.ProbeOps(), pastFoldProbesK16)
+				}
 			}
 		})
 	}
@@ -132,7 +159,7 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 func TestPartitionedWorkerInvariance(t *testing.T) {
 	for i, size := range bucketSizes {
 		reads := countWorkload(uint64(41+i), size.genomeLen, 101, size.nReads, 0.002)
-		for _, k := range []int{16, 31} {
+		for _, k := range []int{16, 20, 21, 31} {
 			base := CountReadsParallel(reads, k, 1)
 			entries := base.FilterMinCount(1)
 			for _, workers := range []int{2, 4, runtime.NumCPU()} {
@@ -155,8 +182,8 @@ func TestPartitionedWorkerInvariance(t *testing.T) {
 func TestCountReadsParallelDefault(t *testing.T) {
 	reads := countWorkload(23, 120_000, 101, 1_000, 0)
 	bt := CountReadsParallel(reads, 16, 2)
-	if bt.staged == nil || bt.cut != 0 {
-		t.Fatalf("split %v, %d blocks still staged: want a split, settled table", bt.staged != nil, bt.cut)
+	if !isSplit(bt) || cutBlocks(bt) != 0 {
+		t.Fatalf("split %v, %d blocks still staged: want a split, settled table", isSplit(bt), cutBlocks(bt))
 	}
 	want := NewBucketTable(16, 2)
 	addReads(want, reads)
@@ -165,40 +192,100 @@ func TestCountReadsParallelDefault(t *testing.T) {
 	}
 }
 
-// TestBucketTableGeometry pins the split rule and the routing: k < 8 has too
-// few k-mers to split, and at k ≥ 8 the table splits on the first read after
-// which it holds more than splitDistinct k-mers, into numBuckets tables of
-// which table b holds exactly the k-mers with code prefix b.
+// TestBucketTableGeometry pins the split rule, the code width and the
+// routing: k < 8 has too few k-mers to split, and at k ≥ 8 the table splits
+// on the first read after which it holds more than splitDistinct k-mers,
+// into numBuckets tables of which table b holds exactly the k-mers with code
+// prefix b, at 4-byte codes up to k = maxK32 and 8-byte ones above.
 func TestBucketTableGeometry(t *testing.T) {
 	reads := countWorkload(51, 200_000, 101, 3_000, 0)
 	small := CountReadsParallel(reads, 7, 1)
-	if small.staged != nil || len(small.tables) != 1 || small.Len() < 1<<14-16 {
-		t.Fatalf("k=7: split %v into %d tables holding %d k-mers; want one table of nearly all 16384",
-			small.staged != nil, len(small.tables), small.Len())
+	if isSplit(small) || small.Len() < 1<<14-16 {
+		t.Fatalf("k=7: split %v holding %d k-mers; want one table of nearly all 16384", isSplit(small), small.Len())
 	}
-	for _, k := range []int{8, 16, 32} {
+	for _, k := range []int{8, 16, 20, 21, 32} {
 		bt := NewBucketTable(k, 1)
 		for _, r := range reads {
-			before := bt.tables[0].Len()
+			before := bt.Len()
 			bt.AddRead(r)
-			if bt.staged != nil {
+			if isSplit(bt) {
 				if before > splitDistinct {
 					t.Fatalf("k=%d: split one read late, at %d distinct", k, before)
 				}
 				break
 			}
 		}
-		if bt.staged == nil {
+		switch b := bt.cur.(type) {
+		case *buckets[uint32]:
+			if k > maxK32 {
+				t.Fatalf("k=%d: 4-byte codes", k)
+			}
+			checkBuckets(t, k, b)
+		case *buckets[Kmer]:
+			if k <= maxK32 {
+				t.Fatalf("k=%d: 8-byte codes", k)
+			}
+			checkBuckets(t, k, b)
+		default:
 			t.Fatalf("k=%d: never split", k)
 		}
-		if len(bt.tables) != numBuckets || bt.shift != 2*uint(k)-bucketBits || bt.Len() <= splitDistinct {
-			t.Fatalf("k=%d: %d tables, shift %d, %d distinct", k, len(bt.tables), bt.shift, bt.Len())
+		if bt.Len() <= splitDistinct {
+			t.Fatalf("k=%d: %d distinct", k, bt.Len())
 		}
-		for b, tbl := range bt.tables {
-			for _, e := range tbl.Entries() {
-				if int(e.Kmer>>bt.shift) != b {
-					t.Fatalf("k=%d: bucket %d holds %v", k, b, e.Kmer)
-				}
+	}
+}
+
+// checkBuckets checks that bucket i of b, at k, holds only k-mers with code
+// prefix i.
+func checkBuckets[C code](t *testing.T, k int, b *buckets[C]) {
+	t.Helper()
+	if b.shift != 2*uint(k)-bucketBits {
+		t.Fatalf("k=%d: shift %d", k, b.shift)
+	}
+	for i := range b.tables {
+		tbl := &b.tables[i]
+		for _, s := range tbl.slots {
+			if km := tbl.prefix | Kmer(s.Kmer); s.Count != 0 && int(km>>b.shift) != i {
+				t.Fatalf("k=%d: bucket %d holds %v", k, i, km)
+			}
+		}
+	}
+}
+
+// TestCodeWidthsAgree builds the 8-byte-code buckets at k = 16, where the
+// counter picks 4-byte ones, and pins the two widths to the same entries,
+// Len, counts and ProbeOps at every size.
+func TestCodeWidthsAgree(t *testing.T) {
+	const k = 16
+	for i, size := range bucketSizes {
+		reads := countWorkload(uint64(31+i), size.genomeLen, 101, size.nReads, 0)
+		narrow := NewBucketTable(k, 1)
+		wide := NewBucketTable(k, 1)
+		wide.split = splitBuckets[Kmer]
+		addReads(narrow, reads)
+		addReads(wide, reads)
+		if _, ok := wide.cur.(*buckets[Kmer]); ok != size.split {
+			t.Fatalf("%s: 8-byte buckets %v, want %v", size.name, ok, size.split)
+		}
+		if wide.Len() != narrow.Len() || wide.ProbeOps() != narrow.ProbeOps() {
+			t.Fatalf("%s: 8-byte codes hold %d k-mers after %d probes, 4-byte %d after %d",
+				size.name, wide.Len(), wide.ProbeOps(), narrow.Len(), narrow.ProbeOps())
+		}
+		want := narrow.FilterMinCount(1)
+		if !reflect.DeepEqual(wide.FilterMinCount(1), want) || !reflect.DeepEqual(wide.FilterMinCount(2), narrow.FilterMinCount(2)) {
+			t.Fatalf("%s: entries differ between code widths", size.name)
+		}
+		queries := make([]Kmer, 0, 2*len(want))
+		for _, e := range want {
+			queries = append(queries, e.Kmer^1) // mostly absent k-mers
+			queries = append(queries, e.Kmer)
+		}
+		got, wantCounts := make([]uint32, len(queries)), make([]uint32, len(queries))
+		wide.CountAll(queries, got)
+		narrow.CountAll(queries, wantCounts)
+		for j, km := range queries {
+			if got[j] != wantCounts[j] || wide.Count(km) != narrow.Count(km) {
+				t.Fatalf("%s: %v counts %d (8-byte) / %d (4-byte)", size.name, km, got[j], wantCounts[j])
 			}
 		}
 	}
@@ -209,11 +296,11 @@ func TestBucketTableGeometry(t *testing.T) {
 func TestSplitCarriesSaturatedCounts(t *testing.T) {
 	const k = 16
 	reads := countWorkload(61, 120_000, 101, 1_000, 0)
-	kms := Extract(reads[0], k)
+	kms := AppendKmers(nil, reads[0], k)
 	x, y := kms[0], kms[1]
 	bt := NewBucketTable(k, 1)
 	bt.AddRead(reads[0])
-	single := bt.tables[0]
+	single := bt.cur.(*CountTable)
 	for i := range single.slots {
 		switch single.slots[i].Kmer {
 		case x:
@@ -223,7 +310,7 @@ func TestSplitCarriesSaturatedCounts(t *testing.T) {
 		}
 	}
 	addReads(bt, reads[1:])
-	if bt.staged == nil {
+	if !isSplit(bt) {
 		t.Fatal("fixture never splits")
 	}
 	if bt.Count(x) < math.MaxUint32-1 || bt.Count(y) != math.MaxUint32 {
@@ -238,5 +325,16 @@ func TestSplitCarriesSaturatedCounts(t *testing.T) {
 	}
 	if bt.Count(x) != math.MaxUint32 || bt.Count(y) != math.MaxUint32 {
 		t.Fatalf("x=%d y=%d, want both saturated at %d", bt.Count(x), bt.Count(y), uint32(math.MaxUint32))
+	}
+}
+
+// TestWorkersClampedToGOMAXPROCS pins the fold and read-out fan-out to
+// [1, GOMAXPROCS] whatever worker count the caller asks for.
+func TestWorkersClampedToGOMAXPROCS(t *testing.T) {
+	for _, workers := range []int{-1, 0, 1, runtime.GOMAXPROCS(0), 1_000_000, math.MaxInt} {
+		want := min(max(workers, 1), runtime.GOMAXPROCS(0))
+		if got := NewBucketTable(16, workers).workers; got != want {
+			t.Fatalf("workers=%d: %d fold workers, want %d", workers, got, want)
+		}
 	}
 }

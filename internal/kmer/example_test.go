@@ -31,9 +31,9 @@ func ExampleKmer_Prefix() {
 	// Output: CGTG -> GTGC
 }
 
-func ExampleExtract() {
+func ExampleAppendKmers() {
 	s := genome.MustFromString("ACGTAC")
-	for _, km := range kmer.Extract(s, 4) {
+	for _, km := range kmer.AppendKmers(nil, s, 4) {
 		fmt.Println(km.String(4))
 	}
 	// Output:

@@ -18,6 +18,9 @@ func FuzzPartitionedVsSerial(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(1), uint16(0))
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 255, 254, 9, 9, 9}, uint8(14), uint8(8), uint16(600))
 	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"), uint8(30), uint8(3), uint16(1000))
+	// k = 20 and k = 21: the last 4-byte code width and the first 8-byte one.
+	f.Add([]byte("ACGTTGCAACGTGGCCTTAAGCGCATATCGATCGGCTA"), uint8(18), uint8(2), uint16(1000))
+	f.Add([]byte("ACGTTGCAACGTGGCCTTAAGCGCATATCGATCGGCTA"), uint8(19), uint8(2), uint16(1000))
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, workersRaw uint8, bulk uint16) {
 		k := 2 + int(kRaw)%(MaxK-1)
 		workers := 1 + int(workersRaw)%8

@@ -184,11 +184,3 @@ func AppendKmers(dst []Kmer, s *genome.Sequence, k int) []Kmer {
 	r.fill(dst[at:])
 	return dst
 }
-
-// Extract returns all k-mers of s in order.
-func Extract(s *genome.Sequence, k int) []Kmer {
-	if s.Len() < k {
-		return nil
-	}
-	return AppendKmers(nil, s, k)
-}

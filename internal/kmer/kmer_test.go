@@ -72,7 +72,7 @@ func TestIterateMatchesExtract(t *testing.T) {
 	rng := stats.NewRNG(3)
 	s := genome.GenerateGenome(300, rng)
 	k := 21
-	kms := Extract(s, k)
+	kms := AppendKmers(nil, s, k)
 	if len(kms) != s.Len()-k+1 {
 		t.Fatalf("extracted %d k-mers, want %d", len(kms), s.Len()-k+1)
 	}
@@ -106,7 +106,7 @@ func TestAppendKmersMatchesIterate(t *testing.T) {
 
 func TestExtractShortSequence(t *testing.T) {
 	s := genome.MustFromString("ACG")
-	if got := Extract(s, 5); got != nil {
+	if got := AppendKmers(nil, s, 5); got != nil {
 		t.Fatalf("short sequence yielded %v", got)
 	}
 }

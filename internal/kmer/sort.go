@@ -1,5 +1,7 @@
 package kmer
 
+import "math"
+
 // SortEntries orders entries by ascending k-mer code in place: the shared
 // sorting primitive behind CountTable.Entries, FilterMinCount, the bucket
 // runs of BucketTable, and the de Bruijn graph's edge order when k-mers were
@@ -10,20 +12,26 @@ package kmer
 // old sort.Slice guarantee: tables never hold duplicate keys, so their output
 // order is identical either way, and a graph given one k-mer twice keeps the
 // two edges in insertion order.
-func SortEntries(es []Entry) { sortEntries(es, nil) }
+func SortEntries(es []Entry) { sortSlots(es, nil) }
 
-// sortEntries is SortEntries with a caller-owned scratch buffer, grown when
-// it is shorter than es and returned for the next call.
-func sortEntries(es, buf []Entry) []Entry {
+// sortSlots is SortEntries at any code width, with a caller-owned scratch
+// buffer, grown when it is shorter than es and returned for the next call.
+// A 4-byte code has 4 byte lanes and an 8-byte code 8.
+func sortSlots[C code](es, buf []slot[C]) []slot[C] {
 	n := len(es)
 	if n <= 48 {
-		insertionSortEntries(es)
+		insertionSortSlots(es)
 		return buf
 	}
 
 	// One gathering pass builds the histogram of every byte lane; uniform
 	// lanes (all high bytes for small k, shared prefixes in a partition)
 	// are skipped entirely.
+	wide := uint64(^C(0)) > math.MaxUint32
+	lanes := 4
+	if wide {
+		lanes = 8
+	}
 	var hist [8][256]int
 	for _, e := range es {
 		v := uint64(e.Kmer)
@@ -31,17 +39,19 @@ func sortEntries(es, buf []Entry) []Entry {
 		hist[1][byte(v>>8)]++
 		hist[2][byte(v>>16)]++
 		hist[3][byte(v>>24)]++
-		hist[4][byte(v>>32)]++
-		hist[5][byte(v>>40)]++
-		hist[6][byte(v>>48)]++
-		hist[7][byte(v>>56)]++
+		if wide {
+			hist[4][byte(v>>32)]++
+			hist[5][byte(v>>40)]++
+			hist[6][byte(v>>48)]++
+			hist[7][byte(v>>56)]++
+		}
 	}
 
 	if cap(buf) < n {
-		buf = make([]Entry, n)
+		buf = make([]slot[C], n)
 	}
 	src, dst := es, buf[:n]
-	for b := 0; b < 8; b++ {
+	for b := 0; b < lanes; b++ {
 		h := &hist[b]
 		shift := uint(8 * b)
 		// The byte histogram is permutation-invariant, so src[0] probes
@@ -68,9 +78,9 @@ func sortEntries(es, buf []Entry) []Entry {
 	return buf
 }
 
-// insertionSortEntries handles the short slices where radix bookkeeping
-// costs more than it saves.
-func insertionSortEntries(es []Entry) {
+// insertionSortSlots handles the short slices where radix bookkeeping costs
+// more than it saves.
+func insertionSortSlots[C code](es []slot[C]) {
 	for i := 1; i < len(es); i++ {
 		e := es[i]
 		j := i - 1

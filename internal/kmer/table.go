@@ -26,27 +26,165 @@ func tableCapacity(hint int) int {
 	return capacity
 }
 
-// CountTable is the software reference k-mer hash table: open addressing
-// with linear probing, the same probe discipline the PIM mapping uses
-// row-by-row inside a sub-array, so its probe statistics transfer directly
-// to the hardware cost model. A slot is one 16-byte Entry, so a probe touches
-// one cache line; a zero count marks an empty slot (Add never stores one).
+// code is a width a table stores k-mer codes at: Kmer for whole codes, or
+// uint32 for the low code bits of a bucket whose prefix supplies the rest.
+type code interface{ ~uint32 | ~uint64 }
+
+// slot is one (code, count) pair at code width C. Kmer holds the low code
+// bits at that width; the table's prefix holds the rest.
+type slot[C code] struct {
+	Kmer  C
+	Count uint32
+}
+
+// Entry is one (k-mer, count) pair: a slot at the full code width.
+type Entry = slot[Kmer]
+
+// table is open addressing with linear probing over slots of code width C,
+// the probe discipline the PIM mapping uses row-by-row inside a sub-array, so
+// its probe statistics transfer directly to the hardware cost model. Every
+// k-mer it holds is prefix | Kmer(code), and a k-mer's home slot comes from
+// the hash of that whole code, so the same k-mers probe the same slots at
+// either width. A zero count marks an empty slot (addAll never stores one).
 // The table doubles at load ½, so its capacity follows the number of
 // distinct k-mers, whatever the number of occurrences.
-type CountTable struct {
-	k        int
-	slots    []Entry // Count 0 = empty
+type table[C code] struct {
+	prefix   Kmer
+	slots    []slot[C] // Count 0 = empty
 	n        int
-	probeOps int64     // total probe comparisons, for op-count extraction
-	sink     uint32    // keeps AddAll's look-ahead loads from being optimised away
-	pool     *slotPool // where grow takes and leaves slot arrays; nil allocates
+	probeOps int64        // total probe comparisons, for op-count extraction
+	sink     uint32       // keeps addAll's look-ahead loads from being optimised away
+	pool     *slotPool[C] // where grow takes and leaves slot arrays; nil allocates
+}
+
+// hash is the hash of the k-mer whose low code bits are c.
+func (t *table[C]) hash(c C) uint64 { return (t.prefix | Kmer(c)).Hash() }
+
+// addBatch is how many k-mers addAll hashes ahead of probing them.
+const addBatch = 64
+
+// addAll folds codes into the table in slice order, each one iteration of
+// the Hashmap procedure in Fig. 5b: grow at load ½, probe linearly from the
+// code's home slot, insert a new code with count 1 or increment a stored
+// one. It takes them addBatch at a time, hashing a batch and loading each
+// home slot before probing any: that puts the batch's cache misses in flight
+// together, where the probe loop alone would wait for them one by one.
+func (t *table[C]) addAll(cs []C) {
+	var hashes [addBatch]uint64
+	for len(cs) > 0 {
+		batch := cs[:min(len(cs), addBatch)]
+		cs = cs[len(batch):]
+		slots := t.slots
+		mask := uint64(len(slots) - 1)
+		var loaded uint32
+		for i, c := range batch {
+			hashes[i] = t.hash(c)
+			loaded |= slots[hashes[i]&mask].Count
+		}
+		t.sink = loaded
+		n, probes := t.n, t.probeOps
+		for i, c := range batch {
+			if n*2 >= len(slots) {
+				t.grow()
+				slots = t.slots
+				mask = uint64(len(slots) - 1)
+			}
+			for j := hashes[i] & mask; ; j = (j + 1) & mask {
+				probes++
+				s := &slots[j]
+				if s.Count == 0 {
+					s.Kmer, s.Count = c, 1
+					n++
+					break
+				}
+				if s.Kmer == c {
+					// Saturate: a wrapped count would read as an empty slot.
+					if s.Count != math.MaxUint32 {
+						s.Count++
+					}
+					break
+				}
+			}
+		}
+		t.n, t.probeOps = n, probes
+	}
+}
+
+// count returns the stored count of c, whose hash is hash (0 if absent).
+func (t *table[C]) count(c C, hash uint64) uint32 {
+	mask := uint64(len(t.slots) - 1)
+	for i := hash & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.Count == 0 || s.Kmer == c {
+			return s.Count
+		}
+	}
+}
+
+// grow doubles the table. Rehashing costs no probeOps: the counter prices
+// the Hashmap procedure's comparisons, not the host's table maintenance.
+func (t *table[C]) grow() {
+	old := t.slots
+	t.slots = t.pool.get(len(old) * 2)
+	for _, s := range old {
+		if s.Count != 0 {
+			t.place(s)
+		}
+	}
+	t.pool.put(old)
+}
+
+// place stores s, whose code the table does not hold, in the first empty
+// slot from its home. It neither counts probes nor checks the load: it is
+// the re-insertion of growth and of a bucket split.
+func (t *table[C]) place(s slot[C]) {
+	mask := uint64(len(t.slots) - 1)
+	j := t.hash(s.Kmer) & mask
+	for t.slots[j].Count != 0 {
+		j = (j + 1) & mask
+	}
+	t.slots[j] = s
+}
+
+// survivors counts the entries with count ≥ min.
+func (t *table[C]) survivors(min uint32) int {
+	if min <= 1 {
+		return t.n
+	}
+	n := 0
+	for _, s := range t.slots {
+		if s.Count >= min {
+			n++
+		}
+	}
+	return n
+}
+
+// filter copies the slots with count ≥ min into dst in slot order; len(dst)
+// is survivors(min).
+func (t *table[C]) filter(dst []slot[C], min uint32) {
+	min = max(min, 1) // an empty slot's zero count must never pass
+	i := 0
+	for _, s := range t.slots {
+		if s.Count >= min {
+			dst[i] = s
+			i++
+		}
+	}
+}
+
+// CountTable is the software reference k-mer hash table: the open-addressing
+// table over whole codes. A slot is one 16-byte Entry, so a probe touches one
+// cache line.
+type CountTable struct {
+	k int
+	table[Kmer]
 }
 
 // NewCountTable creates a table for k-mers of length k with capacity for at
 // least hint distinct entries before growing.
 func NewCountTable(k int, hint int) *CountTable {
 	checkK(k)
-	return &CountTable{k: k, slots: make([]Entry, tableCapacity(hint))}
+	return &CountTable{k: k, table: table[Kmer]{slots: make([]Entry, tableCapacity(hint))}}
 }
 
 // K returns the table's k-mer length.
@@ -62,59 +200,8 @@ func (t *CountTable) ProbeOps() int64 { return t.probeOps }
 // Add increments the count of km, inserting it if absent, and returns the
 // new count: one iteration of the Hashmap procedure in Fig. 5b.
 func (t *CountTable) Add(km Kmer) uint32 {
-	return t.addHashed(km, km.Hash())
-}
-
-// addHashed is Add with km's hash already computed.
-func (t *CountTable) addHashed(km Kmer, hash uint64) uint32 {
-	if t.n*2 >= len(t.slots) {
-		t.grow()
-	}
-	mask := uint64(len(t.slots) - 1)
-	i := hash & mask
-	for {
-		t.probeOps++
-		s := &t.slots[i]
-		if s.Count == 0 {
-			s.Kmer, s.Count = km, 1
-			t.n++
-			return 1
-		}
-		if s.Kmer == km {
-			// Saturate: a wrapped count would read as an empty slot.
-			if s.Count != math.MaxUint32 {
-				s.Count++
-			}
-			return s.Count
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// addBatch is how many k-mers AddAll hashes ahead of probing them.
-const addBatch = 64
-
-// AddAll folds k-mers into the table in slice order: exactly len(kms) Add
-// calls, so counts and probe statistics are those of the plain loop. It takes
-// them addBatch at a time, hashing a batch and loading each home slot before
-// probing any: that puts the batch's cache misses in flight together, where
-// the probe loop alone would wait for them one by one.
-func (t *CountTable) AddAll(kms []Kmer) {
-	var hashes [addBatch]uint64
-	for len(kms) > 0 {
-		batch := kms[:min(len(kms), addBatch)]
-		mask := uint64(len(t.slots) - 1)
-		var loaded uint32
-		for i, km := range batch {
-			hashes[i] = km.Hash()
-			loaded |= t.slots[hashes[i]&mask].Count
-		}
-		t.sink = loaded
-		for i, km := range batch {
-			t.addHashed(km, hashes[i])
-		}
-		kms = kms[len(batch):]
-	}
+	t.addAll([]Kmer{km})
+	return t.Count(km)
 }
 
 // AddRead counts every k-mer of r in read order. It is the one stage-1
@@ -127,7 +214,7 @@ func (t *CountTable) AddRead(r *genome.Sequence) {
 		if n == 0 {
 			return
 		}
-		t.AddAll(kms[:n])
+		t.addAll(kms[:n])
 	}
 }
 
@@ -135,62 +222,19 @@ func (t *CountTable) AddRead(r *genome.Sequence) {
 // lookups are the host's queries, not the Hashmap procedure's comparisons,
 // so ProbeOps does not count them and any number of goroutines may look up
 // concurrently once counting has finished.
-func (t *CountTable) Count(km Kmer) uint32 {
-	return t.countHashed(km, km.Hash())
-}
-
-// countHashed is Count with km's hash already computed.
-func (t *CountTable) countHashed(km Kmer, hash uint64) uint32 {
-	mask := uint64(len(t.slots) - 1)
-	for i := hash & mask; ; i = (i + 1) & mask {
-		if s := &t.slots[i]; s.Count == 0 || s.Kmer == km {
-			return s.Count
-		}
-	}
-}
+func (t *CountTable) Count(km Kmer) uint32 { return t.count(km, km.Hash()) }
 
 // CountAll stores Count(kms[i]) in counts[i] for every i: one call for a
 // read's worth of lookups instead of one interface call per k-mer. Read-only,
 // like Count. The lookups of a batch are independent loads, which the
-// processor already overlaps; staging them AddAll-style (hash the batch, load
+// processor already overlaps; staging them addAll-style (hash the batch, load
 // every home slot, then resolve) measured 15–40 % slower than this loop at
 // every table size tried (EXPERIMENTS.md E26).
 func (t *CountTable) CountAll(kms []Kmer, counts []uint32) {
 	counts = counts[:len(kms)]
 	for i, km := range kms {
-		counts[i] = t.countHashed(km, km.Hash())
+		counts[i] = t.count(km, km.Hash())
 	}
-}
-
-// grow doubles the table. Rehashing costs no probeOps: the counter prices
-// the Hashmap procedure's comparisons, not the host's table maintenance.
-func (t *CountTable) grow() {
-	old := t.slots
-	t.slots = t.pool.get(len(old) * 2)
-	for _, s := range old {
-		if s.Count != 0 {
-			t.place(s)
-		}
-	}
-	t.pool.put(old)
-}
-
-// place stores e, whose k-mer the table does not hold, in the first empty
-// slot from its home. It neither counts probes nor checks the load: it is
-// the re-insertion of growth and of a bucket split.
-func (t *CountTable) place(e Entry) {
-	mask := uint64(len(t.slots) - 1)
-	j := e.Kmer.Hash() & mask
-	for t.slots[j].Count != 0 {
-		j = (j + 1) & mask
-	}
-	t.slots[j] = e
-}
-
-// Entry is one (k-mer, count) pair.
-type Entry struct {
-	Kmer  Kmer
-	Count uint32
 }
 
 // Entries returns all entries sorted by k-mer value — a deterministic order
@@ -208,6 +252,9 @@ func (t *CountTable) Each(fn func(Kmer, uint32) bool) {
 		}
 	}
 }
+
+// settle does nothing: a CountTable stages nothing.
+func (t *CountTable) settle() {}
 
 // CountReads builds a table over every k-mer of every read: stage 1 of the
 // assembly pipeline.
@@ -228,31 +275,4 @@ func (t *CountTable) FilterMinCount(min uint32) []Entry {
 	t.filter(out, min)
 	SortEntries(out)
 	return out
-}
-
-// survivors counts the entries with count ≥ min.
-func (t *CountTable) survivors(min uint32) int {
-	if min <= 1 {
-		return t.n
-	}
-	n := 0
-	for _, s := range t.slots {
-		if s.Count >= min {
-			n++
-		}
-	}
-	return n
-}
-
-// filter copies the entries with count ≥ min into dst in slot order; len(dst)
-// is survivors(min).
-func (t *CountTable) filter(dst []Entry, min uint32) {
-	min = max(min, 1) // an empty slot's zero count must never pass
-	i := 0
-	for _, s := range t.slots {
-		if s.Count >= min {
-			dst[i] = s
-			i++
-		}
-	}
 }

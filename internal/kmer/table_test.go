@@ -82,7 +82,7 @@ func TestCountReadsAgainstMap(t *testing.T) {
 	tbl := CountReads(reads, k)
 	ref := make(map[Kmer]uint32)
 	for _, r := range reads {
-		for _, km := range Extract(r, k) {
+		for _, km := range AppendKmers(nil, r, k) {
 			ref[km]++
 		}
 	}
@@ -341,7 +341,7 @@ func TestCountReadsCapacityTracksDistinct(t *testing.T) {
 	}
 }
 
-// TestAddReadIsTheAddLoop: the batched AddRead/AddAll leave exactly the
+// TestAddReadIsTheAddLoop: the batched AddRead/addAll leave exactly the
 // table — slot for slot, probe for probe — that one Add per k-mer leaves,
 // across batch boundaries, table growth inside a batch, and reads shorter
 // than k.
