@@ -10,7 +10,7 @@ GO ?= go
 RACE_EXCLUDE = pimassembler/internal/eval
 RACE_PKGS = $(filter-out $(RACE_EXCLUDE),$(shell $(GO) list ./internal/...))
 
-.PHONY: all check ci fmt-check build vet test test-race fuzz-smoke bench bench-check examples-check profile reproduce examples clean lint lint-tools
+.PHONY: all check ci fmt-check build vet test test-race fuzz-smoke bench bench-check examples-check profile reproduce clean lint lint-tools
 
 all: check
 
@@ -113,18 +113,21 @@ profile:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The examples that panic when two paths disagree: quickstart and throughput
-# check the simulated bulk XNOR against the host's, assembly the pim engine's
-# contigs against the software engine's. A few seconds together.
+# Every example, each of which exits non-zero when it goes wrong: throughput
+# checks the simulated XNOR against the host's, assembly the pim engine's
+# contigs against the software engine's, loadtest the admission budget and
+# the drain. About ten seconds together.
+EXAMPLES = quickstart throughput variation assembly reliability jobqueue loadtest
+
 examples-check:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/throughput
-	$(GO) run ./examples/assembly
+	@for e in $(EXAMPLES); do \
+		echo "go run ./examples/$$e"; $(GO) run ./examples/$$e || exit 1; \
+	done
 
 # The full local gate, one-to-one with .github/workflows/ci.yml: the check
 # suite (whose tests include the multi-process sharding run on the real
 # cmd/assemble binary and the daemon run on the real cmd/assembled binary),
-# the nested bench module's vet + tests, the cross-checking examples, lint,
+# the nested bench module's vet + tests, every example, lint,
 # the fuzz smoke, and one iteration of every benchmark. Keep the two in sync
 # — CI must run exactly these commands.
 ci:
@@ -143,15 +146,6 @@ reproduce: build
 		$(GO) run ./cmd/pimassembler -csv $$f > out/$$f.csv; \
 	done
 	@echo "CSV artefacts in ./out"
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/throughput
-	$(GO) run ./examples/variation
-	$(GO) run ./examples/assembly
-	$(GO) run ./examples/reliability
-	$(GO) run ./examples/jobqueue
-	$(GO) run ./examples/loadtest
 
 clean:
 	rm -rf out xnor_transient.csv

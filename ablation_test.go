@@ -90,7 +90,7 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 			var probes float64
 			for i := 0; i < b.N; i++ {
 				p := core.NewDefaultPlatform()
-				tbl := core.NewHashTable(p, 16, cfg.subs)
+				tbl := core.NewHashTableAt(p, 16, 0, cfg.subs)
 				for _, km := range kms {
 					if _, err := tbl.Add(km); err != nil {
 						b.Fatal(err)
@@ -211,7 +211,7 @@ func BenchmarkAblationHashCapacity(b *testing.B) {
 			var probes float64
 			for i := 0; i < b.N; i++ {
 				p := core.NewDefaultPlatform()
-				tbl := core.NewHashTable(p, 16, 1)
+				tbl := core.NewHashTableAt(p, 16, 0, 1)
 				rng := stats.NewRNG(13)
 				n := int(fill * float64(mapping.DefaultLayout(p.Geometry()).KmerRows))
 				for j := 0; j < n; j++ {

@@ -18,9 +18,7 @@ import (
 	"testing"
 
 	"pimassembler/internal/assembly"
-	"pimassembler/internal/bitvec"
 	"pimassembler/internal/circuit"
-	"pimassembler/internal/core"
 	"pimassembler/internal/engine"
 	"pimassembler/internal/eval"
 	"pimassembler/internal/genome"
@@ -162,34 +160,6 @@ func BenchmarkSummaryHarness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eval.RenderFig3b(io.Discard)
 		eval.RenderFig9(io.Discard)
-	}
-}
-
-// --- Functional simulator: bulk XNOR fan-out over sub-arrays ---
-
-func BenchmarkFunctionalBulkXNOR(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			defer parallel.SetWorkers(0)
-			parallel.SetWorkers(mode.workers)
-			p := core.NewDefaultPlatform()
-			n := p.BulkPad(1 << 14)
-			rng := stats.NewRNG(3)
-			x, y := bitvec.New(n), bitvec.New(n)
-			for i := 0; i < n; i++ {
-				x.Set(i, rng.Float64() < 0.5)
-				y.Set(i, rng.Float64() < 0.5)
-			}
-			b.SetBytes(int64(n / 8))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.BulkXNOR(x, y)
-			}
-		})
 	}
 }
 

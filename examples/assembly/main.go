@@ -85,8 +85,11 @@ func main() {
 
 	// Paired-end variant: mate pairs stitch repeat-fragmented contigs into
 	// ordered chains with estimated gaps.
-	pairedRng := stats.NewRNG(7)
-	pairs := genome.NewPairedSampler(ref, 80, 600, 30, 0, pairedRng).Sample(4000)
+	paired := genome.NewPairedSampler(ref, 80, 600, 30, 0, stats.NewRNG(7))
+	pairs := make([]genome.ReadPair, 4000)
+	for i := range pairs {
+		pairs[i] = paired.Next()
+	}
 	pres, err := assembly.Assemble(genome.Flatten(pairs), assembly.Options{K: 21})
 	if err != nil {
 		panic(err)

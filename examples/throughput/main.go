@@ -28,25 +28,33 @@ func main() {
 			throughput("P-A", platforms.OpAdd)/throughput(base, platforms.OpAdd))
 	}
 
-	// Functional cross-check: run a (much smaller) bulk XNOR on the
-	// simulated sub-arrays and verify against the host computation.
+	// Functional cross-check: a (much smaller) bulk XNOR, one row-sized
+	// chunk at a time dealt round-robin over the active sub-arrays, each
+	// chunk checked against the host's XNOR of the same operands.
 	p := core.NewDefaultPlatform()
-	n := p.BulkPad(1 << 16)
+	row, subs := p.Geometry().RowBits(), p.Geometry().ActiveSubarrays()
+	const chunks = 256
 	rng := stats.NewRNG(3)
-	a, b := bitvec.New(n), bitvec.New(n)
-	for i := 0; i < n; i++ {
-		a.Set(i, rng.Float64() < 0.5)
-		b.Set(i, rng.Float64() < 0.5)
-	}
-	got := p.BulkXNOR(a, b)
-	want := bitvec.New(n)
-	want.Xnor(a, b)
-	if !got.Equal(want) {
-		panic("functional bulk XNOR diverged from host computation")
+	a, b, got, want := bitvec.New(row), bitvec.New(row), bitvec.New(row), bitvec.New(row)
+	for c := 0; c < chunks; c++ {
+		for i := 0; i < row; i++ {
+			a.Set(i, rng.Float64() < 0.5)
+			b.Set(i, rng.Float64() < 0.5)
+		}
+		s := p.Subarray(c % subs)
+		s.Write(0, a)
+		s.Write(1, b)
+		s.XNOR(0, 1, 2)
+		s.ReadInto(2, got)
+		want.Xnor(a, b)
+		want.Xnor(want, got) // all ones where the sub-array agrees with the host
+		if !want.AllOnes() {
+			panic(fmt.Sprintf("functional XNOR of chunk %d diverged from the host computation", c))
+		}
 	}
 	sum := p.Summarize()
 	fmt.Printf("\nfunctional cross-check: %d-bit XNOR on %d sub-arrays — %d commands, result verified\n",
-		n, sum.Subarrays, sum.Commands)
+		chunks*row, sum.Subarrays, sum.Commands)
 }
 
 func throughput(name string, op platforms.BulkOp) float64 {

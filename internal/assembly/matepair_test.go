@@ -9,6 +9,15 @@ import (
 	"pimassembler/internal/stats"
 )
 
+// samplePairs draws n pairs from s.
+func samplePairs(s *genome.PairedSampler, n int) []genome.ReadPair {
+	pairs := make([]genome.ReadPair, n)
+	for i := range pairs {
+		pairs[i] = s.Next()
+	}
+	return pairs
+}
+
 // cutContigs slices a reference into contigs with known gaps, shuffled.
 func cutContigs(ref *genome.Sequence, cuts []int, gap int, rng *stats.RNG) ([]debruijn.Contig, []int) {
 	var contigs []debruijn.Contig
@@ -35,8 +44,7 @@ func TestMatePairScaffoldRecoversOrder(t *testing.T) {
 	const gap = 50
 	contigs, trueIdx := cutContigs(ref, []int{1200, 1500, 1100, 1300}, gap, rng)
 
-	sampler := genome.NewPairedSampler(ref, 60, 400, 20, 0, rng)
-	pairs := sampler.Sample(3000)
+	pairs := samplePairs(genome.NewPairedSampler(ref, 60, 400, 20, 0, rng), 3000)
 
 	scaffolds := MatePairScaffold(contigs, pairs, 21, 400, 3)
 	if len(scaffolds) != 1 {
@@ -78,7 +86,7 @@ func TestMatePairScaffoldSpan(t *testing.T) {
 	rng := stats.NewRNG(201)
 	ref := genome.GenerateGenome(4000, rng)
 	contigs, _ := cutContigs(ref, []int{1000, 1000, 1000}, 100, rng)
-	pairs := genome.NewPairedSampler(ref, 60, 500, 25, 0, rng).Sample(2500)
+	pairs := samplePairs(genome.NewPairedSampler(ref, 60, 500, 25, 0, rng), 2500)
 	scaffolds := MatePairScaffold(contigs, pairs, 21, 500, 3)
 	if len(scaffolds) != 1 {
 		t.Fatalf("got %d scaffolds", len(scaffolds))
@@ -100,7 +108,7 @@ func TestMatePairScaffoldUnlinkedStaySeparate(t *testing.T) {
 		{Seq: refA.Subsequence(1000, 900), EdgeCount: 900, MeanCoverage: 1},
 		{Seq: refB, EdgeCount: refB.Len(), MeanCoverage: 1},
 	}
-	pairs := genome.NewPairedSampler(refA, 60, 400, 20, 0, rng).Sample(2000)
+	pairs := samplePairs(genome.NewPairedSampler(refA, 60, 400, 20, 0, rng), 2000)
 	scaffolds := MatePairScaffold(contigs, pairs, 21, 400, 3)
 	if len(scaffolds) != 2 {
 		t.Fatalf("got %d scaffolds, want 2 (chain + singleton)", len(scaffolds))
@@ -118,7 +126,7 @@ func TestMatePairScaffoldMinSupportFilters(t *testing.T) {
 	ref := genome.GenerateGenome(3000, rng)
 	contigs, _ := cutContigs(ref, []int{1400, 1400}, 60, rng)
 	// Too few pairs to reach the support threshold.
-	pairs := genome.NewPairedSampler(ref, 60, 400, 20, 0, rng).Sample(10)
+	pairs := samplePairs(genome.NewPairedSampler(ref, 60, 400, 20, 0, rng), 10)
 	scaffolds := MatePairScaffold(contigs, pairs, 21, 400, 50)
 	if len(scaffolds) != 2 {
 		t.Fatalf("weakly-supported link accepted: %d scaffolds", len(scaffolds))
@@ -130,7 +138,7 @@ func TestMatePairScaffoldEndToEnd(t *testing.T) {
 	// contigs back into chains.
 	rng := stats.NewRNG(204)
 	ref := genome.GenerateRepetitiveGenome(8000, 400, 3, rng)
-	pairs := genome.NewPairedSampler(ref, 80, 600, 30, 0, rng).Sample(4000)
+	pairs := samplePairs(genome.NewPairedSampler(ref, 80, 600, 30, 0, rng), 4000)
 	reads := genome.Flatten(pairs)
 	res, err := Assemble(reads, Options{K: 21})
 	if err != nil {

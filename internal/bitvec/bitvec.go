@@ -88,84 +88,6 @@ func (v *Vector) sameWidth(o *Vector) {
 	}
 }
 
-// CopySlice copies dst.Len() bits of v starting at bit from into dst,
-// word-at-a-time — the read half of the range primitives the bulk-operation
-// row staging is built on. from need not be word-aligned. v and dst must be
-// distinct vectors.
-func (v *Vector) CopySlice(dst *Vector, from int) {
-	copyRange(dst, 0, v, from, dst.n)
-}
-
-// WriteSlice overwrites v[at : at+src.Len()] with src, word-at-a-time — the
-// write half of the range primitives, used to reassemble bulk results from
-// row-sized chunks. at need not be word-aligned. v and src must be distinct
-// vectors.
-//
-// Concurrency: when both at and src.Len() are multiples of 64, the write
-// touches only whole words of v, so concurrent WriteSlice calls on disjoint
-// word-aligned ranges of one vector do not race. Unaligned ranges share
-// boundary words and must be serialised by the caller.
-func (v *Vector) WriteSlice(at int, src *Vector) {
-	copyRange(v, at, src, 0, src.n)
-}
-
-// copyRange copies n bits from src starting at srcOff into dst starting at
-// dstOff. Writes proceed in dst-word-aligned steps: after an initial partial
-// step each iteration replaces one whole destination word, gathering the
-// source bits from (at most) two source words.
-func copyRange(dst *Vector, dstOff int, src *Vector, srcOff, n int) {
-	if n < 0 {
-		panic(fmt.Sprintf("bitvec: negative range width %d", n))
-	}
-	if dstOff < 0 || dstOff+n > dst.n {
-		panic(fmt.Sprintf("bitvec: destination range [%d,%d) outside [0,%d)", dstOff, dstOff+n, dst.n))
-	}
-	if srcOff < 0 || srcOff+n > src.n {
-		panic(fmt.Sprintf("bitvec: source range [%d,%d) outside [0,%d)", srcOff, srcOff+n, src.n))
-	}
-	for done := 0; done < n; {
-		step := wordBits - (dstOff+done)%wordBits
-		if step > n-done {
-			step = n - done
-		}
-		dst.setRangeWord(dstOff+done, step, src.rangeWord(srcOff+done, step))
-		done += step
-	}
-}
-
-// rangeWord extracts nbits (1..64) starting at bit pos as a little-endian
-// word. The caller guarantees pos+nbits <= v.n.
-func (v *Vector) rangeWord(pos, nbits int) uint64 {
-	w, off := pos/wordBits, uint(pos%wordBits)
-	x := v.words[w] >> off
-	if int(off)+nbits > wordBits {
-		x |= v.words[w+1] << (wordBits - off)
-	}
-	if nbits < wordBits {
-		x &= 1<<uint(nbits) - 1
-	}
-	return x
-}
-
-// setRangeWord stores the low nbits (1..64) of x at bit pos, spilling into
-// the next word when the range straddles a word boundary. The caller
-// guarantees pos+nbits <= v.n. (copyRange's dst-aligned stepping never
-// spills; the spill path keeps the primitive generally correct.)
-func (v *Vector) setRangeWord(pos, nbits int, x uint64) {
-	m := ^uint64(0)
-	if nbits < wordBits {
-		m = 1<<uint(nbits) - 1
-		x &= m
-	}
-	w, off := pos/wordBits, uint(pos%wordBits)
-	v.words[w] = v.words[w]&^(m<<off) | x<<off
-	if int(off)+nbits > wordBits {
-		rem := uint(int(off) + nbits - wordBits)
-		hi := uint64(1)<<rem - 1
-		v.words[w+1] = v.words[w+1]&^hi | x>>(wordBits-off)
-	}
-}
-
 // mask returns the valid-bit mask for the last word.
 func (v *Vector) mask(i int) uint64 {
 	if i < len(v.words)-1 || v.n%wordBits == 0 {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"pimassembler/internal/bitvec"
 	"pimassembler/internal/dram"
 	"pimassembler/internal/genome"
 	"pimassembler/internal/kmer"
@@ -60,7 +59,7 @@ func TestHashTableMatchesSoftwareReference(t *testing.T) {
 	reads := genome.TilingReads(g, 60, 30)
 	k := 13
 
-	pim := NewHashTable(p, k, 4)
+	pim := NewHashTableAt(p, k, 0, 4)
 	ref := kmer.NewCountTable(k, 1024)
 	for _, r := range reads {
 		kmer.Iterate(r, k, func(km kmer.Kmer) {
@@ -92,7 +91,7 @@ func TestHashTableMatchesSoftwareReference(t *testing.T) {
 
 func TestHashTableCount(t *testing.T) {
 	p := NewDefaultPlatform()
-	tbl := NewHashTable(p, 8, 2)
+	tbl := NewHashTableAt(p, 8, 0, 2)
 	km := kmer.MustParse("ACGTACGT")
 	if got := tbl.Entries(); len(got) != 0 {
 		t.Fatalf("empty table reads back %v", got)
@@ -109,7 +108,7 @@ func TestHashTableCount(t *testing.T) {
 
 func TestHashTableInsertedFlag(t *testing.T) {
 	p := NewDefaultPlatform()
-	tbl := NewHashTable(p, 6, 1)
+	tbl := NewHashTableAt(p, 6, 0, 1)
 	km := kmer.MustParse("ACGTAC")
 	ins, err := tbl.Add(km)
 	if err != nil || !ins {
@@ -123,7 +122,7 @@ func TestHashTableInsertedFlag(t *testing.T) {
 
 func TestHashTableUsesPIMOps(t *testing.T) {
 	p := NewDefaultPlatform()
-	tbl := NewHashTable(p, 10, 1)
+	tbl := NewHashTableAt(p, 10, 0, 1)
 	rng := stats.NewRNG(7)
 	for i := 0; i < 50; i++ {
 		if _, err := tbl.Add(kmer.Kmer(rng.Uint64()) & kmer.Kmer(kmer.Mask(10))); err != nil {
@@ -147,11 +146,14 @@ func TestHashTableUsesPIMOps(t *testing.T) {
 
 func TestHashTablePanics(t *testing.T) {
 	p := NewDefaultPlatform()
+	total := p.Geometry().TotalSubarrays()
 	for _, f := range []func(){
-		func() { NewHashTable(p, 0, 1) },
-		func() { NewHashTable(p, 33, 1) },
-		func() { NewHashTable(p, 8, 0) },
-		func() { NewHashTable(p, 8, p.Geometry().TotalSubarrays()+1) },
+		func() { NewHashTableAt(p, 0, 0, 1) },
+		func() { NewHashTableAt(p, 33, 0, 1) },
+		func() { NewHashTableAt(p, 8, 0, 0) },
+		func() { NewHashTableAt(p, 8, 0, total+1) },
+		func() { NewHashTableAt(p, 8, -1, 2) },
+		func() { NewHashTableAt(p, 8, total-3, 4) },
 	} {
 		func() {
 			defer func() {
@@ -172,7 +174,7 @@ func TestHashTableFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := NewHashTable(p, 8, 1)
+	tbl := NewHashTableAt(p, 8, 0, 1)
 	rng := stats.NewRNG(3)
 	sawFull := false
 	for i := 0; i < 1000; i++ {
@@ -208,7 +210,7 @@ func TestEndToEndOpProfileCosts(t *testing.T) {
 	}
 	build := func(majorityXNOR bool) ([]kmer.Entry, float64) {
 		p := NewDefaultPlatform()
-		tbl := NewHashTable(p, 16, 8)
+		tbl := NewHashTableAt(p, 16, 0, 8)
 		tbl.majorityXNOR = majorityXNOR
 		for _, km := range kms {
 			if _, err := tbl.Add(km); err != nil {
@@ -235,39 +237,4 @@ func TestEndToEndOpProfileCosts(t *testing.T) {
 	if ratio < 1.05 || ratio > 3 {
 		t.Fatalf("emulated/native latency ratio %.2f outside the plausible band", ratio)
 	}
-}
-
-func TestBulkPad(t *testing.T) {
-	p := NewDefaultPlatform()
-	row := p.Geometry().RowBits()
-	if p.BulkPad(1) != row || p.BulkPad(row) != row || p.BulkPad(row+1) != 2*row {
-		t.Fatal("padding rule broken")
-	}
-}
-
-func TestBulkXNORFunctional(t *testing.T) {
-	p := NewDefaultPlatform()
-	rng := stats.NewRNG(5)
-	n := p.BulkPad(1000)
-	a, b := bitvec.New(n), bitvec.New(n)
-	for i := 0; i < n; i++ {
-		a.Set(i, rng.Float64() < 0.5)
-		b.Set(i, rng.Float64() < 0.5)
-	}
-	got := p.BulkXNOR(a, b)
-	want := bitvec.New(n)
-	want.Xnor(a, b)
-	if !got.Equal(want) {
-		t.Fatal("bulk XNOR mismatch")
-	}
-}
-
-func TestBulkXNORRejectsUnpadded(t *testing.T) {
-	p := NewDefaultPlatform()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unpadded operand accepted")
-		}
-	}()
-	p.BulkXNOR(bitvec.New(100), bitvec.New(100))
 }

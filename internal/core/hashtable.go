@@ -60,16 +60,10 @@ func (t *HashTable) compare(s *subarray.Subarray, queryRow, entryRow, dst int) {
 	s.XNOR(queryRow, entryRow, dst)
 }
 
-// NewHashTable creates a PIM hash table over sub-arrays [0, nSubarrays) of
-// the platform (use a small number for functional runs; the analytical
-// model scales to the full geometry).
-func NewHashTable(p *Platform, k, nSubarrays int) *HashTable {
-	return NewHashTableAt(p, k, 0, nSubarrays)
-}
-
-// NewHashTableAt places the table's region at sub-arrays
-// [base, base+nSubarrays), letting it coexist with a SequenceBank or graph
-// blocks on the same platform.
+// NewHashTableAt creates a PIM hash table over sub-arrays
+// [base, base+nSubarrays) of the platform, letting it coexist with a
+// SequenceBank or graph blocks on the same platform (use a small region for
+// functional runs; the analytical model scales to the full geometry).
 func NewHashTableAt(p *Platform, k, base, nSubarrays int) *HashTable {
 	if k <= 0 || k > kmer.MaxK {
 		panic(fmt.Sprintf("core: k=%d outside [1,%d]", k, kmer.MaxK))

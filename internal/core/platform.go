@@ -34,11 +34,6 @@ type Platform struct {
 	subs   map[int]*subarray.Subarray
 	stream *exec.Stream
 	fault  subarray.FaultHook
-
-	// regionStreams is the pool of private per-sub-array streams
-	// ParallelRegion swaps in; cached here so repeated regions don't
-	// reallocate them.
-	regionStreams []*exec.Stream
 }
 
 // NewPlatform builds a platform from explicit models.
@@ -84,9 +79,8 @@ func (p *Platform) Stream() *exec.Stream { return p.stream }
 // Subarray returns sub-array i, materialising it on first use.
 //
 // Materialisation mutates the platform's sub-array map, and every sub-array
-// records into the platform's one unlocked stream: neither is safe for
-// concurrent use. Drive sub-arrays from several goroutines only inside
-// ParallelRegion.
+// records into the platform's one unlocked stream, so one goroutine drives a
+// Platform.
 func (p *Platform) Subarray(i int) *subarray.Subarray {
 	if i < 0 || i >= p.geom.TotalSubarrays() {
 		panic(fmt.Sprintf("core: sub-array %d outside [0,%d)", i, p.geom.TotalSubarrays()))
@@ -99,32 +93,6 @@ func (p *Platform) Subarray(i int) *subarray.Subarray {
 		p.subs[i] = s
 	}
 	return s
-}
-
-// ParallelRegion runs body with sub-arrays [first, first+n) — materialised
-// here, serially — each recording into a private stream, and after body
-// returns appends those streams to the platform's in ascending sub-array
-// order. It is the one place the platform's accounting meets concurrency,
-// and BulkXNOR its one caller: body may drive those sub-arrays (and no
-// others) from several goroutines, one goroutine per sub-array at a time,
-// and must join them before it returns. Because the append order is fixed,
-// the stream order — and so every schedule and every floating-point sum
-// Summarize derives from it — is the same for any goroutine schedule and any
-// worker count.
-func (p *Platform) ParallelRegion(first, n int, body func()) {
-	for len(p.regionStreams) < n {
-		p.regionStreams = append(p.regionStreams, exec.NewStream())
-	}
-	streams := p.regionStreams[:n]
-	for i, st := range streams {
-		st.Reset()
-		p.Subarray(first+i).AttachRecorder(st, first+i)
-	}
-	body()
-	for i, st := range streams {
-		p.Subarray(first+i).AttachRecorder(p.stream, first+i)
-		p.stream.Append(st)
-	}
 }
 
 // SetFaultHook installs a fault-injection hook on every sub-array the

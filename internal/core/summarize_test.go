@@ -10,7 +10,6 @@ import (
 	"pimassembler/internal/dram"
 	"pimassembler/internal/exec"
 	"pimassembler/internal/genome"
-	"pimassembler/internal/parallel"
 	"pimassembler/internal/sched"
 	"pimassembler/internal/stats"
 )
@@ -64,25 +63,28 @@ func pimPlatform(tb testing.TB, seed uint64, genomeLen, reads int, opts assembly
 // TestSummarizeMatchesPerCommandWalk pins the segment walk against the
 // per-command one, with DeepEqual — every schedule field, every histogram
 // count and every float of the totals and the attribution — on a serial run
-// (long segments to each k-mer's home sub-array) and a bulk run (two
-// BulkXNORs over eight workers, each region recorded sub-array by sub-array
-// and merged by Stream.Append).
+// (long segments to each k-mer's home sub-array) and a bulk run (row-sized
+// XNORs dealt round-robin over eight sub-arrays under the bulk stage, so the
+// stream is short segments that alternate between sub-arrays).
 func TestSummarizeMatchesPerCommandWalk(t *testing.T) {
 	bulk := func() *core.Platform {
-		defer parallel.SetWorkers(0)
-		parallel.SetWorkers(8)
+		const subs, rows = 8, 80
 		p := core.NewDefaultPlatform()
 		rng := stats.NewRNG(3)
-		n := p.BulkPad(40 * p.Geometry().RowBits())
-		vec := func() *bitvec.Vector {
-			v := bitvec.New(n)
-			for i := 0; i < n; i++ {
-				v.Set(i, rng.Float64() < 0.5)
+		row := p.Geometry().RowBits()
+		a, b, res := bitvec.New(row), bitvec.New(row), bitvec.New(row)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < row; j++ {
+				a.Set(j, rng.Float64() < 0.5)
+				b.Set(j, rng.Float64() < 0.5)
 			}
-			return v
+			s := p.Subarray(i % subs)
+			s.SetStage(exec.StageBulk)
+			s.Write(0, a)
+			s.Write(1, b)
+			s.XNOR(0, 1, 2)
+			s.ReadInto(2, res)
 		}
-		p.BulkXNOR(vec(), vec())
-		p.BulkXNOR(vec(), vec())
 		return p
 	}
 	for _, run := range []struct {

@@ -163,21 +163,17 @@ type segment struct {
 
 var _ [math.MaxUint16 + 1 - chunkLen]struct{} // segment.n holds a whole chunk
 
-// Stream is an append-only command log with aggregation views. It has a
-// single writer and takes no lock: sub-arrays driven from one goroutine share
-// one stream, and a parallel region gives every sub-array it drives a private
-// stream and appends them, in sub-array order, after its goroutines have
-// joined (core.Platform.ParallelRegion) — so the recorded order, and every
-// schedule and floating-point sum derived from it, never depends on
-// goroutine scheduling.
+// Stream is an append-only command log with aggregation views. It has one
+// writer and takes no lock: one goroutine drives the sub-arrays that record
+// into it, so the recorded order, and every schedule and floating-point sum
+// derived from it, is the order the commands were issued in.
 type Stream struct {
 	kinds   []*[chunkLen]uint8
 	headers []*[segChunkLen]segment
 	n, segs int // commands and segments recorded
-	// open is the last segment's header and cur its kind chunk. Record and
-	// Append extend it while the sub-array and the stage repeat and the chunk
-	// has room (n is not a multiple of chunkLen), and open a new one
-	// otherwise — always on an empty or Reset stream, where open may be stale.
+	// open is the last segment's header and cur its kind chunk. Record
+	// extends it while the sub-array and the stage repeat and the chunk has
+	// room (n is not a multiple of chunkLen), and opens a new one otherwise — always on an empty or Reset stream, where open may be stale.
 	open *segment
 	cur  *[chunkLen]uint8
 }
@@ -196,17 +192,12 @@ func (s *Stream) Record(c Command) {
 	s.n++
 }
 
-// openFor checks c and opens the segment it starts.
+// openFor checks c and opens the segment it starts: an empty header for
+// c's sub-array and stage, and the kind chunk it starts in if that is new.
 func (s *Stream) openFor(c Command) {
 	if !recordable(c) {
 		panic(unrecordable(c))
 	}
-	s.openSegment(uint32(c.Subarray), c.Stage)
-}
-
-// openSegment appends an empty segment header for sub under st, and the kind
-// chunk it starts in if that is new.
-func (s *Stream) openSegment(sub uint32, st Stage) {
 	ci := s.n >> chunkShift
 	if ci == len(s.kinds) {
 		s.kinds = append(s.kinds, new([chunkLen]uint8))
@@ -215,26 +206,9 @@ func (s *Stream) openSegment(sub uint32, st Stage) {
 		s.headers = append(s.headers, new([segChunkLen]segment))
 	}
 	s.open = &s.headers[s.segs>>segChunkShift][s.segs&(segChunkLen-1)]
-	*s.open = segment{sub: sub, stage: st}
+	*s.open = segment{sub: uint32(c.Subarray), stage: c.Stage}
 	s.segs++
 	s.cur = s.kinds[ci]
-}
-
-// Append adds every command of o, in o's order, to the end of s, a segment
-// at a time.
-func (s *Stream) Append(o *Stream) {
-	o.EachSegment(func(seg Segment) {
-		kinds := seg.Kinds
-		for len(kinds) > 0 {
-			if s.n&(chunkLen-1) == 0 || seg.Subarray != int(s.open.sub) || seg.Stage != s.open.stage {
-				s.openSegment(uint32(seg.Subarray), seg.Stage)
-			}
-			m := copy(s.cur[s.n&(chunkLen-1):], kinds)
-			s.open.n += uint16(m)
-			s.n += m
-			kinds = kinds[m:]
-		}
-	})
 }
 
 // EachSegment calls fn on every segment in issue order, without copying the

@@ -166,24 +166,6 @@ func TestRecordRejectsUnrecordable(t *testing.T) {
 	}
 }
 
-// TestAppendConcatenates is the parallel-region merge at stream level: a
-// stream appended to another lands after it, whole and in order, across
-// chunk boundaries on both sides, and is itself left as it was.
-func TestAppendConcatenates(t *testing.T) {
-	for _, n := range [][2]int{{0, 0}, {0, 5}, {5, 0}, {chunkLen - 1, 2}, {chunkLen, chunkLen}, {3, 2*chunkLen + 9}} {
-		a, wantA := randomStream(11, n[0])
-		b, wantB := randomStream(12, n[1])
-		a.Append(b)
-		want := append(wantA, wantB...)
-		if got := a.Commands(); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("%v: appended stream differs from the concatenation", n)
-		}
-		if got := b.Commands(); len(got) != len(wantB) || (len(wantB) > 0 && !reflect.DeepEqual(got, wantB)) {
-			t.Fatalf("%v: Append changed its argument", n)
-		}
-	}
-}
-
 // FuzzRecordRoundTrip records a fuzzed command sequence — script byte b is
 // one command of kind b&7, and moves to another of eight sub-arrays when bit
 // 3 is set and to another stage when bit 4 is, so the sub-array and the

@@ -130,7 +130,7 @@ func TestHashTableUnderVariation(t *testing.T) {
 		p := core.NewDefaultPlatform()
 		rng := stats.NewRNG(8)
 		in := NewInjector(rates, stats.NewRNG(9))
-		tbl := core.NewHashTable(p, 12, 4)
+		tbl := core.NewHashTableAt(p, 12, 0, 4)
 		// Attach the hook to every sub-array the table will touch.
 		for i := 0; i < 4; i++ {
 			p.Subarray(i).SetFaultHook(in.Hook())

@@ -316,7 +316,11 @@ func TestPairedSamplerInsertDistribution(t *testing.T) {
 func TestFlattenRestoresForwardStrand(t *testing.T) {
 	rng := stats.NewRNG(31)
 	g := GenerateGenome(5000, rng)
-	pairs := NewPairedSampler(g, 70, 300, 0, 0, rng).Sample(40)
+	s := NewPairedSampler(g, 70, 300, 0, 0, rng)
+	pairs := make([]ReadPair, 40)
+	for i := range pairs {
+		pairs[i] = s.Next()
+	}
 	flat := Flatten(pairs)
 	if len(flat) != 80 {
 		t.Fatalf("flattened %d reads, want 80", len(flat))

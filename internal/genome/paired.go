@@ -82,15 +82,6 @@ func (s *PairedSampler) corrupt(r *Sequence) {
 	}
 }
 
-// Sample draws n pairs.
-func (s *PairedSampler) Sample(n int) []ReadPair {
-	out := make([]ReadPair, n)
-	for i := range out {
-		out[i] = s.Next()
-	}
-	return out
-}
-
 // Flatten returns all individual reads of the pairs (R2 restored to the
 // forward strand so single-strand assembly sees consistent k-mers), for
 // feeding the contig-generation stages.

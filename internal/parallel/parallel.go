@@ -6,9 +6,8 @@
 // The determinism contract every caller must honour:
 //
 //  1. Tasks are independent. fn(i) may not read or write state another task
-//     touches (the simulator's command streams have no lock: a fan-out over
-//     sub-arrays runs inside core.Platform.ParallelRegion, which gives each
-//     sub-array a private one and appends them in order).
+//     touches. The functional simulator is never a task's state: one
+//     goroutine drives a core.Platform, whose command stream has no lock.
 //  2. Randomness is pre-split. A task never draws from a shared RNG; the
 //     caller derives one stats.RNG per task with SplitRNGs (serially, in
 //     task order, before the fan-out), so the stream a task consumes does

@@ -21,7 +21,7 @@ import (
 // to sit up to ~15 % above the model but never below it.
 func TestHashmapCostFormulaMatchesFunctionalSimulator(t *testing.T) {
 	p := core.NewDefaultPlatform()
-	tbl := core.NewHashTable(p, 16, 8)
+	tbl := core.NewHashTableAt(p, 16, 0, 8)
 	rng := stats.NewRNG(99)
 
 	// Repeat-heavy stream, as in real coverage.
@@ -71,7 +71,7 @@ func TestHashmapCostFormulaMatchesFunctionalSimulator(t *testing.T) {
 // plus a zero write and the carry seed copy.
 func TestRippleIncrementCostExact(t *testing.T) {
 	p := core.NewDefaultPlatform()
-	tbl := core.NewHashTable(p, 16, 1)
+	tbl := core.NewHashTableAt(p, 16, 0, 1)
 	// One insert into an empty table: 1 temp write + 1 RowClone (insert,
 	// no comparisons) + 1 one-hot write + increment.
 	if _, err := tbl.Add(kmer.MustParse("ACGTACGTACGTACGT")); err != nil {

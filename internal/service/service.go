@@ -265,14 +265,6 @@ func (s *Server) Pending() int {
 	return s.pending
 }
 
-// HighWater returns the maximum Pending ever observed — the saturation
-// proof the load-test driver asserts against the budget.
-func (s *Server) HighWater() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.highWater
-}
-
 // submit admits one job or rejects it with ErrDraining / *QuotaError. The
 // spec must already be validated (engine name, parsed reads).
 func (s *Server) submit(tenantKey, name string, spec jobqueue.Spec) (*job, error) {

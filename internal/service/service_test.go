@@ -284,6 +284,14 @@ func TestQuotaBackpressure(t *testing.T) {
 	}
 }
 
+// HighWater returns the maximum Pending ever observed: the evidence the
+// admission tests hold against the budget.
+func (s *Server) HighWater() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.highWater
+}
+
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)

@@ -52,8 +52,7 @@ type Subarray struct {
 // AttachRecorder binds the sub-array to a command stream under the given
 // platform-global sub-array id; from then on the stream, not the meter,
 // records every command. A nil stream detaches. The stream has no lock:
-// sub-arrays driven from different goroutines must not share one (see
-// core.Platform.ParallelRegion).
+// sub-arrays driven from different goroutines must not share one.
 func (s *Subarray) AttachRecorder(r *exec.Stream, id int) {
 	s.rec = r
 	s.id = id

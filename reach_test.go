@@ -25,17 +25,20 @@ import (
 var reachAllowlist = map[string]string{
 	// Oracles and helpers of tests in other packages, which cannot move
 	// into a _test.go file.
+	"bitvec.Vector.Equal":         "row comparison of subarray's row-operation tests (TestWriteRead, TestTwoRowXNOR, TestCarrySave3, ...) and fault's TestZeroRateIsTransparent and TestMechanismSpecificRates",
 	"circuit.SenseAmp.SenseCarry": "analog oracle subarray/verify_test.go checks TRACarry and BitSerialAdd against",
 	"circuit.SenseAmp.SenseSum":   "analog oracle subarray/verify_test.go checks SumWithLatch and BitSerialAdd against",
 	"circuit.SenseAmp.SetLatch":   "loads the carry for subarray/verify_test.go's analog full adder",
 	"debruijn.Graph.FleuryPath":   "the paper's reference walk: TestFleuryMatchesHierholzer, TestDenseFleuryMatchesMapEuler and assembly's TestAssembleFleuryOnSmallInput",
-	"exec.Stream.Commands":        "the command list core's TestParallelRegionMergesInSubarrayOrder, TestBulkXNORParallelMatchesSerial and TestSummarizeMatchesPerCommandWalk and assembly's TestCommandStreamReproducible compare",
+	"exec.Stream.Commands":        "the command list core's TestSummarizeMatchesPerCommandWalk hands its per-command oracle and assembly's TestCommandStreamReproducible compares",
 	"genome.Sequence.Append":      "builds metrics_test's chimeric contigs and debruijn's cyclic fixtures (contig_walk_test, mapref_test)",
+	"genome.TilingReads":          "exact-coverage reads of assembly's TestAssembleReconstructsCleanGenome and TestMeasuredCountsConsistent, core's TestHashTableMatchesSoftwareReference, debruijn's TestSimplifyPreservesCleanGraph and kmer's TestSpectrumSumsToDistinct",
 	"kmer.CountTable.Add":         "builds the k-mer-by-k-mer reference tables of core, debruijn, correct and perfmodel tests",
 	"kmer.MustParse":              "k-mer literals of core, debruijn and perfmodel tests",
 	"platforms.ByName":            "platform lookup of perfmodel's costOf and TestMBRShape and of platforms' ratio tests",
 	"sched.Schedule":              "schedules the synthetic command mix of ablation_test.go's BenchmarkAblationSchedulerSpread",
 	"sched.ScheduleStages":        "per-stage oracle of core's TestSummarizeMatchesPerCommandWalk and the canonical stage schedules engine's TestGoldenSimulatedStatistics pins",
+	"service.Client.Metrics":      "scrapes /metrics for cmd/assembled's TestDaemonServesAndDrains and TestRealBinaryService",
 	"stats.RNG.Perm":              "shuffles the contigs of assembly's mate-pair scaffolding tests (cutContigs)",
 	"subarray.Subarray.Peek":      "unmetered row introspection of fault, core and assembly tests",
 	"subarray.Subarray.Poke":      "unmetered row setup of fault tests and ablation_test.go's benchmarks",
@@ -49,11 +52,12 @@ var reachAllowlist = map[string]string{
 //
 // Packages: every internal/ package is in the dependency closure of a
 // command (./cmd/...) or of the bench/ module. Tests and examples do not
-// count: an example shows a package off, it is no reason to keep one.
+// count, in either half: an example shows code off, it is no reason to keep
+// it.
 //
 // Identifiers: every exported package-level name under internal/, and every
 // exported method of a named type declared there, is referenced from a
-// non-test file of either module (examples included); every unexported
+// non-test file of either module, examples excluded; every unexported
 // package-level name is referenced from a non-test file of its own package.
 // A method called through an interface counts as used on every type whose
 // method set has all of that interface's method names, and String() string
@@ -84,10 +88,10 @@ func TestReach(t *testing.T) {
 }
 
 // TestReachFixture pins that the gate can fail: testdata/reach is a module
-// holding one dead export, one export only its test uses, a method called
-// only through an anonymous interface, one called only through a named
-// interface of another package, and a String method. Only the first two may
-// be reported.
+// holding one dead export, one export only its test uses, one only an
+// example uses, a method called only through an anonymous interface, one
+// called only through a named interface of another package, and a String
+// method. Only the first three may be reported.
 func TestReachFixture(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -101,7 +105,7 @@ func TestReachFixture(t *testing.T) {
 	for _, f := range found {
 		got = append(got, f.id)
 	}
-	want := []string{"lib.Dead", "lib.TestOnly"}
+	want := []string{"lib.Dead", "lib.ExampleOnly", "lib.TestOnly"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("flagged %v, want %v", got, want)
 	}
@@ -169,7 +173,7 @@ func unreached(goTool string, dirs ...string) ([]finding, error) {
 					}
 				}
 			}
-			if len(p.GoFiles) == 0 {
+			if len(p.GoFiles) == 0 || within(p.ImportPath, module+"/examples") {
 				continue
 			}
 			cp, err := typeCheck(fset, imp, p)

@@ -8,6 +8,9 @@ func Dead() int { return 1 }
 // TestOnly is referenced only by lib_test.go: the gate reports it.
 func TestOnly() int { return 2 }
 
+// ExampleOnly is referenced only by examples/demo: the gate reports it.
+func ExampleOnly() int { return 5 }
+
 // Box's Size is called only through the anonymous interface in Size.
 type Box struct{}
 
