@@ -34,7 +34,7 @@ func runBatch(path, defaultEngine string, defaults engine.Options, workers int, 
 	}
 
 	counters := metrics.NewCounters()
-	q := jobqueue.New(engine.Default(),
+	q := jobqueue.New(nil,
 		jobqueue.WithWorkers(workers),
 		jobqueue.WithCounters(counters))
 	fmt.Fprintf(stdout, "batch: %d jobs on %d workers\n", len(specs), q.Workers())

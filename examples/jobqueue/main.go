@@ -8,7 +8,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"pimassembler/internal/assembly"
@@ -43,9 +42,7 @@ func main() {
 	}
 
 	counters := metrics.NewCounters()
-	q := jobqueue.New(engine.Default(),
-		jobqueue.WithWorkers(runtime.NumCPU()),
-		jobqueue.WithCounters(counters))
+	q := jobqueue.New(nil, jobqueue.WithCounters(counters))
 	fmt.Printf("dispatching %d jobs on %d workers\n\n", len(specs), q.Workers())
 	results := q.Run(context.Background(), specs)
 

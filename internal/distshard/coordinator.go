@@ -47,10 +47,6 @@ type Config struct {
 	// Opts configures each shard's engine run. Ref and Counts do not cross
 	// the wire (quality is scored in the merge pass).
 	Opts engine.Options
-	// Registry validates engine names coordinator-side before any process
-	// is launched (nil = engine.Default()). Workers resolve names against
-	// their own default registry — the same one, being the same binary.
-	Registry *engine.Registry
 	// Timeout bounds each dispatch attempt when positive; an attempt that
 	// exceeds it kills the worker and counts against the retry budget.
 	Timeout time.Duration
@@ -96,16 +92,16 @@ func Assemble(ctx context.Context, sp *shard.Spill, cfg Config) (*shard.Result, 
 		hello: &Hello{Proto: ProtoVersion, K: cfg.Opts.K, OptHash: optHash(cfg.Opts)},
 		seen:  make(map[int]bool),
 	}
-	names, known := cfg.Engines, cfg.Registry
+	names := cfg.Engines
 	if len(names) == 0 {
 		names = []string{"software"}
 	}
-	if known == nil {
-		known = engine.Default()
-	}
+	// Names are validated here, before any process is launched, against the
+	// default registry — the one workers resolve them in, being the same
+	// binary.
 	reg := engine.NewRegistry()
 	for _, name := range names {
-		if _, err := known.Lookup(name); err != nil {
+		if _, err := engine.Lookup(name); err != nil {
 			return nil, err
 		}
 		if _, err := reg.Lookup(name); err != nil { // not yet standing in for this name

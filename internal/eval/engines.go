@@ -10,7 +10,6 @@ import (
 	"pimassembler/internal/engine"
 	"pimassembler/internal/genome"
 	"pimassembler/internal/jobqueue"
-	"pimassembler/internal/parallel"
 )
 
 // EngineRow is one engine's outcome in the cross-engine comparison: the
@@ -55,7 +54,7 @@ func CrossEngine() []EngineRow {
 		// must never share one even over the same underlying slice.
 		specs[i] = jobqueue.Spec{Name: name, Engine: name, Source: genome.NewSliceSource(reads), Opts: opts}
 	}
-	q := jobqueue.New(engine.Default(), jobqueue.WithWorkers(parallel.Workers()))
+	q := jobqueue.New(nil)
 	results := q.Run(context.Background(), specs)
 
 	// The software reference is always the registry's first engine; its

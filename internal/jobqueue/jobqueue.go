@@ -1,10 +1,13 @@
 // Package jobqueue serves concurrent assembly jobs over the engine
-// registry: a bounded worker pool dispatches (read-source, engine-name)
-// pairs onto engine workers, each job running under its own context with a
-// per-attempt timeout, cancellation at stage boundaries, and deterministic
-// retry-with-backoff for transient failures. This is the scaling shape the
-// near-memory assembly literature argues for (many workloads multiplexed
-// onto one accelerator), built on the seam DESIGN.md §10 left for it.
+// registry. One job — a (read-source, engine-name) pair — runs through
+// Queue.Do, the only attempt loop: each attempt under its own per-attempt
+// timeout, cancellation at stage boundaries, and deterministic
+// retry-with-backoff for transient failures. The package has no worker pool
+// of its own: Run fans Do out over parallel.MapWorkers, and callers that
+// queue and bound concurrency themselves (the service, the shard
+// dispatcher) call Do directly. This is the scaling shape the near-memory
+// assembly literature argues for (many workloads multiplexed onto one
+// accelerator), built on the seam DESIGN.md §10 left for it.
 //
 // Determinism: the queue follows internal/parallel's contract — jobs are
 // independent (every engine run owns a fresh platform), results land in
@@ -186,16 +189,16 @@ func Transient(err error) bool {
 // Option configures a Queue.
 type Option func(*Queue)
 
-// WithWorkers bounds the pool width (values < 1 fall back to
-// parallel.Workers at Run time).
+// WithWorkers bounds how many jobs Run has in flight (values < 1 fall back
+// to parallel.Workers at Run time).
 func WithWorkers(n int) Option { return func(q *Queue) { q.workers = n } }
 
 // WithCounters attaches an instrumentation registry; the queue reports the
 // jobs.* counters and latency.* series through it.
 func WithCounters(c *metrics.Counters) Option { return func(q *Queue) { q.counters = c } }
 
-// Queue is a bounded worker-pool job server over an engine registry.
-// A Queue is stateless between Run calls and safe for concurrent Runs.
+// Queue runs assembly jobs over an engine registry. A Queue is stateless
+// between calls and safe for concurrent Run and Do calls.
 type Queue struct {
 	reg      *engine.Registry
 	workers  int
@@ -214,7 +217,7 @@ func New(reg *engine.Registry, opts ...Option) *Queue {
 	return q
 }
 
-// Workers returns the effective pool width.
+// Workers returns the effective fan-out width.
 func (q *Queue) Workers() int {
 	if q.workers > 0 {
 		return q.workers
@@ -223,36 +226,33 @@ func (q *Queue) Workers() int {
 }
 
 // Run executes every job and returns the results in submission-slot order:
-// a Stream that is handed the whole batch and drained, so the stream's
-// semaphore is the only pool. At most Workers() jobs run concurrently; a
-// cancelled ctx marks in-flight and still-queued jobs Cancelled (with
-// ctx.Err()) without affecting jobs that already finished — one job's
-// failure never poisons another's result. Run never returns a
-// non-positional error: per-job outcomes are in the Results.
+// one parallel.MapWorkers fan-out whose tasks are Do calls, all admitted
+// when Run is called. At most Workers() jobs run concurrently and they
+// start in slot order; a cancelled ctx marks in-flight and still-queued
+// jobs Cancelled (with ctx.Err()) without affecting jobs that already
+// finished — one job's failure never poisons another's result. Run never
+// returns a non-positional error: per-job outcomes are in the Results.
 func (q *Queue) Run(ctx context.Context, specs []Spec) []Result {
-	s := q.Stream(ctx)
-	for _, spec := range specs {
-		// Submit fails only on a closed stream; this one closes in Drain.
-		_, _ = s.Submit(spec)
-	}
-	return s.Drain()
+	admitted := time.Now()
+	return parallel.MapWorkers(q.Workers(), len(specs), func(i int) Result {
+		res := q.Do(ctx, specs[i], admitted)
+		res.Slot = i
+		return res
+	})
 }
 
 // Do runs one job to its terminal Result on the caller's goroutine, under
 // ctx: the attempt budget, per-attempt deadline, backoff, jobs.* counters
-// and latency series of Run, without a pool or a slot table. It is for a
-// caller that does its own queueing and bounds its own concurrency (the
-// service's tenant queues): admitted is when that caller accepted the job,
-// so Result.Wait spans the caller's queue. A ctx already done returns
-// Cancelled at once without resolving or touching the engine.
+// and latency series. It is the only way a job runs — Run fans Do out over
+// a pool, and a caller that does its own queueing and bounds its own
+// concurrency (the service's tenant queues, the shard dispatcher) calls it
+// directly. admitted is when the caller accepted the job, so Result.Wait
+// spans the caller's queue; Slot is left 0 for the caller to set. A ctx
+// already done returns Cancelled at once without resolving or touching the
+// engine.
 func (q *Queue) Do(ctx context.Context, spec Spec, admitted time.Time) Result {
 	q.count("jobs.submitted", 1)
-	return q.runJob(ctx, 0, spec, admitted)
-}
-
-// runJob drives one job through its lifecycle.
-func (q *Queue) runJob(ctx context.Context, slot int, spec Spec, submitted time.Time) Result {
-	res := Result{Slot: slot, Spec: spec}
+	res := Result{Spec: spec}
 	if err := ctx.Err(); err != nil {
 		// Cancelled while still queued: never ran.
 		res.Err = err
@@ -269,7 +269,17 @@ func (q *Queue) runJob(ctx context.Context, slot int, spec Spec, submitted time.
 	}
 
 	started := time.Now()
-	res.Wait = started.Sub(submitted)
+	res.Wait = started.Sub(admitted)
+
+	// end settles a job that reached its first attempt: run latency, the
+	// latency series, and the terminal state with its counter.
+	end := func(st State, err error) Result {
+		res.Err = err
+		res.Run = time.Since(started)
+		q.observeLatency(&res)
+		q.finish(&res, st)
+		return res
+	}
 
 	budget := spec.Retry.attempts()
 	for attempt := 1; ; attempt++ {
@@ -278,11 +288,7 @@ func (q *Queue) runJob(ctx context.Context, slot int, spec Spec, submitted time.
 			// cannot rewind would re-run the attempt over an exhausted
 			// stream, so it fails the job terminally instead.
 			if err := resetSource(spec.Source); err != nil {
-				res.Err = err
-				res.Run = time.Since(started)
-				q.observeLatency(&res)
-				q.finish(&res, StateFailed)
-				return res
+				return end(StateFailed, err)
 			}
 		}
 		res.Attempts = attempt
@@ -290,34 +296,19 @@ func (q *Queue) runJob(ctx context.Context, slot int, spec Spec, submitted time.
 		rep, err := q.runAttempt(ctx, eng, spec)
 		if err == nil {
 			res.Report = rep
-			res.Run = time.Since(started)
-			q.observeLatency(&res)
-			q.finish(&res, StateDone)
-			return res
+			return end(StateDone, nil)
 		}
 		if ctx.Err() != nil {
 			// The run (not the attempt) was cancelled: report ctx.Err() so
 			// callers see the cancellation, whatever the engine returned.
-			res.Err = ctx.Err()
-			res.Run = time.Since(started)
-			q.observeLatency(&res)
-			q.finish(&res, StateCancelled)
-			return res
+			return end(StateCancelled, ctx.Err())
 		}
 		if attempt >= budget || !Transient(err) {
-			res.Err = err
-			res.Run = time.Since(started)
-			q.observeLatency(&res)
-			q.finish(&res, StateFailed)
-			return res
+			return end(StateFailed, err)
 		}
 		q.count("jobs.retries", 1)
 		if err := sleep(ctx, spec.Retry.Delay(attempt+1)); err != nil {
-			res.Err = err
-			res.Run = time.Since(started)
-			q.observeLatency(&res)
-			q.finish(&res, StateCancelled)
-			return res
+			return end(StateCancelled, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -361,3 +362,107 @@ type transientErr struct{}
 
 func (transientErr) Error() string   { return "transient by interface" }
 func (transientErr) Transient() bool { return true }
+
+// TestRunDequeuesInSlotOrder pins the queue discipline: jobs start in slot
+// order, so with one worker they run in exactly that order.
+func TestRunDequeuesInSlotOrder(t *testing.T) {
+	const jobs = 32
+	var (
+		mu    sync.Mutex
+		order []int
+	)
+	engines := make([]engine.Engine, jobs)
+	specs := make([]jobqueue.Spec, jobs)
+	for i := range engines {
+		engines[i] = fakeEngine{name: fmt.Sprintf("e%d", i), fn: func(context.Context) (*engine.Report, error) {
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			return okReport("e"), nil
+		}}
+		specs[i] = jobqueue.Spec{Engine: fmt.Sprintf("e%d", i)}
+	}
+	jobqueue.New(newTestRegistry(t, engines...), jobqueue.WithWorkers(1)).Run(context.Background(), specs)
+	if len(order) != jobs {
+		t.Fatalf("%d of %d jobs ran", len(order), jobs)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("jobs ran in order %v", order)
+		}
+	}
+}
+
+// TestRetryPolicyDelayEdges is the table-driven sweep of the backoff
+// schedule's corners: attempt numbers at and below the meaningful range,
+// degenerate base backoffs, and doubling far past the overflow point.
+func TestRetryPolicyDelayEdges(t *testing.T) {
+	const base = 10 * time.Millisecond
+	cases := []struct {
+		name string
+		p    jobqueue.RetryPolicy
+		n    int
+		want time.Duration
+	}{
+		{"first retry", jobqueue.RetryPolicy{Backoff: base}, 2, base},
+		{"attempt one", jobqueue.RetryPolicy{Backoff: base}, 1, base},
+		{"attempt zero", jobqueue.RetryPolicy{Backoff: base}, 0, base},
+		{"negative attempt", jobqueue.RetryPolicy{Backoff: base}, -3, base},
+		{"zero backoff", jobqueue.RetryPolicy{}, 5, 0},
+		{"negative backoff", jobqueue.RetryPolicy{Backoff: -time.Second}, 4, 0},
+		{"doubling", jobqueue.RetryPolicy{Backoff: base}, 5, 80 * time.Millisecond},
+		{"capped", jobqueue.RetryPolicy{Backoff: base, MaxBackoff: 25 * time.Millisecond}, 5, 25 * time.Millisecond},
+		{"cap below base", jobqueue.RetryPolicy{Backoff: base, MaxBackoff: time.Millisecond}, 2, time.Millisecond},
+		{"overflow saturates uncapped", jobqueue.RetryPolicy{Backoff: time.Hour}, 200, time.Duration(math.MaxInt64)},
+		{"overflow saturates at cap", jobqueue.RetryPolicy{Backoff: time.Hour, MaxBackoff: 24 * time.Hour}, 200, 24 * time.Hour},
+		{"max base stays put", jobqueue.RetryPolicy{Backoff: time.Duration(math.MaxInt64)}, 7, time.Duration(math.MaxInt64)},
+	}
+	for _, c := range cases {
+		if got := c.p.Delay(c.n); got != c.want {
+			t.Errorf("%s: Delay(%d) = %v, want %v", c.name, c.n, got, c.want)
+		}
+	}
+	// Saturation, not wraparound: the schedule is monotonically
+	// non-decreasing and never negative across the whole attempt range.
+	p := jobqueue.RetryPolicy{Backoff: time.Hour}
+	prev := time.Duration(0)
+	for n := 0; n < 300; n++ {
+		d := p.Delay(n)
+		if d < 0 {
+			t.Fatalf("Delay(%d) = %v went negative", n, d)
+		}
+		if d < prev {
+			t.Fatalf("Delay(%d) = %v below Delay(%d) = %v", n, d, n-1, prev)
+		}
+		prev = d
+	}
+}
+
+// TestRunConsumesEngineOptions sanity-checks that specs pass through the
+// queue unchanged (the assembly options reach the engine).
+func TestRunConsumesEngineOptions(t *testing.T) {
+	var got engine.Options
+	probe := fakeEngine{name: "probe", fn: func(context.Context) (*engine.Report, error) {
+		return okReport("probe"), nil
+	}}
+	reg := engine.NewRegistry()
+	if err := reg.Register(optionProbe{probe, &got}); err != nil {
+		t.Fatal(err)
+	}
+	want := engine.Options{Options: assembly.Options{K: 22, MinCount: 3}, Subarrays: 8}
+	jobqueue.New(reg, jobqueue.WithWorkers(1)).Run(context.Background(), []jobqueue.Spec{{Engine: "probe", Opts: want}})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("engine saw options %+v, want %+v", got, want)
+	}
+}
+
+// optionProbe records the Options an Assemble call received.
+type optionProbe struct {
+	fakeEngine
+	got *engine.Options
+}
+
+func (p optionProbe) Assemble(ctx context.Context, src genome.ReadSource, opts engine.Options) (*engine.Report, error) {
+	*p.got = opts
+	return p.fakeEngine.Assemble(ctx, src, opts)
+}

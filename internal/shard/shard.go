@@ -1,6 +1,6 @@
 // Package shard scales one assembly workload across several engines: the
 // read set is split into deterministic contiguous shards, every shard is
-// dispatched through the job-queue stream onto an engine resolved from the
+// run through the job queue's Do onto an engine resolved from the
 // registry — the same engine N ways, or a heterogeneous engine list assigned
 // round-robin — and the per-shard engine.Reports are merged into one unified
 // report. This is the batch-partitioned processing shape the near-memory
@@ -27,9 +27,10 @@
 //     over shards (functional schedules and analytical stage models alike).
 //   - Energy: summed over shards — every shard's commands execute somewhere.
 //
-// Determinism: Split depends only on (len(reads), Shards); dispatch rides
-// the job queue's slot-ordered contract; the merge pass is the deterministic
-// reference pipeline. Merged output is bit-identical for any worker count.
+// Determinism: Split depends only on (len(reads), Shards); dispatch follows
+// internal/parallel's slot-ordered contract; the merge pass is the
+// deterministic reference pipeline. Merged output is bit-identical for any
+// worker count.
 package shard
 
 import (
@@ -37,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"pimassembler/internal/assembly"
@@ -45,6 +45,7 @@ import (
 	"pimassembler/internal/genome"
 	"pimassembler/internal/jobqueue"
 	"pimassembler/internal/metrics"
+	"pimassembler/internal/parallel"
 )
 
 // Plan describes one sharded run.
@@ -159,7 +160,7 @@ type job struct {
 }
 
 // Assemble runs one sharded multi-engine assembly over an in-memory read
-// set: split, dispatch through the job-queue stream, merge. Any shard
+// set: split, dispatch through the job queue, merge. Any shard
 // failure fails the run with the shard index and engine named.
 func Assemble(ctx context.Context, reads []*genome.Sequence, plan Plan) (*Result, error) {
 	if len(reads) == 0 {
@@ -174,13 +175,15 @@ func Assemble(ctx context.Context, reads []*genome.Sequence, plan Plan) (*Result
 }
 
 // run is the one shard dispatch loop, whatever built the jobs and whatever
-// executes them: validate the engine names, submit every job to a job-queue
-// stream (engines assigned round-robin over the job list) once its reads fit
-// under the resident-read gate, settle each slot as it finishes — close its
-// source, return its reservation, and on the first terminal failure cancel
-// every other shard — then drain and merge. Attempts, per-attempt timeouts,
-// backoff and the transient/terminal split are the job queue's; the engines
-// in plan.Registry decide where a shard runs.
+// executes them: validate the engine names, then fan the jobs out over
+// parallel.ForEachWorkers (engines assigned round-robin over the job list).
+// Each task waits until its reads fit under the resident-read gate, runs
+// its job through the job queue's Do, closes its source and returns its
+// reservation — deferred, so a panicking engine reaches the caller without
+// leaving a sibling blocked in the gate — and on a terminal failure cancels
+// every other shard. Then merge. Attempts, per-attempt timeouts, backoff and
+// the transient/terminal split are the job queue's; the engines in
+// plan.Registry decide where a shard runs.
 func run(ctx context.Context, jobs []job, plan Plan) (*Result, error) {
 	engines := plan.engines()
 	reg := plan.registry()
@@ -195,47 +198,40 @@ func run(ctx context.Context, jobs []job, plan Plan) (*Result, error) {
 	gate := newReadGate(plan.maxResidentReads())
 	defer context.AfterFunc(ctx, gate.wake)()
 
-	st := jobqueue.New(reg, jobqueue.WithWorkers(plan.Workers), jobqueue.WithCounters(plan.Counters)).Stream(ctx)
-
+	q := jobqueue.New(reg, jobqueue.WithWorkers(plan.Workers), jobqueue.WithCounters(plan.Counters))
 	names := make([]string, len(jobs))
-	var (
-		settled   sync.WaitGroup
-		submitErr error
-	)
-	for i, j := range jobs {
+	for i := range jobs {
 		names[i] = engines[i%len(engines)]
-		if submitErr = gate.acquire(ctx, j.reads); submitErr != nil {
-			break
+	}
+	results := make([]jobqueue.Result, len(jobs))
+	admitted := time.Now()
+	parallel.ForEachWorkers(q.Workers(), len(jobs), func(i int) {
+		j := jobs[i]
+		if err := gate.acquire(ctx, j.reads); err != nil {
+			// Cancelled before it was admitted: the job never ran.
+			results[i] = jobqueue.Result{State: jobqueue.StateCancelled, Err: err}
+			return
 		}
-		var slot int
-		slot, submitErr = st.Submit(jobqueue.Spec{
+		defer func() {
+			// Sources must be closed before the caller removes a spill
+			// directory.
+			if c, ok := j.src.(io.Closer); ok {
+				c.Close()
+			}
+			gate.release(j.reads)
+		}()
+		results[i] = q.Do(ctx, jobqueue.Spec{
 			Name:    fmt.Sprintf("shard-%d", j.shard),
 			Engine:  names[i],
 			Source:  j.src,
 			Opts:    plan.Opts,
 			Timeout: plan.Timeout,
 			Retry:   plan.Retry,
-		})
-		if submitErr != nil {
-			gate.release(j.reads)
-			break
+		}, admitted)
+		if results[i].State == jobqueue.StateFailed {
+			cancel()
 		}
-		settled.Add(1)
-		go func() {
-			defer settled.Done()
-			r, _ := st.Wait(slot) // submitted above: cannot fail
-			if c, ok := j.src.(io.Closer); ok {
-				c.Close()
-			}
-			gate.release(j.reads)
-			if r.State == jobqueue.StateFailed {
-				cancel()
-			}
-		}()
-	}
-	results := st.Drain()
-	// Sources must be closed before the caller removes a spill directory.
-	settled.Wait()
+	})
 
 	// The shard that failed is the one to name, not a sibling its failure
 	// cancelled; with no failure, the first cancelled shard stands for the
@@ -252,9 +248,6 @@ func run(ctx context.Context, jobs []job, plan Plan) (*Result, error) {
 	}
 	if bad >= 0 {
 		return nil, fmt.Errorf("shard %d (engine %s): %w", jobs[bad].shard, names[bad], results[bad].Err)
-	}
-	if submitErr != nil {
-		return nil, submitErr
 	}
 
 	res := &Result{Engines: names, PerShard: make([]*engine.Report, len(jobs))}

@@ -186,6 +186,52 @@ func TestFirstFailureCancelsSiblings(t *testing.T) {
 	}
 }
 
+// panicEngine panics after a pause long enough for a sibling shard to be
+// waiting in the resident-read gate.
+type panicEngine struct{}
+
+func (panicEngine) Name() string     { return "panicky" }
+func (panicEngine) Describe() string { return "panics mid-run" }
+func (panicEngine) Assemble(context.Context, genome.ReadSource, engine.Options) (*engine.Report, error) {
+	time.Sleep(50 * time.Millisecond)
+	panic("engine exploded")
+}
+
+// TestEnginePanicReachesCaller pins the dispatch loop's panic path: a shard
+// whose engine panics while a sibling waits in the resident-read gate
+// re-raises the panic on the caller, returning its reservation on the way,
+// so the sibling is not left blocked and the run does not hang. The gate
+// holds one shard at a time, which only the spill path reserves against.
+func TestEnginePanicReachesCaller(t *testing.T) {
+	reads := workload(5, 800, 50, 20, 0)
+	sp, err := shard.Partition(context.Background(), bytes.NewReader(fastaBytes(t, reads)),
+		genome.FormatFASTA, shard.SpillConfig{Shards: 2, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	reg := engine.NewRegistry()
+	if err := reg.Register(panicEngine{}); err != nil {
+		t.Fatal(err)
+	}
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		shard.AssembleSpill(context.Background(), sp, shard.Plan{
+			Engines: []string{"panicky"}, Registry: reg, Workers: 2, MaxResidentReads: 1,
+			Opts: engine.Options{Options: assembly.Options{K: 16}},
+		})
+	}()
+	select {
+	case r := <-recovered:
+		if r != "engine exploded" {
+			t.Fatalf("recovered %v, want the engine's panic", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a panicking engine hung the dispatch loop")
+	}
+}
+
 func TestAssembleCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
