@@ -125,8 +125,8 @@ examples-check:
 	done
 
 # The full local gate, one-to-one with .github/workflows/ci.yml: the check
-# suite (whose tests include the multi-process sharding run on the real
-# cmd/assemble binary and the daemon run on the real cmd/assembled binary),
+# suite (whose tests include the daemon run on the real cmd/assembled
+# binary, contigs byte-compared against the real cmd/assemble binary),
 # the nested bench module's vet + tests, every example, lint,
 # the fuzz smoke, and one iteration of every benchmark. Keep the two in sync
 # — CI must run exactly these commands.

@@ -53,12 +53,14 @@ func runBatch(path, defaultEngine string, defaults engine.Options, workers int, 
 
 // loadManifest parses the batch manifest: one job per line,
 //
-//	<input-path> <engine> [k=N] [mincount=N] [subarrays=N] [timeout=DUR] [retries=N] [backoff=DUR]
+//	<input-path> <engine> [k=N] [mincount=N] [subarrays=N] [simplify=BOOL] [correct=BOOL] [scaffold=BOOL]
+//	    [timeout=DUR] [retries=N] [backoff=DUR]
 //
-// with '#' starting a comment. Per-job keys override the command-line
-// defaults; every line's options are validated before its input is opened,
-// and the reads load eagerly, so a bad line or path fails the whole batch —
-// named as path:line — before anything runs.
+// with '#' starting a comment and BOOL anything strconv.ParseBool takes.
+// Per-job keys override the command-line defaults; every line's options
+// are validated before its input is opened, and the reads load eagerly, so
+// a bad line or path fails the whole batch — named as path:line — before
+// anything runs.
 func loadManifest(path, defaultEngine string, defaults engine.Options) ([]jobqueue.Spec, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -120,6 +122,19 @@ func parseManifestJob(fields []string, defaultEngine string, defaults engine.Opt
 				return spec, fmt.Errorf("subarrays: %w", err)
 			}
 			spec.Opts.Subarrays = n
+		case "simplify", "correct", "scaffold":
+			b, err := strconv.ParseBool(val)
+			if err != nil {
+				return spec, fmt.Errorf("%s: %w", key, err)
+			}
+			switch key {
+			case "simplify":
+				spec.Opts.Simplify = b
+			case "correct":
+				spec.Opts.Correct = b
+			default:
+				spec.Opts.Scaffold = b
+			}
 		case "timeout":
 			d, err := time.ParseDuration(val)
 			if err != nil {

@@ -57,6 +57,16 @@ func TestRunExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Manifest lines take the pipeline switches the flags and requests take.
+	noisyManifest := filepath.Join(dir, "noisy.manifest")
+	if err := os.WriteFile(noisyManifest, []byte(readsPath+" software correct=true simplify=true mincount=2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	badBoolManifest := filepath.Join(dir, "badbool.manifest")
+	if err := os.WriteFile(badBoolManifest, []byte(readsPath+" software simplify=maybe\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []struct {
 		name   string
 		args   []string
@@ -64,7 +74,7 @@ func TestRunExitCodes(t *testing.T) {
 		stderr string // required substring of stderr ("" = no requirement)
 	}{
 		{"k-out-of-range", []string{"-in", nope, "-k", "40"}, exitUsage, "k=40 outside"},
-		{"k-out-of-range-distributed", []string{"-in", nope, "-k", "40", "-shards", "2", "-spill-dir", dir, "-worker-procs", "2"}, exitUsage, "k=40 outside"},
+		{"k-out-of-range-distributed", []string{"-in", nope, "-k", "40", "-shards", "2", "-spill-dir", dir, "-worker-procs", "2"}, exitUsage, "flag provided but not defined: -shards"},
 		{"scaffold-without-overlap", []string{"-in", nope, "-k", "3", "-scaffold"}, exitUsage, "positive overlap"},
 		{"subarrays-beyond-geometry", []string{"-in", nope, "-engine", "pim", "-subarrays", "40000"}, exitUsage, "subarrays=40000 outside"},
 		{"batch-line-k-out-of-range", []string{"-batch", badKManifest}, exitUsage, badKManifest + ":2: assembly: k=40 outside"},
@@ -78,14 +88,19 @@ func TestRunExitCodes(t *testing.T) {
 		{"batch-missing-manifest", []string{"-batch", filepath.Join(dir, "nope.manifest")}, exitUsage, "no such file"},
 		{"batch-malformed-manifest", []string{"-batch", badManifest}, exitUsage, "k:"},
 		{"batch-empty-manifest", []string{"-batch", emptyManifest}, exitUsage, "holds no jobs"},
-		{"batch-and-shards", []string{"-batch", emptyManifest, "-shards", "2"}, exitUsage, "mutually exclusive"},
-		{"shard-engines-without-shards", []string{"-in", readsPath, "-shard-engines", "software,pim"}, exitUsage, "requires -shards"},
-		{"unknown-shard-engine", []string{"-in", readsPath, "-shards", "2", "-shard-engines", "software,warp-drive"}, exitUsage, "unknown engine"},
-		{"spill-without-shards", []string{"-in", readsPath, "-spill-dir", dir}, exitUsage, "-spill-dir requires -shards"},
-		{"max-resident-without-spill", []string{"-in", readsPath, "-shards", "2", "-max-resident-reads", "64"}, exitUsage, "requires -spill-dir"},
-		{"spill-and-paired", []string{"-in", readsPath, "-shards", "2", "-spill-dir", dir, "-paired"}, exitUsage, "mutually exclusive"},
-		{"batch-and-spill", []string{"-batch", emptyManifest, "-spill-dir", dir}, exitUsage, "mutually exclusive"},
-		{"spill-missing-input", []string{"-in", filepath.Join(dir, "nope.fasta"), "-shards", "2", "-spill-dir", dir}, exitRuntime, "no such file"},
+		{"batch-line-pipeline-switches", []string{"-batch", noisyManifest}, exitOK, "jobs.done"},
+		{"batch-line-bad-bool", []string{"-batch", badBoolManifest}, exitUsage, badBoolManifest + ":1: simplify: strconv.ParseBool"},
+		// There are no read-sharding, spill or worker-process flags: such an
+		// invocation is a usage error naming the first of them, before any
+		// input is opened, never a quiet unsharded run.
+		{"shards-flag-removed", []string{"-in", filepath.Join(dir, "reads.fa"), "-shards", "4"}, exitUsage, "flag provided but not defined: -shards"},
+		{"shard-engines-without-shards", []string{"-in", readsPath, "-shard-engines", "software,pim"}, exitUsage, "flag provided but not defined: -shard-engines"},
+		{"unknown-shard-engine", []string{"-in", readsPath, "-shards", "2", "-shard-engines", "software,warp-drive"}, exitUsage, "flag provided but not defined: -shards"},
+		{"spill-without-shards", []string{"-in", readsPath, "-spill-dir", dir}, exitUsage, "flag provided but not defined: -spill-dir"},
+		{"max-resident-without-spill", []string{"-in", readsPath, "-shards", "2", "-max-resident-reads", "64"}, exitUsage, "flag provided but not defined: -shards"},
+		{"spill-and-paired", []string{"-in", readsPath, "-shards", "2", "-spill-dir", dir, "-paired"}, exitUsage, "flag provided but not defined: -shards"},
+		{"spill-missing-input", []string{"-in", filepath.Join(dir, "nope.fasta"), "-shards", "2", "-spill-dir", dir}, exitUsage, "flag provided but not defined: -shards"},
+		{"worker-mode-removed", []string{"-worker"}, exitUsage, "flag provided but not defined: -worker"},
 		{"list-engines", []string{"-list-engines"}, exitOK, ""},
 	}
 	for _, tc := range cases {
@@ -131,122 +146,6 @@ func TestRunOutWriteError(t *testing.T) {
 	code := run([]string{"-in", readsPath, "-out", "/dev/full"}, &stdout, &stderr)
 	if code != exitRuntime || !strings.Contains(stderr.String(), "no space left") {
 		t.Fatalf("exit code = %d, want %d with ENOSPC (stderr: %s)", code, exitRuntime, stderr.String())
-	}
-}
-
-// TestRunSharded pins the sharded CLI mode: `-shards 1` output is
-// byte-identical to an unsharded run (stdout and the contigs file), and a
-// multi-shard multi-engine run merges to the same contigs.
-func TestRunSharded(t *testing.T) {
-	dir := t.TempDir()
-	readsPath := writeReads(t, dir, "reads.fasta", 61, 150)
-
-	runOnce := func(extra ...string) (string, string) {
-		t.Helper()
-		outPath := filepath.Join(dir, "contigs.fasta")
-		var stdout, stderr bytes.Buffer
-		args := append([]string{"-in", readsPath, "-out", outPath, "-k", "16"}, extra...)
-		if code := run(args, &stdout, &stderr); code != exitOK {
-			t.Fatalf("args %v: exit code = %d, stderr: %s", extra, code, stderr.String())
-		}
-		contigs, err := os.ReadFile(outPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stdout.String(), string(contigs)
-	}
-
-	baseOut, baseContigs := runOnce()
-	oneOut, oneContigs := runOnce("-shards", "1")
-	// The per-stage wall-clock line differs between any two runs; everything
-	// else must be byte-identical.
-	if stripClocks(oneOut) != stripClocks(baseOut) {
-		t.Errorf("-shards 1 stdout differs from unsharded:\n--- unsharded\n%s--- shards=1\n%s", baseOut, oneOut)
-	}
-	if oneContigs != baseContigs {
-		t.Error("-shards 1 contigs file differs from unsharded")
-	}
-
-	// Multi-shard runs merge to the same contig sequences; only the cov=
-	// header field differs (merged coverage counts shard multiplicity, not
-	// read depth — the documented limitation).
-	for _, args := range [][]string{
-		{"-shards", "3"},
-		{"-shards", "4", "-shard-engines", "software,pim"},
-	} {
-		out, contigs := runOnce(args...)
-		if seqLines(contigs) != seqLines(baseContigs) {
-			t.Errorf("args %v: merged contig sequences differ from unsharded", args)
-		}
-		if !strings.Contains(out, "sharded run:") {
-			t.Errorf("args %v: stdout lacks the shard breakdown:\n%s", args, out)
-		}
-		if !strings.Contains(out, "assembled 150 reads") {
-			t.Errorf("args %v: stdout lacks the summary tail:\n%s", args, out)
-		}
-	}
-}
-
-// TestRunSpill pins the out-of-core CLI mode: `-spill-dir` produces contig
-// sequences identical to both the in-memory sharded run and the unsharded
-// run (with a resident cap far below the read count), prints the
-// deterministic out-of-core summary, and leaves no spill files behind.
-func TestRunSpill(t *testing.T) {
-	dir := t.TempDir()
-	readsPath := writeReads(t, dir, "reads.fasta", 67, 160)
-	spillParent := filepath.Join(dir, "spill")
-
-	runOnce := func(extra ...string) (string, string) {
-		t.Helper()
-		outPath := filepath.Join(dir, "contigs.fasta")
-		var stdout, stderr bytes.Buffer
-		args := append([]string{"-in", readsPath, "-out", outPath, "-k", "16"}, extra...)
-		if code := run(args, &stdout, &stderr); code != exitOK {
-			t.Fatalf("args %v: exit code = %d, stderr: %s", extra, code, stderr.String())
-		}
-		contigs, err := os.ReadFile(outPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stdout.String(), string(contigs)
-	}
-
-	_, baseContigs := runOnce()
-	for _, shardsN := range []string{"1", "3", "4"} {
-		_, memContigs := runOnce("-shards", shardsN)
-		out, spillContigs := runOnce("-shards", shardsN, "-spill-dir", spillParent, "-max-resident-reads", "40")
-		if seqLines(spillContigs) != seqLines(baseContigs) {
-			t.Errorf("shards=%s: spill contig sequences differ from unsharded", shardsN)
-		}
-		// Sequences match the in-memory sharded run exactly; the cov= header
-		// field may differ for N > 1 because merged coverage counts shard
-		// multiplicity and round-robin shapes shards differently than the
-		// contiguous Split (the E17-documented limitation). A single shard
-		// holds all reads either way, so there the files are byte-identical.
-		if seqLines(spillContigs) != seqLines(memContigs) {
-			t.Errorf("shards=%s: spill contig sequences differ from the in-memory sharded run", shardsN)
-		}
-		if shardsN == "1" && spillContigs != memContigs {
-			t.Errorf("shards=1: spill contigs file differs byte-for-byte from the in-memory run")
-		}
-		if !strings.Contains(out, "out-of-core: 160 reads -> "+shardsN+" spill files") {
-			t.Errorf("shards=%s: stdout lacks the out-of-core summary:\n%s", shardsN, out)
-		}
-		if !strings.Contains(out, "resident cap 40 reads") {
-			t.Errorf("shards=%s: stdout lacks the resident cap:\n%s", shardsN, out)
-		}
-		if !strings.Contains(out, "assembled 160 reads") {
-			t.Errorf("shards=%s: stdout lacks the summary tail:\n%s", shardsN, out)
-		}
-	}
-
-	// Every run removed its private spill directory on exit.
-	ents, err := os.ReadDir(spillParent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Errorf("spill directories leaked: %v", ents)
 	}
 }
 

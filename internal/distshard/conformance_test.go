@@ -190,6 +190,26 @@ func TestDistHeterogeneousEngines(t *testing.T) {
 	assertNoChildren(t)
 }
 
+// TestEmptyWorkerCmd pins that a run naming no worker binary fails before
+// any process starts: there is no implicit same-binary worker mode.
+func TestEmptyWorkerCmd(t *testing.T) {
+	sp := partition(t, fastaBytes(t, workload(53, 500, 40, 8, 0)), genome.FormatFASTA, 2)
+	defer sp.Close()
+	c := metrics.NewCounters()
+	_, err := Assemble(context.Background(), sp, Config{
+		WorkerProcs: 2,
+		Opts:        engine.Options{Options: assembly.Options{K: 16}},
+		Counters:    c,
+	})
+	if err == nil || !strings.Contains(err.Error(), "WorkerCmd") {
+		t.Fatalf("empty WorkerCmd: err = %v, want one naming WorkerCmd", err)
+	}
+	if got := c.Get("dist.workers"); got != 0 {
+		t.Errorf("dist.workers = %d, want 0", got)
+	}
+	assertNoChildren(t)
+}
+
 // TestDistValidation covers the before-any-spawn error paths: a nil spill,
 // an unknown engine, and a cancelled context all fail without launching a
 // single worker process.

@@ -33,9 +33,9 @@ type Config struct {
 	// mean one). A process is launched only when a shard finds none idle,
 	// so a run never has more than it has non-empty shards.
 	WorkerProcs int
-	// WorkerCmd is the argv launching one worker (empty means this
-	// process's own executable with "-worker" appended — the same-binary
-	// default cmd/assemble uses).
+	// WorkerCmd is the argv launching one worker: a binary that serves
+	// RunWorker on its stdin/stdout. It is required; Assemble fails before
+	// any process starts when it is empty.
 	WorkerCmd []string
 	// Env is appended to the inherited environment of every worker
 	// process (the test harnesses select helper behaviours through it).
@@ -111,11 +111,7 @@ func Assemble(ctx context.Context, sp *shard.Spill, cfg Config) (*shard.Result, 
 		}
 	}
 	if len(p.cmd) == 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("distshard: resolving worker binary: %w", err)
-		}
-		p.cmd = []string{exe, "-worker"}
+		return nil, errors.New("distshard: no worker command (Config.WorkerCmd is empty)")
 	}
 
 	res, err := shard.AssembleSpill(ctx, sp, shard.Plan{

@@ -1,7 +1,7 @@
 // Package distshard lifts the out-of-core sharded assembly protocol across
 // process boundaries: a coordinator partitions the input into spill files
-// (internal/shard.Partition), launches N worker processes — the same
-// binary, in `-worker` mode — over stdin/stdout pipes, dispatches one spill
+// (internal/shard.Partition), launches N worker processes — Config.WorkerCmd,
+// a binary serving RunWorker — over stdin/stdout pipes, dispatches one spill
 // file per job, and merges the per-shard reports through the exported
 // in-process merge path (shard.Merge), so the merged contigs are
 // byte-identical to both the in-process sharded run and the unsharded run

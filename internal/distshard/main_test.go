@@ -17,8 +17,8 @@ import (
 // tests: when DISTSHARD_HELPER is set the test binary does not run tests at
 // all — it serves the coordinator protocol (faithfully or with an injected
 // fault) and exits. The coordinator under test launches this same binary
-// via Config.WorkerCmd, which is exactly how cmd/assemble's -worker mode is
-// launched in production: same binary, different entry flag.
+// via Config.WorkerCmd, which is exactly how the benchmark's pimbench
+// launches its workers: same binary, selected by an environment variable.
 func TestMain(m *testing.M) {
 	mode := os.Getenv("DISTSHARD_HELPER")
 	if mode == "" {

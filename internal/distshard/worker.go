@@ -13,7 +13,7 @@ import (
 
 // RunWorker serves one worker process over its stdin/stdout pipes: perform
 // the handshake, then answer job frames with result or error frames until
-// a bye frame or EOF. cmd/assemble's `-worker` mode (and the test
+// a bye frame or EOF. The benchmark's worker entry point (and the test
 // harnesses) call this with the process's real pipes; reg nil means the
 // default engine registry — the same one the coordinator validated names
 // against, since both ends are the same binary.

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"pimassembler/internal/assembly"
 	"pimassembler/internal/debruijn"
 	"pimassembler/internal/engine"
 	"pimassembler/internal/genome"
@@ -18,8 +17,8 @@ import (
 )
 
 // MaxBodyBytes is the default bound on one submission's payload
-// (Config.MaxBodyBytes overrides); larger workloads belong on the
-// out-of-core CLI path (cmd/assemble -spill-dir).
+// (Config.MaxBodyBytes overrides); larger workloads belong on the offline
+// CLI (cmd/assemble -in).
 const MaxBodyBytes = 64 << 20
 
 // MaxTenantLabels bounds the cardinality of the per-tenant pending gauge:
@@ -183,20 +182,16 @@ func (s *Server) buildSpec(req SubmitRequest) (jobqueue.Spec, error) {
 	default:
 		return jobqueue.Spec{}, fmt.Errorf("unknown read format %q (want fasta or fastq)", req.Format)
 	}
-	opts := engine.Options{
-		Options: assembly.Options{
-			K:            req.K,
-			MinCount:     req.MinCount,
-			Scaffold:     req.Scaffold,
-			Simplify:     req.Simplify,
-			Correct:      req.Correct,
-			CountWorkers: req.CountWorkers,
-		},
-		Subarrays: req.Subarrays,
+	opts := engine.DefaultOptions()
+	if req.K != 0 {
+		opts.K = req.K
 	}
-	if opts.K == 0 {
-		opts.K = 16
+	if req.Subarrays != 0 {
+		opts.Subarrays = req.Subarrays
 	}
+	opts.MinCount = req.MinCount
+	opts.Scaffold, opts.Simplify, opts.Correct = req.Scaffold, req.Simplify, req.Correct
+	opts.CountWorkers = req.CountWorkers
 	// Reject here, as a 400, what could only fail the pipeline's own
 	// validation once admitted.
 	if err := opts.Validate(); err != nil {

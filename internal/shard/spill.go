@@ -72,13 +72,6 @@ func (s *Spill) Count(i int) int { return s.counts[i] }
 // TotalReads returns the number of records partitioned.
 func (s *Spill) TotalReads() int64 { return s.records }
 
-// Bytes returns the total bytes written across all spill files.
-func (s *Spill) Bytes() int64 { return s.bytes }
-
-// Evictions returns how many times the resident-read cap forced the
-// record buffers to disk mid-stream (the final flush is not an eviction).
-func (s *Spill) Evictions() int64 { return s.evictions }
-
 // Source opens shard i's spill file for streaming re-reads. The caller
 // owns the returned source and should Close it (a fully drained source
 // closes itself).
