@@ -133,13 +133,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "assemble:", err)
 		return exitUsage
 	}
-	reads, err := loadReads(*in)
+	// The input opens first, so a missing file fails before anything else;
+	// its reads then stream into the engine one record at a time, and a
+	// malformed record fails the run where it is met.
+	input, err := os.Open(*in)
 	if err != nil {
 		fmt.Fprintln(stderr, "assemble:", err)
 		return exitRuntime
 	}
+	defer input.Close()
+	var src genome.ReadSource = genome.NewScannerSource(genome.NewScanner(input, genome.DetectFormat(*in)))
 	var pairs []genome.ReadPair
 	if *paired {
+		reads, err := genome.ReadAll(src)
+		if err != nil {
+			fmt.Fprintln(stderr, "assemble:", err)
+			return exitRuntime
+		}
 		if len(reads)%2 != 0 {
 			fmt.Fprintf(stderr, "assemble: paired mode needs an even read count, got %d\n", len(reads))
 			return exitRuntime
@@ -147,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for i := 0; i+1 < len(reads); i += 2 {
 			pairs = append(pairs, genome.ReadPair{R1: reads[i], R2: reads[i+1]})
 		}
-		reads = genome.Flatten(pairs)
+		src = genome.NewSliceSource(genome.Flatten(pairs))
 	}
 	opts := defaults
 	if *refPath != "" {
@@ -163,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Ref = refSeqs[0]
 	}
 
-	rep, err := eng.Assemble(context.Background(), genome.NewSliceSource(reads), opts)
+	rep, err := eng.Assemble(context.Background(), src, opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "assemble:", err)
 		return exitRuntime
@@ -188,7 +198,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "assembled %d reads (k=%d): %d contigs, %d bases, N50=%d\n",
-		len(reads), *k, len(contigs), debruijn.TotalBases(contigs), debruijn.N50(contigs))
+		rep.Counts.ReadCount, *k, len(contigs), debruijn.TotalBases(contigs), debruijn.N50(contigs))
 	if *paired {
 		ms := assembly.MatePairScaffold(contigs, pairs, *k, *insert, 3)
 		longest := 0
@@ -242,9 +252,10 @@ func report(w io.Writer, rep *engine.Report) {
 	}
 }
 
-// loadReads streams the input one record at a time — only the packed 2-bit
-// sequences are retained, so ingestion memory is bounded by the scanner
-// buffer plus the encoded reads, never the text form of the whole file.
+// loadReads reads every record of path into memory, 2-bit packed: the
+// -ref reference and a -batch job's reads, which a retried job replays. A
+// single run streams -in instead; paired mode drains that stream whole to
+// pair it.
 func loadReads(path string) ([]*genome.Sequence, error) {
 	f, err := os.Open(path)
 	if err != nil {

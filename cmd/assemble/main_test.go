@@ -261,3 +261,65 @@ func TestRunBatchDeterministic(t *testing.T) {
 		t.Fatalf("partial failure output:\n%s", out)
 	}
 }
+
+// TestRunStreamsInput pins the streamed single run: the reads of -in reach
+// the engine one record at a time, so the summary counts what the engine
+// counted, a FASTQ input streams as FASTA does, and a malformed record fails
+// the run (exit 1, the scanner's line-numbered error) with no contigs file.
+// -ref is loaded before the stream starts, so when both files are malformed
+// the reference's error is the one reported.
+func TestRunStreamsInput(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, text string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	reads := writeReads(t, dir, "reads.fasta", 43, 90)
+	text, err := os.ReadFile(reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fastq strings.Builder
+	recs, err := genome.ReadFASTA(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		fmt.Fprintf(&fastq, "@%s\n%s\n+\n%s\n", r.Name, r.Seq, strings.Repeat("I", r.Seq.Len()))
+	}
+	fq := write("reads.fq", fastq.String())
+	bad := write("bad.fasta", string(text)+">broken\nACGTN\n")
+	badRef := write("badref.fasta", ">ref\nACGTX\n")
+
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		code   int
+		stdout string
+		stderr string
+	}{
+		{"fasta", []string{"-in", reads}, exitOK, "assembled 90 reads", ""},
+		{"fastq", []string{"-in", fq}, exitOK, "assembled 90 reads", ""},
+		{"pim-engine", []string{"-in", reads, "-engine", "pim", "-subarrays", "16"}, exitOK, "assembled 90 reads", ""},
+		{"malformed-record", []string{"-in", bad}, exitRuntime, "", `record "broken": position 4: genome: invalid base 'N'`},
+		{"malformed-ref-first", []string{"-in", bad, "-ref", badRef}, exitRuntime, "", `record "ref": position 4: genome: invalid base 'X'`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(dir, tc.name+".contigs.fasta")
+			var stdout, stderr bytes.Buffer
+			code := run(append(tc.args, "-out", out), &stdout, &stderr)
+			if code != tc.code {
+				t.Fatalf("exit code = %d, want %d (stderr: %s)", code, tc.code, stderr.String())
+			}
+			if !strings.Contains(stdout.String(), tc.stdout) || !strings.Contains(stderr.String(), tc.stderr) {
+				t.Fatalf("stdout %q lacks %q or stderr %q lacks %q", stdout.String(), tc.stdout, stderr.String(), tc.stderr)
+			}
+			if _, err := os.Stat(out); (err == nil) != (tc.code == exitOK) {
+				t.Fatalf("contigs file present: %v, want %v", err == nil, tc.code == exitOK)
+			}
+		})
+	}
+}

@@ -80,7 +80,7 @@ func (b *pimBackend) count(src genome.ReadSource, opts Options) (spectrum, error
 	perRow := p.Geometry().ColsPerSubarray / genome.BaseBits
 	rowsNeeded := 0
 	for _, r := range reads {
-		sp.totals.add(r, opts.K)
+		sp.totals.add(r.Len(), opts.K)
 		rowsNeeded += (r.Len() + perRow - 1) / perRow
 	}
 	// Row-granular packing can spill across a sub-array boundary once per

@@ -158,10 +158,16 @@ func AssembleSource(ctx context.Context, src genome.ReadSource, opts Options) (*
 
 // cancelSource ends a read stream with ctx's error once ctx is done, so
 // every loop that drains reads — stage 1 read by read, ReadAll where a stage
-// needs the whole set — stops at the next read.
+// needs the whole set — stops at the next read. It is a genome.CodeSource
+// over genome.Codes(src), so a source that lends codes keeps doing so
+// through it.
 type cancelSource struct {
 	ctx context.Context
-	src genome.ReadSource
+	src genome.CodeSource
+}
+
+func newCancelSource(ctx context.Context, src genome.ReadSource) cancelSource {
+	return cancelSource{ctx, genome.Codes(src)}
 }
 
 func (s cancelSource) Next() (*genome.Sequence, error) {
@@ -169,6 +175,13 @@ func (s cancelSource) Next() (*genome.Sequence, error) {
 		return nil, err
 	}
 	return s.src.Next()
+}
+
+func (s cancelSource) NextCodes() ([]byte, error) {
+	if err := s.ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.src.NextCodes()
 }
 
 // run is the pipeline of Fig. 5a, the only one: host-side read correction,
@@ -183,7 +196,7 @@ func run(ctx context.Context, b backend, src genome.ReadSource, opts Options) (*
 	if src == nil {
 		return nil, fmt.Errorf("assembly: no reads")
 	}
-	src = cancelSource{ctx, src}
+	src = newCancelSource(ctx, src)
 	res := &Result{Options: opts}
 
 	if opts.Correct {
@@ -191,7 +204,7 @@ func run(ctx context.Context, b backend, src genome.ReadSource, opts Options) (*
 		if err != nil {
 			return nil, err
 		}
-		src = cancelSource{ctx, genome.NewSliceSource(corrected(reads, opts))}
+		src = newCancelSource(ctx, genome.NewSliceSource(corrected(reads, opts)))
 	}
 
 	// Stage 1: k-mer analysis (Hashmap procedure).
@@ -264,20 +277,23 @@ func corrected(reads []*genome.Sequence, opts Options) []*genome.Sequence {
 type softwareBackend struct{}
 
 // count folds src into a bucketed counter read by read, on CountWorkers
-// goroutines, and reads the filtered, sorted entries out of it.
+// goroutines, and reads the filtered, sorted entries out of it. The reads
+// arrive as borrowed 2-bit codes (genome.Codes): a parsing source lends the
+// codes it translated the text into, so no Sequence is built per read.
 func (softwareBackend) count(src genome.ReadSource, opts Options) (spectrum, error) {
 	var sp spectrum
 	table := kmer.NewBucketTable(opts.K, opts.CountWorkers)
+	codes := genome.Codes(src)
 	for {
-		r, err := src.Next()
+		c, err := codes.NextCodes()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return sp, err
 		}
-		sp.totals.add(r, opts.K)
-		table.AddRead(r)
+		sp.totals.add(len(c), opts.K)
+		table.AddCodes(c)
 	}
 	sp.entries, sp.distinct, sp.probes = table.FilterMinCount(opts.MinCount), table.Len(), table.ProbeOps()
 	return sp, nil
@@ -296,12 +312,12 @@ type workloadTotals struct {
 	kmers int64 // total k-mer occurrences
 }
 
-// add folds one read into the totals.
-func (t *workloadTotals) add(r *genome.Sequence, k int) {
+// add folds one read of n bases into the totals.
+func (t *workloadTotals) add(n, k int) {
 	t.reads++
-	t.bases += int64(r.Len())
-	if r.Len() >= k {
-		t.kmers += int64(r.Len() - k + 1)
+	t.bases += int64(n)
+	if n >= k {
+		t.kmers += int64(n - k + 1)
 	}
 }
 

@@ -4,7 +4,10 @@
 // substitutes for the paper's human chromosome-14 dataset (DESIGN.md §1).
 package genome
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Base is one nucleotide. The binary code follows the paper's Fig. 7 table:
 // T=00, G=01, A=10, C=11.
@@ -99,6 +102,69 @@ func parseBases[T string | []byte](text T) (*Sequence, error) {
 		seq.packed[i/4] |= c << (uint(i%4) * 2)
 	}
 	return seq, nil
+}
+
+// translate writes the 2-bit code of each byte of text into dst, which is at
+// least as long, and returns the index of text's first invalid byte, or -1.
+// One OR over the codes tells whether any was invalid, so the loop carries no
+// branch per base.
+func translate(dst, text []byte) int {
+	dst = dst[:len(text)]
+	var seen byte
+	for i, c := range text {
+		code := baseCodes[c]
+		dst[i] = code
+		seen |= code
+	}
+	if seen <= 3 {
+		return -1
+	}
+	for i, c := range text {
+		if baseCodes[c] > 3 {
+			return i
+		}
+	}
+	panic("unreachable")
+}
+
+// packCodes packs 2-bit codes, one byte (0-3) per base, into a new Sequence.
+func packCodes(codes []byte) *Sequence {
+	seq := NewSequence(len(codes))
+	whole := len(codes) &^ 3
+	for i := 0; i < whole; i += 4 {
+		seq.packed[i/4] = codes[i] | codes[i+1]<<2 | codes[i+2]<<4 | codes[i+3]<<6
+	}
+	for i := whole; i < len(codes); i++ {
+		seq.packed[i/4] |= codes[i] << (uint(i%4) * 2)
+	}
+	return seq
+}
+
+// unpacked[b] is the four 2-bit codes packed byte b holds, base 0 first.
+var unpacked = func() (t [256][4]byte) {
+	for b := range t {
+		for j := range t[b] {
+			t[b][j] = byte(b>>(2*j)) & 3
+		}
+	}
+	return t
+}()
+
+// AppendCodes appends the sequence's bases to dst as 2-bit codes, one byte
+// (0-3) per base, and returns the extended slice: the form ScannerSource
+// yields reads in, for consumers handed a Sequence instead.
+func (s *Sequence) AppendCodes(dst []byte) []byte {
+	at := len(dst)
+	dst = slices.Grow(dst, s.n)[:at+s.n]
+	out := dst[at:]
+	whole := s.n &^ 3
+	for i := 0; i < whole; i += 4 {
+		*(*[4]byte)(out[i:]) = unpacked[s.packed[i/4]]
+	}
+	for i := whole; i < s.n; i++ {
+		out[i] = s.packed[i/4] >> (uint(i%4) * 2) & 3
+	}
+	return dst
 }
 
 // firstInvalidBase reports the first invalid character of text at or after

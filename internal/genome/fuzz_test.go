@@ -201,3 +201,51 @@ func FuzzScanRecords(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCodesMatchNext is the differential target for the code path: for
+// arbitrary FASTA or FASTQ bytes, NextCodes must yield, record by record,
+// exactly the bases Next yields, and the same error text at the same
+// record, sticky afterwards.
+func FuzzCodesMatchNext(f *testing.F) {
+	for _, seed := range []struct {
+		s     string
+		fastq bool
+	}{
+		{">x\nACGT\n>y\nTT\n", false},
+		{">a\nAC\nGT\n\n>b\r\nacgu\r\n>c\n", false},
+		{">cr\rACGT\rACGN\r", false},
+		{"ACGT\n>late\nAC\n", false},
+		{">e\n>f\nAC GT\n", false},
+		{"@r\nACGT\n+\nIIII\n", true},
+		{"@r\r\nACGN\r\n+\r\nIII\r\n", true},
+		{"@a\nAC\n+\nII\n@b\nGGGG\n+\n", true},
+		{"@a\n\nAC\n\n+\n\nII\n\nb\n", true},
+		{"", false},
+	} {
+		f.Add(seed.s, seed.fastq)
+	}
+	f.Fuzz(func(t *testing.T, s string, fastq bool) {
+		format := FormatFASTA
+		if fastq {
+			format = FormatFASTQ
+		}
+		bySeq := NewScannerSource(NewScanner(strings.NewReader(s), format))
+		byCodes := NewScannerSource(NewScanner(strings.NewReader(s), format))
+		for i := 0; ; i++ {
+			r, errSeq := bySeq.Next()
+			codes, errCodes := byCodes.NextCodes()
+			if (errSeq == nil) != (errCodes == nil) || (errSeq != nil && errSeq.Error() != errCodes.Error()) {
+				t.Fatalf("record %d: Next error %v, NextCodes error %v", i, errSeq, errCodes)
+			}
+			if errSeq != nil {
+				if _, again := byCodes.NextCodes(); again != errCodes {
+					t.Fatalf("record %d: NextCodes error %v not sticky: then %v", i, errCodes, again)
+				}
+				return
+			}
+			if got, want := codesString(codes), r.String(); got != want {
+				t.Fatalf("record %d: NextCodes %q, Next %q", i, got, want)
+			}
+		}
+	})
+}

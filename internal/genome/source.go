@@ -15,14 +15,52 @@ import (
 // last one. Any other error is a real failure; after it, further Next calls
 // return the same error. A nil ReadSource is a valid empty workload for
 // consumers that accept one (e.g. counts-only analytical engine runs).
+// The Sequence Next returns is the caller's: no source reuses it.
 //
 // Sources that can rewind additionally implement
 //
 //	interface{ Reset() error }
 //
-// which the job queue requires before re-running a retry attempt.
+// which the job queue requires before re-running a retry attempt. Sources
+// that parse text implement CodeSource too.
 type ReadSource interface {
 	Next() (*Sequence, error)
+}
+
+// CodeSource is a ReadSource that can also hand over a read's bases without
+// building a Sequence. NextCodes advances exactly as Next does, with the same
+// errors, and returns the read's bases as 2-bit codes (Fig. 7), one byte
+// (0-3) per base. The codes are borrowed: they sit in a buffer the source
+// reuses, valid only until the next call to Next or NextCodes, so a caller
+// that keeps a read copies it.
+type CodeSource interface {
+	ReadSource
+	NextCodes() ([]byte, error)
+}
+
+// Codes returns src as a CodeSource: src itself when it is one, otherwise an
+// adapter whose NextCodes unpacks each Sequence src.Next returns into one
+// reused buffer.
+func Codes(src ReadSource) CodeSource {
+	if cs, ok := src.(CodeSource); ok {
+		return cs
+	}
+	return &unpackSource{ReadSource: src}
+}
+
+// unpackSource is Codes' adapter for sources that only build Sequences.
+type unpackSource struct {
+	ReadSource
+	codes []byte
+}
+
+func (s *unpackSource) NextCodes() ([]byte, error) {
+	r, err := s.Next()
+	if err != nil {
+		return nil, err
+	}
+	s.codes = r.AppendCodes(s.codes[:0])
+	return s.codes, nil
 }
 
 // SliceSource adapts an in-memory read slice to ReadSource — the
@@ -57,8 +95,11 @@ func (s *SliceSource) Reset() error {
 
 // ScannerSource adapts a streaming Scanner to ReadSource, discarding record
 // names: the bounded-memory ingestion path feeding the engine layer
-// directly. It is not resettable (the underlying reader cannot rewind);
-// wrap a file in a FileSource when retries must replay.
+// directly. It is a CodeSource: NextCodes lends each record's bases as the
+// 2-bit codes the scanner translated them into, in the scanner's buffer,
+// until the next call; Next packs the same codes into a new Sequence. Either
+// way no name is kept. It is not resettable (the underlying reader cannot
+// rewind); wrap a file in a FileSource when retries must replay.
 type ScannerSource struct {
 	sc  *Scanner
 	err error
@@ -72,11 +113,20 @@ func NewScannerSource(sc *Scanner) *ScannerSource {
 
 // Next implements ReadSource.
 func (s *ScannerSource) Next() (*Sequence, error) {
+	codes, err := s.NextCodes()
+	if err != nil {
+		return nil, err
+	}
+	return packCodes(codes), nil
+}
+
+// NextCodes implements CodeSource.
+func (s *ScannerSource) NextCodes() ([]byte, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	if s.sc.Scan() {
-		return s.sc.Record().Seq, nil
+	if s.sc.scan() {
+		return s.sc.codes, nil
 	}
 	if err := s.sc.Err(); err != nil {
 		s.err = err
@@ -132,19 +182,29 @@ func (s *FileSource) open() error {
 
 // Next implements ReadSource.
 func (s *FileSource) Next() (*Sequence, error) {
+	codes, err := s.NextCodes()
+	if err != nil {
+		return nil, err
+	}
+	return packCodes(codes), nil
+}
+
+// NextCodes implements CodeSource: the codes are borrowed until the next
+// call, as ScannerSource's are.
+func (s *FileSource) NextCodes() ([]byte, error) {
 	if s.err == nil && s.src == nil {
 		s.err = s.open()
 	}
 	if s.err != nil {
 		return nil, s.err
 	}
-	r, err := s.src.Next()
+	codes, err := s.src.NextCodes()
 	if err != nil {
 		s.err = err
 		s.Close()
 		return nil, err
 	}
-	return r, nil
+	return codes, nil
 }
 
 // Close releases the file. It is idempotent; Next after Close returns

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -58,6 +59,10 @@ const (
 //		...
 //	}
 //	if err := s.Err(); err != nil { ... }
+//
+// Each base is translated to its 2-bit code as its line is read; Scan packs
+// the codes into the record's Sequence, and ScannerSource.NextCodes hands
+// them over as they are.
 type Scanner struct {
 	sc     *bufio.Scanner
 	format Format
@@ -66,12 +71,22 @@ type Scanner struct {
 	err    error
 	done   bool
 
-	// FASTA one-record lookahead: the header seen but not yet emitted, and
-	// the sequence lines gathered so far (the buffer is reused per record).
-	started  bool
-	name     string
-	nameLine int
-	seqText  []byte
+	// The record in flight: its bases as 2-bit codes, one byte per base, and
+	// its name. Both buffers are reused by the next record.
+	codes []byte
+	name  []byte
+	// badAt is the offset in codes of the record's first invalid base, -1
+	// while there is none, and badByte that base's input byte. The error
+	// waits until the record ends, after its structural checks.
+	badAt   int
+	badByte byte
+
+	// FASTA one-record lookahead: the header seen but not yet emitted.
+	started     bool
+	pending     []byte
+	pendingLine int
+	// FASTQ: the record's header line, quoted by its errors.
+	header []byte
 }
 
 // NewScanner wraps r in a streaming record scanner for the given format.
@@ -86,11 +101,20 @@ func NewScanner(r io.Reader, format Format) *Scanner {
 // convention: a line ends at "\n", "\r\n", or a bare "\r" (classic Mac).
 // bufio.ScanLines only splits on '\n', so a stray CR inside a header would
 // otherwise survive TrimSpace and embed a line boundary in a record name.
+// The line ends at the first CR or LF; two IndexByte scans find it, since a
+// single-byte search is vectorised where bytes.IndexAny walks byte by byte.
 func scanRecordLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
 	if atEOF && len(data) == 0 {
 		return 0, nil, nil
 	}
-	if i := bytes.IndexAny(data, "\r\n"); i >= 0 {
+	i := bytes.IndexByte(data, '\n')
+	if i < 0 {
+		i = len(data)
+	}
+	if j := bytes.IndexByte(data[:i], '\r'); j >= 0 {
+		i = j
+	}
+	if i < len(data) {
 		advance = i + 1
 		if data[i] == '\r' {
 			if i+1 < len(data) {
@@ -113,9 +137,19 @@ func scanRecordLines(data []byte, atEOF bool) (advance int, token []byte, err er
 // Scan advances to the next record. It returns false at end of stream or on
 // the first malformed record; Err distinguishes the two.
 func (s *Scanner) Scan() bool {
+	if !s.scan() {
+		return false
+	}
+	s.rec = Record{Name: string(s.name), Seq: packCodes(s.codes)}
+	return true
+}
+
+// scan parses the next record into codes and name, without building it.
+func (s *Scanner) scan() bool {
 	if s.err != nil || s.done {
 		return false
 	}
+	s.codes, s.badAt = s.codes[:0], -1
 	if s.format == FormatFASTQ {
 		return s.scanFASTQ()
 	}
@@ -144,6 +178,23 @@ func (s *Scanner) nextLine() ([]byte, bool) {
 	return nil, false
 }
 
+// appendBases appends the 2-bit codes of text to the record's codes,
+// noting the record's first invalid base.
+func (s *Scanner) appendBases(text []byte) {
+	at := len(s.codes)
+	s.codes = slices.Grow(s.codes, len(text))[:at+len(text)]
+	if i := translate(s.codes[at:], text); i >= 0 && s.badAt < 0 {
+		s.badAt, s.badByte = at+i, text[i]
+	}
+}
+
+// badBase is the error of the record's first invalid base, worded as
+// parseBases words it.
+func (s *Scanner) badBase() error {
+	_, err := ParseBase(s.badByte)
+	return fmt.Errorf("position %d: %w", s.badAt, err)
+}
+
 func (s *Scanner) scanFASTA() bool {
 	for {
 		text, ok := s.nextLine()
@@ -155,21 +206,19 @@ func (s *Scanner) scanFASTA() bool {
 				s.err = fmt.Errorf("genome: line %d: sequence data before first header", s.line)
 				return false
 			}
-			s.seqText = append(s.seqText, text...)
+			s.appendBases(text)
 			continue
 		}
 		emit := s.started
-		var rec Record
-		if emit {
-			if rec, ok = s.flushFASTA(); !ok {
-				return false
-			}
+		if emit && !s.flushFASTA() {
+			return false
 		}
-		s.name = string(bytes.TrimSpace(text[1:]))
-		s.nameLine = s.line
+		// The pending header's name becomes the emitted record's, and this
+		// header becomes the pending one, in the other buffer.
+		s.name, s.pending = s.pending, append(s.name[:0], bytes.TrimSpace(text[1:])...)
+		s.pendingLine = s.line
 		s.started = true
 		if emit {
-			s.rec = rec
 			return true
 		}
 	}
@@ -181,23 +230,21 @@ func (s *Scanner) scanFASTA() bool {
 		return false
 	}
 	s.started = false
-	rec, ok := s.flushFASTA()
-	if !ok {
+	if !s.flushFASTA() {
 		return false
 	}
-	s.rec = rec
+	s.name, s.pending = s.pending, s.name[:0]
 	return true
 }
 
-// flushFASTA converts the buffered lookahead into a record.
-func (s *Scanner) flushFASTA() (Record, bool) {
-	seq, err := parseBases(s.seqText)
-	if err != nil {
-		s.err = fmt.Errorf("genome: line %d: record %q: %w", s.nameLine, s.name, err)
-		return Record{}, false
+// flushFASTA ends the pending record: it fails on the record's first
+// invalid base.
+func (s *Scanner) flushFASTA() bool {
+	if s.badAt >= 0 {
+		s.err = fmt.Errorf("genome: line %d: record %q: %w", s.pendingLine, s.pending, s.badBase())
+		return false
 	}
-	s.seqText = s.seqText[:0]
-	return Record{Name: s.name, Seq: seq}, true
+	return true
 }
 
 func (s *Scanner) scanFASTQ() bool {
@@ -206,50 +253,51 @@ func (s *Scanner) scanFASTQ() bool {
 		s.done = s.err == nil
 		return false
 	}
-	header := string(line)
+	s.header = append(s.header[:0], line...)
 	headerLine := s.line
-	if !strings.HasPrefix(header, "@") {
-		s.err = fmt.Errorf("genome: line %d: expected @header, got %q", s.line, header)
+	if s.header[0] != '@' {
+		s.err = fmt.Errorf("genome: line %d: expected @header, got %q", s.line, s.header)
 		return false
 	}
 	seqText, ok := s.nextLine()
 	if !ok {
 		if s.err == nil {
-			s.err = fmt.Errorf("genome: line %d: truncated record %q", headerLine, header)
+			s.err = fmt.Errorf("genome: line %d: truncated record %q", headerLine, s.header)
 		}
 		return false
 	}
-	// The line's bytes do not outlive the next read, so the sequence is
-	// parsed now; a bad base is still reported after the structural checks.
-	seq, seqErr := parseBases(seqText)
+	// The line's bytes do not outlive the next read, so the bases are
+	// translated now; a bad base is still reported after the structural
+	// checks.
+	s.appendBases(seqText)
 	seqLine, seqLen := s.line, len(seqText)
 	plus, ok := s.nextLine()
 	if !ok || plus[0] != '+' {
 		if s.err == nil {
-			s.err = fmt.Errorf("genome: line %d: expected + separator for record %q", s.line, header)
+			s.err = fmt.Errorf("genome: line %d: expected + separator for record %q", s.line, s.header)
 		}
 		return false
 	}
 	qual, ok := s.nextLine()
 	if !ok {
 		if s.err == nil {
-			s.err = fmt.Errorf("genome: line %d: record %q: missing quality line", headerLine, header)
+			s.err = fmt.Errorf("genome: line %d: record %q: missing quality line", headerLine, s.header)
 		}
 		return false
 	}
 	if len(qual) != seqLen {
 		s.err = fmt.Errorf("genome: line %d: record %q: quality length %d != sequence length %d",
-			s.line, header, len(qual), seqLen)
+			s.line, s.header, len(qual), seqLen)
 		return false
 	}
-	if seqErr != nil {
-		s.err = fmt.Errorf("genome: line %d: record %q: %w", seqLine, header, seqErr)
+	if s.badAt >= 0 {
+		s.err = fmt.Errorf("genome: line %d: record %q: %w", seqLine, s.header, s.badBase())
 		return false
 	}
 	// Trim the name exactly as the FASTA path does, so a record's name is
 	// format-independent and survives a FASTA re-serialisation (the spill
 	// round-trip) byte-identically.
-	s.rec = Record{Name: strings.TrimSpace(strings.TrimPrefix(header, "@")), Seq: seq}
+	s.name = append(s.name[:0], bytes.TrimSpace(s.header[1:])...)
 	return true
 }
 

@@ -1,6 +1,10 @@
 package kmer
 
 import (
+	"bytes"
+	"fmt"
+	"io"
+	"runtime"
 	"testing"
 
 	"pimassembler/internal/genome"
@@ -119,6 +123,75 @@ func BenchmarkSpectrum(b *testing.B) {
 				}
 				t.FilterMinCount(1)
 			}
+		})
+	}
+}
+
+// BenchmarkIngest is stage 1's ingest alone at the sw_100k read shape: FASTA
+// bytes of 20 000 × 101 bp error-free reads of a 1 Mbp genome into a k = 16
+// BucketTable, past its split but short of a fold round, so what it times is
+// parsing, rolling and staging. codes is the pipeline's path (NextCodes into
+// AddCodes, no Sequence per read); sequence builds each read's Sequence and
+// counts it with AddRead.
+func BenchmarkIngest(b *testing.B) {
+	const reads = 20_000
+	rng := stats.NewRNG(1)
+	sampler := genome.NewReadSampler(genome.GenerateGenome(1_000_000, rng), 101, 0, rng)
+	var fasta bytes.Buffer
+	w := genome.NewRecordWriter(&fasta)
+	for i := 0; i < reads; i++ {
+		if err := w.Write(genome.Record{Name: fmt.Sprintf("r%d", i), Seq: sampler.Next()}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	source := func() *genome.ScannerSource {
+		return genome.NewScannerSource(genome.NewScanner(bytes.NewReader(fasta.Bytes()), genome.FormatFASTA))
+	}
+	paths := []struct {
+		name string
+		add  func(*genome.ScannerSource, *BucketTable) error
+	}{
+		{"codes", func(src *genome.ScannerSource, t *BucketTable) error {
+			codes, err := src.NextCodes()
+			if err == nil {
+				t.AddCodes(codes)
+			}
+			return err
+		}},
+		{"sequence", func(src *genome.ScannerSource, t *BucketTable) error {
+			r, err := src.Next()
+			if err == nil {
+				t.AddRead(r)
+			}
+			return err
+		}},
+	}
+	for _, p := range paths {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(fasta.Len()))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				src, t := source(), NewBucketTable(16, 1)
+				n := 0
+				for ; ; n++ {
+					if err := p.add(src, t); err == io.EOF {
+						break
+					} else if err != nil {
+						b.Fatal(err)
+					}
+				}
+				if n != reads {
+					b.Fatalf("%d reads, want %d", n, reads)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*reads), "ns/read")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*reads), "allocs/read")
 		})
 	}
 }

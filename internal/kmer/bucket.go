@@ -35,7 +35,7 @@ const (
 // table holds more than splitDistinct k-mers it splits into numBuckets
 // tables: bucket b owns the k-mers whose top bucketBits code bits are b, a
 // slice of k-mer space, as the paper's Hashmap gives each k-mer a home
-// sub-array. From then on AddRead stages each k-mer in its bucket's blocks,
+// sub-array. From then on AddCodes stages each k-mer in its bucket's blocks,
 // and a fold round adds the staged k-mers one bucket at a time, so each
 // bucket's table is probed while it sits in cache instead of one large table
 // missing on every add. Buckets are value ranges, so the sorted entries are
@@ -54,8 +54,8 @@ const (
 // table's entries into the buckets is table maintenance, like growth, and
 // costs no probes.
 //
-// Every reader folds what AddRead left staged first, so the first read after
-// an AddRead must not run beside another call. After it, any number of
+// Every reader folds what AddCodes left staged first, so the first read after
+// an AddCodes must not run beside another call. After it, any number of
 // goroutines may look up at once.
 type BucketTable struct {
 	k       int
@@ -64,12 +64,13 @@ type BucketTable struct {
 	// split builds the buckets, at the code width NewBucketTable picked,
 	// from the single table.
 	split func(single *CountTable, workers int) phase
+	codes []byte // AddRead's unpacked read
 }
 
 // phase is what a BucketTable counts with: the single CountTable before the
 // split, a *buckets after it.
 type phase interface {
-	AddRead(r *genome.Sequence)
+	AddCodes(codes []byte)
 	Len() int
 	ProbeOps() int64
 	Count(km Kmer) uint32
@@ -93,13 +94,21 @@ func NewBucketTable(k, workers int) *BucketTable {
 	return t
 }
 
-// AddRead counts every k-mer of r: into the single table before the split,
-// into the buckets' staging blocks after it.
-func (t *BucketTable) AddRead(r *genome.Sequence) {
-	t.cur.AddRead(r)
+// AddCodes counts every k-mer of a read given as 2-bit codes, one byte (0-3)
+// per base: into the single table before the split, into the buckets'
+// staging blocks after it. The codes are not kept, so they may be a
+// genome.CodeSource's borrowed buffer.
+func (t *BucketTable) AddCodes(codes []byte) {
+	t.cur.AddCodes(codes)
 	if single, ok := t.cur.(*CountTable); ok && single.Len() > splitDistinct {
 		t.cur = t.split(single, t.workers)
 	}
+}
+
+// AddRead counts every k-mer of r: AddCodes of its unpacked bases.
+func (t *BucketTable) AddRead(r *genome.Sequence) {
+	t.codes = r.AppendCodes(t.codes[:0])
+	t.AddCodes(t.codes)
 }
 
 // K returns the table's k-mer length.
@@ -140,25 +149,27 @@ type buckets[C code] struct {
 	workers int
 	probes  int64 // the single table's probes
 	tables  [numBuckets]table[C]
-	staged  [numBuckets]stage[C]
-	slab    []C // the staging blocks, cut in order
-	cut     int // blocks cut from slab since the last fold
-	pool    slotPool[C]
+	// Since the last fold, bucket b has staged, in read order, the blocks of
+	// slab starting at full[b], then slab[open[b].end-stageBlock:open[b].at].
+	// The cursors sit in one small array, apart from the rest, because
+	// staging a k-mer reads and writes one of them.
+	open [numBuckets]cursor
+	full [numBuckets][]int32
+	slab []C // the staging blocks, cut in order
+	cut  int // blocks cut from slab since the last fold
+	pool slotPool[C]
 }
 
-// stage is the codes staged for one bucket since the last fold, in read
-// order: its filled blocks, then the first n codes of open.
-type stage[C code] struct {
-	full [][]C
-	open []C
-	n    int
-}
+// cursor is a bucket's open block in the slab: the index its next code goes
+// to, and the block's end. A bucket with no block has at == end == 0.
+type cursor struct{ at, end int32 }
 
 // splitBuckets moves the single table's entries, counts and all, into bucket
 // tables sized for what each receives. No bucket holds anything yet, so
 // every entry is a plain placement.
 func splitBuckets[C code](single *CountTable, workers int) phase {
-	b := &buckets[C]{k: single.k, shift: 2*uint(single.k) - bucketBits, workers: workers, probes: single.probeOps}
+	b := &buckets[C]{k: single.k, shift: 2*uint(single.k) - bucketBits, workers: workers, probes: single.probeOps,
+		slab: make([]C, stageBudget)}
 	var sizes [numBuckets]int
 	for _, s := range single.slots {
 		if s.Count != 0 {
@@ -178,40 +189,37 @@ func splitBuckets[C code](single *CountTable, workers int) phase {
 	return b
 }
 
-// AddRead stages the low code bits of each k-mer of r in its bucket's open
-// block.
-func (b *buckets[C]) AddRead(r *genome.Sequence) {
-	var kms [addBatch]Kmer
-	for roll := newRoller(r, b.k); ; {
-		n := roll.fill(kms[:])
-		if n == 0 {
-			return
+// AddCodes stages the low code bits of each k-mer of a read's codes in its
+// bucket's open block. It rolls the codes itself rather than through
+// codeRoller's batches: a k-mer goes from the window to its block directly.
+func (b *buckets[C]) AddCodes(codes []byte) {
+	roll := newCodeRoller(codes, b.k)
+	km, top, shift, slab := roll.km, roll.top, b.shift, b.slab
+	for _, c := range roll.codes {
+		km = km>>2 | Kmer(c&3)<<top
+		i := uint8(km >> shift)
+		o := &b.open[i]
+		if o.at == o.end {
+			b.nextBlock(i)
 		}
-		for _, km := range kms[:n] {
-			s := &b.staged[uint8(km>>b.shift)]
-			if s.n == len(s.open) {
-				b.nextBlock(s)
-			}
-			s.open[s.n] = C(km)
-			s.n++
-		}
+		slab[o.at] = C(km)
+		o.at++
 	}
 }
 
-// nextBlock files s's open block, which is full or absent, and cuts s a new
-// one, folding every bucket first when the slab has no block left.
-func (b *buckets[C]) nextBlock(s *stage[C]) {
-	if s.n > 0 {
-		s.full, s.n = append(s.full, s.open), 0
+// nextBlock files bucket i's open block, which is full or absent, and cuts
+// it a new one, folding every bucket first when the slab has no block left.
+func (b *buckets[C]) nextBlock(i uint8) {
+	o := &b.open[i]
+	if o.end > 0 {
+		b.full[i] = append(b.full[i], o.end-stageBlock)
 	}
+	*o = cursor{}
 	if b.cut == stageBudget/stageBlock {
 		b.fold()
 	}
-	if b.slab == nil {
-		b.slab = make([]C, stageBudget)
-	}
-	at := b.cut * stageBlock
-	s.open, s.n = b.slab[at:at+stageBlock:at+stageBlock], 0
+	at := int32(b.cut * stageBlock)
+	*o = cursor{at, at + stageBlock}
 	b.cut++
 }
 
@@ -219,12 +227,14 @@ func (b *buckets[C]) nextBlock(s *stage[C]) {
 // on each worker, and frees the slab for the next round.
 func (b *buckets[C]) fold() {
 	parallel.ForEachWorkers(b.workers, numBuckets, func(i int) {
-		s, tbl := &b.staged[i], &b.tables[i]
-		for _, blk := range s.full {
-			tbl.addAll(blk)
+		tbl := &b.tables[i]
+		for _, at := range b.full[i] {
+			tbl.addAll(b.slab[at : at+stageBlock])
 		}
-		tbl.addAll(s.open[:s.n])
-		s.full, s.open, s.n = s.full[:0], nil, 0
+		if o := b.open[i]; o.end > 0 {
+			tbl.addAll(b.slab[o.end-stageBlock : o.at])
+		}
+		b.full[i], b.open[i] = b.full[i][:0], cursor{}
 	})
 	b.cut = 0
 }

@@ -8,7 +8,7 @@ package kmer
 // (debruijn.BuildEntries) and drops the table.
 //
 // Every method is read-only once counting has finished (a BucketTable's
-// first read after its last AddRead folds what is staged), so a finished
+// first read after its last AddCodes folds what is staged), so a finished
 // Counter is safe for concurrent readers.
 type Counter interface {
 	// K returns the k-mer length.

@@ -72,3 +72,60 @@ func fuzzReads(data []byte, k int) []*genome.Sequence {
 	}
 	return reads
 }
+
+// FuzzAddCodesMatchesAddRead is the differential target for the code-fed
+// counting loop. Arbitrary bytes become reads, around bulk reads that may
+// take the bucketed counter past its split. One BucketTable is fed each
+// read's bases as 2-bit codes (AddCodes), another the read's Sequence
+// (AddRead), at k = 3, 16, 20, 21 and 32 (both code widths and both sides
+// of the width boundary). They must agree on entries, trimmed entries, Len
+// and ProbeOps. A CountTable fed the codes must also match the k-mer-by-k-mer
+// table built from the k-mers of Iterate's base-by-base roll over the packed
+// read.
+func FuzzAddCodesMatchesAddRead(f *testing.F) {
+	f.Add([]byte("CGTGCGTGCTT"), uint8(0), uint16(0))
+	f.Add([]byte{}, uint8(1), uint16(0))
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 255, 254, 9, 9, 9}, uint8(1), uint16(600))
+	f.Add([]byte("ACGTTGCAACGTGGCCTTAAGCGCATATCGATCGGCTA"), uint8(2), uint16(1000))
+	f.Add([]byte("ACGTTGCAACGTGGCCTTAAGCGCATATCGATCGGCTA"), uint8(3), uint16(1000))
+	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"), uint8(4), uint16(900))
+	rng := stats.NewRNG(7)
+	sampled := genome.NewReadSampler(genome.GenerateGenome(40_000, rng), 101, 0, rng).Sample(1200)
+	f.Fuzz(func(t *testing.T, data []byte, kSel uint8, bulk uint16) {
+		k := []int{3, 16, 20, 21, 32}[int(kSel)%5]
+		fuzzed := fuzzReads(data, k)
+		var reads []*genome.Sequence
+		reads = append(reads, fuzzed...)
+		reads = append(reads, sampled[:int(bulk)%len(sampled)]...)
+		reads = append(reads, fuzzed...)
+		byCodes, byRead := NewBucketTable(k, 1), NewBucketTable(k, 1)
+		serial, oracle := NewCountTable(k, 0), NewCountTable(k, 0)
+		var codes []byte
+		var kms []Kmer
+		for _, r := range reads {
+			codes = codes[:0]
+			for i := 0; i < r.Len(); i++ {
+				codes = append(codes, byte(r.Base(i)))
+			}
+			byCodes.AddCodes(codes)
+			byRead.AddRead(r)
+			serial.AddCodes(codes)
+			kms = kms[:0]
+			Iterate(r, k, func(km Kmer) { kms = append(kms, km) })
+			oracle.addAll(kms)
+		}
+		if byCodes.Len() != byRead.Len() || serial.Len() != oracle.Len() || byCodes.Len() != oracle.Len() {
+			t.Fatalf("k=%d: Len %d by codes, %d by read, %d serial, %d oracle", k, byCodes.Len(), byRead.Len(), serial.Len(), oracle.Len())
+		}
+		if byCodes.ProbeOps() != byRead.ProbeOps() || serial.ProbeOps() != oracle.ProbeOps() {
+			t.Fatalf("k=%d: ProbeOps %d by codes, %d by read; serial %d, oracle %d", k, byCodes.ProbeOps(), byRead.ProbeOps(), serial.ProbeOps(), oracle.ProbeOps())
+		}
+		for _, min := range []uint32{1, 2} {
+			want := oracle.FilterMinCount(min)
+			if !reflect.DeepEqual(byCodes.FilterMinCount(min), want) || !reflect.DeepEqual(byRead.FilterMinCount(min), want) ||
+				!reflect.DeepEqual(serial.FilterMinCount(min), want) {
+				t.Fatalf("k=%d: FilterMinCount(%d) diverges", k, min)
+			}
+		}
+	})
+}

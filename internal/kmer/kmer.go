@@ -175,6 +175,43 @@ func (r *roller) fill(dst []Kmer) int {
 	return len(dst)
 }
 
+// codeRoller is roller over 2-bit codes, one byte (0-3) per base, as
+// genome.CodeSource yields them: the window a table's AddCodes rolls. Same
+// k-mers, same order as roller over the packed sequence of the same bases.
+type codeRoller struct {
+	codes []byte // the bases not yet shifted in
+	top   uint   // bit offset of base k-1
+	km    Kmer   // the window ending at the last base shifted in
+}
+
+// newCodeRoller primes the window with the first k-1 codes. Codes shorter
+// than k yield a roller that is already exhausted.
+func newCodeRoller(codes []byte, k int) codeRoller {
+	checkK(k)
+	r := codeRoller{top: 2 * uint(k-1)}
+	if len(codes) < k {
+		return r
+	}
+	for _, c := range codes[:k-1] {
+		r.km = r.km>>2 | Kmer(c&3)<<r.top
+	}
+	r.codes = codes[k-1:]
+	return r
+}
+
+// fill writes the next k-mers into dst and returns how many it wrote: len(dst)
+// or however many the codes have left.
+func (r *codeRoller) fill(dst []Kmer) int {
+	n := min(len(dst), len(r.codes))
+	km := r.km
+	for j, c := range r.codes[:n] {
+		km = km>>2 | Kmer(c&3)<<r.top
+		dst[j] = km
+	}
+	r.km, r.codes = km, r.codes[n:]
+	return n
+}
+
 // AppendKmers appends all k-mers of s, in order, to dst and returns the
 // extended slice — Iterate into a caller-owned buffer.
 func AppendKmers(dst []Kmer, s *genome.Sequence, k int) []Kmer {

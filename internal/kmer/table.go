@@ -178,6 +178,7 @@ func (t *table[C]) filter(dst []slot[C], min uint32) {
 type CountTable struct {
 	k int
 	table[Kmer]
+	codes []byte // AddRead's unpacked read
 }
 
 // NewCountTable creates a table for k-mers of length k with capacity for at
@@ -204,18 +205,26 @@ func (t *CountTable) Add(km Kmer) uint32 {
 	return t.Count(km)
 }
 
-// AddRead counts every k-mer of r in read order. It is the one stage-1
-// counting step: CountReads and the streaming pipeline both call it read by
-// read, so both see the same table layout and probe statistics.
-func (t *CountTable) AddRead(r *genome.Sequence) {
+// AddCodes counts every k-mer of a read given as 2-bit codes, one byte
+// (0-3) per base, in read order. It is the one stage-1 counting step:
+// CountReads and the streaming pipeline both call it read by read, so both
+// see the same table layout and probe statistics.
+func (t *CountTable) AddCodes(codes []byte) {
 	var kms [addBatch]Kmer
-	for roll := newRoller(r, t.k); ; {
+	for roll := newCodeRoller(codes, t.k); ; {
 		n := roll.fill(kms[:])
 		if n == 0 {
 			return
 		}
 		t.addAll(kms[:n])
 	}
+}
+
+// AddRead counts every k-mer of r in read order: AddCodes of its unpacked
+// bases.
+func (t *CountTable) AddRead(r *genome.Sequence) {
+	t.codes = r.AppendCodes(t.codes[:0])
+	t.AddCodes(t.codes)
 }
 
 // Count returns the stored count of km (0 if absent). It writes nothing:
