@@ -7,6 +7,7 @@ import (
 	"pimassembler/internal/bitvec"
 	"pimassembler/internal/core"
 	"pimassembler/internal/dram"
+	"pimassembler/internal/exec"
 	"pimassembler/internal/kmer"
 	"pimassembler/internal/mapping"
 	"pimassembler/internal/sched"
@@ -241,16 +242,16 @@ func BenchmarkAblationSchedulerSpread(b *testing.B) {
 	g := dram.Default()
 	tm := dram.DefaultTiming()
 	for _, spread := range []int{1, 16, 256} {
-		var cmds []sched.Command
+		var cmds []exec.Command
 		for _, m := range mix {
 			for i := 0; i < m.n; i++ {
-				cmds = append(cmds, sched.Command{Subarray: i % spread, Kind: m.kind})
+				cmds = append(cmds, exec.Command{Subarray: i % spread, Kind: m.kind})
 			}
 		}
 		b.Run(fmt.Sprintf("subarrays%d", spread), func(b *testing.B) {
 			var r sched.Result
 			for i := 0; i < b.N; i++ {
-				r = sched.Schedule(cmds, sched.DefaultConfig(g, tm))
+				r = sched.ScheduleStream(cmds, sched.DefaultConfig(g, tm))
 			}
 			b.ReportMetric(r.MakespanNS/1e3, "makespan-µs")
 			b.ReportMetric(r.Speedup, "overlap-x")

@@ -38,11 +38,18 @@ type config struct {
 	paired                    bool
 	insert                    int
 	stdInsert                 float64
+	out, ref                  string
 }
 
-// validate rejects the flag combinations the generators would panic on.
+// validate rejects the flag combinations the generators would panic on, and
+// output names a reader would take for FASTQ: readgen writes FASTA, and
+// genome.DetectFormat goes by the extension.
 func (c config) validate() error {
 	switch {
+	case genome.DetectFormat(c.out) == genome.FormatFASTQ:
+		return fmt.Errorf("-out %q names a FASTQ file; readgen writes FASTA", c.out)
+	case c.ref != "" && genome.DetectFormat(c.ref) == genome.FormatFASTQ:
+		return fmt.Errorf("-ref %q names a FASTQ file; readgen writes FASTA", c.ref)
 	case c.reads < 0:
 		return fmt.Errorf("-reads %d is negative", c.reads)
 	case c.readLen <= 0 || c.readLen > c.genomeLen:
@@ -77,11 +84,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&c.paired, "paired", false, "generate paired-end reads (interleaved /1, /2 records)")
 	fs.IntVar(&c.insert, "insert", 400, "paired mode: mean insert size")
 	fs.Float64Var(&c.stdInsert, "stdinsert", 20, "paired mode: insert-size standard deviation")
-	var (
-		seed = fs.Uint64("seed", 7, "deterministic seed")
-		out  = fs.String("out", "reads.fasta", "output FASTA of reads")
-		ref  = fs.String("ref", "", "optional output FASTA of the reference genome")
-	)
+	fs.StringVar(&c.out, "out", "reads.fasta", "output FASTA of reads (not a .fastq/.fq name)")
+	fs.StringVar(&c.ref, "ref", "", "optional output FASTA of the reference genome (not a .fastq/.fq name)")
+	seed := fs.Uint64("seed", 7, "deterministic seed")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: readgen -out reads.fasta [flags]")
 		fmt.Fprintln(stderr, "\nexit codes: 0 success; 1 output write failure; 2 usage error")
@@ -108,20 +113,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Stream the reads straight to disk one record at a time: the dataset is
 	// never materialised in memory, so -reads can exceed what a slurped
 	// []Record would hold.
-	written, err := streamReads(*out, g, c, rng)
+	written, err := streamReads(c.out, g, c, rng)
 	if err != nil {
 		fmt.Fprintln(stderr, "readgen:", err)
 		return exitRuntime
 	}
-	if *ref != "" {
-		if err := writeFASTA(*ref, []genome.Record{{Name: "reference", Seq: g}}); err != nil {
+	if c.ref != "" {
+		if err := writeFASTA(c.ref, []genome.Record{{Name: "reference", Seq: g}}); err != nil {
 			fmt.Fprintln(stderr, "readgen:", err)
 			return exitRuntime
 		}
 	}
 	fmt.Fprintf(stdout, "wrote %d reads of %d bp (genome %d bp, %.1fx coverage, paired=%v) to %s\n",
 		written, c.readLen, c.genomeLen,
-		float64(written)*float64(c.readLen)/float64(c.genomeLen), c.paired, *out)
+		float64(written)*float64(c.readLen)/float64(c.genomeLen), c.paired, c.out)
 	return exitOK
 }
 

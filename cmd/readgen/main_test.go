@@ -29,6 +29,8 @@ func TestRunUsageErrors(t *testing.T) {
 		{"repeat-longer-than-genome", []string{"-genome", "400", "-repeats", "1"}, "-repeats plants 500 bp"},
 		{"insert-too-small", []string{"-paired", "-insert", "150"}, "cannot hold two 101 bp reads"},
 		{"insert-exceeds-genome", []string{"-paired", "-genome", "450"}, "too large for -genome 450"},
+		{"fastq-out", []string{"-out", "n.fastq"}, `-out "n.fastq" names a FASTQ file`},
+		{"fastq-ref", []string{"-ref", "genome.fq"}, `-ref "genome.fq" names a FASTQ file`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

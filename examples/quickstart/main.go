@@ -41,7 +41,7 @@ func main() {
 	//    example S = CGTGCGTGCTT, k = 5.
 	p.Reset()
 	table := core.NewHashTableAt(p, 5, 0, 1)
-	for _, km := range kmer.AppendKmers(nil, genome.MustFromString("CGTGCGTGCTT"), 5) {
+	for _, km := range kmer.AppendKmers(nil, genome.MustFromString("CGTGCGTGCTT").AppendCodes(nil), 5) {
 		if _, err := table.Add(km); err != nil {
 			panic(err)
 		}

@@ -32,9 +32,10 @@ type Options struct {
 	// and bubble popping) after graph construction. Combine with MinCount
 	// for noisy reads.
 	Simplify bool
-	// Correct runs k-mer-spectrum read correction before counting (input
-	// reads are copied, not mutated). SolidThreshold sets the trusted-count
-	// floor (default 3 when zero).
+	// Correct runs k-mer-spectrum read correction before counting, on the
+	// fresh copies genome.ReadAll packs from the source, so the caller's
+	// reads are never mutated. SolidThreshold sets the trusted-count floor
+	// (default 3 when zero).
 	Correct        bool
 	SolidThreshold uint32
 	// Scaffold enables stage 3 (greedy overlap scaffolding).
@@ -158,23 +159,10 @@ func AssembleSource(ctx context.Context, src genome.ReadSource, opts Options) (*
 
 // cancelSource ends a read stream with ctx's error once ctx is done, so
 // every loop that drains reads — stage 1 read by read, ReadAll where a stage
-// needs the whole set — stops at the next read. It is a genome.CodeSource
-// over genome.Codes(src), so a source that lends codes keeps doing so
-// through it.
+// needs the whole set — stops at the next read.
 type cancelSource struct {
 	ctx context.Context
-	src genome.CodeSource
-}
-
-func newCancelSource(ctx context.Context, src genome.ReadSource) cancelSource {
-	return cancelSource{ctx, genome.Codes(src)}
-}
-
-func (s cancelSource) Next() (*genome.Sequence, error) {
-	if err := s.ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.src.Next()
+	src genome.ReadSource
 }
 
 func (s cancelSource) NextCodes() ([]byte, error) {
@@ -196,7 +184,7 @@ func run(ctx context.Context, b backend, src genome.ReadSource, opts Options) (*
 	if src == nil {
 		return nil, fmt.Errorf("assembly: no reads")
 	}
-	src = newCancelSource(ctx, src)
+	src = cancelSource{ctx, src}
 	res := &Result{Options: opts}
 
 	if opts.Correct {
@@ -204,7 +192,7 @@ func run(ctx context.Context, b backend, src genome.ReadSource, opts Options) (*
 		if err != nil {
 			return nil, err
 		}
-		src = newCancelSource(ctx, genome.NewSliceSource(corrected(reads, opts)))
+		src = cancelSource{ctx, genome.NewSliceSource(corrected(reads, opts))}
 	}
 
 	// Stage 1: k-mer analysis (Hashmap procedure).
@@ -257,19 +245,16 @@ func run(ctx context.Context, b backend, src genome.ReadSource, opts Options) (*
 	return res, nil
 }
 
-// corrected returns spectrum-corrected copies of reads (stage 0); the
-// inputs are not mutated.
+// corrected spectrum-corrects reads in place (stage 0) and returns them.
+// run hands it the fresh copies genome.ReadAll packed, which nothing else
+// holds, so no caller's read is mutated.
 func corrected(reads []*genome.Sequence, opts Options) []*genome.Sequence {
 	threshold := opts.SolidThreshold
 	if threshold == 0 {
 		threshold = 3
 	}
-	copies := make([]*genome.Sequence, len(reads))
-	for i, r := range reads {
-		copies[i] = r.Clone()
-	}
-	correct.FromReadsWorkers(copies, opts.K, threshold, 4, opts.CountWorkers).CorrectAll(copies)
-	return copies
+	correct.FromReadsWorkers(reads, opts.K, threshold, 4, opts.CountWorkers).CorrectAll(reads)
+	return reads
 }
 
 // softwareBackend is the plain-Go reference: a host hash table and the
@@ -278,14 +263,13 @@ type softwareBackend struct{}
 
 // count folds src into a bucketed counter read by read, on CountWorkers
 // goroutines, and reads the filtered, sorted entries out of it. The reads
-// arrive as borrowed 2-bit codes (genome.Codes): a parsing source lends the
-// codes it translated the text into, so no Sequence is built per read.
+// arrive as borrowed 2-bit codes: a parsing source lends the codes it
+// translated the text into, so no Sequence is built per read.
 func (softwareBackend) count(src genome.ReadSource, opts Options) (spectrum, error) {
 	var sp spectrum
 	table := kmer.NewBucketTable(opts.K, opts.CountWorkers)
-	codes := genome.Codes(src)
 	for {
-		c, err := codes.NextCodes()
+		c, err := src.NextCodes()
 		if err == io.EOF {
 			break
 		}

@@ -145,8 +145,8 @@ type cancelAfter struct {
 	cancel    context.CancelFunc
 }
 
-func (s *cancelAfter) Next() (*genome.Sequence, error) {
-	r, err := s.ReadSource.Next()
+func (s *cancelAfter) NextCodes() ([]byte, error) {
+	r, err := s.ReadSource.NextCodes()
 	if err == nil {
 		if s.pulled++; s.pulled == s.n {
 			s.cancel()
@@ -162,8 +162,8 @@ type cancelAtEOF struct {
 	cancel context.CancelFunc
 }
 
-func (s cancelAtEOF) Next() (*genome.Sequence, error) {
-	r, err := s.ReadSource.Next()
+func (s cancelAtEOF) NextCodes() ([]byte, error) {
+	r, err := s.ReadSource.NextCodes()
 	if err == io.EOF {
 		s.cancel()
 	}

@@ -56,7 +56,7 @@ func TestGraphEngineStartVertex(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A chain starts at its first (k-1)-mer.
-	if want := kmer.FromSequence(s, 3); start != want {
+	if want := kmer.MustParse(s.String()[:3]); start != want {
 		t.Fatalf("start %v, want %v", start, want)
 	}
 }

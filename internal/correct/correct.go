@@ -63,6 +63,7 @@ type Stats struct {
 // scratch is one goroutine's reusable per-read state. Window w of a read
 // covers bases [w, w+k); a read of n ≥ k bases has n−k+1 windows.
 type scratch struct {
+	codes  []byte      // the read's bases as 2-bit codes
 	kms    []kmer.Kmer // kms[w]: window w's k-mer
 	counts []uint32    // counts[w]: its count in the spectrum
 	// trial and best hold the windows covering the hot spot under the
@@ -84,7 +85,8 @@ func resize[T any](s []T, n int) []T {
 
 // scan loads read's windows into s and reports how many are weak.
 func (c *Corrector) scan(s *scratch, read *genome.Sequence) (weak int) {
-	s.kms = kmer.AppendKmers(s.kms[:0], read, c.k)
+	s.codes = read.AppendCodes(s.codes[:0])
+	s.kms = kmer.AppendKmers(s.kms[:0], s.codes, c.k)
 	s.counts = resize(s.counts, len(s.kms))
 	c.table.CountAll(s.kms, s.counts)
 	return len(s.kms) - c.solid(s.counts)

@@ -109,7 +109,11 @@ func (c *oracle) solidAround(read *genome.Sequence, pos int) int {
 	}
 	solid := 0
 	for w := lo; w <= hi; w++ {
-		if c.solid(kmer.FromSequence(read.Subsequence(w, c.k), c.k)) {
+		var km kmer.Kmer
+		for i := 0; i < c.k; i++ {
+			km |= kmer.Kmer(read.Base(w+i)) << (2 * uint(i))
+		}
+		if c.solid(km) {
 			solid++
 		}
 	}
@@ -133,7 +137,7 @@ func (c *oracle) correctAll(reads []*genome.Sequence) Stats {
 func cloneReads(reads []*genome.Sequence) []*genome.Sequence {
 	out := make([]*genome.Sequence, len(reads))
 	for i, r := range reads {
-		out[i] = r.Clone()
+		out[i] = r.Subsequence(0, r.Len())
 	}
 	return out
 }

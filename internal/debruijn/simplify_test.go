@@ -90,10 +90,10 @@ func TestPopBubblesKeepsDominantArm(t *testing.T) {
 	k := 4
 	g := NewGraph(k)
 	counts := map[kmer.Kmer]uint32{}
-	for _, km := range kmer.AppendKmers(nil, trueSeq, k) {
+	for _, km := range kmer.AppendKmers(nil, trueSeq.AppendCodes(nil), k) {
 		counts[km] += 10
 	}
-	for _, km := range kmer.AppendKmers(nil, errSeq, k) {
+	for _, km := range kmer.AppendKmers(nil, errSeq.AppendCodes(nil), k) {
 		counts[km]++
 	}
 	for km, c := range counts {

@@ -42,17 +42,7 @@ func drainResults(next func() (string, error), limit int) []string {
 	return out
 }
 
-func nextLetters(src ReadSource) func() (string, error) {
-	return func() (string, error) {
-		r, err := src.Next()
-		if err != nil {
-			return "", err
-		}
-		return r.String(), nil
-	}
-}
-
-func nextCodeLetters(src CodeSource) func() (string, error) {
+func nextCodeLetters(src ReadSource) func() (string, error) {
 	return func() (string, error) {
 		codes, err := src.NextCodes()
 		return codesString(codes), err
@@ -66,8 +56,8 @@ const overLong = "<over-long line>"
 
 // ingestPins are hostile and edge-case inputs with what the scanner yielded
 // for them before it translated bases to codes: each read's bases, then the
-// error text, which repeats because it is sticky. NextCodes and Next must
-// both still yield exactly this, byte for byte.
+// error text, which repeats because it is sticky. NextCodes must still yield
+// exactly this, byte for byte.
 var ingestPins = []struct {
 	name   string
 	format Format
@@ -122,8 +112,8 @@ var ingestPins = []struct {
 		[]string{"AC", "!bufio.Scanner: token too long", "!bufio.Scanner: token too long"}},
 }
 
-// TestIngestPinned drives every pinned input through Next and NextCodes of
-// a ScannerSource and of a FileSource.
+// TestIngestPinned drives every pinned input through NextCodes of a
+// ScannerSource and of a FileSource.
 func TestIngestPinned(t *testing.T) {
 	dir := t.TempDir()
 	for i, c := range ingestPins {
@@ -132,15 +122,12 @@ func TestIngestPinned(t *testing.T) {
 		if err := os.WriteFile(path, []byte(c.in), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		scanner := func() *ScannerSource { return NewScannerSource(NewScanner(strings.NewReader(c.in), c.format)) }
 		for _, d := range []struct {
 			path string
 			next func() (string, error)
 		}{
-			{"ScannerSource.Next", nextLetters(scanner())},
-			{"ScannerSource.NextCodes", nextCodeLetters(scanner())},
-			{"FileSource.Next", nextLetters(NewFileSource(path))},
-			{"FileSource.NextCodes", nextCodeLetters(NewFileSource(path))},
+			{"ScannerSource", nextCodeLetters(NewScannerSource(NewScanner(strings.NewReader(c.in), c.format)))},
+			{"FileSource", nextCodeLetters(NewFileSource(path))},
 		} {
 			got := drainResults(d.next, len(c.want)+2)
 			if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", c.want) {
@@ -150,42 +137,24 @@ func TestIngestPinned(t *testing.T) {
 	}
 }
 
-// TestNextCodesMixesWithNext: the two calls advance the same stream, and
-// the codes NextCodes lends stay valid until the next call.
-func TestNextCodesMixesWithNext(t *testing.T) {
-	src := NewScannerSource(NewScanner(strings.NewReader(">a\nACGT\n>b\nGG\n>c\nTTAC\n>d\nC\n"), FormatFASTA))
-	codes, err := src.NextCodes()
-	if err != nil || codesString(codes) != "ACGT" {
-		t.Fatalf("first NextCodes = %q, %v", codesString(codes), err)
-	}
-	if r, err := src.Next(); err != nil || r.String() != "GG" {
-		t.Fatalf("Next after NextCodes = %v, %v", r, err)
-	}
-	if codes, err = src.NextCodes(); err != nil || codesString(codes) != "TTAC" {
-		t.Fatalf("NextCodes after Next = %q, %v", codesString(codes), err)
-	}
-	if codes, err = src.NextCodes(); err != nil || codesString(codes) != "C" {
-		t.Fatalf("last NextCodes = %q, %v", codesString(codes), err)
-	}
-	if _, err := src.NextCodes(); err != io.EOF {
-		t.Fatalf("NextCodes at the end = %v, want io.EOF verbatim", err)
-	}
-}
-
-// TestCodesAdapter: Codes hands a CodeSource back as it is, and adapts a
-// SliceSource by unpacking each read into one reused buffer.
+// TestCodesAdapter: a SliceSource adapts Sequences to codes, unpacking
+// each read into one reused buffer, so the codes it lent for one read are
+// overwritten by the next.
 func TestCodesAdapter(t *testing.T) {
-	sc := NewScannerSource(NewScanner(strings.NewReader(">a\nAC\n"), FormatFASTA))
-	if Codes(sc) != CodeSource(sc) {
-		t.Fatal("Codes wrapped a ScannerSource")
-	}
 	reads := mustSeqs(t, "ACGTACGTA", "", "T", "GGCCAATT")
-	src := Codes(NewSliceSource(reads))
+	src := NewSliceSource(reads)
+	var first []byte
 	for i, want := range reads {
 		codes, err := src.NextCodes()
 		if err != nil || codesString(codes) != want.String() {
 			t.Fatalf("read %d: %q, %v; want %q", i, codesString(codes), err, want.String())
 		}
+		if i == 0 {
+			first = codes
+		}
+	}
+	if codesString(first[:4]) != "GGCC" {
+		t.Fatalf("first read's codes now read %q: the buffer was not reused", codesString(first[:4]))
 	}
 	if _, err := src.NextCodes(); err != io.EOF {
 		t.Fatalf("adapter at the end = %v, want io.EOF", err)
@@ -209,10 +178,40 @@ func TestAppendCodesMatchesBase(t *testing.T) {
 				t.Fatalf("n=%d: code %d is %d, base %v", n, i, codes[i+1], s.Base(i))
 			}
 		}
-		if back := packCodes(codes[1:]); !back.Equal(s) || !bytes.Equal(back.Packed(), s.Packed()) {
+		if back := packCodes(codes[1:]); !back.Equal(s) || !bytes.Equal(back.packed, s.packed) {
 			t.Fatalf("n=%d: packCodes(AppendCodes) = %v, want %v", n, back, s)
 		}
 	}
+}
+
+// TestAppendCodesRangeMatchesBase unpacks every range of sequences of every
+// length mod 4 onto a non-empty prefix and checks each code against Base.
+func TestAppendCodesRangeMatchesBase(t *testing.T) {
+	for n := 0; n <= 13; n++ {
+		s := NewSequence(n)
+		for i := 0; i < n; i++ {
+			s.SetBase(i, Base((i*5+n)%4))
+		}
+		for from := 0; from <= n; from++ {
+			for to := from; to <= n; to++ {
+				codes := s.AppendCodesRange([]byte{9}, from, to)
+				if len(codes) != to-from+1 || codes[0] != 9 {
+					t.Fatalf("n=%d [%d,%d): returned %d codes, prefix %d", n, from, to, len(codes), codes[0])
+				}
+				for i := from; i < to; i++ {
+					if Base(codes[i-from+1]) != s.Base(i) {
+						t.Fatalf("n=%d [%d,%d): code %d is %d, base %v", n, from, to, i, codes[i-from+1], s.Base(i))
+					}
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AppendCodesRange past the end did not panic")
+		}
+	}()
+	NewSequence(4).AppendCodesRange(nil, 2, 5)
 }
 
 // TestNextCodesAllocs is the ingest path's allocation guard: draining 1 000

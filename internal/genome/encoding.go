@@ -151,18 +151,28 @@ var unpacked = func() (t [256][4]byte) {
 }()
 
 // AppendCodes appends the sequence's bases to dst as 2-bit codes, one byte
-// (0-3) per base, and returns the extended slice: the form ScannerSource
+// (0-3) per base, and returns the extended slice: the form a ReadSource
 // yields reads in, for consumers handed a Sequence instead.
-func (s *Sequence) AppendCodes(dst []byte) []byte {
-	at := len(dst)
-	dst = slices.Grow(dst, s.n)[:at+s.n]
-	out := dst[at:]
-	whole := s.n &^ 3
-	for i := 0; i < whole; i += 4 {
-		*(*[4]byte)(out[i:]) = unpacked[s.packed[i/4]]
+func (s *Sequence) AppendCodes(dst []byte) []byte { return s.AppendCodesRange(dst, 0, s.n) }
+
+// AppendCodesRange is AppendCodes over bases [from, to) only, so a long
+// sequence can be unpacked a window at a time into a fixed buffer.
+func (s *Sequence) AppendCodesRange(dst []byte, from, to int) []byte {
+	if from < 0 || from > to || to > s.n {
+		panic(fmt.Sprintf("genome: code range [%d,%d) out of range [0,%d)", from, to, s.n))
 	}
-	for i := whole; i < s.n; i++ {
-		out[i] = s.packed[i/4] >> (uint(i%4) * 2) & 3
+	at := len(dst)
+	dst = slices.Grow(dst, to-from)[:at+to-from]
+	out := dst[at:]
+	i := from
+	for ; i < to && i%4 != 0; i++ {
+		out[i-from] = s.packed[i/4] >> (uint(i%4) * 2) & 3
+	}
+	for ; i+4 <= to; i += 4 {
+		*(*[4]byte)(out[i-from:]) = unpacked[s.packed[i/4]]
+	}
+	for ; i < to; i++ {
+		out[i-from] = s.packed[i/4] >> (uint(i%4) * 2) & 3
 	}
 	return dst
 }
@@ -221,17 +231,6 @@ func (s *Sequence) Subsequence(from, length int) *Sequence {
 	return out
 }
 
-// Clone returns an independent copy of s.
-func (s *Sequence) Clone() *Sequence {
-	return &Sequence{n: s.n, packed: append([]byte(nil), s.packed...)}
-}
-
-// Packed returns the sequence's storage: four bases per byte, base 4i+j in
-// bits 2j and 2j+1 of byte i. The slice aliases s, so a caller may read it
-// but must not write it; it is how the k-mer scans read a sequence without a
-// bounds-checked Base call per base.
-func (s *Sequence) Packed() []byte { return s.packed }
-
 // ReverseComplement returns the reverse complement.
 func (s *Sequence) ReverseComplement() *Sequence {
 	out := NewSequence(s.n)
@@ -273,18 +272,4 @@ func (s *Sequence) Append(o *Sequence) *Sequence {
 		out.SetBase(s.n+i, o.Base(i))
 	}
 	return out
-}
-
-// PackBits writes the 2-bit encoding of positions [from, from+count) into a
-// uint64, base `from` in the least-significant bits — the wire format rows
-// of the PIM k-mer region store (Fig. 6: 128 bp per 256-bit row).
-func (s *Sequence) PackBits(from, count int) uint64 {
-	if count < 0 || count > 32 {
-		panic(fmt.Sprintf("genome: PackBits count %d exceeds 32 bases per word", count))
-	}
-	var x uint64
-	for i := 0; i < count; i++ {
-		x |= uint64(s.Base(from+i)) << (uint(i) * BaseBits)
-	}
-	return x
 }

@@ -2,6 +2,7 @@ package genome
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -204,8 +205,8 @@ func FuzzScanRecords(f *testing.F) {
 
 // FuzzCodesMatchNext is the differential target for the code path: for
 // arbitrary FASTA or FASTQ bytes, NextCodes must yield, record by record,
-// exactly the bases Next yields, and the same error text at the same
-// record, sticky afterwards.
+// exactly the bases of the Sequence each Scanner.Scan builds, and the same
+// error text at the same record, sticky afterwards.
 func FuzzCodesMatchNext(f *testing.F) {
 	for _, seed := range []struct {
 		s     string
@@ -229,13 +230,18 @@ func FuzzCodesMatchNext(f *testing.F) {
 		if fastq {
 			format = FormatFASTQ
 		}
-		bySeq := NewScannerSource(NewScanner(strings.NewReader(s), format))
+		bySeq := NewScanner(strings.NewReader(s), format)
 		byCodes := NewScannerSource(NewScanner(strings.NewReader(s), format))
 		for i := 0; ; i++ {
-			r, errSeq := bySeq.Next()
+			var errSeq error
+			if !bySeq.Scan() {
+				if errSeq = bySeq.Err(); errSeq == nil {
+					errSeq = io.EOF
+				}
+			}
 			codes, errCodes := byCodes.NextCodes()
 			if (errSeq == nil) != (errCodes == nil) || (errSeq != nil && errSeq.Error() != errCodes.Error()) {
-				t.Fatalf("record %d: Next error %v, NextCodes error %v", i, errSeq, errCodes)
+				t.Fatalf("record %d: Scan error %v, NextCodes error %v", i, errSeq, errCodes)
 			}
 			if errSeq != nil {
 				if _, again := byCodes.NextCodes(); again != errCodes {
@@ -243,8 +249,8 @@ func FuzzCodesMatchNext(f *testing.F) {
 				}
 				return
 			}
-			if got, want := codesString(codes), r.String(); got != want {
-				t.Fatalf("record %d: NextCodes %q, Next %q", i, got, want)
+			if got, want := codesString(codes), bySeq.Record().Seq.String(); got != want {
+				t.Fatalf("record %d: NextCodes %q, Scan %q", i, got, want)
 			}
 		}
 	})

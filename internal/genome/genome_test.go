@@ -130,8 +130,8 @@ func TestAppend(t *testing.T) {
 func TestPackBits(t *testing.T) {
 	// "TGAC" packs as T=00 G=01 A=10 C=11 → bits 11_10_01_00 = 0xE4.
 	s := MustFromString("TGAC")
-	if got := s.PackBits(0, 4); got != 0xE4 {
-		t.Fatalf("PackBits = %#x, want 0xE4", got)
+	if got := s.packed[0]; got != 0xE4 {
+		t.Fatalf("packed byte = %#x, want 0xE4", got)
 	}
 }
 
@@ -329,22 +329,6 @@ func TestFlattenRestoresForwardStrand(t *testing.T) {
 	for i, r := range flat {
 		if !strings.Contains(text, r.String()) {
 			t.Fatalf("flattened read %d not on the forward strand", i)
-		}
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	for _, text := range []string{"", "A", "ACGT", "ACGTACGTA"} {
-		s := MustFromString(text)
-		c := s.Clone()
-		if !c.Equal(s) || c.String() != text {
-			t.Fatalf("clone of %q reads %q", text, c)
-		}
-		if c.Len() > 0 {
-			c.SetBase(0, c.Base(0).Complement())
-			if s.String() != text {
-				t.Fatalf("editing the clone changed the original %q -> %q", text, s)
-			}
 		}
 	}
 }

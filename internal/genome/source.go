@@ -11,65 +11,33 @@ import (
 // at a time instead of materialising []*Sequence, so resident memory is
 // bounded by the consumer's working set, not the input size.
 //
-// Next returns the next read, or io.EOF (verbatim, never wrapped) after the
-// last one. Any other error is a real failure; after it, further Next calls
-// return the same error. A nil ReadSource is a valid empty workload for
-// consumers that accept one (e.g. counts-only analytical engine runs).
-// The Sequence Next returns is the caller's: no source reuses it.
+// NextCodes returns the next read's bases as 2-bit codes (Fig. 7), one byte
+// (0-3) per base, or io.EOF (verbatim, never wrapped) after the last read.
+// Any other error is a real failure; after it, further calls return the same
+// error. The codes are borrowed: they sit in a buffer the source reuses,
+// valid only until the next call, so a caller that keeps a read copies it —
+// ReadAll packs each into a fresh Sequence. A nil ReadSource is a valid
+// empty workload for consumers that accept one (e.g. counts-only analytical
+// engine runs).
 //
 // Sources that can rewind additionally implement
 //
 //	interface{ Reset() error }
 //
-// which the job queue requires before re-running a retry attempt. Sources
-// that parse text implement CodeSource too.
+// which the job queue requires before re-running a retry attempt.
 type ReadSource interface {
-	Next() (*Sequence, error)
-}
-
-// CodeSource is a ReadSource that can also hand over a read's bases without
-// building a Sequence. NextCodes advances exactly as Next does, with the same
-// errors, and returns the read's bases as 2-bit codes (Fig. 7), one byte
-// (0-3) per base. The codes are borrowed: they sit in a buffer the source
-// reuses, valid only until the next call to Next or NextCodes, so a caller
-// that keeps a read copies it.
-type CodeSource interface {
-	ReadSource
 	NextCodes() ([]byte, error)
-}
-
-// Codes returns src as a CodeSource: src itself when it is one, otherwise an
-// adapter whose NextCodes unpacks each Sequence src.Next returns into one
-// reused buffer.
-func Codes(src ReadSource) CodeSource {
-	if cs, ok := src.(CodeSource); ok {
-		return cs
-	}
-	return &unpackSource{ReadSource: src}
-}
-
-// unpackSource is Codes' adapter for sources that only build Sequences.
-type unpackSource struct {
-	ReadSource
-	codes []byte
-}
-
-func (s *unpackSource) NextCodes() ([]byte, error) {
-	r, err := s.Next()
-	if err != nil {
-		return nil, err
-	}
-	s.codes = r.AppendCodes(s.codes[:0])
-	return s.codes, nil
 }
 
 // SliceSource adapts an in-memory read slice to ReadSource — the
 // compatibility wrapper for every caller that already holds []*Sequence.
-// It aliases the slice (no copying) and is resettable, so retried jobs
+// It holds the slice without copying it, unpacks each read into one reused
+// code buffer as NextCodes reaches it, and is resettable, so retried jobs
 // replay it from the start.
 type SliceSource struct {
 	reads []*Sequence
 	next  int
+	codes []byte
 }
 
 // NewSliceSource wraps reads (which may be empty or nil).
@@ -77,14 +45,14 @@ func NewSliceSource(reads []*Sequence) *SliceSource {
 	return &SliceSource{reads: reads}
 }
 
-// Next implements ReadSource.
-func (s *SliceSource) Next() (*Sequence, error) {
+// NextCodes implements ReadSource.
+func (s *SliceSource) NextCodes() ([]byte, error) {
 	if s.next >= len(s.reads) {
 		return nil, io.EOF
 	}
-	r := s.reads[s.next]
+	s.codes = s.reads[s.next].AppendCodes(s.codes[:0])
 	s.next++
-	return r, nil
+	return s.codes, nil
 }
 
 // Reset rewinds to the first read.
@@ -95,11 +63,11 @@ func (s *SliceSource) Reset() error {
 
 // ScannerSource adapts a streaming Scanner to ReadSource, discarding record
 // names: the bounded-memory ingestion path feeding the engine layer
-// directly. It is a CodeSource: NextCodes lends each record's bases as the
-// 2-bit codes the scanner translated them into, in the scanner's buffer,
-// until the next call; Next packs the same codes into a new Sequence. Either
-// way no name is kept. It is not resettable (the underlying reader cannot
-// rewind); wrap a file in a FileSource when retries must replay.
+// directly. NextCodes lends each record's bases as the 2-bit codes the
+// scanner translated them into, in the scanner's buffer, until the next
+// call; no Sequence and no name is built. It is not resettable (the
+// underlying reader cannot rewind); wrap a file in a FileSource when retries
+// must replay.
 type ScannerSource struct {
 	sc  *Scanner
 	err error
@@ -111,16 +79,7 @@ func NewScannerSource(sc *Scanner) *ScannerSource {
 	return &ScannerSource{sc: sc}
 }
 
-// Next implements ReadSource.
-func (s *ScannerSource) Next() (*Sequence, error) {
-	codes, err := s.NextCodes()
-	if err != nil {
-		return nil, err
-	}
-	return packCodes(codes), nil
-}
-
-// NextCodes implements CodeSource.
+// NextCodes implements ReadSource.
 func (s *ScannerSource) NextCodes() ([]byte, error) {
 	if s.err != nil {
 		return nil, s.err
@@ -160,8 +119,8 @@ func OpenFileSource(path string) (*FileSource, error) {
 }
 
 // NewFileSource names path as a source without touching it: the file opens
-// at the first Next (a bad path fails there), so a holder that only passes
-// the source along — to a process that opens Path itself — costs no
+// at the first NextCodes (a bad path fails there), so a holder that only
+// passes the source along — to a process that opens Path itself — costs no
 // descriptor.
 func NewFileSource(path string) *FileSource {
 	return &FileSource{path: path, format: DetectFormat(path)}
@@ -180,16 +139,7 @@ func (s *FileSource) open() error {
 	return nil
 }
 
-// Next implements ReadSource.
-func (s *FileSource) Next() (*Sequence, error) {
-	codes, err := s.NextCodes()
-	if err != nil {
-		return nil, err
-	}
-	return packCodes(codes), nil
-}
-
-// NextCodes implements CodeSource: the codes are borrowed until the next
+// NextCodes implements ReadSource: the codes are borrowed until the next
 // call, as ScannerSource's are.
 func (s *FileSource) NextCodes() ([]byte, error) {
 	if s.err == nil && s.src == nil {
@@ -207,7 +157,7 @@ func (s *FileSource) NextCodes() ([]byte, error) {
 	return codes, nil
 }
 
-// Close releases the file. It is idempotent; Next after Close returns
+// Close releases the file. It is idempotent; NextCodes after Close returns
 // io.EOF if the stream had drained (or never started), the sticky error
 // otherwise.
 func (s *FileSource) Close() error {
@@ -222,29 +172,32 @@ func (s *FileSource) Close() error {
 	return f.Close()
 }
 
-// Reset rewinds to the first record: the file reopens at the next Next.
+// Reset rewinds to the first record: the file reopens at the next
+// NextCodes.
 func (s *FileSource) Reset() error {
 	s.Close()
 	s.src, s.err = nil, nil
 	return nil
 }
 
-// ReadAll drains src into a slice — the bridge for consumers that still
-// need random access (the functional PIM engine's sub-array loader). A nil
-// src yields a nil slice.
+// ReadAll drains src into a slice — the bridge for consumers that need
+// every read at once (the functional PIM engine's sub-array loader, read
+// correction) and the only place a stream becomes Sequences. Each read is
+// packed into a fresh Sequence the caller owns: nothing in the slice aliases
+// src or what src was built from. A nil src yields a nil slice.
 func ReadAll(src ReadSource) ([]*Sequence, error) {
 	if src == nil {
 		return nil, nil
 	}
 	var reads []*Sequence
 	for {
-		r, err := src.Next()
+		codes, err := src.NextCodes()
 		if err == io.EOF {
 			return reads, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		reads = append(reads, r)
+		reads = append(reads, packCodes(codes))
 	}
 }

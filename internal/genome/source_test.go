@@ -40,13 +40,18 @@ func TestSliceSourceYieldsInOrderAndResets(t *testing.T) {
 			t.Fatalf("round %d: got %d reads, want %d", round, len(got), len(reads))
 		}
 		for i := range got {
-			if got[i] != reads[i] {
-				t.Fatalf("round %d: read %d is not the aliased input sequence", round, i)
+			if got[i] == reads[i] || !got[i].Equal(reads[i]) {
+				t.Fatalf("round %d: read %d is %v, want a fresh copy of %v", round, i, got[i], reads[i])
+			}
+			// The copy is the caller's: editing it leaves the input alone.
+			got[i].SetBase(0, got[i].Base(0).Complement())
+			if got[i].Equal(reads[i]) {
+				t.Fatalf("round %d: editing read %d changed the input", round, i)
 			}
 		}
 		// Exhausted: EOF is sticky until Reset.
-		if _, err := src.Next(); err != io.EOF {
-			t.Fatalf("round %d: Next after drain = %v, want io.EOF", round, err)
+		if _, err := src.NextCodes(); err != io.EOF {
+			t.Fatalf("round %d: NextCodes after drain = %v, want io.EOF", round, err)
 		}
 		if err := src.Reset(); err != nil {
 			t.Fatal(err)
@@ -55,8 +60,8 @@ func TestSliceSourceYieldsInOrderAndResets(t *testing.T) {
 }
 
 func TestSliceSourceEmpty(t *testing.T) {
-	if _, err := NewSliceSource(nil).Next(); err != io.EOF {
-		t.Fatalf("empty source Next = %v, want io.EOF", err)
+	if _, err := NewSliceSource(nil).NextCodes(); err != io.EOF {
+		t.Fatalf("empty source NextCodes = %v, want io.EOF", err)
 	}
 }
 
@@ -66,20 +71,20 @@ func TestScannerSourceStreamsAndPropagatesErrors(t *testing.T) {
 	if len(got) != 2 || got[0].String() != "ACGT" || got[1].String() != "GG" {
 		t.Fatalf("unexpected reads: %v", got)
 	}
-	if _, err := src.Next(); err != io.EOF {
-		t.Fatalf("Next after drain = %v, want io.EOF", err)
+	if _, err := src.NextCodes(); err != io.EOF {
+		t.Fatalf("NextCodes after drain = %v, want io.EOF", err)
 	}
 
 	bad := NewScannerSource(NewScanner(strings.NewReader(">a\nACGT\n>b\nNOPE!\n"), FormatFASTA))
 	var err error
 	for err == nil {
-		_, err = bad.Next()
+		_, err = bad.NextCodes()
 	}
 	if err == io.EOF {
 		t.Fatal("malformed stream drained cleanly")
 	}
 	// The error is sticky.
-	if _, again := bad.Next(); again != err {
+	if _, again := bad.NextCodes(); again != err {
 		t.Fatalf("error not sticky: %v then %v", err, again)
 	}
 }
@@ -100,8 +105,8 @@ func TestFileSourceRoundTripAndReset(t *testing.T) {
 		if len(got) != 2 || got[0].String() != "ACGTACGT" || got[1].String() != "TTTT" {
 			t.Fatalf("round %d: unexpected reads %v", round, got)
 		}
-		if _, err := src.Next(); err != io.EOF {
-			t.Fatalf("round %d: Next after drain = %v, want io.EOF", round, err)
+		if _, err := src.NextCodes(); err != io.EOF {
+			t.Fatalf("round %d: NextCodes after drain = %v, want io.EOF", round, err)
 		}
 		if err := src.Reset(); err != nil {
 			t.Fatal(err)
@@ -122,8 +127,9 @@ func TestFileSourceBadPathFailsEagerly(t *testing.T) {
 }
 
 // TestNewFileSourceOpensAtFirstNext pins the lazy constructor: naming a file
-// touches nothing (the file may not exist yet), the first Next opens it, a
-// bad path fails there and stays failed, and Reset rewinds without reopening.
+// touches nothing (the file may not exist yet), the first NextCodes opens it,
+// a bad path fails there and stays failed, and Reset rewinds without
+// reopening.
 func TestNewFileSourceOpensAtFirstNext(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "late.fasta")
 	src := NewFileSource(path)
@@ -144,10 +150,10 @@ func TestNewFileSourceOpensAtFirstNext(t *testing.T) {
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Next(); err == nil {
-		t.Fatal("Next on a vanished file succeeded")
+	if _, err := src.NextCodes(); err == nil {
+		t.Fatal("NextCodes on a vanished file succeeded")
 	}
-	if _, err := src.Next(); err == nil || err == io.EOF {
+	if _, err := src.NextCodes(); err == nil || err == io.EOF {
 		t.Fatalf("open failure not sticky: %v", err)
 	}
 }

@@ -85,12 +85,12 @@ type blockingSource struct {
 	calls   atomic.Int64
 }
 
-func (s *blockingSource) Next() (*genome.Sequence, error) {
+func (s *blockingSource) NextCodes() ([]byte, error) {
 	if s.calls.Add(1) == s.at {
 		close(s.blocked)
 		<-s.release
 	}
-	return s.src.Next()
+	return s.src.NextCodes()
 }
 
 // TestCancellationReachesRunningAssembly pins that a job's context is

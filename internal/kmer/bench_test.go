@@ -68,8 +68,10 @@ func BenchmarkCountAll(b *testing.B) {
 	reads := genome.NewReadSampler(g, 101, 0.01, rng).Sample(60_000)
 	var tbl Counter = CountReads(reads, 32)
 	var kms []Kmer
+	var codes []byte
 	for _, r := range reads {
-		kms = AppendKmers(kms, r, 32)
+		codes = r.AppendCodes(codes[:0])
+		kms = AppendKmers(kms, codes, 32)
 	}
 	counts := make([]uint32, len(kms))
 	const perRead = 101 - 32 + 1
@@ -118,8 +120,10 @@ func BenchmarkSpectrum(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				t := NewBucketTable(sh.k, 1)
+				var codes []byte
 				for _, r := range reads {
-					t.AddRead(r)
+					codes = r.AppendCodes(codes[:0])
+					t.AddCodes(codes)
 				}
 				t.FilterMinCount(1)
 			}
@@ -130,9 +134,8 @@ func BenchmarkSpectrum(b *testing.B) {
 // BenchmarkIngest is stage 1's ingest alone at the sw_100k read shape: FASTA
 // bytes of 20 000 × 101 bp error-free reads of a 1 Mbp genome into a k = 16
 // BucketTable, past its split but short of a fold round, so what it times is
-// parsing, rolling and staging. codes is the pipeline's path (NextCodes into
-// AddCodes, no Sequence per read); sequence builds each read's Sequence and
-// counts it with AddRead.
+// parsing, rolling and staging: the pipeline's path, NextCodes into AddCodes
+// with no Sequence per read.
 func BenchmarkIngest(b *testing.B) {
 	const reads = 20_000
 	rng := stats.NewRNG(1)
@@ -147,51 +150,28 @@ func BenchmarkIngest(b *testing.B) {
 	if err := w.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	source := func() *genome.ScannerSource {
-		return genome.NewScannerSource(genome.NewScanner(bytes.NewReader(fasta.Bytes()), genome.FormatFASTA))
-	}
-	paths := []struct {
-		name string
-		add  func(*genome.ScannerSource, *BucketTable) error
-	}{
-		{"codes", func(src *genome.ScannerSource, t *BucketTable) error {
+	b.ReportAllocs()
+	b.SetBytes(int64(fasta.Len()))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		src := genome.NewScannerSource(genome.NewScanner(bytes.NewReader(fasta.Bytes()), genome.FormatFASTA))
+		t := NewBucketTable(16, 1)
+		n := 0
+		for ; ; n++ {
 			codes, err := src.NextCodes()
-			if err == nil {
-				t.AddCodes(codes)
+			if err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
 			}
-			return err
-		}},
-		{"sequence", func(src *genome.ScannerSource, t *BucketTable) error {
-			r, err := src.Next()
-			if err == nil {
-				t.AddRead(r)
-			}
-			return err
-		}},
+			t.AddCodes(codes)
+		}
+		if n != reads {
+			b.Fatalf("%d reads, want %d", n, reads)
+		}
 	}
-	for _, p := range paths {
-		b.Run(p.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(fasta.Len()))
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < b.N; i++ {
-				src, t := source(), NewBucketTable(16, 1)
-				n := 0
-				for ; ; n++ {
-					if err := p.add(src, t); err == io.EOF {
-						break
-					} else if err != nil {
-						b.Fatal(err)
-					}
-				}
-				if n != reads {
-					b.Fatalf("%d reads, want %d", n, reads)
-				}
-			}
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*reads), "ns/read")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*reads), "allocs/read")
-		})
-	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*reads), "ns/read")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*reads), "allocs/read")
 }

@@ -64,7 +64,6 @@ type BucketTable struct {
 	// split builds the buckets, at the code width NewBucketTable picked,
 	// from the single table.
 	split func(single *CountTable, workers int) phase
-	codes []byte // AddRead's unpacked read
 }
 
 // phase is what a BucketTable counts with: the single CountTable before the
@@ -97,18 +96,12 @@ func NewBucketTable(k, workers int) *BucketTable {
 // AddCodes counts every k-mer of a read given as 2-bit codes, one byte (0-3)
 // per base: into the single table before the split, into the buckets'
 // staging blocks after it. The codes are not kept, so they may be a
-// genome.CodeSource's borrowed buffer.
+// genome.ReadSource's borrowed buffer.
 func (t *BucketTable) AddCodes(codes []byte) {
 	t.cur.AddCodes(codes)
 	if single, ok := t.cur.(*CountTable); ok && single.Len() > splitDistinct {
 		t.cur = t.split(single, t.workers)
 	}
-}
-
-// AddRead counts every k-mer of r: AddCodes of its unpacked bases.
-func (t *BucketTable) AddRead(r *genome.Sequence) {
-	t.codes = r.AppendCodes(t.codes[:0])
-	t.AddCodes(t.codes)
 }
 
 // K returns the table's k-mer length.
@@ -134,8 +127,10 @@ func (t *BucketTable) FilterMinCount(min uint32) []Entry { return t.cur.FilterMi
 // fold rounds run on workers goroutines, and returns it settled.
 func CountReadsParallel(reads []*genome.Sequence, k, workers int) *BucketTable {
 	t := NewBucketTable(k, workers)
+	var codes []byte
 	for _, r := range reads {
-		t.AddRead(r)
+		codes = r.AppendCodes(codes[:0])
+		t.AddCodes(codes)
 	}
 	t.cur.settle()
 	return t

@@ -51,7 +51,7 @@ var bucketSizes = []struct {
 func addReads(t *BucketTable, reads []*genome.Sequence) (folds int) {
 	for _, r := range reads {
 		before := cutBlocks(t)
-		t.AddRead(r)
+		t.AddCodes(codesOf(r))
 		if cutBlocks(t) < before {
 			folds++
 		}
@@ -177,7 +177,7 @@ func TestPartitionedWorkerInvariance(t *testing.T) {
 }
 
 // TestCountReadsParallelDefault pins CountReadsParallel to the streaming
-// form — NewBucketTable, then AddRead read by read — and to returning a
+// form — NewBucketTable, then AddCodes read by read — and to returning a
 // settled table, one nobody's lookup has to fold.
 func TestCountReadsParallelDefault(t *testing.T) {
 	reads := countWorkload(23, 120_000, 101, 1_000, 0)
@@ -188,7 +188,7 @@ func TestCountReadsParallelDefault(t *testing.T) {
 	want := NewBucketTable(16, 2)
 	addReads(want, reads)
 	if bt.ProbeOps() != want.ProbeOps() || !reflect.DeepEqual(bt.FilterMinCount(1), want.FilterMinCount(1)) {
-		t.Fatal("CountReadsParallel differs from NewBucketTable + AddRead")
+		t.Fatal("CountReadsParallel differs from NewBucketTable + AddCodes")
 	}
 }
 
@@ -207,7 +207,7 @@ func TestBucketTableGeometry(t *testing.T) {
 		bt := NewBucketTable(k, 1)
 		for _, r := range reads {
 			before := bt.Len()
-			bt.AddRead(r)
+			bt.AddCodes(codesOf(r))
 			if isSplit(bt) {
 				if before > splitDistinct {
 					t.Fatalf("k=%d: split one read late, at %d distinct", k, before)
@@ -296,10 +296,10 @@ func TestCodeWidthsAgree(t *testing.T) {
 func TestSplitCarriesSaturatedCounts(t *testing.T) {
 	const k = 16
 	reads := countWorkload(61, 120_000, 101, 1_000, 0)
-	kms := AppendKmers(nil, reads[0], k)
+	kms := AppendKmers(nil, codesOf(reads[0]), k)
 	x, y := kms[0], kms[1]
 	bt := NewBucketTable(k, 1)
-	bt.AddRead(reads[0])
+	bt.AddCodes(codesOf(reads[0]))
 	single := bt.cur.(*CountTable)
 	for i := range single.slots {
 		switch single.slots[i].Kmer {
@@ -317,7 +317,7 @@ func TestSplitCarriesSaturatedCounts(t *testing.T) {
 		t.Fatalf("after the split: x=%d y=%d, want ≥ %d and %d", bt.Count(x), bt.Count(y), uint32(math.MaxUint32-1), uint32(math.MaxUint32))
 	}
 	// x three times and y once more, all staged and folded after the split.
-	bt.AddRead(genome.MustFromString(strings.Repeat(x.String(k), 3) + y.String(k)))
+	bt.AddCodes(codesOf(genome.MustFromString(strings.Repeat(x.String(k), 3) + y.String(k))))
 	for _, e := range bt.FilterMinCount(math.MaxUint32) {
 		if e.Kmer != x && e.Kmer != y {
 			t.Fatalf("%v reached MaxUint32", e.Kmer)

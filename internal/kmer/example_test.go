@@ -32,8 +32,8 @@ func ExampleKmer_Prefix() {
 }
 
 func ExampleAppendKmers() {
-	s := genome.MustFromString("ACGTAC")
-	for _, km := range kmer.AppendKmers(nil, s, 4) {
+	codes := genome.MustFromString("ACGTAC").AppendCodes(nil)
+	for _, km := range kmer.AppendKmers(nil, codes, 4) {
 		fmt.Println(km.String(4))
 	}
 	// Output:

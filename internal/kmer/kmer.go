@@ -35,15 +35,6 @@ func checkK(k int) {
 	}
 }
 
-// FromSequence packs the first k bases of s into a Kmer.
-func FromSequence(s *genome.Sequence, k int) Kmer {
-	checkK(k)
-	if s.Len() < k {
-		panic(fmt.Sprintf("kmer: sequence length %d shorter than k=%d", s.Len(), k))
-	}
-	return Kmer(s.PackBits(0, k))
-}
-
 // Base returns base i of the k-mer.
 func (km Kmer) Base(i int) genome.Base {
 	return genome.Base(km >> (2 * uint(i)) & 3)
@@ -118,66 +109,35 @@ func (km Kmer) Hash() uint64 {
 	return z ^ (z >> 31)
 }
 
+// iterChunk is how many bases Iterate unpacks at a time into its stack
+// buffer, so a sequence of any length iterates without allocating.
+const iterChunk = 128
+
 // Iterate calls fn for every k-mer of s in order, reusing the rolling 2-bit
-// window: the Hashmap(S, k) loop of Fig. 5b.
+// window: the Hashmap(S, k) loop of Fig. 5b, over s's unpacked codes.
 func Iterate(s *genome.Sequence, k int, fn func(Kmer)) {
-	checkK(k)
-	if s.Len() < k {
-		return
-	}
-	km := FromSequence(s, k)
-	fn(km)
-	for i := k; i < s.Len(); i++ {
-		km = (km >> 2) | Kmer(s.Base(i))<<(2*uint(k-1))
-		fn(km)
+	var codes [iterChunk]byte
+	var kms [addBatch]Kmer
+	n := s.Len()
+	roll := newCodeRoller(s.AppendCodesRange(codes[:0], 0, min(n, iterChunk)), k)
+	for from := iterChunk; ; from += iterChunk {
+		for m := roll.fill(kms[:]); m > 0; m = roll.fill(kms[:]) {
+			for _, km := range kms[:m] {
+				fn(km)
+			}
+		}
+		if from >= n {
+			return
+		}
+		// The window carries over into the next chunk: only the codes change.
+		roll.codes = s.AppendCodesRange(codes[:0], from, min(n, from+iterChunk))
 	}
 }
 
-// roller walks the rolling k-mer window of Iterate over a sequence's packed
-// bytes, a batch of k-mers at a time: no per-base bounds-checked Base call
-// and no callback per k-mer. Same k-mers, same order as Iterate.
-type roller struct {
-	packed []byte
-	next   int  // next base to shift in
-	n      int  // sequence length
-	top    uint // bit offset of base k-1
-	km     Kmer // the window ending at base next-1
-}
-
-// newRoller primes the window with the first k-1 bases of s. A sequence
-// shorter than k yields a roller that is already exhausted.
-func newRoller(s *genome.Sequence, k int) roller {
-	checkK(k)
-	r := roller{packed: s.Packed(), n: s.Len(), top: 2 * uint(k-1)}
-	if r.n < k {
-		r.next = r.n
-		return r
-	}
-	for ; r.next < k-1; r.next++ {
-		r.km = r.km>>2 | r.base(r.next)<<r.top
-	}
-	return r
-}
-
-func (r *roller) base(i int) Kmer { return Kmer(r.packed[i>>2] >> (uint(i&3) * 2) & 3) }
-
-// fill writes the next k-mers into dst and returns how many it wrote: len(dst)
-// or however many the sequence has left.
-func (r *roller) fill(dst []Kmer) int {
-	dst = dst[:min(len(dst), r.n-r.next)]
-	km, i := r.km, r.next
-	for j := range dst {
-		km = km>>2 | r.base(i)<<r.top
-		dst[j] = km
-		i++
-	}
-	r.km, r.next = km, i
-	return len(dst)
-}
-
-// codeRoller is roller over 2-bit codes, one byte (0-3) per base, as
-// genome.CodeSource yields them: the window a table's AddCodes rolls. Same
-// k-mers, same order as roller over the packed sequence of the same bases.
+// codeRoller walks the rolling k-mer window over 2-bit codes, one byte (0-3)
+// per base, as a genome.ReadSource yields them, a batch of k-mers at a time:
+// no callback per k-mer. It is the one k-mer roll: the tables' AddCodes,
+// AppendKmers and Iterate all fill from it.
 type codeRoller struct {
 	codes []byte // the bases not yet shifted in
 	top   uint   // bit offset of base k-1
@@ -212,11 +172,12 @@ func (r *codeRoller) fill(dst []Kmer) int {
 	return n
 }
 
-// AppendKmers appends all k-mers of s, in order, to dst and returns the
-// extended slice — Iterate into a caller-owned buffer.
-func AppendKmers(dst []Kmer, s *genome.Sequence, k int) []Kmer {
-	r := newRoller(s, k)
-	at, n := len(dst), r.n-r.next
+// AppendKmers appends all k-mers of a read given as 2-bit codes, one byte
+// (0-3) per base, in order, to dst and returns the extended slice — Iterate
+// into a caller-owned buffer.
+func AppendKmers(dst []Kmer, codes []byte, k int) []Kmer {
+	r := newCodeRoller(codes, k)
+	at, n := len(dst), len(r.codes)
 	dst = slices.Grow(dst, n)[:at+n]
 	r.fill(dst[at:])
 	return dst

@@ -178,7 +178,6 @@ func (t *table[C]) filter(dst []slot[C], min uint32) {
 type CountTable struct {
 	k int
 	table[Kmer]
-	codes []byte // AddRead's unpacked read
 }
 
 // NewCountTable creates a table for k-mers of length k with capacity for at
@@ -218,13 +217,6 @@ func (t *CountTable) AddCodes(codes []byte) {
 		}
 		t.addAll(kms[:n])
 	}
-}
-
-// AddRead counts every k-mer of r in read order: AddCodes of its unpacked
-// bases.
-func (t *CountTable) AddRead(r *genome.Sequence) {
-	t.codes = r.AppendCodes(t.codes[:0])
-	t.AddCodes(t.codes)
 }
 
 // Count returns the stored count of km (0 if absent). It writes nothing:
@@ -269,8 +261,10 @@ func (t *CountTable) settle() {}
 // assembly pipeline.
 func CountReads(reads []*genome.Sequence, k int) *CountTable {
 	t := NewCountTable(k, 0)
+	var codes []byte
 	for _, r := range reads {
-		t.AddRead(r)
+		codes = r.AppendCodes(codes[:0])
+		t.AddCodes(codes)
 	}
 	return t
 }

@@ -82,7 +82,7 @@ func TestCountReadsAgainstMap(t *testing.T) {
 	tbl := CountReads(reads, k)
 	ref := make(map[Kmer]uint32)
 	for _, r := range reads {
-		for _, km := range AppendKmers(nil, r, k) {
+		for _, km := range AppendKmers(nil, codesOf(r), k) {
 			ref[km]++
 		}
 	}
@@ -265,7 +265,7 @@ func TestCountAllIsTheCountLoop(t *testing.T) {
 	const k = 21
 	var queries []Kmer
 	for _, r := range reads[:40] {
-		queries = AppendKmers(queries, r, k)
+		queries = AppendKmers(queries, codesOf(r), k)
 	}
 	for i := 0; i < 500; i++ {
 		queries = append(queries, Kmer(rng.Uint64())&Kmer(Mask(k))) // almost surely absent
@@ -341,10 +341,10 @@ func TestCountReadsCapacityTracksDistinct(t *testing.T) {
 	}
 }
 
-// TestAddReadIsTheAddLoop: the batched AddRead/addAll leave exactly the
-// table — slot for slot, probe for probe — that one Add per k-mer leaves,
-// across batch boundaries, table growth inside a batch, and reads shorter
-// than k.
+// TestAddReadIsTheAddLoop: the batched AddCodes/addAll that CountReads runs
+// per read leave exactly the table — slot for slot, probe for probe — that
+// one Add per k-mer of the base-by-base roll leaves, across batch
+// boundaries, table growth inside a batch, and reads shorter than k.
 func TestAddReadIsTheAddLoop(t *testing.T) {
 	rng := stats.NewRNG(22)
 	g := genome.GenerateGenome(3_000, rng)
@@ -355,7 +355,9 @@ func TestAddReadIsTheAddLoop(t *testing.T) {
 		}
 		want := NewCountTable(k, 0)
 		for _, r := range reads {
-			Iterate(r, k, func(km Kmer) { want.Add(km) })
+			for _, km := range rollBases(r, k) {
+				want.Add(km)
+			}
 		}
 		got := CountReads(reads, k)
 		if got.ProbeOps() != want.ProbeOps() || got.Len() != want.Len() {

@@ -33,7 +33,7 @@ func (h *endHeap) Pop() interface{} {
 	return x
 }
 
-func refSchedule(cmds []Command, cfg Config) Result {
+func refSchedule(cmds []exec.Command, cfg Config) Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -168,31 +168,26 @@ func segments(cmds []exec.Command, maxLen int) []exec.Segment {
 }
 
 // checkAgainstReference runs one stream through every production entry
-// point — Schedule, ScheduleStream, ScheduleStages, and a Pass fed the
+// point — ScheduleStream, ScheduleStages, and a Pass fed the
 // stream's segments three ways: one command at a time, cut every seven
 // commands, and whole — and demands the oracle's Result from each, and from
 // the Pass's tally what an exec.Tally makes of the commands one by one.
 func checkAgainstReference(t *testing.T, cmds []exec.Command, c Config) {
 	t.Helper()
-	plain := make([]Command, len(cmds))
-	byStage := make(map[exec.Stage][]Command)
+	byStage := make(map[exec.Stage][]exec.Command)
 	en := dram.DefaultEnergy()
 	wantTally := exec.NewTally(c.Timing, en)
-	for i, cmd := range cmds {
-		plain[i] = Command{Subarray: cmd.Subarray, Kind: cmd.Kind}
-		byStage[cmd.Stage] = append(byStage[cmd.Stage], plain[i])
+	for _, cmd := range cmds {
+		byStage[cmd.Stage] = append(byStage[cmd.Stage], cmd)
 		sums, total, dur, pj := wantTally.Open(cmd.Subarray, cmd.Stage)
 		sums.Counts[cmd.Kind]++
 		sums.SerialNS += dur[cmd.Kind]
 		sums.EnergyPJ += pj[cmd.Kind]
 		*total += pj[cmd.Kind]
 	}
-	want := refSchedule(plain, c)
-	if got := Schedule(plain, c); got != want {
-		t.Fatalf("Schedule %+v, reference %+v (%d cmds, %+v)", got, want, len(cmds), c)
-	}
+	want := refSchedule(cmds, c)
 	if got := ScheduleStream(cmds, c); got != want {
-		t.Fatalf("ScheduleStream %+v, reference %+v", got, want)
+		t.Fatalf("ScheduleStream %+v, reference %+v (%d cmds, %+v)", got, want, len(cmds), c)
 	}
 	stages := ScheduleStages(cmds, c)
 	if len(stages) != len(byStage) {

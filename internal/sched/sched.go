@@ -18,12 +18,6 @@ import (
 	"pimassembler/internal/exec"
 )
 
-// Command is one scheduled unit: a DRAM command bound for a sub-array.
-type Command struct {
-	Subarray int
-	Kind     dram.CommandKind
-}
-
 // Config bounds the schedule.
 type Config struct {
 	// Timing supplies per-command durations.
@@ -283,15 +277,6 @@ func (s *scheduler) result() Result {
 	return res
 }
 
-// Schedule runs the greedy in-order scheduler over cmds (see scheduler).
-func Schedule(cmds []Command, cfg Config) Result {
-	s := newScheduler(cfg)
-	for _, c := range cmds {
-		s.step(c.Subarray, c.Kind)
-	}
-	return s.result()
-}
-
 // ScheduleStream schedules a recorded command stream directly: each typed
 // record keeps the sub-array the functional simulator actually executed it
 // in, so the computed overlap reflects the run's real data placement. This
@@ -355,8 +340,8 @@ type Pass struct {
 	stages stageSet
 }
 
-// NewPass returns an empty pass. Like Schedule, it panics on an invalid
-// configuration.
+// NewPass returns an empty pass. Like ScheduleStream, it panics on an
+// invalid configuration.
 func NewPass(cfg Config) *Pass {
 	return &Pass{whole: newScheduler(cfg), stages: stageSet{cfg: cfg}}
 }

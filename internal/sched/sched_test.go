@@ -14,14 +14,14 @@ func cfg() Config {
 }
 
 func TestEmptySchedule(t *testing.T) {
-	r := Schedule(nil, cfg())
+	r := ScheduleStream(nil, cfg())
 	if r.MakespanNS != 0 || r.Commands != 0 {
 		t.Fatalf("empty schedule %+v", r)
 	}
 }
 
 func TestSingleCommand(t *testing.T) {
-	r := Schedule([]Command{{Subarray: 0, Kind: dram.CmdAAP2}}, cfg())
+	r := ScheduleStream([]exec.Command{{Subarray: 0, Kind: dram.CmdAAP2}}, cfg())
 	want := dram.DefaultTiming().AAP()
 	if r.MakespanNS != want {
 		t.Fatalf("makespan %v, want one AAP %v", r.MakespanNS, want)
@@ -35,11 +35,11 @@ func TestSingleCommand(t *testing.T) {
 }
 
 func TestSameSubarraySerializes(t *testing.T) {
-	cmds := make([]Command, 10)
+	cmds := make([]exec.Command, 10)
 	for i := range cmds {
-		cmds[i] = Command{Subarray: 0, Kind: dram.CmdAAPCopy}
+		cmds[i] = exec.Command{Subarray: 0, Kind: dram.CmdAAPCopy}
 	}
-	r := Schedule(cmds, cfg())
+	r := ScheduleStream(cmds, cfg())
 	want := 10 * dram.DefaultTiming().AAP()
 	if r.MakespanNS < want {
 		t.Fatalf("makespan %v below serial bound %v for one sub-array", r.MakespanNS, want)
@@ -50,11 +50,11 @@ func TestSameSubarraySerializes(t *testing.T) {
 }
 
 func TestDistinctSubarraysOverlap(t *testing.T) {
-	cmds := make([]Command, 10)
+	cmds := make([]exec.Command, 10)
 	for i := range cmds {
-		cmds[i] = Command{Subarray: i * cfg().SubarraysPerBank, Kind: dram.CmdAAPCopy} // distinct banks
+		cmds[i] = exec.Command{Subarray: i * cfg().SubarraysPerBank, Kind: dram.CmdAAPCopy} // distinct banks
 	}
-	r := Schedule(cmds, cfg())
+	r := ScheduleStream(cmds, cfg())
 	serial := 10 * dram.DefaultTiming().AAP()
 	if r.MakespanNS >= serial/2 {
 		t.Fatalf("makespan %v shows no overlap (serial %v)", r.MakespanNS, serial)
@@ -71,11 +71,11 @@ func TestBankConcurrencyCap(t *testing.T) {
 	c := cfg()
 	c.MaxActivePerBank = 2
 	// 8 commands to 8 distinct sub-arrays of the SAME bank.
-	cmds := make([]Command, 8)
+	cmds := make([]exec.Command, 8)
 	for i := range cmds {
-		cmds[i] = Command{Subarray: i, Kind: dram.CmdAAP2}
+		cmds[i] = exec.Command{Subarray: i, Kind: dram.CmdAAP2}
 	}
-	r := Schedule(cmds, c)
+	r := ScheduleStream(cmds, c)
 	aap := dram.DefaultTiming().AAP()
 	// With 2 slots, 8 commands need at least 4 rounds.
 	if r.MakespanNS < 4*aap {
@@ -89,11 +89,11 @@ func TestBankConcurrencyCap(t *testing.T) {
 func TestBusIssueBound(t *testing.T) {
 	c := cfg()
 	c.IssueIntervalNS = 50 // artificially slow bus
-	cmds := make([]Command, 100)
+	cmds := make([]exec.Command, 100)
 	for i := range cmds {
-		cmds[i] = Command{Subarray: i, Kind: dram.CmdDPU}
+		cmds[i] = exec.Command{Subarray: i, Kind: dram.CmdDPU}
 	}
-	r := Schedule(cmds, c)
+	r := ScheduleStream(cmds, c)
 	if r.MakespanNS < 99*50 {
 		t.Fatalf("makespan %v below the bus bound %v", r.MakespanNS, 99*50.0)
 	}
@@ -111,14 +111,14 @@ func TestMakespanBounds(t *testing.T) {
 			dram.CmdAAPCopy, dram.CmdAAP2, dram.CmdAAP3, dram.CmdRead,
 			dram.CmdWrite, dram.CmdDPU, dram.CmdActivate, dram.CmdPrecharge,
 		}
-		cmds := make([]Command, n)
+		cmds := make([]exec.Command, n)
 		for i := range cmds {
-			cmds[i] = Command{
+			cmds[i] = exec.Command{
 				Subarray: rng.Intn(64),
 				Kind:     kinds[rng.Intn(len(kinds))],
 			}
 		}
-		r := Schedule(cmds, cfg())
+		r := ScheduleStream(cmds, cfg())
 		if r.MakespanNS > r.SerialNS+1e-6 {
 			return false // never slower than fully serial
 		}
@@ -137,18 +137,6 @@ func stream(n int, kind dram.CommandKind, spread int, stage exec.Stage) []exec.C
 		out[i] = exec.Command{Subarray: i % spread, Kind: kind, Stage: stage}
 	}
 	return out
-}
-
-func TestScheduleStreamMatchesSchedule(t *testing.T) {
-	cmds := stream(64, dram.CmdAAP2, 8, exec.StageHashmap)
-	viaStream := ScheduleStream(cmds, cfg())
-	plain := make([]Command, len(cmds))
-	for i, c := range cmds {
-		plain[i] = Command{Subarray: c.Subarray, Kind: c.Kind}
-	}
-	if got, want := viaStream, Schedule(plain, cfg()); got != want {
-		t.Fatalf("ScheduleStream %+v differs from Schedule %+v", got, want)
-	}
 }
 
 func TestScheduleStreamSpreadSpeedsUp(t *testing.T) {
@@ -198,7 +186,7 @@ func TestConfigValidation(t *testing.T) {
 					t.Fatal("invalid config accepted")
 				}
 			}()
-			Schedule([]Command{{0, dram.CmdDPU}}, c)
+			ScheduleStream([]exec.Command{{Subarray: 0, Kind: dram.CmdDPU}}, c)
 		}()
 	}
 }

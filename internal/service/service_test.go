@@ -599,13 +599,13 @@ func TestFairDispatch(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	recorder := testEngine{name: "record", fn: func(_ context.Context, src genome.ReadSource) (*engine.Report, error) {
-		read, err := src.Next()
+		codes, err := src.NextCodes()
 		if err != nil {
 			return nil, err
 		}
 		mu.Lock()
 		// The first base encodes the submitting tenant (A, C, G, T space).
-		order = append(order, read.String()[:1])
+		order = append(order, genome.Base(codes[0]).String())
 		mu.Unlock()
 		return &engine.Report{Engine: "record", Family: engine.FamilySoftware}, nil
 	}}

@@ -36,7 +36,6 @@ var reachAllowlist = map[string]string{
 	"kmer.CountTable.Add":         "builds the k-mer-by-k-mer reference tables of core, debruijn, correct and perfmodel tests",
 	"kmer.MustParse":              "k-mer literals of core, debruijn and perfmodel tests",
 	"platforms.ByName":            "platform lookup of perfmodel's costOf and TestMBRShape and of platforms' ratio tests",
-	"sched.Schedule":              "schedules the synthetic command mix of ablation_test.go's BenchmarkAblationSchedulerSpread",
 	"sched.ScheduleStages":        "per-stage oracle of core's TestSummarizeMatchesPerCommandWalk and the canonical stage schedules engine's TestGoldenSimulatedStatistics pins",
 	"service.Client.Metrics":      "scrapes /metrics for cmd/assembled's TestDaemonServesAndDrains and TestRealBinaryService",
 	"stats.RNG.Perm":              "shuffles the contigs of assembly's mate-pair scaffolding tests (cutContigs)",
