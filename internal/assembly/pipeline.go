@@ -34,8 +34,8 @@ type Options struct {
 	Simplify bool
 	// Correct runs k-mer-spectrum read correction before counting, on the
 	// fresh copies genome.ReadAll packs from the source, so the caller's
-	// reads are never mutated. SolidThreshold sets the trusted-count floor
-	// (default 3 when zero).
+	// reads are never mutated. It trusts the k-mers the reads hold at least
+	// SolidThreshold times (default 3 when zero) and nothing else.
 	Correct        bool
 	SolidThreshold uint32
 	// Scaffold enables stage 3 (greedy overlap scaffolding).
@@ -43,11 +43,11 @@ type Options struct {
 	// MinOverlap is the minimum contig overlap stage 3 will join on; zero
 	// means K-4 (12 at the paper's k = 16).
 	MinOverlap int
-	// CountWorkers is how many goroutines fold the software pipeline's
-	// stage-1 buckets (kmer.BucketTable) and the correction pre-count; 0 or
-	// 1 folds on the calling goroutine. Reads are pulled one at a time
-	// either way, and contigs, entries, counts and OpCounts, AvgProbes
-	// included, are identical for any value.
+	// CountWorkers is how many goroutines fold the kmer.BucketTable of
+	// stage 1 and of the correction pre-count, and repair reads; 0 or 1
+	// runs on the calling goroutine. Reads are pulled one at a time either
+	// way, and contigs, entries, counts and OpCounts, AvgProbes included,
+	// are identical for any value.
 	CountWorkers int
 	// StreamStage1 is ignored: AssembleSource always counts read by read
 	// and drains the source only where Correct needs the whole read set.

@@ -5,8 +5,8 @@
 // (rare); replacing the base with the alternative that restores solidity
 // removes the error without discarding the read.
 //
-// A read is extracted and looked up once. Its windows' k-mers and their
-// spectrum counts are kept as per-read state; every later question — is a
+// A read is extracted and looked up once. Its windows' k-mers and whether
+// each is solid are kept as per-read state; every later question — is a
 // window weak, where do the weak windows pile up, which substitution restores
 // the most windows, is the read still damaged — is answered from that state,
 // and an edit rewrites only the ≤ k windows that cover the edited base.
@@ -22,22 +22,27 @@ import (
 	"pimassembler/internal/parallel"
 )
 
-// Corrector holds the k-mer spectrum and correction policy. The spectrum is
+// Corrector holds the solid k-mers and the correction policy. The set is
 // only read, so one Corrector may repair reads from several goroutines.
 type Corrector struct {
-	table   kmer.Counter
+	solid   *kmer.Set // the k-mers counted at least the solid threshold
 	k       int
 	workers int // CorrectAll's fan-out; ≤ 1 repairs on the calling goroutine
-	// SolidThreshold is the minimum count for a k-mer to be trusted.
-	SolidThreshold uint32
-	// MaxCorrections bounds edits per read (reads needing more are left
+	// maxCorrections bounds edits per read (reads needing more are left
 	// unchanged — they are better handled by graph simplification).
-	MaxCorrections int
+	maxCorrections int
 }
 
-// New builds a corrector from a counted spectrum — the serial CountTable or
-// the bucketed BucketTable alike.
-func New(table kmer.Counter, solidThreshold uint32, maxCorrections int) *Corrector {
+// Spectrum is a counted k-mer table: kmer.CountTable or kmer.BucketTable.
+type Spectrum interface {
+	K() int
+	FilterMinCount(min uint32) []kmer.Entry
+}
+
+// New builds a corrector that trusts the k-mers spectrum counted at least
+// solidThreshold times. Only that set is kept, so the spectrum may be
+// dropped once New returns, and the threshold cannot change afterwards.
+func New(spectrum Spectrum, solidThreshold uint32, maxCorrections int) *Corrector {
 	if solidThreshold == 0 {
 		panic("correct: solid threshold must be positive")
 	}
@@ -45,10 +50,9 @@ func New(table kmer.Counter, solidThreshold uint32, maxCorrections int) *Correct
 		panic(fmt.Sprintf("correct: max corrections %d must be positive", maxCorrections))
 	}
 	return &Corrector{
-		table:          table,
-		k:              table.K(),
-		SolidThreshold: solidThreshold,
-		MaxCorrections: maxCorrections,
+		solid:          kmer.NewSet(spectrum.K(), spectrum.FilterMinCount(solidThreshold)),
+		k:              spectrum.K(),
+		maxCorrections: maxCorrections,
 	}
 }
 
@@ -63,18 +67,18 @@ type Stats struct {
 // scratch is one goroutine's reusable per-read state. Window w of a read
 // covers bases [w, w+k); a read of n ≥ k bases has n−k+1 windows.
 type scratch struct {
-	codes  []byte      // the read's bases as 2-bit codes
-	kms    []kmer.Kmer // kms[w]: window w's k-mer
-	counts []uint32    // counts[w]: its count in the spectrum
+	codes []byte      // the read's bases as 2-bit codes
+	kms   []kmer.Kmer // kms[w]: window w's k-mer
+	solid []bool      // solid[w]: whether it is a solid k-mer
 	// trial and best hold the windows covering the hot spot under the
 	// substitution being tried and under the best one so far.
 	trial, best cover
 }
 
-// cover is the k-mers and counts of the windows covering one position.
+// cover is the k-mers and solid flags of the windows covering one position.
 type cover struct {
-	kms    []kmer.Kmer
-	counts []uint32
+	kms   []kmer.Kmer
+	solid []bool
 }
 
 // resize returns s with length n, reusing its storage when that is enough;
@@ -87,15 +91,15 @@ func resize[T any](s []T, n int) []T {
 func (c *Corrector) scan(s *scratch, read *genome.Sequence) (weak int) {
 	s.codes = read.AppendCodes(s.codes[:0])
 	s.kms = kmer.AppendKmers(s.kms[:0], s.codes, c.k)
-	s.counts = resize(s.counts, len(s.kms))
-	c.table.CountAll(s.kms, s.counts)
-	return len(s.kms) - c.solid(s.counts)
+	s.solid = resize(s.solid, len(s.kms))
+	c.solid.HasAll(s.kms, s.solid)
+	return len(s.kms) - countSolid(s.solid)
 }
 
-// solid counts the trusted k-mers among counts.
-func (c *Corrector) solid(counts []uint32) (n int) {
-	for _, count := range counts {
-		if count >= c.SolidThreshold {
+// countSolid counts the set flags.
+func countSolid(solid []bool) (n int) {
+	for _, ok := range solid {
+		if ok {
 			n++
 		}
 	}
@@ -106,13 +110,13 @@ func (c *Corrector) solid(counts []uint32) (n int) {
 // lowest such position on a tie. Position i is covered by windows i−k+1 … i,
 // so its vote is a sliding sum over the windows; past the last window the
 // sum can only fall, so the scan stops there. At least one window is weak.
-func (c *Corrector) hotSpot(counts []uint32) int {
+func (c *Corrector) hotSpot(solid []bool) int {
 	pos, most, votes := -1, 0, 0
-	for i, count := range counts {
-		if count < c.SolidThreshold {
+	for i, ok := range solid {
+		if !ok {
 			votes++
 		}
-		if i >= c.k && counts[i-c.k] < c.SolidThreshold {
+		if i >= c.k && !solid[i-c.k] {
 			votes--
 		}
 		if votes > most {
@@ -130,12 +134,12 @@ func (c *Corrector) hotSpot(counts []uint32) int {
 // solid covering k-mers; stop when no substitution improves.
 func (c *Corrector) correctRead(s *scratch, read *genome.Sequence) (edits int, damaged bool) {
 	weak := c.scan(s, read)
-	for edits < c.MaxCorrections && weak > 0 {
-		pos := c.hotSpot(s.counts)
+	for edits < c.maxCorrections && weak > 0 {
+		pos := c.hotSpot(s.solid)
 		lo, hi := max(0, pos-c.k+1), min(pos, len(s.kms)-1)
-		covering, counts := s.kms[lo:hi+1], s.counts[lo:hi+1]
+		covering, solid := s.kms[lo:hi+1], s.solid[lo:hi+1]
 		base := covering[0].Base(pos - lo)
-		score := c.solid(counts)
+		score := countSolid(solid)
 		bestBase, bestScore := base, score
 		for d := 1; d < 4 && bestScore < len(covering); d++ {
 			candidate := genome.Base((int(base) + d) % 4)
@@ -143,12 +147,12 @@ func (c *Corrector) correctRead(s *scratch, read *genome.Sequence) (edits int, d
 			// bits of its base pos−w and nowhere else.
 			flip := kmer.Kmer(base ^ candidate)
 			s.trial.kms = resize(s.trial.kms, len(covering))
-			s.trial.counts = resize(s.trial.counts, len(covering))
+			s.trial.solid = resize(s.trial.solid, len(covering))
 			for i, km := range covering {
 				s.trial.kms[i] = km ^ flip<<(2*uint(pos-lo-i))
 			}
-			c.table.CountAll(s.trial.kms, s.trial.counts)
-			if n := c.solid(s.trial.counts); n > bestScore {
+			c.solid.HasAll(s.trial.kms, s.trial.solid)
+			if n := countSolid(s.trial.solid); n > bestScore {
 				bestBase, bestScore = candidate, n
 				s.trial, s.best = s.best, s.trial
 			}
@@ -158,7 +162,7 @@ func (c *Corrector) correctRead(s *scratch, read *genome.Sequence) (edits int, d
 		}
 		read.SetBase(pos, bestBase)
 		copy(covering, s.best.kms)
-		copy(counts, s.best.counts)
+		copy(solid, s.best.solid)
 		weak -= bestScore - score
 		edits++
 	}
@@ -211,20 +215,12 @@ func (c *Corrector) fanOut(n int) int {
 	return min(max(c.workers, 1), runtime.GOMAXPROCS(0), n)
 }
 
-// FromReadsWorkers counts the reads' own spectrum and builds a corrector from
-// it — the usual self-correction bootstrap. With workers > 1 the spectrum is
-// counted by the bucketed counter folding on that many workers (serial
-// CountReads otherwise) and CorrectAll fans out over the same number of
-// workers. The spectrum — and therefore every correction decision — is
-// identical either way.
+// FromReadsWorkers builds a corrector from the reads' own spectrum — the
+// usual self-correction bootstrap — counted on the bucketed counter folding
+// on workers goroutines; CorrectAll fans out over as many. The solid set, and
+// so every correction decision, is the same for every worker count.
 func FromReadsWorkers(reads []*genome.Sequence, k int, solidThreshold uint32, maxCorrections, workers int) *Corrector {
-	var table kmer.Counter
-	if workers > 1 {
-		table = kmer.CountReadsParallel(reads, k, workers)
-	} else {
-		table = kmer.CountReads(reads, k)
-	}
-	c := New(table, solidThreshold, maxCorrections)
+	c := New(kmer.CountReadsParallel(reads, k, workers), solidThreshold, maxCorrections)
 	c.workers = workers
 	return c
 }

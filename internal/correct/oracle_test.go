@@ -14,7 +14,7 @@ import (
 // Subsequence per window per candidate, a whole-read Iterate per weak test
 // and per vote — and looks each k-mer up on its own.
 type oracle struct {
-	table          kmer.Counter
+	table          *kmer.CountTable
 	k              int
 	solidThreshold uint32
 	maxCorrections int
@@ -143,18 +143,23 @@ func cloneReads(reads []*genome.Sequence) []*genome.Sequence {
 }
 
 // runOracle repairs a copy of reads with the oracle over table.
-func runOracle(table kmer.Counter, reads []*genome.Sequence, threshold uint32, budget int) ([]*genome.Sequence, Stats) {
+func runOracle(table *kmer.CountTable, reads []*genome.Sequence, threshold uint32, budget int) ([]*genome.Sequence, Stats) {
 	want := cloneReads(reads)
 	return want, (&oracle{table, table.K(), threshold, budget}).correctAll(want)
 }
 
-// matchOracle repairs a copy of reads with a Corrector over table and
-// requires the oracle's Stats and byte-equal reads.
-func matchOracle(t testing.TB, table kmer.Counter, reads, want []*genome.Sequence, wantStats Stats, threshold uint32, budget, workers int) {
+// newWorkers is New with CorrectAll fanned out over workers.
+func newWorkers(spectrum Spectrum, threshold uint32, budget, workers int) *Corrector {
+	c := New(spectrum, threshold, budget)
+	c.workers = workers
+	return c
+}
+
+// matchOracle repairs a copy of reads with c and requires the oracle's Stats
+// and byte-equal reads.
+func matchOracle(t testing.TB, c *Corrector, reads, want []*genome.Sequence, wantStats Stats) {
 	t.Helper()
 	got := cloneReads(reads)
-	c := New(table, threshold, budget)
-	c.workers = workers
 	if gotStats := c.CorrectAll(got); gotStats != wantStats {
 		t.Fatalf("stats %+v, oracle %+v", gotStats, wantStats)
 	}
@@ -166,33 +171,47 @@ func matchOracle(t testing.TB, table kmer.Counter, reads, want []*genome.Sequenc
 }
 
 // TestCorrectMatchesOracle is the differential pin of the rewrite: every
-// repaired base and every Stats field equals the re-extracting oracle's, for
-// both spectrum implementations and any worker count. The read sets mix in
-// reads shorter than k, exactly k long, and one window longer.
+// repaired base and every Stats field equals the re-extracting oracle's over
+// CountReads, for a corrector built by New over either counter and by
+// FromReadsWorkers itself, at any worker count. The read sets mix in reads
+// shorter than k, exactly k long, and one window longer. New runs at
+// threshold 3 with 1, 2 and 4 workers. FromReadsWorkers runs once per
+// configuration, at the next threshold of 1 to 5 and the next worker count
+// of 1 to 4 in turn, so that over the 32 configurations every threshold
+// meets every worker count.
 func TestCorrectMatchesOracle(t *testing.T) {
-	edited := 0
+	edited, turn := 0, 0
 	for _, k := range []int{15, 21, 31, 32} {
 		for _, rate := range []float64{0, 0.002, 0.01, 0.05} {
 			_, _, reads := errReads(uint64(1000*k)+uint64(rate*1000), 3000, 90, 600, rate)
 			for _, n := range []int{k - 1, k, k + 1, 3} {
 				reads = append(reads, reads[n].Subsequence(n, n))
 			}
-			tables := map[string]kmer.Counter{
-				"serial":      kmer.CountReads(reads, k),
+			serial := kmer.CountReads(reads, k)
+			tables := map[string]Spectrum{
+				"serial":      serial,
 				"partitioned": kmer.CountReadsParallel(reads, k, 2),
 			}
 			for _, budget := range []int{1, 4} {
 				// Both tables hold the same spectrum, so one oracle run
 				// serves every table and worker count.
-				want, wantStats := runOracle(tables["serial"], reads, 3, budget)
+				want, wantStats := runOracle(serial, reads, 3, budget)
 				edited += wantStats.Edits
 				for name, table := range tables {
 					for _, workers := range []int{1, 2, 4} {
 						t.Run(fmt.Sprintf("k%d/err%v/max%d/%s/workers%d", k, rate, budget, name, workers), func(t *testing.T) {
-							matchOracle(t, table, reads, want, wantStats, 3, budget, workers)
+							matchOracle(t, newWorkers(table, 3, budget, workers), reads, want, wantStats)
 						})
 					}
 				}
+				threshold, workers := 1+uint32(turn%5), 1+turn%4
+				turn++
+				if threshold != 3 {
+					want, wantStats = runOracle(serial, reads, threshold, budget)
+				}
+				t.Run(fmt.Sprintf("k%d/err%v/max%d/FromReadsWorkers/threshold%d/workers%d", k, rate, budget, threshold, workers), func(t *testing.T) {
+					matchOracle(t, FromReadsWorkers(reads, k, threshold, budget, workers), reads, want, wantStats)
+				})
 			}
 		}
 	}
@@ -203,7 +222,8 @@ func TestCorrectMatchesOracle(t *testing.T) {
 
 // FuzzCorrectMatchesOracle drives the same comparison from fuzzed bytes: a
 // random genome's reads with substitutions wherever the data says, k, solid
-// threshold, edit budget and worker count all taken from the input.
+// threshold, edit budget and worker count all taken from the input, for a
+// corrector built by New over CountReads and by FromReadsWorkers.
 func FuzzCorrectMatchesOracle(f *testing.F) {
 	f.Add(uint64(1), uint8(15), uint8(3), uint8(4), uint8(2), []byte{7, 200, 31, 5})
 	f.Add(uint64(2), uint8(32), uint8(2), uint8(1), uint8(1), []byte{})
@@ -220,8 +240,9 @@ func FuzzCorrectMatchesOracle(f *testing.F) {
 		}
 		reads = append(reads, reads[0].Subsequence(0, kk-1), reads[1].Subsequence(5, kk))
 		table := kmer.CountReads(reads, kk)
-		thr, max := 1+uint32(threshold)%5, 1+int(budget)%6
+		thr, max, w := 1+uint32(threshold)%5, 1+int(budget)%6, 1+int(workers)%4
 		want, wantStats := runOracle(table, reads, thr, max)
-		matchOracle(t, table, reads, want, wantStats, thr, max, 1+int(workers)%4)
+		matchOracle(t, newWorkers(table, thr, max, w), reads, want, wantStats)
+		matchOracle(t, FromReadsWorkers(reads, kk, thr, max, w), reads, want, wantStats)
 	})
 }

@@ -56,7 +56,7 @@ const (
 //
 // Every reader folds what AddCodes left staged first, so the first read after
 // an AddCodes must not run beside another call. After it, any number of
-// goroutines may look up at once.
+// goroutines may read at once.
 type BucketTable struct {
 	k       int
 	workers int   // fold and read-out goroutines, in [1, GOMAXPROCS]
@@ -72,8 +72,6 @@ type phase interface {
 	AddCodes(codes []byte)
 	Len() int
 	ProbeOps() int64
-	Count(km Kmer) uint32
-	CountAll(kms []Kmer, counts []uint32)
 	FilterMinCount(min uint32) []Entry
 	// settle folds whatever is staged.
 	settle()
@@ -112,12 +110,6 @@ func (t *BucketTable) Len() int { return t.cur.Len() }
 
 // ProbeOps returns the slot comparisons of every table that counted.
 func (t *BucketTable) ProbeOps() int64 { return t.cur.ProbeOps() }
-
-// Count returns the stored count of km (0 if absent).
-func (t *BucketTable) Count(km Kmer) uint32 { return t.cur.Count(km) }
-
-// CountAll stores Count(kms[i]) in counts[i] for every i.
-func (t *BucketTable) CountAll(kms []Kmer, counts []uint32) { t.cur.CountAll(kms, counts) }
 
 // FilterMinCount returns the entries with count ≥ min, sorted by k-mer, as
 // CountTable.FilterMinCount does.
@@ -258,19 +250,6 @@ func (b *buckets[C]) ProbeOps() int64 {
 		ops += b.tables[i].probeOps
 	}
 	return ops
-}
-
-func (b *buckets[C]) Count(km Kmer) uint32 {
-	b.settle()
-	return b.tables[uint8(km>>b.shift)].count(C(km), km.Hash())
-}
-
-func (b *buckets[C]) CountAll(kms []Kmer, counts []uint32) {
-	b.settle()
-	counts = counts[:len(kms)]
-	for i, km := range kms {
-		counts[i] = b.tables[uint8(km>>b.shift)].count(C(km), km.Hash())
-	}
 }
 
 // FilterMinCount counts the survivors table by table and allocates the

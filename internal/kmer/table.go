@@ -110,16 +110,6 @@ func (t *table[C]) addAll(cs []C) {
 	}
 }
 
-// count returns the stored count of c, whose hash is hash (0 if absent).
-func (t *table[C]) count(c C, hash uint64) uint32 {
-	mask := uint64(len(t.slots) - 1)
-	for i := hash & mask; ; i = (i + 1) & mask {
-		if s := &t.slots[i]; s.Count == 0 || s.Kmer == c {
-			return s.Count
-		}
-	}
-}
-
 // grow doubles the table. Rehashing costs no probeOps: the counter prices
 // the Hashmap procedure's comparisons, not the host's table maintenance.
 func (t *table[C]) grow() {
@@ -223,18 +213,12 @@ func (t *CountTable) AddCodes(codes []byte) {
 // lookups are the host's queries, not the Hashmap procedure's comparisons,
 // so ProbeOps does not count them and any number of goroutines may look up
 // concurrently once counting has finished.
-func (t *CountTable) Count(km Kmer) uint32 { return t.count(km, km.Hash()) }
-
-// CountAll stores Count(kms[i]) in counts[i] for every i: one call for a
-// read's worth of lookups instead of one interface call per k-mer. Read-only,
-// like Count. The lookups of a batch are independent loads, which the
-// processor already overlaps; staging them addAll-style (hash the batch, load
-// every home slot, then resolve) measured 15–40 % slower than this loop at
-// every table size tried (EXPERIMENTS.md E26).
-func (t *CountTable) CountAll(kms []Kmer, counts []uint32) {
-	counts = counts[:len(kms)]
-	for i, km := range kms {
-		counts[i] = t.count(km, km.Hash())
+func (t *CountTable) Count(km Kmer) uint32 {
+	mask := uint64(len(t.slots) - 1)
+	for i := km.Hash() & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.Count == 0 || s.Kmer == km {
+			return s.Count
+		}
 	}
 }
 

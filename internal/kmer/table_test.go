@@ -3,7 +3,6 @@ package kmer
 import (
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -227,8 +226,8 @@ func TestFilterMinCountMatchesReference(t *testing.T) {
 }
 
 // TestProbeOpsMonotone pins what ProbeOps prices: the Hashmap procedure's
-// comparisons (Add), never the host's lookups — Count and CountAll, hit or
-// miss, on either table, leave it where counting left it.
+// comparisons (Add), never the host's reads — Count, hit or miss, and
+// FilterMinCount, on either table, leave it where counting left it.
 func TestProbeOpsMonotone(t *testing.T) {
 	tbl := NewCountTable(8, 8)
 	before := tbl.ProbeOps()
@@ -236,62 +235,25 @@ func TestProbeOpsMonotone(t *testing.T) {
 	if tbl.ProbeOps() <= before {
 		t.Fatal("probe counter must advance on Add")
 	}
+	mid := tbl.ProbeOps()
+	if tbl.Count(MustParse("ACGTACGT")) != 1 || tbl.Count(MustParse("TTTTTTTT")) != 0 {
+		t.Fatal("wrong counts")
+	}
+	if tbl.ProbeOps() != mid {
+		t.Fatalf("lookups moved ProbeOps %d -> %d", mid, tbl.ProbeOps())
+	}
 	part := CountReadsParallel([]*genome.Sequence{genome.MustFromString("ACGTACGT")}, 8, 1)
-	queries := []Kmer{MustParse("ACGTACGT"), MustParse("TTTTTTTT")}
 	for _, c := range []interface {
-		Counter
+		FilterMinCount(min uint32) []Entry
 		ProbeOps() int64
 	}{tbl, part} {
 		mid := c.ProbeOps()
-		counts := make([]uint32, len(queries))
-		c.CountAll(queries, counts)
-		if c.Count(queries[0]) != 1 || c.Count(queries[1]) != 0 || counts[0] != 1 || counts[1] != 0 {
-			t.Fatalf("%T: wrong counts %v", c, counts)
+		if es := c.FilterMinCount(1); len(es) != 1 || es[0] != (Entry{MustParse("ACGTACGT"), 1}) {
+			t.Fatalf("%T: wrong entries %v", c, es)
 		}
 		if c.ProbeOps() != mid {
-			t.Fatalf("%T: lookups moved ProbeOps %d -> %d", c, mid, c.ProbeOps())
+			t.Fatalf("%T: reading entries moved ProbeOps %d -> %d", c, mid, c.ProbeOps())
 		}
-	}
-}
-
-// TestCountAllIsTheCountLoop checks the batched lookup against one Count per
-// k-mer on both tables — present and absent k-mers, empty, single and long
-// batches, a load that forces probe chains — with several goroutines looking
-// up at once, which the race detector turns into the read-only pin.
-func TestCountAllIsTheCountLoop(t *testing.T) {
-	rng := stats.NewRNG(77)
-	g := genome.GenerateGenome(5_000, rng)
-	reads := genome.NewReadSampler(g, 101, 0.01, rng).Sample(400)
-	const k = 21
-	var queries []Kmer
-	for _, r := range reads[:40] {
-		queries = AppendKmers(queries, codesOf(r), k)
-	}
-	for i := 0; i < 500; i++ {
-		queries = append(queries, Kmer(rng.Uint64())&Kmer(Mask(k))) // almost surely absent
-	}
-	// A larger read set takes the bucketed counter past its split, so its
-	// lookups route to bucket tables.
-	split := append(genome.NewReadSampler(genome.GenerateGenome(60_000, rng), 101, 0, rng).Sample(1_000), reads...)
-	for _, c := range []Counter{CountReads(reads, k), CountReadsParallel(reads, k, 2), CountReadsParallel(split, k, 2)} {
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for _, n := range []int{0, 1, 70, len(queries)} {
-					counts := make([]uint32, n)
-					c.CountAll(queries[:n], counts)
-					for i, km := range queries[:n] {
-						if counts[i] != c.Count(km) {
-							t.Errorf("%T: CountAll[%d] = %d, Count = %d", c, i, counts[i], c.Count(km))
-							return
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
 	}
 }
 
