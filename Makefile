@@ -92,8 +92,9 @@ bench:
 # end-to-end benchmark runs the software workloads: by default
 # BenchmarkSoftwarePipeline100k (the sw_100k shape);
 # PROFILE_BENCH=BenchmarkSoftwarePipelineNoisy is the sw_noisy_k32 shape,
-# PROFILE_BENCH=BenchmarkSoftwarePipelineLowCoverage one dist_60k shard (the
-# graph build and the contig walk outweigh counting) and
+# PROFILE_BENCH=BenchmarkSoftwarePipelineLowCoverage one dist_60k shard
+# (counting is still the larger half, but the graph build and the contig
+# walk are a third of it) and
 # PROFILE_BENCH=BenchmarkPIMEngine the functional simulator. The test binary
 # and the profiles stay under PROFILE_DIR; read them with
 #   go tool pprof -top $(PROFILE_DIR)/pimassembler.test $(PROFILE_DIR)/cpu.pprof

@@ -183,8 +183,8 @@ func BenchmarkSoftwarePipelineNoisy(b *testing.B) {
 
 // BenchmarkSoftwarePipelineLowCoverage is one dist_60k shard (15 k × 101 bp
 // error-free reads of a 600 kbp genome, 2.5×, k=16): ≈ 2 k contigs over a
-// graph ≈ 90 % the size of the unsharded one, so stage 2 outweighs counting
-// and the contig walk refills its lanes thousands of times:
+// graph ≈ 90 % the size of the unsharded one, so stage 2 is a third of the
+// time and the contig walk refills its lanes thousands of times:
 // `make profile PROFILE_BENCH=BenchmarkSoftwarePipelineLowCoverage`.
 func BenchmarkSoftwarePipelineLowCoverage(b *testing.B) {
 	benchSoftwarePipeline(b, 600_000, 15_000, 0, assembly.Options{K: 16})

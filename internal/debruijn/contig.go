@@ -32,11 +32,12 @@ func WriteContigsFASTA(w io.Writer, contigs []Contig) error {
 	return rw.Flush()
 }
 
-// walkLanes is how many contig walks Contigs advances in lock-step. A walk
-// is a chain of dependent cache misses — node record, edge record, next node
-// record — and the walks are independent of one another, so eight of them
-// keep eight misses in flight where one would wait for each in turn.
-const walkLanes = 8
+// walkLanes is how many contig walks Contigs advances in lock-step. A step
+// of a walk is one dependent cache miss — the edge record and successor slot
+// of the edge it crosses — and the walks are independent of one another, so
+// the lanes keep walkLanes misses in flight where one walk would wait for
+// each in turn.
+const walkLanes = 32
 
 // spelling accumulates one contig while its walk runs: the first edge
 // contributes its whole k-mer (the start node and one base), every later
@@ -93,7 +94,7 @@ func (g *Graph) Contigs() []Contig {
 	}
 	g.scratch.seeds = seeds
 	contigs := make([]Contig, len(seeds))
-	walked := g.walkSeeds(seeds, contigs, used)
+	walked := g.walkSeeds(seeds, contigs, used, g.successors())
 
 	// Isolated cycles where every node is internal: what the paths left.
 	if walked < g.numEdges {
@@ -119,23 +120,53 @@ func (g *Graph) Contigs() []Contig {
 		}
 	}
 
-	// Longest first; only equal lengths are spelled out to break the tie.
+	// Longest first; only equal lengths are compared base by base.
 	sort.Slice(contigs, func(a, b int) bool {
 		sa, sb := contigs[a].Seq, contigs[b].Seq
 		if sa.Len() != sb.Len() {
 			return sa.Len() > sb.Len()
 		}
-		return sa.String() < sb.String()
+		return lettersLess(sa, sb)
 	})
 	return contigs
+}
+
+// lettersLess reports whether a spells a string before b of the same length:
+// the order of their String forms, without building them. The 2-bit codes
+// are not in letter order (T=00 sorts last), so bases compare by letter.
+func lettersLess(a, b *genome.Sequence) bool {
+	for i := 0; i < a.Len(); i++ {
+		if la, lb := a.Base(i).Letter(), b.Base(i).Letter(); la != lb {
+			return la < lb
+		}
+	}
+	return false
+}
+
+// successors fills, in one pass over the edge slots, the slot a walk
+// crosses after each: next[e] is the one live out-edge of e's target when
+// that node is internal (in- and out-degree 1), and -1 where the walk stops.
+// It reads node records in slot order, in which the targets run in four
+// ascending streams (one per last base), so their misses overlap rather than
+// chain; the walk then reads next[e] beside edges[e] and no node record.
+func (g *Graph) successors() []int32 {
+	next := g.scratch.next[:len(g.edges)]
+	for e, ed := range g.edges {
+		next[e] = -1
+		if nd := g.nodes[ed.to]; nd.in == 1 && nd.out == 1 {
+			next[e] = g.firstLiveEdge(nd.off)
+		}
+	}
+	return next
 }
 
 // walkSeeds walks the path of every seed edge, leaving seed i's contig in
 // contigs[i] and marking the edges it crosses in used, and returns how many
 // it crossed. It advances walkLanes paths at a time: every lane's edge
-// record is loaded before any is looked at, then every lane's node record,
-// and a lane whose path has ended takes the next seed.
-func (g *Graph) walkSeeds(seeds []int32, contigs []Contig, used bitset) int {
+// record and successor slot are loaded before any is looked at, then each
+// lane marks and spells its edge and steps to the successor, or, where
+// there is none, emits its contig and takes the next seed.
+func (g *Graph) walkSeeds(seeds []int32, contigs []Contig, used bitset, next []int32) int {
 	type lane struct {
 		spelling
 		seed int   // index of the path in seeds and contigs
@@ -146,35 +177,33 @@ func (g *Graph) walkSeeds(seeds []int32, contigs []Contig, used bitset) int {
 	for l := 0; l < active; l++ {
 		lanes[l].seed, lanes[l].e = l, seeds[l]
 	}
-	next, walked := active, 0
+	fresh, walked := active, 0
 	var eds [walkLanes]edge
-	var nds [walkLanes]node
+	var succ [walkLanes]int32
 	for active > 0 {
 		for l := 0; l < active; l++ {
-			eds[l] = g.edges[lanes[l].e]
-		}
-		for l := 0; l < active; l++ {
-			used.set(lanes[l].e)
-			lanes[l].add(g.k, eds[l])
-			nds[l] = g.nodes[eds[l].to]
+			e := lanes[l].e
+			eds[l], succ[l] = g.edges[e], next[e]
 		}
 		walked += active
 		for l := 0; l < active; l++ {
 			ln := &lanes[l]
-			if nd := nds[l]; nd.in == 1 && nd.out == 1 {
-				ln.e = g.firstLiveEdge(nd.off)
+			used.set(ln.e)
+			ln.add(g.k, eds[l])
+			if succ[l] >= 0 {
+				ln.e = succ[l]
 				continue
 			}
 			contigs[ln.seed] = ln.contig(g.k)
-			if next < len(seeds) {
-				ln.seed, ln.e = next, seeds[next]
-				next++
+			if fresh < len(seeds) {
+				ln.seed, ln.e = fresh, seeds[fresh]
+				fresh++
 				continue
 			}
 			// No seed left: retire the lane by moving the last one here.
 			active--
 			lanes[l], lanes[active] = lanes[active], lanes[l]
-			nds[l] = nds[active]
+			eds[l], succ[l] = eds[active], succ[active]
 			l--
 		}
 	}

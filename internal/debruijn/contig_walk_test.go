@@ -3,6 +3,7 @@ package debruijn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -166,7 +167,7 @@ func TestContigsMatchSerialWalk(t *testing.T) {
 		unique := k >= 16
 
 		t.Run(fmt.Sprintf("k%d/one path", k), func(t *testing.T) {
-			// One seed for eight lanes.
+			// One seed for walkLanes lanes.
 			g := graphOfReads([]*genome.Sequence{genome.GenerateGenome(300, rng)}, k)
 			if got := assertContigsMatchSerialWalk(t, g); unique && len(got) != 1 {
 				t.Fatalf("%d contigs from one unbranched read, want 1", len(got))
@@ -217,6 +218,112 @@ func TestContigsMatchSerialWalk(t *testing.T) {
 				t.Fatalf("%d contigs, want the lane-refill case to have thousands", len(got))
 			}
 		})
+		for _, c := range []struct {
+			name  string
+			paths int
+		}{{"as many paths as lanes", walkLanes}, {"one path more than lanes", walkLanes + 1}} {
+			t.Run(fmt.Sprintf("k%d/%s", k, c.name), func(t *testing.T) {
+				// Every lane gets a seed; one more path is one refill.
+				var reads []*genome.Sequence
+				for i := 0; i < c.paths; i++ {
+					reads = append(reads, genome.GenerateGenome(70, rng))
+				}
+				g := graphOfReads(reads, k)
+				assertContigsMatchSerialWalk(t, g)
+				if unique && len(g.scratch.seeds) != c.paths {
+					t.Fatalf("%d seeds from %d unbranched reads", len(g.scratch.seeds), c.paths)
+				}
+			})
+		}
+		t.Run(fmt.Sprintf("k%d/dead first out-slot", k), func(t *testing.T) {
+			// Read b leaves read a's node x by a second out-edge; tombstoning
+			// x's first slot leaves x internal, so the edge into x has its
+			// successor in x's second slot.
+			a := genome.GenerateGenome(120, rng)
+			x := a.Subsequence(50, k-1)
+			fork := genome.NewSequence(1)
+			fork.SetBase(0, a.Base(50+k-1).Complement())
+			b := x.Append(fork).Append(genome.GenerateGenome(60, rng))
+			g := graphOfReads([]*genome.Sequence{a, b}, k)
+			g.finalize()
+			id, ok := g.nodeID(kmer.MustParse(x.String()))
+			if !ok {
+				t.Fatal("node x is missing")
+			}
+			lo := g.nodes[id].off
+			g.removeEdgeAt(id, lo)
+			if nd := g.nodes[id]; unique && (nd.in != 1 || nd.out != 1 || g.firstLiveEdge(lo) != lo+1) {
+				t.Fatalf("x has in %d, out %d, first live slot %d of %d: not the dead-first-slot shape",
+					nd.in, nd.out, g.firstLiveEdge(lo)-lo, nd.out)
+			}
+			assertContigsMatchSerialWalk(t, g)
+		})
+		t.Run(fmt.Sprintf("k%d/repeated calls and a re-finalize", k), func(t *testing.T) {
+			// The successor slots sit in a buffer the graph keeps and the
+			// next layout reuses: no call may see an earlier one's.
+			ref := genome.GenerateGenome(3_000, rng)
+			g := graphOfReads(genome.NewReadSampler(ref, 90, 0.01, rng).Sample(300), k)
+			first := assertContigsMatchSerialWalk(t, g)
+			again := assertContigsMatchSerialWalk(t, g)
+			for i := range first {
+				if !first[i].Seq.Equal(again[i].Seq) {
+					t.Fatalf("contig %d changed between two calls", i)
+				}
+			}
+			had := map[kmer.Kmer]bool{}
+			for _, ed := range g.edges {
+				had[ed.kmer] = true
+			}
+			g.Simplify(2*k, 2*k, 10)
+			buffer := cap(g.scratch.next)
+			// One more erroneous read: its new k-mers branch off old paths.
+			added := 0
+			for _, e := range kmer.CountReads(genome.NewReadSampler(ref, 90, 0.03, rng).Sample(1), k).Entries() {
+				if !had[e.Kmer] {
+					g.AddKmer(e.Kmer, e.Count)
+					added++
+				}
+			}
+			assertContigsMatchSerialWalk(t, g)
+			if unique && (added == 0 || cap(g.scratch.next) != buffer) {
+				t.Fatalf("%d k-mers added, buffer of %d slots now %d: the reuse case is untested", added, buffer, cap(g.scratch.next))
+			}
+			assertContigsMatchSerialWalk(t, g)
+		})
+	}
+}
+
+// TestContigTieBreakMatchesStringOrder: contigs of equal length sort as
+// their String forms do, with no allocation. Many share a long prefix, so
+// the comparison runs to their last bases, and some are equal.
+func TestContigTieBreakMatchesStringOrder(t *testing.T) {
+	rng := stats.NewRNG(7790)
+	for _, n := range []int{1, 3, 4, 37} {
+		var seqs []*genome.Sequence
+		stem := genome.GenerateGenome(n, rng)
+		for i := 0; i < 400; i++ {
+			s := genome.GenerateGenome(n, rng)
+			if i%2 == 0 {
+				// Keep a random-length prefix of the stem.
+				keep := rng.Intn(n + 1)
+				for j := 0; j < keep; j++ {
+					s.SetBase(j, stem.Base(j))
+				}
+			}
+			seqs = append(seqs, s)
+		}
+		got := slices.Clone(seqs)
+		sort.SliceStable(got, func(a, b int) bool { return lettersLess(got[a], got[b]) })
+		want := slices.Clone(seqs)
+		sort.SliceStable(want, func(a, b int) bool { return want[a].String() < want[b].String() })
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("length %d: position %d holds %s, String order %s", n, i, got[i], want[i])
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { lettersLess(seqs[0], seqs[1]) }); allocs != 0 {
+			t.Fatalf("length %d: %v allocations per comparison", n, allocs)
+		}
 	}
 }
 

@@ -98,6 +98,9 @@ type traversalScratch struct {
 	parent   []int32 // union-find parents (EdgeConnected)
 	edgeUsed bitset  // per-edge marks (Contigs, ValidateWalk)
 	seeds    []int32 // first edge slot of every walk (Contigs)
+	// One int32 per edge slot: layout's target IDs while it builds the
+	// records, then Contigs' successor slots.
+	next []int32
 }
 
 // ensureNodes sizes the per-node scratch for n nodes.
@@ -247,8 +250,12 @@ func (g *Graph) layout(es []kmer.Entry) {
 	g.nodes = make([]node, 0, m+m/8+2)
 	g.edges = make([]edge, 0, m)
 	// target[i] is the node ID edge es[i] leads to, known once the merge
-	// reaches its suffix; until then the edge's slot remembers i.
-	target := make([]int32, m)
+	// reaches its suffix; until then the edge's slot remembers i. The buffer
+	// stays in the scratch for Contigs' successor slots.
+	if cap(g.scratch.next) < m {
+		g.scratch.next = make([]int32, m)
+	}
+	target := g.scratch.next[:m]
 	for {
 		n := min(suffix, head[0], head[1], head[2], head[3])
 		if n == exhausted {

@@ -254,8 +254,9 @@ func (b *buckets[C]) ProbeOps() int64 {
 
 // FilterMinCount counts the survivors table by table and allocates the
 // entries once. Each worker then takes a span of tables and, for each,
-// filters its slots into a reused run, radix-sorts the run over the code
-// bits alone, and widens it into its place in the entries.
+// filters its slots into a reused run (one slot longer, for filter's spare
+// write), radix-sorts the run over the code bits alone, and widens it into
+// its place in the entries.
 func (b *buckets[C]) FilterMinCount(min uint32) []Entry {
 	b.settle()
 	var at [numBuckets + 1]int
@@ -268,8 +269,9 @@ func (b *buckets[C]) FilterMinCount(min uint32) []Entry {
 		var run, scratch []slot[C]
 		for i := spans[w].Lo; i < spans[w].Hi; i++ {
 			tbl, dst := &b.tables[i], out[at[i]:at[i+1]]
-			run = slices.Grow(run[:0], len(dst))[:len(dst)]
+			run = slices.Grow(run[:0], len(dst)+1)[:len(dst)+1]
 			tbl.filter(run, min)
+			run = run[:len(dst)]
 			scratch = sortSlots(run, scratch)
 			for j, s := range run {
 				dst[j] = Entry{tbl.prefix | Kmer(s.Kmer), s.Count}

@@ -149,14 +149,16 @@ func (t *table[C]) survivors(min uint32) int {
 	return n
 }
 
-// filter copies the slots with count ≥ min into dst in slot order; len(dst)
-// is survivors(min).
+// filter copies the slots with count ≥ min into dst in slot order. It
+// writes every slot to dst[i] and moves i past survivors only, so the loop
+// keeps what it copies without a branch; dst needs one spare slot beyond the
+// survivors(min) it keeps, for the slots written after the last of them.
 func (t *table[C]) filter(dst []slot[C], min uint32) {
 	min = max(min, 1) // an empty slot's zero count must never pass
 	i := 0
 	for _, s := range t.slots {
+		dst[i] = s
 		if s.Count >= min {
-			dst[i] = s
 			i++
 		}
 	}
@@ -255,11 +257,13 @@ func CountReads(reads []*genome.Sequence, k int) *CountTable {
 
 // FilterMinCount returns the entries with count ≥ min, sorted by k-mer —
 // the low-frequency error-trimming step assemblers apply before graph
-// construction. Survivors are counted first and collected into one exact
-// allocation, then sorted.
+// construction. Survivors are counted first and collected into one
+// allocation, exact but for filter's spare slot, then sorted.
 func (t *CountTable) FilterMinCount(min uint32) []Entry {
-	out := make([]Entry, t.survivors(min))
+	n := t.survivors(min)
+	out := make([]Entry, n+1)
 	t.filter(out, min)
+	out = out[:n]
 	SortEntries(out)
 	return out
 }

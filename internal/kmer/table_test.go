@@ -1,8 +1,11 @@
 package kmer
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -125,6 +128,144 @@ func TestFilterMinCount(t *testing.T) {
 	kept := tbl.FilterMinCount(2)
 	if len(kept) != 1 || kept[0].Kmer != a {
 		t.Fatalf("filter kept %v", kept)
+	}
+}
+
+// filterShapes are the table states filter's spare slot matters at: a
+// table with nothing to keep, one at load ½, and ones whose last slot — the
+// last filter writes — holds a k-mer every min keeps or one seen once, which
+// min ≥ 2 drops.
+var filterShapes = []string{"empty", "load ½", "last slot kept", "last slot dropped"}
+
+// fillFilterShape counts codes into tbl, an empty 16-slot table, until it
+// has shape filterShapes[shape], and adds what it counted, by whole k-mer,
+// to counts.
+func fillFilterShape[C code](t *testing.T, tbl *table[C], shape int, counts map[Kmer]uint32) {
+	t.Helper()
+	add := func(c C, times int) {
+		for i := 0; i < times; i++ {
+			tbl.addAll([]C{c})
+		}
+		counts[tbl.prefix|Kmer(c)] += uint32(times)
+	}
+	last := uint64(len(tbl.slots) - 1)
+	switch shape {
+	case 1:
+		for c := C(1); tbl.n*2 < len(tbl.slots); c++ {
+			times := int(c%3) + 1
+			if (tbl.n+1)*2 >= len(tbl.slots) {
+				times = 1 // one more add to a half-full table grows it
+			}
+			add(c, times)
+		}
+	case 2, 3:
+		// The first code homed at the last slot lands there; three more
+		// homed elsewhere cannot, the last slot being taken.
+		c := C(1)
+		for tbl.hash(c)&last != last {
+			c++
+		}
+		times := 3 // kept by every min
+		if shape == 3 {
+			times = 1 // dropped by min ≥ 2
+		}
+		add(c, times)
+		for times := 1; times <= 3; times++ {
+			for c++; tbl.hash(c)&last == last; c++ {
+			}
+			add(c, times)
+		}
+	}
+	ok := false
+	switch lastCount := tbl.slots[last].Count; shape {
+	case 0:
+		ok = tbl.n == 0
+	case 1:
+		ok = tbl.n*2 == len(tbl.slots)
+	case 2:
+		ok = lastCount == 3
+	case 3:
+		ok = lastCount == 1
+	}
+	if !ok || len(tbl.slots) != 16 {
+		t.Fatalf("%s: %d k-mers in %d slots, last count %d", filterShapes[shape], tbl.n, len(tbl.slots), tbl.slots[last].Count)
+	}
+}
+
+// assertFilterMatchesMap compares FilterMinCount's entries with those of a
+// map of every counted k-mer.
+func assertFilterMatchesMap(t *testing.T, label string, got []Entry, counts map[Kmer]uint32, min uint32) {
+	t.Helper()
+	var want []Entry
+	for km, c := range counts {
+		if c >= min {
+			want = append(want, Entry{km, c})
+		}
+	}
+	slices.SortFunc(want, func(a, b Entry) int { return cmp.Compare(a.Kmer, b.Kmer) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s, min %d: %d entries, map oracle %d (or they differ)", label, min, len(got), len(want))
+	}
+}
+
+// reshapeBuckets replaces the first and the last four buckets of b with one
+// table of each filter shape, in the map of counts too.
+func reshapeBuckets[C code](t *testing.T, b *buckets[C], counts map[Kmer]uint32) {
+	t.Helper()
+	replaced := []int{0, 1, 2, 3, numBuckets - 4, numBuckets - 3, numBuckets - 2, numBuckets - 1}
+	for km := range counts {
+		if slices.Contains(replaced, int(km>>b.shift)) {
+			delete(counts, km)
+		}
+	}
+	for j, i := range replaced {
+		b.tables[i] = table[C]{prefix: Kmer(i) << b.shift, slots: make([]slot[C], 16), pool: &b.pool}
+		fillFilterShape(t, &b.tables[i], j%len(filterShapes), counts)
+	}
+}
+
+// TestFilterMinCountMatchesMap pins FilterMinCount, whose filter writes one
+// slot past the survivors it keeps, to a map oracle for min 0 to 3: on a
+// CountTable and on empty and split BucketTables at both code widths, where
+// the tables are each shape of filterShapes.
+func TestFilterMinCountMatchesMap(t *testing.T) {
+	const k = 16
+	for shape, name := range filterShapes {
+		counts := map[Kmer]uint32{}
+		ct := &CountTable{k: k, table: table[Kmer]{slots: make([]Entry, 16)}}
+		fillFilterShape(t, &ct.table, shape, counts)
+		for min := uint32(0); min <= 3; min++ {
+			assertFilterMatchesMap(t, "CountTable, "+name, ct.FilterMinCount(min), counts, min)
+		}
+	}
+	for min := uint32(0); min <= 3; min++ {
+		assertFilterMatchesMap(t, "empty BucketTable", NewBucketTable(k, 1).FilterMinCount(min), nil, min)
+	}
+	reads := countWorkload(41, 120_000, 101, 1_000, 0)
+	for _, wide := range []bool{false, true} {
+		bt := NewBucketTable(k, 2)
+		if wide {
+			bt.split = splitBuckets[Kmer]
+		}
+		addReads(bt, reads)
+		bt.Len() // settles
+		counts := map[Kmer]uint32{}
+		for _, r := range reads {
+			for _, km := range rollBases(r, k) {
+				counts[km]++
+			}
+		}
+		switch b := bt.cur.(type) {
+		case *buckets[uint32]:
+			reshapeBuckets(t, b, counts)
+		case *buckets[Kmer]:
+			reshapeBuckets(t, b, counts)
+		default:
+			t.Fatal("fixture never splits")
+		}
+		for min := uint32(0); min <= 3; min++ {
+			assertFilterMatchesMap(t, fmt.Sprintf("BucketTable, 8-byte codes %v", wide), bt.FilterMinCount(min), counts, min)
+		}
 	}
 }
 
