@@ -118,16 +118,45 @@ func TestAssembleFleuryOnSmallInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The paper's Fleury traversal is the cross-validation reference for
-	// the Hierholzer walk either backend emits.
+	// the Hierholzer walk over either backend's graph.
 	for name, res := range map[string]*Result{"software": h, "pim": &pim.Result} {
 		walk, ferr := res.Graph.FleuryPath()
-		if (res.EulerWalk == nil) != (ferr != nil) {
-			t.Fatalf("%s: Fleury and Hierholzer disagree on traversability: %v vs %v", name, ferr, res.EulerErr)
+		if _, herr := res.Graph.EulerPath(); (herr == nil) != (ferr == nil) {
+			t.Fatalf("%s: Fleury and Hierholzer disagree on traversability: %v vs %v", name, ferr, herr)
 		}
 		if ferr == nil {
 			if err := res.Graph.ValidateWalk(walk); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
+		}
+	}
+}
+
+// TestCorrectKeepsOpCounts: on error-free reads at 30× coverage, which
+// correction leaves as they are, a software run with Correct reports the
+// OpCounts and contigs of a run without it. The count the repair tallies is
+// the count stage 1 takes of the same reads, past the bucketed counter's
+// split, and both routes price AvgProbes at the design load.
+func TestCorrectKeepsOpCounts(t *testing.T) {
+	rng := stats.NewRNG(12)
+	reads := genome.NewReadSampler(genome.GenerateGenome(40_000, rng), 101, 0, rng).Sample(12_000)
+	for _, k := range []int{16, 32} {
+		plain, err := Assemble(reads, Options{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixed, err := Assemble(reads, Options{K: k, Correct: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.Counts.DistinctKmers <= 1<<15 {
+			t.Fatalf("k=%d: %v distinct k-mers never split the counter", k, plain.Counts.DistinctKmers)
+		}
+		if fixed.Counts != plain.Counts || plain.Counts.AvgProbes != designProbes() {
+			t.Fatalf("k=%d: op counts with Correct %+v, without %+v", k, fixed.Counts, plain.Counts)
+		}
+		if !reflect.DeepEqual(fixed.Contigs, plain.Contigs) {
+			t.Fatalf("k=%d: correction changed the contigs of error-free reads", k)
 		}
 	}
 }
@@ -268,8 +297,8 @@ func TestPIMAssemblyMatchesSoftware(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The spectrum read back from the simulated rows is the software
-	// table's, unfiltered and filtered; only the probe count is each
-	// table's own.
+	// table's, unfiltered and filtered; only the probes per add differ:
+	// the simulator measures its own, the host takes the design load's.
 	for _, o := range []Options{opts, {K: 15, MinCount: 2}} {
 		want, err := softwareBackend{}.count(genome.NewSliceSource(reads), o)
 		if err != nil {
@@ -286,8 +315,8 @@ func TestPIMAssemblyMatchesSoftware(t *testing.T) {
 		if !reflect.DeepEqual(got.entries, want.entries) || got.distinct != want.distinct || got.totals != want.totals {
 			t.Errorf("MinCount=%d: spectrum read back from the simulated rows differs from the software table's", o.MinCount)
 		}
-		if got.probes < got.totals.kmers {
-			t.Errorf("MinCount=%d: %d probes for %d k-mers", o.MinCount, got.probes, got.totals.kmers)
+		if got.avgProbes < 1 || want.avgProbes != designProbes() {
+			t.Errorf("MinCount=%d: %v probes per add on the simulator, %v on the host", o.MinCount, got.avgProbes, want.avgProbes)
 		}
 	}
 	if len(sw.Contigs) != len(pim.Contigs) {

@@ -18,7 +18,7 @@ type OpCounts struct {
 	ReadLen       int
 	TotalKmers    float64 // hash-table Add operations (stage 1)
 	DistinctKmers float64 // table entries = graph edges
-	AvgProbes     float64 // slot comparisons per Add (load-factor dependent)
+	AvgProbes     float64 // slot comparisons per Add: designProbes, or the pim backend's measured ratio
 	Nodes         float64 // graph nodes ((k-1)-mers)
 	Edges         float64 // graph edges (distinct k-mers)
 	CounterBits   int     // frequency counter width
@@ -55,17 +55,25 @@ func PaperOpCounts(w genome.Chr14Workload, k int) OpCounts {
 	// coverage c: 1 - e^{-c·(L-k+1)/L}).
 	cov := w.Coverage() * float64(w.ReadLen-k+1) / float64(w.ReadLen)
 	distinct *= 1 - math.Exp(-cov)
-	const loadFactor = 0.5
 	return OpCounts{
 		K:             k,
 		ReadCount:     w.ReadCount,
 		ReadLen:       w.ReadLen,
 		TotalKmers:    total,
 		DistinctKmers: distinct,
-		AvgProbes:     1 / (1 - loadFactor),
+		AvgProbes:     designProbes(),
 		Nodes:         distinct, // (k-1)-mers ≈ k-mers at genome scale
 		Edges:         distinct,
 		CounterBits:   32,
 		DegreeBits:    9,
 	}
 }
+
+// designLoad is the occupancy the mapping builds the hash regions for.
+const designLoad = 0.5
+
+// designProbes is the slot comparisons per Add of linear probing at the
+// mapping's design load α: 1/(1−α). The software backend's OpCounts and
+// PaperOpCounts both take it; a host table's own probes follow its growth
+// path, which no PIM hash region shares.
+func designProbes() float64 { return 1 / (1 - designLoad) }

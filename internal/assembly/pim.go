@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pimassembler/internal/core"
+	"pimassembler/internal/correct"
 	"pimassembler/internal/debruijn"
 	"pimassembler/internal/genome"
 	"pimassembler/internal/kmer"
@@ -76,6 +77,22 @@ func (b *pimBackend) count(src genome.ReadSource, opts Options) (spectrum, error
 	if err != nil || len(reads) == 0 {
 		return sp, err
 	}
+	return b.countReads(reads, opts)
+}
+
+// countCorrected repairs the reads on the host and counts the repaired
+// reads on the simulator, as count counts any others.
+func (b *pimBackend) countCorrected(c *correct.Corrector, reads []*genome.Sequence, opts Options) (spectrum, error) {
+	c.CorrectAll(reads)
+	if len(reads) == 0 {
+		return spectrum{}, nil
+	}
+	return b.countReads(reads, opts)
+}
+
+// countReads is count over reads already in memory, at least one.
+func (b *pimBackend) countReads(reads []*genome.Sequence, opts Options) (spectrum, error) {
+	var sp spectrum
 	p := b.platform
 	perRow := p.Geometry().ColsPerSubarray / genome.BaseBits
 	rowsNeeded := 0
@@ -99,7 +116,8 @@ func (b *pimBackend) count(src genome.ReadSource, opts Options) (spectrum, error
 		return sp, err
 	}
 	entries := table.Entries()
-	sp.distinct, sp.probes = len(entries), table.ProbeOps()
+	sp.distinct = len(entries)
+	sp.avgProbes = max(float64(table.ProbeOps())/float64(max(sp.totals.kmers, 1)), 1)
 	if opts.MinCount > 1 {
 		kept := entries[:0]
 		for _, e := range entries {
@@ -115,9 +133,10 @@ func (b *pimBackend) count(src genome.ReadSource, opts Options) (spectrum, error
 
 // walk loads g into the graph sub-arrays and runs the Traverse procedure:
 // in-memory degree computation and start-vertex selection, then the host
-// edge walk.
-func (b *pimBackend) walk(g *debruijn.Graph) ([]kmer.Kmer, error) {
-	return core.NewGraphEngine(b.platform, g, b.bankN+b.hashN).EulerPath()
+// edge walk. It runs for the commands it records; contigs never depend on
+// the walk, so the walk, or why there is none, is not kept.
+func (b *pimBackend) walk(g *debruijn.Graph) {
+	_, _ = core.NewGraphEngine(b.platform, g, b.bankN+b.hashN).EulerPath()
 }
 
 // countTable streams the bank and runs the Hashmap procedure k-mer by

@@ -32,10 +32,12 @@ type Options struct {
 	// and bubble popping) after graph construction. Combine with MinCount
 	// for noisy reads.
 	Simplify bool
-	// Correct runs k-mer-spectrum read correction before counting, on the
-	// fresh copies genome.ReadAll packs from the source, so the caller's
-	// reads are never mutated. It trusts the k-mers the reads hold at least
-	// SolidThreshold times (default 3 when zero) and nothing else.
+	// Correct runs k-mer-spectrum read correction as part of stage 1, on
+	// the fresh copies genome.ReadAll packs from the source, so the
+	// caller's reads are never mutated. It trusts the k-mers the reads hold
+	// at least SolidThreshold times (default 3 when zero) and nothing else.
+	// The software backend takes stage 1's count of the repaired reads
+	// while it repairs them; the pim backend counts them on the simulator.
 	Correct        bool
 	SolidThreshold uint32
 	// Scaffold enables stage 3 (greedy overlap scaffolding).
@@ -43,11 +45,11 @@ type Options struct {
 	// MinOverlap is the minimum contig overlap stage 3 will join on; zero
 	// means K-4 (12 at the paper's k = 16).
 	MinOverlap int
-	// CountWorkers is how many goroutines fold the kmer.BucketTable of
-	// stage 1 and of the correction pre-count, and repair reads; 0 or 1
-	// runs on the calling goroutine. Reads are pulled one at a time either
-	// way, and contigs, entries, counts and OpCounts, AvgProbes included,
-	// are identical for any value.
+	// CountWorkers is how many goroutines fold the kmer.BucketTables of
+	// stage 1 and of the correction pre-count, and repair and tally reads;
+	// 0 or 1 runs on the calling goroutine. Reads are pulled one at a time
+	// either way, and contigs, entries, counts and OpCounts are identical
+	// for any value.
 	CountWorkers int
 	// StreamStage1 is ignored: AssembleSource always counts read by read
 	// and drains the source only where Correct needs the whole read set.
@@ -84,8 +86,10 @@ func (o Options) minOverlap() int {
 
 // StageTimings records wall-clock spent in each software stage. Hashmap is
 // everything that produces the spectrum — counting, the MinCount filter and
-// the sort that orders the entries; DeBruijn is graph layout and
-// simplification over those entries.
+// the sort that orders the entries, and with Correct the repair the count
+// is taken in, though not the pre-count that finds the solid k-mers;
+// DeBruijn is graph layout and simplification over those entries; Traverse
+// is the contig walk, and on the pim backend the simulated Euler stage.
 type StageTimings struct {
 	Hashmap  time.Duration
 	DeBruijn time.Duration
@@ -99,44 +103,38 @@ type Result struct {
 	Graph     *debruijn.Graph
 	Contigs   []debruijn.Contig
 	Scaffolds []Scaffold
-	// EulerWalk is the Eulerian node walk when one exists (nil otherwise);
-	// contigs never depend on it.
-	EulerWalk []kmer.Kmer
-	// EulerErr is why no Eulerian walk was emitted (nil when EulerWalk is
-	// set). Real read sets rarely form a single Eulerian component, so this
-	// is diagnostic, not fatal.
-	EulerErr error
-	Timings  StageTimings
-	Counts   OpCounts
+	Timings   StageTimings
+	Counts    OpCounts
 }
 
-// backend is where one run executes the two steps that differ between the
-// software reference and the PIM platform; everything else in run is shared,
-// so every option means the same thing on either.
+// backend is where one run executes stage 1, the step that differs between
+// the software reference and the PIM platform; everything else in run is
+// shared, so every option means the same thing on either. The pim backend
+// also simulates the Traverse procedure's Euler stage (pimBackend.walk).
 type backend interface {
 	// count is stage 1 (the Hashmap procedure): it drains src into the
 	// k-mer spectrum. No reads is not an error here — run reports it from
 	// the zero totals.
 	count(src genome.ReadSource, opts Options) (spectrum, error)
-	// walk is the Euler stage of the Traverse procedure over the finished
-	// graph.
-	walk(g *debruijn.Graph) ([]kmer.Kmer, error)
+	// countCorrected is stage 1 with Correct: c repairs reads in place, and
+	// the spectrum is that of the repaired reads.
+	countCorrected(c *correct.Corrector, reads []*genome.Sequence, opts Options) (spectrum, error)
 }
 
 // spectrum is everything stage 1 hands on: the counted k-mers for graph
 // construction and the numbers the operation profile needs. Whatever
-// counted them — host bucket tables, simulated DRAM rows — is
-// garbage once count returns.
+// counted them — host bucket tables, a correction tally, simulated DRAM
+// rows — is garbage once count returns.
 type spectrum struct {
 	// entries are the k-mers with count ≥ Options.MinCount in ascending
 	// k-mer order, the form debruijn.BuildEntries lays out as it stands.
 	entries []kmer.Entry
 	// distinct is how many k-mers were counted, before the MinCount filter.
 	distinct int
-	// probes is the counting table's slot comparisons, OpCounts.AvgProbes'
-	// numerator.
-	probes int64
-	totals workloadTotals
+	// avgProbes is OpCounts.AvgProbes: designProbes on the host, the
+	// simulated table's measured slot visits per Add on the pim backend.
+	avgProbes float64
+	totals    workloadTotals
 }
 
 // Assemble runs the software reference pipeline over an in-memory read set:
@@ -172,11 +170,11 @@ func (s cancelSource) NextCodes() ([]byte, error) {
 	return s.src.NextCodes()
 }
 
-// run is the pipeline of Fig. 5a, the only one: host-side read correction,
-// stage 1 on b (which applies the MinCount filter), graph construction and
-// simplification, the Euler walk on b, contig emission, scaffolding, and the
-// operation profile of what ran. ctx is checked before every read pulled
-// from src and between stages.
+// run is the pipeline of Fig. 5a, the only one: stage 1 on b (which applies
+// the MinCount filter, and with Correct repairs the reads first), graph
+// construction and simplification, the pim backend's simulated Euler stage,
+// contig emission, scaffolding, and the operation profile of what ran. ctx
+// is checked before every read pulled from src and between stages.
 func run(ctx context.Context, b backend, src genome.ReadSource, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -187,17 +185,26 @@ func run(ctx context.Context, b backend, src genome.ReadSource, opts Options) (*
 	src = cancelSource{ctx, src}
 	res := &Result{Options: opts}
 
+	// Stage 1: k-mer analysis (Hashmap procedure). Correction needs every
+	// read at once: it counts the read set's solid k-mers before it repairs
+	// the first read.
+	var (
+		sp    spectrum
+		err   error
+		start time.Time
+	)
 	if opts.Correct {
-		reads, err := genome.ReadAll(src)
-		if err != nil {
+		var reads []*genome.Sequence
+		if reads, err = genome.ReadAll(src); err != nil {
 			return nil, err
 		}
-		src = cancelSource{ctx, genome.NewSliceSource(corrected(reads, opts))}
+		c := newCorrector(reads, opts)
+		start = time.Now()
+		sp, err = b.countCorrected(c, reads, opts)
+	} else {
+		start = time.Now()
+		sp, err = b.count(src, opts)
 	}
-
-	// Stage 1: k-mer analysis (Hashmap procedure).
-	start := time.Now()
-	sp, err := b.count(src, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -224,10 +231,8 @@ func run(ctx context.Context, b backend, src genome.ReadSource, opts Options) (*
 
 	// Stage 2b: traversal and contig emission.
 	start = time.Now()
-	if walk, err := b.walk(res.Graph); err == nil {
-		res.EulerWalk = walk
-	} else {
-		res.EulerErr = err
+	if pim, ok := b.(*pimBackend); ok {
+		pim.walk(res.Graph)
 	}
 	res.Contigs = res.Graph.Contigs()
 	res.Timings.Traverse = time.Since(start)
@@ -245,20 +250,19 @@ func run(ctx context.Context, b backend, src genome.ReadSource, opts Options) (*
 	return res, nil
 }
 
-// corrected spectrum-corrects reads in place (stage 0) and returns them.
-// run hands it the fresh copies genome.ReadAll packed, which nothing else
-// holds, so no caller's read is mutated.
-func corrected(reads []*genome.Sequence, opts Options) []*genome.Sequence {
+// newCorrector builds the spectrum corrector of reads: the solid k-mers are
+// those the reads hold at least SolidThreshold times. run hands it the fresh
+// copies genome.ReadAll packed, which nothing else holds, so the repair
+// mutates no caller's read.
+func newCorrector(reads []*genome.Sequence, opts Options) *correct.Corrector {
 	threshold := opts.SolidThreshold
 	if threshold == 0 {
 		threshold = 3
 	}
-	correct.FromReadsWorkers(reads, opts.K, threshold, 4, opts.CountWorkers).CorrectAll(reads)
-	return reads
+	return correct.FromReadsWorkers(reads, opts.K, threshold, 4, opts.CountWorkers)
 }
 
-// softwareBackend is the plain-Go reference: a host hash table and the
-// host graph walk.
+// softwareBackend is the plain-Go reference: host counting tables.
 type softwareBackend struct{}
 
 // count folds src into a bucketed counter read by read, on CountWorkers
@@ -279,13 +283,21 @@ func (softwareBackend) count(src genome.ReadSource, opts Options) (spectrum, err
 		sp.totals.add(len(c), opts.K)
 		table.AddCodes(c)
 	}
-	sp.entries, sp.distinct, sp.probes = table.FilterMinCount(opts.MinCount), table.Len(), table.ProbeOps()
+	sp.entries, sp.distinct, sp.avgProbes = table.FilterMinCount(opts.MinCount), table.Len(), designProbes()
 	return sp, nil
 }
 
-// walk is Hierholzer's algorithm.
-func (softwareBackend) walk(g *debruijn.Graph) ([]kmer.Kmer, error) {
-	return g.EulerPath()
+// countCorrected repairs the reads and reads the spectrum out of the tally
+// the repair took: the count of the repaired reads, which are not rolled
+// again.
+func (softwareBackend) countCorrected(c *correct.Corrector, reads []*genome.Sequence, opts Options) (spectrum, error) {
+	_, t := c.CorrectCount(reads)
+	return spectrum{
+		entries:   t.FilterMinCount(opts.MinCount),
+		distinct:  t.Len(),
+		avgProbes: designProbes(),
+		totals:    workloadTotals{reads: t.Reads, bases: t.Bases, kmers: t.Kmers},
+	}, nil
 }
 
 // workloadTotals are the whole-input aggregates feeding OpCounts,
@@ -310,13 +322,6 @@ func (t *workloadTotals) add(n, k int) {
 // on and the graph g built from it.
 func measureCounts(k int, sp spectrum, g *debruijn.Graph) OpCounts {
 	t := sp.totals
-	avg := 1.0
-	if t.kmers > 0 {
-		avg = float64(sp.probes) / float64(t.kmers)
-	}
-	if avg < 1 {
-		avg = 1
-	}
 	readLen := 0
 	if t.reads > 0 {
 		readLen = int((t.bases + t.reads/2) / t.reads)
@@ -327,7 +332,7 @@ func measureCounts(k int, sp spectrum, g *debruijn.Graph) OpCounts {
 		ReadLen:       readLen,
 		TotalKmers:    float64(t.kmers),
 		DistinctKmers: float64(sp.distinct),
-		AvgProbes:     avg,
+		AvgProbes:     sp.avgProbes,
 		Nodes:         float64(g.NumNodes()),
 		Edges:         float64(g.NumEdges()),
 		CounterBits:   32,

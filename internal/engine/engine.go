@@ -18,7 +18,6 @@ import (
 	"pimassembler/internal/debruijn"
 	"pimassembler/internal/dram"
 	"pimassembler/internal/genome"
-	"pimassembler/internal/kmer"
 	"pimassembler/internal/metrics"
 	"pimassembler/internal/perfmodel"
 )
@@ -129,11 +128,6 @@ type Report struct {
 	Contigs []debruijn.Contig
 	// Scaffolds is the stage-3 output when Options.Scaffold was set.
 	Scaffolds []assembly.Scaffold
-	// EulerWalk and EulerErr mirror assembly.Result: the Eulerian node walk
-	// when one exists, or the diagnostic reason none was emitted.
-	EulerWalk []kmer.Kmer
-	EulerErr  error
-
 	// Counts is the workload's operation profile: measured by the software
 	// and functional families, echoed from Options.Counts by the
 	// analytical family.
@@ -182,8 +176,6 @@ func NewReport(name string, family Family, res *assembly.Result, opts Options) *
 		Family:    family,
 		Contigs:   res.Contigs,
 		Scaffolds: res.Scaffolds,
-		EulerWalk: res.EulerWalk,
-		EulerErr:  res.EulerErr,
 		Counts:    &counts,
 	}
 	if opts.Ref != nil && rep.Contigs != nil {

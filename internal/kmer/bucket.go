@@ -47,12 +47,9 @@ const (
 // the width changes no probe.
 //
 // A bucket's k-mers reach its table in read order whatever the worker count,
-// so counts, entries, Len and ProbeOps are the same for every worker count,
-// and counts and entries are those of CountReads. ProbeOps sums the probes of
-// the tables that counted: the single table up to the split, then the bucket
-// tables, in which a k-mer probes only its own bucket. Moving the single
-// table's entries into the buckets is table maintenance, like growth, and
-// costs no probes.
+// so counts, entries and Len are the same for every worker count, and are
+// those of CountReads. The table prices no probes: OpCounts takes the
+// mapping's design load, not a host table's growth path.
 //
 // Every reader folds what AddCodes left staged first, so the first read after
 // an AddCodes must not run beside another call. After it, any number of
@@ -70,8 +67,8 @@ type BucketTable struct {
 // split, a *buckets after it.
 type phase interface {
 	AddCodes(codes []byte)
+	addAll(kms []Kmer)
 	Len() int
-	ProbeOps() int64
 	FilterMinCount(min uint32) []Entry
 	// settle folds whatever is staged.
 	settle()
@@ -97,6 +94,19 @@ func NewBucketTable(k, workers int) *BucketTable {
 // genome.ReadSource's borrowed buffer.
 func (t *BucketTable) AddCodes(codes []byte) {
 	t.cur.AddCodes(codes)
+	t.maybeSplit()
+}
+
+// AddKmers counts each of kms, in slice order, as AddCodes counts a read's
+// k-mers. kms is not kept.
+func (t *BucketTable) AddKmers(kms []Kmer) {
+	t.cur.addAll(kms)
+	t.maybeSplit()
+}
+
+// maybeSplit turns the single table into the buckets once it holds more
+// than splitDistinct k-mers.
+func (t *BucketTable) maybeSplit() {
 	if single, ok := t.cur.(*CountTable); ok && single.Len() > splitDistinct {
 		t.cur = t.split(single, t.workers)
 	}
@@ -107,9 +117,6 @@ func (t *BucketTable) K() int { return t.k }
 
 // Len returns the number of distinct k-mers counted.
 func (t *BucketTable) Len() int { return t.cur.Len() }
-
-// ProbeOps returns the slot comparisons of every table that counted.
-func (t *BucketTable) ProbeOps() int64 { return t.cur.ProbeOps() }
 
 // FilterMinCount returns the entries with count ≥ min, sorted by k-mer, as
 // CountTable.FilterMinCount does.
@@ -134,7 +141,6 @@ type buckets[C code] struct {
 	k       int
 	shift   uint
 	workers int
-	probes  int64 // the single table's probes
 	tables  [numBuckets]table[C]
 	// Since the last fold, bucket b has staged, in read order, the blocks of
 	// slab starting at full[b], then slab[open[b].end-stageBlock:open[b].at].
@@ -142,9 +148,11 @@ type buckets[C code] struct {
 	// staging a k-mer reads and writes one of them.
 	open [numBuckets]cursor
 	full [numBuckets][]int32
-	slab []C // the staging blocks, cut in order
+	slab []C // the staging blocks, cut in order; nil until AddCodes stages
 	cut  int // blocks cut from slab since the last fold
-	pool slotPool[C]
+	// batch is addAll's k-mers sorted by bucket, reused from call to call.
+	batch []C
+	pool  slotPool[C]
 }
 
 // cursor is a bucket's open block in the slab: the index its next code goes
@@ -155,8 +163,7 @@ type cursor struct{ at, end int32 }
 // tables sized for what each receives. No bucket holds anything yet, so
 // every entry is a plain placement.
 func splitBuckets[C code](single *CountTable, workers int) phase {
-	b := &buckets[C]{k: single.k, shift: 2*uint(single.k) - bucketBits, workers: workers, probes: single.probeOps,
-		slab: make([]C, stageBudget)}
+	b := &buckets[C]{k: single.k, shift: 2*uint(single.k) - bucketBits, workers: workers}
 	var sizes [numBuckets]int
 	for _, s := range single.slots {
 		if s.Count != 0 {
@@ -188,10 +195,38 @@ func (b *buckets[C]) AddCodes(codes []byte) {
 		o := &b.open[i]
 		if o.at == o.end {
 			b.nextBlock(i)
+			slab = b.slab
 		}
 		slab[o.at] = C(km)
 		o.at++
 	}
+}
+
+// addAll folds kms into the bucket tables at once, after whatever
+// AddCodes staged. A batch is already whole, so staging it block by block
+// would only copy it: a stable counting sort by bucket puts each bucket's
+// k-mers, in slice order, in one run of batch, and each bucket's table adds
+// its run on the fold workers. A counter fed only through AddKmers never
+// allocates the slab; its buffer is the largest batch.
+func (b *buckets[C]) addAll(kms []Kmer) {
+	b.settle()
+	var at [numBuckets + 1]int // at[i]: where bucket i's run starts
+	for _, km := range kms {
+		at[int(uint8(km>>b.shift))+1]++
+	}
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	b.batch = slices.Grow(b.batch[:0], len(kms))[:len(kms)]
+	next := at
+	for _, km := range kms {
+		i := uint8(km >> b.shift)
+		b.batch[next[i]] = C(km)
+		next[i]++
+	}
+	parallel.ForEachWorkers(b.workers, numBuckets, func(i int) {
+		b.tables[i].addAll(b.batch[at[i]:at[i+1]])
+	})
 }
 
 // nextBlock files bucket i's open block, which is full or absent, and cuts
@@ -202,6 +237,9 @@ func (b *buckets[C]) nextBlock(i uint8) {
 		b.full[i] = append(b.full[i], o.end-stageBlock)
 	}
 	*o = cursor{}
+	if b.slab == nil {
+		b.slab = make([]C, stageBudget)
+	}
 	if b.cut == stageBudget/stageBlock {
 		b.fold()
 	}
@@ -243,36 +281,41 @@ func (b *buckets[C]) Len() int {
 	return n
 }
 
-func (b *buckets[C]) ProbeOps() int64 {
-	b.settle()
-	ops := b.probes
-	for i := range b.tables {
-		ops += b.tables[i].probeOps
-	}
-	return ops
-}
-
-// FilterMinCount counts the survivors table by table and allocates the
-// entries once. Each worker then takes a span of tables and, for each,
-// filters its slots into a reused run (one slot longer, for filter's spare
-// write), radix-sorts the run over the code bits alone, and widens it into
-// its place in the entries.
+// FilterMinCount reads each table's slots once, each worker taking a span
+// of tables: it filters a table's slots into a reused run of n+1 slots (n
+// bounds the survivors; filter writes one spare), radix-sorts the run over
+// the code bits alone and widens it into entries. A table holds n k-mers, so
+// with min ≤ 1 every table's share of the entries is known up front and the
+// run is widened into its place. Above 1 it is not known until the table is
+// read: each worker appends its span's entries to its own part, and the
+// parts are laid end to end.
 func (b *buckets[C]) FilterMinCount(min uint32) []Entry {
 	b.settle()
+	spans := parallel.Spans(numBuckets, (numBuckets+b.workers-1)/b.workers)
+	if min > 1 {
+		parts := make([][]Entry, len(spans))
+		parallel.ForEachWorkers(b.workers, len(spans), func(w int) {
+			var run, scratch []slot[C]
+			for i := spans[w].Lo; i < spans[w].Hi; i++ {
+				tbl := &b.tables[i]
+				run, scratch = tbl.sortedRun(run, scratch, min)
+				for _, s := range run {
+					parts[w] = append(parts[w], Entry{tbl.prefix | Kmer(s.Kmer), s.Count})
+				}
+			}
+		})
+		return slices.Concat(parts...)
+	}
 	var at [numBuckets + 1]int
 	for i := range b.tables {
-		at[i+1] = at[i] + b.tables[i].survivors(min)
+		at[i+1] = at[i] + b.tables[i].n
 	}
 	out := make([]Entry, at[numBuckets])
-	spans := parallel.Spans(numBuckets, (numBuckets+b.workers-1)/b.workers)
 	parallel.ForEachWorkers(b.workers, len(spans), func(w int) {
 		var run, scratch []slot[C]
 		for i := spans[w].Lo; i < spans[w].Hi; i++ {
 			tbl, dst := &b.tables[i], out[at[i]:at[i+1]]
-			run = slices.Grow(run[:0], len(dst)+1)[:len(dst)+1]
-			tbl.filter(run, min)
-			run = run[:len(dst)]
-			scratch = sortSlots(run, scratch)
+			run, scratch = tbl.sortedRun(run, scratch, min)
 			for j, s := range run {
 				dst[j] = Entry{tbl.prefix | Kmer(s.Kmer), s.Count}
 			}

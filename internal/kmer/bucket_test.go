@@ -79,11 +79,6 @@ func cutBlocks(t *BucketTable) int {
 	return 0
 }
 
-// pastFoldProbesK16 is the ProbeOps of the "past a fold round" size at
-// k = 16 when the buckets stored whole 8-byte codes: the code width must
-// not move a probe.
-const pastFoldProbesK16 = 3_522_552
-
 // assertMatchesSerial compares every reader of a bucketed counter with the
 // serial CountTable over the same reads: entries, which carry every counted
 // k-mer's count, trimmed entries and Len.
@@ -113,7 +108,8 @@ func countOf(t *BucketTable, km Kmer) uint32 {
 // counter against CountReads: the four shard workload shapes at k ∈ {2..8},
 // and three sizes — below the split, just past it, past a fold round — at
 // k ∈ {8, 16, 20, 21, 31, 32}, which spans both code widths and the
-// boundary between them.
+// boundary between them. At the three sizes a second counter takes every
+// other read's k-mers through AddKmers, so batches land on staged codes.
 func TestPartitionedMatchesSerial(t *testing.T) {
 	for _, tr := range countTrials {
 		t.Run(tr.name, func(t *testing.T) {
@@ -136,18 +132,26 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 					t.Fatalf("k=%d: split %v after %d fold rounds; the size is meant to split: %v, fold: %v",
 						k, split, folds, size.split, size.fold)
 				}
-				assertMatchesSerial(t, fmt.Sprintf("k=%d", k), CountReads(reads, k), bt)
-				if size.fold && k == 16 && bt.ProbeOps() != pastFoldProbesK16 {
-					t.Fatalf("k=16: %d probes, want %d", bt.ProbeOps(), pastFoldProbesK16)
+				serial := CountReads(reads, k)
+				assertMatchesSerial(t, fmt.Sprintf("k=%d", k), serial, bt)
+				mixed := NewBucketTable(k, 1)
+				var kms []Kmer
+				for i, r := range reads {
+					if i%2 == 0 {
+						mixed.AddCodes(codesOf(r))
+						continue
+					}
+					kms = AppendKmers(kms[:0], codesOf(r), k)
+					mixed.AddKmers(kms)
 				}
+				assertMatchesSerial(t, fmt.Sprintf("k=%d, AddCodes and AddKmers", k), serial, mixed)
 			}
 		})
 	}
 }
 
-// TestPartitionedWorkerInvariance pins the full bit-identity contract across
-// worker counts: entries, Len and ProbeOps, which depends on each bucket's
-// insertion order, at every size.
+// TestPartitionedWorkerInvariance pins the bit-identity contract across
+// worker counts, entries and Len, at every size.
 func TestPartitionedWorkerInvariance(t *testing.T) {
 	for i, size := range bucketSizes {
 		reads := countWorkload(uint64(41+i), size.genomeLen, 101, size.nReads, 0.002)
@@ -156,9 +160,9 @@ func TestPartitionedWorkerInvariance(t *testing.T) {
 			entries := base.FilterMinCount(1)
 			for _, workers := range []int{2, 4, runtime.NumCPU()} {
 				bt := CountReadsParallel(reads, k, workers)
-				if bt.ProbeOps() != base.ProbeOps() || bt.Len() != base.Len() {
-					t.Fatalf("%s, k=%d, workers=%d: %d distinct after %d probes, want %d after %d (workers=1)",
-						size.name, k, workers, bt.Len(), bt.ProbeOps(), base.Len(), base.ProbeOps())
+				if bt.Len() != base.Len() {
+					t.Fatalf("%s, k=%d, workers=%d: %d distinct, want %d (workers=1)",
+						size.name, k, workers, bt.Len(), base.Len())
 				}
 				if !reflect.DeepEqual(bt.FilterMinCount(1), entries) {
 					t.Fatalf("%s, k=%d, workers=%d: entries diverge from workers=1", size.name, k, workers)
@@ -179,7 +183,7 @@ func TestCountReadsParallelDefault(t *testing.T) {
 	}
 	want := NewBucketTable(16, 2)
 	addReads(want, reads)
-	if bt.ProbeOps() != want.ProbeOps() || !reflect.DeepEqual(bt.FilterMinCount(1), want.FilterMinCount(1)) {
+	if bt.Len() != want.Len() || !reflect.DeepEqual(bt.FilterMinCount(1), want.FilterMinCount(1)) {
 		t.Fatal("CountReadsParallel differs from NewBucketTable + AddCodes")
 	}
 }
@@ -246,7 +250,7 @@ func checkBuckets[C code](t *testing.T, k int, b *buckets[C]) {
 
 // TestCodeWidthsAgree builds the 8-byte-code buckets at k = 16, where the
 // counter picks 4-byte ones, and pins the two widths to the same entries
-// (and so counts), Len and ProbeOps at every size.
+// (and so counts) and Len at every size.
 func TestCodeWidthsAgree(t *testing.T) {
 	const k = 16
 	for i, size := range bucketSizes {
@@ -259,9 +263,8 @@ func TestCodeWidthsAgree(t *testing.T) {
 		if _, ok := wide.cur.(*buckets[Kmer]); ok != size.split {
 			t.Fatalf("%s: 8-byte buckets %v, want %v", size.name, ok, size.split)
 		}
-		if wide.Len() != narrow.Len() || wide.ProbeOps() != narrow.ProbeOps() {
-			t.Fatalf("%s: 8-byte codes hold %d k-mers after %d probes, 4-byte %d after %d",
-				size.name, wide.Len(), wide.ProbeOps(), narrow.Len(), narrow.ProbeOps())
+		if wide.Len() != narrow.Len() {
+			t.Fatalf("%s: 8-byte codes hold %d k-mers, 4-byte %d", size.name, wide.Len(), narrow.Len())
 		}
 		if !reflect.DeepEqual(wide.FilterMinCount(1), narrow.FilterMinCount(1)) || !reflect.DeepEqual(wide.FilterMinCount(2), narrow.FilterMinCount(2)) {
 			t.Fatalf("%s: entries differ between code widths", size.name)

@@ -12,7 +12,7 @@ import (
 // counter: arbitrary bytes become reads, counted before and after bulk reads
 // that may take the counter past its split, and the counter (fuzzed k and
 // worker count) must agree with the serial CountTable on length, entries
-// order, trimmed entries and ProbeOps across worker counts.
+// order and trimmed entries.
 func FuzzPartitionedVsSerial(f *testing.F) {
 	f.Add([]byte("CGTGCGTGCTT"), uint8(3), uint8(2), uint16(0))
 	f.Add([]byte{}, uint8(0), uint8(1), uint16(0))
@@ -41,9 +41,6 @@ func FuzzPartitionedVsSerial(f *testing.F) {
 		}
 		if !reflect.DeepEqual(bt.FilterMinCount(2), serial.FilterMinCount(2)) {
 			t.Fatal("FilterMinCount diverges from serial")
-		}
-		if one := CountReadsParallel(reads, k, 1); one.ProbeOps() != bt.ProbeOps() {
-			t.Fatalf("ProbeOps %d on %d workers, %d on one", bt.ProbeOps(), workers, one.ProbeOps())
 		}
 	})
 }
@@ -81,8 +78,9 @@ func fuzzReads(data []byte, k int) []*genome.Sequence {
 // and 32 (both code widths and both sides of the width boundary); the
 // oracle adds each read — the AddRead of the name — k-mer by k-mer from the
 // base-by-base roll over the read's Sequence (rollBases), which shares no
-// code with codeRoller. All three must agree on entries, trimmed entries and
-// Len, and the CountTable with the oracle on ProbeOps.
+// code with codeRoller, and a second BucketTable takes those k-mers through
+// AddKmers. All four must agree on entries, trimmed entries and Len, and
+// the CountTable with the oracle on ProbeOps.
 func FuzzAddCodesMatchesAddRead(f *testing.F) {
 	f.Add([]byte("CGTGCGTGCTT"), uint8(0), uint16(0))
 	f.Add([]byte{}, uint8(1), uint16(0))
@@ -99,7 +97,7 @@ func FuzzAddCodesMatchesAddRead(f *testing.F) {
 		reads = append(reads, fuzzed...)
 		reads = append(reads, sampled[:int(bulk)%len(sampled)]...)
 		reads = append(reads, fuzzed...)
-		byCodes, serial, oracle := NewBucketTable(k, 1), NewCountTable(k, 0), NewCountTable(k, 0)
+		byCodes, byKmers, serial, oracle := NewBucketTable(k, 1), NewBucketTable(k, 1), NewCountTable(k, 0), NewCountTable(k, 0)
 		var codes []byte
 		for _, r := range reads {
 			codes = codes[:0]
@@ -110,17 +108,19 @@ func FuzzAddCodesMatchesAddRead(f *testing.F) {
 			serial.AddCodes(codes)
 			if kms := rollBases(r, k); len(kms) > 0 {
 				oracle.addAll(kms)
+				byKmers.AddKmers(kms)
 			}
 		}
-		if byCodes.Len() != oracle.Len() || serial.Len() != oracle.Len() {
-			t.Fatalf("k=%d: Len %d bucketed, %d serial, %d oracle", k, byCodes.Len(), serial.Len(), oracle.Len())
+		if byCodes.Len() != oracle.Len() || byKmers.Len() != oracle.Len() || serial.Len() != oracle.Len() {
+			t.Fatalf("k=%d: Len %d bucketed, %d by k-mers, %d serial, %d oracle", k, byCodes.Len(), byKmers.Len(), serial.Len(), oracle.Len())
 		}
 		if serial.ProbeOps() != oracle.ProbeOps() {
 			t.Fatalf("k=%d: ProbeOps %d serial, %d oracle", k, serial.ProbeOps(), oracle.ProbeOps())
 		}
 		for _, min := range []uint32{1, 2} {
 			want := oracle.FilterMinCount(min)
-			if !reflect.DeepEqual(byCodes.FilterMinCount(min), want) || !reflect.DeepEqual(serial.FilterMinCount(min), want) {
+			if !reflect.DeepEqual(byCodes.FilterMinCount(min), want) || !reflect.DeepEqual(byKmers.FilterMinCount(min), want) ||
+				!reflect.DeepEqual(serial.FilterMinCount(min), want) {
 				t.Fatalf("k=%d: FilterMinCount(%d) diverges", k, min)
 			}
 		}

@@ -23,10 +23,10 @@ func entriesOf(keys []Kmer) []Entry {
 	return es
 }
 
-// TestSetMatchesMap checks HasAll against a map over key sets that hit the
-// index's edges: no key, one key, keys in the first and the last prefix,
-// the all-T (zero), all-A and all-C (all-ones) codes, a prefix holding more
-// keys than HasAll probes, and random sets dense
+// TestSetMatchesMap checks IndexAll against a map from each key to its rank
+// over key sets that hit the index's edges: no key, one key, keys in the
+// first and the last prefix, the all-T (zero), all-A and all-C (all-ones)
+// codes, a prefix holding more keys than IndexAll probes, and random sets dense
 // and sparse in k-mer space, at k ∈ {1, 2, 8, 31, 32}. Queries are every
 // key, its code neighbours, the extremes and random codes — every k-mer
 // when there are at most 4^4. It also pins the layout: one 8-byte key per
@@ -60,11 +60,15 @@ func TestSetMatchesMap(t *testing.T) {
 		}
 		for name, keys := range cases {
 			t.Run(fmt.Sprintf("k%d/%s", k, name), func(t *testing.T) {
-				want := map[Kmer]bool{}
-				for _, km := range keys {
-					want[km] = true
+				entries := entriesOf(keys)
+				want := map[Kmer]int32{}
+				for i, e := range entries {
+					want[e.Kmer] = int32(i)
 				}
-				s := NewSet(k, entriesOf(keys))
+				s := NewSet(k, entries)
+				if got := s.Keys(); len(got) != len(entries) {
+					t.Fatalf("%d keys, want %d", len(got), len(entries))
+				}
 				idxBits, wantKeys := min(bits.Len(uint(len(want))), 2*k), 0
 				if len(want) > 0 {
 					wantKeys = len(want) + probeKeys
@@ -85,16 +89,23 @@ func TestSetMatchesMap(t *testing.T) {
 					queries = append(queries, random(200)...)
 					queries = append(queries, 0, 1, allA, mask-1, mask)
 				}
-				got := make([]bool, len(queries)+1) // longer than the batch
-				got[len(queries)] = true
-				s.HasAll(queries, got)
+				got := make([]int32, len(queries)+1) // longer than the batch
+				got[len(queries)] = 7
+				s.IndexAll(queries, got)
 				for i, km := range queries {
-					if got[i] != want[km] {
-						t.Fatalf("HasAll says %s is in the set: %v, want %v", km.String(k), got[i], want[km])
+					wantIdx, ok := want[km]
+					if !ok {
+						wantIdx = -1
+					}
+					if got[i] != wantIdx {
+						t.Fatalf("IndexAll finds %s at %d, want %d", km.String(k), got[i], wantIdx)
+					}
+					if ok && s.Keys()[got[i]] != km {
+						t.Fatalf("key %d is %s, want %s", got[i], s.Keys()[got[i]].String(k), km.String(k))
 					}
 				}
-				if !got[len(queries)] {
-					t.Fatal("HasAll wrote past its batch")
+				if got[len(queries)] != 7 {
+					t.Fatal("IndexAll wrote past its batch")
 				}
 			})
 		}
@@ -139,13 +150,13 @@ func TestSetMatchesCountTable(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					got := make([]bool, len(queries))
+					got := make([]int32, len(queries))
 					for at := 0; at < len(queries); at += 70 {
-						s.HasAll(queries[at:min(at+70, len(queries))], got[at:])
+						s.IndexAll(queries[at:min(at+70, len(queries))], got[at:])
 					}
 					for i, km := range queries {
-						if want := serial.Count(km) >= threshold; got[i] != want {
-							t.Errorf("%s, threshold %d: %v in the set: %v, want %v", tc.name, threshold, km, got[i], want)
+						if want := serial.Count(km) >= threshold; (got[i] >= 0) != want || want && s.Keys()[got[i]] != km {
+							t.Errorf("%s, threshold %d: %v found at %d, want it in the set: %v", tc.name, threshold, km, got[i], want)
 							return
 						}
 					}

@@ -2,6 +2,7 @@ package kmer
 
 import (
 	"math"
+	"slices"
 
 	"pimassembler/internal/genome"
 )
@@ -149,11 +150,12 @@ func (t *table[C]) survivors(min uint32) int {
 	return n
 }
 
-// filter copies the slots with count ≥ min into dst in slot order. It
-// writes every slot to dst[i] and moves i past survivors only, so the loop
-// keeps what it copies without a branch; dst needs one spare slot beyond the
-// survivors(min) it keeps, for the slots written after the last of them.
-func (t *table[C]) filter(dst []slot[C], min uint32) {
+// filter copies the slots with count ≥ min into dst in slot order and
+// returns how many it kept. It writes every slot to dst[i] and moves i past
+// survivors only, so the loop keeps what it copies without a branch; dst
+// needs one spare slot beyond the survivors it keeps, for the slots written
+// after the last of them.
+func (t *table[C]) filter(dst []slot[C], min uint32) int {
 	min = max(min, 1) // an empty slot's zero count must never pass
 	i := 0
 	for _, s := range t.slots {
@@ -162,6 +164,16 @@ func (t *table[C]) filter(dst []slot[C], min uint32) {
 			i++
 		}
 	}
+	return i
+}
+
+// sortedRun filters the slots with count ≥ min into run, grown to the n+1
+// slots filter may write, and sorts the survivors with scratch. It returns
+// the survivors and the scratch, for the next call to reuse.
+func (t *table[C]) sortedRun(run, scratch []slot[C], min uint32) ([]slot[C], []slot[C]) {
+	run = slices.Grow(run[:0], t.n+1)[:t.n+1]
+	run = run[:t.filter(run, min)]
+	return run, sortSlots(run, scratch)
 }
 
 // CountTable is the software reference k-mer hash table: the open-addressing
