@@ -132,6 +132,30 @@ func TestAssembleFleuryOnSmallInput(t *testing.T) {
 	}
 }
 
+// TestPIMEulerStageMatchesHost: the Euler stage the pim backend simulates,
+// repeated at the sub-arrays the run gave the graph, emits the host's
+// Hierholzer walk over the same graph, or fails where it fails: on a graph
+// with one Eulerian walk and on one of a noisy run with none.
+func TestPIMEulerStageMatchesHost(t *testing.T) {
+	rng := stats.NewRNG(9)
+	clean := genome.TilingReads(genome.GenerateGenome(120, rng), 60, 40)
+	noisy := genome.NewReadSampler(genome.GenerateGenome(600, rng), 60, 0.02, rng).Sample(60)
+	for name, reads := range map[string][]*genome.Sequence{"clean": clean, "noisy": noisy} {
+		pim, err := AssemblePIM(core.NewDefaultPlatform(), genome.NewSliceSource(reads), Options{K: 12}, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gerr := core.NewGraphEngine(pim.Platform, pim.Graph, pim.BankSubarrays+pim.HashSubarrays).EulerPath()
+		want, werr := pim.Graph.EulerPath()
+		if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: simulated walk of %d nodes (err %v), host walk of %d (err %v)", name, len(got), gerr, len(want), werr)
+		}
+		if (werr == nil) != (name == "clean") {
+			t.Fatalf("%s: host walk error %v", name, werr)
+		}
+	}
+}
+
 // TestCorrectKeepsOpCounts: on error-free reads at 30× coverage, which
 // correction leaves as they are, a software run with Correct reports the
 // OpCounts and contigs of a run without it. The count the repair tallies is
@@ -315,6 +339,8 @@ func TestPIMAssemblyMatchesSoftware(t *testing.T) {
 		if !reflect.DeepEqual(got.entries, want.entries) || got.distinct != want.distinct || got.totals != want.totals {
 			t.Errorf("MinCount=%d: spectrum read back from the simulated rows differs from the software table's", o.MinCount)
 		}
+		// Every Add visits at least one slot, so a ratio below 1 means the
+		// simulator lost probes.
 		if got.avgProbes < 1 || want.avgProbes != designProbes() {
 			t.Errorf("MinCount=%d: %v probes per add on the simulator, %v on the host", o.MinCount, got.avgProbes, want.avgProbes)
 		}

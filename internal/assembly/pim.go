@@ -116,8 +116,10 @@ func (b *pimBackend) countReads(reads []*genome.Sequence, opts Options) (spectru
 		return sp, err
 	}
 	entries := table.Entries()
-	sp.distinct = len(entries)
-	sp.avgProbes = max(float64(table.ProbeOps())/float64(max(sp.totals.kmers, 1)), 1)
+	sp.distinct, sp.avgProbes = len(entries), 1
+	if sp.totals.kmers > 0 {
+		sp.avgProbes = float64(table.ProbeOps()) / float64(sp.totals.kmers)
+	}
 	if opts.MinCount > 1 {
 		kept := entries[:0]
 		for _, e := range entries {
@@ -134,7 +136,9 @@ func (b *pimBackend) countReads(reads []*genome.Sequence, opts Options) (spectru
 // walk loads g into the graph sub-arrays and runs the Traverse procedure:
 // in-memory degree computation and start-vertex selection, then the host
 // edge walk. It runs for the commands it records; contigs never depend on
-// the walk, so the walk, or why there is none, is not kept.
+// the walk, so the walk, or why there is none, is not kept. A test repeats
+// it at the same sub-arrays from the PIMResult and compares it with the
+// host's Graph.EulerPath.
 func (b *pimBackend) walk(g *debruijn.Graph) {
 	_, _ = core.NewGraphEngine(b.platform, g, b.bankN+b.hashN).EulerPath()
 }

@@ -107,10 +107,10 @@ type Result struct {
 	Counts    OpCounts
 }
 
-// backend is where one run executes stage 1, the step that differs between
-// the software reference and the PIM platform; everything else in run is
-// shared, so every option means the same thing on either. The pim backend
-// also simulates the Traverse procedure's Euler stage (pimBackend.walk).
+// backend is where one run executes the steps that differ between the
+// software reference and the PIM platform: stage 1, and the Euler stage that
+// only the platform simulates. Everything else in run is shared, so every
+// option means the same thing on either.
 type backend interface {
 	// count is stage 1 (the Hashmap procedure): it drains src into the
 	// k-mer spectrum. No reads is not an error here — run reports it from
@@ -119,6 +119,9 @@ type backend interface {
 	// countCorrected is stage 1 with Correct: c repairs reads in place, and
 	// the spectrum is that of the repaired reads.
 	countCorrected(c *correct.Corrector, reads []*genome.Sequence, opts Options) (spectrum, error)
+	// walk is the Euler stage of the Traverse procedure over the finished
+	// graph, run for what it costs; contigs never depend on it.
+	walk(g *debruijn.Graph)
 }
 
 // spectrum is everything stage 1 hands on: the counted k-mers for graph
@@ -172,9 +175,10 @@ func (s cancelSource) NextCodes() ([]byte, error) {
 
 // run is the pipeline of Fig. 5a, the only one: stage 1 on b (which applies
 // the MinCount filter, and with Correct repairs the reads first), graph
-// construction and simplification, the pim backend's simulated Euler stage,
-// contig emission, scaffolding, and the operation profile of what ran. ctx
-// is checked before every read pulled from src and between stages.
+// construction and simplification, the Euler stage on b (which only the pim
+// backend simulates), contig emission, scaffolding, and the operation
+// profile of what ran. ctx is checked before every read pulled from src and
+// between stages.
 func run(ctx context.Context, b backend, src genome.ReadSource, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -231,9 +235,7 @@ func run(ctx context.Context, b backend, src genome.ReadSource, opts Options) (*
 
 	// Stage 2b: traversal and contig emission.
 	start = time.Now()
-	if pim, ok := b.(*pimBackend); ok {
-		pim.walk(res.Graph)
-	}
+	b.walk(res.Graph)
 	res.Contigs = res.Graph.Contigs()
 	res.Timings.Traverse = time.Since(start)
 	if err := ctx.Err(); err != nil {
@@ -286,6 +288,10 @@ func (softwareBackend) count(src genome.ReadSource, opts Options) (spectrum, err
 	sp.entries, sp.distinct, sp.avgProbes = table.FilterMinCount(opts.MinCount), table.Len(), designProbes()
 	return sp, nil
 }
+
+// walk does nothing: no host output reads an Euler walk, so the reference
+// does not take one.
+func (softwareBackend) walk(*debruijn.Graph) {}
 
 // countCorrected repairs the reads and reads the spectrum out of the tally
 // the repair took: the count of the repaired reads, which are not rolled

@@ -50,7 +50,7 @@ func assertSameResult(t *testing.T, label string, got, want *Result) {
 
 // TestStreamStage1MatchesSlice pins that a slice and a one-pass scanner
 // stream are one pipeline: not only contigs but the whole stage-1 hand-off
-// (entries, distinct, probes, totals) and every OpCounts field — AvgProbes
+// (entries, distinct, avgProbes, totals) and every OpCounts field — AvgProbes
 // included — agree, with no option set to ask for streaming.
 func TestStreamStage1MatchesSlice(t *testing.T) {
 	rng := stats.NewRNG(0x51)

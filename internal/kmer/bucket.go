@@ -51,9 +51,9 @@ const (
 // those of CountReads. The table prices no probes: OpCounts takes the
 // mapping's design load, not a host table's growth path.
 //
-// Every reader folds what AddCodes left staged first, so the first read after
-// an AddCodes must not run beside another call. After it, any number of
-// goroutines may read at once.
+// Every reader folds what AddCodes and AddKmers left staged first, so the
+// first read after either must not run beside another call. After it, any
+// number of goroutines may read at once.
 type BucketTable struct {
 	k       int
 	workers int   // fold and read-out goroutines, in [1, GOMAXPROCS]
@@ -148,11 +148,9 @@ type buckets[C code] struct {
 	// staging a k-mer reads and writes one of them.
 	open [numBuckets]cursor
 	full [numBuckets][]int32
-	slab []C // the staging blocks, cut in order; nil until AddCodes stages
+	slab []C // the staging blocks, cut in order
 	cut  int // blocks cut from slab since the last fold
-	// batch is addAll's k-mers sorted by bucket, reused from call to call.
-	batch []C
-	pool  slotPool[C]
+	pool slotPool[C]
 }
 
 // cursor is a bucket's open block in the slab: the index its next code goes
@@ -163,7 +161,8 @@ type cursor struct{ at, end int32 }
 // tables sized for what each receives. No bucket holds anything yet, so
 // every entry is a plain placement.
 func splitBuckets[C code](single *CountTable, workers int) phase {
-	b := &buckets[C]{k: single.k, shift: 2*uint(single.k) - bucketBits, workers: workers}
+	b := &buckets[C]{k: single.k, shift: 2*uint(single.k) - bucketBits, workers: workers,
+		slab: make([]C, stageBudget)}
 	var sizes [numBuckets]int
 	for _, s := range single.slots {
 		if s.Count != 0 {
@@ -186,6 +185,8 @@ func splitBuckets[C code](single *CountTable, workers int) phase {
 // AddCodes stages the low code bits of each k-mer of a read's codes in its
 // bucket's open block. It rolls the codes itself rather than through
 // codeRoller's batches: a k-mer goes from the window to its block directly.
+// Rolling into a batch and staging it with addAll measured ≈ 13 % slower on
+// BenchmarkSpectrum/k16/bucketed.
 func (b *buckets[C]) AddCodes(codes []byte) {
 	roll := newCodeRoller(codes, b.k)
 	km, top, shift, slab := roll.km, roll.top, b.shift, b.slab
@@ -195,38 +196,25 @@ func (b *buckets[C]) AddCodes(codes []byte) {
 		o := &b.open[i]
 		if o.at == o.end {
 			b.nextBlock(i)
-			slab = b.slab
 		}
 		slab[o.at] = C(km)
 		o.at++
 	}
 }
 
-// addAll folds kms into the bucket tables at once, after whatever
-// AddCodes staged. A batch is already whole, so staging it block by block
-// would only copy it: a stable counting sort by bucket puts each bucket's
-// k-mers, in slice order, in one run of batch, and each bucket's table adds
-// its run on the fold workers. A counter fed only through AddKmers never
-// allocates the slab; its buffer is the largest batch.
+// addAll is AddCodes' staging loop over k-mers already rolled: each of kms,
+// in slice order, goes to its bucket's open block.
 func (b *buckets[C]) addAll(kms []Kmer) {
-	b.settle()
-	var at [numBuckets + 1]int // at[i]: where bucket i's run starts
+	shift, slab := b.shift, b.slab
 	for _, km := range kms {
-		at[int(uint8(km>>b.shift))+1]++
+		i := uint8(km >> shift)
+		o := &b.open[i]
+		if o.at == o.end {
+			b.nextBlock(i)
+		}
+		slab[o.at] = C(km)
+		o.at++
 	}
-	for i := 1; i < len(at); i++ {
-		at[i] += at[i-1]
-	}
-	b.batch = slices.Grow(b.batch[:0], len(kms))[:len(kms)]
-	next := at
-	for _, km := range kms {
-		i := uint8(km >> b.shift)
-		b.batch[next[i]] = C(km)
-		next[i]++
-	}
-	parallel.ForEachWorkers(b.workers, numBuckets, func(i int) {
-		b.tables[i].addAll(b.batch[at[i]:at[i+1]])
-	})
 }
 
 // nextBlock files bucket i's open block, which is full or absent, and cuts
@@ -237,9 +225,6 @@ func (b *buckets[C]) nextBlock(i uint8) {
 		b.full[i] = append(b.full[i], o.end-stageBlock)
 	}
 	*o = cursor{}
-	if b.slab == nil {
-		b.slab = make([]C, stageBudget)
-	}
 	if b.cut == stageBudget/stageBlock {
 		b.fold()
 	}
@@ -283,42 +268,49 @@ func (b *buckets[C]) Len() int {
 
 // FilterMinCount reads each table's slots once, each worker taking a span
 // of tables: it filters a table's slots into a reused run of n+1 slots (n
-// bounds the survivors; filter writes one spare), radix-sorts the run over
-// the code bits alone and widens it into entries. A table holds n k-mers, so
-// with min ≤ 1 every table's share of the entries is known up front and the
-// run is widened into its place. Above 1 it is not known until the table is
-// read: each worker appends its span's entries to its own part, and the
-// parts are laid end to end.
+// bounds the survivors; filter writes one spare) and radix-sorts the run over
+// the code bits alone. With min ≤ 1 every k-mer survives, so a table's share
+// of the entries is its n, known before any slot is read, and the run is
+// widened straight into its place. Above 1 a table's share is known only once
+// its slots are read: its sorted survivors are kept, exactly sized, and
+// widened into the entries once every table has been read. EXPERIMENTS E43
+// measures both against one path for every min.
 func (b *buckets[C]) FilterMinCount(min uint32) []Entry {
 	b.settle()
 	spans := parallel.Spans(numBuckets, (numBuckets+b.workers-1)/b.workers)
-	if min > 1 {
-		parts := make([][]Entry, len(spans))
-		parallel.ForEachWorkers(b.workers, len(spans), func(w int) {
-			var run, scratch []slot[C]
-			for i := spans[w].Lo; i < spans[w].Hi; i++ {
-				tbl := &b.tables[i]
-				run, scratch = tbl.sortedRun(run, scratch, min)
-				for _, s := range run {
-					parts[w] = append(parts[w], Entry{tbl.prefix | Kmer(s.Kmer), s.Count})
-				}
-			}
-		})
-		return slices.Concat(parts...)
+	var (
+		at   [numBuckets + 1]int // at[i]: where table i's entries start
+		out  []Entry
+		kept [numBuckets][]slot[C] // with min > 1, table i's sorted survivors
+	)
+	if min <= 1 {
+		for i := range b.tables {
+			at[i+1] = at[i] + b.tables[i].n
+		}
+		out = make([]Entry, at[numBuckets])
 	}
-	var at [numBuckets + 1]int
-	for i := range b.tables {
-		at[i+1] = at[i] + b.tables[i].n
-	}
-	out := make([]Entry, at[numBuckets])
 	parallel.ForEachWorkers(b.workers, len(spans), func(w int) {
 		var run, scratch []slot[C]
 		for i := spans[w].Lo; i < spans[w].Hi; i++ {
-			tbl, dst := &b.tables[i], out[at[i]:at[i+1]]
+			tbl := &b.tables[i]
 			run, scratch = tbl.sortedRun(run, scratch, min)
-			for j, s := range run {
-				dst[j] = Entry{tbl.prefix | Kmer(s.Kmer), s.Count}
+			if min <= 1 {
+				tbl.widen(out[at[i]:at[i+1]], run)
+			} else {
+				kept[i] = slices.Clone(run)
 			}
+		}
+	})
+	if min <= 1 {
+		return out
+	}
+	for i := range kept {
+		at[i+1] = at[i] + len(kept[i])
+	}
+	out = make([]Entry, at[numBuckets])
+	parallel.ForEachWorkers(b.workers, len(spans), func(w int) {
+		for i := spans[w].Lo; i < spans[w].Hi; i++ {
+			b.tables[i].widen(out[at[i]:at[i+1]], kept[i])
 		}
 	})
 	return out

@@ -176,6 +176,14 @@ func (t *table[C]) sortedRun(run, scratch []slot[C], min uint32) ([]slot[C], []s
 	return run, sortSlots(run, scratch)
 }
 
+// widen writes run's slots, which hold t's code bits, into dst as entries of
+// whole k-mers.
+func (t *table[C]) widen(dst []Entry, run []slot[C]) {
+	for j, s := range run {
+		dst[j] = Entry{t.prefix | Kmer(s.Kmer), s.Count}
+	}
+}
+
 // CountTable is the software reference k-mer hash table: the open-addressing
 // table over whole codes. A slot is one 16-byte Entry, so a probe touches one
 // cache line.
